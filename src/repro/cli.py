@@ -513,7 +513,7 @@ def _cmd_diagnose(args) -> int:
             config=config,
             metrics=metrics,
             chaos=chaos,
-            rng_per_bucket=store is not None,
+            rng_per_bucket=True,
             store=store,
             warm_start=bool(resume_dir),
         )

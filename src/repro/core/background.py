@@ -23,7 +23,7 @@ from __future__ import annotations
 import bisect
 import zlib
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.chaos import FaultPlan
 from repro.cloud.traceroute import TracerouteEngine, TracerouteResult
@@ -296,23 +296,6 @@ class BackgroundProber:
         slot = zlib.crc32(repr(key).encode("utf-8")) % self.interval_buckets
         bisect.insort(self._schedule.setdefault(slot, []), (key, prefix24))
         return True
-
-    def register_targets_batch(
-        self, targets: Iterable[tuple[str, ASPath, Prefix24]]
-    ) -> list[tuple[str, ASPath, Prefix24]]:
-        """Register many targets; returns the ones that were new.
-
-        The columnar pipeline calls this once per bucket with the
-        first-occurrence-ordered new pairs it found by set-difference on
-        composite codes, so registration order (and therefore the seed
-        order of any follow-up probes) matches the scalar per-quartet
-        loop.
-        """
-        new: list[tuple[str, ASPath, Prefix24]] = []
-        for location_id, middle, prefix24 in targets:
-            if self.register_target(location_id, middle, prefix24):
-                new.append((location_id, middle, prefix24))
-        return new
 
     @property
     def target_count(self) -> int:

@@ -40,21 +40,6 @@ class BlameItConfig:
             extension: rich clients measure the client-to-cloud path and
             localization compares both directions (off in the paper's
             deployed system; proposed as future work).
-        vectorized_passive: Route :meth:`PassiveLocalizer.assign` through
-            the NumPy fast path (columnar :class:`QuartetBatch` array
-            ops). Produces results identical to the scalar reference;
-            off by default so the scalar code stays the executable
-            specification. Only consulted by the scalar pipeline — the
-            columnar pipeline is batch-native throughout.
-        columnar_pipeline: Drive the sequential pipeline columnar
-            end-to-end: batches from
-            :class:`~repro.perf.batch.BatchQuartetGenerator`, columnar
-            ingest, batch learning / client observation / target
-            registration, and the vectorized passive phase — quartets
-            never materialize as per-row objects on the hot path.
-            Byte-identical to the scalar loop (the golden report and the
-            equivalence sweep run against it); turn off to fall back to
-            the executable-specification scalar loop.
         probe_planner: How the on-demand prober spends its budget (see
             :mod:`repro.core.probeplan`): ``"paper"`` (§5.3
             impact-ranked, the default), ``"naive"`` (key order, no
@@ -83,8 +68,6 @@ class BlameItConfig:
     churn_triggered_probes: bool = True
     good_rtt_slack_ms: float = 0.0
     use_reverse_traceroutes: bool = False
-    vectorized_passive: bool = False
-    columnar_pipeline: bool = True
     probe_planner: str = "paper"
     probe_cluster_floor: float = 0.6
     probe_history_windows: int = 48

@@ -68,7 +68,12 @@ class _AggregateStats:
 
 
 class PassiveLocalizer:
-    """Runs Algorithm 1 over the quartets of one time window."""
+    """Runs Algorithm 1 over the quartets of one 5-minute bucket.
+
+    :meth:`assign_batch` (NumPy over a columnar batch) is what the
+    pipeline runs; :meth:`assign` (a loop over :class:`Quartet` records)
+    is the executable specification the tests hold it identical to.
+    """
 
     def __init__(
         self,
@@ -159,7 +164,8 @@ class PassiveLocalizer:
     def assign(
         self, quartets: list[Quartet], table: ExpectedRTTTable | None
     ) -> list[BlameResult]:
-        """Blame every bad quartet in a single 5-minute bucket.
+        """Blame every bad quartet in a single 5-minute bucket (the
+        scalar reference).
 
         Args:
             quartets: All quartets of the bucket (good and bad); aggregate
@@ -171,8 +177,6 @@ class PassiveLocalizer:
             One :class:`BlameResult` per bad quartet (quartets passing the
             sample gate whose RTT breaches the region target).
         """
-        if self.config.vectorized_passive:
-            return self.assign_batch(QuartetBatch.from_quartets(quartets), table)
         table = self._effective_table(table)
         with self.metrics.span("passive.scalar"):
             gated = [
@@ -189,23 +193,6 @@ class PassiveLocalizer:
                     self._assign_one(quartet, cloud_stats, middle_stats, good_elsewhere)
                 )
         self._count_results(len(quartets) - len(gated), results)
-        return results
-
-    def assign_window(
-        self, quartets: list[Quartet], table: ExpectedRTTTable | None
-    ) -> list[BlameResult]:
-        """Blame bad quartets across a multi-bucket window.
-
-        Groups by bucket so aggregate statistics stay per-bucket, matching
-        the 5-minute quartet definition even though the production job
-        runs every 15 minutes (§6.1).
-        """
-        by_bucket: dict[int, list[Quartet]] = {}
-        for quartet in quartets:
-            by_bucket.setdefault(quartet.time, []).append(quartet)
-        results: list[BlameResult] = []
-        for time in sorted(by_bucket):
-            results.extend(self.assign(by_bucket[time], table))
         return results
 
     def assign_batch(
@@ -227,9 +214,9 @@ class PassiveLocalizer:
     ) -> BlameResultBatch:
         """:meth:`assign_batch` without materializing per-row results.
 
-        This is the native form for the columnar pipeline and the sharded
-        driver's shard-to-fold transport: bad rows stay a row-subset
-        batch plus code/fraction arrays until someone needs records.
+        This is the form shard workers compute and ship to the fold:
+        bad rows stay a row-subset batch plus code/fraction arrays until
+        the window flush needs records.
         """
         table = self._effective_table(table)
         with self.metrics.span("passive.vectorized"):

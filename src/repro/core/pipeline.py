@@ -15,18 +15,11 @@ from __future__ import annotations
 import dataclasses
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from repro.chaos import (
-    ChaosKill,
-    FaultPlan,
-    inject_batch,
-    inject_quartets,
-    sanitize_batch,
-    sanitize_quartets,
-)
+from repro.chaos import ChaosKill, FaultPlan, inject_batch, sanitize_batch
 from repro.cloud.traceroute import TracerouteEngine
 from repro.core.active import (
     IssueTracker,
@@ -37,14 +30,15 @@ from repro.core.active import (
 )
 from repro.core.alerts import Alert, AlertManager
 from repro.core.background import BackgroundProber, BaselineStore, ReverseBaselineStore
-from repro.core.blame import Blame, BlameResult
+from repro.core.blame import Blame, BlameResult, BlameResultBatch
 from repro.core.config import BlameItConfig
 from repro.core.localize import CulpritVerdict, localize_culprit
 from repro.core.passive import PassiveLocalizer
 from repro.core.probeplan import make_planner
 from repro.core.reverse import localize_bidirectional
 from repro.core.prediction import ClientCountPredictor, DurationPredictor
-from repro.core.quartet import Quartet, QuartetBatch
+from repro.core.quartet import QuartetBatch
+from repro.core.summary import BucketSummary, summarize_bucket
 from repro.core.thresholds import ExpectedRTTLearner, ExpectedRTTTable
 from repro.net.asn import ASPath, middle_asns
 from repro.net.bgp import Timestamp
@@ -306,15 +300,35 @@ class PipelineReport:
         return self.probes_on_demand + self.probes_background + self.probes_bootstrap
 
 
+class WindowEntry(NamedTuple):
+    """One pending bucket of the probe window.
+
+    Attributes:
+        time: The bucket.
+        blames: Its worker-computed blames, or None when they are
+            deferred to the flush.
+        batch: Its sanitized quartets, when the blames are deferred.
+        lease: The shared-memory lease the arrays live under (None
+            unless they arrived over :mod:`repro.perf.transport`'s shm
+            path); released by the flush.
+    """
+
+    time: Timestamp
+    blames: BlameResultBatch | None
+    batch: QuartetBatch | None
+    lease: object | None = None
+
+
 @dataclass
 class RunState:
-    """Everything an in-progress columnar run carries between buckets.
+    """Everything an in-progress run carries between buckets.
 
     Produced by :meth:`BlameItPipeline.begin_run` and advanced one
-    bucket at a time by :meth:`BlameItPipeline.step`; the batch
-    :meth:`BlameItPipeline.run` loop and the streaming daemon
-    (:mod:`repro.serve`) drive the same state through the same steps,
-    which is what keeps their reports byte-identical.
+    bucket at a time by :meth:`BlameItPipeline.fold_bucket`; the batch
+    :meth:`BlameItPipeline.run` loop, the streaming daemon
+    (:mod:`repro.serve`) and the sharded driver (:mod:`repro.perf`)
+    drive the same state through the same kernel, which is what keeps
+    their reports byte-identical.
 
     Attributes:
         report: The partial report being accumulated.
@@ -328,15 +342,11 @@ class RunState:
         table: The expected-RTT table currently held.
         table_dropped: Chaos withheld the table for the whole run.
         table_day: Day the held table was computed for.
-        window: Pending (unflushed) probe-window batches.
-        window_times: Bucket times of ``window`` entries.
+        window: Pending (unflushed) probe-window entries, bucket-ordered;
+            non-empty buckets only.
         restored_extra: Caller metadata from the restored checkpoint
             (empty on cold start; the daemon keeps its archive cursor
             here).
-        external_seen: ⟨location, middle⟩ pairs already offered to
-            ``register_target`` when buckets arrive from an external
-            source (external batches carry batch-local vocabularies, so
-            the generator's integer pair codes cannot be used).
     """
 
     report: PipelineReport
@@ -346,10 +356,13 @@ class RunState:
     table: "ExpectedRTTTable"
     table_dropped: bool
     table_day: int
-    window: list[QuartetBatch] = field(default_factory=list)
-    window_times: list[int] = field(default_factory=list)
+    window: list[WindowEntry] = field(default_factory=list)
     restored_extra: dict = field(default_factory=dict)
-    external_seen: set = field(default_factory=set)
+
+    @property
+    def window_times(self) -> list[int]:
+        """Bucket times of the pending window (what a checkpoint stores)."""
+        return [entry.time for entry in self.window]
 
 
 class BlameItPipeline:
@@ -400,9 +413,9 @@ class BlameItPipeline:
                 without the parameter.
             store: Checkpoint store (see :mod:`repro.store`). When set,
                 the run snapshots its state at every day boundary.
-                Requires the columnar pipeline and ``rng_per_bucket``
-                (resume regenerates the pending window's buckets, which
-                only per-bucket seeding makes position-independent).
+                Requires ``rng_per_bucket`` (resume regenerates the
+                pending window's buckets, which only per-bucket seeding
+                makes position-independent).
             warm_start: Resume from the store's newest checkpoint (cold
                 start if the store is empty). Requires ``store``.
         """
@@ -448,21 +461,21 @@ class BlameItPipeline:
         self.rng_per_bucket = rng_per_bucket
         if warm_start and store is None:
             raise ValueError("warm_start requires a checkpoint store")
-        if store is not None and not (
-            self.config.columnar_pipeline and rng_per_bucket
-        ):
-            raise ValueError(
-                "checkpointing requires columnar_pipeline and rng_per_bucket"
-            )
+        if store is not None and not rng_per_bucket:
+            raise ValueError("checkpointing requires rng_per_bucket")
         self._store = store
         self.warm_start = warm_start
         self._recorded_middle: set[int] = set()
-        # Per-scenario columnar generator state: id(scenario) → (scenario,
+        # Per-scenario generator state: id(scenario) → (scenario,
         # BatchQuartetGenerator, seen pair codes). The scenario reference
-        # keeps the id stable; the seen set lets the columnar fold skip
-        # register_target for pairs it already attempted (the scalar loop
-        # re-attempts and gets False — same outcome, no RNG either way).
+        # keeps the id stable; the seen set lets the fold skip
+        # register_target for pairs it already offered (re-offering
+        # returns False — same outcome, no RNG either way).
         self._generators: dict[int, tuple[Scenario, object, set[int]]] = {}
+        # Pair-code → ⟨location, middle⟩ decode cache, valid for the
+        # vocabulary objects it was filled from (see _pair_keys).
+        self._decode_vocab: tuple = (None, None)
+        self._decode: dict[int, tuple[str, ASPath]] = {}
 
     def bucket_rng(self, time: Timestamp) -> np.random.Generator | None:
         """The per-bucket generator, or None in shared-stream mode."""
@@ -490,24 +503,13 @@ class BlameItPipeline:
                 Incident benches pass a fault-free sibling scenario so 88
                 runs can share one trained learner.
         """
-        source = scenario or self.scenario
-        if self.config.columnar_pipeline:
-            generator, seen = self._generator_for(source)
-            for time in range(start, end, max(1, stride)):
-                batch = generator.generate(time)
-                self.learner.observe_batch(batch)
-                self._fold_bucket_columnar(
-                    time, batch, generator, seen, seed_new=False
-                )
-            return
+        generator, seen = self._generator_for(scenario or self.scenario)
         for time in range(start, end, max(1, stride)):
-            quartets = source.generate_quartets(time)
-            self.learner.observe_all(quartets)
-            self._observe_clients(time, quartets)
-            for quartet in quartets:
-                self.background.register_target(
-                    quartet.location_id, quartet.middle, quartet.prefix24
-                )
+            batch = generator.generate(time)
+            self._observe_bucket(
+                summarize_bucket(time, batch, None, seen, want_learn=True),
+                seed_new=False,
+            )
 
     # -- the run -------------------------------------------------------------
 
@@ -518,71 +520,12 @@ class BlameItPipeline:
         targets at ``start`` (production would have these from the
         steady-state background schedule).
 
-        Dispatches on ``config.columnar_pipeline``: the columnar loop is
-        the production path; the scalar loop below is the executable
-        specification it is held byte-identical to.
-        """
-        if self.config.columnar_pipeline:
-            return self._run_columnar(start, end)
-        return self._run_scalar(start, end)
-
-    def _run_scalar(self, start: Timestamp, end: Timestamp) -> PipelineReport:
-        """Reference loop over per-row :class:`Quartet` objects."""
-        report = PipelineReport(start=start, end=end)
-        metrics = self.metrics
-        self._bootstrap_baselines(start, report)
-        window: list[Quartet] = []
-        table, table_dropped = self._starting_table()
-        table_day = start // BUCKETS_PER_DAY
-        for time in range(start, end):
-            day = time // BUCKETS_PER_DAY
-            if self.fixed_table is None and not table_dropped and day != table_day:
-                table = self.learner.table(as_of_day=day)
-                table_day = day
-            with metrics.span("phase.generation"):
-                quartets = self.scenario.generate_quartets(
-                    time, rng=self.bucket_rng(time)
-                )
-            quartets = self._ingest(quartets)
-            report.total_quartets += len(quartets)
-            metrics.counter("pipeline.buckets").inc()
-            metrics.counter("pipeline.quartets").inc(len(quartets))
-            if self.fixed_table is None:
-                with metrics.span("phase.learning"):
-                    self.learner.observe_all(quartets)
-            self._observe_clients(time, quartets)
-            for quartet in quartets:
-                if self.background.register_target(
-                    quartet.location_id, quartet.middle, quartet.prefix24
-                ):
-                    self.background.seed_target(
-                        quartet.location_id, quartet.middle, quartet.prefix24, time
-                    )
-            self.background.run_bucket(time)
-            for update in self.scenario.updates_between(time, time + 1):
-                self.background.on_bgp_update(update)
-            window.extend(quartets)
-            if (time + 1 - start) % self.config.run_interval_buckets == 0:
-                self._process_window(time, window, table, report)
-                window = []
-        if window:
-            self._process_window(end - 1, window, table, report)
-        self._finalize(report)
-        return report
-
-    def _run_columnar(self, start: Timestamp, end: Timestamp) -> PipelineReport:
-        """The batch-native hot path: quartets stay columnar end to end.
-
         A thin driver over the incremental step API: ``begin_run`` cold-
         starts or restores, ``step`` processes one bucket, ``finish_run``
-        flushes and finalizes. Each bucket flows generation →
-        chaos/sanitize → learning → client/target fold → background
-        probing as :class:`~repro.core.quartet.QuartetBatch` columns;
-        per-row :class:`Quartet` objects are materialized only for the
-        bad rows that survive Algorithm 1 (inside ``_process_results``).
-        Every stateful consumer sees the same values in the same order
-        as the scalar loop, so the two are byte-identical (see DESIGN.md
-        §4b).
+        flushes and finalizes. Quartets stay
+        :class:`~repro.core.quartet.QuartetBatch` columns end to end;
+        per-row records are materialized only for the bad rows that
+        survive Algorithm 1 (inside :meth:`flush_window`).
 
         With a checkpoint store attached, the loop snapshots its state
         at every day boundary and (under ``warm_start``) resumes from
@@ -594,13 +537,7 @@ class BlameItPipeline:
         state = self.begin_run(start, end)
         for time in range(state.cursor, end):
             self._refresh_table(state, time)
-            self._maybe_checkpoint(
-                time,
-                state.entry,
-                state.window_times,
-                state.report,
-                table=self._checkpoint_table(state),
-            )
+            self._maybe_checkpoint(state, time)
             self.step(state)
         return self.finish_run(state)
 
@@ -612,11 +549,13 @@ class BlameItPipeline:
         end: Timestamp,
         regenerate=None,
     ) -> RunState:
-        """Open an incremental columnar run over ``[start, end)``.
+        """Open an incremental run over ``[start, end)``.
 
         Cold-starts (bootstrap probe sweep, fresh table) or — with a
         store attached and ``warm_start`` — restores the newest
-        checkpoint, including the pending probe window.
+        checkpoint, including the pending probe window (as deferred
+        entries: the flush blames them with the table it holds then,
+        as it does for every bucket the sequential driver folds).
 
         Args:
             start, end: Bucket range; a restored run may extend a
@@ -650,14 +589,13 @@ class BlameItPipeline:
             table=table,
             table_dropped=table_dropped,
             table_day=restored.time // BUCKETS_PER_DAY,
-            window_times=list(restored.window_times),
             restored_extra=restored.extra,
         )
-        if regenerate is not None:
-            state.window = regenerate(state.window_times)
-        else:
-            generator, _ = self._generator_for(self.scenario)
-            state.window = self._regenerate_window(generator, state.window_times)
+        times = restored.window_times
+        batches = (regenerate or self._regenerate_window)(times)
+        state.window = [
+            WindowEntry(time, None, batch) for time, batch in zip(times, batches)
+        ]
         return state
 
     def step(self, state: RunState, batch: QuartetBatch | None = None) -> None:
@@ -667,56 +605,168 @@ class BlameItPipeline:
             state: The run opened by :meth:`begin_run`.
             batch: The bucket's raw (pre-chaos, pre-sanitize) quartets
                 from an external source; None generates them from the
-                scenario — the batch loop's path. A single run must not
-                mix the two (external batches carry batch-local
-                vocabularies, scenario batches the generator's).
+                scenario — the batch loop's path.
 
-        The flush cadence (``run_interval_buckets``) counts from
-        ``report.start``, so a resumed run flushes at the same buckets
-        the uninterrupted one would have.
+        Either way the ingested batch is summarized inline with its
+        blames deferred to the window flush and handed to
+        :meth:`fold_bucket` — the same kernel a shard worker's summary
+        goes through. An external batch carries batch-local
+        vocabularies, so its pair codes compare with no earlier
+        bucket's: every pair is offered to ``register_target``, which
+        knows the ones it has.
         """
         time = state.cursor
-        metrics = self.metrics
         self._refresh_table(state, time)
-        external = batch is not None
-        generator, seen = self._generator_for(self.scenario)
-        if not external:
-            with metrics.span("phase.generation"):
+        if batch is None:
+            generator, seen = self._generator_for(self.scenario)
+            with self.metrics.span("phase.generation"):
                 batch = generator.generate(time, rng=self.bucket_rng(time))
-        batch = self._ingest_batch(batch)
-        report = state.report
-        report.total_quartets += len(batch)
-        metrics.counter("pipeline.buckets").inc()
-        metrics.counter("pipeline.quartets").inc(len(batch))
-        if self.fixed_table is None:
-            with metrics.span("phase.learning"):
-                self.learner.observe_batch(batch)
-        if external:
-            self._fold_bucket_columnar(
-                time, batch, None, state.external_seen, seed_new=True
-            )
         else:
-            self._fold_bucket_columnar(time, batch, generator, seen, seed_new=True)
+            seen = set()
+        summary = summarize_bucket(
+            time, self._ingest_batch(batch), None, seen, self.fixed_table is None
+        )
+        self.fold_bucket(state, time, summary)
+        state.cursor = time + 1
+
+    def fold_bucket(
+        self,
+        state: RunState,
+        time: Timestamp,
+        summary: BucketSummary | None,
+        lease=None,
+    ) -> None:
+        """The per-bucket kernel (Figure 7), behind every driver.
+
+        Counters, learning, client counts and probe targets
+        (:meth:`_observe_bucket`), background probing, BGP updates, the
+        window append, and — every ``run_interval_buckets``, counted
+        from ``report.start`` so a resumed run flushes where the
+        uninterrupted one would have — :meth:`flush_window`. Buckets
+        must arrive in time order; the caller advances ``state.cursor``.
+
+        Args:
+            state: The run opened by :meth:`begin_run`.
+            time: The bucket.
+            summary: Its summary, computed inline (:meth:`step`) or by a
+                shard worker; None when the bucket's shard was
+                abandoned (the bucket still happened, its quartets are
+                lost).
+            lease: The shared-memory lease ``summary``'s arrays live
+                under, if any; retained while the bucket waits in the
+                window and released by the flush.
+        """
+        metrics = self.metrics
+        report = state.report
+        metrics.counter("pipeline.buckets").inc()
+        if summary is not None:
+            report.total_quartets += summary.n_quartets
+            metrics.counter("pipeline.quartets").inc(summary.n_quartets)
+            if summary.n_quartets:
+                self._observe_bucket(summary, seed_new=True)
+                if lease is not None:
+                    lease.retain()
+                state.window.append(
+                    WindowEntry(time, summary.blames, summary.deferred_batch, lease)
+                )
         self.background.run_bucket(time)
         for update in self.scenario.updates_between(time, time + 1):
             self.background.on_bgp_update(update)
-        if len(batch):
-            state.window.append(batch)
-            state.window_times.append(time)
-        state.cursor = time + 1
-        if (state.cursor - report.start) % self.config.run_interval_buckets == 0:
-            self._process_window_batches(time, state.window, state.table, report)
-            state.window = []
-            state.window_times = []
+        if (time + 1 - report.start) % self.config.run_interval_buckets == 0:
+            self.flush_window(state, time)
+
+    def _observe_bucket(self, summary: BucketSummary, *, seed_new: bool) -> None:
+        """Learning, client counts and probe targets from one summary.
+
+        Order matters twice: learning precedes the pair walk, and pairs
+        are walked in first-occurrence row order — each seed probe draws
+        measurement noise from the engine's shared RNG.
+        ``register_target`` re-checks novelty, so a pair some other
+        summarizer (another shard, a restored run's empty seen set) or
+        a churn trigger already registered seeds nothing.
+        """
+        time = summary.time
+        batch = summary.batch
+        if summary.learn is not None:
+            with self.metrics.span("phase.learning"):
+                if summary.deferred_batch is not None:
+                    self.learner.observe_batch(batch)
+                else:
+                    t, mobile, rtt, loc_idx, mid_idx = summary.learn
+                    self.learner.observe_columns(
+                        t, mobile, rtt, loc_idx, batch.locations,
+                        mid_idx, batch.middles,
+                    )
+        keys = self._pair_keys(batch, summary.pair_codes.tolist())
+        self.client_predictor.observe_bucket(
+            keys, time, summary.pair_users.tolist()
+        )
+        prefixes = summary.new_prefixes.tolist()
+        for i in np.nonzero(summary.new_mask)[0].tolist():
+            location_id, middle = keys[i]
+            if (
+                self.background.register_target(location_id, middle, prefixes[i])
+                and seed_new
+            ):
+                self.background.seed_target(location_id, middle, prefixes[i], time)
+
+    def _pair_keys(
+        self, batch: QuartetBatch, codes: list[int]
+    ) -> list[tuple[str, ASPath]]:
+        """Decode pair codes against ``batch``'s vocabularies.
+
+        Decoded keys are shared across buckets for as long as batches
+        arrive with the same vocabulary objects (a generator's, or one
+        shard's), so the client predictor's per-bucket history holds
+        one tuple per pair rather than one per pair per bucket.
+        """
+        if (
+            batch.locations is not self._decode_vocab[0]
+            or batch.middles is not self._decode_vocab[1]
+        ):
+            self._decode_vocab = (batch.locations, batch.middles)
+            self._decode = {}
+        decode = self._decode
+        keys = []
+        for code in codes:
+            key = decode.get(code)
+            if key is None:
+                key = decode[code] = batch.pair_key(code)
+            keys.append(key)
+        return keys
+
+    def flush_window(self, state: RunState, now: Timestamp) -> None:
+        """Blame the pending window and run the active phase on it.
+
+        Worker-computed blames are unpacked as they are; deferred
+        entries are blamed here with the table held *now* — which is
+        what makes a window that straddles a day-boundary refresh come
+        out the same from every driver. Each entry's shared-memory
+        lease is released afterwards: the materialized results are
+        plain-Python records, so nothing references the segment once
+        the flush returns.
+        """
+        entries, state.window = state.window, []
+        try:
+            results: list[BlameResult] = []
+            with self.metrics.span("phase.passive"):
+                for entry in entries:
+                    if entry.blames is not None:
+                        results.extend(entry.blames.to_results())
+                    else:
+                        results.extend(
+                            self.passive.assign_batch(entry.batch, state.table)
+                        )
+            self._process_results(now, results, state.report)
+        finally:
+            for entry in entries:
+                if entry.lease is not None:
+                    entry.lease.release()
 
     def finish_run(self, state: RunState) -> PipelineReport:
         """Flush the pending window, finalize, and return the report."""
         if state.window:
-            self._process_window_batches(
-                state.end - 1, state.window, state.table, state.report
-            )
-            state.window = []
-            state.window_times = []
+            self.flush_window(state, state.end - 1)
         self._finalize(state.report)
         return state.report
 
@@ -777,35 +827,36 @@ class BlameItPipeline:
             False,
         )
 
-    def _maybe_checkpoint(
-        self,
-        time: Timestamp,
-        cursor: Timestamp,
-        window_times: list[int],
-        report: PipelineReport,
-        table: "ExpectedRTTTable | None" = None,
-    ) -> None:
+    def _maybe_checkpoint(self, state: RunState, time: Timestamp) -> None:
         """Snapshot at day boundaries; fire a planned chaos kill.
 
-        Skipped at the loop's entry bucket: a cold start has nothing to
+        Skipped at the run's entry bucket: a cold start has nothing to
         save, and a resumed run must neither re-save nor re-kill at the
         very bucket it just restored from.
         """
-        if time <= cursor:
+        if time <= state.entry:
             return
         if self._store is not None and time % BUCKETS_PER_DAY == 0:
-            self._store.save(self, time, window_times, report, table=table)
+            self._store.save(
+                self,
+                time,
+                state.window_times,
+                state.report,
+                table=self._checkpoint_table(state),
+            )
         if self.chaos is not None and self.chaos.kill_at_bucket == time:
             raise ChaosKill(f"chaos kill at bucket {time}")
 
-    def _regenerate_window(self, generator, times: list[int]) -> list[QuartetBatch]:
-        """Rebuild the pending (unflushed) window after a restore.
+    def _regenerate_window(self, times: list[int]) -> list[QuartetBatch]:
+        """Rebuild the pending (unflushed) window's ingested batches
+        from the scenario after a restore.
 
         Deterministic: per-bucket RNG seeding plus identity-keyed chaos
         injection make each bucket's post-sanitize batch a pure function
         of ⟨scenario, seed, bucket⟩. Report counters are untouched — the
         checkpointed report already accounts for these buckets.
         """
+        generator, _ = self._generator_for(self.scenario)
         return [
             self._ingest_batch(generator.generate(t, rng=self.bucket_rng(t)))
             for t in times
@@ -814,10 +865,11 @@ class BlameItPipeline:
     # -- internals -----------------------------------------------------------
 
     def _generator_for(self, source: Scenario):
-        """The cached columnar generator (and seen-pair set) for a scenario."""
+        """The cached batch generator (and seen-pair set) for a scenario."""
         entry = self._generators.get(id(source))
         if entry is None or entry[0] is not source:
-            # Function-level import: repro.perf imports this module back.
+            # Function-level import: repro.perf's package import pulls
+            # in the sharded driver, which imports this module back.
             from repro.perf.batch import BatchQuartetGenerator
 
             entry = (source, BatchQuartetGenerator(source), set())
@@ -825,77 +877,10 @@ class BlameItPipeline:
         return entry[1], entry[2]
 
     def _ingest_batch(self, batch: QuartetBatch) -> QuartetBatch:
-        """Columnar :meth:`_ingest`: chaos injection, then sanitization."""
+        """Chaos injection (if planned), then always-on sanitization."""
         if self.chaos is not None:
             batch = inject_batch(self.chaos, batch, self.metrics)
         return sanitize_batch(batch, self.metrics)
-
-    def _fold_bucket_columnar(
-        self,
-        time: Timestamp,
-        batch: QuartetBatch,
-        generator,
-        seen: set[int],
-        *,
-        seed_new: bool,
-    ) -> None:
-        """Client counts and probe targets from one bucket's columns.
-
-        Groups rows by composite ⟨location, middle⟩ pair code and walks
-        the unique pairs in first-occurrence row order — the order the
-        scalar loop's ``Counter`` insertion and per-quartet
-        ``register_target`` calls produce. Seeding order matters: each
-        seed probe draws measurement noise from the engine's shared RNG.
-
-        With ``generator`` set, pair codes index the generator's shared
-        vocabularies and the ``seen`` set holds codes. With ``generator``
-        None (external batches, whose codes index batch-local vocabs),
-        keys come from :meth:`QuartetBatch.pair_key` and ``seen`` holds
-        ⟨location, middle⟩ key tuples — stable across batches. Either
-        way ``seen`` is purely an optimization: ``register_target``
-        returns False for already-known pairs, so a seen set rebuilt
-        empty after a restore stays correct.
-        """
-        if not len(batch):
-            return
-        codes = batch.pair_codes()
-        unique, first_idx, inverse = np.unique(
-            codes, return_index=True, return_inverse=True
-        )
-        users = np.bincount(inverse, weights=batch.users)
-        prefixes = batch.prefix24
-        order = np.argsort(first_idx, kind="stable").tolist()
-        if generator is not None:
-            keys = [generator.pair_key(int(unique[pos])) for pos in order]
-            tokens = [int(unique[pos]) for pos in order]
-        else:
-            keys = [batch.pair_key(int(unique[pos])) for pos in order]
-            tokens = keys
-        self.client_predictor.observe_bucket(
-            keys, time, [int(users[pos]) for pos in order]
-        )
-        for key, token, pos in zip(keys, tokens, order):
-            if token in seen:
-                continue
-            seen.add(token)
-            prefix = int(prefixes[first_idx[pos]])
-            if self.background.register_target(key[0], key[1], prefix):
-                if seed_new:
-                    self.background.seed_target(key[0], key[1], prefix, time)
-
-    def _process_window_batches(
-        self,
-        now: Timestamp,
-        window: list[QuartetBatch],
-        table,
-        report: PipelineReport,
-    ) -> None:
-        """Columnar :meth:`_process_window`: batches arrive bucket-ordered."""
-        with self.metrics.span("phase.passive"):
-            results: list[BlameResult] = []
-            for batch in window:
-                results.extend(self.passive.assign_batch(batch, table))
-        self._process_results(now, results, report)
 
     def _starting_table(self) -> tuple[ExpectedRTTTable, bool]:
         """The run's expected-RTT table, plus whether chaos withheld it.
@@ -910,12 +895,6 @@ class BlameItPipeline:
             self.metrics.counter("chaos.baseline.table_dropped").inc()
             return ExpectedRTTTable(), True
         return self.fixed_table or self.learner.table(), False
-
-    def _ingest(self, quartets: list[Quartet]) -> list[Quartet]:
-        """Chaos injection (if planned) then always-on sanitization."""
-        if self.chaos is not None:
-            quartets = inject_quartets(self.chaos, quartets, self.metrics)
-        return sanitize_quartets(quartets, self.metrics)
 
     def _bootstrap_baselines(self, start: Timestamp, report: PipelineReport) -> None:
         before = self.engine.probes_issued
@@ -966,37 +945,14 @@ class BlameItPipeline:
             if reverse is not None:
                 self.reverse_baselines.put(reverse)
 
-    def _observe_clients(self, time: Timestamp, quartets: list[Quartet]) -> None:
-        """Feed per-path active-client counts to the predictor."""
-        per_path: Counter = Counter()
-        for quartet in quartets:
-            per_path[(quartet.location_id, quartet.middle)] += quartet.users
-        for key, users in per_path.items():
-            self.client_predictor.observe(key, time, users)
-
-    def _process_window(
-        self,
-        now: Timestamp,
-        window: list[Quartet],
-        table,
-        report: PipelineReport,
-    ) -> None:
-        with self.metrics.span("phase.passive"):
-            results = self.passive.assign_window(window, table)
-        self._process_results(now, results, report)
-
     def _process_results(
         self,
         now: Timestamp,
         results: list[BlameResult],
         report: PipelineReport,
     ) -> None:
-        """Fold pre-computed passive results through the active phase.
-
-        Split out of :meth:`_process_window` so drivers that compute the
-        passive phase elsewhere (the sharded pipeline's workers) can
-        reuse the tracking / probing / localization flow unchanged.
-        """
+        """Fold one window's blame results through the active phase:
+        tracking, budgeted probing, localization."""
         report.bad_quartets += len(results)
         metrics = self.metrics
         day = now // BUCKETS_PER_DAY
@@ -1018,10 +974,6 @@ class BlameItPipeline:
         with metrics.span("phase.probing"):
             # Co-anomaly history first, so targets that co-occur for the
             # first time in this very window are already clusterable.
-            # This is the single fold shared by the sequential loop, the
-            # daemon's step API, and the sharded driver's merged blame
-            # columns — which is what keeps planner history (and thus
-            # clustered probing) byte-identical across all three.
             self.on_demand.observe_anomalies(
                 {
                     (r.quartet.location_id, r.quartet.middle)

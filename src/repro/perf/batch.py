@@ -24,7 +24,7 @@ import zlib
 
 import numpy as np
 
-from repro.core.quartet import PAIR_SHIFT, Quartet, QuartetBatch
+from repro.core.quartet import Quartet, QuartetBatch
 from repro.net.asn import ASPath
 from repro.net.bgp import Timestamp
 from repro.net.geo import Region
@@ -131,7 +131,6 @@ class BatchQuartetGenerator:
         # and one pickle of a shard output serializes each vocab once.
         self._locations_tuple: tuple[str, ...] = tuple(self._locations)
         self._middles_tuple: tuple[ASPath, ...] = tuple(self._middles)
-        self._pair_key_cache: dict[int, tuple[str, ASPath]] = {}
 
     # -- vocab helpers -------------------------------------------------
 
@@ -142,22 +141,6 @@ class BatchQuartetGenerator:
         if len(self._middles_tuple) != len(self._middles):
             self._middles_tuple = tuple(self._middles)
         return self._locations_tuple, self._middles_tuple
-
-    def pair_key(self, code: int) -> tuple[str, ASPath]:
-        """Decode a :meth:`QuartetBatch.pair_codes` composite (cached).
-
-        Valid for any batch this generator produced: the vocabularies are
-        append-only, so a code means the same pair in every bucket.
-        """
-        key = self._pair_key_cache.get(code)
-        if key is None:
-            locations, middles = self._vocab_tuples()
-            key = (
-                locations[code >> PAIR_SHIFT],
-                middles[code & ((1 << PAIR_SHIFT) - 1)],
-            )
-            self._pair_key_cache[code] = key
-        return key
 
     def _middle_code(self, middle: ASPath) -> int:
         code = self._middle_codes.get(middle)

@@ -4,20 +4,24 @@ The expensive half of a pipeline run — per-bucket quartet generation and
 the passive phase — depends only on the bucket index and the (frozen)
 expected-RTT table, so buckets partition cleanly across processes.
 :class:`ShardedPipeline` cuts the run range into contiguous shards, has
-each worker produce compact per-bucket summaries (quartet counts, blame
-results, per-path user counts, newly seen probe targets), then replays
-the summaries through a single-process fold in deterministic time order:
-issue tracking, on-demand probing (so the §5.3 per-window probe budget
-is enforced exactly once, globally), background probing, localization
-and alerting all run in the parent via the regular
-:class:`~repro.core.pipeline.BlameItPipeline` machinery.
+each worker produce compact per-bucket summaries
+(:class:`~repro.core.summary.BucketSummary`: quartet counts, blame
+results, per-path user counts, newly seen probe targets), then hands
+the summaries, in deterministic time order, to the one fold kernel —
+:meth:`BlameItPipeline.fold_bucket
+<repro.core.pipeline.BlameItPipeline.fold_bucket>`, the same method the
+sequential ``step`` calls: issue tracking, on-demand probing (so the
+§5.3 per-window probe budget is enforced exactly once, globally),
+background probing, localization and alerting all run in the parent.
+This module owns only what is the sharded driver's own: shards, the
+worker pool, the transport, the reorder buffer, leases, stage timing.
 
 Workers draw each bucket's quartets from a ``(seed, bucket)``-seeded
 generator — the same scheme as ``BlameItPipeline(rng_per_bucket=True)``
-— and run the vectorized passive phase; summaries travel as NumPy
-columns (a :class:`~repro.core.blame.BlameResultBatch` plus composite
-pair-code arrays), so a sharded run's blame counts are byte-identical
-to the sequential pipeline's.
+— and run the passive phase; summaries travel as NumPy columns (a
+:class:`~repro.core.blame.BlameResultBatch` plus composite pair-code
+arrays), so a sharded run's blame counts are byte-identical to the
+sequential pipeline's.
 
 Three execution-engine properties make the fan-out actually scale
 (DESIGN.md §4b):
@@ -58,7 +62,8 @@ flushes a blame window at the *bottom* of the window's last bucket, so
 a window straddling the boundary is blamed entirely with the new day's
 table. A worker therefore defers any bucket whose window flushes in a
 later day — it ships the sanitized batch itself instead of blames, and
-the fold assigns blames at flush time with the table current *then*.
+the kernel's flush assigns blames with the table current *then* (as it
+does for every bucket of a sequential run).
 With a ``fixed_table`` (or under a chaos table drop) there is a single
 whole-run segment and no deferral, exactly as before.
 """
@@ -69,20 +74,18 @@ import multiprocessing
 import queue
 import time as time_mod
 import weakref
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
 from repro.chaos import ChaosWorkerCrash, FaultPlan, inject_batch, sanitize_batch
-from repro.core.blame import BlameResult, BlameResultBatch
 from repro.core.config import BlameItConfig
 from repro.core.passive import PassiveLocalizer
 from repro.core.pipeline import BlameItPipeline, PipelineReport, RunState
 from repro.core.prediction import DurationPredictor
 from repro.core.quartet import QuartetBatch
+from repro.core.summary import BucketSummary, summarize_bucket
 from repro.core.thresholds import ExpectedRTTLearner, ExpectedRTTTable
-from repro.net.asn import ASPath
 from repro.net.bgp import Timestamp
 from repro.obs import NULL_REGISTRY, MetricsRegistry, Snapshot
 from repro.perf.batch import BatchQuartetGenerator
@@ -109,104 +112,6 @@ ShardResult = "tuple[list[BucketSummary], Snapshot | None, ShmLease | None]"
 #: Per-segment worker message: shard bounds, epoch-tagged table, the
 #: run's window bounds, the deferral flag, and the execution attempt.
 TableMessage = "tuple[int, ExpectedRTTTable | StoredTable]"
-
-
-@dataclass(slots=True)
-class BucketSummary:
-    """Everything the parent fold needs from one worker-processed bucket.
-
-    Entirely columnar: blame results travel as a
-    :class:`~repro.core.blame.BlameResultBatch` (bad rows stay NumPy
-    columns until the fold materializes records for the trackers),
-    per-path user counts and new probe targets as composite-code arrays.
-    Pair codes are comparable across shards because every shard runner's
-    :class:`~repro.perf.batch.BatchQuartetGenerator` builds the same
-    (fully-populated, append-only) vocabularies from the same scenario.
-
-    Over the shared-memory transport every array attribute is a
-    zero-copy view into the shard's segment; the fold's consumers all
-    materialize what they keep (``.tolist()`` products, per-row records)
-    before the segment is released.
-
-    Attributes:
-        time: Bucket index.
-        n_quartets: Post-sanitize quartet count (pre sample-gate).
-        blames: The bucket's passive verdicts, columnar — or None when
-            the bucket's blame assignment is deferred to the fold
-            because its window flushes after a day-boundary table
-            refresh (``deferred_batch`` then carries the batch).
-        pair_codes: Unique ⟨location, middle⟩ composite codes, in
-            first-occurrence row order — the order the sequential fold
-            observes client counts and (crucially, for engine-RNG parity)
-            seeds new targets.
-        pair_users: Active-user sums aligned with ``pair_codes``.
-        new_mask: Pairs first seen by this shard at this bucket, aligned
-            with ``pair_codes``.
-        new_prefixes: Each pair's first-row /24 this bucket, aligned with
-            ``pair_codes`` (the fold reads it where ``new_mask`` is set —
-            the same /24 the scalar loop's first ``register_target`` call
-            for the pair would carry).
-        learn: Post-sanitize learner columns ``(time, mobile,
-            mean_rtt_ms, location_index, middle_index)`` when the fold
-            learns online (no ``fixed_table``), else None. Vocabularies
-            ride along on ``blames.batch`` (or ``deferred_batch``).
-        deferred_batch: The full sanitized batch, shipped instead of
-            blames for deferred buckets (see ``blames``).
-    """
-
-    time: Timestamp
-    n_quartets: int
-    blames: BlameResultBatch | None
-    pair_codes: np.ndarray
-    pair_users: np.ndarray
-    new_mask: np.ndarray
-    new_prefixes: np.ndarray
-    learn: tuple[np.ndarray, ...] | None = None
-    deferred_batch: QuartetBatch | None = None
-
-
-def _summarize_bucket(
-    time: Timestamp,
-    batch: QuartetBatch,
-    blames: BlameResultBatch | None,
-    seen_pairs: set[int],
-    want_learn: bool,
-    deferred: QuartetBatch | None = None,
-) -> BucketSummary:
-    """Compress a bucket's batch into the cross-process summary."""
-    codes = batch.pair_codes()
-    unique, first_idx, inverse = np.unique(
-        codes, return_index=True, return_inverse=True
-    )
-    order = np.argsort(first_idx, kind="stable")
-    pair_codes = unique[order]
-    pair_users = np.bincount(inverse, weights=batch.users).astype(np.int64)[order]
-    new_mask = np.fromiter(
-        (code not in seen_pairs for code in pair_codes.tolist()),
-        dtype=bool,
-        count=len(pair_codes),
-    )
-    seen_pairs.update(pair_codes[new_mask].tolist())
-    learn = None
-    if want_learn:
-        learn = (
-            batch.time,
-            batch.mobile,
-            batch.mean_rtt_ms,
-            batch.location_index,
-            batch.middle_index,
-        )
-    return BucketSummary(
-        time=time,
-        n_quartets=len(batch),
-        blames=blames,
-        pair_codes=pair_codes,
-        pair_users=pair_users,
-        new_mask=new_mask,
-        new_prefixes=batch.prefix24[first_idx[order]],
-        learn=learn,
-        deferred_batch=deferred,
-    )
 
 
 class _ShardRunner:
@@ -302,15 +207,13 @@ class _ShardRunner:
             if chaos is not None:
                 batch = inject_batch(chaos, batch, metrics)
             batch = sanitize_batch(batch, metrics)
-            if self._defers(time):
-                blames, deferred = None, batch
-            else:
-                blames = self.localizer.assign_batch_columnar(batch, self.table)
-                deferred = None
+            blames = (
+                None
+                if self._defers(time)
+                else self.localizer.assign_batch_columnar(batch, self.table)
+            )
             summaries.append(
-                _summarize_bucket(
-                    time, batch, blames, seen_pairs, self.want_learn, deferred
-                )
+                summarize_bucket(time, batch, blames, seen_pairs, self.want_learn)
             )
         return summaries, metrics.snapshot() if metrics.enabled else None
 
@@ -554,14 +457,6 @@ class ShardedPipeline:
         # Set per run/step; shipped to workers for the deferral predicate.
         self._run_bounds: tuple[int, int] | None = None
         self._defer_cross_day = False
-        # Fold-side state, reset by begin_run: the current window's
-        # (time, blames, deferred batch, lease) entries and the shared
-        # pair-code → ⟨location, middle⟩ decode cache (every shard's
-        # generator assigns identical codes).
-        self._entries: list[
-            tuple[int, BlameResultBatch | None, QuartetBatch | None, ShmLease | None]
-        ] = []
-        self._decode: dict[int, tuple[str, ASPath]] = {}
         # Shipped-table identity cache: re-sending the same snapshot
         # (every daemon step within a day) reuses the same epoch-tagged
         # reference, so workers keep their cached table.
@@ -858,20 +753,9 @@ class ShardedPipeline:
         """Open an incremental sharded run over ``[start, end)``.
 
         Same contract as :meth:`BlameItPipeline.begin_run` — the
-        streaming daemon drives either interchangeably. The pending
-        window restored from a checkpoint is carried as fold-side
-        *deferred* entries (checkpoints land on day boundaries, where
-        every pending bucket's window flushes under the new day's
-        table); ``state.window`` itself stays empty because the sharded
-        driver owns window materialization.
+        streaming daemon drives either interchangeably.
         """
         state = self.pipeline.begin_run(start, end, regenerate=regenerate)
-        self._entries = [
-            (time, None, batch, None)
-            for time, batch in zip(state.window_times, state.window)
-        ]
-        state.window = []
-        self._decode = {}
         self._run_bounds = (state.report.start, state.end)
         self._defer_cross_day = (
             self.pipeline.fixed_table is None and not state.table_dropped
@@ -910,10 +794,6 @@ class ShardedPipeline:
 
     def finish_run(self, state: RunState) -> PipelineReport:
         """Flush the pending window, finalize, and return the report."""
-        if self._entries:
-            self._flush_entries(state.end - 1, state)
-        state.window = []
-        state.window_times = []
         return self.pipeline.finish_run(state)
 
     def _run_segment(self, state: RunState) -> None:
@@ -923,13 +803,7 @@ class ShardedPipeline:
         pipeline = self.pipeline
         cursor = state.cursor
         pipeline._refresh_table(state, cursor)  # noqa: SLF001 - driver seam
-        pipeline._maybe_checkpoint(  # noqa: SLF001 - driver seam
-            cursor,
-            state.entry,
-            state.window_times,
-            state.report,
-            table=pipeline._checkpoint_table(state),  # noqa: SLF001
-        )
+        pipeline._maybe_checkpoint(state, cursor)  # noqa: SLF001 - driver seam
         refresh = pipeline.fixed_table is None and not state.table_dropped
         self._defer_cross_day = refresh
         self._run_bounds = (state.report.start, state.end)
@@ -980,8 +854,9 @@ class ShardedPipeline:
         bounds: tuple[int, int],
         result: "ShardResult | None",
     ) -> None:
-        """Fold one shard's buckets; None means the shard was abandoned
-        (its buckets go missing, the fold carries on degraded)."""
+        """Hand one shard's buckets to the kernel, in time order; None
+        means the shard was abandoned (its buckets go missing, the fold
+        carries on degraded)."""
         start, end = bounds
         lease: ShmLease | None = None
         summaries: dict[int, BucketSummary] = {}
@@ -991,129 +866,20 @@ class ShardedPipeline:
             summaries = {summary.time: summary for summary in shard_summaries}
         try:
             for time in range(start, end):
-                self._fold_bucket(state, time, summaries.get(time), lease)
+                self.pipeline.fold_bucket(state, time, summaries.get(time), lease)
         finally:
-            self._release(lease)
-
-    def _fold_bucket(
-        self,
-        state: RunState,
-        time: Timestamp,
-        summary: BucketSummary | None,
-        lease: ShmLease | None,
-    ) -> None:
-        """One bucket of the serial fold, mirroring the sequential
-        step: counters, learning + pair walk, background probing, BGP
-        updates, window append, cadence flush."""
-        pipeline = self.pipeline
-        metrics = self.metrics
-        report = state.report
-        metrics.counter("pipeline.buckets").inc()
-        if summary is not None:
-            report.total_quartets += summary.n_quartets
-            metrics.counter("pipeline.quartets").inc(summary.n_quartets)
-            self._fold_summary(time, summary, self._decode)
-            if summary.n_quartets:
-                if lease is not None:
-                    lease.retain()
-                self._entries.append(
-                    (time, summary.blames, summary.deferred_batch, lease)
-                )
-                state.window_times.append(time)
-        pipeline.background.run_bucket(time)
-        for update in self.scenario.updates_between(time, time + 1):
-            pipeline.background.on_bgp_update(update)
-        if (time + 1 - report.start) % self.config.run_interval_buckets == 0:
-            self._flush_entries(time, state)
-
-    def _flush_entries(self, now: Timestamp, state: RunState) -> None:
-        """Materialize one window's blames and run the active phase.
-
-        Worker-computed blames are unpacked as-is; deferred buckets are
-        blamed here with the flush-time table (``state.table``) — and a
-        restored window arrives fully deferred, matching the sequential
-        loop, which also assigns the whole window's blames at flush.
-        Each entry's shared-memory lease is released afterwards: the
-        materialized results are plain-Python records, so nothing
-        references the segment once the flush returns.
-        """
-        entries, self._entries = self._entries, []
-        state.window_times = []
-        pipeline = self.pipeline
-        try:
-            results: list[BlameResult] = []
-            for _, blames, batch, _ in entries:
-                if blames is not None:
-                    results.extend(blames.to_results())
-                else:
-                    with self.metrics.span("phase.passive"):
-                        results.extend(
-                            pipeline.passive.assign_batch(batch, state.table)
-                        )
-            pipeline._process_results(now, results, state.report)  # noqa: SLF001
-        finally:
-            for *_, lease in entries:
-                self._release(lease)
-
-    def _fold_summary(
-        self,
-        time: Timestamp,
-        summary: BucketSummary,
-        decode: dict[int, tuple[str, ASPath]],
-    ) -> None:
-        """Replay one bucket's shipped columns through the parent state.
-
-        Order matters twice: learning precedes the pair walk (as in the
-        sequential loop), and pairs are walked in first-occurrence row
-        order so new-target seed probes draw engine RNG in the sequential
-        pipeline's sequence. ``register_target`` re-checks novelty — a
-        pair another shard (or a churn trigger) already registered seeds
-        nothing, exactly like the sequential fold's re-encounters.
-        """
-        pipeline = self.pipeline
-        blames = summary.blames
-        batch = blames.batch if blames is not None else summary.deferred_batch
-        if summary.learn is not None:
-            t, mobile, rtt, loc_idx, mid_idx = summary.learn
-            with self.metrics.span("phase.learning"):
-                pipeline.learner.observe_columns(
-                    t, mobile, rtt, loc_idx, batch.locations,
-                    mid_idx, batch.middles,
-                )
-        new_mask = summary.new_mask.tolist()
-        prefixes = summary.new_prefixes.tolist()
-        keys = []
-        for code in summary.pair_codes.tolist():
-            key = decode.get(code)
-            if key is None:
-                key = batch.pair_key(code)
-                decode[code] = key
-            keys.append(key)
-        pipeline.client_predictor.observe_bucket(
-            keys, time, summary.pair_users.tolist()
-        )
-        for i, key in enumerate(keys):
-            if new_mask[i] and pipeline.background.register_target(
-                key[0], key[1], prefixes[i]
-            ):
-                pipeline.background.seed_target(key[0], key[1], prefixes[i], time)
-
-    # -- lease bookkeeping ---------------------------------------------
-
-    def _release(self, lease: ShmLease | None) -> None:
-        if lease is None:
-            return
-        lease.release()
-        if lease.released:
-            self._res.leases.discard(lease)
+            # Drop the decode reference; window entries hold their own
+            # until the kernel's flush releases them.
+            if lease is not None:
+                lease.release()
+            self._res.leases = {
+                held for held in self._res.leases if not held.released
+            }
 
     def _abort_pending(self) -> None:
         """Reclaim shard shared memory left by an aborted run (chaos
         kill, mid-fold failure); a completed run has nothing
         outstanding, making this a no-op on the happy path."""
-        if not self._res.leases and not self._entries:
-            return
-        self._entries = []
         leases, self._res.leases = self._res.leases, set()
         for lease in leases:
             lease.destroy()

@@ -15,7 +15,7 @@ Layout: arrays are packed back-to-back at 16-byte-aligned offsets,
 deduplicated by object identity (a deferred bucket's learn columns are
 the same arrays as its deferred batch's — they are written once). The
 skeleton is plain picklable data: nested dicts mirroring
-:class:`~repro.perf.sharded.BucketSummary` /
+:class:`~repro.core.summary.BucketSummary` /
 :class:`~repro.core.blame.BlameResultBatch` /
 :class:`~repro.core.quartet.QuartetBatch`, with :class:`ArrayRef`
 placeholders where arrays were. Vocabulary tuples travel in the
@@ -46,16 +46,14 @@ from __future__ import annotations
 import os
 import pickle
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
 
 import numpy as np
 
 from repro.core.blame import BlameResultBatch
 from repro.core.quartet import QuartetBatch
+from repro.core.summary import BucketSummary
 from repro.obs import Snapshot
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.perf.sharded import BucketSummary
 
 try:  # pragma: no cover - absent only on exotic platforms
     from multiprocessing import resource_tracker, shared_memory
@@ -204,7 +202,7 @@ def _pack_batch(batch: QuartetBatch, collect) -> dict:
     return spec
 
 
-def _pack_summary(summary: "BucketSummary", collect) -> dict:
+def _pack_summary(summary: BucketSummary, collect) -> dict:
     blames = summary.blames
     return {
         "time": summary.time,
@@ -231,7 +229,7 @@ def _pack_summary(summary: "BucketSummary", collect) -> dict:
 
 
 def _encode_shm(
-    summaries: "list[BucketSummary]", snapshot: Snapshot | None
+    summaries: list[BucketSummary], snapshot: Snapshot | None
 ) -> ShmPayload:
     """Pack every array of a shard's summaries into one shm segment."""
     plan: list[tuple[np.ndarray, ArrayRef]] = []
@@ -272,7 +270,7 @@ def _encode_shm(
 
 
 def encode_result(
-    summaries: "list[BucketSummary]",
+    summaries: list[BucketSummary],
     snapshot: Snapshot | None,
     mode: str,
 ) -> "ShmPayload | PicklePayload":
@@ -319,9 +317,7 @@ def _unpack_batch(spec: dict, resolve) -> QuartetBatch:
     )
 
 
-def _unpack_summary(spec: dict, resolve) -> "BucketSummary":
-    from repro.perf.sharded import BucketSummary
-
+def _unpack_summary(spec: dict, resolve) -> BucketSummary:
     blames_spec = spec["blames"]
     blames = None
     if blames_spec is not None:

@@ -184,10 +184,7 @@ class BlameItDaemon:
         pipeline = self.pipeline
         raw = self.source.replay(times)
         if raw is None:
-            generator, _ = pipeline._generator_for(  # noqa: SLF001
-                pipeline.scenario
-            )
-            return pipeline._regenerate_window(generator, times)  # noqa: SLF001
+            return pipeline._regenerate_window(times)  # noqa: SLF001
         return [pipeline._ingest_batch(batch) for batch in raw]  # noqa: SLF001
 
     def _maybe_checkpoint(self, state: RunState, time: Timestamp) -> None:

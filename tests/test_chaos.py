@@ -459,7 +459,7 @@ class TestEndToEndChaos:
         metrics = MetricsRegistry()
         report = ShardedPipeline(
             scenario,
-            config=_config(vectorized_passive=True),
+            config=_config(),
             fixed_table=table,
             seed=11,
             n_workers=1,
@@ -479,7 +479,7 @@ class TestEndToEndChaos:
         metrics = MetricsRegistry()
         ShardedPipeline(
             scenario,
-            config=_config(vectorized_passive=True),
+            config=_config(),
             fixed_table=table,
             seed=11,
             n_workers=1,
@@ -496,7 +496,7 @@ class TestEndToEndChaos:
         metrics = MetricsRegistry()
         report = ShardedPipeline(
             scenario,
-            config=_config(vectorized_passive=True),
+            config=_config(),
             fixed_table=table,
             seed=11,
             n_workers=1,

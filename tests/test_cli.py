@@ -236,9 +236,8 @@ class TestCheckpointFlags:
         self, tmp_path, capsys
     ):
         straight = tmp_path / "straight.json"
-        # The straight-through run also checkpoints: a store switches the
-        # sequential pipeline to per-bucket RNG seeding, so both runs must
-        # use the same seeding scheme to compare byte-for-byte.
+        # The straight-through run checkpoints too (it would report the
+        # same without), so the save path also runs uninterrupted once.
         code = main(
             ["diagnose", *self.DAYS2, *self.RANGE,
              "--checkpoint-dir", str(tmp_path / "ckpt_a"),
@@ -415,6 +414,25 @@ class TestServeCommand:
              "--source-jsonl", str(tmp_path / "nope.jsonl")]
         ) == 2
         assert "cannot load quartets" in capsys.readouterr().err
+
+
+class TestDriverAgreement:
+    def test_diagnose_prints_one_report_whatever_runs_it(self, tmp_path, capsys):
+        """Quartets are drawn per ``(seed, bucket)`` whichever driver
+        runs and whether or not a store is attached, so the blame mix,
+        probe counts and alert lines do not depend on either."""
+        args = ["diagnose", *TestCheckpointFlags.DAYS2, *TestCheckpointFlags.RANGE]
+        printed = []
+        for extra in (
+            [],
+            ["--workers", "1"],
+            ["--checkpoint-dir", str(tmp_path / "ckpt")],
+        ):
+            assert main([*args, *extra]) == 0
+            printed.append(capsys.readouterr().out)
+        assert "probes:" in printed[0] and "top alerts:" in printed[0]
+        assert printed[1] == printed[0]
+        assert printed[2] == printed[0]
 
 
 class TestWorkersFlag:

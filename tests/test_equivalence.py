@@ -24,7 +24,8 @@ from repro.analysis.validation import suite_world_params
 from repro.chaos import ChaosKill, FaultPlan
 from repro.core.config import BlameItConfig
 from repro.core.passive import PassiveLocalizer
-from repro.core.pipeline import BlameItPipeline
+from repro.core.pipeline import BlameItPipeline, WindowEntry
+from repro.core.quartet import QuartetBatch
 from repro.core.thresholds import ExpectedRTTLearner
 from repro.io import report_to_dict
 from repro.obs import MetricsRegistry, validate_snapshot
@@ -38,6 +39,7 @@ from repro.sim.scenario import Scenario, build_world
 from repro.store import CheckpointStore
 
 from tests.test_perf import _random_quartets, _random_table, _targets
+from tests.test_transport import _assert_summaries_equal
 
 
 def report_json(report, *, with_metrics: bool = False) -> str:
@@ -58,29 +60,30 @@ class TestVectorizedPassiveEquivalence:
         rng = np.random.default_rng(seed)
         quartets = _random_quartets(rng, 300)
         table = _random_table(rng)
-        scalar = PassiveLocalizer(BlameItConfig(), _targets())
-        vector = PassiveLocalizer(
-            BlameItConfig(vectorized_passive=True), _targets()
-        )
-        assert vector.assign(quartets, table) == scalar.assign(quartets, table)
+        localizer = PassiveLocalizer(BlameItConfig(), _targets())
+        assert localizer.assign_batch(
+            QuartetBatch.from_quartets(quartets), table
+        ) == localizer.assign(quartets, table)
+
+
+def _fast_config(**overrides) -> BlameItConfig:
+    return BlameItConfig(
+        history_days=1, background_interval_buckets=36, **overrides
+    )
+
+
+@pytest.fixture(scope="module")
+def trained(small_world):
+    """A scenario over the small world and the table learned from it."""
+    scenario = Scenario.from_world(small_world)
+    learner = ExpectedRTTLearner(history_days=1)
+    trainer = BlameItPipeline(scenario, config=_fast_config(), learner=learner)
+    trainer.warmup(0, 96, stride=4)
+    return scenario, learner.table()
 
 
 class TestShardedEquivalence:
-    @pytest.fixture(scope="class")
-    def trained(self, small_world):
-        scenario = Scenario.from_world(small_world)
-        learner = ExpectedRTTLearner(history_days=1)
-        trainer = BlameItPipeline(
-            scenario, config=self._config(), learner=learner
-        )
-        trainer.warmup(0, 96, stride=4)
-        return scenario, learner.table()
-
-    @staticmethod
-    def _config(**overrides) -> BlameItConfig:
-        return BlameItConfig(
-            history_days=1, background_interval_buckets=36, **overrides
-        )
+    _config = staticmethod(_fast_config)
 
     def _sequential(self, trained, chaos=None):
         scenario, table = trained
@@ -97,7 +100,7 @@ class TestShardedEquivalence:
         scenario, table = trained
         return ShardedPipeline(
             scenario,
-            config=self._config(vectorized_passive=True),
+            config=self._config(),
             fixed_table=table,
             seed=11,
             n_workers=1,
@@ -130,7 +133,7 @@ class TestShardedEquivalence:
         if sharded:
             pipeline = ShardedPipeline(
                 scenario,
-                config=self._config(vectorized_passive=True),
+                config=self._config(),
                 seed=11,
                 n_workers=2,
                 buckets_per_shard=13,
@@ -234,6 +237,86 @@ class TestShardedEquivalence:
         assert report_json(got) == report_json(self._sequential(trained))
 
 
+class TestFoldKernelSeam:
+    """The one kernel takes a ``BucketSummary`` whoever computed it, and
+    a window entry whether or not it arrives pre-blamed."""
+
+    START, END = 100, 113
+
+    @staticmethod
+    def _pipeline(trained) -> BlameItPipeline:
+        scenario, table = trained
+        return BlameItPipeline(
+            scenario, config=_fast_config(), fixed_table=table, seed=11,
+            rng_per_bucket=True,
+        )
+
+    @pytest.fixture(scope="class")
+    def summaries(self, trained):
+        """Each bucket's summary as ``step`` computed it inline (blames
+        deferred), and the same with the blames filled in under the
+        run's table."""
+        pipeline = self._pipeline(trained)
+        inline = []
+        fold_bucket = pipeline.fold_bucket
+
+        def record(state, time, summary, lease=None):
+            inline.append(summary)
+            fold_bucket(state, time, summary, lease)
+
+        pipeline.fold_bucket = record
+        pipeline.run(self.START, self.END)
+        assert all(s.blames is None for s in inline)
+        blamed = [
+            dataclasses.replace(
+                summary,
+                blames=pipeline.passive.assign_batch_columnar(
+                    summary.deferred_batch, trained[1]
+                ),
+                deferred_batch=None,
+            )
+            for summary in inline
+        ]
+        assert any(len(s.blames) for s in blamed)
+        return inline, blamed
+
+    def test_inline_and_worker_summaries_equal(self, trained, summaries):
+        """A shard worker ships, column for column, what ``step``
+        summarizes inline for the same buckets — with the blames the
+        inline batch gets under the same table."""
+        scenario, table = trained
+        runner = _ShardRunner(scenario, _fast_config(), table, seed=11)
+        shipped, _ = runner.run_shard((self.START, self.END))
+        _assert_summaries_equal(shipped, summaries[1])
+
+    def test_mixed_window_flushes_like_all_deferred(
+        self, trained, summaries, monkeypatch
+    ):
+        """Pre-blamed and deferred entries of one window come out as the
+        same ``BlameResult`` list, in the same order."""
+        deferred, blamed = (window[:3] for window in summaries)
+
+        def flushed(window):
+            pipeline = self._pipeline(trained)
+            state = pipeline.begin_run(self.START, self.END)
+            state.window = [
+                WindowEntry(s.time, s.blames, s.deferred_batch) for s in window
+            ]
+            seen = []
+            monkeypatch.setattr(
+                pipeline, "_process_results",
+                lambda now, results, report: seen.append((now, results)),
+            )
+            pipeline.flush_window(state, self.START + 2)
+            assert state.window == []
+            return seen
+
+        all_deferred = flushed(deferred)
+        assert all_deferred[0][1], "the window blamed nothing"
+        assert flushed([blamed[0], deferred[1], blamed[2]]) == all_deferred
+        assert flushed(blamed) == all_deferred
+
+
 class TestSuiteScenarioEquivalence:
     """The scenario-suite's churn — demand surges, anycast ring flaps,
     correlated transit faults, reroutes — must survive the sharded
@@ -292,7 +375,7 @@ class TestSuiteScenarioEquivalence:
         if workers is not None:
             pipeline = ShardedPipeline(
                 scenario,
-                config=self._config(vectorized_passive=True),
+                config=self._config(),
                 seed=11,
                 n_workers=workers,
                 buckets_per_shard=13,

@@ -213,7 +213,7 @@ class TestPipelineMetrics:
         sharded_metrics = MetricsRegistry()
         sharded = ShardedPipeline(
             scenario,
-            config=self._config(vectorized_passive=True),
+            config=self._config(),
             fixed_table=table,
             seed=11,
             n_workers=1,

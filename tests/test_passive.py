@@ -237,15 +237,6 @@ class TestBoundaries:
 
 
 class TestWindowing:
-    def test_assign_window_groups_by_bucket(self):
-        """Aggregate statistics must not leak across buckets: 4 quartets
-        in each of two buckets is insufficient even though 8 > 5."""
-        bucket0 = [_quartet(prefix=i, rtt=90.0, time=0) for i in range(4)]
-        bucket1 = [_quartet(prefix=i, rtt=90.0, time=1) for i in range(4)]
-        results = _localizer().assign_window(bucket0 + bucket1, _table())
-        assert len(results) == 8
-        assert all(r.blame is Blame.INSUFFICIENT for r in results)
-
     def test_tau_override(self):
         quartets = [_quartet(prefix=i, rtt=90.0) for i in range(6)] + [
             _quartet(prefix=50, rtt=20.0)

@@ -65,11 +65,10 @@ class TestVectorizedPassive:
         rng = np.random.default_rng(seed)
         quartets = _random_quartets(rng, 400)
         table = _random_table(rng)
-        scalar = PassiveLocalizer(BlameItConfig(), _targets())
-        vector = PassiveLocalizer(
-            BlameItConfig(vectorized_passive=True), _targets()
-        )
-        assert vector.assign(quartets, table) == scalar.assign(quartets, table)
+        localizer = PassiveLocalizer(BlameItConfig(), _targets())
+        assert localizer.assign_batch(
+            QuartetBatch.from_quartets(quartets), table
+        ) == localizer.assign(quartets, table)
 
     def test_all_branches_hit(self):
         """The random buckets actually exercise every blame category."""
@@ -84,10 +83,11 @@ class TestVectorizedPassive:
         assert len(blames) == 5  # all Blame members
 
     def test_empty_input(self):
-        vector = PassiveLocalizer(
-            BlameItConfig(vectorized_passive=True), _targets()
+        localizer = PassiveLocalizer(BlameItConfig(), _targets())
+        assert (
+            localizer.assign_batch(QuartetBatch.from_quartets([]), ExpectedRTTTable())
+            == []
         )
-        assert vector.assign([], ExpectedRTTTable()) == []
 
     def test_batch_input_direct(self):
         """assign_batch on a pre-built columnar batch equals scalar."""
@@ -183,7 +183,7 @@ class TestShardedPipeline:
         expected = sequential.run(100, 160)
         sharded = ShardedPipeline(
             scenario,
-            config=self._config(vectorized_passive=True),
+            config=self._config(),
             fixed_table=table,
             seed=11,
             n_workers=1,

@@ -156,7 +156,7 @@ def _run(world, *, workers=None, store=None, warm_start=False, kill=None,
     if workers is not None:
         pipeline = ShardedPipeline(
             scenario,
-            config=_config(vectorized_passive=True),
+            config=_config(),
             seed=seed,
             n_workers=workers,
             store=store,

@@ -79,7 +79,7 @@ def shard_output(trained):
     scenario, table = trained
     runner = _ShardRunner(
         scenario,
-        _config(vectorized_passive=True),
+        _config(),
         table,
         seed=11,
         metrics_enabled=True,
@@ -256,7 +256,7 @@ class TestPipelineTransport:
         scenario, table = trained
         pipeline = ShardedPipeline(
             scenario,
-            config=_config(vectorized_passive=True),
+            config=_config(),
             fixed_table=table,
             seed=11,
             n_workers=2,
@@ -332,7 +332,7 @@ class TestPersistentPool:
         scenario = Scenario.from_world(multi_day_world)
         pipeline = ShardedPipeline(
             scenario,
-            config=_config(vectorized_passive=True),
+            config=_config(),
             seed=11,
             n_workers=2,
             buckets_per_shard=13,
@@ -355,7 +355,7 @@ class TestPersistentPool:
             if sharded:
                 pipeline = ShardedPipeline(
                     scenario,
-                    config=_config(vectorized_passive=True),
+                    config=_config(),
                     seed=11,
                     n_workers=2,
                 )
@@ -390,7 +390,7 @@ class TestPersistentPool:
         store = CheckpointStore(tmp_path)
         pipeline = ShardedPipeline(
             scenario,
-            config=_config(vectorized_passive=True),
+            config=_config(),
             seed=11,
             n_workers=2,
             buckets_per_shard=13,
