@@ -775,7 +775,11 @@ class BlameItPipeline:
 
         Called both by :meth:`step` and by drivers immediately before a
         checkpoint, so the table persisted at a day-boundary save is the
-        refreshed one, not the outgoing day's.
+        refreshed one, not the outgoing day's. The snapshot read the
+        trailing ``history_days`` and days only move forward, so
+        everything older is dropped here — a long-running daemon (and
+        each of its checkpoints) holds one window of reservoirs, not
+        every day it ever saw.
         """
         day = time // BUCKETS_PER_DAY
         if (
@@ -785,6 +789,7 @@ class BlameItPipeline:
         ):
             state.table = self.learner.table(as_of_day=day)
             state.table_day = day
+            self.learner.prune_before(day - self.learner.history_days + 1)
 
     def _checkpoint_table(self, state: RunState) -> "ExpectedRTTTable | None":
         """The held table a checkpoint must persist, or None when

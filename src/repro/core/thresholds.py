@@ -14,8 +14,8 @@ per cloud location and per middle-segment BGP path.
 
 from __future__ import annotations
 
-import statistics
-from collections import OrderedDict
+import bisect
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,60 +34,94 @@ CloudKey = tuple[str, bool]  # (location_id, mobile)
 MiddleKey = tuple[ASPath, bool]  # (middle path, mobile)
 
 
-class _Reservoir:
-    """Fixed-size uniform sample of a value stream."""
+class _Lane:
+    """Every ⟨key, day⟩ reservoir of one key space, as columns.
 
-    __slots__ = ("values", "seen", "_rng")
+    Row ``r`` is a fixed-size uniform sample of one value stream:
+    ``seen[r]`` counts the stream, the first ``min(seen[r], 256)``
+    columns are live, and ``rngs[r]`` is the reservoir's own replacement
+    stream. ``rows`` maps ⟨key, day⟩ to its row; rows are handed out in
+    creation order, so dict order, row order and checkpoint order are
+    one order.
+    """
 
-    def __init__(self, seed: int) -> None:
-        self.values: list[float] = []
-        self.seen = 0
-        self._rng = np.random.default_rng(seed)
+    __slots__ = ("rows", "values", "seen", "rngs")
 
-    def add(self, value: float) -> None:
-        self.seen += 1
-        if len(self.values) < _RESERVOIR_SIZE:
-            self.values.append(value)
-            return
-        index = int(self._rng.integers(0, self.seen))
-        if index < _RESERVOIR_SIZE:
-            self.values[index] = value
+    def __init__(self) -> None:
+        self.reset((), np.empty((0, _RESERVOIR_SIZE)), (), ())
 
-    def add_many(self, stream: list[float]) -> None:
-        """Fold a value stream, byte-identical to repeated :meth:`add`.
+    def reset(self, keys, values: np.ndarray, seen, rngs) -> None:
+        """Replace every reservoir; row ``r`` is ``keys[r]``'s."""
+        self.rows: dict[tuple, int] = {key: row for row, key in enumerate(keys)}
+        self.values = values
+        self.seen = np.array(seen, dtype=np.int64)
+        self.rngs: list[np.random.Generator] = list(rngs)
 
-        The fill phase consumes no randomness, so it runs as one list
-        extend; once full, each value draws exactly one ``integers``
-        call, preserving the per-reservoir RNG stream.
+    def lengths(self) -> np.ndarray:
+        """Live columns per row, in row order."""
+        return np.minimum(self.seen[: len(self.rngs)], _RESERVOIR_SIZE)
+
+    def new_row(self, key: tuple, seed: int) -> int:
+        """Open an empty reservoir, doubling the columns when full."""
+        row = len(self.rngs)
+        if row == len(self.seen):
+            grown = np.empty((max(8, 2 * row), _RESERVOIR_SIZE))
+            grown[:row] = self.values
+            self.values = grown
+            pad = np.zeros(len(grown) - row, dtype=np.int64)
+            self.seen = np.concatenate((self.seen, pad))
+        self.rows[key] = row
+        self.rngs.append(np.random.default_rng(seed))
+        return row
+
+    def add(self, row: int, value: float) -> None:
+        """Fold one value: the per-value reference :meth:`fold` equals."""
+        seen = self.seen.item(row) + 1
+        self.seen[row] = seen
+        if seen <= _RESERVOIR_SIZE:
+            self.values[row, seen - 1] = value
+        elif (index := int(self.rngs[row].integers(0, seen))) < _RESERVOIR_SIZE:
+            self.values[row, index] = value
+
+    def fold(
+        self,
+        rows: np.ndarray,
+        starts: np.ndarray,
+        counts: np.ndarray,
+        values: np.ndarray,
+    ) -> None:
+        """Fold ``values[starts[g]:starts[g] + counts[g]]`` into
+        ``rows[g]`` for every group ``g`` (rows distinct, groups
+        contiguous), byte-identical to :meth:`add` per value.
+
+        The fill phase draws nothing and lands lane-wide in one
+        assignment. Past it, value ``i`` of a stream draws
+        ``integers(0, seen + i + 1)``; one array-``high`` call per
+        reservoir consumes its bit generator exactly as those scalar
+        calls would (``test_array_high_integers_match_scalar_stream``).
         """
-        values = self.values
-        fill = _RESERVOIR_SIZE - len(values)
-        if fill > 0:
-            take = stream[:fill]
-            values.extend(take)
-            self.seen += len(take)
-            stream = stream[fill:]
-        for value in stream:
-            self.seen += 1
-            index = int(self._rng.integers(0, self.seen))
-            if index < _RESERVOIR_SIZE:
-                values[index] = value
-
-    def state_dict(self) -> dict:
-        """JSON-safe snapshot, including the replacement RNG stream."""
-        return {
-            "values": list(self.values),
-            "seen": self.seen,
-            "rng": rng_state_dict(self._rng),
-        }
-
-    @classmethod
-    def from_state_dict(cls, state: dict) -> "_Reservoir":
-        reservoir = cls(0)
-        reservoir.values = [float(v) for v in state["values"]]
-        reservoir.seen = int(state["seen"])
-        reservoir._rng = rng_from_state_dict(state["rng"])
-        return reservoir
+        of_row = np.repeat(rows, counts)
+        rank = np.arange(len(values)) - np.repeat(starts, counts)
+        highs = self.seen[of_row] + rank + 1  # each stream's running count
+        filling = highs <= _RESERVOIR_SIZE
+        self.values[of_row[filling], highs[filling] - 1] = values[filling]
+        begins = starts + np.clip(_RESERVOIR_SIZE - self.seen[rows], 0, counts)
+        ends = starts + counts
+        drawing = begins < ends
+        draws = np.full(len(values), _RESERVOIR_SIZE)
+        for row, begin, end in zip(
+            rows[drawing].tolist(), begins[drawing].tolist(), ends[drawing].tolist()
+        ):
+            draws[begin:end] = self.rngs[row].integers(0, highs[begin:end])
+        self.seen[rows] += counts
+        # A later value overwrites an earlier one drawn onto the same
+        # slot; fancy assignment leaves the winner among duplicate
+        # indices unspecified, so keep each slot's last hit explicitly.
+        hits = np.nonzero(draws < _RESERVOIR_SIZE)[0]
+        slots = of_row[hits] * _RESERVOIR_SIZE + draws[hits]
+        _, last = np.unique(slots[::-1], return_index=True)
+        hits = hits[hits.size - 1 - last]
+        self.values[of_row[hits], draws[hits]] = values[hits]
 
 
 @dataclass(frozen=True)
@@ -132,14 +166,14 @@ class DistributionShiftDetector:
         if not 0.0 < ks_threshold <= 1.0:
             raise ValueError("ks_threshold must be in (0, 1]")
         self.ks_threshold = ks_threshold
-        self._reference: dict[tuple, list[float]] = {}
+        self._reference: dict[tuple, deque[float]] = {}
 
     def observe_reference(self, key: tuple, rtt_ms: float) -> None:
         """Add one healthy-period RTT to a key's reference sample."""
-        sample = self._reference.setdefault(key, [])
+        sample = self._reference.get(key)
+        if sample is None:
+            sample = self._reference[key] = deque(maxlen=4 * _RESERVOIR_SIZE)
         sample.append(rtt_ms)
-        if len(sample) > 4 * _RESERVOIR_SIZE:
-            del sample[0]
 
     def shifted(self, key: tuple, window: list[float]) -> bool | None:
         """Whether ``window`` shifted upward vs the key's reference.
@@ -158,11 +192,9 @@ class DistributionShiftDetector:
         n_ref = len(reference_sorted)
         n_win = len(window_sorted)
         best = 0.0
-        import bisect as _bisect
-
         for x in grid:
-            f_ref = _bisect.bisect_right(reference_sorted, x) / n_ref
-            f_win = _bisect.bisect_right(window_sorted, x) / n_win
+            f_ref = bisect.bisect_right(reference_sorted, x) / n_ref
+            f_win = bisect.bisect_right(window_sorted, x) / n_win
             best = max(best, f_ref - f_win)
         return best >= self.ks_threshold
 
@@ -171,45 +203,37 @@ class DistributionShiftDetector:
         return len(self._reference.get(key, ()))
 
 
-#: Snapshots kept by the per-learner table cache.
-_TABLE_CACHE_SIZE = 16
+def _live(lengths: np.ndarray) -> np.ndarray:
+    """Mask of a lane matrix's live cells: row ``r``'s first ``lengths[r]``."""
+    return np.arange(_RESERVOIR_SIZE) < lengths[:, None]
 
 
 class ExpectedRTTLearner:
     """Rolling 14-day median learner fed by quartet observations.
 
     Usage: call :meth:`observe` for every quartet (training and live);
-    call :meth:`table` to snapshot the current medians. History older
-    than ``history_days`` is pruned lazily.
-
-    Snapshots are cached: :meth:`table` keys an LRU on
-    ``(as_of_day, version)`` where the version counter advances on every
-    mutation, so repeated day-keyed snapshots of unchanged history (the
-    88-incident sweep sharing one trained learner, the sharded driver's
-    shards, warmup followed by a run) reuse the computed medians instead
-    of re-deriving them.
+    call :meth:`table` to snapshot the current medians, which reads only
+    the trailing ``history_days``. Older history stays until
+    :meth:`prune_before` drops it — the pipeline calls that at every
+    day-boundary table refresh.
     """
 
     def __init__(self, history_days: int = 14) -> None:
         if history_days < 1:
             raise ValueError("history_days must be >= 1")
         self.history_days = history_days
-        self._cloud: dict[tuple[CloudKey, int], _Reservoir] = {}
-        self._middle: dict[tuple[MiddleKey, int], _Reservoir] = {}
+        self._cloud = _Lane()  # ⟨(location_id, mobile), day⟩ reservoirs
+        self._middle = _Lane()  # ⟨(middle path, mobile), day⟩ reservoirs
         self._seed = 0
-        self._version = 0
-        self._table_cache: OrderedDict[
-            tuple[int | None, int], ExpectedRTTTable
-        ] = OrderedDict()
 
     def observe(self, quartet: Quartet) -> None:
         """Fold one quartet's mean RTT into the history."""
         day = quartet.time // _BUCKETS_PER_DAY
+        rtt = quartet.mean_rtt_ms
         cloud_key = ((quartet.location_id, quartet.mobile), day)
         middle_key = ((quartet.middle, quartet.mobile), day)
-        self._version += 1
-        self._reservoir(self._cloud, cloud_key).add(quartet.mean_rtt_ms)
-        self._reservoir(self._middle, middle_key).add(quartet.mean_rtt_ms)
+        self._cloud.add(self._row(self._cloud, cloud_key), rtt)
+        self._middle.add(self._row(self._middle, middle_key), rtt)
 
     def observe_all(self, quartets: list[Quartet]) -> None:
         """Fold a batch of quartets."""
@@ -249,11 +273,12 @@ class ExpectedRTTLearner:
         (cloud, middle) instead of two dict lookups per row. Equivalence
         with the scalar loop holds because (a) each group's values keep
         original row order (stable sort), so every reservoir sees the
-        same value stream; (b) each reservoir owns its RNG, so grouping
-        adds per reservoir cannot perturb another's stream; and (c) new
-        reservoirs are created in first-occurrence row order with the
-        cloud lane before the middle lane — exactly the order the scalar
-        loop allocates seeds from the shared counter.
+        same value stream; (b) each reservoir owns its RNG, so the order
+        in which existing reservoirs are folded is free; and (c) only
+        *new* reservoirs share anything — the seed counter — so they
+        alone are ordered: first-occurrence row order, the cloud lane
+        before the middle lane within a row, exactly as the scalar loop
+        allocates them.
         """
         n = len(mean_rtt_ms)
         if n == 0:
@@ -262,149 +287,116 @@ class ExpectedRTTLearner:
         day0 = int(day.min())
         day_span = int(day.max()) - day0 + 1
         day_off = day - day0
-        groups: list[tuple[int, int, tuple, dict, list[float]]] = []
         lanes = (
-            ((location_index * 2 + mobile) * day_span + day_off, self._cloud, locations),
-            ((middle_index * 2 + mobile) * day_span + day_off, self._middle, middles),
+            (self._cloud, (location_index * 2 + mobile) * day_span + day_off, locations),
+            (self._middle, (middle_index * 2 + mobile) * day_span + day_off, middles),
         )
-        for lane, (codes, store, vocab) in enumerate(lanes):
+        folds = []
+        fresh: list[tuple[int, int, int, tuple]] = []
+        for lane_no, (lane, codes, vocab) in enumerate(lanes):
             order = np.argsort(codes, kind="stable")
             sorted_codes = codes[order]
-            boundaries = np.nonzero(np.diff(sorted_codes))[0] + 1
-            starts = np.concatenate(([0], boundaries))
-            ends = np.concatenate((boundaries, [n]))
-            values = mean_rtt_ms[order]
-            for s, e in zip(starts.tolist(), ends.tolist()):
-                code = int(sorted_codes[s])
+            starts = np.concatenate(([0], np.nonzero(np.diff(sorted_codes))[0] + 1))
+            rows = []
+            for group, code in enumerate(sorted_codes[starts].tolist()):
                 pair_code, d = divmod(code, day_span)
                 vocab_idx, is_mobile = divmod(pair_code, 2)
                 key = ((vocab[vocab_idx], bool(is_mobile)), d + day0)
-                groups.append(
-                    (int(order[s]), lane, key, store, values[s:e].tolist())
-                )
-        # Seed allocation must follow the scalar loop: first-occurrence
-        # row order, cloud before middle within a row.
-        groups.sort(key=lambda g: (g[0], g[1]))
-        for _, _, key, store, stream in groups:
-            self._reservoir(store, key).add_many(stream)
-        self._version += n
+                row = lane.rows.get(key, -1)
+                if row < 0:
+                    fresh.append((int(order[starts[group]]), lane_no, group, key))
+                rows.append(row)
+            folds.append((lane, rows, starts, mean_rtt_ms[order]))
+        fresh.sort()
+        for _, lane_no, group, key in fresh:
+            lane, rows = folds[lane_no][:2]
+            self._seed += 1
+            rows[group] = lane.new_row(key, self._seed)
+        for lane, rows, starts, values in folds:
+            lane.fold(np.array(rows), starts, np.diff(starts, append=n), values)
 
     def table(self, as_of_day: int | None = None) -> ExpectedRTTTable:
         """Snapshot medians over the trailing window.
-
-        Cached per ``(as_of_day, version)``: a snapshot of history that
-        has not changed since the last identical request is returned
-        without recomputing any median.
 
         Args:
             as_of_day: Window end (exclusive is ``as_of_day + 1``); when
                 None, uses all observed history.
         """
-        cache_key = (as_of_day, self._version)
-        cached = self._table_cache.get(cache_key)
-        if cached is not None:
-            self._table_cache.move_to_end(cache_key)
-            return cached
-        cloud = self._medians(self._cloud, as_of_day)
-        middle = self._medians(self._middle, as_of_day)
-        snapshot = ExpectedRTTTable(cloud=cloud, middle=middle)
-        self._table_cache[cache_key] = snapshot
-        while len(self._table_cache) > _TABLE_CACHE_SIZE:
-            self._table_cache.popitem(last=False)
-        return snapshot
+        return ExpectedRTTTable(
+            cloud=self._medians(self._cloud, as_of_day),
+            middle=self._medians(self._middle, as_of_day),
+        )
 
     def prune_before(self, day: int) -> None:
         """Discard per-day reservoirs older than ``day``."""
-        self._version += 1
-        for store in (self._cloud, self._middle):
-            stale = [key for key in store if key[1] < day]
-            for key in stale:
-                del store[key]
+        for lane in (self._cloud, self._middle):
+            kept = {key: row for key, row in lane.rows.items() if key[1] >= day}
+            if len(kept) < len(lane.rows):
+                rows = list(kept.values())
+                rngs = [lane.rngs[row] for row in rows]
+                lane.reset(kept, lane.values[rows], lane.seen[rows], rngs)
 
     def state_arrays(self) -> tuple[dict, dict[str, np.ndarray]]:
         """The learner's full state as (JSON-safe meta, NumPy arrays).
 
         Built for the columnar store backend: reservoir values — the
-        bulk of the state — concatenate into one float64 array per lane,
-        stored as-is; per-reservoir bookkeeping (encoded ⟨key, day⟩,
-        seen count, RNG state) rides in the meta dict, index-aligned
-        with the ``*_lengths`` array. Dict insertion order is preserved
-        — :meth:`restore_arrays` must rebuild the stores in the exact
-        order :meth:`_reservoir` created them, since iteration order
-        feeds byte-identity downstream.
+        bulk of the state — are the live part of each lane's matrix,
+        row after row in one float64 array; per-reservoir bookkeeping
+        (encoded ⟨key, day⟩, seen count, RNG state) rides in the meta
+        dict, index-aligned with the ``*_lengths`` array. Rows are in
+        creation order — :meth:`restore_arrays` rebuilds the lanes in
+        that exact order, since iteration order feeds byte-identity
+        downstream.
         """
-        meta: dict = {
-            "history_days": self.history_days,
-            "seed": self._seed,
-            "version": self._version,
-        }
+        meta: dict = {"history_days": self.history_days, "seed": self._seed}
         arrays: dict[str, np.ndarray] = {}
-        for lane, store in (("cloud", self._cloud), ("middle", self._middle)):
-            keys, seen, rngs, lengths, chunks = [], [], [], [], []
-            for ((key, mobile), day), reservoir in store.items():
-                encoded = key if isinstance(key, str) else list(key)
-                keys.append([encoded, bool(mobile), int(day)])
-                seen.append(reservoir.seen)
-                rngs.append(rng_state_dict(reservoir._rng))
-                lengths.append(len(reservoir.values))
-                chunks.append(reservoir.values)
-            meta[f"{lane}_keys"] = keys
-            meta[f"{lane}_seen"] = seen
-            meta[f"{lane}_rng"] = rngs
-            arrays[f"{lane}_values"] = np.asarray(
-                [value for chunk in chunks for value in chunk],
-                dtype=np.float64,
-            )
-            arrays[f"{lane}_lengths"] = np.asarray(lengths, dtype=np.int64)
+        for name, lane in (("cloud", self._cloud), ("middle", self._middle)):
+            lengths = lane.lengths()
+            meta[f"{name}_keys"] = [
+                [key if isinstance(key, str) else list(key), bool(mobile), int(day)]
+                for (key, mobile), day in lane.rows
+            ]
+            meta[f"{name}_seen"] = lane.seen[: len(lengths)].tolist()
+            meta[f"{name}_rng"] = [rng_state_dict(rng) for rng in lane.rngs]
+            arrays[f"{name}_values"] = lane.values[: len(lengths)][_live(lengths)]
+            arrays[f"{name}_lengths"] = lengths
         return meta, arrays
 
     def restore_arrays(self, meta: dict, arrays: dict) -> None:
         """Inverse of :meth:`state_arrays`; replaces all current state."""
         self.history_days = int(meta["history_days"])
         self._seed = int(meta["seed"])
-        self._version = int(meta["version"])
-        self._table_cache.clear()
-        for lane, store in (("cloud", self._cloud), ("middle", self._middle)):
-            store.clear()
-            values = np.asarray(arrays[f"{lane}_values"], dtype=np.float64)
-            lengths = np.asarray(arrays[f"{lane}_lengths"], dtype=np.int64)
-            offset = 0
-            for encoded, seen, rng, length in zip(
-                meta[f"{lane}_keys"],
-                meta[f"{lane}_seen"],
-                meta[f"{lane}_rng"],
-                lengths.tolist(),
-            ):
-                raw, mobile, day = encoded
+        for name, lane in (("cloud", self._cloud), ("middle", self._middle)):
+            lengths = np.asarray(arrays[f"{name}_lengths"], dtype=np.int64)
+            seen = np.asarray(meta[f"{name}_seen"], dtype=np.int64)
+            if not np.array_equal(lengths, np.minimum(seen, _RESERVOIR_SIZE)):
+                raise ValueError(f"{name} reservoir lengths disagree with seen counts")
+            values = np.empty((len(lengths), _RESERVOIR_SIZE))
+            values[_live(lengths)] = arrays[f"{name}_values"]
+            keys = []
+            for raw, mobile, day in meta[f"{name}_keys"]:
                 key = raw if isinstance(raw, str) else tuple(int(a) for a in raw)
-                reservoir = _Reservoir.from_state_dict(
-                    {
-                        "values": values[offset : offset + length].tolist(),
-                        "seen": seen,
-                        "rng": rng,
-                    }
-                )
-                offset += length
-                store[((key, bool(mobile)), int(day))] = reservoir
+                keys.append(((key, bool(mobile)), int(day)))
+            rngs = [rng_from_state_dict(rng) for rng in meta[f"{name}_rng"]]
+            lane.reset(keys, values, seen, rngs)
 
-    def _reservoir(self, store: dict, key: tuple) -> _Reservoir:
-        reservoir = store.get(key)
-        if reservoir is None:
+    def _row(self, lane: _Lane, key: tuple) -> int:
+        row = lane.rows.get(key)
+        if row is None:
             self._seed += 1
-            reservoir = _Reservoir(self._seed)
-            store[key] = reservoir
-        return reservoir
+            row = lane.new_row(key, self._seed)
+        return row
 
-    def _medians(self, store: dict, as_of_day: int | None) -> dict:
-        grouped: dict[tuple, list[float]] = {}
-        for (key, day), reservoir in store.items():
+    def _medians(self, lane: _Lane, as_of_day: int | None) -> dict:
+        grouped: dict[tuple, list[np.ndarray]] = {}
+        filled = lane.lengths().tolist()
+        for (key, day), row in lane.rows.items():
             if as_of_day is not None and not (
                 as_of_day - self.history_days < day <= as_of_day
             ):
                 continue
-            grouped.setdefault(key, []).extend(reservoir.values)
+            grouped.setdefault(key, []).append(lane.values[row, : filled[row]])
         return {
-            key: float(statistics.median(values))
-            for key, values in grouped.items()
-            if values
+            key: float(np.median(np.concatenate(chunks)))
+            for key, chunks in grouped.items()
         }

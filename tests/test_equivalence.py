@@ -39,6 +39,7 @@ from repro.sim.scenario import Scenario, build_world
 from repro.store import CheckpointStore
 
 from tests.test_perf import _random_quartets, _random_table, _targets
+from tests.test_thresholds import assert_learners_identical
 from tests.test_transport import _assert_summaries_equal
 
 
@@ -115,17 +116,6 @@ class TestShardedEquivalence:
             self._sharded(trained), with_metrics=True
         ) == report_json(self._sequential(trained), with_metrics=True)
 
-    @staticmethod
-    def _assert_learner_state_equal(got_learner, expected_learner):
-        for store_got, store_exp in (
-            (got_learner._cloud, expected_learner._cloud),
-            (got_learner._middle, expected_learner._middle),
-        ):
-            assert list(store_got) == list(store_exp)
-            for key in store_exp:
-                assert store_got[key].values == store_exp[key].values
-                assert store_got[key].seen == store_exp[key].seen
-
     def _online_run(self, world, start, end, sharded: bool):
         # Fresh scenario per run: warmup draws from the scenario's
         # shared RNG stream, so the pipelines must not share one.
@@ -158,7 +148,7 @@ class TestShardedEquivalence:
             small_world, 100, 160, sharded=False
         )
         assert report_json(got) == report_json(expected)
-        self._assert_learner_state_equal(got_learner, expected_learner)
+        assert_learners_identical(got_learner, expected_learner)
 
     def test_multi_day_online_learning_byte_identical(self, multi_day_world):
         """Regression for the single start-of-run table snapshot: an
@@ -174,7 +164,7 @@ class TestShardedEquivalence:
             multi_day_world, 100, 700, sharded=False
         )
         assert report_json(got) == report_json(expected)
-        self._assert_learner_state_equal(got_learner, expected_learner)
+        assert_learners_identical(got_learner, expected_learner)
 
     def test_crash_plus_retry_byte_identical(self, trained):
         """Every shard's worker crashes once; the per-shard retry recovers

@@ -16,6 +16,7 @@ import pytest
 from repro.chaos import ChaosKill, FaultPlan
 from repro.core.config import BlameItConfig
 from repro.core.pipeline import BlameItPipeline
+from repro.core.thresholds import ExpectedRTTLearner
 from repro.io import report_to_dict
 from repro.perf.sharded import ShardedPipeline
 from repro.sim.scenario import Scenario
@@ -29,6 +30,8 @@ from repro.store import (
     SqliteBackend,
     StoreError,
 )
+
+from tests.test_thresholds import assert_learners_identical
 
 
 class TestSqliteBackend:
@@ -461,3 +464,73 @@ class TestPrune:
         store.prune(keep_last=2)
         assert store.checkpoint_times() == times[-2:]
         store.close()
+
+
+class _UnprunedLearner(ExpectedRTTLearner):
+    """The learner as every driver ran it before the day-boundary
+    prune: history is never dropped."""
+
+    def prune_before(self, day: int) -> None:
+        pass
+
+
+def _days_held(learner: ExpectedRTTLearner) -> set[int]:
+    meta, _ = learner.state_arrays()
+    return {day for _, _, day in meta["cloud_keys"] + meta["middle_keys"]}
+
+
+class TestLearnerPruning:
+    """`_refresh_table` drops history older than the table window."""
+
+    def test_four_day_run_holds_one_window_and_reports_the_same(
+        self, multi_day_world
+    ):
+        """With ``history_days=1`` a four-day run ends holding at most
+        two days of reservoirs, while every day's table and the report
+        equal those of a learner that kept all four."""
+        start, end = 100, 4 * 288
+        states = []
+        for learner in (ExpectedRTTLearner(1), _UnprunedLearner(1)):
+            pipeline = BlameItPipeline(
+                Scenario.from_world(multi_day_world),
+                config=_config(),
+                seed=11,
+                rng_per_bucket=True,
+                learner=learner,
+            )
+            pipeline.warmup(0, 96, stride=4)
+            states.append((pipeline, pipeline.begin_run(start, end)))
+        for time in range(start, end):
+            for pipeline, state in states:
+                pipeline.step(state)
+            if time % 288 == 0:  # the step just refreshed the table
+                assert states[0][1].table == states[1][1].table
+        (pruned, pruned_state), (unpruned, unpruned_state) = states
+        assert _digest(pruned.finish_run(pruned_state)) == _digest(
+            unpruned.finish_run(unpruned_state)
+        )
+        assert _days_held(unpruned.learner) == {0, 1, 2, 3}
+        assert len(_days_held(pruned.learner)) <= 2
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_kill_resume_across_a_pruning_boundary(
+        self, multi_day_world, tmp_path, workers
+    ):
+        """Killed at bucket 576 — the second prune, written into that
+        boundary's checkpoint — and resumed: report and end-of-run
+        learner state equal the uninterrupted run's."""
+        end = 700
+        expected_pipeline, expected = _run(multi_day_world, end=end)
+        store = CheckpointStore(tmp_path)
+        with pytest.raises(ChaosKill):
+            _run(multi_day_world, workers=workers, store=store, kill=576, end=end)
+        assert store.latest_time() == 576
+        resumed, report = _run(
+            multi_day_world, workers=workers, store=store, warm_start=True,
+            end=end,
+        )
+        store.close()
+        assert _digest(report) == _digest(expected)
+        learner = (resumed.pipeline if workers else resumed).learner
+        assert _days_held(learner) == {2}
+        assert_learners_identical(learner, expected_pipeline.learner)
