@@ -139,16 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
         "segments (default: the single-process sequential pipeline)",
     )
     p_diag.add_argument(
-        "--transport",
-        choices=("shm", "pickle"),
-        default=None,
-        help="how shard results reach the fold under --workers: 'shm' "
-        "(shared-memory columns, the default) or 'pickle' (serialize "
-        "through the result pipe); REPRO_SHARD_TRANSPORT overrides the "
-        "default when unset, and shm silently degrades to pickle where "
-        "shared memory is unavailable",
-    )
-    p_diag.add_argument(
         "--metrics-json",
         metavar="FILE",
         help="enable the repro.obs observability layer and write the "
@@ -260,13 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
         "dispatched through a pool of N worker processes that persists "
         "across steps (scenario-generated buckets only — incompatible "
         "with --source-jsonl)",
-    )
-    p_serve.add_argument(
-        "--transport",
-        choices=("shm", "pickle"),
-        default=None,
-        help="shard-result transport under --workers (see the diagnose "
-        "verb)",
     )
     p_serve.add_argument(
         "--http-port",
@@ -423,9 +406,6 @@ def _cmd_diagnose(args) -> int:
     workers = getattr(args, "workers", None)
     if workers is not None and workers < 1:
         return _fail(f"--workers must be >= 1, got {workers}")
-    transport = getattr(args, "transport", None)
-    if transport is not None and workers is None:
-        return _fail("--transport requires --workers")
     checkpoint_dir = getattr(args, "checkpoint_dir", None)
     resume_dir = getattr(args, "resume", None)
     if checkpoint_dir and resume_dir and checkpoint_dir != resume_dir:
@@ -505,7 +485,6 @@ def _cmd_diagnose(args) -> int:
             chaos=chaos,
             store=store,
             warm_start=bool(resume_dir),
-            transport=transport,
         )
     else:
         pipeline = BlameItPipeline(
@@ -656,8 +635,6 @@ def _cmd_serve(args) -> int:
     workers = getattr(args, "workers", None)
     if workers is not None and workers < 1:
         return _fail(f"--workers must be >= 1, got {workers}")
-    if getattr(args, "transport", None) is not None and workers is None:
-        return _fail("--transport requires --workers")
     if workers is not None and args.source_jsonl:
         return _fail(
             "--workers requires scenario-generated buckets; the sharded "
@@ -728,7 +705,6 @@ def _cmd_serve(args) -> int:
             metrics=MetricsRegistry(),
             store=store,
             warm_start=bool(resume_dir),
-            transport=getattr(args, "transport", None),
         )
     else:
         pipeline = BlameItPipeline(

@@ -43,6 +43,7 @@ from repro.core.thresholds import ExpectedRTTLearner, ExpectedRTTTable
 from repro.net.asn import ASPath, middle_asns
 from repro.net.bgp import Timestamp
 from repro.obs import NULL_REGISTRY, MetricsRegistry
+from repro.perf.batch import BatchQuartetGenerator
 from repro.sim.scenario import BUCKETS_PER_DAY, Scenario
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
@@ -873,10 +874,6 @@ class BlameItPipeline:
         """The cached batch generator (and seen-pair set) for a scenario."""
         entry = self._generators.get(id(source))
         if entry is None or entry[0] is not source:
-            # Function-level import: repro.perf's package import pulls
-            # in the sharded driver, which imports this module back.
-            from repro.perf.batch import BatchQuartetGenerator
-
             entry = (source, BatchQuartetGenerator(source), set())
             self._generators[id(source)] = entry
         return entry[1], entry[2]

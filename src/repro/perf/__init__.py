@@ -19,6 +19,15 @@ same blame results, byte-identical blame counts.
 """
 
 from repro.perf.batch import BatchQuartetGenerator
-from repro.perf.sharded import ShardedPipeline
 
 __all__ = ["BatchQuartetGenerator", "ShardedPipeline"]
+
+
+def __getattr__(name: str):
+    # Lazy: the sharded driver imports repro.core.pipeline, which
+    # imports repro.perf.batch — an eager import here closes the cycle.
+    if name == "ShardedPipeline":
+        from repro.perf.sharded import ShardedPipeline
+
+        return ShardedPipeline
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -30,20 +30,18 @@ Three execution-engine properties make the fan-out actually scale
   multi-worker dispatch and survives across per-day segments, across
   whole runs, and across the streaming daemon's ``step`` cadence.
   Workers are seeded once with everything run-invariant (scenario,
-  config, seed, chaos plan, transport mode); each task message carries
-  only the shard bounds, an epoch-tagged table reference, and the run's
-  window bounds. Tables ship by :class:`~repro.store.StoredTable`
-  reference — through the checkpoint store when one is attached, or a
-  throwaway :class:`~repro.store.EphemeralTableStore` otherwise — and
-  workers cache the loaded table by epoch, so a segment costs one table
-  load per worker, not one unpickle per task.
-* **Shared-memory columnar transport** (:mod:`repro.perf.transport`).
-  A worker packs all of a shard's summary arrays into one
-  ``multiprocessing.shared_memory`` segment and ships a compact
-  skeleton; the parent maps the arrays zero-copy and releases the
-  segment when the last window entry referencing it flushes. Falls
-  back to pickle transparently (``transport.*`` counters account both
-  paths).
+  config, seed, chaos plan); each task message carries only the shard
+  bounds, the epoch-tagged expected-RTT table (a couple of kilobytes,
+  by value), and the run's window bounds. A worker swaps its table only
+  when the epoch moves, so within a segment it keeps one table object
+  and the localizer's identity-keyed lookups stay warm.
+* **Shared-memory transport** (:mod:`repro.perf.transport`). A worker
+  pickles its shard's summaries with every array's bytes out of band in
+  one ``multiprocessing.shared_memory`` segment; the parent unpickles
+  zero-copy views of it and releases the segment when the last window
+  entry referencing it flushes. Where a segment cannot be had the same
+  stream travels whole through the result pipe (``transport.*``
+  counters account both).
 * **Fold/compute overlap.** Shards are dispatched individually and
   their results stream back through a reorder buffer keyed by shard
   index, so the parent folds shard *k* while shards *k+1…* are still
@@ -90,45 +88,41 @@ from repro.net.bgp import Timestamp
 from repro.obs import NULL_REGISTRY, MetricsRegistry, Snapshot
 from repro.perf.batch import BatchQuartetGenerator
 from repro.perf.transport import (
-    PicklePayload,
+    ShardPayload,
     ShmLease,
-    ShmPayload,
     decode_result,
     discard_payload,
     encode_result,
-    resolve_mode,
 )
 from repro.sim.scenario import BUCKETS_PER_DAY, Scenario
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.store import CheckpointStore, StoredTable
+    from repro.store import CheckpointStore
 
 #: One shard's decoded result: summaries, the worker's metrics
 #: snapshot, and the shared-memory lease its arrays live under (None on
-#: the pickle/inline paths). A whole-shard ``None`` marks an abandoned
+#: the in-band/inline paths). A whole-shard ``None`` marks an abandoned
 #: shard whose buckets drop out of the fold.
 ShardResult = "tuple[list[BucketSummary], Snapshot | None, ShmLease | None]"
 
-#: Per-segment worker message: shard bounds, epoch-tagged table, the
-#: run's window bounds, the deferral flag, and the execution attempt.
-TableMessage = "tuple[int, ExpectedRTTTable | StoredTable]"
+#: The epoch-tagged table of a segment's task messages.
+TableMessage = "tuple[int, ExpectedRTTTable]"
 
 
 class _ShardRunner:
     """Per-process compute core: built once, reused for every shard.
 
     Construction is the expensive part (the batch generator's per-slot
-    precomputation); the persistent pool and the parent's inline path
-    both keep one runner alive and retarget it per segment via
-    :meth:`set_table` and the ``run_bounds`` / ``defer_cross_day``
-    attributes.
+    precomputation); a :class:`_ShardWorker` keeps one runner alive and
+    retargets it per segment via the ``table`` / ``run_bounds`` /
+    ``defer_cross_day`` attributes.
     """
 
     def __init__(
         self,
         scenario: Scenario,
         config: BlameItConfig,
-        table: "ExpectedRTTTable | StoredTable",
+        table: ExpectedRTTTable,
         seed: int,
         metrics_enabled: bool = False,
         chaos: FaultPlan | None = None,
@@ -139,19 +133,13 @@ class _ShardRunner:
         self.generator = BatchQuartetGenerator(scenario)
         self.metrics_enabled = metrics_enabled
         self.localizer = PassiveLocalizer(config, scenario.world.targets)
-        self.set_table(table)
+        self.table = table
         self.seed = seed
         self.chaos = chaos if chaos is not None and chaos.enabled else None
         self.want_learn = want_learn
         self.run_bounds = run_bounds
         self.defer_cross_day = defer_cross_day
         self.interval = config.run_interval_buckets
-
-    def set_table(self, table: "ExpectedRTTTable | StoredTable") -> None:
-        """Swap in a segment's table, resolving a stored reference."""
-        if hasattr(table, "load"):  # a StoredTable reference
-            table = table.load()
-        self.table = table
 
     def _defers(self, time: Timestamp) -> bool:
         """Whether ``time``'s blames must wait for the fold's table.
@@ -218,15 +206,16 @@ class _ShardRunner:
         return summaries, metrics.snapshot() if metrics.enabled else None
 
 
-class _PersistentWorker:
-    """Worker-process state behind the persistent pool.
+class _ShardWorker:
+    """One process's shard-compute state: a pool worker's, or the
+    parent's own when shards run inline.
 
-    Seeded once at pool creation with everything run-invariant; each
-    task carries only what changes per segment. The runner (and its
-    expensive generator) is built on the first task and lives for the
-    pool's whole life; the expected-RTT table is cached by the parent's
-    epoch tag, so a table reference is resolved once per segment per
-    worker rather than once per task.
+    Seeded once with everything run-invariant; each task carries only
+    what changes per segment. The runner (and its expensive generator)
+    is built on the first task and lives as long as its owner; the
+    expected-RTT table is swapped only when the parent's epoch tag
+    moves, so a worker holds one table object per segment however many
+    tasks it runs.
     """
 
     def __init__(
@@ -237,7 +226,6 @@ class _PersistentWorker:
         metrics_enabled: bool,
         chaos: FaultPlan | None,
         want_learn: bool,
-        transport: str,
     ) -> None:
         self.scenario = scenario
         self.config = config
@@ -245,7 +233,6 @@ class _PersistentWorker:
         self.metrics_enabled = metrics_enabled
         self.chaos = chaos
         self.want_learn = want_learn
-        self.transport = transport
         self._runner: _ShardRunner | None = None
         self._epoch: int | None = None
 
@@ -256,7 +243,7 @@ class _PersistentWorker:
         run_bounds: tuple[int, int] | None,
         defer_cross_day: bool,
         attempt: int,
-    ) -> "ShmPayload | PicklePayload":
+    ) -> tuple[list[BucketSummary], Snapshot | None]:
         epoch, table = table_msg
         runner = self._runner
         if runner is None:
@@ -264,61 +251,42 @@ class _PersistentWorker:
                 self.scenario, self.config, table, self.seed,
                 self.metrics_enabled, self.chaos, self.want_learn,
             )
-            self._epoch = epoch
         elif epoch != self._epoch:
-            runner.set_table(table)
-            self._epoch = epoch
+            runner.table = table
+        self._epoch = epoch
         runner.run_bounds = run_bounds
         runner.defer_cross_day = defer_cross_day
-        summaries, snapshot = runner.run_shard(bounds, attempt)
-        return encode_result(summaries, snapshot, self.transport)
+        return runner.run_shard(bounds, attempt)
 
 
-_WORKER: _PersistentWorker | None = None
+_WORKER: _ShardWorker | None = None
 
 
-def _init_worker(
-    scenario: Scenario,
-    config: BlameItConfig,
-    seed: int,
-    metrics_enabled: bool,
-    chaos: FaultPlan | None,
-    want_learn: bool,
-    transport: str,
-) -> None:
+def _init_worker(*worker_args) -> None:
     global _WORKER
-    _WORKER = _PersistentWorker(
-        scenario, config, seed, metrics_enabled, chaos, want_learn, transport
-    )
+    _WORKER = _ShardWorker(*worker_args)
 
 
-def _run_shard_task(
-    bounds: tuple[int, int],
-    table_msg: "TableMessage",
-    run_bounds: tuple[int, int] | None,
-    defer_cross_day: bool,
-    attempt: int,
-) -> "ShmPayload | PicklePayload":
+def _run_shard_task(*task) -> ShardPayload:
     assert _WORKER is not None, "worker not initialized"
-    return _WORKER.run(bounds, table_msg, run_bounds, defer_cross_day, attempt)
+    return encode_result(*_WORKER.run(*task))
 
 
 class _Resources:
     """Process-level resources held apart from the pipeline object.
 
     A separate holder lets a ``weakref.finalize`` reclaim the worker
-    pool, the shipped-table scratch store, and any outstanding shard
-    shared memory when a pipeline is garbage-collected without an
-    explicit :meth:`ShardedPipeline.close` — the common shape in tests,
-    which construct many pipelines and drop them.
+    pool and any outstanding shard shared memory when a pipeline is
+    garbage-collected without an explicit :meth:`ShardedPipeline.close`
+    — the common shape in tests, which construct many pipelines and
+    drop them.
     """
 
-    __slots__ = ("pool", "pool_broken", "table_store", "leases")
+    __slots__ = ("pool", "pool_broken", "leases")
 
     def __init__(self) -> None:
         self.pool: "multiprocessing.pool.Pool | None" = None
         self.pool_broken = False
-        self.table_store = None
         self.leases: set[ShmLease] = set()
 
     def close(self) -> None:
@@ -329,9 +297,6 @@ class _Resources:
         leases, self.leases = self.leases, set()
         for lease in leases:
             lease.destroy()
-        store, self.table_store = self.table_store, None
-        if store is not None:
-            store.close()
 
 
 class ShardedPipeline:
@@ -341,8 +306,7 @@ class ShardedPipeline:
         scenario: The world under observation.
         config: Tunables; paper defaults when None.
         learner: Pre-warmed expected-RTT learner (snapshotted at run
-            start and re-snapshotted at every day boundary; snapshots
-            are cached, see :meth:`ExpectedRTTLearner.table`).
+            start and re-snapshotted at every day boundary).
         fixed_table: Expected-RTT table used verbatim (wins over
             ``learner``).
         duration_predictor: Optionally pre-seeded duration history.
@@ -376,18 +340,12 @@ class ShardedPipeline:
             pool, retries are resubmitted to it; inline they re-run in
             process.
         store: Checkpoint store (see :mod:`repro.store`). The fold
-            checkpoints at day boundaries — and pushes each day's table
-            snapshot to the workers through the store — exactly like
-            the sequential pipeline. Chaos kills land at day boundaries
-            (buckets inside a segment are processed out of order, so a
-            mid-day kill point has no sequential-equivalent meaning).
-            Without a store, a pool-backed run ships tables through a
-            temp-dir :class:`~repro.store.EphemeralTableStore` instead.
+            checkpoints at day boundaries exactly like the sequential
+            pipeline, and writes nothing else there. Chaos kills land
+            at day boundaries (buckets inside a segment are processed
+            out of order, so a mid-day kill point has no
+            sequential-equivalent meaning).
         warm_start: Resume from the store's newest checkpoint.
-        transport: Shard-result transport, ``"shm"`` (default) or
-            ``"pickle"``; the ``REPRO_SHARD_TRANSPORT`` environment
-            variable overrides the default when the argument is None.
-            See :mod:`repro.perf.transport`.
 
     Attributes:
         transport_stats: Plain always-on accounting of the transport —
@@ -417,7 +375,6 @@ class ShardedPipeline:
         shard_retry_attempts: int = 1,
         store: "CheckpointStore | None" = None,
         warm_start: bool = False,
-        transport: str | None = None,
     ) -> None:
         self.config = config or BlameItConfig()
         self.metrics = metrics or NULL_REGISTRY
@@ -430,7 +387,6 @@ class ShardedPipeline:
             raise ValueError("shard_retry_attempts must be >= 0")
         self.buckets_per_shard = buckets_per_shard
         self.shard_retry_attempts = shard_retry_attempts
-        self.transport = resolve_mode(transport)
         self.pipeline = BlameItPipeline(
             scenario,
             config=self.config,
@@ -447,7 +403,6 @@ class ShardedPipeline:
         )
         # The pipeline normalizes disabled plans to None; share its view.
         self.chaos = self.pipeline.chaos
-        self._store = self.pipeline._store  # noqa: SLF001 - same subsystem
         self.seed = seed
         # Without a fixed table the fold feeds the learner from shipped
         # columns (same values, same order as the sequential loop), so
@@ -457,14 +412,15 @@ class ShardedPipeline:
         # Set per run/step; shipped to workers for the deferral predicate.
         self._run_bounds: tuple[int, int] | None = None
         self._defer_cross_day = False
-        # Shipped-table identity cache: re-sending the same snapshot
-        # (every daemon step within a day) reuses the same epoch-tagged
-        # reference, so workers keep their cached table.
-        self._shipped_table: ExpectedRTTTable | None = None
-        self._shipped_msg: "TableMessage | None" = None
-        self._table_epoch = 0
-        self._inline_runner: _ShardRunner | None = None
-        self._inline_epoch: int | None = None
+        # Re-sending the same snapshot (every daemon step within a day)
+        # reuses the same epoch, so workers keep the table they hold.
+        self._table_msg: "TableMessage" = (0, None)
+        self._worker_args = (
+            scenario, self.config, seed, self.metrics.enabled, self.chaos,
+            self._want_learn,
+        )
+        # The parent's own worker state, for shards that run in process.
+        self._inline = _ShardWorker(*self._worker_args)
         self.transport_stats = {
             "shm_bytes": 0,
             "pickle_bytes": 0,
@@ -494,11 +450,11 @@ class ShardedPipeline:
     # -- lifecycle -----------------------------------------------------
 
     def close(self) -> None:
-        """Release the worker pool, shipped-table scratch space, and any
-        outstanding shard shared memory. Idempotent. Also runs via a GC
-        finalizer, so dropped pipelines don't strand worker processes —
-        but the daemon/CLI paths call it explicitly (SIGTERM included)
-        rather than waiting on collection."""
+        """Release the worker pool and any outstanding shard shared
+        memory. Idempotent. Also runs via a GC finalizer, so dropped
+        pipelines don't strand worker processes — but the daemon/CLI
+        paths call it explicitly (SIGTERM included) rather than waiting
+        on collection."""
         self._res.close()
 
     def __enter__(self) -> "ShardedPipeline":
@@ -531,11 +487,7 @@ class ShardedPipeline:
             res.pool = multiprocessing.Pool(
                 processes=self.n_workers,
                 initializer=_init_worker,
-                initargs=(
-                    self.scenario, self.config, self.seed,
-                    self.metrics.enabled, self.chaos, self._want_learn,
-                    self.transport,
-                ),
+                initargs=self._worker_args,
             )
         except (OSError, multiprocessing.ProcessError):
             res.pool_broken = True
@@ -543,36 +495,12 @@ class ShardedPipeline:
         self.pools_created += 1
         return res.pool
 
-    def _ship_table(
-        self, day: int, table: ExpectedRTTTable
-    ) -> "TableMessage":
-        """The epoch-tagged table message for this segment's tasks.
-
-        Pool-backed runs ship a :class:`~repro.store.StoredTable`
-        reference — via the checkpoint store, or an ephemeral temp-dir
-        store without one — so each worker loads the table once per
-        epoch instead of unpickling it per task. The identity cache
-        keeps the epoch stable while the held table object is unchanged
-        (every daemon step within a day).
-        """
-        if table is self._shipped_table and self._shipped_msg is not None:
-            return self._shipped_msg
-        ref: "ExpectedRTTTable | StoredTable" = table
-        if self.n_workers > 1 and not self._res.pool_broken:
-            store = self._store
-            if store is None:
-                store = self._res.table_store
-                if store is None:
-                    # Function-level import: repro.store is a leaf of
-                    # repro.core, which imports this package back.
-                    from repro.store import EphemeralTableStore
-
-                    store = self._res.table_store = EphemeralTableStore()
-            ref = store.put_table(f"day-{day}", table)
-        self._table_epoch += 1
-        self._shipped_table = table
-        self._shipped_msg = (self._table_epoch, ref)
-        return self._shipped_msg
+    def _ship_table(self, table: ExpectedRTTTable) -> "TableMessage":
+        """The epoch-tagged table message for this segment's tasks; the
+        epoch moves only when the held table object changes."""
+        if self._table_msg[1] is not table:
+            self._table_msg = (self._table_msg[0] + 1, table)
+        return self._table_msg
 
     def _record_failure(self, exc: BaseException) -> None:
         name = (
@@ -586,24 +514,6 @@ class ShardedPipeline:
         self.transport_stats[name] += amount
         self.metrics.counter(f"transport.{name}").inc(amount)
 
-    def _inline_runner_for(self, table_msg: "TableMessage") -> _ShardRunner:
-        """The parent-process runner (single worker / pool fallback),
-        persistent like the pool workers' and retargeted the same way."""
-        epoch, table = table_msg
-        runner = self._inline_runner
-        if runner is None:
-            runner = self._inline_runner = _ShardRunner(
-                self.scenario, self.config, table, self.seed,
-                self.metrics.enabled, self.chaos, self._want_learn,
-            )
-            self._inline_epoch = epoch
-        elif epoch != self._inline_epoch:
-            runner.set_table(table)
-            self._inline_epoch = epoch
-        runner.run_bounds = self._run_bounds
-        runner.defer_cross_day = self._defer_cross_day
-        return runner
-
     def _stream_inline(
         self, shards: list[tuple[int, int]], table_msg: "TableMessage"
     ) -> "Iterator[ShardResult | None]":
@@ -613,7 +523,6 @@ class ShardedPipeline:
         encode — results carry no lease and no transport bytes.
         """
         metrics = self.metrics
-        runner = self._inline_runner_for(table_msg)
         for bounds in shards:
             output = None
             for attempt in range(self.shard_retry_attempts + 1):
@@ -621,7 +530,10 @@ class ShardedPipeline:
                 if attempt:
                     metrics.counter("retry.shard.attempts").inc()
                 try:
-                    output = runner.run_shard(bounds, attempt)
+                    output = self._inline.run(
+                        bounds, table_msg, self._run_bounds,
+                        self._defer_cross_day, attempt,
+                    )
                 except Exception as exc:  # noqa: BLE001 - shard isolation
                     self._record_failure(exc)
                     output = None
@@ -680,7 +592,7 @@ class ShardedPipeline:
             submit(index, 0)
         pending = len(shards)
         attempts = [0] * len(shards)
-        ready: dict[int, "ShmPayload | PicklePayload | None"] = {}
+        ready: dict[int, ShardPayload | None] = {}
         emit = 0
         try:
             while pending:
@@ -788,7 +700,7 @@ class ShardedPipeline:
         self._consume(
             state,
             [(time, time + 1)],
-            self._ship_table(time // BUCKETS_PER_DAY, state.table),
+            self._ship_table(state.table),
         )
         state.cursor = time + 1
 
@@ -814,7 +726,7 @@ class ShardedPipeline:
         self._consume(
             state,
             self._shards(cursor, seg_end),
-            self._ship_table(day, state.table),
+            self._ship_table(state.table),
         )
         state.cursor = seg_end
 

@@ -61,10 +61,10 @@ class BlameItDaemon:
         pipeline: The pipeline to drive — sequential, or a
             :class:`~repro.perf.sharded.ShardedPipeline` (whose worker
             pool then persists across every step; close it when the
-            daemon is done). Attach a
-            :class:`~repro.store.checkpoint.CheckpointStore` (via
-            ``pipeline.attach_store``) for checkpoint/resume and
-            archiving; set ``warm_start`` to resume.
+            daemon is done). Construct it with a
+            :class:`~repro.store.checkpoint.CheckpointStore` (its
+            ``store=`` argument) for checkpoint/resume and archiving,
+            and with ``warm_start=True`` to resume.
         start, end: Bucket horizon ``[start, end)``. A resumed daemon
             may extend a checkpointed run's horizon.
         source: Where buckets come from; defaults to

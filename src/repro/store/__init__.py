@@ -9,8 +9,9 @@ records — and two implementations behind it:
 * :class:`SqliteBackend` — keyed JSON state (tracker runs, issue
   history, checkpoint metadata) in a single sqlite file;
 * :class:`ColumnarBackend` — NumPy-array payloads (the expected-RTT
-  learner's reservoir histories, table snapshots) as one ``.npz`` file
-  per key, serializing the pipeline's existing columnar arrays as-is.
+  learner's reservoir histories, the table a checkpoint holds) as one
+  ``.npz`` file per key, serializing the pipeline's columnar arrays
+  as-is.
 
 :class:`CheckpointStore` assembles the two into checkpoint/restore for
 :class:`~repro.core.pipeline.BlameItPipeline`,
@@ -19,9 +20,11 @@ records — and two implementations behind it:
 boundaries (batch) or on the daemon's own cadence — mid-day
 checkpoints persist the held expected-RTT table (schema v2) — and a
 restored run's report stays byte-identical to an uninterrupted one
-(DESIGN.md §6). ``keep_last`` prunes old checkpoints after each save;
-the archive records carry closed issues a retention-bounded daemon has
-evicted from memory (DESIGN.md §7).
+(DESIGN.md §6). ``keep_last`` prunes old checkpoints after each save
+(a sharded run writes nothing else: workers get their tables in the
+task message, not through the store); the archive records carry closed
+issues a retention-bounded daemon has evicted from memory (DESIGN.md
+§7).
 """
 
 from repro.store.backend import (
@@ -36,9 +39,7 @@ from repro.store.checkpoint import (
     CheckpointMismatchError,
     CheckpointNotFoundError,
     CheckpointStore,
-    EphemeralTableStore,
     RestoredRun,
-    StoredTable,
 )
 from repro.store.columnar import ColumnarBackend
 from repro.store.sqlite_backend import SqliteBackend
@@ -49,7 +50,6 @@ __all__ = [
     "CheckpointNotFoundError",
     "CheckpointStore",
     "ColumnarBackend",
-    "EphemeralTableStore",
     "CorruptRecordError",
     "Record",
     "RestoredRun",
@@ -57,5 +57,4 @@ __all__ = [
     "SqliteBackend",
     "StoreBackend",
     "StoreError",
-    "StoredTable",
 ]

@@ -26,8 +26,6 @@ from __future__ import annotations
 
 import hashlib
 import pathlib
-import shutil
-import tempfile
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterator
 
@@ -62,70 +60,12 @@ _ARCHIVE_SCHEMA = "report-archive"
 
 
 class CheckpointNotFoundError(StoreError):
-    """The requested checkpoint (or stored table) does not exist."""
+    """The requested checkpoint does not exist."""
 
 
 class CheckpointMismatchError(StoreError):
     """A checkpoint exists but belongs to a different run — its
     fingerprint (scenario + config + seeds) or run range differs."""
-
-
-@dataclass(frozen=True, slots=True)
-class StoredTable:
-    """Picklable reference to an expected-RTT table in a columnar store.
-
-    Shipped to shard workers instead of the table itself; each worker
-    resolves it with :meth:`load`. (The table for a day can be large;
-    the reference is two strings.)
-    """
-
-    root: str
-    key: str
-
-    def load(self) -> "ExpectedRTTTable":
-        record = ColumnarBackend(self.root).get(self.key)
-        if record is None:
-            raise CheckpointNotFoundError(
-                f"stored table {self.key!r} not found under {self.root}"
-            )
-        if record.schema != _TABLE_SCHEMA:
-            raise SchemaMismatchError(
-                f"record {self.key!r} has schema {record.schema!r}, "
-                f"expected {_TABLE_SCHEMA!r}"
-            )
-        return codec.table_from_payload(record.payload)
-
-
-class EphemeralTableStore:
-    """Table shipping for sharded runs without a checkpoint store.
-
-    The persistent worker pool receives expected-RTT tables by
-    :class:`StoredTable` reference rather than by value (a day's table
-    can be large, and every worker would otherwise unpickle its own
-    copy per task). A :class:`CheckpointStore` provides that naturally;
-    a storeless run gets this minimal stand-in — the same
-    :meth:`put_table` contract over a throwaway temp directory, removed
-    on :meth:`close`.
-    """
-
-    def __init__(self) -> None:
-        self._root = tempfile.mkdtemp(prefix="repro-tables-")
-        self._columnar = ColumnarBackend(self._root)
-
-    def put_table(self, key: str, table: "ExpectedRTTTable") -> StoredTable:
-        """Persist a table snapshot; returns a worker-shippable ref."""
-        record_key = f"table/{key}"
-        self._columnar.put(
-            record_key,
-            codec.table_payload(table),
-            schema=_TABLE_SCHEMA,
-            version=CHECKPOINT_SCHEMA_VERSION,
-        )
-        return StoredTable(root=str(self._columnar.root), key=record_key)
-
-    def close(self) -> None:
-        self._columnar.close()
-        shutil.rmtree(self._root, ignore_errors=True)
 
 
 @dataclass(slots=True)
@@ -178,19 +118,6 @@ class CheckpointStore:
         self.keep_last = keep_last
         self._sqlite = SqliteBackend(self.root / "state.db")
         self._columnar = ColumnarBackend(self.root / "columnar")
-
-    # -- tables shipped to shard workers --------------------------------
-
-    def put_table(self, key: str, table: "ExpectedRTTTable") -> StoredTable:
-        """Persist a table snapshot; returns a worker-shippable ref."""
-        record_key = f"table/{key}"
-        self._columnar.put(
-            record_key,
-            codec.table_payload(table),
-            schema=_TABLE_SCHEMA,
-            version=CHECKPOINT_SCHEMA_VERSION,
-        )
-        return StoredTable(root=str(self._columnar.root), key=record_key)
 
     # -- checkpoints ----------------------------------------------------
 

@@ -29,6 +29,7 @@ from repro.store import (
     SchemaMismatchError,
     SqliteBackend,
     StoreError,
+    codec,
 )
 
 from tests.test_thresholds import assert_learners_identical
@@ -372,14 +373,23 @@ class TestCheckpointResume:
         store.close()
 
     def test_stored_table_roundtrip(self, multi_day_world, tmp_path):
+        """The table codec checkpoints use keeps values and key order
+        through the columnar backend."""
         scenario = Scenario.from_world(multi_day_world)
         pipeline = BlameItPipeline(scenario, config=_config())
         pipeline.warmup(0, 96, stride=4)
         table = pipeline.learner.table()
-        store = CheckpointStore(tmp_path)
-        ref = store.put_table("day-0", table)
-        loaded = ref.load()
-        store.close()
+        backend = ColumnarBackend(tmp_path)
+        backend.put(
+            "checkpoint/0/table",
+            codec.table_payload(table),
+            schema="expected-rtt-table",
+            version=CHECKPOINT_SCHEMA_VERSION,
+        )
+        loaded = codec.table_from_payload(
+            backend.get("checkpoint/0/table").payload
+        )
+        backend.close()
         assert loaded.cloud == table.cloud
         assert loaded.middle == table.middle
         assert list(loaded.cloud) == list(table.cloud)
@@ -428,6 +438,29 @@ class TestPrune:
         store.save(pipeline, 864, [], report)
         assert store.checkpoint_times() == [576, 864]
         store.close()
+
+    def test_sharded_run_leaves_only_kept_checkpoints(
+        self, multi_day_world, tmp_path
+    ):
+        """Worker processes get each day's table in the task message,
+        not through the store: after a pruned multi-day sharded run the
+        directory holds the kept checkpoint's records and nothing else
+        (it used to gain one never-pruned ``table__day-N.npz`` a day)."""
+        store = CheckpointStore(tmp_path, keep_last=1)
+        pipeline, _ = _run(
+            multi_day_world, workers=2, store=store, start=START, end=700
+        )
+        pipeline.close()
+        assert store.checkpoint_times() == [576]
+        store.close()
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "columnar",
+            "state.db",
+        ]
+        assert sorted(path.name for path in (tmp_path / "columnar").iterdir()) == [
+            "checkpoint__576__learner.npz",
+            "checkpoint__576__table.npz",
+        ]
 
     def test_keep_last_zero_rejected(self, tmp_path):
         with pytest.raises(ValueError):

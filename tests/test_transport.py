@@ -1,19 +1,22 @@
 """Shard-result transport and persistent-pool properties.
 
-Unit level: shared-memory and pickle payloads round-trip a shard's
-summaries bit-for-bit, allocation failures downgrade to accounted
-pickle fallbacks, and segment lifetime (lease refcount, discard,
-abnormal exit) never leaks ``/dev/shm`` entries.
+Unit level: a shard's summaries round-trip bit-for-bit through a
+shared-memory segment and through a self-contained stream, allocation
+failures downgrade to accounted in-band fallbacks, and segment lifetime
+(lease refcount, discard, abnormal exit) never leaks ``/dev/shm``
+entries.
 
-Pipeline level: both transports produce byte-identical reports against
-the sequential pipeline with real worker processes; one pool serves a
-whole multi-day run and a daemon's step cadence; a worker crash costs
-one shard respawn, not the pool.
+Pipeline level: with real worker processes the report is byte-identical
+to the sequential pipeline's whether segments can be allocated or not;
+one pool serves a whole multi-day run and a daemon's step cadence; a
+worker crash costs one shard respawn, not the pool.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import multiprocessing
 import os
 
 import numpy as np
@@ -28,12 +31,9 @@ from repro.obs import MetricsRegistry, validate_snapshot
 from repro.perf import transport
 from repro.perf.sharded import ShardedPipeline, _ShardRunner
 from repro.perf.transport import (
-    PicklePayload,
-    ShmPayload,
     decode_result,
     discard_payload,
     encode_result,
-    resolve_mode,
     shm_available,
 )
 from repro.serve import BlameItDaemon, ScenarioSource
@@ -90,63 +90,54 @@ def shard_output(trained):
     return summaries, snapshot
 
 
-def _arrays_equal(got, expected) -> bool:
-    got, expected = np.asarray(got), np.asarray(expected)
-    equal_nan = np.issubdtype(expected.dtype, np.floating)
-    return np.array_equal(got, expected, equal_nan=equal_nan)
-
-
-def _assert_batches_equal(got, expected) -> None:
-    for name in transport._BATCH_ARRAYS:
-        assert _arrays_equal(getattr(got, name), getattr(expected, name))
-    assert got.locations == expected.locations
-    assert got.middles == expected.middles
-    assert got.regions == expected.regions
+def _assert_equal(got, expected) -> None:
+    """Structural equality over whatever a summary holds: dataclasses
+    field by field (so a new field is compared with no edit here),
+    arrays exactly (dtype, shape, NaNs), sequences element-wise."""
+    if dataclasses.is_dataclass(expected):
+        assert type(got) is type(expected)
+        for field in dataclasses.fields(expected):
+            _assert_equal(getattr(got, field.name), getattr(expected, field.name))
+    elif isinstance(expected, np.ndarray):
+        assert isinstance(got, np.ndarray)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        equal_nan = np.issubdtype(expected.dtype, np.floating)
+        assert np.array_equal(got, expected, equal_nan=equal_nan)
+    elif isinstance(expected, (list, tuple)):
+        assert type(got) is type(expected) and len(got) == len(expected)
+        for got_item, expected_item in zip(got, expected):
+            _assert_equal(got_item, expected_item)
+    else:
+        assert got == expected
 
 
 def _assert_summaries_equal(got_list, expected_list) -> None:
-    assert len(got_list) == len(expected_list)
-    for got, expected in zip(got_list, expected_list):
-        assert got.time == expected.time
-        assert got.n_quartets == expected.n_quartets
-        assert (got.blames is None) == (expected.blames is None)
-        if expected.blames is not None:
-            _assert_batches_equal(got.blames.batch, expected.blames.batch)
-            assert _arrays_equal(got.blames.code, expected.blames.code)
-            assert _arrays_equal(
-                got.blames.cloud_fraction, expected.blames.cloud_fraction
-            )
-            assert _arrays_equal(
-                got.blames.middle_fraction, expected.blames.middle_fraction
-            )
-        assert _arrays_equal(got.pair_codes, expected.pair_codes)
-        assert _arrays_equal(got.pair_users, expected.pair_users)
-        assert _arrays_equal(got.new_mask, expected.new_mask)
-        assert _arrays_equal(got.new_prefixes, expected.new_prefixes)
-        assert (got.learn is None) == (expected.learn is None)
-        if expected.learn is not None:
-            for col_got, col_exp in zip(got.learn, expected.learn):
-                assert _arrays_equal(col_got, col_exp)
-        assert (got.deferred_batch is None) == (expected.deferred_batch is None)
-        if expected.deferred_batch is not None:
-            _assert_batches_equal(got.deferred_batch, expected.deferred_batch)
+    _assert_equal(list(got_list), list(expected_list))
+
+
+def _refuse_allocation(*args, **kwargs):
+    raise OSError("no space on /dev/shm")
+
+
+def _decode(payload):
+    """Decode with the transport accounting collected into a dict."""
+    counts: dict[str, int] = {}
+    decoded = decode_result(
+        payload, lambda name, n: counts.__setitem__(name, counts.get(name, 0) + n)
+    )
+    return decoded, counts
 
 
 class TestRoundTrip:
     @needs_shm
     def test_shm_round_trip(self, shard_output):
         summaries, snapshot = shard_output
-        payload = encode_result(summaries, snapshot, "shm")
-        assert isinstance(payload, ShmPayload)
+        payload = encode_result(summaries, snapshot)
         assert payload.name in _shm_entries()
-        counts: dict[str, int] = {}
-        decoded, got_snapshot, lease = decode_result(
-            payload, lambda name, n: counts.__setitem__(
-                name, counts.get(name, 0) + n
-            )
-        )
-        assert counts == {"shm_bytes": payload.nbytes, "shm_segments": 1}
-        assert counts["shm_bytes"] > 0
+        (decoded, got_snapshot, lease), counts = _decode(payload)
+        assert set(counts) == {"shm_bytes", "shm_segments"}
+        assert counts["shm_segments"] == 1
+        assert counts["shm_bytes"] >= sum(payload.sizes) > 0
         assert got_snapshot == snapshot
         _assert_summaries_equal(decoded, summaries)
         assert lease is not None and not lease.released
@@ -154,16 +145,14 @@ class TestRoundTrip:
         assert lease.released
         assert payload.name not in _shm_entries()
 
-    def test_pickle_round_trip(self, shard_output):
+    def test_pickle_round_trip(self, shard_output, monkeypatch):
+        """A platform without shared memory ships the whole stream in
+        band — and that is not a fallback."""
         summaries, snapshot = shard_output
-        payload = encode_result(summaries, snapshot, "pickle")
-        assert isinstance(payload, PicklePayload) and not payload.fallback
-        counts: dict[str, int] = {}
-        decoded, got_snapshot, lease = decode_result(
-            payload, lambda name, n: counts.__setitem__(
-                name, counts.get(name, 0) + n
-            )
-        )
+        monkeypatch.setattr(transport, "shared_memory", None)
+        payload = encode_result(summaries, snapshot)
+        assert payload.name is None and not payload.fallback
+        (decoded, got_snapshot, lease), counts = _decode(payload)
         assert counts == {"pickle_bytes": len(payload.data)}
         assert got_snapshot == snapshot
         assert lease is None
@@ -174,30 +163,43 @@ class TestRoundTrip:
         self, shard_output, monkeypatch
     ):
         summaries, snapshot = shard_output
-
-        def refuse(*args, **kwargs):
-            raise OSError("no space on /dev/shm")
-
         monkeypatch.setattr(
-            transport.shared_memory, "SharedMemory", refuse
+            transport.shared_memory, "SharedMemory", _refuse_allocation
         )
-        payload = encode_result(summaries, snapshot, "shm")
-        assert isinstance(payload, PicklePayload) and payload.fallback
+        payload = encode_result(summaries, snapshot)
+        assert payload.name is None and payload.fallback
         monkeypatch.undo()
-        counts: dict[str, int] = {}
-        decoded, _, _ = decode_result(
-            payload, lambda name, n: counts.__setitem__(
-                name, counts.get(name, 0) + n
-            )
-        )
-        assert counts["fallbacks"] == 1
-        assert counts["pickle_bytes"] == len(payload.data)
+        (decoded, _, lease), counts = _decode(payload)
+        assert counts == {"fallbacks": 1, "pickle_bytes": len(payload.data)}
+        assert lease is None
         _assert_summaries_equal(decoded, summaries)
+
+    @needs_shm
+    def test_arbitrary_arrays_travel_unchanged(self):
+        """The encoder knows no field names, so anything picklable must
+        survive: an empty array, a non-contiguous one (it stays in the
+        stream) and one array referenced twice (written once, decoded
+        as one object)."""
+        shared = np.arange(1000, dtype=np.float64)
+        empty = np.empty(0, dtype=np.int32)
+        strided = np.arange(64, dtype=np.int64)[::2]
+        columns = np.asfortranarray(np.arange(12.0).reshape(3, 4))
+        assert not strided.flags.c_contiguous
+        payload = encode_result([shared, empty, strided, columns, shared], None)
+        assert sorted(payload.sizes) == [0, columns.nbytes, shared.nbytes]
+        (decoded, _, lease), counts = _decode(payload)
+        try:
+            _assert_equal(decoded, [shared, empty, strided, columns, shared])
+            assert decoded[0] is decoded[4]
+            assert decoded[3].flags.f_contiguous
+            assert counts["shm_bytes"] < 2 * shared.nbytes
+        finally:
+            lease.release()
 
     @needs_shm
     def test_discard_payload_reclaims_segment(self, shard_output):
         summaries, snapshot = shard_output
-        payload = encode_result(summaries, snapshot, "shm")
+        payload = encode_result(summaries, snapshot)
         assert payload.name in _shm_entries()
         discard_payload(payload)
         assert payload.name not in _shm_entries()
@@ -206,7 +208,7 @@ class TestRoundTrip:
     @needs_shm
     def test_lease_refcount_pins_segment(self, shard_output):
         summaries, snapshot = shard_output
-        payload = encode_result(summaries, snapshot, "shm")
+        payload = encode_result(summaries, snapshot)
         _, _, lease = decode_result(payload, lambda name, n: None)
         lease.retain()
         lease.release()  # one reference still held
@@ -217,28 +219,9 @@ class TestRoundTrip:
         assert payload.name not in _shm_entries()
 
 
-class TestResolveMode:
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv(transport.ENV_VAR, "shm")
-        assert resolve_mode("pickle") == "pickle"
-
-    def test_env_overrides_default(self, monkeypatch):
-        monkeypatch.setenv(transport.ENV_VAR, "pickle")
-        assert resolve_mode(None) == "pickle"
-
-    def test_defaults_to_shm_when_available(self, monkeypatch):
-        monkeypatch.delenv(transport.ENV_VAR, raising=False)
-        expected = "shm" if shm_available() else "pickle"
-        assert resolve_mode(None) == expected
-
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError, match="transport must be one of"):
-            resolve_mode("carrier-pigeon")
-
-
 class TestPipelineTransport:
-    """Real worker processes, both transports, byte-identity plus the
-    accounting each mode must leave behind."""
+    """Real worker processes, with and without allocatable segments:
+    byte-identity plus the accounting each side must leave behind."""
 
     def _sequential(self, trained) -> str:
         scenario, table = trained
@@ -252,7 +235,7 @@ class TestPipelineTransport:
             ).run(100, 160)
         )
 
-    def _sharded(self, trained, mode, metrics=None, chaos=None):
+    def _sharded(self, trained, metrics=None, chaos=None):
         scenario, table = trained
         pipeline = ShardedPipeline(
             scenario,
@@ -261,7 +244,6 @@ class TestPipelineTransport:
             seed=11,
             n_workers=2,
             buckets_per_shard=13,
-            transport=mode,
             metrics=metrics,
             chaos=chaos,
         )
@@ -274,7 +256,7 @@ class TestPipelineTransport:
     @needs_shm
     def test_shm_workers_byte_identical_and_accounted(self, trained):
         metrics = MetricsRegistry()
-        report, pipeline = self._sharded(trained, "shm", metrics=metrics)
+        report, pipeline = self._sharded(trained, metrics=metrics)
         assert _digest(report) == self._sequential(trained)
         stats = pipeline.transport_stats
         assert stats["shm_bytes"] > 0
@@ -287,10 +269,25 @@ class TestPipelineTransport:
         validate_snapshot(report.metrics)
         assert pipeline.stage_seconds["fold"] > 0.0
 
-    def test_pickle_workers_byte_identical_and_accounted(self, trained):
-        report, pipeline = self._sharded(trained, "pickle")
+    @needs_shm
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="workers inherit the patched allocator only when forked",
+    )
+    def test_pickle_workers_byte_identical_and_accounted(
+        self, trained, monkeypatch
+    ):
+        """Every allocation fails in every (forked) worker: each shard
+        arrives in band, is counted as a fallback, and the report does
+        not move."""
+        monkeypatch.setattr(
+            transport.shared_memory, "SharedMemory", _refuse_allocation
+        )
+        report, pipeline = self._sharded(trained)
+        assert pipeline.pools_created == 1
         assert _digest(report) == self._sequential(trained)
         stats = pipeline.transport_stats
+        assert stats["fallbacks"] == 5  # ceil(60 / 13) shards
         assert stats["pickle_bytes"] > 0
         assert stats["shm_bytes"] == 0
         assert stats["shm_segments"] == 0
@@ -302,8 +299,7 @@ class TestPipelineTransport:
         the sequential run."""
         plan = FaultPlan(seed=5, shard_crash_rate=1.0, shard_crash_max=1)
         metrics = MetricsRegistry()
-        report, pipeline = self._sharded(trained, None, metrics=metrics,
-                                         chaos=plan)
+        report, pipeline = self._sharded(trained, metrics=metrics, chaos=plan)
         sequential = _digest(
             BlameItPipeline(
                 trained[0],
