@@ -18,6 +18,7 @@ from repro.core.blame import Blame
 from repro.core.config import BlameItConfig
 from repro.core.passive import PassiveLocalizer
 from repro.core.thresholds import ExpectedRTTTable
+from repro.perf.batch import BatchQuartetGenerator
 from repro.sim.faults import Fault, FaultTarget, SegmentKind
 from repro.sim.scenario import Scenario
 
@@ -61,9 +62,11 @@ def _targets_as_expected(world, learned: ExpectedRTTTable) -> ExpectedRTTTable:
 
 def _cloud_blame_rate(scenario, table, location_id):
     passive = PassiveLocalizer(BlameItConfig(), scenario.world.targets)
+    generator = BatchQuartetGenerator(scenario)
     cloud = bad = 0
     for time in range(FAULT_START, FAULT_START + FAULT_DURATION):
-        for result in passive.assign(scenario.generate_quartets(time), table):
+        blames = passive.assign_batch(generator.generate(time), table)
+        for result in blames.to_results():
             if result.quartet.location_id != location_id:
                 continue
             bad += 1

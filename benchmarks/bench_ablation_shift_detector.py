@@ -14,6 +14,7 @@ from _util import emit
 
 from repro.analysis.report import render_table
 from repro.core.thresholds import DistributionShiftDetector, ExpectedRTTLearner
+from repro.perf.batch import BatchQuartetGenerator
 from repro.sim.faults import Fault, FaultTarget, SegmentKind
 from repro.sim.scenario import Scenario
 
@@ -22,11 +23,11 @@ EVAL = (288, 2 * 288)
 SHIFT_MS = 18.0  # a modest shift, below most badness-target headrooms
 
 
-def _cloud_windows(scenario, start, end):
+def _cloud_windows(generator, start, end):
     """Per (location, bucket): list of non-mobile quartet mean RTTs."""
     windows: dict[tuple[str, int], list[float]] = {}
     for time in range(start, end):
-        for quartet in scenario.generate_quartets(time):
+        for quartet in generator.generate_quartets(time):
             if quartet.mobile or quartet.n_samples < 10:
                 continue
             windows.setdefault((quartet.location_id, time), []).append(
@@ -44,8 +45,8 @@ def _evaluate(world, state_seed=0):
         duration=36,
         added_ms=SHIFT_MS,
     )
-    healthy = Scenario(world, (), ())
-    faulty = Scenario(world, (fault,), ())
+    healthy = BatchQuartetGenerator(Scenario(world, (), ()))
+    faulty = BatchQuartetGenerator(Scenario(world, (fault,), ()))
 
     # Train both detectors on day 0.
     learner = ExpectedRTTLearner(history_days=1)
@@ -59,10 +60,10 @@ def _evaluate(world, state_seed=0):
     table = learner.table()
 
     results = {}
-    for name, scenario in (("healthy", healthy), ("faulty", faulty)):
+    for name, generator in (("healthy", healthy), ("faulty", faulty)):
         flagged_median = flagged_ks = evaluated = 0
         for (location_id, time), rtts in sorted(
-            _cloud_windows(scenario, *EVAL).items()
+            _cloud_windows(generator, *EVAL).items()
         ):
             if location_id != location.location_id or len(rtts) < 6:
                 continue
@@ -75,7 +76,7 @@ def _evaluate(world, state_seed=0):
             flagged_ks += bool(verdict)
         during_fault = [
             t
-            for (loc, t) in _cloud_windows(scenario, *EVAL)
+            for (loc, t) in _cloud_windows(generator, *EVAL)
             if loc == location.location_id and fault.is_active(t)
         ]
         results[name] = {

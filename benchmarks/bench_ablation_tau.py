@@ -21,6 +21,7 @@ from repro.analysis.report import render_table
 from repro.core.blame import Blame
 from repro.core.config import BlameItConfig
 from repro.core.passive import PassiveLocalizer
+from repro.perf.batch import BatchQuartetGenerator
 from repro.sim.faults import Fault, FaultTarget, SegmentKind
 from repro.sim.scenario import Scenario
 
@@ -55,12 +56,14 @@ _SEGMENT_OF = {
 }
 
 
-def _segment_accuracy(scenario, table, tau):
+def _segment_accuracy(generator, table, tau):
     """Segment-level agreement with ground truth, plus false-cloud count."""
+    scenario = generator.scenario
     passive = PassiveLocalizer(BlameItConfig(tau=tau), scenario.world.targets)
     matched = evaluated = false_cloud = 0
     for time in range(*WINDOW):
-        for result in passive.assign(scenario.generate_quartets(time), table):
+        blames = passive.assign_batch(generator.generate(time), table)
+        for result in blames.to_results():
             quartet = result.quartet
             truth = scenario.true_culprit(
                 quartet.location_id, quartet.prefix24, quartet.time
@@ -79,8 +82,10 @@ def _segment_accuracy(scenario, table, tau):
 def _sweep(world, state):
     base = Scenario.from_world(world)
     scenario = base.with_faults(base.faults + _partial_cloud_faults(world))
+    # One generator for every tau: they draw one shared stream in turn.
+    generator = BatchQuartetGenerator(scenario)
     return {
-        tau: _segment_accuracy(scenario, state.table, tau) for tau in TAUS
+        tau: _segment_accuracy(generator, state.table, tau) for tau in TAUS
     }
 
 

@@ -13,6 +13,7 @@ from _util import emit
 
 from repro.analysis.report import render_table
 from repro.analysis.validation import build_warmup_state, corroboration_ratios
+from repro.baselines.asmetro import as_metro_batch
 from repro.sim.scenario import Scenario
 
 #: Evaluation window: one day (the paper used one day over 1,000 paths).
@@ -21,7 +22,7 @@ WINDOW = (288, 2 * 288)
 
 def _ratio_pair(world, scenario, path_table):
     metro_state = build_warmup_state(
-        world, days=1, stride=2, rekey=_as_metro_rekey
+        world, days=1, stride=2, rekey=as_metro_batch
     )
     path_ratios = corroboration_ratios(
         scenario, WINDOW[0], WINDOW[1], path_table
@@ -30,12 +31,6 @@ def _ratio_pair(world, scenario, path_table):
         scenario, WINDOW[0], WINDOW[1], metro_state.table, use_as_metro=True
     )
     return path_ratios, metro_ratios
-
-
-def _as_metro_rekey(quartets, population):
-    from repro.baselines.asmetro import as_metro_quartets
-
-    return as_metro_quartets(quartets, population)
 
 
 def test_fig11_corroboration_ratio(benchmark, incident_world, incident_state):

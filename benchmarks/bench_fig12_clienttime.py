@@ -18,6 +18,7 @@ from repro.core.impact import (
     rank_by_impact,
 )
 from repro.core.prediction import ClientCountPredictor, DurationPredictor
+from repro.perf.batch import BatchQuartetGenerator
 
 #: Three simulated days of middle issues.
 WINDOW = range(288, 4 * 288)
@@ -27,8 +28,9 @@ def _middle_issue_impacts(scenario):
     """True per-issue client-time products of middle-affecting faults."""
     issues: dict[tuple, dict[int, int]] = {}
     targets = scenario.world.targets
+    generator = BatchQuartetGenerator(scenario)
     for time in WINDOW:
-        for quartet in scenario.generate_quartets(time):
+        for quartet in generator.generate_quartets(time):
             if quartet.n_samples < 10:
                 continue
             if quartet.mean_rtt_ms < targets.target_ms(quartet.region, quartet.mobile):

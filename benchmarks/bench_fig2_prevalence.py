@@ -16,13 +16,15 @@ from repro.analysis.characterize import (
 )
 from repro.analysis.report import render_table
 from repro.net.geo import Region
+from repro.perf.batch import BatchQuartetGenerator
 
 #: Five simulated days.
 WINDOW = range(288, 6 * 288)
 
 
 def _prevalence(scenario):
-    buffered = [scenario.generate_quartets(t) for t in WINDOW]
+    generator = BatchQuartetGenerator(scenario)
+    buffered = [generator.generate_quartets(t) for t in WINDOW]
     return (
         bad_fraction_by_region(iter(buffered), scenario.world.targets),
         bad_fraction_by_location(iter(buffered), scenario.world.targets),

@@ -14,6 +14,7 @@ from _util import emit
 from repro.analysis.characterize import bad_fraction_by_hour
 from repro.analysis.report import render_series
 from repro.net.geo import Region
+from repro.perf.batch import BatchQuartetGenerator
 
 #: Seven simulated days (starting day 1; the week includes a weekend).
 WEEK = range(288, 8 * 288)
@@ -37,7 +38,8 @@ def _usa_isps(world):
 def _collect(scenario, home, enterprise):
     overall: list = []
     streams = {None: {}, home: {}, enterprise: {}}
-    buffered = [(t, scenario.generate_quartets(t)) for t in WEEK]
+    generator = BatchQuartetGenerator(scenario)
+    buffered = [(t, generator.generate_quartets(t)) for t in WEEK]
     usa = [
         (t, [q for q in qs if q.region is Region.USA]) for t, qs in buffered
     ]

@@ -12,6 +12,7 @@ from _util import emit
 from repro.analysis.cdf import ECDF
 from repro.analysis.characterize import PersistenceTracker
 from repro.analysis.report import render_cdf
+from repro.perf.batch import BatchQuartetGenerator
 
 #: Four simulated days.
 WINDOW = range(288, 5 * 288)
@@ -20,8 +21,9 @@ WINDOW = range(288, 5 * 288)
 def _persistence_runs(scenario):
     tracker = PersistenceTracker()
     targets = scenario.world.targets
+    generator = BatchQuartetGenerator(scenario)
     for time in WINDOW:
-        quartets = scenario.generate_quartets(time)
+        quartets = generator.generate_quartets(time)
         tracker.observe_bucket(time, PersistenceTracker.bad_keys(quartets, targets))
     return tracker.finish()
 

@@ -18,13 +18,15 @@ from repro.core.impact import (
     rank_by_impact,
     rank_by_prefix_count,
 )
+from repro.perf.batch import BatchQuartetGenerator
 
 #: Four simulated days.
 WINDOW = range(288, 5 * 288)
 
 
 def _impact_curves(scenario):
-    stream = ((t, scenario.generate_quartets(t)) for t in WINDOW)
+    generator = BatchQuartetGenerator(scenario)
+    stream = ((t, generator.generate_quartets(t)) for t in WINDOW)
     records = impact_records_from_issues(stream, scenario.world.targets)
     by_impact = cumulative_impact_curve(rank_by_impact(records))
     by_prefix = cumulative_impact_curve(rank_by_prefix_count(records))

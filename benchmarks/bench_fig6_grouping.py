@@ -15,12 +15,15 @@ from _util import emit
 from repro.analysis.cdf import ECDF
 from repro.analysis.report import render_table
 from repro.core.grouping import GroupingStrategy, group_key, sharing_counts
+from repro.perf.batch import BatchQuartetGenerator
 
 
 def _sharing_by_strategy(scenario):
     """Counts of other /24s sharing each /24's group, per strategy."""
     world = scenario.world
-    quartets = scenario.generate_quartets(450, np.random.default_rng(99))
+    quartets = BatchQuartetGenerator(scenario).generate_quartets(
+        450, np.random.default_rng(99)
+    )
     results = {}
     for strategy in (
         GroupingStrategy.BGP_PREFIX,

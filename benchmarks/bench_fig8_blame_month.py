@@ -14,6 +14,7 @@ from repro.analysis.report import render_table
 from repro.core.blame import Blame
 from repro.core.config import BlameItConfig
 from repro.core.passive import PassiveLocalizer
+from repro.perf.batch import BatchQuartetGenerator
 from repro.sim.faults import Fault, FaultTarget, SegmentKind
 
 #: Scaled "month": days 1..8 of the nine-day world.
@@ -41,11 +42,13 @@ def _maintenance_faults(world, first_id: int):
 
 def _daily_fractions(scenario, table):
     passive = PassiveLocalizer(BlameItConfig(), scenario.world.targets)
+    generator = BatchQuartetGenerator(scenario)
     per_day: dict[int, dict[Blame, int]] = {}
     for day in range(FIRST_DAY, LAST_DAY + 1):
         counts: dict[Blame, int] = {}
         for time in range(day * 288, (day + 1) * 288):
-            for result in passive.assign(scenario.generate_quartets(time), table):
+            blames = passive.assign_batch(generator.generate(time), table)
+            for result in blames.to_results():
                 counts[result.blame] = counts.get(result.blame, 0) + 1
         per_day[day] = counts
     return per_day

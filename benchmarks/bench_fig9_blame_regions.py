@@ -16,6 +16,7 @@ from repro.core.blame import Blame
 from repro.core.config import BlameItConfig
 from repro.core.passive import PassiveLocalizer
 from repro.net.geo import Region
+from repro.perf.batch import BatchQuartetGenerator
 from repro.sim.faults import Fault, FaultTarget, SegmentKind, sample_duration
 
 DAY = 2
@@ -45,9 +46,11 @@ def _evolving_transit_faults(world, rng):
 
 def _fractions_by_region(scenario, table):
     passive = PassiveLocalizer(BlameItConfig(), scenario.world.targets)
+    generator = BatchQuartetGenerator(scenario)
     counts: dict[Region, dict[Blame, int]] = {}
     for time in range(DAY * 288, (DAY + 1) * 288):
-        for result in passive.assign(scenario.generate_quartets(time), table):
+        blames = passive.assign_batch(generator.generate(time), table)
+        for result in blames.to_results():
             region = result.quartet.region
             counts.setdefault(region, {})[result.blame] = (
                 counts.setdefault(region, {}).get(result.blame, 0) + 1

@@ -11,6 +11,7 @@ from __future__ import annotations
 from _util import emit
 
 from repro.analysis.report import render_table
+from repro.perf.batch import BatchQuartetGenerator
 
 #: One simulated day of telemetry is counted (the month is a linear scale-up).
 DAY_BUCKETS = range(288, 2 * 288)
@@ -20,8 +21,9 @@ def _dataset_counts(scenario):
     world = scenario.world
     measurements = 0
     active_prefixes = set()
+    generator = BatchQuartetGenerator(scenario)
     for time in DAY_BUCKETS:
-        for quartet in scenario.generate_quartets(time):
+        for quartet in generator.generate_quartets(time):
             measurements += quartet.n_samples
             active_prefixes.add(quartet.prefix24)
     return {

@@ -27,6 +27,7 @@ from repro.core.impact import (
     rank_by_prefix_count,
 )
 from repro.net.geo import Region
+from repro.perf.batch import BatchQuartetGenerator
 from repro.sim.scenario import Scenario, ScenarioParams
 
 DAYS = 4
@@ -40,7 +41,8 @@ def main() -> None:
     print(f"simulating {DAYS} days over {len(scenario.world.slots)} "
           f"⟨client /24, location⟩ pairs ...")
 
-    buffered = [(t, scenario.generate_quartets(t)) for t in WINDOW]
+    generator = BatchQuartetGenerator(scenario)
+    buffered = [(t, generator.generate_quartets(t)) for t in WINDOW]
 
     # -- Figure 2: prevalence by region ---------------------------------
     fractions = bad_fraction_by_region((q for _, q in buffered), targets)

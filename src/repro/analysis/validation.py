@@ -15,7 +15,11 @@
   the ⟨AS, Metro⟩ alternative (Figure 11).
 
 Both are deliberately cheap to run many times over one shared world:
-:func:`build_warmup_state` does the expensive training pass once.
+:func:`build_warmup_state` does the training pass once — the columnar
+steps of :meth:`BlameItPipeline.warmup` on generated batches — and
+records its artifacts in a :class:`WarmupState` every run then applies.
+Corroboration runs the same generator and the same batch door of
+Algorithm 1 (``PassiveLocalizer.assign_batch``) as the pipeline.
 
 Paper provenance: §6.3 (validation against 88 labelled incidents), §6.4
 and Figure 11 (corroboration with continuous traceroutes; BGP-path vs
@@ -31,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.baselines.asmetro import as_metro_quartets
+from repro.baselines.asmetro import as_metro_batch
 from repro.core.blame import Blame
 from repro.core.config import BlameItConfig
 from repro.core.impact import (
@@ -43,7 +47,8 @@ from repro.core.impact import (
 )
 from repro.core.passive import PassiveLocalizer
 from repro.core.pipeline import BlameItPipeline, PipelineReport
-from repro.core.quartet import Quartet
+from repro.core.quartet import Quartet, QuartetBatch
+from repro.core.summary import summarize_bucket
 from repro.core.thresholds import ExpectedRTTLearner, ExpectedRTTTable
 from repro.net.asn import ASPath
 from repro.net.bgp import Timestamp
@@ -56,12 +61,13 @@ from repro.sim.incidents import (
     generate_incidents,
 )
 from repro.net.geo import Region
-from repro.sim.scenario import Scenario, ScenarioParams, World
+from repro.perf.batch import BatchQuartetGenerator
+from repro.sim.scenario import BUCKETS_PER_DAY, Scenario, ScenarioParams, World
 
 #: Noise floor for ground-truth traceroute comparisons.
 _MIN_DELTA_MS = 5.0
 
-Rekey = Callable[[list[Quartet], object], list[Quartet]]
+Rekey = Callable[[QuartetBatch, object], QuartetBatch]
 
 
 @dataclass
@@ -96,37 +102,44 @@ def build_warmup_state(
 ) -> WarmupState:
     """Train expected RTTs and client counts on a fault-free sibling.
 
+    The steps :meth:`BlameItPipeline.warmup` runs, recorded instead of
+    applied: generate each sampled bucket, optionally re-key it, fold it
+    into the learner, and summarize it into per-⟨location, middle⟩ user
+    counts and first-seen probe targets.
+
     Args:
         world: The shared world.
         days: Training horizon.
         stride: Sample every ``stride``-th bucket.
-        rekey: Optional quartet transform (e.g.
-            :func:`repro.baselines.asmetro.as_metro_quartets`) so the
+        rekey: Optional batch transform (e.g.
+            :func:`repro.baselines.asmetro.as_metro_batch`) so the
             learned table matches an alternative grouping.
 
     Returns:
         A :class:`WarmupState` usable by any scenario over this world.
     """
-    scenario = Scenario(world, (), ())
+    generator = BatchQuartetGenerator(Scenario(world, (), ()))
     learner = ExpectedRTTLearner(history_days=max(days, 1))
     state = WarmupState(table=ExpectedRTTTable())
-    buckets = days * 288
-    for time in range(0, buckets, max(1, stride)):
-        quartets = scenario.generate_quartets(time)
+    # Keyed by ⟨location, middle⟩, not pair code: a re-keyed batch has
+    # its own middle vocabulary.
+    targeted: set[tuple[str, ASPath]] = set()
+    for time in range(0, days * BUCKETS_PER_DAY, max(1, stride)):
+        batch = generator.generate(time)
         if rekey is not None:
-            quartets = rekey(quartets, world.population)
-        learner.observe_all(quartets)
-        per_path: Counter = Counter()
-        for quartet in quartets:
-            per_path[(quartet.location_id, quartet.middle)] += quartet.users
-        for key, users in per_path.items():
+            batch = rekey(batch, world.population)
+        learner.observe_batch(batch)
+        summary = summarize_bucket(time, batch, None, set(), want_learn=False)
+        for code, users, prefix24 in zip(
+            summary.pair_codes.tolist(),
+            summary.pair_users.tolist(),
+            summary.new_prefixes.tolist(),
+        ):
+            key = batch.pair_key(code)
             state.client_observations.append((key, time, users))
-        seen = {t[:2] for t in state.targets}
-        for quartet in quartets:
-            key = (quartet.location_id, quartet.middle)
-            if key not in seen:
-                seen.add(key)
-                state.targets.append((quartet.location_id, quartet.middle, quartet.prefix24))
+            if key not in targeted:
+                targeted.add(key)
+                state.targets.append((*key, prefix24))
     state.table = learner.table()
     return state
 
@@ -1041,16 +1054,17 @@ def corroboration_ratios(
     healthy = Scenario(world, (), scenario.reroutes)
     matches: Counter = Counter()
     totals: Counter = Counter()
+    generator = BatchQuartetGenerator(scenario)
     rng = np.random.default_rng(world.params.seed + 77)
     for time in range(start, end):
-        quartets = scenario.generate_quartets(time, rng=rng)
+        batch = generator.generate(time, rng=rng)
+        # Each row's true BGP path, read from the un-rekeyed batch.
         true_middle = {
-            (q.prefix24, q.location_id, q.mobile): q.middle for q in quartets
+            (q.prefix24, q.location_id, q.mobile): q.middle
+            for q in batch.to_quartets()
         }
-        evaluated = (
-            as_metro_quartets(quartets, world.population) if use_as_metro else quartets
-        )
-        for result in passive.assign(evaluated, table):
+        evaluated = as_metro_batch(batch, world.population) if use_as_metro else batch
+        for result in passive.assign_batch(evaluated, table).to_results():
             quartet = result.quartet
             truth = scenario.true_culprit(
                 quartet.location_id, quartet.prefix24, quartet.time

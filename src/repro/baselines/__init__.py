@@ -15,7 +15,7 @@
 """
 
 from repro.baselines.active_only import ActiveOnlyMonitor
-from repro.baselines.asmetro import as_metro_quartets
+from repro.baselines.asmetro import as_metro_batch
 from repro.baselines.netprofiler import GroupDiagnosis, NetProfilerDiagnosis
 from repro.baselines.tomography import (
     BooleanTomography,
@@ -32,5 +32,5 @@ __all__ = [
     "NetProfilerDiagnosis",
     "PathObservation",
     "TrinocularMonitor",
-    "as_metro_quartets",
+    "as_metro_batch",
 ]

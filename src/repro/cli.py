@@ -28,6 +28,7 @@ from repro.core.blame import Blame
 from repro.core.config import BlameItConfig
 from repro.core.pipeline import BlameItPipeline
 from repro.net.geo import Region
+from repro.perf.batch import BatchQuartetGenerator
 from repro.sim.faults import SegmentKind
 from repro.sim.incidents import generate_incidents
 from repro.sim.scenario import Scenario, ScenarioParams, build_world
@@ -366,7 +367,8 @@ def _cmd_characterize(args) -> int:
     end = args.end if args.end is not None else scenario.horizon_buckets
     if (message := _window_error(args.start, end, scenario.horizon_buckets)):
         return _fail(message)
-    buffered = [(t, scenario.generate_quartets(t)) for t in range(args.start, end)]
+    generator = BatchQuartetGenerator(scenario)
+    buffered = [(t, generator.generate_quartets(t)) for t in range(args.start, end)]
     fractions = bad_fraction_by_region(
         (q for _, q in buffered), scenario.world.targets
     )

@@ -197,26 +197,17 @@ class PassiveLocalizer:
 
     def assign_batch(
         self, batch: QuartetBatch, table: ExpectedRTTTable | None
-    ) -> list[BlameResult]:
+    ) -> BlameResultBatch:
         """Vectorized Algorithm 1 over a columnar batch of one bucket.
 
         Array-ops equivalent of :meth:`assign`: the sample gate, the
         cloud/middle bad-fraction aggregates, the good-elsewhere index,
         and the decision chain are all computed with NumPy over the
-        batch's columns. Returns results identical (same order, same
+        batch's columns. Bad rows stay a row-subset batch plus
+        code/fraction arrays (what shard workers ship to the fold);
+        ``.to_results()`` gives records identical (same order, same
         blames, same fractions) to the scalar reference on the same
         quartets — asserted by the property tests.
-        """
-        return self.assign_batch_columnar(batch, table).to_results()
-
-    def assign_batch_columnar(
-        self, batch: QuartetBatch, table: ExpectedRTTTable | None
-    ) -> BlameResultBatch:
-        """:meth:`assign_batch` without materializing per-row results.
-
-        This is the form shard workers compute and ship to the fold:
-        bad rows stay a row-subset batch plus code/fraction arrays until
-        the window flush needs records.
         """
         table = self._effective_table(table)
         with self.metrics.span("passive.vectorized"):

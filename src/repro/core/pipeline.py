@@ -756,7 +756,9 @@ class BlameItPipeline:
                         results.extend(entry.blames.to_results())
                     else:
                         results.extend(
-                            self.passive.assign_batch(entry.batch, state.table)
+                            self.passive.assign_batch(
+                                entry.batch, state.table
+                            ).to_results()
                         )
             self._process_results(now, results, state.report)
         finally:

@@ -1,20 +1,19 @@
-"""Vectorized quartet generation: columnar batches from a scenario.
+"""The traffic model: columnar quartet batches from a scenario.
 
-:meth:`Scenario.generate_quartets` walks every active slot in Python.
-:class:`BatchQuartetGenerator` precomputes per-slot static columns
-(location/prefix/AS/region codes, baseline path latency, congestion
-shapes, per-fault slot masks) once, and — for slots whose BGP path churns
-— flattens the per-slot path timeline into segment arrays tracked by a
-monotonic pointer, so per bucket only array arithmetic runs.
+:class:`BatchQuartetGenerator` is the only place quartets are generated.
+It precomputes per-slot static columns (location/prefix/AS/region codes,
+baseline path latency, congestion shapes, per-fault slot masks) once,
+and — for slots whose BGP path churns — flattens the per-slot path
+timeline into segment arrays tracked by a monotonic pointer, so per
+bucket only array arithmetic runs.
 
-The generator consumes the random stream with exactly the same calls in
-the same order as the scalar path (`rng.poisson` over the slot activity
-vector, then `rng.standard_normal` over the active slots), and applies
-latency contributions in the same order (baseline, evening congestion,
-then faults in schedule order), so given the same generator state the
-produced quartets are bit-identical to the scalar ones — tests assert
-equality, and the sharded driver relies on it for byte-identical blame
-counts.
+Per bucket it draws ``rng.poisson`` over the slot activity vector (the
+connection counts), then ``rng.standard_normal`` over the active slots
+(the sampling noise, shrinking with the count), and adds latency in a
+fixed order: baseline, evening congestion, then faults in schedule
+order. Given the same generator state the output is therefore a pure
+function of the scenario; ``tests/golden/substrate_v1.json`` pins it,
+and the sharded driver relies on it for byte-identical blame counts.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ _NEVER = np.iinfo(np.int64).max
 
 
 class BatchQuartetGenerator:
-    """Columnar, NumPy-vectorized equivalent of ``generate_quartets``."""
+    """Generates every bucket's quartets as one :class:`QuartetBatch`."""
 
     def __init__(self, scenario: Scenario) -> None:
         self.scenario = scenario
@@ -399,13 +398,13 @@ class BatchQuartetGenerator:
     def generate(
         self, time: Timestamp, rng: np.random.Generator | None = None
     ) -> QuartetBatch:
-        """Columnar quartets for one bucket, matching the scalar path.
+        """Columnar quartets for one bucket.
 
         Args:
             time: Bucket index.
-            rng: Generator; when None uses the scenario's shared stream
-                (then results match only if called in the same sequence
-                the scalar path would have been).
+            rng: Generator; when None uses the scenario's shared stream,
+                so the result depends on every earlier shared-stream call
+                on the same scenario (from any of its generators).
         """
         scenario = self.scenario
         rng = rng or scenario._rng  # noqa: SLF001
@@ -435,16 +434,15 @@ class BatchQuartetGenerator:
         else:
             ptr = np.empty(0, dtype=np.int64)
 
-        # Evening congestion for non-enterprise clients (one add, same
-        # as the scalar path's ``total + evening_congestion_ms``).
+        # Evening congestion for non-enterprise clients (one add; the
+        # same value as ``Scenario.evening_congestion_ms``).
         amps = self._amps_for_day(time // BUCKETS_PER_DAY)
         shape = self._shape_matrix[self._slot_metro[active], bucket_of_day]
         congestion = amps[active] * shape
         congestion[self.enterprise[active]] = 0.0
         totals = totals + congestion
 
-        # Fault inflation, in schedule order (same order the scalar
-        # path's per-slot loop applies them).
+        # Fault inflation, one add per fault in schedule order.
         for fault in scenario.active_faults(time):
             applies = self._fault_mask(fault)[active]
             if len(churn_rows):
@@ -479,5 +477,5 @@ class BatchQuartetGenerator:
     def generate_quartets(
         self, time: Timestamp, rng: np.random.Generator | None = None
     ) -> list[Quartet]:
-        """Row-wise view of :meth:`generate` (testing / interop)."""
+        """Row-wise view of :meth:`generate` (figures, tests, interop)."""
         return self.generate(time, rng).to_quartets()

@@ -198,7 +198,7 @@ class _ShardRunner:
             blames = (
                 None
                 if self._defers(time)
-                else self.localizer.assign_batch_columnar(batch, self.table)
+                else self.localizer.assign_batch(batch, self.table)
             )
             summaries.append(
                 summarize_bucket(time, batch, blames, seen_pairs, self.want_learn)

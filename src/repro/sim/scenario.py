@@ -3,7 +3,9 @@
 A :class:`Scenario` is everything BlameIt observes and everything the
 evaluation needs to validate it:
 
-* per-bucket quartet observations (the passive RTT stream),
+* the per-slot activity, paths and fault inflation from which
+  :class:`repro.perf.batch.BatchQuartetGenerator` draws each bucket's
+  quartet observations (the passive RTT stream),
 * a :class:`repro.cloud.traceroute.PathOracle` implementation, so the
   traceroute engine sees ground-truth per-AS latencies with faults applied,
 * a BGP listener log fed by generated route churn,
@@ -22,7 +24,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,9 +41,7 @@ from repro.cloud.locations import (
     default_rtt_targets,
     make_locations,
 )
-from repro.cloud.telemetry import RTTSample
 from repro.cloud.traceroute import TracerouteView
-from repro.core.quartet import Quartet
 from repro.net.addressing import BGPPrefix, Prefix24
 from repro.net.asn import ASPath, ASTier
 from repro.net.bgp import BGPListener, BGPTable, BGPUpdate, BGPUpdateKind, Timestamp
@@ -50,7 +50,7 @@ from repro.net.latency import LatencyModel, LatencyParams, PathLatency
 from repro.net.routing import RouteComputer
 from repro.net.topology import GeneratedTopology, TopologyParams, generate_topology
 from repro.sim.faults import Direction, Fault, FaultInjector, FaultRates, SegmentKind
-from repro.sim.workload import ActivityModel, WorkloadParams, is_weekend, weekend_factor
+from repro.sim.workload import ActivityModel, WorkloadParams
 
 #: Buckets per day (5-minute buckets).
 BUCKETS_PER_DAY = 288
@@ -387,7 +387,6 @@ class Scenario:
         self._enterprise_flags: np.ndarray | None = None
         self._slot_timelines: list | None = None
         self._slot_reverse_middle: list[ASPath] | None = None
-        self._slot_total_cache: dict[tuple[int, ASPath], float] = {}
         self._congestion_amp: dict[tuple[int, int], float] = {}
         self._congestion_shape: dict[str, np.ndarray] = {}
         self._reverse_paths: dict[int, ASPath | None] = {}
@@ -941,7 +940,7 @@ class Scenario:
             return None
         return (kind, asn)
 
-    # -- telemetry generation ------------------------------------------
+    # -- traffic-model tables (read by repro.perf.batch) -----------------
 
     def _diurnal_array(self, metro_name: str, enterprise: bool, metro) -> np.ndarray:
         key = (metro_name, enterprise)
@@ -952,7 +951,11 @@ class Scenario:
         return cached
 
     def _ensure_fast_tables(self) -> None:
-        """Precompute per-slot activity and path shortcuts (lazy)."""
+        """Precompute per-slot activity and path shortcuts (lazy).
+
+        :class:`repro.perf.batch.BatchQuartetGenerator` — the one traffic
+        model — builds its columns from these.
+        """
         if self._activity_matrix is not None:
             return
         world = self.world
@@ -977,132 +980,6 @@ class Scenario:
         self._slot_reverse_middle = [
             self.reverse_middle(slot.client.asn) for slot in world.slots
         ]
-
-    def _slot_path(self, slot_index: int, time: Timestamp) -> ASPath | None:
-        """Fast path lookup for a slot (timelines are usually static)."""
-        timeline = self._slot_timelines[slot_index]
-        if timeline is None:
-            return None
-        times, paths = timeline
-        if len(times) == 1:
-            return paths[0]
-        index = bisect.bisect_right(times, time) - 1
-        return paths[index] if index >= 0 else None
-
-    def generate_quartets(
-        self, time: Timestamp, rng: np.random.Generator | None = None
-    ) -> list[Quartet]:
-        """All quartet observations for one bucket.
-
-        Connection counts are Poisson draws from the activity model; the
-        quartet mean RTT is the ground-truth RTT plus sampling noise that
-        shrinks with the sample count.
-        """
-        rng = rng or self._rng
-        self._ensure_fast_tables()
-        world = self.world
-        slots = world.slots
-        sigma = world.params.latency.noise_sigma
-        bucket_of_day = time % BUCKETS_PER_DAY
-        expected = self._activity_matrix[:, bucket_of_day].copy()
-        if is_weekend(time):
-            expected *= np.where(self._enterprise_flags, 0.35, 1.15)
-        surge = self.surge_multipliers(time)
-        if surge is not None:
-            expected *= surge
-        counts = rng.poisson(expected)
-        active_indexes = np.nonzero(counts)[0]
-        noise = rng.standard_normal(len(active_indexes))
-        active_faults = self.active_faults(time)
-        latency_model = self.world.latency
-        quartets: list[Quartet] = []
-        for z, index in zip(noise, active_indexes):
-            slot = slots[index]
-            path = self._slot_path(int(index), time)
-            if path is None:
-                continue  # withdrawn route: connections fail, no RTTs
-            client = slot.client
-            key = (int(index), path)
-            total = self._slot_total_cache.get(key)
-            if total is None:
-                total = latency_model.path_latency(
-                    slot.location.metro, path, client.metro, client.mobile
-                ).total_ms
-                self._slot_total_cache[key] = total
-            location_id = slot.location.location_id
-            if not slot.enterprise:
-                total = total + self.evening_congestion_ms(client, time)
-            if active_faults:
-                reverse_middle = self._slot_reverse_middle[index]
-                for fault in active_faults:
-                    if fault.applies_to(
-                        location_id, path, client.prefix24, client.asn, reverse_middle
-                    ):
-                        total = total + fault.added_ms
-            n = int(counts[index])
-            mean = total * (1.0 + sigma * float(z) / np.sqrt(n))
-            quartets.append(
-                Quartet(
-                    time=time,
-                    prefix24=client.prefix24,
-                    location_id=location_id,
-                    mobile=client.mobile,
-                    mean_rtt_ms=max(1.0, mean),
-                    n_samples=n,
-                    users=client.users,
-                    client_asn=client.asn,
-                    middle=path[1:-1],
-                    region=slot.location.region,
-                )
-            )
-        return quartets
-
-    def generate_quartets_range(
-        self, start: Timestamp, end: Timestamp
-    ) -> Iterator[tuple[Timestamp, list[Quartet]]]:
-        """Quartets for each bucket in ``[start, end)``, in time order."""
-        for time in range(start, end):
-            yield time, self.generate_quartets(time)
-
-    def generate_samples(
-        self, time: Timestamp, rng: np.random.Generator | None = None
-    ) -> list[RTTSample]:
-        """Raw per-connection RTT samples for one bucket.
-
-        Connection-level fidelity for small scenarios and tests; large
-        runs should use :meth:`generate_quartets`, which is equivalent in
-        distribution after aggregation.
-        """
-        rng = rng or self._rng
-        world = self.world
-        samples: list[RTTSample] = []
-        bucket_of_day = time % BUCKETS_PER_DAY
-        rate = world.activity.params.connections_per_user
-        surge = self.surge_multipliers(time)
-        for index, slot in enumerate(world.slots):
-            client = slot.client
-            diurnal = self._diurnal_array(client.metro.name, slot.enterprise, client.metro)
-            expected = (
-                client.users
-                * rate
-                * diurnal[bucket_of_day]
-                * weekend_factor(time, slot.enterprise)
-                * slot.share
-            )
-            if surge is not None:
-                expected *= float(surge[index])
-            n = int(rng.poisson(expected))
-            if n < 1:
-                continue
-            location_id = slot.location.location_id
-            true_rtt = self.true_rtt_ms(location_id, client.prefix24, time)
-            if true_rtt is None:
-                continue
-            for rtt in world.latency.sample_rtt(true_rtt, rng, n):
-                samples.append(
-                    RTTSample(time, client.prefix24, location_id, client.mobile, float(rtt))
-                )
-        return samples
 
     # -- convenience ----------------------------------------------------
 

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.baselines.asmetro import as_metro_key, as_metro_quartets
+from repro.baselines.asmetro import as_metro_batch, as_metro_key
 from repro.core.grouping import consistent_path_fraction
+from repro.perf.batch import BatchQuartetGenerator
 
 
 class TestAsMetroKey:
@@ -23,10 +24,14 @@ class TestAsMetroKey:
 
 class TestRekeying:
     def test_rekey_preserves_other_fields(self, small_scenario, small_world):
-        quartets = small_scenario.generate_quartets(150, np.random.default_rng(0))
-        rekeyed = as_metro_quartets(quartets, small_world.population)
+        batch = BatchQuartetGenerator(small_scenario).generate(
+            150, np.random.default_rng(0)
+        )
+        rekeyed = as_metro_batch(batch, small_world.population)
+        quartets = batch.to_quartets()
         assert len(rekeyed) == len(quartets)
-        for before, after in zip(quartets, rekeyed):
+        assert len(set(rekeyed.middles)) == len(rekeyed.middles)
+        for before, after in zip(quartets, rekeyed.to_quartets()):
             assert after.middle == as_metro_key(
                 before.client_asn,
                 small_world.population.get(before.prefix24).metro.name,
@@ -36,11 +41,14 @@ class TestRekeying:
     def test_as_metro_groups_mix_paths(self, small_scenario, small_world):
         """The §4.2 rationale: ⟨AS, Metro⟩ groups often span multiple BGP
         paths, while BGP-path groups are single-path by construction."""
-        quartets = small_scenario.generate_quartets(150, np.random.default_rng(0))
+        batch = BatchQuartetGenerator(small_scenario).generate(
+            150, np.random.default_rng(0)
+        )
+        rekeyed = as_metro_batch(batch, small_world.population)
         groups: dict = {}
-        for quartet in quartets:
-            client = small_world.population.get(quartet.prefix24)
-            key = as_metro_key(client.asn, client.metro.name)
-            groups.setdefault(key, set()).add((quartet.location_id, quartet.middle))
+        for before, after in zip(batch.to_quartets(), rekeyed.to_quartets()):
+            groups.setdefault(after.middle, set()).add(
+                (before.location_id, before.middle)
+            )
         fraction = consistent_path_fraction(groups)
         assert fraction < 1.0  # some groups mix paths

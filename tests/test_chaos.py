@@ -29,6 +29,7 @@ from repro.core.prediction import ClientCountPredictor, DurationPredictor
 from repro.core.quartet import QuartetBatch
 from repro.core.thresholds import ExpectedRTTLearner
 from repro.obs import MetricsRegistry, validate_snapshot
+from repro.perf.batch import BatchQuartetGenerator
 from repro.perf.sharded import ShardedPipeline
 from repro.sim.scenario import Scenario
 
@@ -302,7 +303,7 @@ class TestSanitization:
 class TestProbeChaos:
     @pytest.fixture()
     def target(self, small_scenario):
-        quartet = small_scenario.generate_quartets(50)[0]
+        quartet = BatchQuartetGenerator(small_scenario).generate_quartets(50)[0]
         return quartet.location_id, quartet.prefix24
 
     def _prober(self, small_scenario, chaos, budget_slots=5):

@@ -64,7 +64,7 @@ class TestVectorizedPassiveEquivalence:
         localizer = PassiveLocalizer(BlameItConfig(), _targets())
         assert localizer.assign_batch(
             QuartetBatch.from_quartets(quartets), table
-        ) == localizer.assign(quartets, table)
+        ).to_results() == localizer.assign(quartets, table)
 
 
 def _fast_config(**overrides) -> BlameItConfig:
@@ -260,7 +260,7 @@ class TestFoldKernelSeam:
         blamed = [
             dataclasses.replace(
                 summary,
-                blames=pipeline.passive.assign_batch_columnar(
+                blames=pipeline.passive.assign_batch(
                     summary.deferred_batch, trained[1]
                 ),
                 deferred_batch=None,

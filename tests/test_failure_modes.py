@@ -11,6 +11,7 @@ from repro.core.blame import Blame
 from repro.core.config import BlameItConfig
 from repro.core.pipeline import BlameItPipeline
 from repro.core.thresholds import ExpectedRTTTable
+from repro.perf.batch import BatchQuartetGenerator
 from repro.sim.faults import Fault, FaultTarget, SegmentKind
 from repro.sim.scenario import RerouteEvent, Scenario
 
@@ -144,6 +145,7 @@ class TestDegenerateWindows:
 
     def test_night_bucket_mostly_gated(self, small_scenario):
         """A dead-of-night bucket yields few gated quartets and no crash."""
-        quartets = small_scenario.generate_quartets(96)  # 08:00 UTC-ish
+        # Bucket 96 is 08:00 UTC-ish.
+        quartets = BatchQuartetGenerator(small_scenario).generate_quartets(96)
         gated = [q for q in quartets if q.n_samples >= 10]
         assert len(gated) <= len(quartets)

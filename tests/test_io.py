@@ -20,6 +20,7 @@ from repro.io import (
     scenario_to_dict,
 )
 from repro.net.geo import Region
+from repro.perf.batch import BatchQuartetGenerator
 from repro.sim.faults import Direction, Fault, FaultTarget, SegmentKind
 from repro.sim.scenario import Scenario, ScenarioParams
 
@@ -88,8 +89,12 @@ class TestScenarioRoundTrip:
     def test_round_trip_reproduces_world(self, scenario):
         rebuilt = scenario_from_dict(scenario_to_dict(scenario))
         assert len(rebuilt.world.slots) == len(scenario.world.slots)
-        original = scenario.generate_quartets(105, np.random.default_rng(0))
-        again = rebuilt.generate_quartets(105, np.random.default_rng(0))
+        original = BatchQuartetGenerator(scenario).generate_quartets(
+            105, np.random.default_rng(0)
+        )
+        again = BatchQuartetGenerator(rebuilt).generate_quartets(
+            105, np.random.default_rng(0)
+        )
         assert original == again
 
     def test_file_round_trip(self, scenario, tmp_path):

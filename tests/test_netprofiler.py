@@ -5,6 +5,7 @@ import pytest
 
 from repro.baselines.netprofiler import LEVELS, NetProfilerDiagnosis
 from repro.net.asn import middle_asns
+from repro.perf.batch import BatchQuartetGenerator
 from repro.sim.faults import Fault, FaultTarget, SegmentKind
 from repro.sim.scenario import Scenario
 
@@ -39,7 +40,11 @@ class TestNetProfiler:
             added_ms=90.0,
         )
         scenario = Scenario(small_world, (fault,), ())
-        quartets = _gate(scenario.generate_quartets(155, np.random.default_rng(0)))
+        quartets = _gate(
+            BatchQuartetGenerator(scenario).generate_quartets(
+                155, np.random.default_rng(0)
+            )
+        )
         blamed = diagnosis.diagnose(quartets, _bad_set(scenario, quartets))
         # The faulty AS (or a sub-group of it) is blamed.
         keys = {(d.level, d.key) for d in blamed}
@@ -68,7 +73,11 @@ class TestNetProfiler:
             added_ms=90.0,
         )
         scenario = Scenario(small_world, (fault,), ())
-        quartets = _gate(scenario.generate_quartets(155, np.random.default_rng(1)))
+        quartets = _gate(
+            BatchQuartetGenerator(scenario).generate_quartets(
+                155, np.random.default_rng(1)
+            )
+        )
         blamed = diagnosis.diagnose(quartets, _bad_set(scenario, quartets))
         as_level = [d for d in blamed if d.level == "as" and d.key == client.asn]
         assert not as_level, "one bad prefix must not taint the whole AS"
@@ -93,14 +102,22 @@ class TestNetProfiler:
             added_ms=90.0,
         )
         scenario = Scenario(small_world, (fault,), ())
-        quartets = _gate(scenario.generate_quartets(155, np.random.default_rng(2)))
+        quartets = _gate(
+            BatchQuartetGenerator(scenario).generate_quartets(
+                155, np.random.default_rng(2)
+            )
+        )
         blamed = diagnosis.diagnose(quartets, _bad_set(scenario, quartets))
         # Whatever it blames, no diagnosis can name the middle AS.
         assert all(d.key != culprit for d in blamed)
 
     def test_healthy_window_no_blame(self, small_world, diagnosis):
         scenario = Scenario(small_world, (), ())
-        quartets = _gate(scenario.generate_quartets(155, np.random.default_rng(3)))
+        quartets = _gate(
+            BatchQuartetGenerator(scenario).generate_quartets(
+                155, np.random.default_rng(3)
+            )
+        )
         blamed = diagnosis.diagnose(quartets, _bad_set(scenario, quartets))
         # At most stray congestion groups; no large-scale blame.
         assert len(blamed) <= 3

@@ -1,4 +1,5 @@
-"""Tests for repro.perf: vectorized paths must match the scalar reference."""
+"""Tests for repro.perf: the vectorized passive phase against its scalar
+reference, and the sharded driver against the sequential one."""
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from repro.core.pipeline import BlameItPipeline
 from repro.core.quartet import Quartet, QuartetBatch
 from repro.core.thresholds import ExpectedRTTLearner, ExpectedRTTTable
 from repro.net.geo import Region
-from repro.perf.batch import BatchQuartetGenerator
 from repro.perf.sharded import ShardedPipeline
 from repro.sim.scenario import Scenario
 
@@ -68,7 +68,7 @@ class TestVectorizedPassive:
         localizer = PassiveLocalizer(BlameItConfig(), _targets())
         assert localizer.assign_batch(
             QuartetBatch.from_quartets(quartets), table
-        ) == localizer.assign(quartets, table)
+        ).to_results() == localizer.assign(quartets, table)
 
     def test_all_branches_hit(self):
         """The random buckets actually exercise every blame category."""
@@ -84,10 +84,11 @@ class TestVectorizedPassive:
 
     def test_empty_input(self):
         localizer = PassiveLocalizer(BlameItConfig(), _targets())
-        assert (
-            localizer.assign_batch(QuartetBatch.from_quartets([]), ExpectedRTTTable())
-            == []
+        blames = localizer.assign_batch(
+            QuartetBatch.from_quartets([]), ExpectedRTTTable()
         )
+        assert len(blames) == 0
+        assert blames.to_results() == []
 
     def test_batch_input_direct(self):
         """assign_batch on a pre-built columnar batch equals scalar."""
@@ -97,7 +98,7 @@ class TestVectorizedPassive:
         scalar = PassiveLocalizer(BlameItConfig(), _targets())
         vector = PassiveLocalizer(BlameItConfig(), _targets())
         batch = QuartetBatch.from_quartets(quartets)
-        assert vector.assign_batch(batch, table) == scalar.assign(
+        assert vector.assign_batch(batch, table).to_results() == scalar.assign(
             quartets, table
         )
 
@@ -138,21 +139,6 @@ class TestQuartetBatch:
         assert len(clean) == 0
         assert clean.to_quartets() == []
         assert len(clean.pair_codes()) == 0
-
-
-class TestBatchGenerator:
-    def test_matches_scalar_generation(self, small_world):
-        """Bit-identical quartets, including faulty and churning buckets."""
-        scenario = Scenario.from_world(small_world)
-        generator = BatchQuartetGenerator(scenario)
-        for time in range(0, 288, 7):
-            expected = scenario.generate_quartets(
-                time, rng=np.random.default_rng((5, time))
-            )
-            got = generator.generate_quartets(
-                time, rng=np.random.default_rng((5, time))
-            )
-            assert got == expected
 
 
 class TestShardedPipeline:

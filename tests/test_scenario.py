@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.net.asn import middle_asns
+from repro.perf.batch import BatchQuartetGenerator
 from repro.sim.faults import Fault, FaultTarget, SegmentKind
 from repro.sim.scenario import (
     BUCKETS_PER_DAY,
@@ -85,7 +86,9 @@ class TestFaultFreeScenario:
         assert list(view.cumulative_ms) == sorted(view.cumulative_ms)
 
     def test_quartets_well_formed(self, small_scenario, small_world):
-        quartets = small_scenario.generate_quartets(150, np.random.default_rng(0))
+        quartets = BatchQuartetGenerator(small_scenario).generate_quartets(
+            150, np.random.default_rng(0)
+        )
         assert quartets
         locations = {l.location_id for l in small_world.locations}
         for quartet in quartets:
@@ -97,14 +100,6 @@ class TestFaultFreeScenario:
                 quartet.location_id, quartet.prefix24, quartet.time
             )
             assert quartet.middle == middle_asns(path)
-
-    def test_samples_aggregate_to_quartet_scale(self, small_scenario):
-        samples = small_scenario.generate_samples(150, np.random.default_rng(1))
-        assert samples
-        # Spot-check: sample RTTs are positive and bucketed correctly.
-        for sample in samples[:50]:
-            assert sample.time == 150
-            assert sample.rtt_ms > 0
 
 
 class TestFaultEffects:
@@ -290,8 +285,8 @@ class TestDeterminism:
         b = Scenario.build(params)
         assert len(a.world.slots) == len(b.world.slots)
         assert a.faults == b.faults
-        qa = a.generate_quartets(100, np.random.default_rng(0))
-        qb = b.generate_quartets(100, np.random.default_rng(0))
+        qa = BatchQuartetGenerator(a).generate_quartets(100, np.random.default_rng(0))
+        qb = BatchQuartetGenerator(b).generate_quartets(100, np.random.default_rng(0))
         assert qa == qb
 
     def test_horizon(self):

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.net.asn import middle_asns
+from repro.perf.batch import BatchQuartetGenerator
 from repro.sim.faults import Direction, Fault, FaultTarget, SegmentKind
 from repro.sim.scenario import Scenario
 
@@ -133,7 +134,9 @@ def test_oracle_names_the_injected_fault(small_world, kind, start, duration):
 )
 def test_quartet_generation_invariants(small_scenario, small_world, seed, time):
     """Quartets are well-formed for any bucket and RNG stream."""
-    quartets = small_scenario.generate_quartets(time, np.random.default_rng(seed))
+    quartets = BatchQuartetGenerator(small_scenario).generate_quartets(
+        time, np.random.default_rng(seed)
+    )
     prefixes = {p.prefix24 for p in small_world.population}
     for quartet in quartets:
         assert quartet.time == time

@@ -296,7 +296,7 @@ class TestAlertStreaming:
 
 class TestJsonlCodec:
     def test_row_roundtrip(self, served_scenario):
-        quartets = served_scenario.generate_quartets(
+        quartets = BatchQuartetGenerator(served_scenario).generate_quartets(
             START, np.random.default_rng(0)
         )
         assert quartets

@@ -13,7 +13,7 @@ from repro.analysis.validation import (
     validate_incident,
     validate_scenario_suite,
 )
-from repro.baselines.asmetro import as_metro_quartets
+from repro.baselines.asmetro import as_metro_batch
 from repro.core.blame import Blame
 from repro.core.pipeline import BlameItPipeline, PipelineReport, SegmentIssue
 from repro.sim.faults import Fault, FaultTarget, SegmentKind
@@ -53,7 +53,7 @@ class TestWarmupState:
 
     def test_rekey_changes_middle_keys(self, small_world):
         state = build_warmup_state(
-            small_world, days=1, stride=24, rekey=as_metro_quartets
+            small_world, days=1, stride=24, rekey=as_metro_batch
         )
         for (middle, _mobile) in state.table.middle:
             assert len(middle) == 2  # synthetic (asn, metro-id) keys
@@ -110,7 +110,7 @@ class TestCorroboration:
         as well as ⟨AS, Metro⟩ on average."""
         path_ratios = corroboration_ratios(faulty_scenario, 150, 168, warmup.table)
         metro_state = build_warmup_state(
-            small_world, days=1, stride=3, rekey=as_metro_quartets
+            small_world, days=1, stride=3, rekey=as_metro_batch
         )
         metro_ratios = corroboration_ratios(
             faulty_scenario, 150, 168, metro_state.table, use_as_metro=True
