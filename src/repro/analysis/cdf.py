@@ -40,10 +40,6 @@ class ECDF:
         index = int(np.ceil(q * self.n)) - 1
         return float(self._values[max(0, index)])
 
-    def fraction_at_most(self, x: float) -> float:
-        """Alias of evaluation, reads better in assertions."""
-        return self(x)
-
     def summary(self, grid: Sequence[float]) -> list[tuple[float, float]]:
         """(x, F(x)) pairs over a fixed grid — a text-renderable CDF."""
         return [(float(x), self(x)) for x in grid]

@@ -126,11 +126,9 @@ class FaultPlan:
             instead of crashing.
         kill_at_bucket: Raise :class:`ChaosKill` when the run reaches
             this bucket (after any checkpoint due at it is written), so
-            the checkpoint/resume path can be exercised. The sharded
-            driver checks at day-boundary segment starts; the sequential
-            pipeline checks every bucket. A resumed run starting *at*
-            the kill bucket does not re-kill, so kill-then-resume with
-            an unchanged plan makes progress.
+            the checkpoint/resume path can be exercised. A resumed run
+            starting *at* the kill bucket does not re-kill, so
+            kill-then-resume with an unchanged plan makes progress.
         window: Optional ``[start, end)`` bucket range outside which
             time-keyed faults (quartets, probes) do not fire; None means
             everywhere.

@@ -1,4 +1,4 @@
-"""Command-line interface: simulate, characterize, diagnose, validate.
+"""Command-line interface: simulate, characterize, diagnose, validate, serve.
 
 Usage::
 
@@ -10,6 +10,10 @@ Usage::
 
 Every command builds a reproducible world from its seed, so results are
 stable across runs and machines.
+
+``diagnose`` (batch) and ``serve`` (streaming) drive one BlameIt run two
+ways: their shared flags live on one parent parser, :func:`_open_run`
+validates them and opens the run, and each verb keeps only its own part.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from repro.analysis.characterize import (
 )
 from repro.analysis.report import render_table
 from repro.analysis.validation import build_warmup_state, validate_incident
-from repro.core.blame import Blame
 from repro.core.config import BlameItConfig
 from repro.core.pipeline import BlameItPipeline
 from repro.net.geo import Region
@@ -47,13 +50,35 @@ def _fail(message: str) -> int:
     return 2
 
 
+def _flag(args, flag: str):
+    """The parsed value of ``flag`` (``--kill-at`` → ``args.kill_at``)."""
+    return getattr(args, flag[2:].replace("-", "_"))
+
+
+def _minimum_error(args, *bounds: tuple[str, int]) -> str | None:
+    """The first ``(flag, minimum)`` bound that a given flag falls below."""
+    for flag, minimum in bounds:
+        value = _flag(args, flag)
+        if value is not None and value < minimum:
+            return f"{flag} must be >= {minimum}, got {value}"
+    return None
+
+
+def _output_error(args, *flags: str) -> str | None:
+    """Reject an output file whose directory does not exist up front,
+    not after the run, when the file is finally written."""
+    import pathlib
+
+    for flag in flags:
+        path = _flag(args, flag)
+        if path is not None and not pathlib.Path(path).parent.is_dir():
+            return f"cannot write {flag} {path!r}: its directory does not exist"
+    return None
+
+
 def _params_error(args) -> str | None:
     """Validate the world-shape arguments every command shares."""
-    if args.days < 1:
-        return f"--days must be >= 1, got {args.days}"
-    if args.locations < 1:
-        return f"--locations must be >= 1, got {args.locations}"
-    return None
+    return _minimum_error(args, ("--days", 1), ("--locations", 1))
 
 
 def _window_error(start: int, end: int, horizon: int) -> str | None:
@@ -75,70 +100,94 @@ def build_parser() -> argparse.ArgumentParser:
         "fault localization over a simulated Internet.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=7, help="world seed")
-        p.add_argument(
-            "--regions",
-            type=_region,
-            nargs="+",
-            default=list(Region),
-            metavar="REGION",
-            help="regions to simulate (default: all seven)",
-        )
-        p.add_argument("--days", type=int, default=2, help="simulated days")
-        p.add_argument(
-            "--locations", type=int, default=2, help="edge locations per region"
-        )
-
-    p_sim = sub.add_parser("simulate", help="build a world and print its shape")
-    common(p_sim)
-    p_sim.add_argument(
-        "--save", metavar="FILE", help="write the scenario spec as JSON"
+    # The world-shape flags every verb takes.
+    world = argparse.ArgumentParser(add_help=False)
+    world.add_argument("--seed", type=int, default=7, help="world seed")
+    world.add_argument(
+        "--regions",
+        type=_region,
+        nargs="+",
+        default=list(Region),
+        metavar="REGION",
+        help="regions to simulate (default: all seven)",
     )
-
-    p_char = sub.add_parser(
-        "characterize", help="the §2 measurement study over a simulated window"
+    world.add_argument("--days", type=int, default=2, help="simulated days")
+    world.add_argument(
+        "--locations", type=int, default=2, help="edge locations per region"
     )
-    common(p_char)
-    p_char.add_argument("--start", type=int, default=288)
-    p_char.add_argument("--end", type=int, default=None)
-
-    p_diag = sub.add_parser("diagnose", help="run the BlameIt pipeline")
-    common(p_diag)
-    p_diag.add_argument(
+    # The flags of one BlameIt run, shared by diagnose and serve.
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument(
         "--scenario", metavar="FILE", help="load a saved scenario spec instead"
     )
-    p_diag.add_argument(
-        "--save-report", metavar="FILE", help="write the run report as JSON"
-    )
-    p_diag.add_argument("--start", type=int, default=288)
-    p_diag.add_argument("--end", type=int, default=None)
-    p_diag.add_argument("--budget", type=int, default=5, help="probes per window")
-    p_diag.add_argument(
+    run.add_argument("--start", type=int, default=288, help="first bucket of the run")
+    run.add_argument("--end", type=int, help="bucket to stop before (default: horizon)")
+    run.add_argument("--budget", type=int, default=5, help="probes per window")
+    run.add_argument(
         "--planner",
         choices=("naive", "paper", "clustered"),
         default="paper",
         help="how the on-demand prober spends its budget: 'paper' (§5.3 "
         "impact ranking, the default), 'naive' (key order, no ranking), "
         "or 'clustered' (co-anomalous targets share one probe and its "
-        "verdict; see repro.core.probeplan)",
+        "verdict; see repro.core.probeplan; its history is checkpointed)",
     )
-    p_diag.add_argument(
+    run.add_argument(
         "--reverse",
         action="store_true",
         help="enable the §5.1 reverse-traceroute extension",
     )
-    p_diag.add_argument("--top", type=int, default=5, help="alerts to print")
-    p_diag.add_argument(
+    run.add_argument(
         "--workers",
         type=int,
-        default=None,
         metavar="N",
-        help="run the window through the sharded pipeline with N worker "
-        "processes on a pool that persists across the run's per-day "
-        "segments (default: the single-process sequential pipeline)",
+        help="run the sharded pipeline on a pool of N worker processes that "
+        "persists across the whole run (default: the single-process "
+        "sequential pipeline); serve cannot combine it with --source-jsonl",
     )
+    run.add_argument(
+        "--checkpoint-dir",
+        metavar="DIR",
+        help="checkpoint run state to DIR: diagnose at every day boundary, "
+        "serve on the --checkpoint-every cadence and on graceful shutdown",
+    )
+    run.add_argument(
+        "--resume",
+        metavar="DIR",
+        help="resume from the newest checkpoint in DIR (implies "
+        "--checkpoint-dir DIR; no warmup, the checkpoint carries the "
+        "warmed state; the horizon may extend the checkpointed run's)",
+    )
+    run.add_argument(
+        "--kill-at",
+        type=int,
+        metavar="BUCKET",
+        help="chaos: kill the run when it reaches BUCKET, after any "
+        "checkpoint due there; the process exits with code 3",
+    )
+    run.add_argument(
+        "--save-report", metavar="FILE", help="write the run report as JSON"
+    )
+
+    p_sim = sub.add_parser(
+        "simulate", parents=[world], help="build a world and print its shape"
+    )
+    p_sim.add_argument(
+        "--save", metavar="FILE", help="write the scenario spec as JSON"
+    )
+
+    p_char = sub.add_parser(
+        "characterize",
+        parents=[world],
+        help="the §2 measurement study over a simulated window",
+    )
+    p_char.add_argument("--start", type=int, default=288)
+    p_char.add_argument("--end", type=int, default=None)
+
+    p_diag = sub.add_parser(
+        "diagnose", parents=[world, run], help="run the BlameIt pipeline"
+    )
+    p_diag.add_argument("--top", type=int, default=5, help="alerts to print")
     p_diag.add_argument(
         "--metrics-json",
         metavar="FILE",
@@ -150,38 +199,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--chaos",
         type=int,
         metavar="SEED",
-        default=None,
         help="inject deterministic infrastructure faults (the repro.chaos "
         "smoke plan: quartet loss/corruption, probe timeouts, missing and "
         "stale baselines) seeded by SEED; same seed, same faults",
     )
-    p_diag.add_argument(
-        "--checkpoint-dir",
-        metavar="DIR",
-        help="checkpoint pipeline state to DIR at every day boundary "
-        "(switches the sequential pipeline to per-bucket quartet RNG, "
-        "the seeding scheme resume depends on)",
-    )
-    p_diag.add_argument(
-        "--resume",
-        metavar="DIR",
-        help="resume from the newest checkpoint in DIR (implies "
-        "--checkpoint-dir DIR; warmup is skipped — the checkpoint "
-        "already carries the warmed state)",
-    )
-    p_diag.add_argument(
-        "--kill-at",
-        type=int,
-        default=None,
-        metavar="BUCKET",
-        help="chaos: kill the run when it reaches BUCKET, after any "
-        "day-boundary checkpoint there; the process exits with code 3",
-    )
 
     p_val = sub.add_parser(
-        "validate", help="generate labelled incidents and score localization"
+        "validate",
+        parents=[world],
+        help="generate labelled incidents and score localization",
     )
-    common(p_val)
     p_val.add_argument("--incidents", type=int, default=10)
     p_val.add_argument("--incident-seed", type=int, default=5)
     p_val.add_argument(
@@ -215,42 +242,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_serve = sub.add_parser(
         "serve",
+        parents=[world, run],
         help="run BlameIt as a streaming daemon with live HTTP status",
-    )
-    common(p_serve)
-    p_serve.add_argument(
-        "--scenario", metavar="FILE", help="load a saved scenario spec instead"
     )
     p_serve.add_argument(
         "--source-jsonl",
         metavar="FILE",
         help="feed quartets from a JSON-lines file (one quartet row per "
         "line) instead of generating them from the scenario",
-    )
-    p_serve.add_argument("--start", type=int, default=288)
-    p_serve.add_argument("--end", type=int, default=None)
-    p_serve.add_argument("--budget", type=int, default=5, help="probes per window")
-    p_serve.add_argument(
-        "--planner",
-        choices=("naive", "paper", "clustered"),
-        default="paper",
-        help="how the on-demand prober spends its budget (see the "
-        "diagnose verb; clustered planner history is checkpointed)",
-    )
-    p_serve.add_argument(
-        "--reverse",
-        action="store_true",
-        help="enable the §5.1 reverse-traceroute extension",
-    )
-    p_serve.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="drive the daemon with the sharded pipeline: each bucket is "
-        "dispatched through a pool of N worker processes that persists "
-        "across steps (scenario-generated buckets only — incompatible "
-        "with --source-jsonl)",
     )
     p_serve.add_argument(
         "--http-port",
@@ -259,12 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PORT",
         help="TCP port for the /status, /issues and /metrics endpoints "
         "(default 0: pick a free port; the chosen port is printed)",
-    )
-    p_serve.add_argument(
-        "--checkpoint-dir",
-        metavar="DIR",
-        help="checkpoint daemon state to DIR on the --checkpoint-every "
-        "cadence and on graceful shutdown",
     )
     p_serve.add_argument(
         "--checkpoint-every",
@@ -278,22 +271,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--keep-checkpoints",
         type=int,
-        default=None,
         metavar="N",
         help="prune the store to the newest N checkpoints after each "
         "save (default: keep everything)",
     )
     p_serve.add_argument(
-        "--resume",
-        metavar="DIR",
-        help="resume from the newest checkpoint in DIR (implies "
-        "--checkpoint-dir DIR; the horizon may extend the "
-        "checkpointed run's)",
-    )
-    p_serve.add_argument(
         "--retention-days",
         type=int,
-        default=None,
         metavar="DAYS",
         help="bound resident memory: archive closed issues older than "
         "DAYS days to the checkpoint store (restored at finalization)",
@@ -302,17 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--alerts-jsonl",
         metavar="FILE",
         help="stream alerts to FILE as JSON lines, as issues close",
-    )
-    p_serve.add_argument(
-        "--kill-at",
-        type=int,
-        default=None,
-        metavar="BUCKET",
-        help="chaos: kill the daemon when it reaches BUCKET, after any "
-        "checkpoint there; the process exits with code 3",
-    )
-    p_serve.add_argument(
-        "--save-report", metavar="FILE", help="write the run report as JSON"
     )
     return parser
 
@@ -400,138 +373,141 @@ def _cmd_characterize(args) -> int:
     return 0
 
 
-def _cmd_diagnose(args) -> int:
-    if (message := _params_error(args)) is not None:
-        return _fail(message)
-    if args.budget < 0:
-        return _fail(f"--budget must be >= 0, got {args.budget}")
-    workers = getattr(args, "workers", None)
-    if workers is not None and workers < 1:
-        return _fail(f"--workers must be >= 1, got {workers}")
-    checkpoint_dir = getattr(args, "checkpoint_dir", None)
-    resume_dir = getattr(args, "resume", None)
-    if checkpoint_dir and resume_dir and checkpoint_dir != resume_dir:
-        return _fail(
-            "--checkpoint-dir and --resume must name the same directory"
-        )
-    if resume_dir:
-        checkpoint_dir = resume_dir
-    kill_at = getattr(args, "kill_at", None)
-    if kill_at is not None and kill_at < 0:
-        return _fail(f"--kill-at must be >= 0, got {kill_at}")
-    if getattr(args, "scenario", None):
+def _open_run(args, *, metrics=None, chaos=None, keep_last=None) -> tuple | str:
+    """Validate the shared run flags and open the run they describe.
+
+    Loads or builds the scenario, checks the ``[--start, --end)`` window,
+    opens the checkpoint store, builds the config and the sequential or
+    sharded driver, and warms it up (or announces the resume). Returns
+    the opened run as ``(driver, store or None, end bucket)`` — release
+    it with :func:`_close_run` — or a usage-error message before
+    anything is built.
+
+    Args:
+        metrics: The driver's observability registry, if any.
+        chaos: The driver's fault plan; ``--kill-at`` is folded into it.
+            Pass None to keep the kill out of the driver (``serve``'s
+            daemon fires it instead).
+        keep_last: Checkpoint retention for the store.
+    """
+    import pathlib
+
+    from repro.store import CheckpointStore, StoreError
+
+    if message := (
+        _params_error(args)
+        or _minimum_error(args, ("--budget", 0), ("--workers", 1), ("--kill-at", 0))
+        or _output_error(args, "--save-report")
+    ):
+        return message
+    resume_dir = args.resume
+    if args.checkpoint_dir and resume_dir and args.checkpoint_dir != resume_dir:
+        return "--checkpoint-dir and --resume must name the same directory"
+    if args.scenario:
         from repro.io import load_scenario
 
         try:
             scenario = load_scenario(args.scenario)
         except (OSError, ValueError, KeyError) as exc:
-            return _fail(f"cannot load scenario {args.scenario!r}: {exc}")
+            return f"cannot load scenario {args.scenario!r}: {exc}"
     else:
         scenario = Scenario.build(_build_params(args))
     end = args.end if args.end is not None else scenario.horizon_buckets
     if (message := _window_error(args.start, end, scenario.horizon_buckets)):
-        return _fail(message)
-    config = BlameItConfig(
-        history_days=1,
-        probe_budget_per_window=args.budget,
-        use_reverse_traceroutes=args.reverse,
-        probe_planner=args.planner,
-    )
-    metrics = None
-    if getattr(args, "metrics_json", None):
-        from repro.obs import MetricsRegistry
+        return message
+    if chaos is not None:
+        if chaos.enabled:
+            print(f"chaos: smoke fault plan enabled (seed {chaos.seed})")
+        if args.kill_at is not None:
+            import dataclasses
 
-        metrics = MetricsRegistry()
-    chaos = None
-    if getattr(args, "chaos", None) is not None:
-        from repro.chaos import FaultPlan
-
-        chaos = FaultPlan.smoke(args.chaos)
-        print(f"chaos: smoke fault plan enabled (seed {args.chaos})")
-    if kill_at is not None:
-        import dataclasses
-
-        from repro.chaos import FaultPlan
-
-        chaos = dataclasses.replace(
-            chaos or FaultPlan(), kill_at_bucket=kill_at
-        )
+            chaos = dataclasses.replace(chaos, kill_at_bucket=args.kill_at)
+    checkpoint_dir = resume_dir or args.checkpoint_dir
     store = None
     if checkpoint_dir:
-        import pathlib
-
-        from repro.store import CheckpointStore, StoreError
-
         if resume_dir and not pathlib.Path(resume_dir).is_dir():
-            return _fail(
-                f"cannot resume: no checkpoint directory at {resume_dir!r}"
-            )
+            return f"cannot resume: no checkpoint directory at {resume_dir!r}"
         try:
-            store = CheckpointStore(checkpoint_dir)
+            store = CheckpointStore(checkpoint_dir, keep_last=keep_last)
             if resume_dir and store.latest_time() is None:
-                return _fail(
-                    f"cannot resume: no checkpoint found in {resume_dir!r}"
-                )
+                store.close()
+                return f"cannot resume: no checkpoint found in {resume_dir!r}"
         except StoreError as exc:
-            return _fail(
-                f"cannot open checkpoint store at {checkpoint_dir!r}: {exc}"
-            )
-    if workers is not None:
+            return f"cannot open checkpoint store at {checkpoint_dir!r}: {exc}"
+    driver_args = dict(
+        config=BlameItConfig(
+            history_days=1,
+            probe_budget_per_window=args.budget,
+            use_reverse_traceroutes=args.reverse,
+            probe_planner=args.planner,
+        ),
+        metrics=metrics,
+        chaos=chaos,
+        store=store,
+        warm_start=bool(resume_dir),
+    )
+    if args.workers is not None:
         from repro.perf.sharded import ShardedPipeline
 
-        pipeline = ShardedPipeline(
-            scenario,
-            config=config,
-            n_workers=workers,
-            metrics=metrics,
-            chaos=chaos,
-            store=store,
-            warm_start=bool(resume_dir),
-        )
+        pipeline = ShardedPipeline(scenario, n_workers=args.workers, **driver_args)
     else:
-        pipeline = BlameItPipeline(
-            scenario,
-            config=config,
-            metrics=metrics,
-            chaos=chaos,
-            rng_per_bucket=True,
-            store=store,
-            warm_start=bool(resume_dir),
-        )
+        pipeline = BlameItPipeline(scenario, rng_per_bucket=True, **driver_args)
     if resume_dir:
         print(f"resuming from checkpoint in {resume_dir}")
     else:
-        warmup_end = min(args.start, 288)
-        pipeline.warmup(0, warmup_end, stride=3)
-    from repro.chaos import ChaosKill
+        pipeline.warmup(0, min(args.start, 288), stride=3)
+    return pipeline, store, end
 
-    try:
-        try:
-            report = pipeline.run(args.start, end)
-        except ChaosKill as exc:
-            if store is not None:
-                store.close()
-            print(f"chaos: {exc}", file=sys.stderr)
-            return 3
-        except Exception as exc:
-            from repro.store import StoreError
 
-            if isinstance(exc, StoreError):
-                if store is not None:
-                    store.close()
-                return _fail(f"cannot use checkpoint state: {exc}")
-            raise
-    finally:
-        if workers is not None:
-            pipeline.close()
+def _close_run(pipeline, store) -> None:
+    """Release the sharded driver's worker pool and the store."""
+    if not isinstance(pipeline, BlameItPipeline):
+        pipeline.close()
     if store is not None:
         store.close()
+
+
+def _print_blame_mix(report) -> None:
     rows = [
         [str(blame), count, f"{100 * fraction:.1f}%"]
         for blame, fraction in report.blame_fractions().items()
         for count in [report.blame_counts.get(blame, 0)]
     ]
     print(render_table(["blame", "quartets", "share"], rows, title="blame mix"))
+
+
+def _save_report(report, path: str | None, gap: str = "") -> None:
+    """``--save-report``: write the report, then say so after ``gap``."""
+    if path:
+        from repro.io import save_report
+
+        save_report(report, path)
+        print(f"{gap}report written to {path}")
+
+
+def _cmd_diagnose(args) -> int:
+    from repro.chaos import ChaosKill, FaultPlan
+    from repro.obs import MetricsRegistry
+    from repro.store import StoreError
+
+    if (message := _output_error(args, "--metrics-json")):
+        return _fail(message)
+    metrics = MetricsRegistry() if args.metrics_json else None
+    chaos = FaultPlan.smoke(args.chaos) if args.chaos is not None else FaultPlan()
+    run = _open_run(args, metrics=metrics, chaos=chaos)
+    if isinstance(run, str):
+        return _fail(run)
+    pipeline, store, end = run
+    try:
+        report = pipeline.run(args.start, end)
+    except ChaosKill as exc:
+        print(f"chaos: {exc}", file=sys.stderr)
+        return 3
+    except StoreError as exc:
+        return _fail(f"cannot use checkpoint state: {exc}")
+    finally:
+        _close_run(pipeline, store)
+    _print_blame_mix(report)
     print(
         f"\nprobes: {report.probes_on_demand} on-demand, "
         f"{report.probes_background} background, "
@@ -558,7 +534,7 @@ def _cmd_diagnose(args) -> int:
                 f"  [{alert.team}] {alert.blame} impact={alert.impact:.0f} "
                 f"culprit=AS{alert.culprit_asn} {alert.detail}"
             )
-    if getattr(args, "metrics_json", None):
+    if args.metrics_json:
         import json
         import pathlib
 
@@ -577,11 +553,7 @@ def _cmd_diagnose(args) -> int:
                 + ", ".join(f"{k}={v:.2f}" for k, v in phase_totals.items())
             )
         print(f"metrics snapshot written to {args.metrics_json}")
-    if getattr(args, "save_report", None):
-        from repro.io import save_report
-
-        save_report(report, args.save_report)
-        print(f"\nreport written to {args.save_report}")
+    _save_report(report, args.save_report, gap="\n")
     return 0
 
 
@@ -603,67 +575,26 @@ def _alert_row(alert) -> dict:
 
 def _cmd_serve(args) -> int:
     import json
-    import pathlib
     import signal
 
     from repro.chaos import ChaosKill
     from repro.obs import MetricsRegistry
-    from repro.serve import (
-        BlameItDaemon,
-        JsonlSource,
-        ScenarioSource,
-        StatusServer,
-    )
-    from repro.store import CheckpointStore, StoreError
+    from repro.serve import BlameItDaemon, JsonlSource, ScenarioSource, StatusServer
+    from repro.store import StoreError
 
-    if (message := _params_error(args)) is not None:
+    if message := _minimum_error(
+        args, ("--checkpoint-every", 1), ("--keep-checkpoints", 1),
+        ("--retention-days", 1),
+    ) or _output_error(args, "--alerts-jsonl"):
         return _fail(message)
-    if args.budget < 0:
-        return _fail(f"--budget must be >= 0, got {args.budget}")
-    if args.checkpoint_every < 1:
-        return _fail(
-            f"--checkpoint-every must be >= 1, got {args.checkpoint_every}"
-        )
-    if args.keep_checkpoints is not None and args.keep_checkpoints < 1:
-        return _fail(
-            f"--keep-checkpoints must be >= 1, got {args.keep_checkpoints}"
-        )
-    if args.retention_days is not None and args.retention_days < 1:
-        return _fail(
-            f"--retention-days must be >= 1, got {args.retention_days}"
-        )
-    if args.kill_at is not None and args.kill_at < 0:
-        return _fail(f"--kill-at must be >= 0, got {args.kill_at}")
-    workers = getattr(args, "workers", None)
-    if workers is not None and workers < 1:
-        return _fail(f"--workers must be >= 1, got {workers}")
-    if workers is not None and args.source_jsonl:
+    if args.workers is not None and args.source_jsonl:
         return _fail(
             "--workers requires scenario-generated buckets; the sharded "
             "pipeline cannot ingest --source-jsonl batches"
         )
-    checkpoint_dir = args.checkpoint_dir
-    resume_dir = args.resume
-    if checkpoint_dir and resume_dir and checkpoint_dir != resume_dir:
-        return _fail(
-            "--checkpoint-dir and --resume must name the same directory"
-        )
-    if resume_dir:
-        checkpoint_dir = resume_dir
-    if args.retention_days is not None and not checkpoint_dir:
+    if args.retention_days is not None and not (args.checkpoint_dir or args.resume):
         return _fail("--retention-days requires --checkpoint-dir")
-    if args.scenario:
-        from repro.io import load_scenario
-
-        try:
-            scenario = load_scenario(args.scenario)
-        except (OSError, ValueError, KeyError) as exc:
-            return _fail(f"cannot load scenario {args.scenario!r}: {exc}")
-    else:
-        scenario = Scenario.build(_build_params(args))
-    end = args.end if args.end is not None else scenario.horizon_buckets
-    if (message := _window_error(args.start, end, scenario.horizon_buckets)):
-        return _fail(message)
+    source = ScenarioSource()
     if args.source_jsonl:
         try:
             source = JsonlSource(args.source_jsonl)
@@ -671,57 +602,10 @@ def _cmd_serve(args) -> int:
             return _fail(
                 f"cannot load quartets from {args.source_jsonl!r}: {exc}"
             )
-    else:
-        source = ScenarioSource()
-    store = None
-    if checkpoint_dir:
-        if resume_dir and not pathlib.Path(resume_dir).is_dir():
-            return _fail(
-                f"cannot resume: no checkpoint directory at {resume_dir!r}"
-            )
-        try:
-            store = CheckpointStore(
-                checkpoint_dir, keep_last=args.keep_checkpoints
-            )
-            if resume_dir and store.latest_time() is None:
-                return _fail(
-                    f"cannot resume: no checkpoint found in {resume_dir!r}"
-                )
-        except StoreError as exc:
-            return _fail(
-                f"cannot open checkpoint store at {checkpoint_dir!r}: {exc}"
-            )
-    config = BlameItConfig(
-        history_days=1,
-        probe_budget_per_window=args.budget,
-        use_reverse_traceroutes=args.reverse,
-        probe_planner=args.planner,
-    )
-    if workers is not None:
-        from repro.perf.sharded import ShardedPipeline
-
-        pipeline = ShardedPipeline(
-            scenario,
-            config=config,
-            n_workers=workers,
-            metrics=MetricsRegistry(),
-            store=store,
-            warm_start=bool(resume_dir),
-        )
-    else:
-        pipeline = BlameItPipeline(
-            scenario,
-            config=config,
-            metrics=MetricsRegistry(),
-            rng_per_bucket=True,
-            store=store,
-            warm_start=bool(resume_dir),
-        )
-    if resume_dir:
-        print(f"resuming from checkpoint in {resume_dir}")
-    else:
-        warmup_end = min(args.start, 288)
-        pipeline.warmup(0, warmup_end, stride=3)
+    run = _open_run(args, metrics=MetricsRegistry(), keep_last=args.keep_checkpoints)
+    if isinstance(run, str):
+        return _fail(run)
+    pipeline, store, end = run
     alerts_file = None
     sink = None
     if args.alerts_jsonl:
@@ -762,31 +646,19 @@ def _cmd_serve(args) -> int:
         for signum, handler in previous_handlers.items():
             signal.signal(signum, handler)
         server.close()
-        if workers is not None:
-            pipeline.close()
         if alerts_file is not None:
             alerts_file.close()
-        if store is not None:
-            store.close()
+        _close_run(pipeline, store)
     if report is None:
         print("stopped before the horizon; state checkpointed for resume")
         return 0
-    rows = [
-        [str(blame), count, f"{100 * fraction:.1f}%"]
-        for blame, fraction in report.blame_fractions().items()
-        for count in [report.blame_counts.get(blame, 0)]
-    ]
-    print(render_table(["blame", "quartets", "share"], rows, title="blame mix"))
+    _print_blame_mix(report)
     print(
         f"\nprobes: {report.probes_on_demand} on-demand, "
         f"{report.probes_background} background; "
         f"alerts streamed: {daemon.alerts_emitted}"
     )
-    if args.save_report:
-        from repro.io import save_report
-
-        save_report(report, args.save_report)
-        print(f"report written to {args.save_report}")
+    _save_report(report, args.save_report)
     return 0
 
 
@@ -799,6 +671,8 @@ def _cmd_validate_suite(args) -> int:
     )
     from repro.sim.incidents import PAPER_ARCHETYPES
 
+    if (message := _output_error(args, "--save-scorecard")):
+        return _fail(message)
     world = build_world(suite_world_params())
     result = validate_scenario_suite(world, seed=args.suite_seed)
     scorecard = result.scorecard
@@ -853,10 +727,8 @@ def _cmd_validate(args) -> int:
 
     if args.suite:
         return _cmd_validate_suite(args)
-    if (message := _params_error(args)) is not None:
+    if message := _params_error(args) or _minimum_error(args, ("--incidents", 1)):
         return _fail(message)
-    if args.incidents < 1:
-        return _fail(f"--incidents must be >= 1, got {args.incidents}")
     world = build_world(_build_params(args))
     state = build_warmup_state(world, days=1, stride=2)
     specs = generate_incidents(

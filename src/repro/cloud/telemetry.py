@@ -72,13 +72,6 @@ class RTTCollector:
         return tuple(sorted(self._by_bucket))
 
 
-class _RequestIdRecord(NamedTuple):
-    """Half of a request record, pre-join (internal)."""
-
-    request_id: int
-    payload: tuple
-
-
 def join_request_streams(
     ip_stream: Iterable[tuple[int, Prefix24]],
     rtt_stream: Iterable[tuple[int, Timestamp, str, bool, float]],

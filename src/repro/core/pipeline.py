@@ -794,14 +794,28 @@ class BlameItPipeline:
             state.table_day = day
             self.learner.prune_before(day - self.learner.history_days + 1)
 
-    def _checkpoint_table(self, state: RunState) -> "ExpectedRTTTable | None":
-        """The held table a checkpoint must persist, or None when
-        restore can rebuild it (fixed table, chaos-withheld table)."""
-        if self.fixed_table is not None or state.table_dropped:
-            return None
-        return state.table
-
     # -- checkpoint/resume ---------------------------------------------------
+
+    def checkpoint(
+        self, state: RunState, time: Timestamp, extra: dict | None = None
+    ) -> None:
+        """Save ``state`` at bucket ``time`` (before it is processed) to
+        the attached store; a no-op without one. The held table is saved
+        unless restore can rebuild it (fixed table, chaos-withheld
+        table); ``extra`` is the caller's metadata (see
+        :meth:`CheckpointStore.save <repro.store.CheckpointStore.save>`).
+        """
+        if self._store is None:
+            return
+        rebuilt = self.fixed_table is not None or state.table_dropped
+        self._store.save(
+            self,
+            time,
+            state.window_times,
+            state.report,
+            table=None if rebuilt else state.table,
+            extra=extra,
+        )
 
     def _restore_run(self, start: Timestamp, end: Timestamp) -> "RestoredRun | None":
         """The newest checkpoint to resume from, or None for cold start."""
@@ -844,14 +858,8 @@ class BlameItPipeline:
         """
         if time <= state.entry:
             return
-        if self._store is not None and time % BUCKETS_PER_DAY == 0:
-            self._store.save(
-                self,
-                time,
-                state.window_times,
-                state.report,
-                table=self._checkpoint_table(state),
-            )
+        if time % BUCKETS_PER_DAY == 0:
+            self.checkpoint(state, time)
         if self.chaos is not None and self.chaos.kill_at_bucket == time:
             raise ChaosKill(f"chaos kill at bucket {time}")
 

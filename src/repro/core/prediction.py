@@ -127,11 +127,6 @@ class DurationPredictor:
             return self.prior_mean_buckets
         return int(suffix[idx]) / alive - elapsed
 
-    @property
-    def n_observed(self) -> int:
-        """Total durations recorded."""
-        return len(self._global)
-
     def state_dict(self, encode_key=None) -> dict:
         """JSON-safe snapshot of the duration histories.
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import bisect
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro.net.addressing import BGPPrefix
 from repro.net.asn import ASPath, middle_asns
@@ -166,11 +166,6 @@ class BGPListener:
         self.log.append(update)
         for callback in self._subscribers:
             callback(update)
-
-    def publish_all(self, updates: Iterable[BGPUpdate | None]) -> None:
-        """Publish a batch of updates, skipping Nones."""
-        for update in updates:
-            self.publish(update)
 
     def updates_between(self, start: Timestamp, end: Timestamp) -> tuple[BGPUpdate, ...]:
         """Logged updates with ``start <= time < end``."""

@@ -62,8 +62,11 @@ table. A worker therefore defers any bucket whose window flushes in a
 later day — it ships the sanitized batch itself instead of blames, and
 the kernel's flush assigns blames with the table current *then* (as it
 does for every bucket of a sequential run).
-With a ``fixed_table`` (or under a chaos table drop) there is a single
-whole-run segment and no deferral, exactly as before.
+With a ``fixed_table`` (or under a chaos table drop) there is no
+deferral, and a single whole-run segment unless a checkpoint store is
+attached (segments then end at day boundaries, where the sequential
+pipeline checkpoints) or a chaos kill is planned (a segment ends at the
+kill bucket, so the kill fires where the sequential pipeline's does).
 """
 
 from __future__ import annotations
@@ -341,10 +344,7 @@ class ShardedPipeline:
             process.
         store: Checkpoint store (see :mod:`repro.store`). The fold
             checkpoints at day boundaries exactly like the sequential
-            pipeline, and writes nothing else there. Chaos kills land
-            at day boundaries (buckets inside a segment are processed
-            out of order, so a mid-day kill point has no
-            sequential-equivalent meaning).
+            pipeline, and writes nothing else there.
         warm_start: Resume from the store's newest checkpoint.
 
     Attributes:
@@ -709,9 +709,11 @@ class ShardedPipeline:
         return self.pipeline.finish_run(state)
 
     def _run_segment(self, state: RunState) -> None:
-        """Shard-and-fold from ``state.cursor`` to the segment end (the
-        next day boundary when the table refreshes daily, else the run
-        end), checkpointing at the segment's entry bucket."""
+        """Shard-and-fold from ``state.cursor`` to the segment end,
+        checkpointing (and firing a planned kill) at the segment's entry
+        bucket. A segment stops at the next day boundary when the table
+        refreshes daily or a store is attached, and at a planned kill
+        bucket ahead of the cursor; otherwise it runs to the run end."""
         pipeline = self.pipeline
         cursor = state.cursor
         pipeline._refresh_table(state, cursor)  # noqa: SLF001 - driver seam
@@ -719,10 +721,12 @@ class ShardedPipeline:
         refresh = pipeline.fixed_table is None and not state.table_dropped
         self._defer_cross_day = refresh
         self._run_bounds = (state.report.start, state.end)
-        day = cursor // BUCKETS_PER_DAY
-        seg_end = (
-            min(state.end, (day + 1) * BUCKETS_PER_DAY) if refresh else state.end
-        )
+        seg_end = state.end
+        if refresh or pipeline._store is not None:  # noqa: SLF001 - driver seam
+            seg_end = min(seg_end, (cursor // BUCKETS_PER_DAY + 1) * BUCKETS_PER_DAY)
+        kill = self.chaos.kill_at_bucket if self.chaos is not None else None
+        if kill is not None and kill > cursor:
+            seg_end = min(seg_end, kill)
         self._consume(
             state,
             self._shards(cursor, seg_end),

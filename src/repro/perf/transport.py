@@ -113,10 +113,6 @@ class ShmLease:
         self._count = 1
         self.released = False
 
-    @property
-    def buf(self):  # memoryview of the mapped segment
-        return self._shm.buf
-
     def retain(self) -> None:
         self._count += 1
 

@@ -142,10 +142,6 @@ class BlameItDaemon:
         handler."""
         self._stop.set()
 
-    @property
-    def stopped(self) -> bool:
-        return self._stop.is_set()
-
     # -- the run ---------------------------------------------------------
 
     def run(self) -> "PipelineReport | None":
@@ -193,19 +189,9 @@ class BlameItDaemon:
         day-boundary checkpoints."""
         if time <= state.entry:
             return
-        store = self.pipeline._store  # noqa: SLF001
-        if (
-            store is not None
-            and self.checkpoint_every is not None
-            and time % self.checkpoint_every == 0
-        ):
-            store.save(
-                self.pipeline,
-                time,
-                state.window_times,
-                state.report,
-                table=self.pipeline._checkpoint_table(state),  # noqa: SLF001
-                extra={"archive_seq": self._archive_seq},
+        if self.checkpoint_every is not None and time % self.checkpoint_every == 0:
+            self.pipeline.checkpoint(
+                state, time, extra={"archive_seq": self._archive_seq}
             )
         if self.kill_at is not None and self.kill_at == time:
             raise ChaosKill(f"daemon kill at bucket {time}")
@@ -213,18 +199,11 @@ class BlameItDaemon:
     def _final_checkpoint(self, state: RunState) -> None:
         """Graceful-stop checkpoint at the current cursor (any bucket —
         v2 checkpoints persist the held table, so mid-day is fine)."""
-        store = self.pipeline._store  # noqa: SLF001
-        if store is None or state.cursor <= state.entry:
-            return
-        with self._lock:
-            store.save(
-                self.pipeline,
-                state.cursor,
-                state.window_times,
-                state.report,
-                table=self.pipeline._checkpoint_table(state),  # noqa: SLF001
-                extra={"archive_seq": self._archive_seq},
-            )
+        if state.cursor > state.entry:
+            with self._lock:
+                self.pipeline.checkpoint(
+                    state, state.cursor, extra={"archive_seq": self._archive_seq}
+                )
 
     # -- streaming alerts ------------------------------------------------
 

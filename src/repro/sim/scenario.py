@@ -991,7 +991,3 @@ class Scenario:
             for u in self.listener.updates_between(start, end)
             if not (u.time == 0 and u.kind is BGPUpdateKind.ANNOUNCE and u.old_path is None)
         )
-
-    def rtt_target_ms(self, region: Region, mobile: bool) -> float:
-        """Region badness threshold passthrough."""
-        return self.world.targets.target_ms(region, mobile)

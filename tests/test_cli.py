@@ -232,8 +232,13 @@ class TestCheckpointFlags:
              "--locations", "1"]
     RANGE = ["--start", "240", "--end", "360"]
 
+    @pytest.mark.parametrize(
+        "driver, kill_at",
+        [([], "288"), (["--workers", "2"], "288"), (["--workers", "2"], "300")],
+        ids=["sequential", "sharded", "sharded-mid-day"],
+    )
     def test_kill_then_resume_matches_straight_through(
-        self, tmp_path, capsys
+        self, tmp_path, capsys, driver, kill_at
     ):
         straight = tmp_path / "straight.json"
         # The straight-through run checkpoints too (it would report the
@@ -246,14 +251,14 @@ class TestCheckpointFlags:
         assert code == 0
         ckpt = tmp_path / "ckpt_b"
         code = main(
-            ["diagnose", *self.DAYS2, *self.RANGE,
-             "--checkpoint-dir", str(ckpt), "--kill-at", "288"]
+            ["diagnose", *self.DAYS2, *self.RANGE, *driver,
+             "--checkpoint-dir", str(ckpt), "--kill-at", kill_at]
         )
         assert code == 3
-        assert "chaos: chaos kill at bucket 288" in capsys.readouterr().err
+        assert f"chaos: chaos kill at bucket {kill_at}" in capsys.readouterr().err
         resumed = tmp_path / "resumed.json"
         code = main(
-            ["diagnose", *self.DAYS2, *self.RANGE,
+            ["diagnose", *self.DAYS2, *self.RANGE, *driver,
              "--resume", str(ckpt), "--save-report", str(resumed)]
         )
         assert code == 0
@@ -307,6 +312,31 @@ class TestCheckpointFlags:
              "--kill-at", "-1"]
         ) == 2
         assert "--kill-at must be >= 0" in capsys.readouterr().err
+
+
+class TestOutputPaths:
+    """An output file whose directory does not exist is a usage error,
+    caught before the run rather than as a traceback after it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["diagnose", *FAST, "--start", "150", "--end", "160", "--save-report"],
+            ["diagnose", *FAST, "--start", "150", "--end", "160", "--metrics-json"],
+            ["serve", *FAST, "--start", "150", "--end", "160", "--save-report"],
+            ["serve", *FAST, "--start", "150", "--end", "160", "--alerts-jsonl"],
+            ["validate", "--suite", "--save-scorecard"],
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[-1]}",
+    )
+    def test_missing_directory_exits_2_before_running(self, tmp_path, capsys, argv):
+        target = tmp_path / "nope" / "out.json"
+        assert main([*argv, str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {argv[-1]}")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not target.parent.exists()
 
 
 class TestServeCommand:

@@ -41,7 +41,7 @@ Every verb uses the same exit-code convention:
 |---|---|
 | 0 | success (for `validate`: every incident / paper-era family passed) |
 | 1 | ran to completion but a check failed — `validate` found mislocalized incidents, or `validate --suite` found a paper-era family below `--accuracy-floor` |
-| 2 | usage error: invalid flag values, unloadable scenario/checkpoint, mismatched `--checkpoint-dir`/`--resume` |
+| 2 | usage error: invalid flag values, unloadable scenario/checkpoint, mismatched `--checkpoint-dir`/`--resume`, an output file whose directory does not exist (caught before the run) |
 | 3 | chaos kill: the run hit `--kill-at` (state was checkpointed first when a store was configured) |
 """
 

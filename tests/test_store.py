@@ -151,7 +151,7 @@ def _config(**overrides) -> BlameItConfig:
 
 
 def _run(world, *, workers=None, store=None, warm_start=False, kill=None,
-         start=START, end=END, seed=11, warmup=None):
+         start=START, end=END, seed=11, warmup=None, fixed_table=None):
     """One pipeline run over a fresh scenario; returns (pipeline, report)."""
     scenario = Scenario.from_world(world)
     chaos = (
@@ -166,6 +166,7 @@ def _run(world, *, workers=None, store=None, warm_start=False, kill=None,
             store=store,
             warm_start=warm_start,
             chaos=chaos,
+            fixed_table=fixed_table,
         )
     else:
         pipeline = BlameItPipeline(
@@ -176,6 +177,7 @@ def _run(world, *, workers=None, store=None, warm_start=False, kill=None,
             store=store,
             warm_start=warm_start,
             chaos=chaos,
+            fixed_table=fixed_table,
         )
     # Resumed runs skip warmup: restore replaces every learned component.
     if warmup if warmup is not None else not warm_start:
@@ -285,6 +287,28 @@ class TestCheckpointResume:
         )
         store.close()
         assert _digest(report) == baseline
+
+    def test_sharded_fixed_table_run_checkpoints_and_kills(
+        self, multi_day_world, tmp_path
+    ):
+        """A fixed-table sharded run saves at the day boundary and dies at
+        the planned kill, as the sequential pipeline does, and resumes to
+        the same report as both uninterrupted drivers."""
+        learner = ExpectedRTTLearner(history_days=1)
+        trainer = BlameItPipeline(Scenario.from_world(multi_day_world), learner=learner)
+        trainer.warmup(0, 288, stride=6)
+        fixed = dict(fixed_table=learner.table(), start=400, end=700, warmup=False)
+        _, sequential = _run(multi_day_world, **fixed)
+        _, straight = _run(multi_day_world, workers=2, **fixed)
+        store = CheckpointStore(tmp_path)
+        with pytest.raises(ChaosKill, match="at bucket 576"):
+            _run(multi_day_world, workers=2, store=store, kill=576, **fixed)
+        assert store.checkpoint_times() == [576]
+        _, resumed = _run(
+            multi_day_world, workers=2, store=store, warm_start=True, **fixed
+        )
+        store.close()
+        assert _digest(resumed) == _digest(straight) == _digest(sequential)
 
     def test_mid_day_kill_resumes_from_prior_boundary(
         self, multi_day_world, tmp_path, baseline
