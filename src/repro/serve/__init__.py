@@ -13,6 +13,7 @@ from repro.serve.daemon import AlertSink, BlameItDaemon
 from repro.serve.http import StatusServer
 from repro.serve.source import (
     BucketSource,
+    JsonlFormatError,
     JsonlSource,
     ScenarioSource,
     quartet_from_row,
@@ -24,6 +25,7 @@ __all__ = [
     "AlertSink",
     "BlameItDaemon",
     "BucketSource",
+    "JsonlFormatError",
     "JsonlSource",
     "ScenarioSource",
     "StatusServer",

@@ -360,6 +360,19 @@ class TestServeCommand:
         assert "alerts streamed:" in out
         assert alerts.exists()
 
+    def _diagnose_report(self, tmp_path) -> dict:
+        """``diagnose``'s report over the same world and window, minus
+        its wall-clock ``"metrics"``."""
+        import json
+
+        path = tmp_path / "batch.json"
+        assert main(
+            ["diagnose", *self.DAYS2, *self.RANGE, "--save-report", str(path)]
+        ) == 0
+        report = json.loads(path.read_text())
+        report.pop("metrics")
+        return report
+
     def test_kill_then_resume_matches_straight_through(
         self, tmp_path, capsys
     ):
@@ -394,6 +407,57 @@ class TestServeCommand:
         straight_doc.pop("metrics")
         resumed_doc.pop("metrics")
         assert resumed_doc == straight_doc
+        assert resumed_doc == self._diagnose_report(tmp_path)
+
+    def test_source_jsonl_kill_then_resume_matches_diagnose(
+        self, tmp_path, capsys
+    ):
+        """Rows written from the world the flags build, served from
+        JSONL, killed off the checkpoint cadence and resumed (the pending
+        window replays from the file): the report is diagnose's."""
+        import json
+
+        from repro.cli import _build_params
+        from repro.core.pipeline import BlameItPipeline
+        from repro.perf.batch import BatchQuartetGenerator
+        from repro.serve import write_quartets_jsonl
+        from repro.sim.scenario import Scenario
+
+        scenario = Scenario.build(
+            _build_params(build_parser().parse_args(["serve", *self.DAYS2]))
+        )
+        # Draw each bucket as diagnose does: the pipeline's per-bucket RNG.
+        seeding = BlameItPipeline(scenario, rng_per_bucket=True)
+        generator = BatchQuartetGenerator(scenario)
+        rows = tmp_path / "rows.jsonl"
+        write_quartets_jsonl(
+            rows,
+            (
+                quartet
+                for time in range(240, 330)
+                for quartet in generator.generate_quartets(
+                    time, rng=seeding.bucket_rng(time)
+                )
+            ),
+        )
+        jsonl = ["--source-jsonl", str(rows)]
+        ckpt = tmp_path / "ckpt"
+        code = main(
+            ["serve", *self.DAYS2, *self.RANGE, *jsonl,
+             "--checkpoint-dir", str(ckpt),
+             "--checkpoint-every", "48", "--kill-at", "301"]
+        )
+        assert code == 3
+        served = tmp_path / "served.json"
+        code = main(
+            ["serve", *self.DAYS2, *self.RANGE, *jsonl,
+             "--resume", str(ckpt), "--checkpoint-every", "48",
+             "--save-report", str(served)]
+        )
+        assert code == 0
+        served_doc = json.loads(served.read_text())
+        served_doc.pop("metrics")
+        assert served_doc == self._diagnose_report(tmp_path)
 
     def test_signal_handlers_restored_after_run(self):
         """serve must not leak its SIGTERM/SIGINT handlers into the
@@ -444,6 +508,31 @@ class TestServeCommand:
              "--source-jsonl", str(tmp_path / "nope.jsonl")]
         ) == 2
         assert "cannot load quartets" in capsys.readouterr().err
+
+    def test_bad_source_jsonl_row_exits_2_naming_its_line(
+        self, tmp_path, capsys
+    ):
+        import json
+
+        row = {
+            "time": 480, "prefix24": 10, "location_id": "loc-a",
+            "mobile": False, "mean_rtt_ms": 30.5, "n_samples": 12,
+            "users": 3, "client_asn": 64500, "middle": [64501],
+            "region": "USA",
+        }
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            "".join(json.dumps(row) + "\n" for _ in range(3))
+            + json.dumps(row | {"time": None}) + "\n"
+        )
+        assert main(
+            ["serve", *self.DAYS2, "--source-jsonl", str(path),
+             "--start", "480", "--end", "483"]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+        assert "bad.jsonl:4: field 'time'" in err
 
 
 class TestDriverAgreement:

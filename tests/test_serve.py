@@ -9,6 +9,7 @@ window active.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import threading
 import urllib.error
@@ -16,16 +17,23 @@ import urllib.request
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.serve.source as source_module
 from repro.chaos import ChaosKill
+from repro.chaos.inject import sanitize_batch
 from repro.core.config import BlameItConfig
 from repro.core.pipeline import BlameItPipeline
+from repro.core.quartet import QuartetBatch
 from repro.io import report_to_dict
 from repro.net.asn import middle_asns
-from repro.obs import validate_snapshot
+from repro.net.geo import Region
+from repro.obs import MetricsRegistry, validate_snapshot
 from repro.perf.batch import BatchQuartetGenerator
 from repro.serve import (
     BlameItDaemon,
+    JsonlFormatError,
     JsonlSource,
     ScenarioSource,
     StatusServer,
@@ -312,6 +320,250 @@ class TestJsonlCodec:
         assert len(source.next_batch(123)) == 0
 
 
+def _row(**changes) -> dict:
+    """A well-formed quartet row, with ``changes`` applied."""
+    return {
+        "time": 480,
+        "prefix24": 10,
+        "location_id": "loc-a",
+        "mobile": False,
+        "mean_rtt_ms": 30.5,
+        "n_samples": 12,
+        "users": 3,
+        "client_asn": 64500,
+        "middle": [64501, 64502],
+        "region": "USA",
+    } | changes
+
+
+def _source(tmp_path, rows) -> JsonlSource:
+    path = tmp_path / "rows.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    return JsonlSource(path)
+
+
+def _assert_same_batch(got: QuartetBatch, want: QuartetBatch) -> None:
+    """Field by field: dtype, shape and values of every column, and
+    every vocabulary tuple."""
+    for field in dataclasses.fields(QuartetBatch):
+        if field.name == "_rows":
+            continue
+        got_value, want_value = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(want_value, np.ndarray):
+            assert got_value.dtype == want_value.dtype, field.name
+            assert got_value.shape == want_value.shape, field.name
+            np.testing.assert_array_equal(got_value, want_value, err_msg=field.name)
+        else:
+            assert got_value == want_value, field.name
+
+
+_BAD_ROWS = {
+    "not-json": ("garbage{", "invalid JSON: Expecting value at column 1"),
+    "null-time": (
+        json.dumps(_row(time=None)),
+        "field 'time' must be a JSON integer within int64, got null",
+    ),
+    "integer-middle": (
+        json.dumps(_row(middle=5)),
+        "field 'middle' must be a list of JSON integers, got 5",
+    ),
+    "array-row": ("[1, 2]", "a row must be a JSON object, got [1, 2]"),
+    "unknown-region": (
+        json.dumps(_row(region="MARS")),
+        "field 'region' must be a Region name (USA, EUROPE,",
+    ),
+    "string-mobile": (
+        json.dumps(_row(mobile="false")),
+        "field 'mobile' must be true or false, got \"false\"",
+    ),
+    "missing-field": (
+        json.dumps({k: v for k, v in _row().items() if k != "users"}),
+        "missing field 'users'",
+    ),
+    "int64-overflow": (
+        json.dumps(_row(prefix24=2**63)),
+        "field 'prefix24' must be a JSON integer within int64",
+    ),
+    "boolean-asn": (
+        json.dumps(_row(middle=[64501, True])),
+        "field 'middle' must be a list of JSON integers, got [64501, true]",
+    ),
+    "two-rows-one-line": (
+        json.dumps(_row()) + ", " + json.dumps(_row()),
+        "invalid JSON: Extra data",
+    ),
+}
+
+
+class TestJsonlFormatErrors:
+    """Every refused row names the file, its own line in the file, and
+    the reason; the load raises instead of serving anything."""
+
+    @pytest.mark.parametrize("read_bytes", [1 << 20, 300])
+    @pytest.mark.parametrize("case", list(_BAD_ROWS))
+    def test_bad_row_is_named_at_its_file_line(
+        self, tmp_path, monkeypatch, case, read_bytes
+    ):
+        line, reason = _BAD_ROWS[case]
+        monkeypatch.setattr(source_module, "_READ_BYTES", read_bytes)
+        path = tmp_path / "bad.jsonl"
+        good = [json.dumps(_row(prefix24=prefix)) for prefix in range(3)]
+        path.write_text("\n".join([*good, line]) + "\n")
+        with pytest.raises(JsonlFormatError) as raised:
+            JsonlSource(path)
+        error = raised.value
+        assert isinstance(error, ValueError)
+        assert (error.path, error.line) == (path, 4)
+        assert error.reason.startswith(reason)
+        assert str(error) == f"{path}:4: {error.reason}"
+
+
+class TestJsonlAssumptions:
+    """What ingest tolerates, one assumption at a time (the table in
+    ``JsonlSource``'s docstring)."""
+
+    def test_rows_need_not_be_time_ordered(self, tmp_path):
+        times = [482, 480, 482, 481, 480]
+        source = _source(
+            tmp_path,
+            [_row(time=time, prefix24=i) for i, time in enumerate(times)],
+        )
+        assert source.times() == [480, 481, 482]
+        assert source.next_batch(480).prefix24.tolist() == [1, 4]
+        assert source.next_batch(481).prefix24.tolist() == [3]
+        assert source.next_batch(482).prefix24.tolist() == [0, 2]
+
+    def test_duplicated_rows_are_kept(self, tmp_path):
+        source = _source(tmp_path, [_row(), _row(), _row(prefix24=7)])
+        assert source.next_batch(480).prefix24.tolist() == [10, 10, 7]
+
+    def test_blank_lines_crlf_and_no_final_newline(self, tmp_path):
+        rows = [_row(prefix24=prefix) for prefix in range(3)]
+        lines = [json.dumps(row).encode() for row in rows]
+        path = tmp_path / "loose.jsonl"
+        path.write_bytes(
+            b"\r\n".join([lines[0], b"", b"  ", lines[1], b"\t", lines[2]])
+        )
+        _assert_same_batch(
+            JsonlSource(path).next_batch(480),
+            QuartetBatch.from_quartets([quartet_from_row(row) for row in rows]),
+        )
+        # Skipped lines still count towards the line a refusal names.
+        path.write_bytes(path.read_bytes() + b"\r\n\r\ngarbage{\r\n")
+        with pytest.raises(JsonlFormatError) as raised:
+            JsonlSource(path)
+        assert raised.value.line == 8
+
+    def test_extra_keys_are_ignored(self, tmp_path):
+        plain = _source(tmp_path, [_row()]).next_batch(480)
+        extra = _source(tmp_path, [_row(note={"any": [1, None]})]).next_batch(480)
+        _assert_same_batch(extra, plain)
+
+    def test_missing_bucket_is_an_empty_batch(self, tmp_path):
+        source = _source(tmp_path, [_row(time=480), _row(time=483)])
+        assert source.times() == [480, 483]
+        empty = source.next_batch(481)
+        _assert_same_batch(empty, QuartetBatch.from_quartets([]))
+
+    def test_bad_rtts_load_then_sanitize_drops_and_counts(self, tmp_path):
+        rtts = [float("nan"), 31.0, float("inf"), float("-inf"), 0, -5.0, 12]
+        source = _source(tmp_path, [_row(mean_rtt_ms=rtt) for rtt in rtts])
+        batch = source.next_batch(480)
+        assert len(batch) == len(rtts)
+        metrics = MetricsRegistry()
+        kept = sanitize_batch(batch, metrics)
+        assert kept.mean_rtt_ms.tolist() == [31.0, 12.0]
+        assert metrics.counter("sanitize.quartets_dropped").value == 5
+
+
+_ROW_STRATEGY = st.fixed_dictionaries(
+    {
+        "time": st.integers(100, 105),
+        "prefix24": st.integers(-(2**63), 2**63 - 1),
+        "location_id": st.sampled_from(["loc-a", "loc-b", "lieu-é"]),
+        "mobile": st.booleans(),
+        "mean_rtt_ms": st.floats() | st.integers(-(2**70), 2**70),
+        "n_samples": st.integers(-5, 2**40),
+        "users": st.integers(0, 9),
+        "client_asn": st.integers(1, 2**32),
+        "middle": st.lists(st.integers(1, 3), max_size=3),
+        "region": st.sampled_from([region.name for region in Region]),
+    }
+)
+
+
+class TestColumnarReader:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(_ROW_STRATEGY, max_size=30),
+        read_bytes=st.integers(1, 700),
+    )
+    def test_columnar_reader_is_the_per_row_reader(
+        self, tmp_path_factory, rows, read_bytes
+    ):
+        """Rows in any order, over any chunk boundaries, serve what
+        ``from_quartets`` makes of the per-row reader's quartets."""
+        path = tmp_path_factory.mktemp("columnar") / "rows.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(source_module, "_READ_BYTES", read_bytes)
+            source = JsonlSource(path)
+        assert source.times() == sorted({row["time"] for row in rows})
+        times = [row["time"] for row in rows] or [0]
+        buckets = list(range(min(times) - 2, max(times) + 3))
+        for time, replayed in zip(buckets, source.replay(buckets)):
+            served = source.next_batch(time)
+            _assert_same_batch(
+                served,
+                QuartetBatch.from_quartets(
+                    [quartet_from_row(row) for row in rows if row["time"] == time]
+                ),
+            )
+            _assert_same_batch(source.next_batch(time), served)
+            _assert_same_batch(replayed, served)
+            for field in dataclasses.fields(served):
+                column = getattr(served, field.name)
+                if isinstance(column, np.ndarray):
+                    with pytest.raises(ValueError, match="read-only"):
+                        column[...] = 0
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        rows=st.lists(_ROW_STRATEGY, min_size=1, max_size=6),
+        at=st.integers(0, 5),
+        field=st.sampled_from(list(_row())),
+        value=st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats()
+            | st.text(max_size=3),
+            lambda inner: st.lists(inner, max_size=3)
+            | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+            max_leaves=4,
+        ),
+        read_bytes=st.integers(1, 700),
+    )
+    def test_columnar_checks_refuse_what_the_row_rules_refuse(
+        self, tmp_path_factory, rows, at, field, value, read_bytes
+    ):
+        """Any JSON value in any field: the load refuses the file exactly
+        when the per-row rules refuse a row, at that row's line."""
+        rows[at % len(rows)][field] = value
+        path = tmp_path_factory.mktemp("refuse") / "rows.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        refused = [
+            line
+            for line, row in enumerate(rows, 1)
+            if source_module._row_error(row) is not None
+        ]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(source_module, "_READ_BYTES", read_bytes)
+            if not refused:
+                JsonlSource(path)
+                return
+            with pytest.raises(JsonlFormatError) as raised:
+                JsonlSource(path)
+        assert raised.value.line == refused[0]
+
+
 class TestHttpSurface:
     def test_endpoints_serve_live_state(self, served_scenario):
         daemon = BlameItDaemon(_pipeline(served_scenario), START, END)
@@ -359,8 +611,6 @@ class TestHttpSurface:
             assert excinfo.value.code == 404
 
     def test_metrics_endpoint_snapshot_validates(self, served_scenario):
-        from repro.obs import MetricsRegistry
-
         pipeline = _pipeline(
             served_scenario, metrics=MetricsRegistry()
         )
