@@ -58,7 +58,8 @@ from repro.sim.incidents import (
     PAPER_ARCHETYPES,
     IncidentArchetype,
     IncidentSpec,
-    generate_incidents,
+    _generate,
+    _index_world,
 )
 from repro.net.geo import Region
 from repro.perf.batch import BatchQuartetGenerator
@@ -497,19 +498,22 @@ def build_scenario_suite(
     streams = iter(
         rng.spawn(len(families) + len(adversarial) * (1 + len(background_pool)))
     )
+    # One world index for every batch below: its per-bucket gate weights
+    # are shared across batches and released when the suite is built.
+    index = _index_world(world)
     cases: list[SuiteCase] = []
     next_id = 0
     for family in families:
-        specs = generate_incidents(
-            world, cases_per_family, next(streams),
+        specs = _generate(
+            world, index, cases_per_family, next(streams),
             families=(family,), first_id=next_id,
         )
         next_id += cases_per_family
         for spec in specs:
             cases.append(SuiteCase(len(cases), (spec,), "single"))
     for offset, family in enumerate(adversarial):
-        subject = generate_incidents(
-            world, 1, next(streams), families=(family,), first_id=next_id,
+        subject = _generate(
+            world, index, 1, next(streams), families=(family,), first_id=next_id,
         )[0]
         next_id += 1
         # Every candidate gets its own pre-spawned substream so stream
@@ -520,8 +524,8 @@ def build_scenario_suite(
         fallback = None
         for k, candidate_stream in enumerate(candidate_streams):
             candidate_family = background_pool[(offset + k) % len(background_pool)]
-            candidate = generate_incidents(
-                world, 1, candidate_stream,
+            candidate = _generate(
+                world, index, 1, candidate_stream,
                 families=(candidate_family,), first_id=next_id,
             )[0]
             # Stagger: the background started long before the subject

@@ -76,6 +76,16 @@ def _output_error(args, *flags: str) -> str | None:
     return None
 
 
+def _suite_flags_error(args) -> str | None:
+    """Reject suite flags that would switch the accuracy gate off, make
+    it unpassable, or be ignored without ``--suite``."""
+    if args.save_scorecard is not None and not args.suite:
+        return "--save-scorecard needs --suite"
+    if not 0.0 <= args.accuracy_floor <= 1.0:  # NaN fails both sides
+        return f"--accuracy-floor must be within [0, 1], got {args.accuracy_floor}"
+    return None
+
+
 def _params_error(args) -> str | None:
     """Validate the world-shape arguments every command shares."""
     return _minimum_error(args, ("--days", 1), ("--locations", 1))
@@ -229,15 +239,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument(
         "--save-scorecard",
         metavar="FILE",
-        help="write the suite scorecard as JSON (--suite only)",
+        help="write the suite scorecard as JSON (requires --suite)",
     )
     p_val.add_argument(
         "--accuracy-floor",
         type=float,
         default=0.8,
         metavar="FRAC",
-        help="minimum localization accuracy for the paper-era families "
-        "(--suite only; default 0.8)",
+        help="minimum localization accuracy for the paper-era families, "
+        "a fraction in [0, 1] (--suite only; default 0.8)",
     )
 
     p_serve = sub.add_parser(
@@ -725,6 +735,8 @@ def _cmd_validate_suite(args) -> int:
 def _cmd_validate(args) -> int:
     import numpy as np
 
+    if message := _suite_flags_error(args):
+        return _fail(message)
     if args.suite:
         return _cmd_validate_suite(args)
     if message := _params_error(args) or _minimum_error(args, ("--incidents", 1)):

@@ -48,6 +48,16 @@ are chosen so the incident is *diagnosable in principle* (enough affected
 quartets, a learned baseline for the affected path), which is also true
 of every incident that reaches a manual investigation.
 
+The diagnosability filters weight each slot by its chance of clearing
+the 10-sample quartet gate in a bucket. One scan of the world's slots
+(:func:`_index_world`) fills per-slot columns, and
+``_WorldIndex.gate_weights(t)`` turns them into that chance for every
+slot at once, cached by bucket for the index's lifetime: one
+:func:`generate_incidents` call, or one scenario-suite build, which
+shares an index across its batches. Each filter is then a masked sum
+over the vector, added in slot order so the totals — and the incidents
+they select — are bit-identical to a per-slot loop.
+
 Each :class:`IncidentSpec` records the ground-truth blamed segment and
 culprit AS; the validation harness checks BlameIt's output against them.
 """
@@ -56,7 +66,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,7 +76,7 @@ from repro.net.bgp import Timestamp
 from repro.net.geo import Metro
 from repro.sim.faults import Fault, FaultTarget, SegmentKind
 from repro.sim.scenario import DemandSurge, RerouteEvent, Scenario, World
-from repro.sim.workload import local_hour
+from repro.sim.workload import BUCKETS_PER_DAY, local_hour, weekend_factor
 
 #: Local-hour window considered "busy" for incident onsets.
 _BUSY_HOURS = (9.0, 21.0)
@@ -158,7 +168,14 @@ class IncidentSpec:
 
 @dataclass
 class _WorldIndex:
-    """Precomputed target pools for incident generation (internal)."""
+    """Precomputed target pools and per-slot gate columns (internal).
+
+    The ``slot_*`` columns hold one entry per ``world.slots`` element, in
+    slot order; :meth:`gate_weights` turns them into every slot's chance
+    of clearing the quartet sample gate at one bucket. An index lives for
+    one generation call (or one suite build), and its bucket cache with
+    it.
+    """
 
     locations: list[str]
     client_asns: list[int]
@@ -170,6 +187,42 @@ class _WorldIndex:
     middle_locations: dict[int, tuple[str, ...]]  # locations reached via AS
     cross_region_middles: dict[tuple, int]  # cross-region slots per middle
     metro_location_counts: dict[tuple[str, str], int]  # (location, metro)
+    slot_users_rate: np.ndarray  # users * connections_per_user
+    slot_share: np.ndarray
+    slot_location: np.ndarray  # code in location_codes
+    slot_metro: np.ndarray  # client metro's code in metro_codes
+    slot_middle: np.ndarray  # middle path's code in middle_codes; -1: no path
+    slot_diurnal_row: np.ndarray  # row of diurnal_rows
+    location_codes: dict[str, int]
+    metro_codes: dict[str, int]
+    middle_codes: dict[tuple, int]
+    diurnal_rows: np.ndarray  # per (client metro, enterprise): 288 factors
+    row_enterprise: np.ndarray  # per diurnal row
+    _gates: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
+
+    def gate_weights(self, time: Timestamp) -> np.ndarray:
+        """Every slot's P(Poisson(expected connections) ≥ 10) at ``time``.
+
+        Bit-identical to evaluating
+        ``ActivityModel.expected_connections(...) * slot.share`` and the
+        Poisson tail slot by slot: the same factors multiplied in the
+        same order, the diurnal factor read from the same
+        ``evening_weights`` table. Cached per bucket for the index's
+        lifetime.
+        """
+        weights = self._gates.get(time)
+        if weights is None:
+            rows = self.slot_diurnal_row
+            diurnal = self.diurnal_rows[rows, time % BUCKETS_PER_DAY]
+            weekend = np.where(
+                self.row_enterprise[rows],
+                weekend_factor(time, True),
+                weekend_factor(time, False),
+            )
+            expected = ((self.slot_users_rate * diurnal) * weekend) * self.slot_share
+            weights = _gate_pass_probabilities(expected)
+            self._gates[time] = weights
+        return weights
 
 
 def _index_world(world: World) -> _WorldIndex:
@@ -181,7 +234,21 @@ def _index_world(world: World) -> _WorldIndex:
     coarser level. A middle AS carrying ≥ half of a location's paths
     looks like a location problem; a client AS producing ≥ half of its
     middle group's quartets looks like a path problem.
+
+    The same scan fills the per-slot gate columns the diagnosability
+    filters sum over.
     """
+    rate = world.activity.params.connections_per_user
+    users_rate: list[float] = []
+    shares: list[float] = []
+    slot_location: list[int] = []
+    slot_metro: list[int] = []
+    slot_middle: list[int] = []
+    slot_row: list[int] = []
+    location_codes: dict[str, int] = {}
+    metro_codes: dict[str, int] = {}
+    middle_codes: dict[tuple, int] = {}
+    row_codes: dict[tuple[Metro, bool], int] = {}
     usage: dict[int, int] = {}
     middle_metro: dict[int, Metro] = {}
     per_location_total: dict[str, int] = {}
@@ -196,11 +263,21 @@ def _index_world(world: World) -> _WorldIndex:
     metro_location_counts: dict[tuple[str, str], int] = {}
     for slot in world.slots:
         location_id = slot.location.location_id
+        metro = slot.client.metro
         location_slots[location_id] = location_slots.get(location_id, 0) + 1
+        users_rate.append(slot.client.users * rate)
+        shares.append(slot.share)
+        slot_location.append(location_codes.setdefault(location_id, len(location_codes)))
+        slot_metro.append(metro_codes.setdefault(metro.name, len(metro_codes)))
+        slot_row.append(
+            row_codes.setdefault((metro, bool(slot.enterprise)), len(row_codes))
+        )
         path = world.mapper.path_for(slot.location, slot.client)
         if path is None:
+            slot_middle.append(-1)
             continue
         middle = middle_asns(path)
+        slot_middle.append(middle_codes.setdefault(middle, len(middle_codes)))
         per_location_total[location_id] = per_location_total.get(location_id, 0) + 1
         metro_location_counts[(location_id, slot.client.metro.name)] = (
             metro_location_counts.get((location_id, slot.client.metro.name), 0) + 1
@@ -284,25 +361,62 @@ def _index_world(world: World) -> _WorldIndex:
         },
         cross_region_middles=cross_region_middles,
         metro_location_counts=metro_location_counts,
+        slot_users_rate=np.array(users_rate, dtype=float),
+        slot_share=np.array(shares, dtype=float),
+        slot_location=np.array(slot_location, dtype=np.int64),
+        slot_metro=np.array(slot_metro, dtype=np.int64),
+        slot_middle=np.array(slot_middle, dtype=np.int64),
+        slot_diurnal_row=np.array(slot_row, dtype=np.int64),
+        location_codes=location_codes,
+        metro_codes=metro_codes,
+        middle_codes=middle_codes,
+        diurnal_rows=np.array(
+            [world.activity.evening_weights(m, e) for m, e in row_codes]
+        ).reshape(len(row_codes), BUCKETS_PER_DAY),
+        row_enterprise=np.array([e for _, e in row_codes], dtype=bool),
     )
 
 
-def _gate_pass_probability(expected: float, gate: int = 10) -> float:
-    """P(Poisson(expected) >= gate): chance a slot clears the sample gate."""
-    if expected <= 0:
-        return 0.0
-    if expected > 4 * gate:
-        return 1.0
-    term = math.exp(-expected)
+def _gate_pass_probabilities(expected: np.ndarray, gate: int = 10) -> np.ndarray:
+    """P(Poisson(expected) >= gate) per slot: the chance of clearing the
+    sample gate.
+
+    The nine-term recurrence runs elementwise, in the scalar order. ``exp``
+    comes from :func:`math.exp`, not ``np.exp``, whose SIMD kernels may
+    differ in the last bit on some hosts.
+    """
+    probs = (expected > 4 * gate).astype(float)
+    mid = (expected > 0) & (expected <= 4 * gate)
+    values = expected[mid]
+    term = np.fromiter(map(math.exp, (-values).tolist()), float, values.size)
     cdf = term
     for k in range(1, gate):
-        term *= expected / k
-        cdf += term
-    return max(0.0, 1.0 - cdf)
+        term = term * (values / k)
+        cdf = cdf + term
+    probs[mid] = np.maximum(0.0, 1.0 - cdf)
+    return probs
+
+
+def _ordered_sum(values: np.ndarray) -> np.ndarray:
+    """Row sums over the last axis, added left to right in slot order.
+
+    ``np.sum`` adds pairwise and builtin ``sum`` compensates (CPython ≥
+    3.12); either can move the last bit of a total that a filter then
+    compares against its threshold. The last cumulative sum is the plain
+    left-to-right total, and zeroed slots leave it unchanged
+    (``x + 0.0 == x``), so callers mask by zeroing.
+    """
+    return np.cumsum(values, axis=-1)[..., -1]
+
+
+def _active_weights(index: _WorldIndex, time: Timestamp) -> np.ndarray:
+    """Gate weights with the slots at or below 1 % zeroed out."""
+    weights = index.gate_weights(time)
+    return np.where(weights > 0.01, weights, 0.0)
 
 
 def _gated_share_ok(
-    world: World,
+    index: _WorldIndex,
     scoped_middle: tuple,
     start: Timestamp,
     duration: int,
@@ -316,29 +430,18 @@ def _gated_share_ok(
     gated quartets is legitimately indistinguishable from a location
     problem under τ = 0.8 with median thresholds). This weights each
     slot by its probability of clearing the 10-sample quartet gate
-    across the incident window.
+    across the incident window; slots at or below 1 % are left out.
     """
+    at_location = index.slot_location == np.arange(len(index.location_codes))[:, None]
+    in_scope = at_location & (index.slot_middle == index.middle_codes[scoped_middle])
+    masks = np.stack([at_location, in_scope])
     for time in range(start, start + duration, 4):
-        active: dict[str, float] = {}
-        scoped: dict[str, float] = {}
-        for slot in world.slots:
-            expected = (
-                world.activity.expected_connections(
-                    slot.client.users, slot.client.metro, slot.enterprise, time
-                )
-                * slot.share
-            )
-            weight = _gate_pass_probability(expected)
-            if weight <= 0.01:
-                continue
-            location_id = slot.location.location_id
-            active[location_id] = active.get(location_id, 0.0) + weight
-            path = world.mapper.path_for(slot.location, slot.client)
-            if path is not None and middle_asns(path) == scoped_middle:
-                scoped[location_id] = scoped.get(location_id, 0.0) + weight
-        for location_id, count in active.items():
-            if count > 0 and scoped.get(location_id, 0.0) / count > threshold:
-                return False
+        active, scoped = _ordered_sum(
+            np.where(masks, _active_weights(index, time), 0.0)
+        )
+        busy = active > 0
+        if np.any(scoped[busy] / active[busy] > threshold):
+            return False
     return True
 
 
@@ -360,7 +463,7 @@ def _busy_start(
 
 
 def _location_active_enough(
-    world: World,
+    index: _WorldIndex,
     location_id: str,
     start: Timestamp,
     duration: int,
@@ -372,21 +475,12 @@ def _location_active_enough(
     yield "insufficient" (Algorithm 1's aggregate gate); such incidents
     never reach a diagnosable state and are not generated.
     """
-    for time in range(start, start + duration, 6):
-        weight = 0.0
-        for slot in world.slots:
-            if slot.location.location_id != location_id:
-                continue
-            expected = (
-                world.activity.expected_connections(
-                    slot.client.users, slot.client.metro, slot.enterprise, time
-                )
-                * slot.share
-            )
-            weight += _gate_pass_probability(expected)
-        if weight < min_gated:
-            return False
-    return True
+    at_location = index.slot_location == index.location_codes[location_id]
+    return all(
+        _ordered_sum(np.where(at_location, index.gate_weights(time), 0.0))
+        >= min_gated
+        for time in range(start, start + duration, 6)
+    )
 
 
 def _pick_cloud_target(
@@ -403,7 +497,7 @@ def _pick_cloud_target(
         location_id = index.locations[(incident_id + offset) % n]
         metro = world.location_by_id(location_id).metro
         start = _busy_start(metro, rng, start_range)
-        if _location_active_enough(world, location_id, start, duration):
+        if _location_active_enough(index, location_id, start, duration):
             return location_id, start
     # Degenerate world: fall back to the busiest location.
     location_id = index.locations[0]
@@ -443,6 +537,25 @@ def generate_incidents(
     Returns:
         The incident specs, ids ``first_id..first_id+count-1``.
     """
+    return _generate(
+        world, _index_world(world), count, rng, start_range, families, first_id
+    )
+
+
+def _generate(
+    world: World,
+    index: _WorldIndex,
+    count: int,
+    rng: np.random.Generator,
+    start_range: tuple[int, int] | None = None,
+    families: tuple[IncidentArchetype, ...] | None = None,
+    first_id: int = 0,
+) -> tuple[IncidentSpec, ...]:
+    """:func:`generate_incidents` over a prebuilt index of ``world``.
+
+    Callers generating several batches over one world (the scenario
+    suite) share one index, and with it the per-bucket gate weights.
+    """
     horizon = world.params.horizon_buckets
     if start_range is None:
         start_range = (12, max(13, horizon - 72))
@@ -450,7 +563,6 @@ def generate_incidents(
         families = PAPER_ARCHETYPES
     if not families:
         raise ValueError("families must name at least one archetype")
-    index = _index_world(world)
     specs: list[IncidentSpec] = []
     streams = rng.spawn(count) if count else []
     for offset in range(count):
@@ -622,7 +734,7 @@ def _build_traffic_shift(
         # the serving metro is the best single proxy for its busy hours.
         start = _busy_start(slot.location.metro, rng, start_range)
         duration = int(rng.integers(6, 36))
-        if not _gated_share_ok(world, scoped_middle, start, duration):
+        if not _gated_share_ok(index, scoped_middle, start, duration):
             continue
         reroute_on = RerouteEvent(
             start, location_id, slot.client.announcement, alternate
@@ -758,7 +870,7 @@ def _build_correlated_transit(
 
 
 def _gated_metro_dominates(
-    world: World,
+    index: _WorldIndex,
     location_id: str,
     metro_name: str,
     start: Timestamp,
@@ -773,24 +885,13 @@ def _gated_metro_dominates(
     undercount this — during the metro's busy hours, clients in other
     timezones are asleep.
     """
+    at_location = index.slot_location == index.location_codes[location_id]
+    in_metro = at_location & (index.slot_metro == index.metro_codes[metro_name])
+    masks = np.stack([at_location, in_metro])
     for time in range(start, start + duration, 2):
-        active = 0.0
-        scoped = 0.0
-        for slot in world.slots:
-            if slot.location.location_id != location_id:
-                continue
-            expected = (
-                world.activity.expected_connections(
-                    slot.client.users, slot.client.metro, slot.enterprise, time
-                )
-                * slot.share
-            )
-            weight = _gate_pass_probability(expected)
-            if weight <= 0.01:
-                continue
-            active += weight
-            if slot.client.metro.name == metro_name:
-                scoped += weight
+        active, scoped = _ordered_sum(
+            np.where(masks, _active_weights(index, time), 0.0)
+        )
         if active <= 0 or scoped / active < min_share:
             return False
     return True
@@ -848,10 +949,10 @@ def _build_anycast_flap(
         for step in range(0, span, 2):
             candidate = lo + (drawn - lo + step) % span
             if not _gated_metro_dominates(
-                world, location_id, metro_name, candidate, duration
+                index, location_id, metro_name, candidate, duration
             ):
                 continue
-            if not _location_active_enough(world, location_id, candidate, duration):
+            if not _location_active_enough(index, location_id, candidate, duration):
                 continue
             planned = world.mapper.plan_ring_flap(
                 metro, incident_id, candidate, duration, min_added_ms=added
@@ -894,8 +995,8 @@ def _build_anycast_flap(
 
 
 def _scope_window_diagnosable(
-    world: World,
-    scope_slots: dict[str, list],
+    index: _WorldIndex,
+    scope_slots: list[np.ndarray],
     start: Timestamp,
     duration: int,
     min_gated: float = 4.5,
@@ -909,25 +1010,24 @@ def _scope_window_diagnosable(
     every sampled bucket; realization noise around an expectation of
     ~4.5 clears the 5-quartet floor in roughly half the buckets, which
     is plenty for the middle verdict to fire during the window.
+
+    ``scope_slots`` holds one ascending slot-index array per serving
+    location of the scope.
     """
-    for slots in scope_slots.values():
-        ok = True
-        for time in range(start, start + duration, 6):
-            weight = sum(
-                _gate_pass_probability(
-                    world.activity.expected_connections(
-                        slot.client.users, slot.client.metro, slot.enterprise, time
-                    )
-                    * slot.share
-                )
-                for slot in slots
-            )
-            if weight < min_gated:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+    return any(
+        all(
+            _ordered_sum(index.gate_weights(time)[slots]) >= min_gated
+            for time in range(start, start + duration, 6)
+        )
+        for slots in scope_slots
+    )
+
+
+def _scope_slots(index: _WorldIndex, middle: tuple) -> list[np.ndarray]:
+    """Slot indices on ``middle``, one ascending array per serving location."""
+    slots = np.flatnonzero(index.slot_middle == index.middle_codes[middle])
+    locations = index.slot_location[slots]
+    return [slots[locations == code] for code in np.unique(locations)]
 
 
 def _build_inter_region_peering(
@@ -963,12 +1063,6 @@ def _build_inter_region_peering(
     )
     if not candidates:
         return _build_peering_fault(world, index, incident_id, start_range, rng)
-    slot_middles = []
-    for slot in world.slots:
-        path = world.mapper.path_for(slot.location, slot.client)
-        if path is None:
-            continue
-        slot_middles.append((slot, middle_asns(path)))
     lo, hi = start_range
     span = max(1, hi - lo)
     chosen = None
@@ -977,12 +1071,7 @@ def _build_inter_region_peering(
         scopes = sorted(
             qualified[asn], key=lambda m: (-index.middle_counts[m], m)
         )[:4]
-        scope_slots: dict[tuple, dict[str, list]] = {s: {} for s in scopes}
-        for slot, middle in slot_middles:
-            if middle in scope_slots:
-                scope_slots[middle].setdefault(
-                    slot.location.location_id, []
-                ).append(slot)
+        scope_slots = {scope: _scope_slots(index, scope) for scope in scopes}
         metro = index.middle_metro.get(asn)
         drawn = (
             _busy_start(metro, rng, start_range)
@@ -999,7 +1088,7 @@ def _build_inter_region_peering(
                 scope
                 for scope in scopes
                 if _scope_window_diagnosable(
-                    world, scope_slots[scope], start, duration
+                    index, scope_slots[scope], start, duration
                 )
             )
             if usable_scopes:

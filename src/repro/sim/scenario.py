@@ -381,7 +381,6 @@ class Scenario:
         self._base_paths: dict[tuple[str, Prefix24], ASPath | None] = {}
         self._active_cache: tuple[Timestamp, tuple[Fault, ...]] | None = None
         self._faults_by_day: dict[int, tuple[Fault, ...]] = {}
-        self._diurnal_cache: dict[tuple[str, bool], np.ndarray] = {}
         self._rng = np.random.default_rng(world.params.seed + 1)
         self._activity_matrix: np.ndarray | None = None
         self._enterprise_flags: np.ndarray | None = None
@@ -942,19 +941,13 @@ class Scenario:
 
     # -- traffic-model tables (read by repro.perf.batch) -----------------
 
-    def _diurnal_array(self, metro_name: str, enterprise: bool, metro) -> np.ndarray:
-        key = (metro_name, enterprise)
-        cached = self._diurnal_cache.get(key)
-        if cached is None:
-            cached = self.world.activity.evening_weights(metro, enterprise)
-            self._diurnal_cache[key] = cached
-        return cached
-
     def _ensure_fast_tables(self) -> None:
         """Precompute per-slot activity and path shortcuts (lazy).
 
         :class:`repro.perf.batch.BatchQuartetGenerator` — the one traffic
-        model — builds its columns from these.
+        model — builds its columns from these. Diurnal rows come from the
+        world's :meth:`ActivityModel.evening_weights` memo, shared by every
+        scenario over the world.
         """
         if self._activity_matrix is not None:
             return
@@ -964,9 +957,7 @@ class Scenario:
         matrix = np.empty((n_slots, BUCKETS_PER_DAY))
         enterprise = np.empty(n_slots, dtype=bool)
         for index, slot in enumerate(world.slots):
-            diurnal = self._diurnal_array(
-                slot.client.metro.name, slot.enterprise, slot.client.metro
-            )
+            diurnal = world.activity.evening_weights(slot.client.metro, slot.enterprise)
             matrix[index] = diurnal * (slot.client.users * rate * slot.share)
             enterprise[index] = slot.enterprise
         self._activity_matrix = matrix

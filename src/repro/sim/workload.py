@@ -88,6 +88,7 @@ class ActivityModel:
 
     def __init__(self, params: WorkloadParams | None = None) -> None:
         self.params = params or WorkloadParams()
+        self._evening: dict[tuple[Metro, bool], np.ndarray] = {}
 
     def expected_connections(
         self, users: int, metro: Metro, enterprise: bool, time: Timestamp
@@ -125,8 +126,19 @@ class ActivityModel:
         Home ISP issues cluster in the local evening (§2.2 speculation,
         confirmed by BlameIt's night-time client blames); enterprise
         issues track office hours.
+
+        Entry ``b`` is the ``diurnal_factor`` that
+        :meth:`expected_connections` applies at any bucket ``t`` with
+        ``t % BUCKETS_PER_DAY == b``. Memoised per (metro, enterprise), so
+        every scenario over a world shares one table per pair; the array
+        is read-only.
         """
-        weights = np.empty(BUCKETS_PER_DAY)
-        for bucket in range(BUCKETS_PER_DAY):
-            weights[bucket] = diurnal_factor(local_hour(metro, bucket), enterprise)
+        key = (metro, bool(enterprise))
+        weights = self._evening.get(key)
+        if weights is None:
+            weights = np.empty(BUCKETS_PER_DAY)
+            for bucket in range(BUCKETS_PER_DAY):
+                weights[bucket] = diurnal_factor(local_hour(metro, bucket), enterprise)
+            weights.flags.writeable = False
+            self._evening[key] = weights
         return weights

@@ -62,6 +62,22 @@ class TestCommands:
         assert "5/5" in out
         assert code == 0
 
+    def test_validate_suite_saves_the_golden_scorecard(self, tmp_path, capsys):
+        """The paper-era families clear a 0.7 floor, and the saved
+        scorecard is the golden one byte for byte: the CLI's default
+        suite world and seed are the golden's."""
+        from pathlib import Path
+
+        target = tmp_path / "scorecard.json"
+        code = main(
+            ["validate", "--suite", "--accuracy-floor", "0.7",
+             "--save-scorecard", str(target)]
+        )
+        assert code == 0
+        assert f"scorecard written to {target}" in capsys.readouterr().out
+        golden = Path(__file__).parent / "golden" / "validation_scorecard.json"
+        assert target.read_bytes() == golden.read_bytes()
+
 
 class TestPersistence:
     def test_simulate_save_then_diagnose_load(self, tmp_path, capsys):
@@ -136,6 +152,39 @@ class TestExitCodes:
             ["validate", *FAST, "--incidents", "0"],
             capsys, "--incidents must be >= 1",
         )
+
+    @pytest.fixture
+    def no_world(self, monkeypatch):
+        """Fail the test if the command builds a world: suite flags are
+        checked before any world exists."""
+        import repro.cli
+
+        def build_world(*_args, **_kwargs):
+            raise AssertionError("a world was built before the flags were checked")
+
+        monkeypatch.setattr(repro.cli, "build_world", build_world)
+
+    @pytest.mark.parametrize(
+        "floor", ["nan", "-3", "1.5"], ids=["nan", "negative", "above-one"]
+    )
+    def test_validate_suite_rejects_floor_outside_unit_interval(
+        self, capsys, no_world, floor
+    ):
+        assert main(["validate", "--suite", "--accuracy-floor", floor]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --accuracy-floor must be within [0, 1]")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_validate_rejects_scorecard_without_suite(
+        self, capsys, no_world, tmp_path
+    ):
+        target = tmp_path / "scorecard.json"
+        assert main(["validate", *FAST, "--save-scorecard", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --save-scorecard needs --suite\n"
+        assert captured.out == ""
+        assert not target.exists()
 
     def test_simulate_rejects_nonpositive_days(self, capsys):
         self._check_usage_error(

@@ -468,3 +468,61 @@ class TestClusteredPersistence:
     def test_sharded_matches_sequential(self, faulty_world, baseline):
         _, report = _clustered_run(faulty_world, workers=2)
         assert _digest(report) == baseline
+
+
+class TestClusteredSavesProbes:
+    """The reduced cut of ``bench_probe_savings.py``: on the suite's
+    correlated-transit cases the clustered planner issues no more
+    on-demand probes than the paper planner at every budget (strictly
+    fewer in total), while the family keeps localizing at least as well
+    as under the paper planner and at or above the 0.7 floor."""
+
+    BUDGETS = (1, 5)
+
+    @pytest.fixture(scope="class")
+    def results(self, suite_world):
+        from repro.analysis.validation import (
+            build_warmup_state,
+            validate_scenario_suite,
+        )
+        from repro.sim.incidents import IncidentArchetype
+
+        warmup = build_warmup_state(suite_world)
+        results = {}
+        for planner in ("paper", "clustered"):
+            for budget in self.BUDGETS:
+                outcome = validate_scenario_suite(
+                    suite_world,
+                    warmup,
+                    families=(IncidentArchetype.CORRELATED_TRANSIT,),
+                    config=BlameItConfig(
+                        probe_planner=planner, probe_budget_per_window=budget
+                    ),
+                )
+                family = outcome.scorecard["families"]["correlated_transit"]
+                results[planner, budget] = {
+                    "probes": sum(
+                        case.report.probes_on_demand for case in outcome.cases
+                    ),
+                    "accuracy": family["accuracy"],
+                }
+        return results
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_no_more_probes_than_paper(self, results, budget):
+        assert (
+            results["clustered", budget]["probes"]
+            <= results["paper", budget]["probes"]
+        ), results
+
+    def test_strictly_fewer_probes_in_total(self, results):
+        def total(planner):
+            return sum(results[planner, b]["probes"] for b in self.BUDGETS)
+
+        assert total("clustered") < total("paper"), results
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_accuracy_kept(self, results, budget):
+        clustered = results["clustered", budget]["accuracy"]
+        assert clustered >= 0.7, results
+        assert clustered >= results["paper", budget]["accuracy"], results

@@ -397,18 +397,27 @@ class TestValidateScenarioSuite:
 
     def test_scorecard_shape(self, result):
         scorecard = result.scorecard
+        assert set(scorecard) >= {
+            "format_version", "seed", "families", "confusion",
+            "impact_ranking", "cases", "overall", "ambient_blames",
+        }
         assert scorecard["format_version"] >= 1
         assert scorecard["seed"] == 7
         assert set(scorecard["families"]) == {
             "cloud_maintenance",
             "flash_crowd",
         }
+        for family, stats in scorecard["families"].items():
+            assert set(stats) >= {"incidents", "matched", "accuracy"}, family
+            assert 0.0 <= stats["accuracy"] <= 1.0, (family, stats)
         overall = scorecard["overall"]
         assert overall["incidents"] == sum(
             stats["incidents"] for stats in scorecard["families"].values()
         )
         assert 0.0 <= overall["accuracy"] <= 1.0
-        assert "ambient_blames" in scorecard
+        # Every adversarial family in the suite gets a mixed-case ranking.
+        ranked = {entry["family"] for entry in scorecard["impact_ranking"]}
+        assert ranked == {"flash_crowd"}
 
     def test_confusion_matrix_counts_every_incident(self, result):
         scorecard = result.scorecard
