@@ -22,13 +22,16 @@ import numpy as np
 
 from repro.core.quartet import Quartet, QuartetBatch
 from repro.net.asn import ASPath
-from repro.rngstate import rng_from_state_dict, rng_state_dict
+from repro.rngstate import rng_from_state_dict
 
 #: Per-key per-day reservoir size; medians are insensitive to subsampling.
 _RESERVOIR_SIZE = 256
 
 #: Buckets per day.
 _BUCKETS_PER_DAY = 288
+
+#: Largest bound a reservoir draw serves: NumPy's 32-bit Lemire path.
+_MAX_HIGH = 2**32
 
 CloudKey = tuple[str, bool]  # (location_id, mobile)
 MiddleKey = tuple[ASPath, bool]  # (middle path, mobile)
@@ -39,40 +42,161 @@ class _Lane:
 
     Row ``r`` is a fixed-size uniform sample of one value stream:
     ``seen[r]`` counts the stream, the first ``min(seen[r], 256)``
-    columns are live, and ``rngs[r]`` is the reservoir's own replacement
-    stream. ``rows`` maps ⟨key, day⟩ to its row; rows are handed out in
-    creation order, so dict order, row order and checkpoint order are
-    one order.
+    columns are live, and the reservoir's own replacement stream is the
+    PCG64 ``bitgens[r]`` plus its spare 32-bit half-word, which lives
+    here rather than in the bit generator: ``has_uint32[r]`` (0 or 1)
+    says whether ``uinteger[r]`` is pending. The four together are
+    exactly the state ``default_rng(seed)`` would carry after the same
+    ``integers`` calls (:meth:`rng_states`). ``rows`` maps ⟨key, day⟩ to
+    its row; rows are handed out in creation order, so dict order, row
+    order and checkpoint order are one order.
     """
 
-    __slots__ = ("rows", "values", "seen", "rngs")
+    __slots__ = ("rows", "values", "seen", "has_uint32", "uinteger", "bitgens")
 
     def __init__(self) -> None:
-        self.reset((), np.empty((0, _RESERVOIR_SIZE)), (), ())
+        self.reset((), np.empty((0, _RESERVOIR_SIZE)), (), (), (), ())
 
-    def reset(self, keys, values: np.ndarray, seen, rngs) -> None:
+    def reset(self, keys, values: np.ndarray, seen, bitgens, has_uint32, uinteger):
         """Replace every reservoir; row ``r`` is ``keys[r]``'s."""
         self.rows: dict[tuple, int] = {key: row for row, key in enumerate(keys)}
         self.values = values
         self.seen = np.array(seen, dtype=np.int64)
-        self.rngs: list[np.random.Generator] = list(rngs)
+        self.has_uint32 = np.array(has_uint32, dtype=np.int64)
+        self.uinteger = np.array(uinteger, dtype=np.uint32)
+        self.bitgens: list[np.random.PCG64] = list(bitgens)
 
     def lengths(self) -> np.ndarray:
         """Live columns per row, in row order."""
-        return np.minimum(self.seen[: len(self.rngs)], _RESERVOIR_SIZE)
+        return np.minimum(self.seen[: len(self.bitgens)], _RESERVOIR_SIZE)
 
     def new_row(self, key: tuple, seed: int) -> int:
         """Open an empty reservoir, doubling the columns when full."""
-        row = len(self.rngs)
+        row = len(self.bitgens)
         if row == len(self.seen):
             grown = np.empty((max(8, 2 * row), _RESERVOIR_SIZE))
             grown[:row] = self.values
             self.values = grown
-            pad = np.zeros(len(grown) - row, dtype=np.int64)
-            self.seen = np.concatenate((self.seen, pad))
+            pad = len(grown) - row
+            self.seen = np.concatenate((self.seen, np.zeros(pad, dtype=np.int64)))
+            self.has_uint32 = np.concatenate(
+                (self.has_uint32, np.zeros(pad, dtype=np.int64))
+            )
+            self.uinteger = np.concatenate(
+                (self.uinteger, np.zeros(pad, dtype=np.uint32))
+            )
         self.rows[key] = row
-        self.rngs.append(np.random.default_rng(seed))
+        self.bitgens.append(np.random.PCG64(seed))  # default_rng(seed)'s
         return row
+
+    def take(self, rows: list[int]) -> tuple:
+        """Rows ``rows`` as :meth:`reset` arguments after the keys."""
+        return (
+            self.values[rows],
+            self.seen[rows],
+            [self.bitgens[row] for row in rows],
+            self.has_uint32[rows],
+            self.uinteger[rows],
+        )
+
+    def rng_states(self) -> list[dict]:
+        """Each row's stream as ``repro.rngstate.rng_state_dict`` writes
+        the equivalent ``Generator``: the bit generator's state with the
+        lane's half-word columns in place of its unused own."""
+        return [
+            {
+                "bit_generator": state["bit_generator"],
+                "state": state["state"],
+                "has_uint32": has,
+                "uinteger": spare,
+            }
+            for state, has, spare in zip(
+                (bitgen.state for bitgen in self.bitgens),
+                self.has_uint32.tolist(),
+                self.uinteger.tolist(),
+            )
+        ]
+
+    def draw(self, rows: np.ndarray, counts: np.ndarray, highs: np.ndarray):
+        """Draw ``counts[i]`` values from row ``rows[i]``'s stream (rows
+        distinct): the ``j``-th equals ``integers(0, high)`` for the
+        ``j``-th of that row's ``highs``, the rows' chunks concatenated
+        in order, and each stream ends where those scalar calls leave it.
+
+        For ``1 < high <= 2**32`` NumPy maps one 32-bit half-word ``u``
+        to ``(u * high) >> 32`` (Lemire's method), rejecting ``u`` while
+        ``(u * high) mod 2**32 < (2**32 - high) mod high``. PCG64 yields
+        a spare half-word first, then the low and the high half of each
+        64-bit output. So every row's supply is its spare plus just
+        enough raw words for its draws, one ``random_raw`` call each,
+        and the whole fold maps in one array pass. A row with a rejected
+        draw redoes its draws from the same supply in a scalar loop that
+        pulls further words (:meth:`_redraw`); at real ``seen`` counts
+        rejections are a few in a million. A lane's bounds are running
+        counts past the fill, so never below 257; one above ``2**32``
+        raises ``ValueError``, since NumPy would switch methods there.
+        """
+        if not len(highs):
+            return np.empty(0, dtype=np.int64)
+        if int(highs.max()) > _MAX_HIGH:
+            raise ValueError(f"reservoir draw bound above {_MAX_HIGH}")
+        has = self.has_uint32[rows]
+        held = has == 1
+        words = (counts - has + 1) // 2
+        raw = [
+            self.bitgens[row].random_raw(n)
+            for row, n in zip(rows.tolist(), words.tolist())
+            if n
+        ]
+        # Little-endian order puts each word's low half first.
+        halves = np.concatenate(raw or [np.empty(0, np.uint64)])
+        halves = halves.astype("<u8", copy=False).view("<u4")
+        sizes = has + 2 * words
+        ends = np.cumsum(sizes)
+        begins = ends - sizes
+        supply = np.empty(int(ends[-1]), dtype=np.uint64)
+        fresh = np.ones(len(supply), dtype=bool)
+        fresh[begins[held]] = False
+        supply[fresh] = halves
+        supply[~fresh] = self.uinteger[rows[held]]
+        draw_ends = np.cumsum(counts)
+        at = np.arange(len(highs)) + np.repeat(begins - draw_ends + counts, counts)
+        high = highs.astype(np.uint64)
+        scaled = supply[at] * high
+        drawn = (scaled >> 32).astype(np.int64)
+        self.has_uint32[rows] = sizes - counts
+        self.uinteger[rows] = supply[ends - 1]
+        rejected = (scaled & 0xFFFFFFFF) < (_MAX_HIGH - high) % high
+        if rejected.any():
+            redo = np.searchsorted(draw_ends, np.nonzero(rejected)[0], "right")
+            for i in np.unique(redo).tolist():
+                lo, hi = draw_ends[i] - counts[i], draw_ends[i]
+                drawn[lo:hi] = self._redraw(
+                    int(rows[i]),
+                    supply[begins[i] : ends[i]].tolist(),
+                    highs[lo:hi].tolist(),
+                )
+        return drawn
+
+    def _redraw(self, row: int, supply: list[int], highs: list[int]) -> list[int]:
+        """:meth:`draw` for one row, one value at a time, from the start
+        of its supply, pulling a raw word whenever the supply runs out."""
+        drawn = []
+        used = 0
+        for high in highs:
+            threshold = (_MAX_HIGH - high) % high
+            while True:
+                if used == len(supply):
+                    word = int(self.bitgens[row].random_raw())
+                    supply += (word & 0xFFFFFFFF, word >> 32)
+                scaled = supply[used] * high
+                used += 1
+                if scaled & 0xFFFFFFFF >= threshold:
+                    break
+            drawn.append(scaled >> 32)
+        self.has_uint32[row] = len(supply) - used
+        self.uinteger[row] = supply[-1]
+        return drawn
 
     def add(self, row: int, value: float) -> None:
         """Fold one value: the per-value reference :meth:`fold` equals."""
@@ -80,7 +204,9 @@ class _Lane:
         self.seen[row] = seen
         if seen <= _RESERVOIR_SIZE:
             self.values[row, seen - 1] = value
-        elif (index := int(self.rngs[row].integers(0, seen))) < _RESERVOIR_SIZE:
+            return
+        index = self.draw(np.array([row]), np.array([1]), np.array([seen])).item()
+        if index < _RESERVOIR_SIZE:
             self.values[row, index] = value
 
     def fold(
@@ -95,33 +221,29 @@ class _Lane:
         contiguous), byte-identical to :meth:`add` per value.
 
         The fill phase draws nothing and lands lane-wide in one
-        assignment. Past it, value ``i`` of a stream draws
-        ``integers(0, seen + i + 1)``; one array-``high`` call per
-        reservoir consumes its bit generator exactly as those scalar
-        calls would (``test_array_high_integers_match_scalar_stream``).
+        assignment. Past it, value ``i`` of a stream is kept at slot
+        ``integers(0, seen + i + 1)`` if that is below 256; one
+        :meth:`draw` pass serves every touched reservoir.
         """
         of_row = np.repeat(rows, counts)
         rank = np.arange(len(values)) - np.repeat(starts, counts)
         highs = self.seen[of_row] + rank + 1  # each stream's running count
         filling = highs <= _RESERVOIR_SIZE
         self.values[of_row[filling], highs[filling] - 1] = values[filling]
-        begins = starts + np.clip(_RESERVOIR_SIZE - self.seen[rows], 0, counts)
-        ends = starts + counts
-        drawing = begins < ends
-        draws = np.full(len(values), _RESERVOIR_SIZE)
-        for row, begin, end in zip(
-            rows[drawing].tolist(), begins[drawing].tolist(), ends[drawing].tolist()
-        ):
-            draws[begin:end] = self.rngs[row].integers(0, highs[begin:end])
+        draw_counts = counts - np.clip(_RESERVOIR_SIZE - self.seen[rows], 0, counts)
+        drawing = np.nonzero(~filling)[0]  # each touched stream's tail
+        touched = draw_counts > 0
+        draws = self.draw(rows[touched], draw_counts[touched], highs[drawing])
         self.seen[rows] += counts
         # A later value overwrites an earlier one drawn onto the same
         # slot; fancy assignment leaves the winner among duplicate
         # indices unspecified, so keep each slot's last hit explicitly.
-        hits = np.nonzero(draws < _RESERVOIR_SIZE)[0]
-        slots = of_row[hits] * _RESERVOIR_SIZE + draws[hits]
-        _, last = np.unique(slots[::-1], return_index=True)
-        hits = hits[hits.size - 1 - last]
-        self.values[of_row[hits], draws[hits]] = values[hits]
+        kept = draws < _RESERVOIR_SIZE
+        hits, slots = drawing[kept], draws[kept]
+        cells = of_row[hits] * _RESERVOIR_SIZE + slots
+        _, last = np.unique(cells[::-1], return_index=True)
+        last = hits.size - 1 - last
+        self.values[of_row[hits[last]], slots[last]] = values[hits[last]]
 
 
 @dataclass(frozen=True)
@@ -206,6 +328,37 @@ class DistributionShiftDetector:
 def _live(lengths: np.ndarray) -> np.ndarray:
     """Mask of a lane matrix's live cells: row ``r``'s first ``lengths[r]``."""
     return np.arange(_RESERVOIR_SIZE) < lengths[:, None]
+
+
+def _lane_state(name: str, meta: dict, arrays: dict) -> tuple:
+    """Lane ``name`` of a ``state_arrays()`` payload as :meth:`_Lane.reset`
+    arguments; ``ValueError`` if the payload contradicts itself."""
+    raw_keys, seen, rngs = (meta[f"{name}_{part}"] for part in ("keys", "seen", "rng"))
+    lengths = np.asarray(arrays[f"{name}_lengths"], dtype=np.int64)
+    if not len(raw_keys) == len(seen) == len(rngs) == len(lengths):
+        raise ValueError(
+            f"{name} lane: {len(raw_keys)} keys, {len(seen)} seen counts,"
+            f" {len(rngs)} RNG states and {len(lengths)} lengths"
+        )
+    seen = np.asarray(seen, dtype=np.int64)
+    if not np.array_equal(lengths, np.minimum(seen, _RESERVOIR_SIZE)):
+        raise ValueError(f"{name} lane: reservoir lengths disagree with seen counts")
+    keys = [
+        ((key if isinstance(key, str) else tuple(map(int, key)), bool(mobile)), int(day))
+        for key, mobile, day in raw_keys
+    ]
+    if len(set(keys)) < len(keys):
+        raise ValueError(f"{name} lane repeats a ⟨key, day⟩")
+    has = np.array([rng["has_uint32"] for rng in rngs], dtype=np.int64)
+    spare = np.array([rng["uinteger"] for rng in rngs], dtype=np.int64)
+    if not (np.isin(has, (0, 1)).all() and np.all((spare >= 0) & (spare < _MAX_HIGH))):
+        raise ValueError(
+            f"{name} lane: has_uint32 must be 0 or 1 and uinteger a 32-bit word"
+        )
+    values = np.empty((len(lengths), _RESERVOIR_SIZE))
+    values[_live(lengths)] = arrays[f"{name}_values"]
+    bitgens = [rng_from_state_dict(rng).bit_generator for rng in rngs]
+    return keys, values, seen, bitgens, has, spare
 
 
 class ExpectedRTTLearner:
@@ -297,15 +450,22 @@ class ExpectedRTTLearner:
             order = np.argsort(codes, kind="stable")
             sorted_codes = codes[order]
             starts = np.concatenate(([0], np.nonzero(np.diff(sorted_codes))[0] + 1))
-            rows = []
-            for group, code in enumerate(sorted_codes[starts].tolist()):
-                pair_code, d = divmod(code, day_span)
-                vocab_idx, is_mobile = divmod(pair_code, 2)
-                key = ((vocab[vocab_idx], bool(is_mobile)), d + day0)
-                row = lane.rows.get(key, -1)
-                if row < 0:
-                    fresh.append((int(order[starts[group]]), lane_no, group, key))
-                rows.append(row)
+            pair_code, day_code = np.divmod(sorted_codes[starts], day_span)
+            vocab_idx, is_mobile = np.divmod(pair_code, 2)
+            keys = [
+                ((vocab[v], m), d)
+                for v, m, d in zip(
+                    vocab_idx.tolist(),
+                    is_mobile.astype(bool).tolist(),
+                    (day_code + day0).tolist(),
+                )
+            ]
+            rows = [lane.rows.get(key, -1) for key in keys]
+            fresh.extend(
+                (int(order[starts[group]]), lane_no, group, keys[group])
+                for group, row in enumerate(rows)
+                if row < 0
+            )
             folds.append((lane, rows, starts, mean_rtt_ms[order]))
         fresh.sort()
         for _, lane_no, group, key in fresh:
@@ -332,9 +492,7 @@ class ExpectedRTTLearner:
         for lane in (self._cloud, self._middle):
             kept = {key: row for key, row in lane.rows.items() if key[1] >= day}
             if len(kept) < len(lane.rows):
-                rows = list(kept.values())
-                rngs = [lane.rngs[row] for row in rows]
-                lane.reset(kept, lane.values[rows], lane.seen[rows], rngs)
+                lane.reset(kept, *lane.take(list(kept.values())))
 
     def state_arrays(self) -> tuple[dict, dict[str, np.ndarray]]:
         """The learner's full state as (JSON-safe meta, NumPy arrays).
@@ -357,28 +515,25 @@ class ExpectedRTTLearner:
                 for (key, mobile), day in lane.rows
             ]
             meta[f"{name}_seen"] = lane.seen[: len(lengths)].tolist()
-            meta[f"{name}_rng"] = [rng_state_dict(rng) for rng in lane.rngs]
+            meta[f"{name}_rng"] = lane.rng_states()
             arrays[f"{name}_values"] = lane.values[: len(lengths)][_live(lengths)]
             arrays[f"{name}_lengths"] = lengths
         return meta, arrays
 
     def restore_arrays(self, meta: dict, arrays: dict) -> None:
-        """Inverse of :meth:`state_arrays`; replaces all current state."""
+        """Inverse of :meth:`state_arrays`; replaces all current state.
+
+        A payload that contradicts itself raises ``ValueError`` naming
+        the lane, and leaves the learner as it was.
+        """
+        restored = [
+            (lane, _lane_state(name, meta, arrays))
+            for name, lane in (("cloud", self._cloud), ("middle", self._middle))
+        ]
         self.history_days = int(meta["history_days"])
         self._seed = int(meta["seed"])
-        for name, lane in (("cloud", self._cloud), ("middle", self._middle)):
-            lengths = np.asarray(arrays[f"{name}_lengths"], dtype=np.int64)
-            seen = np.asarray(meta[f"{name}_seen"], dtype=np.int64)
-            if not np.array_equal(lengths, np.minimum(seen, _RESERVOIR_SIZE)):
-                raise ValueError(f"{name} reservoir lengths disagree with seen counts")
-            values = np.empty((len(lengths), _RESERVOIR_SIZE))
-            values[_live(lengths)] = arrays[f"{name}_values"]
-            keys = []
-            for raw, mobile, day in meta[f"{name}_keys"]:
-                key = raw if isinstance(raw, str) else tuple(int(a) for a in raw)
-                keys.append(((key, bool(mobile)), int(day)))
-            rngs = [rng_from_state_dict(rng) for rng in meta[f"{name}_rng"]]
-            lane.reset(keys, values, seen, rngs)
+        for lane, state in restored:
+            lane.reset(*state)
 
     def _row(self, lane: _Lane, key: tuple) -> int:
         row = lane.rows.get(key)

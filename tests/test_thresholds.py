@@ -15,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.quartet import Quartet, QuartetBatch
-from repro.core.thresholds import ExpectedRTTLearner
+from repro.core.thresholds import ExpectedRTTLearner, _Lane
 from repro.net.geo import Region
+from repro.rngstate import rng_state_dict
 
 _PARENT_STATE = Path(__file__).parent / "golden" / "learner_state_v3.json"
 
@@ -217,6 +218,78 @@ def _hot_history(seed: int, n: int, first: int, last: int) -> list[Quartet]:
     ]
 
 
+def _small_state() -> tuple[dict, dict]:
+    """``state_arrays()`` after ``_hot_history(5, 50, 0, 10)``."""
+    learner = ExpectedRTTLearner()
+    learner.observe_all(_hot_history(5, 50, 0, 10))
+    return learner.state_arrays()
+
+
+class _ScalarReservoir:
+    """One reservoir as the per-value algorithm defines it: past the
+    fill, a scalar ``integers(0, seen)`` call on its own
+    ``default_rng(seed)`` per value."""
+
+    def __init__(self, seed: int, seen: int, day: int = 1):
+        self.rng = np.random.default_rng(seed)
+        self.seen = seen
+        self.day = day
+        self.values = [0.0] * min(seen, 256)
+
+    def draw(self, high: int) -> int:
+        return int(self.rng.integers(0, high))
+
+    def add(self, value: float) -> None:
+        self.seen += 1
+        if self.seen <= 256:
+            self.values.append(value)
+        elif (slot := self.draw(self.seen)) < 256:
+            self.values[slot] = value
+
+    def state(self) -> tuple:
+        return self.seen, rng_state_dict(self.rng), self.values
+
+
+def _key_json(name: str, i: int, day: int) -> list:
+    """Reservoir ``i``'s ⟨key, day⟩ as ``state_arrays()`` writes it:
+    ``edge-i`` in the cloud lane, path ``(10 + i,)`` in the middle lane."""
+    return [f"edge-{i}" if name == "cloud" else [10 + i], False, day]
+
+
+def _payload(scalar: dict) -> tuple[dict, dict]:
+    """A ``state_arrays()`` payload holding ``scalar``'s reservoirs."""
+    meta: dict = {"history_days": 14, "seed": 1000}
+    arrays = {}
+    for name in ("cloud", "middle"):
+        lane = [(i, res) for (of, i), res in scalar.items() if of == name]
+        meta[f"{name}_keys"] = [_key_json(name, i, res.day) for i, res in lane]
+        meta[f"{name}_seen"] = [res.seen for _, res in lane]
+        meta[f"{name}_rng"] = [rng_state_dict(res.rng) for _, res in lane]
+        arrays[f"{name}_values"] = np.array(
+            [value for _, res in lane for value in res.values], dtype=np.float64
+        )
+        arrays[f"{name}_lengths"] = np.array(
+            [len(res.values) for _, res in lane], dtype=np.int64
+        )
+    return meta, arrays
+
+
+def _reservoirs(learner: ExpectedRTTLearner) -> dict:
+    """Every reservoir of ``state_arrays()`` by lane and JSON key: its
+    seen count, RNG state dict and live values."""
+    meta, arrays = learner.state_arrays()
+    found = {}
+    for name in ("cloud", "middle"):
+        live = np.split(
+            arrays[f"{name}_values"], np.cumsum(arrays[f"{name}_lengths"])[:-1]
+        )
+        for key, seen, rng, values in zip(
+            meta[f"{name}_keys"], meta[f"{name}_seen"], meta[f"{name}_rng"], live
+        ):
+            found[name, json.dumps(key)] = (seen, rng, values.tolist())
+    return found
+
+
 class TestLaneStorage:
     """The columnar lane behind both writers (DESIGN.md §4b)."""
 
@@ -289,36 +362,137 @@ class TestLaneStorage:
     def test_restore_rejects_lengths_that_disagree_with_seen(self):
         """A reservoir's live length is ``min(seen, 256)``; a payload
         that says otherwise is corrupt, not a state to continue from."""
-        learner = ExpectedRTTLearner()
-        learner.observe_all(_hot_history(5, 50, 0, 10))
-        meta, arrays = learner.state_arrays()
+        meta, arrays = _small_state()
         meta["cloud_seen"][0] += 1
         with pytest.raises(ValueError, match="disagree"):
             ExpectedRTTLearner().restore_arrays(meta, arrays)
 
-    def test_array_high_integers_match_scalar_stream(self):
-        """The lane draws a reservoir's replacements in one
-        ``integers(0, highs)`` call. That equals one scalar call per
-        value — draws and final bit-generator state — only as long as
-        NumPy fills an array-``high`` request element by element from
-        the same bounded generator; pinned here so an upstream change
-        fails by this name, not as a golden diff."""
-        for seed in range(25):
-            array_rng = np.random.default_rng(seed)
-            scalar_rng = np.random.default_rng(seed)
-            seen = 256
-            for length in (1, 2, 7, 40, 1, 300, 3):
-                highs = seen + 1 + np.arange(length)
-                seen += length
-                drawn = array_rng.integers(0, highs)
-                assert drawn.dtype == np.int64
-                assert drawn.tolist() == [
-                    int(scalar_rng.integers(0, high)) for high in highs.tolist()
+    @pytest.mark.parametrize("part", ["keys", "seen", "rng", "lengths"])
+    @pytest.mark.parametrize("name", ["cloud", "middle"])
+    def test_restore_rejects_columns_of_different_lengths(self, name, part):
+        """One entry short and the rows no longer line up: a short RNG
+        list used to restore, and the next new row then took an
+        existing row's place."""
+        meta, arrays = _small_state()
+        if part == "lengths":
+            arrays[f"{name}_lengths"] = arrays[f"{name}_lengths"][:-1]
+        else:
+            meta[f"{name}_{part}"].pop()
+        with pytest.raises(ValueError, match=f"{name} lane: "):
+            ExpectedRTTLearner().restore_arrays(meta, arrays)
+
+    def test_restore_rejects_a_repeated_key(self):
+        """Two rows under one ⟨key, day⟩ leave one of them unreachable
+        (5 rows over 6 RNG streams)."""
+        meta, arrays = _small_state()
+        meta["middle_keys"][1] = list(meta["middle_keys"][0])
+        with pytest.raises(ValueError, match="middle lane repeats"):
+            ExpectedRTTLearner().restore_arrays(meta, arrays)
+
+    @pytest.mark.parametrize("has_uint32", [2, -1])
+    def test_restore_rejects_a_bad_half_word_flag(self, has_uint32):
+        meta, arrays = _small_state()
+        meta["cloud_rng"][0]["has_uint32"] = has_uint32
+        restored = ExpectedRTTLearner()
+        with pytest.raises(ValueError, match="cloud lane: has_uint32"):
+            restored.restore_arrays(meta, arrays)
+        assert_learners_identical(restored, ExpectedRTTLearner())
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_lane_draws_match_scalar_integers(self, seed, monkeypatch):
+        """A replacement draw is ``integers(0, seen)`` on the reservoir's
+        own ``default_rng``. The lane computes it from raw PCG64 words in
+        one pass per fold; its draws and every stream's full state (the
+        spare half-word, and the stale one left once it is spent) must
+        equal one scalar ``integers`` call per draw. Covered: small
+        bounds, bounds in [3·2³⁰, 2³²] where about an eighth of draws
+        reject, odd and even draw counts (so the spare carries across
+        folds), both writers, ``prune_before`` and a JSON round trip
+        through ``state_arrays`` → ``restore_arrays`` mid-stream."""
+        rng = np.random.default_rng(seed)
+        redraws = []
+        redraw = _Lane._redraw
+
+        def counted_redraw(lane, *args):
+            redraws.append(args[0])
+            return redraw(lane, *args)
+
+        monkeypatch.setattr(_Lane, "_redraw", counted_redraw)
+        small = [256 + int(rng.integers(0, 500)) for _ in range(3)]
+        big = [int(rng.integers(3 * 2**30, 2**32 - 10_000)) for _ in range(3)]
+        scalar = {
+            (name, i): _ScalarReservoir(seed * 100 + lane_no * 50 + i, seen)
+            for lane_no, name in enumerate(("cloud", "middle"))
+            for i, seen in enumerate(small + big)
+        }
+        # Day-0 reservoirs nothing observes, for prune_before to drop.
+        scalar["cloud", 6] = _ScalarReservoir(7, 3, day=0)
+        scalar["middle", 6] = _ScalarReservoir(8, 3, day=0)
+        learner = ExpectedRTTLearner()
+        learner.restore_arrays(*_payload(scalar))
+        ops = ["batch", "draw", "rows", "batch", "prune", "batch", "restore"]
+        for op in ops + ["draw", "rows", "batch", "draw"]:
+            if op in ("batch", "rows"):
+                per_key = rng.integers(0, 8, size=6)
+                quartets = [
+                    _quartet(
+                        time=293,
+                        rtt=round(float(rng.uniform(10, 90)), 1),
+                        loc=f"edge-{i}",
+                        middle=(10 + i,),
+                    )
+                    for i in rng.permutation(np.repeat(np.arange(6), per_key)).tolist()
                 ]
-                assert (
-                    array_rng.bit_generator.state
-                    == scalar_rng.bit_generator.state
-                )
+                for quartet in quartets:
+                    i = quartet.middle[0] - 10
+                    scalar["cloud", i].add(quartet.mean_rtt_ms)
+                    scalar["middle", i].add(quartet.mean_rtt_ms)
+                if op == "batch":
+                    learner.observe_batch(QuartetBatch.from_quartets(quartets))
+                else:
+                    learner.observe_all(quartets)
+            elif op == "draw":
+                for name, lane in (("cloud", learner._cloud), ("middle", learner._middle)):
+                    picked = rng.permutation(6)[: rng.integers(1, 7)].tolist()
+                    counts = rng.integers(1, 8, size=len(picked))
+                    n = int(counts.sum())
+                    highs = np.where(
+                        rng.random(n) < 0.5,
+                        rng.integers(2, 2**10, size=n),
+                        rng.integers(3 * 2**30, 2**32 + 1, size=n),
+                    )
+                    # Rows keep payload order through prune and restore,
+                    # and the stale day-0 reservoir is the last row.
+                    rows = np.array(picked)
+                    expected = []
+                    for i, chunk in zip(picked, np.split(highs, np.cumsum(counts)[:-1])):
+                        expected += [scalar[name, i].draw(h) for h in chunk.tolist()]
+                    assert lane.draw(rows, counts, highs).tolist() == expected
+            elif op == "prune":
+                learner.prune_before(1)
+                del scalar["cloud", 6], scalar["middle", 6]
+            else:
+                meta, arrays = learner.state_arrays()
+                learner = ExpectedRTTLearner()
+                learner.restore_arrays(json.loads(json.dumps(meta)), arrays)
+            assert _reservoirs(learner) == {
+                (name, json.dumps(_key_json(name, i, reservoir.day))): reservoir.state()
+                for (name, i), reservoir in scalar.items()
+            }
+        assert redraws
+
+    def test_a_draw_bound_past_32_bits_raises(self):
+        """NumPy draws bounds above 2³² by a different method; the lane
+        refuses rather than silently switching streams."""
+        scalar = {
+            (name, 0): _ScalarReservoir(1, 2**32) for name in ("cloud", "middle")
+        }
+        learner = ExpectedRTTLearner()
+        learner.restore_arrays(*_payload(scalar))
+        with pytest.raises(ValueError, match="draw bound above"):
+            learner.observe_batch(
+                QuartetBatch.from_quartets([_quartet(time=288, loc="edge-0")])
+            )
 
 
 class TestTableCache:

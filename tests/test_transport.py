@@ -292,6 +292,49 @@ class TestPipelineTransport:
         assert stats["shm_bytes"] == 0
         assert stats["shm_segments"] == 0
 
+    @needs_shm
+    def test_learned_run_across_a_day_boundary(self, multi_day_world):
+        """With the learner on, two workers cross the day-1 table
+        refresh byte-identical to the sequential pipeline (whose fold
+        replays every quartet into the parent's learner), the run's
+        learning and generation phases are traced, every shard comes
+        back through shared memory, and no segment is left behind."""
+        before = _shm_entries()
+
+        def run(pipeline):
+            pipeline.warmup(0, 96, stride=4)
+            return pipeline.run(240, 340)
+
+        expected = run(
+            BlameItPipeline(
+                Scenario.from_world(multi_day_world),
+                config=_config(),
+                seed=77,
+                rng_per_bucket=True,
+            )
+        )
+        sharded = ShardedPipeline(
+            Scenario.from_world(multi_day_world),
+            config=_config(),
+            seed=77,
+            n_workers=2,
+            metrics=MetricsRegistry(),
+        )
+        try:
+            got = run(sharded)
+        finally:
+            sharded.close()
+        assert _digest(got) == _digest(expected)
+        validate_snapshot(got.metrics)
+        assert {"phase.learning", "phase.generation"} <= set(got.metrics["spans"])
+        counters = got.metrics["counters"]
+        assert counters["transport.shm_bytes"] > 0
+        assert counters.get("transport.fallbacks", 0) == 0
+        leaked = {
+            entry for entry in _shm_entries() - before if entry.startswith("psm_")
+        }
+        assert leaked == set()
+
     def test_worker_crash_respawns_one_shard_not_the_pool(self, trained):
         """With the persistent pool, an injected worker crash is
         recovered by resubmitting the one failed shard; the pool object
