@@ -10,7 +10,7 @@ Packages:
 * :mod:`repro.net` — Internet substrate (AS topology, valley-free BGP,
   latency model, BGP listener).
 * :mod:`repro.cloud` — provider model (edge locations, clients, anycast,
-  telemetry, traceroute engine).
+  traceroute engine).
 * :mod:`repro.sim` — world simulation (faults, workload, scenarios,
   labelled incidents).
 * :mod:`repro.core` — BlameIt itself (Algorithm 1, expected-RTT learning,

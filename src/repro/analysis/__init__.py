@@ -1,6 +1,6 @@
 """Measurement characterization (§2) and evaluation validation (§6).
 
-* :mod:`repro.analysis.cdf` — empirical CDFs and the KS statistic.
+* :mod:`repro.analysis.cdf` — empirical CDFs.
 * :mod:`repro.analysis.characterize` — prevalence, diurnal patterns,
   persistence, and impact-skew analyses behind Figures 2-4.
 * :mod:`repro.analysis.validation` — incident validation (§6.3) and the
@@ -9,7 +9,7 @@
   rendering for the benches.
 """
 
-from repro.analysis.cdf import ECDF, ks_two_sample
+from repro.analysis.cdf import ECDF
 from repro.analysis.characterize import (
     PersistenceTracker,
     bad_fraction_by_hour,
@@ -37,7 +37,6 @@ __all__ = [
     "build_warmup_state",
     "corroboration_ratios",
     "impact_records_from_issues",
-    "ks_two_sample",
     "render_cdf",
     "render_series",
     "render_table",

@@ -61,9 +61,10 @@ def render_cdf(
             ``points`` values when None.
         points: Grid size when auto-generating.
     """
+    values = [float(v) for v in values]
     ecdf = ECDF(values)
     if grid is None:
-        lo, hi = ecdf.min, ecdf.max
+        lo, hi = min(values), max(values)
         if hi == lo:
             grid = [lo]
         else:

@@ -9,14 +9,10 @@
   spirit of Trinocular (BlameIt is 20× cheaper).
 * :mod:`repro.baselines.asmetro` — passive diagnosis with ⟨AS, Metro⟩
   grouping (prior practice; Figure 11's weaker variant).
-* :mod:`repro.baselines.netprofiler` — hierarchical client-attribute
-  diagnosis in the spirit of NetProfiler (BlameIt's closest passive
-  relative per §7).
 """
 
 from repro.baselines.active_only import ActiveOnlyMonitor
 from repro.baselines.asmetro import as_metro_batch
-from repro.baselines.netprofiler import GroupDiagnosis, NetProfilerDiagnosis
 from repro.baselines.tomography import (
     BooleanTomography,
     LinearTomography,
@@ -27,9 +23,7 @@ from repro.baselines.trinocular import TrinocularMonitor
 __all__ = [
     "ActiveOnlyMonitor",
     "BooleanTomography",
-    "GroupDiagnosis",
     "LinearTomography",
-    "NetProfilerDiagnosis",
     "PathObservation",
     "TrinocularMonitor",
     "as_metro_batch",

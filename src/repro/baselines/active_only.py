@@ -56,11 +56,6 @@ class ActiveOnlyMonitor:
         """Add a ⟨location, BGP path⟩ target with a representative /24."""
         self._targets.setdefault((location_id, middle), prefix24)
 
-    @property
-    def target_count(self) -> int:
-        """Registered targets."""
-        return len(self._targets)
-
     def run(self, start: Timestamp, end: Timestamp) -> list[DetectedIssue]:
         """Probe all targets over ``[start, end)`` and detect issues.
 
@@ -103,4 +98,4 @@ class ActiveOnlyMonitor:
     def probes_per_day(self) -> float:
         """Steady-state probe volume per simulated day."""
         buckets_per_day = 288
-        return self.target_count * buckets_per_day / self.interval_buckets
+        return len(self._targets) * buckets_per_day / self.interval_buckets

@@ -90,11 +90,6 @@ class TrinocularMonitor:
         """Add a target; first probe is scheduled immediately."""
         self._states.setdefault((location_id, middle), _TargetState(prefix24=prefix24))
 
-    @property
-    def target_count(self) -> int:
-        """Registered targets."""
-        return len(self._states)
-
     def run(self, start: Timestamp, end: Timestamp) -> list[BeliefChange]:
         """Drive the adaptive schedule over ``[start, end)``."""
         for state in self._states.values():

@@ -65,15 +65,6 @@ class RingFlap:
         if self.added_ms <= 0:
             raise ValueError("added_ms must be positive")
 
-    @property
-    def end(self) -> int:
-        """First bucket after the ring re-converges."""
-        return self.start + self.duration
-
-    def is_active(self, time: int) -> bool:
-        """Whether the flap affects bucket ``time``."""
-        return self.start <= time < self.end
-
 
 @dataclass(frozen=True, slots=True)
 class ServingAssignment:
@@ -226,11 +217,6 @@ class AnycastMapper:
         current = self.path_for(location, client)
         remaining = tuple(r for r in candidates if r.path != current)
         return self._select_for_location(location, remaining)
-
-    def invalidate(self) -> None:
-        """Drop cached selections (after topology/routing changes)."""
-        self._path_cache.clear()
-        self.routes.invalidate()
 
     def _select_for_location(
         self, location: CloudLocation, candidates: tuple[Route, ...]

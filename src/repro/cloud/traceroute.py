@@ -200,12 +200,6 @@ class TracerouteEngine:
             cumulative_ms=tuple(noisy),
         )
 
-    def reset_counters(self) -> None:
-        """Zero the probe counters (start of a measured experiment)."""
-        self.probes_issued = 0
-        self.reverse_probes_issued = 0
-        self.probes_by_location = {}
-
     def state_dict(self) -> dict:
         """JSON-safe snapshot: counters plus the exact noise-RNG state,
         so a restored engine draws the same measurement noise the

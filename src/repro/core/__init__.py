@@ -21,7 +21,7 @@ from repro.core.localize import CulpritVerdict, localize_culprit
 from repro.core.passive import PassiveLocalizer
 from repro.core.pipeline import BlameItPipeline, PipelineReport
 from repro.core.prediction import ClientCountPredictor, DurationPredictor
-from repro.core.quartet import Quartet, QuartetKey, aggregate_samples
+from repro.core.quartet import Quartet
 from repro.core.reverse import BidirectionalVerdict, localize_bidirectional
 from repro.core.thresholds import (
     DistributionShiftDetector,
@@ -52,8 +52,6 @@ __all__ = [
     "PipelineReport",
     "ProbeBudget",
     "Quartet",
-    "QuartetKey",
-    "aggregate_samples",
     "client_time_product",
     "group_key",
     "localize_bidirectional",

@@ -88,10 +88,3 @@ class AlertManager:
             self._alerts, key=lambda a: (-a.impact, a.first_seen, a.location_id)
         )
         return ranked[: self.top_k]
-
-    def tickets_for(self, team: Team) -> list[Alert]:
-        """The emitted tickets routed to one team."""
-        return [alert for alert in self.tickets() if alert.team is team]
-
-    def __len__(self) -> int:
-        return len(self._alerts)

@@ -126,9 +126,6 @@ class BaselineStore:
                 return result
         return None
 
-    def __len__(self) -> int:
-        return len(self._by_middle)
-
     def state_dict(self) -> dict:
         """JSON-safe snapshot of both indexes.
 
@@ -297,21 +294,7 @@ class BackgroundProber:
         bisect.insort(self._schedule.setdefault(slot, []), (key, prefix24))
         return True
 
-    @property
-    def target_count(self) -> int:
-        """Number of registered ⟨location, BGP path⟩ targets."""
-        return len(self._targets)
-
     # -- periodic probing --------------------------------------------------
-
-    def _due(self, key: TargetKey, time: Timestamp) -> bool:
-        """Stagger targets across the interval by hashing their key.
-
-        Uses a stable hash (not Python's salted ``hash``) so probe
-        schedules are reproducible across processes.
-        """
-        digest = zlib.crc32(repr(key).encode("utf-8"))
-        return time % self.interval_buckets == digest % self.interval_buckets
 
     def run_bucket(self, time: Timestamp) -> list[TracerouteResult]:
         """Issue the periodic probes scheduled for one bucket.

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.quartet import Quartet, QuartetBatch
-from repro.sim.faults import SegmentKind
 
 
 class Blame(enum.Enum):
@@ -22,16 +21,6 @@ class Blame(enum.Enum):
 
     def __str__(self) -> str:
         return self.value
-
-    @property
-    def segment(self) -> SegmentKind | None:
-        """The corresponding path segment, if the blame names one."""
-        mapping = {
-            Blame.CLOUD: SegmentKind.CLOUD,
-            Blame.MIDDLE: SegmentKind.MIDDLE,
-            Blame.CLIENT: SegmentKind.CLIENT,
-        }
-        return mapping.get(self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,17 +40,6 @@ class BlameResult:
     blame: Blame
     cloud_bad_fraction: float | None = None
     middle_bad_fraction: float | None = None
-
-    @property
-    def blamed_asn(self) -> int | None:
-        """The faulty AS when the blame directly names one.
-
-        Cloud blames name the cloud AS (resolved by the pipeline), client
-        blames name the client AS; middle blames need the active phase.
-        """
-        if self.blame is Blame.CLIENT:
-            return self.quartet.client_asn
-        return None
 
 
 #: Decision-chain codes used by the vectorized passive phase: 0/2 are the

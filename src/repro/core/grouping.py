@@ -80,27 +80,3 @@ def sharing_counts(
     return {
         prefix: group_sizes[key] - 1 for prefix, key in keys_by_prefix.items()
     }
-
-
-def consistent_path_fraction(
-    paths_by_group: dict[Hashable, set],
-) -> float:
-    """Fraction of groups whose members all share a single path.
-
-    Used to reproduce the §4.2 measurement that only ~47 % of ⟨AS, Metro⟩
-    groups see one consistent BGP path.
-
-    Args:
-        paths_by_group: Map from group key to the set of distinct middle
-            paths observed inside the group.
-
-    Returns:
-        Fraction in [0, 1]; 1.0 when every group is single-path.
-
-    Raises:
-        ValueError: On an empty input.
-    """
-    if not paths_by_group:
-        raise ValueError("no groups given")
-    single = sum(1 for paths in paths_by_group.values() if len(paths) == 1)
-    return single / len(paths_by_group)

@@ -66,11 +66,6 @@ class DurationPredictor:
         if key is not None:
             self._by_key.setdefault(key, []).append(duration)
 
-    def observe_all(self, durations: list[int], key: Hashable | None = None) -> None:
-        """Record a batch of durations under one key."""
-        for duration in durations:
-            self.observe(duration, key)
-
     def _pool(self, key: Hashable | None) -> list[int]:
         if key is not None:
             history = self._by_key.get(key, [])
@@ -81,10 +76,10 @@ class DurationPredictor:
     def _pool_stats(self, pool: list[int]) -> tuple[np.ndarray, np.ndarray]:
         """Sorted durations and suffix sums for a pool (cached).
 
-        ``suffix[i]`` is the sum of ``sorted[i:]``, so both queries
-        reduce to ``searchsorted`` instead of an O(n) scan per call.
+        ``suffix[i]`` is the sum of ``sorted[i:]``, so the mean residual
+        life reduces to ``searchsorted`` instead of an O(n) scan per call.
         Integer sums are order-independent and exact in int64, which is
-        why the fast path returns the same floats as the list scans.
+        why the fast path returns the same floats as a list scan.
         """
         cached = self._stats_cache.get(id(pool))
         if cached is not None and cached[0] == len(pool):
@@ -95,22 +90,6 @@ class DurationPredictor:
             suffix[:-1] = np.cumsum(durations[::-1])[::-1]
         self._stats_cache[id(pool)] = (len(pool), durations, suffix)
         return durations, suffix
-
-    def survival_probability(
-        self, elapsed: int, additional: int, key: Hashable | None = None
-    ) -> float:
-        """P(total duration > elapsed + additional | duration > elapsed)."""
-        if elapsed < 0 or additional < 0:
-            raise ValueError("elapsed and additional must be non-negative")
-        durations, _ = self._pool_stats(self._pool(key))
-        n = len(durations)
-        alive = n - int(np.searchsorted(durations, elapsed, side="right"))
-        if alive == 0:
-            return 0.0
-        survive = n - int(
-            np.searchsorted(durations, elapsed + additional, side="right")
-        )
-        return survive / alive
 
     def expected_remaining(self, elapsed: int, key: Hashable | None = None) -> float:
         """Expected additional duration given the issue has lasted ``elapsed``.

@@ -94,9 +94,6 @@ class CoAnomalyHistory:
         self.maxlen = maxlen
         self._windows: deque[frozenset["IssueKey"]] = deque(maxlen=maxlen)
 
-    def __len__(self) -> int:
-        return len(self._windows)
-
     def observe(self, keys: Iterable["IssueKey"]) -> None:
         """Record one window's middle-blamed keys (no-op when empty)."""
         window = frozenset(keys)

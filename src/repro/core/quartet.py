@@ -13,11 +13,10 @@ client AS, the client-region, and the active-user count of the /24.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from repro.cloud.telemetry import RTTSample
 from repro.net.addressing import Prefix24
 from repro.net.asn import ASPath
 from repro.net.bgp import Timestamp
@@ -29,15 +28,6 @@ DEFAULT_MIN_SAMPLES = 10
 #: Bit width reserved for the middle-path index inside a pair code (the
 #: ⟨location, middle⟩ composite key the columnar hot path groups by).
 PAIR_SHIFT = 32
-
-
-class QuartetKey(NamedTuple):
-    """The identifying 4-tuple of a quartet."""
-
-    prefix24: Prefix24
-    location_id: str
-    mobile: bool
-    time: Timestamp
 
 
 class Quartet(NamedTuple):
@@ -66,70 +56,6 @@ class Quartet(NamedTuple):
     client_asn: int
     middle: ASPath
     region: Region
-
-    @property
-    def key(self) -> QuartetKey:
-        """The identifying 4-tuple."""
-        return QuartetKey(self.prefix24, self.location_id, self.mobile, self.time)
-
-
-class QuartetContext(NamedTuple):
-    """Per-path context an aggregator must supply for each sample group."""
-
-    users: int
-    client_asn: int
-    middle: ASPath
-    region: Region
-
-
-#: Resolves the context for a (prefix24, location_id, time) triple.
-ContextResolver = Callable[[Prefix24, str, Timestamp], QuartetContext]
-
-
-def aggregate_samples(
-    samples: Iterable[RTTSample],
-    resolve_context: ContextResolver,
-    min_samples: int = 1,
-) -> list[Quartet]:
-    """Fold raw RTT samples into quartets.
-
-    Args:
-        samples: Raw per-connection measurements.
-        resolve_context: Callback supplying users/AS/path/region for each
-            quartet key (the scenario or a BGP-table join provides this).
-        min_samples: Drop quartets with fewer samples than this. The
-            passive localizer applies its own 10-sample gate, so the
-            default here keeps everything.
-
-    Returns:
-        Quartets sorted by (time, location, prefix, mobile).
-    """
-    sums: dict[QuartetKey, tuple[float, int]] = {}
-    for sample in samples:
-        key = QuartetKey(sample.prefix24, sample.location_id, sample.mobile, sample.time)
-        total, count = sums.get(key, (0.0, 0))
-        sums[key] = (total + sample.rtt_ms, count + 1)
-    quartets: list[Quartet] = []
-    for key, (total, count) in sums.items():
-        if count < min_samples:
-            continue
-        context = resolve_context(key.prefix24, key.location_id, key.time)
-        quartets.append(
-            Quartet(
-                time=key.time,
-                prefix24=key.prefix24,
-                location_id=key.location_id,
-                mobile=key.mobile,
-                mean_rtt_ms=total / count,
-                n_samples=count,
-                users=context.users,
-                client_asn=context.client_asn,
-                middle=context.middle,
-                region=context.region,
-            )
-        )
-    quartets.sort(key=lambda q: (q.time, q.location_id, q.prefix24, q.mobile))
-    return quartets
 
 
 @dataclass(slots=True)
@@ -287,18 +213,3 @@ class QuartetBatch:
             self.locations[code >> PAIR_SHIFT],
             self.middles[code & ((1 << PAIR_SHIFT) - 1)],
         )
-
-
-def split_half_means(rtts: list[float]) -> tuple[float, float]:
-    """Means of the even- and odd-indexed halves of a sample list.
-
-    Used by the §2.1 sanity check that a quartet's samples look like one
-    distribution: the two half-means should agree closely. (The paper ran
-    a Kolmogorov-Smirnov test; see
-    :func:`repro.analysis.cdf.ks_two_sample` for the full statistic.)
-    """
-    if len(rtts) < 2:
-        raise ValueError("need at least two samples to split")
-    evens = rtts[0::2]
-    odds = rtts[1::2]
-    return (sum(evens) / len(evens), sum(odds) / len(odds))

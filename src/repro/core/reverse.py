@@ -40,11 +40,6 @@ class BidirectionalVerdict:
     forward: CulpritVerdict
     reverse: CulpritVerdict | None
 
-    @property
-    def asn(self) -> int | None:
-        """The blamed AS."""
-        return self.verdict.asn
-
 
 def _delta_at(
     baseline: TracerouteResult, current: TracerouteResult, asn: int

@@ -320,10 +320,6 @@ class DistributionShiftDetector:
             best = max(best, f_ref - f_win)
         return best >= self.ks_threshold
 
-    def reference_size(self, key: tuple) -> int:
-        """Number of reference RTTs held for a key."""
-        return len(self._reference.get(key, ()))
-
 
 def _live(lengths: np.ndarray) -> np.ndarray:
     """Mask of a lane matrix's live cells: row ``r``'s first ``lengths[r]``."""

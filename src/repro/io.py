@@ -45,29 +45,58 @@ def params_to_dict(params: ScenarioParams) -> dict[str, Any]:
     return data
 
 
+def _section(cls: type, data: Any, section: str) -> dict[str, Any]:
+    """Keyword arguments for ``cls`` from one spec section.
+
+    JSON lists become tuples (``regions`` lists become :class:`Region`
+    tuples). A field the section omits takes ``cls``'s default.
+
+    Raises:
+        ValueError: If the section is not an object, names a field ``cls``
+            does not have, or omits one without a default. The message
+            names the section and the field.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"scenario spec: {section} must be an object")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    for name in data:
+        if name not in fields:
+            raise ValueError(f"scenario spec: unknown field {section}.{name}")
+    for name, f in fields.items():
+        required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        if required and name not in data:
+            raise ValueError(f"scenario spec: missing field {section}.{name}")
+    kwargs = {}
+    for name, value in data.items():
+        if isinstance(value, list):
+            value = tuple(Region[v] for v in value) if name == "regions" else tuple(value)
+        kwargs[name] = value
+    return kwargs
+
+
 def params_from_dict(data: dict[str, Any]) -> ScenarioParams:
-    """Inverse of :func:`params_to_dict`."""
+    """Inverse of :func:`params_to_dict`.
+
+    Raises:
+        ValueError: Naming the section and field of an unknown or missing
+            field (see :func:`_section`).
+    """
     from repro.cloud.clients import PopulationParams
     from repro.net.latency import LatencyParams
     from repro.net.topology import TopologyParams
     from repro.sim.workload import WorkloadParams
 
-    payload = dict(data)
-    payload["regions"] = tuple(Region[name] for name in payload["regions"])
-    topology = dict(payload["topology"])
-    topology["regions"] = tuple(Region[name] for name in topology["regions"])
-    payload["topology"] = TopologyParams(**topology)
-    payload["population"] = PopulationParams(
-        **{
-            **payload["population"],
-            "announcements_per_as": tuple(payload["population"]["announcements_per_as"]),
-            "announcement_lengths": tuple(payload["population"]["announcement_lengths"]),
-        }
-    )
-    payload["latency"] = LatencyParams(**payload["latency"])
-    payload["workload"] = WorkloadParams(**payload["workload"])
-    payload["fault_rates"] = FaultRates(**payload["fault_rates"])
-    payload["evening_congestion_ms"] = tuple(payload["evening_congestion_ms"])
+    payload = _section(ScenarioParams, data, "params")
+    nested = {
+        "topology": TopologyParams,
+        "population": PopulationParams,
+        "latency": LatencyParams,
+        "workload": WorkloadParams,
+        "fault_rates": FaultRates,
+    }
+    for name, cls in nested.items():
+        if name in payload:
+            payload[name] = cls(**_section(cls, payload[name], f"params.{name}"))
     return ScenarioParams(**payload)
 
 
@@ -167,8 +196,14 @@ def scenario_from_dict(data: dict[str, Any]) -> Scenario:
     world = build_world(params)
     faults = tuple(_fault_from_dict(f) for f in data["faults"])
     reroutes = tuple(_reroute_from_dict(r) for r in data["reroutes"])
-    surges = tuple(DemandSurge(**s) for s in data.get("surges", ()))
-    flaps = tuple(RingFlap(**f) for f in data.get("ring_flaps", ()))
+    surges = tuple(
+        DemandSurge(**_section(DemandSurge, s, f"surges[{i}]"))
+        for i, s in enumerate(data.get("surges", ()))
+    )
+    flaps = tuple(
+        RingFlap(**_section(RingFlap, f, f"ring_flaps[{i}]"))
+        for i, f in enumerate(data.get("ring_flaps", ()))
+    )
     return Scenario(world, faults, reroutes, surges=surges, ring_flaps=flaps)
 
 

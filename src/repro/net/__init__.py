@@ -9,7 +9,7 @@ and churn events (:mod:`repro.net.bgp`), and the per-segment latency model
 (:mod:`repro.net.latency`).
 """
 
-from repro.net.addressing import BGPPrefix, Prefix24, format_prefix24, parse_prefix24
+from repro.net.addressing import BGPPrefix, Prefix24, parse_prefix24
 from repro.net.asn import AutonomousSystem, ASTier
 from repro.net.bgp import BGPListener, BGPTable, BGPUpdate, BGPUpdateKind, RouteEntry
 from repro.net.geo import Metro, Region, haversine_km, propagation_rtt_ms
@@ -36,7 +36,6 @@ __all__ = [
     "RouteComputer",
     "RouteEntry",
     "TopologyParams",
-    "format_prefix24",
     "generate_topology",
     "haversine_km",
     "parse_prefix24",

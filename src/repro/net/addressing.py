@@ -41,13 +41,6 @@ def parse_prefix24(dotted: str) -> Prefix24:
     return (octets[0] << 16) | (octets[1] << 8) | octets[2]
 
 
-def format_prefix24(prefix: Prefix24) -> str:
-    """Format a /24 key as ``"a.b.c.0/24"``."""
-    if not 0 <= prefix <= _MAX_PREFIX24:
-        raise ValueError(f"/24 key out of range: {prefix}")
-    return f"{(prefix >> 16) & 0xFF}.{(prefix >> 8) & 0xFF}.{prefix & 0xFF}.0/24"
-
-
 def prefix24_network_address(prefix: Prefix24) -> int:
     """The 32-bit network address of a /24 key."""
     return prefix << 8
@@ -90,12 +83,6 @@ class BGPPrefix:
         """Iterate over every /24 key covered by this announcement."""
         first = self.network >> 8
         yield from range(first, first + self.prefix24_count())
-
-    @classmethod
-    def from_prefix24(cls, prefix: Prefix24, length: int = 24) -> "BGPPrefix":
-        """The announcement of ``length`` containing the given /24."""
-        mask = (0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF
-        return cls(network=prefix24_network_address(prefix) & mask, length=length)
 
     def __str__(self) -> str:
         return (

@@ -5,8 +5,8 @@ The paper's background-probe optimization (§5.4) triggers traceroutes when
 route has been withdrawn", learned from a BGP listener connected to all
 border routers over IBGP. Here each cloud location owns a
 :class:`BGPTable`; the simulation installs and withdraws routes as the
-scenario evolves, and a :class:`BGPListener` fans the resulting
-:class:`BGPUpdate` events out to subscribers (the background probe manager).
+scenario evolves, and a :class:`BGPListener` logs the resulting
+:class:`BGPUpdate` events for the background probe manager to query.
 """
 
 from __future__ import annotations
@@ -14,10 +14,9 @@ from __future__ import annotations
 import bisect
 import enum
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.net.addressing import BGPPrefix
-from repro.net.asn import ASPath, middle_asns
+from repro.net.asn import ASPath
 
 #: Discrete simulation time: index of a 5-minute bucket.
 Timestamp = int
@@ -46,16 +45,6 @@ class RouteEntry:
     prefix: BGPPrefix
     as_path: ASPath
     installed_at: Timestamp
-
-    @property
-    def origin_asn(self) -> int:
-        """The origin (client) AS of the route."""
-        return self.as_path[-1]
-
-    @property
-    def middle(self) -> ASPath:
-        """The middle segment (AS path minus cloud and client ASes)."""
-        return middle_asns(self.as_path)
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,47 +114,30 @@ class BGPTable:
             time=time,
         )
 
-    def lookup(self, prefix: BGPPrefix) -> RouteEntry | None:
-        """The installed route for a prefix, or None."""
-        return self._routes.get(prefix)
-
-    def entries(self) -> tuple[RouteEntry, ...]:
-        """All installed routes, ordered by prefix."""
-        return tuple(self._routes[p] for p in sorted(self._routes))
-
-    def __len__(self) -> int:
-        return len(self._routes)
-
 
 @dataclass
 class BGPListener:
-    """Fans BGP update events out to subscribers and keeps a log.
+    """Keeps a time-ordered log of BGP update events.
 
     The listener is the integration point between the routing substrate
-    and BlameIt's background-probe manager: the manager subscribes and
-    issues a traceroute to each prefix whose path changed (§5.4).
+    and BlameIt's background-probe manager: the manager reads each
+    bucket's updates and issues a traceroute to each prefix whose path
+    changed (§5.4).
     """
 
-    _subscribers: list[Callable[[BGPUpdate], None]] = field(default_factory=list)
     log: list[BGPUpdate] = field(default_factory=list)
     #: Whether ``log`` is non-decreasing in time (the normal case:
     #: scenarios publish installs then reroutes in time order), enabling
     #: bisected range queries. A single out-of-order publish clears it.
     _log_sorted: bool = True
 
-    def subscribe(self, callback: Callable[[BGPUpdate], None]) -> None:
-        """Register a callback invoked for every future update."""
-        self._subscribers.append(callback)
-
     def publish(self, update: BGPUpdate | None) -> None:
-        """Record an update and notify subscribers. ``None`` is ignored."""
+        """Record an update. ``None`` is ignored."""
         if update is None:
             return
         if self._log_sorted and self.log and update.time < self.log[-1].time:
             self._log_sorted = False
         self.log.append(update)
-        for callback in self._subscribers:
-            callback(update)
 
     def updates_between(self, start: Timestamp, end: Timestamp) -> tuple[BGPUpdate, ...]:
         """Logged updates with ``start <= time < end``."""
@@ -175,14 +147,3 @@ class BGPListener:
             hi = bisect.bisect_left(log, end, lo=lo, key=lambda u: u.time)
             return tuple(log[lo:hi])
         return tuple(u for u in log if start <= u.time < end)
-
-    def churn_fraction(self, total_paths: int) -> float:
-        """Fraction of distinct (location, prefix) pairs that ever churned.
-
-        The paper reports nearly two-thirds of BGP paths see *no* churn in
-        a day; this is the complementary measure used by benches.
-        """
-        if total_paths <= 0:
-            raise ValueError("total_paths must be positive")
-        churned = {(u.location_id, u.prefix) for u in self.log}
-        return min(1.0, len(churned) / total_paths)

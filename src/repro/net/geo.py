@@ -143,15 +143,3 @@ WORLD_METROS: tuple[Metro, ...] = (
 def metros_in_region(region: Region) -> tuple[Metro, ...]:
     """All catalogue metros in ``region``."""
     return tuple(m for m in WORLD_METROS if m.region == region)
-
-
-def metro_by_name(name: str) -> Metro:
-    """Look up a catalogue metro by name.
-
-    Raises:
-        KeyError: If no metro with that name exists in the catalogue.
-    """
-    for metro in WORLD_METROS:
-        if metro.name == name:
-            return metro
-    raise KeyError(f"unknown metro: {name!r}")

@@ -46,19 +46,6 @@ class PathLatency:
         """End-to-end baseline RTT."""
         return self.cloud_ms + sum(self.middle_ms) + self.client_ms
 
-    def cumulative_ms(self) -> tuple[float, ...]:
-        """Cumulative RTT at each AS boundary, as a traceroute observes it.
-
-        Element 0 is the RTT to the last hop inside the cloud AS; elements
-        1..n are RTTs to the last hop of each middle AS; the final element
-        is the RTT to the client (the full path RTT).
-        """
-        values = [self.cloud_ms]
-        for ms in self.middle_ms:
-            values.append(values[-1] + ms)
-        values.append(values[-1] + self.client_ms)
-        return tuple(values)
-
 
 @dataclass(frozen=True)
 class LatencyParams:
@@ -71,9 +58,9 @@ class LatencyParams:
         client_fixed_ms: Mean last-mile latency for non-mobile clients.
         client_mobile_extra_ms: Extra mean last-mile latency for mobile
             (cellular) clients.
-        noise_sigma: Shape parameter of the lognormal multiplicative
-            sample noise (0 disables noise).
-        min_rtt_ms: Floor for any sampled RTT.
+        noise_sigma: Relative RTT noise of one sample; a quartet mean's
+            noise shrinks with the square root of its sample count
+            (0 disables noise).
     """
 
     cloud_base_ms: float = 2.0
@@ -81,7 +68,6 @@ class LatencyParams:
     client_fixed_ms: float = 8.0
     client_mobile_extra_ms: float = 25.0
     noise_sigma: float = 0.08
-    min_rtt_ms: float = 1.0
 
 
 def _stable_unit_weights(key: str, n: int) -> np.ndarray:
@@ -160,28 +146,3 @@ class LatencyModel:
         )
         self._cache[key] = latency
         return latency
-
-    def sample_rtt(
-        self, baseline_ms: float, rng: np.random.Generator, n: int = 1
-    ) -> np.ndarray:
-        """Draw noisy RTT samples around a baseline.
-
-        Multiplicative lognormal noise models queueing jitter; the floor
-        keeps samples physical.
-
-        Args:
-            baseline_ms: The deterministic path RTT (plus any fault delta).
-            rng: Random generator for the draw.
-            n: Number of samples.
-
-        Returns:
-            Array of ``n`` RTTs in milliseconds.
-        """
-        if baseline_ms < 0:
-            raise ValueError(f"baseline RTT must be non-negative, got {baseline_ms}")
-        sigma = self.params.noise_sigma
-        if sigma <= 0:
-            samples = np.full(n, baseline_ms)
-        else:
-            samples = baseline_ms * rng.lognormal(mean=0.0, sigma=sigma, size=n)
-        return np.maximum(samples, self.params.min_rtt_ms)

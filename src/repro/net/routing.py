@@ -55,11 +55,6 @@ class Route:
         """The cloud's next-hop AS."""
         return self.path[1]
 
-    @property
-    def destination(self) -> int:
-        """The destination (client) AS."""
-        return self.path[-1]
-
     def sort_key(self) -> tuple[int, int, int]:
         """Selection order: preference, then length, then next-hop ASN."""
         return (int(self.preference), len(self.path), self.path[1])
@@ -95,11 +90,6 @@ class RouteComputer:
             tuple[int, frozenset[int] | None], dict[int, _SelectedRoute]
         ] = {}
 
-    def invalidate(self) -> None:
-        """Drop all cached routes (topology changed)."""
-        self._cache.clear()
-        self._selected_cache.clear()
-
     # -- public API ----------------------------------------------------
 
     def candidate_routes(
@@ -125,13 +115,6 @@ class RouteComputer:
             cached = self._compute(dest_asn, key[1])
             self._cache[key] = cached
         return cached
-
-    def best_route(
-        self, dest_asn: int, announce_to: Iterable[int] | None = None
-    ) -> Route | None:
-        """The cloud AS's best route to ``dest_asn``, or None if unreachable."""
-        candidates = self.candidate_routes(dest_asn, announce_to)
-        return candidates[0] if candidates else None
 
     def selected_path(
         self,

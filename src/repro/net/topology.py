@@ -166,15 +166,8 @@ class ASTopology:
         """All direct neighbors, sorted."""
         return tuple(sorted(self.graph.neighbors(asn)))
 
-    def remove_edge(self, a: int, b: int) -> None:
-        """Remove a direct adjacency (used to simulate link withdrawals)."""
-        self.graph.remove_edge(a, b)
-
     def __contains__(self, asn: int) -> bool:
         return asn in self._ases
-
-    def __len__(self) -> int:
-        return len(self._ases)
 
 
 @dataclass
@@ -194,13 +187,6 @@ class GeneratedTopology:
     tier1_asns: tuple[int, ...]
     transit_asns_by_region: dict[Region, tuple[int, ...]] = field(default_factory=dict)
     access_asns_by_region: dict[Region, tuple[int, ...]] = field(default_factory=dict)
-
-    @property
-    def access_asns(self) -> tuple[int, ...]:
-        """All access ASNs across regions, sorted."""
-        return tuple(
-            sorted(asn for asns in self.access_asns_by_region.values() for asn in asns)
-        )
 
 
 def _pick_metros(

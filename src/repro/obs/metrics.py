@@ -79,13 +79,6 @@ class Histogram:
         if value > self.max:
             self.max = value
 
-    @property
-    def mean(self) -> float:
-        """Average observed value (0.0 before any observation)."""
-        if self.count == 0:
-            return 0.0
-        return self.total / self.count
-
     def as_dict(self) -> dict[str, float]:
         if self.count == 0:
             return {"count": 0, "total": 0.0, "min": 0.0, "max": 0.0}
@@ -199,10 +192,6 @@ class MetricsRegistry:
             if histogram is None:
                 histogram = self._spans[name] = Histogram()
             histogram.merge_dict(data)
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry's current state into this one."""
-        self.merge_snapshot(other.snapshot())
 
 
 class _NullCounter(Counter):

@@ -19,14 +19,4 @@ is plain arithmetic over columns. This package exploits both:
 
 from repro.perf.batch import BatchQuartetGenerator
 
-__all__ = ["BatchQuartetGenerator", "ShardedPipeline"]
-
-
-def __getattr__(name: str):
-    # Lazy: the sharded driver imports repro.core.pipeline, which
-    # imports repro.perf.batch — an eager import here closes the cycle.
-    if name == "ShardedPipeline":
-        from repro.perf.sharded import ShardedPipeline
-
-        return ShardedPipeline
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = ["BatchQuartetGenerator"]

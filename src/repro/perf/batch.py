@@ -34,6 +34,10 @@ from repro.sim.workload import is_weekend
 #: Sentinel "never changes" end time for a timeline's last segment.
 _NEVER = np.iinfo(np.int64).max
 
+#: Floor for a quartet's mean RTT (ms): sampling noise never drives a
+#: mean below one physical millisecond.
+MIN_MEAN_RTT_MS = 1.0
+
 
 class BatchQuartetGenerator:
     """Generates every bucket's quartets as one :class:`QuartetBatch`."""
@@ -453,7 +457,7 @@ class BatchQuartetGenerator:
         counts_active = counts[active]
         sigma = scenario.world.params.latency.noise_sigma
         mean = totals * (1.0 + sigma * noise / np.sqrt(counts_active))
-        mean = np.maximum(1.0, mean)
+        mean = np.maximum(MIN_MEAN_RTT_MS, mean)
 
         keep = np.nonzero(valid)[0]
         slots_kept = active[keep]

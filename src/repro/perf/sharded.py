@@ -435,10 +435,6 @@ class ShardedPipeline:
     # -- delegation ----------------------------------------------------
 
     @property
-    def scenario(self) -> Scenario:
-        return self.pipeline.scenario
-
-    @property
     def engine(self):
         """The fold-side traceroute engine (probes run in the fold)."""
         return self.pipeline.engine
@@ -456,12 +452,6 @@ class ShardedPipeline:
         paths call it explicitly (SIGTERM included) rather than waiting
         on collection."""
         self._res.close()
-
-    def __enter__(self) -> "ShardedPipeline":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     # -- sharding ------------------------------------------------------
 

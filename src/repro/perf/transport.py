@@ -62,11 +62,6 @@ except ImportError:  # pragma: no cover
 _ALIGN = 16
 
 
-def shm_available() -> bool:
-    """Whether POSIX shared memory is usable on this platform."""
-    return shared_memory is not None
-
-
 @dataclass(slots=True)
 class ShardPayload:
     """One shard's result on its way through the result pipe.

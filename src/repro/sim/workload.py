@@ -109,17 +109,6 @@ class ActivityModel:
             * weekend_factor(time, enterprise)
         )
 
-    def sample_connections(
-        self,
-        users: int,
-        metro: Metro,
-        enterprise: bool,
-        time: Timestamp,
-        rng: np.random.Generator,
-    ) -> int:
-        """Poisson draw of the connection count for one bucket."""
-        return int(rng.poisson(self.expected_connections(users, metro, enterprise, time)))
-
     def evening_weights(self, metro: Metro, enterprise: bool) -> np.ndarray:
         """Relative per-bucket weights across one day for fault-start bias.
 

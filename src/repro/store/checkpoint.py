@@ -358,15 +358,6 @@ class CheckpointStore:
 
     # -- report archives ------------------------------------------------
 
-    def archive_seq(self) -> int:
-        """The next unused archive sequence number (keys-only scan)."""
-        seqs = [
-            int(key.split("/")[1])
-            for key, schema in self._sqlite.scan_keys("archive/")
-            if schema in (None, _ARCHIVE_SCHEMA)
-        ]
-        return max(seqs) + 1 if seqs else 0
-
     def append_archive(self, seq: int, payload: dict) -> None:
         """Write archive chunk ``seq`` (a ``report_state_dict`` slice of
         closed issues/verdicts the daemon evicted from memory)."""

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.net.addressing import (
     BGPPrefix,
     Prefix24Allocator,
-    format_prefix24,
     parse_prefix24,
     prefix24_network_address,
 )
@@ -36,11 +35,7 @@ class TestParseFormat:
 
     @given(prefix=_P24)
     def test_roundtrip(self, prefix):
-        assert parse_prefix24(format_prefix24(prefix)) == prefix
-
-    def test_format_out_of_range(self):
-        with pytest.raises(ValueError):
-            format_prefix24(1 << 24)
+        assert parse_prefix24(str(BGPPrefix(network=prefix << 8, length=24))) == prefix
 
     @given(prefix=_P24)
     def test_network_address(self, prefix):
@@ -74,15 +69,9 @@ class TestBGPPrefix:
         block = BGPPrefix(network=parse_prefix24("10.1.0") << 8, length=20)
         assert str(block) == "10.1.0.0/20"
 
-    @given(prefix=_P24, length=st.integers(min_value=8, max_value=24))
-    def test_from_prefix24_contains_it(self, prefix, length):
-        block = BGPPrefix.from_prefix24(prefix, length)
-        assert block.contains_prefix24(prefix)
-        assert block.length == length
-
     @given(prefix=_P24)
     def test_slash24_is_singleton(self, prefix):
-        block = BGPPrefix.from_prefix24(prefix, 24)
+        block = BGPPrefix(network=prefix << 8, length=24)
         assert list(block.prefix24s()) == [prefix]
 
 

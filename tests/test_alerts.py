@@ -48,16 +48,9 @@ class TestManager:
         manager = AlertManager(top_k=10)
         manager.add(_alert(Blame.CLOUD, impact=5))
         manager.add(_alert(Blame.MIDDLE, impact=50))
-        assert len(manager.tickets_for(Team.NETWORKING)) == 1
-        assert len(manager.tickets_for(Team.CLOUD_INFRA)) == 1
-        assert manager.tickets_for(Team.CLIENT_COMMS) == []
-
-    def test_len_counts_candidates(self):
-        manager = AlertManager(top_k=1)
-        manager.add(_alert())
-        manager.add(_alert())
-        assert len(manager) == 2
-        assert len(manager.tickets()) == 1
+        teams = [alert.team for alert in manager.tickets()]
+        assert len(teams) == 2
+        assert set(teams) == {Team.NETWORKING, Team.CLOUD_INFRA}
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -92,11 +92,3 @@ class TestEgressSelection:
             key = (client.asn, client.announce_to)
             path = mapper.path_for(locations[0], client)
             assert by_scope.setdefault(key, path) == path
-
-    def test_invalidate_clears_cache(self, setup):
-        locations, population, mapper = setup
-        client = population.prefixes[0]
-        before = mapper.path_for(locations[0], client)
-        mapper.invalidate()
-        after = mapper.path_for(locations[0], client)
-        assert before == after  # same topology, same answer, fresh cache

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.baselines.asmetro import as_metro_batch, as_metro_key
-from repro.core.grouping import consistent_path_fraction
 from repro.perf.batch import BatchQuartetGenerator
 
 
@@ -50,5 +49,4 @@ class TestRekeying:
             groups.setdefault(after.middle, set()).add(
                 (before.location_id, before.middle)
             )
-        fraction = consistent_path_fraction(groups)
-        assert fraction < 1.0  # some groups mix paths
+        assert any(len(paths) > 1 for paths in groups.values())  # some mix paths

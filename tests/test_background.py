@@ -105,7 +105,7 @@ class TestPeriodicProbing:
         prober = _prober()
         assert prober.register_target("edge-A", (10,), 1) is True
         assert prober.register_target("edge-A", (10,), 99) is False
-        assert prober.target_count == 1
+        assert len(prober._targets) == 1
 
     def test_seed_target_stores_baseline(self):
         prober = _prober()
@@ -122,7 +122,7 @@ class TestPeriodicProbing:
 class TestChurnTriggers:
     def _update(self, time=7):
         table = BGPTable("edge-A")
-        prefix = BGPPrefix.from_prefix24(1, 24)
+        prefix = BGPPrefix(network=1 << 8, length=24)
         table.install(prefix, (1, 10, 30), 0)
         return table.install(prefix, (1, 11, 30), time)
 

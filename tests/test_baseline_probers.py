@@ -57,7 +57,7 @@ class TestActiveOnlyMonitor:
         monitor = ActiveOnlyMonitor(engine=_engine())
         monitor.register_target("edge-A", (10,), 1)
         monitor.register_target("edge-A", (10,), 99)
-        assert monitor.target_count == 1
+        assert monitor.probes_per_day() == 288 / monitor.interval_buckets
 
 
 class TestTrinocularMonitor:

@@ -383,7 +383,7 @@ class TestProbeChaos:
             chaos=FaultPlan(seed=1, probe_timeout_rate=1.0, probe_retry_attempts=1),
         )
         assert prober._probe(*target, 50) is None
-        assert len(store) == 0
+        assert store.state_dict() == BaselineStore().state_dict()  # nothing stored
         counters = metrics.snapshot()["counters"]
         assert counters["chaos.probe.loss"] == 2
         assert counters["retry.probe.background.attempts"] == 1
@@ -402,17 +402,17 @@ class TestBaselineChaos:
     def test_missing_baselines_skip_bootstrap_probes(self, trained):
         plan = FaultPlan(seed=3, baseline_missing_rate=1.0)
         pipe, report, counters = self._bootstrap(trained, plan)
-        assert pipe.background.target_count > 0
+        assert len(pipe.background._targets) > 0
         assert report.probes_bootstrap == 0
-        assert len(pipe.baselines) == 0
-        assert counters["chaos.baseline.missing"] == pipe.background.target_count
+        assert pipe.baselines.state_dict() == BaselineStore().state_dict()
+        assert counters["chaos.baseline.missing"] == len(pipe.background._targets)
 
     def test_stale_baselines_probed_in_the_past(self, trained):
         plan = FaultPlan(
             seed=3, baseline_stale_rate=1.0, baseline_stale_age_buckets=90
         )
         pipe, report, counters = self._bootstrap(trained, plan)
-        assert counters["chaos.baseline.stale"] == pipe.background.target_count
+        assert counters["chaos.baseline.stale"] == len(pipe.background._targets)
         assert report.probes_bootstrap > 0
         times = {
             result.time

@@ -141,6 +141,29 @@ class TestExitCodes:
             capsys, "cannot load scenario",
         )
 
+    @pytest.mark.parametrize(
+        "section,field",
+        [("latency", "jitter_ms"), (None, "bogus"), ("latency", "min_rtt_ms")],
+        ids=["unknown-latency-field", "unknown-params-field", "retired-min-rtt-knob"],
+    )
+    def test_diagnose_rejects_malformed_scenario_spec(
+        self, capsys, tmp_path, section, field
+    ):
+        import json
+
+        spec = tmp_path / "scenario.json"
+        assert main(["simulate", *FAST, "--save", str(spec)]) == 0
+        data = json.loads(spec.read_text())
+        target = data["params"] if section is None else data["params"][section]
+        target[field] = 1.0
+        spec.write_text(json.dumps(data))
+        capsys.readouterr()
+        dotted = "params." + (f"{section}." if section else "") + field
+        self._check_usage_error(
+            ["diagnose", "--scenario", str(spec), "--start", "150", "--end", "160"],
+            capsys, f"unknown field {dotted}",
+        )
+
     def test_characterize_rejects_bad_range(self, capsys):
         self._check_usage_error(
             ["characterize", *FAST, "--start", "220", "--end", "150"],

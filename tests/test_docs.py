@@ -1,6 +1,6 @@
 """Documentation regression tests.
 
-Two guarantees:
+Four guarantees:
 
 * ``docs/cli.md`` cannot rot: its per-verb help blocks are generated
   from :func:`repro.cli.build_parser` (with ``COLUMNS`` pinned so the
@@ -12,10 +12,18 @@ Two guarantees:
 * No dead relative links: every ``[text](path)`` markdown link in
   README.md, ARCHITECTURE.md, DESIGN.md, and docs/ must point at a file
   that exists in the repository.
+
+* Every backticked dotted name ARCHITECTURE.md gives as an entry point
+  imports.
+
+* Every name in DESIGN.md's "Kept although only tests reach it" list
+  (as ``tools/reach.py`` reads it) still exists, so the list cannot rot.
 """
 
 from __future__ import annotations
 
+import importlib
+import importlib.util
 import os
 import re
 from pathlib import Path
@@ -52,6 +60,12 @@ EXAMPLES = """\
 # Build a world and print its shape (fault mix, horizon, population).
 python -m repro simulate --seed 7 --regions USA Europe --days 2
 
+# Save a world's spec, then diagnose it under injected infrastructure
+# faults (the repro.chaos smoke plan) and archive the report.
+python -m repro simulate --seed 7 --days 2 --save world.json
+python -m repro diagnose --scenario world.json --start 288 --chaos 5 \\
+    --save-report report.json
+
 # The §2 measurement study over one simulated day.
 python -m repro characterize --seed 7 --days 2 --start 288
 
@@ -60,12 +74,13 @@ python -m repro characterize --seed 7 --days 2 --start 288
 python -m repro diagnose --seed 7 --days 2 --start 288 --budget 5 \\
     --planner clustered
 
-# Diagnose with 4 worker processes, metrics snapshot, and checkpoints.
-python -m repro diagnose --seed 7 --days 2 --workers 4 \\
+# Diagnose two days with 4 worker processes, a metrics snapshot, and a
+# checkpoint at the day boundary between them.
+python -m repro diagnose --seed 7 --days 3 --workers 4 \\
     --metrics-json metrics.json --checkpoint-dir ckpt
 
-# Resume the same run after an interruption.
-python -m repro diagnose --seed 7 --days 2 --resume ckpt
+# Resume the same run from its newest checkpoint.
+python -m repro diagnose --seed 7 --days 3 --resume ckpt
 
 # Score localization against labelled incidents (exit 1 on a miss).
 python -m repro validate --seed 11 --incidents 20
@@ -75,7 +90,7 @@ python -m repro validate --suite --save-scorecard scorecard.json
 
 # Run as a streaming daemon with live HTTP status and checkpoints.
 python -m repro serve --seed 7 --days 2 --start 288 \\
-    --checkpoint-dir ckpt --checkpoint-every 36 --alerts-jsonl alerts.jsonl
+    --checkpoint-dir serve-ckpt --checkpoint-every 36 --alerts-jsonl alerts.jsonl
 ```
 """
 
@@ -188,6 +203,64 @@ class TestDocLinks:
         readme = (REPO / "README.md").read_text(encoding="utf-8")
         assert "ARCHITECTURE.md" in readme
         assert "docs/cli.md" in readme
+
+
+def _entry_points() -> list[tuple[str, str]]:
+    """``(package, dotted name)`` for each backticked dotted name in
+    ARCHITECTURE.md's "Entry point(s):" sentences and its by-task table;
+    the package is the ``### `repro.x``` section the name appears in."""
+    text = (REPO / "ARCHITECTURE.md").read_text(encoding="utf-8")
+    found = []
+    for chunk in re.split(r"^### ", text, flags=re.M)[1:]:
+        header = re.match(r"`(repro(?:\.\w+)*)`", chunk)
+        package = header.group(1) if header else "repro"
+        spans = re.findall(r"Entry points?:(.*?)(?:Rationale:|\n\n)", chunk, re.S)
+        spans += [line for line in chunk.splitlines() if line.startswith("| ")]
+        for span in spans:
+            for name in re.findall(r"`([A-Za-z_][\w.]*\.\w+)`", span):
+                found.append((package, name))
+    return found
+
+
+def _resolves(package: str, dotted: str) -> bool:
+    """Whether ``dotted`` imports, relative to ``package`` or absolutely:
+    the longest importable module prefix, then attributes."""
+    for names in (package.split(".") + dotted.split("."), dotted.split(".")):
+        for split in range(len(names), 0, -1):
+            try:
+                obj = importlib.import_module(".".join(names[:split]))
+            except ImportError:
+                continue
+            try:
+                for attr in names[split:]:
+                    obj = getattr(obj, attr)
+            except AttributeError:
+                break
+            return True
+    return False
+
+
+class TestArchitectureEntryPoints:
+    def test_every_entry_point_resolves(self):
+        names = _entry_points()
+        assert len(names) >= 10, names
+        unresolved = [name for package, name in names if not _resolves(package, name)]
+        assert not unresolved, f"ARCHITECTURE.md names missing entry points: {unresolved}"
+
+
+def _reach_tool():
+    spec = importlib.util.spec_from_file_location("reach", REPO / "tools" / "reach.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestKeptList:
+    def test_every_kept_name_exists(self):
+        kept = _reach_tool().kept_names()
+        assert len(kept) >= 10, kept
+        missing = sorted(name for name in kept if not _resolves("repro", name))
+        assert not missing, f"DESIGN.md keeps names that no longer exist: {missing}"
 
 
 if __name__ == "__main__":

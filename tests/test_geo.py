@@ -13,7 +13,6 @@ from repro.net.geo import (
     Region,
     WORLD_METROS,
     haversine_km,
-    metro_by_name,
     metro_distance_km,
     metros_in_region,
     propagation_rtt_ms,
@@ -22,14 +21,16 @@ from repro.net.geo import (
 _LAT = st.floats(min_value=-90, max_value=90, allow_nan=False)
 _LON = st.floats(min_value=-180, max_value=180, allow_nan=False)
 
+METROS = {m.name: m for m in WORLD_METROS}
+
 
 class TestHaversine:
     def test_zero_distance_same_point(self):
         assert haversine_km(47.6, -122.3, 47.6, -122.3) == pytest.approx(0.0)
 
     def test_known_distance_seattle_london(self):
-        seattle = metro_by_name("Seattle")
-        london = metro_by_name("London")
+        seattle = METROS["Seattle"]
+        london = METROS["London"]
         distance = metro_distance_km(seattle, london)
         assert 7600 < distance < 7900  # great-circle ~7740 km
 
@@ -67,8 +68,8 @@ class TestPropagation:
 
     def test_transatlantic_rtt_plausible(self):
         # NY <-> London should land in the 55-75 ms ballpark.
-        ny = metro_by_name("New York")
-        london = metro_by_name("London")
+        ny = METROS["New York"]
+        london = METROS["London"]
         rtt = propagation_rtt_ms(metro_distance_km(ny, london))
         assert 50 < rtt < 110
 
@@ -81,14 +82,6 @@ class TestCatalogue:
     def test_metro_names_unique(self):
         names = [m.name for m in WORLD_METROS]
         assert len(names) == len(set(names))
-
-    def test_metro_by_name_roundtrip(self):
-        for metro in WORLD_METROS:
-            assert metro_by_name(metro.name) is metro
-
-    def test_metro_by_name_unknown(self):
-        with pytest.raises(KeyError):
-            metro_by_name("Atlantis")
 
     def test_metros_in_region_filter(self):
         for metro in metros_in_region(Region.BRAZIL):

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.grouping import (
     GroupingStrategy,
-    consistent_path_fraction,
     group_key,
     sharing_counts,
 )
@@ -89,18 +88,3 @@ class TestSharingCounts:
     def test_singleton(self):
         counts = sharing_counts({1: "k"})
         assert counts == {1: 0}
-
-
-class TestConsistentPathFraction:
-    def test_mixed_groups(self):
-        groups = {
-            "g1": {(10, 20)},
-            "g2": {(10, 20), (11, 20)},
-            "g3": {(12,)},
-            "g4": {(10,), (11,), (12,)},
-        }
-        assert consistent_path_fraction(groups) == pytest.approx(0.5)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            consistent_path_fraction({})

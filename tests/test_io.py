@@ -22,7 +22,7 @@ from repro.io import (
 from repro.net.geo import Region
 from repro.perf.batch import BatchQuartetGenerator
 from repro.sim.faults import Direction, Fault, FaultTarget, SegmentKind
-from repro.sim.scenario import Scenario, ScenarioParams
+from repro.sim.scenario import DemandSurge, Scenario, ScenarioParams
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +108,30 @@ class TestScenarioRoundTrip:
         data["format_version"] = 999
         with pytest.raises(ValueError):
             scenario_from_dict(data)
+
+    def test_surges_and_ring_flaps_round_trip(self, suite_world):
+        """A spec carrying a demand surge and an anycast ring flap reloads
+        to the same schedule and generates the same quartets."""
+        metro = suite_world.slots[0].client.metro
+        flap = suite_world.mapper.plan_ring_flap(metro, 0, start=100, duration=12)
+        assert flap is not None
+        surge = DemandSurge(
+            surge_id=0, metro_name=metro.name, start=110, duration=12, multiplier=3.0
+        )
+        base = Scenario.from_world(suite_world)
+        scenario = Scenario(
+            suite_world, base.faults, base.reroutes, surges=(surge,), ring_flaps=(flap,)
+        )
+        rebuilt = scenario_from_dict(json.loads(json.dumps(scenario_to_dict(scenario))))
+        assert rebuilt.surges == scenario.surges
+        assert rebuilt.ring_flaps == scenario.ring_flaps
+        assert rebuilt.faults == scenario.faults
+        assert rebuilt.reroutes == scenario.reroutes
+        original, again = BatchQuartetGenerator(scenario), BatchQuartetGenerator(rebuilt)
+        for t in range(96, 130):
+            assert original.generate_quartets(
+                t, np.random.default_rng(t)
+            ) == again.generate_quartets(t, np.random.default_rng(t)), t
 
     def test_generated_churn_round_trips(self, params):
         scenario = Scenario.build(params)

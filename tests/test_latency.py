@@ -2,32 +2,19 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from repro.net.geo import metro_by_name
+from repro.net.geo import WORLD_METROS, Region
 from repro.net.latency import LatencyModel, LatencyParams, PathLatency
+from repro.perf.batch import MIN_MEAN_RTT_MS, BatchQuartetGenerator
+from repro.sim.scenario import Scenario, ScenarioParams, build_world
+
+METROS = {m.name: m for m in WORLD_METROS}
 
 
 class TestPathLatency:
     def test_total_is_sum(self):
         latency = PathLatency(cloud_ms=2.0, middle_ms=(10.0, 5.0), client_ms=8.0)
         assert latency.total_ms == pytest.approx(25.0)
-
-    def test_cumulative_shape_and_monotonicity(self):
-        latency = PathLatency(cloud_ms=4.0, middle_ms=(2.0, 2.0), client_ms=1.0)
-        cumulative = latency.cumulative_ms()
-        assert cumulative == pytest.approx((4.0, 6.0, 8.0, 9.0))
-        assert list(cumulative) == sorted(cumulative)
-
-    def test_paper_worked_example(self):
-        """§5.2: X - m1 - m2 - c with cumulative (4, 6, 8, 9)."""
-        latency = PathLatency(cloud_ms=4.0, middle_ms=(2.0, 2.0), client_ms=1.0)
-        assert latency.cumulative_ms() == pytest.approx((4.0, 6.0, 8.0, 9.0))
-
-    def test_empty_middle(self):
-        latency = PathLatency(cloud_ms=3.0, middle_ms=(), client_ms=5.0)
-        assert latency.cumulative_ms() == pytest.approx((3.0, 8.0))
 
 
 class TestLatencyModel:
@@ -36,25 +23,25 @@ class TestLatencyModel:
         return LatencyModel()
 
     def test_stable_across_calls(self, model):
-        seattle = metro_by_name("Seattle")
-        london = metro_by_name("London")
+        seattle = METROS["Seattle"]
+        london = METROS["London"]
         path = (1, 10, 20, 30)
         first = model.path_latency(seattle, path, london)
         second = model.path_latency(seattle, path, london)
         assert first == second
 
     def test_distinct_paths_get_distinct_latencies(self, model):
-        seattle = metro_by_name("Seattle")
-        london = metro_by_name("London")
+        seattle = METROS["Seattle"]
+        london = METROS["London"]
         a = model.path_latency(seattle, (1, 10, 30), london)
         b = model.path_latency(seattle, (1, 11, 30), london)
         assert a.total_ms != pytest.approx(b.total_ms)
 
     def test_middle_carries_propagation(self, model):
         """Long geographic paths must show up in the middle segment."""
-        seattle = metro_by_name("Seattle")
-        sydney = metro_by_name("Sydney")
-        chicago = metro_by_name("Chicago")
+        seattle = METROS["Seattle"]
+        sydney = METROS["Sydney"]
+        chicago = METROS["Chicago"]
         path = (1, 10, 20, 30)
         far = model.path_latency(seattle, path, sydney)
         near = model.path_latency(seattle, path, chicago)
@@ -62,8 +49,8 @@ class TestLatencyModel:
         assert far.total_ms > near.total_ms
 
     def test_mobile_adds_client_latency(self, model):
-        seattle = metro_by_name("Seattle")
-        chicago = metro_by_name("Chicago")
+        seattle = METROS["Seattle"]
+        chicago = METROS["Chicago"]
         path = (1, 10, 30)
         fixed = model.path_latency(seattle, path, chicago, mobile=False)
         mobile = model.path_latency(seattle, path, chicago, mobile=True)
@@ -73,16 +60,16 @@ class TestLatencyModel:
         )
 
     def test_direct_adjacency_propagation_in_client(self, model):
-        seattle = metro_by_name("Seattle")
-        london = metro_by_name("London")
+        seattle = METROS["Seattle"]
+        london = METROS["London"]
         direct = model.path_latency(seattle, (1, 30), london)
         assert direct.middle_ms == ()
         # Transatlantic propagation must land somewhere: the client leg.
         assert direct.client_ms > 60
 
     def test_segment_positivity(self, model):
-        seattle = metro_by_name("Seattle")
-        tokyo = metro_by_name("Tokyo")
+        seattle = METROS["Seattle"]
+        tokyo = METROS["Tokyo"]
         latency = model.path_latency(seattle, (1, 10, 20, 21, 30), tokyo)
         assert latency.cloud_ms > 0
         assert latency.client_ms > 0
@@ -90,32 +77,19 @@ class TestLatencyModel:
 
 
 class TestSampling:
-    def test_noise_centering(self):
-        model = LatencyModel(LatencyParams(noise_sigma=0.05))
-        rng = np.random.default_rng(0)
-        samples = model.sample_rtt(100.0, rng, n=5000)
-        assert samples.mean() == pytest.approx(100.0, rel=0.02)
-
-    def test_zero_sigma_is_deterministic(self):
-        model = LatencyModel(LatencyParams(noise_sigma=0.0))
-        rng = np.random.default_rng(0)
-        samples = model.sample_rtt(50.0, rng, n=10)
-        assert (samples == 50.0).all()
-
     def test_floor(self):
-        model = LatencyModel(LatencyParams(noise_sigma=2.0, min_rtt_ms=1.0))
+        """Noise large enough to push means below zero meets the floor."""
+        params = ScenarioParams(
+            seed=42,
+            regions=(Region.USA,),
+            locations_per_region=1,
+            duration_days=1,
+            latency=LatencyParams(noise_sigma=20.0),
+        )
+        generator = BatchQuartetGenerator(Scenario.from_world(build_world(params)))
         rng = np.random.default_rng(0)
-        samples = model.sample_rtt(1.0, rng, n=1000)
-        assert (samples >= 1.0).all()
-
-    def test_negative_baseline_rejected(self):
-        model = LatencyModel()
-        with pytest.raises(ValueError):
-            model.sample_rtt(-5.0, np.random.default_rng(0))
-
-    @given(baseline=st.floats(min_value=1.0, max_value=500.0))
-    def test_samples_positive(self, baseline):
-        model = LatencyModel()
-        rng = np.random.default_rng(1)
-        samples = model.sample_rtt(baseline, rng, n=16)
-        assert (samples > 0).all()
+        means = np.concatenate(
+            [generator.generate(t, rng).mean_rtt_ms for t in range(100, 112)]
+        )
+        assert (means >= MIN_MEAN_RTT_MS).all()
+        assert (means == MIN_MEAN_RTT_MS).any()

@@ -136,7 +136,7 @@ class TestClientAndAmbiguous:
         results = _localizer().assign(bad + peers + filler, _table())
         assert len(results) == 1
         assert results[0].blame is Blame.CLIENT
-        assert results[0].blamed_asn == 65001
+        assert results[0].quartet.client_asn == 65001
 
     def test_ambiguous_when_good_elsewhere(self):
         bad, peers, filler = self._mixed_path_quartets()

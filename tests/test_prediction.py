@@ -7,6 +7,11 @@ from hypothesis import strategies as st
 from repro.core.prediction import ClientCountPredictor, DurationPredictor
 
 
+def _observe_all(predictor: DurationPredictor, durations, key=None) -> None:
+    for duration in durations:
+        predictor.observe(duration, key)
+
+
 class TestDurationPredictor:
     def test_prior_on_cold_start(self):
         predictor = DurationPredictor(prior_mean_buckets=4.0)
@@ -14,7 +19,7 @@ class TestDurationPredictor:
 
     def test_mean_residual_life(self):
         predictor = DurationPredictor()
-        predictor.observe_all([2, 4, 10])
+        _observe_all(predictor, [2, 4, 10])
         # Given elapsed 3: survivors {4, 10}; E[D|D>3] = 7 → remaining 4.
         assert predictor.expected_remaining(3) == pytest.approx(4.0)
 
@@ -23,23 +28,15 @@ class TestDurationPredictor:
         under a long-tailed distribution."""
         predictor = DurationPredictor()
         durations = [1] * 60 + [3] * 20 + [12] * 12 + [100] * 8
-        predictor.observe_all(durations)
+        _observe_all(predictor, durations)
         short = predictor.expected_remaining(0)
         longer = predictor.expected_remaining(10)
         assert longer > short
 
-    def test_survival_probability(self):
-        predictor = DurationPredictor()
-        predictor.observe_all([2, 4, 10, 20])
-        # Given > 3: survivors {4, 10, 20}; of those > 9: {10, 20}.
-        assert predictor.survival_probability(3, 6) == pytest.approx(2 / 3)
-        assert predictor.survival_probability(0, 0) == pytest.approx(1.0)
-        assert predictor.survival_probability(100, 1) == 0.0
-
     def test_per_key_history_preferred(self):
         predictor = DurationPredictor(min_key_history=2)
-        predictor.observe_all([1, 1, 1, 1, 1])  # global: fleeting
-        predictor.observe_all([50, 60], key="slow-path")
+        _observe_all(predictor, [1, 1, 1, 1, 1])  # global: fleeting
+        _observe_all(predictor, [50, 60], key="slow-path")
         slow = predictor.expected_remaining(0, key="slow-path")
         unseen = predictor.expected_remaining(0, key="unseen")
         assert slow > 40  # per-key history wins
@@ -47,7 +44,7 @@ class TestDurationPredictor:
 
     def test_sparse_key_falls_back_to_global(self):
         predictor = DurationPredictor(min_key_history=5)
-        predictor.observe_all([1, 1, 1, 1])
+        _observe_all(predictor, [1, 1, 1, 1])
         predictor.observe(100, key="rare")
         assert predictor.expected_remaining(0, key="rare") < 50
 
@@ -57,8 +54,6 @@ class TestDurationPredictor:
             predictor.observe(0)
         with pytest.raises(ValueError):
             predictor.expected_remaining(-1)
-        with pytest.raises(ValueError):
-            predictor.survival_probability(-1, 0)
         with pytest.raises(ValueError):
             DurationPredictor(min_key_history=0)
         with pytest.raises(ValueError):
@@ -70,30 +65,22 @@ class TestDurationPredictor:
     )
     def test_remaining_nonnegative(self, durations, elapsed):
         predictor = DurationPredictor()
-        predictor.observe_all(durations)
+        _observe_all(predictor, durations)
         assert predictor.expected_remaining(elapsed) > 0
-
-    @given(durations=st.lists(st.integers(min_value=1, max_value=50), min_size=2))
-    def test_survival_monotone_in_additional(self, durations):
-        predictor = DurationPredictor()
-        predictor.observe_all(durations)
-        probabilities = [predictor.survival_probability(0, t) for t in range(0, 60, 5)]
-        assert all(a >= b for a, b in zip(probabilities, probabilities[1:]))
 
     @given(
         durations=st.lists(st.integers(min_value=1, max_value=200), min_size=1),
         elapsed=st.integers(min_value=0, max_value=250),
-        additional=st.integers(min_value=0, max_value=250),
     )
-    def test_fast_path_matches_list_scans(self, durations, elapsed, additional):
-        """The sorted-array/prefix-sum queries equal the O(n) reference.
+    def test_fast_path_matches_list_scans(self, durations, elapsed):
+        """The sorted-array/prefix-sum query equals the O(n) reference.
 
         The reference below is the pre-optimization list-scan
         implementation, inlined; the int64 suffix sums are exact, so the
         resulting floats must match bit-for-bit, not approximately.
         """
         predictor = DurationPredictor()
-        predictor.observe_all(durations)
+        _observe_all(predictor, durations)
 
         survivors = [d for d in durations if d > elapsed]
         if survivors:
@@ -102,19 +89,14 @@ class TestDurationPredictor:
             expected_remaining = predictor.prior_mean_buckets
         assert predictor.expected_remaining(elapsed) == expected_remaining
 
-        alive = len(survivors)
-        survive = sum(1 for d in durations if d > elapsed + additional)
-        expected_survival = survive / alive if alive else 0.0
-        assert predictor.survival_probability(elapsed, additional) == expected_survival
-
     def test_interleaved_queries_and_observes(self):
         """The per-pool stats cache must refresh as pools grow."""
         predictor = DurationPredictor()
-        predictor.observe_all([5, 5, 5])
+        _observe_all(predictor, [5, 5, 5])
         assert predictor.expected_remaining(0) == pytest.approx(5.0)
-        predictor.observe_all([11, 11, 11])
+        _observe_all(predictor, [11, 11, 11])
         assert predictor.expected_remaining(0) == pytest.approx(8.0)
-        predictor.observe_all([9] * 10, key="k")
+        _observe_all(predictor, [9] * 10, key="k")
         assert predictor.expected_remaining(0, key="k") == pytest.approx(9.0)
 
 

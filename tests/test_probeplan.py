@@ -47,7 +47,7 @@ class TestCoAnomalyHistory:
 
     def test_empty_windows_are_skipped(self):
         history = _history([set(), {K_A}, set()])
-        assert len(history) == 1
+        assert len(history._windows) == 1
 
     def test_jaccard_similarity(self):
         history = _history([{K_A, K_B}, {K_A, K_B}, {K_A}, {K_B, K_C}])
@@ -61,7 +61,7 @@ class TestCoAnomalyHistory:
 
     def test_ring_evicts_oldest_windows(self):
         history = _history([{K_A, K_B}] + [{K_C}] * 3, maxlen=3)
-        assert len(history) == 3
+        assert len(history._windows) == 3
         assert history.similarity(K_A, K_B) == 0.0  # evidence fell off
 
     def test_state_dict_roundtrip_is_json_safe(self):
@@ -70,7 +70,7 @@ class TestCoAnomalyHistory:
         restored = CoAnomalyHistory(1)
         restored.load_state_dict(state)
         assert restored.maxlen == 5
-        assert len(restored) == 2
+        assert len(restored._windows) == 2
         for pair in ((K_A, K_B), (K_B, K_C), (K_A, K_C)):
             assert restored.similarity(*pair) == history.similarity(*pair)
 

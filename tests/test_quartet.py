@@ -1,96 +1,7 @@
-"""Tests for repro.core.quartet: aggregation and sample gating."""
+"""Tests for repro.core.quartet: the quartet record."""
 
-import pytest
-from hypothesis import given
-from hypothesis import strategies as st
-
-from repro.cloud.telemetry import RTTSample
-from repro.core.quartet import (
-    Quartet,
-    QuartetContext,
-    QuartetKey,
-    aggregate_samples,
-    split_half_means,
-)
+from repro.core.quartet import Quartet
 from repro.net.geo import Region
-
-
-def _context(prefix24, location_id, time) -> QuartetContext:
-    return QuartetContext(users=10, client_asn=65000, middle=(10, 20), region=Region.USA)
-
-
-class TestAggregation:
-    def test_mean_and_count(self):
-        samples = [
-            RTTSample(0, 1, "edge-X", False, 10.0),
-            RTTSample(0, 1, "edge-X", False, 20.0),
-            RTTSample(0, 1, "edge-X", False, 30.0),
-        ]
-        quartets = aggregate_samples(samples, _context)
-        assert len(quartets) == 1
-        assert quartets[0].mean_rtt_ms == pytest.approx(20.0)
-        assert quartets[0].n_samples == 3
-
-    def test_keys_separate_quartets(self):
-        samples = [
-            RTTSample(0, 1, "edge-X", False, 10.0),
-            RTTSample(0, 1, "edge-X", True, 10.0),  # mobile differs
-            RTTSample(0, 2, "edge-X", False, 10.0),  # prefix differs
-            RTTSample(0, 1, "edge-Y", False, 10.0),  # location differs
-            RTTSample(1, 1, "edge-X", False, 10.0),  # bucket differs
-        ]
-        quartets = aggregate_samples(samples, _context)
-        assert len(quartets) == 5
-
-    def test_min_samples_gate(self):
-        samples = [RTTSample(0, 1, "edge-X", False, 10.0)] * 4
-        assert aggregate_samples(samples, _context, min_samples=5) == []
-        assert len(aggregate_samples(samples, _context, min_samples=4)) == 1
-
-    def test_context_attached(self):
-        samples = [RTTSample(0, 7, "edge-X", False, 10.0)]
-        quartet = aggregate_samples(samples, _context)[0]
-        assert quartet.users == 10
-        assert quartet.client_asn == 65000
-        assert quartet.middle == (10, 20)
-        assert quartet.region is Region.USA
-        assert quartet.key == QuartetKey(7, "edge-X", False, 0)
-
-    def test_sorted_output(self):
-        samples = [
-            RTTSample(5, 1, "edge-X", False, 1.0),
-            RTTSample(0, 9, "edge-B", False, 1.0),
-            RTTSample(0, 2, "edge-A", False, 1.0),
-        ]
-        quartets = aggregate_samples(samples, _context)
-        keys = [(q.time, q.location_id, q.prefix24) for q in quartets]
-        assert keys == sorted(keys)
-
-    @given(
-        rtts=st.lists(
-            st.floats(min_value=1.0, max_value=500.0), min_size=1, max_size=50
-        )
-    )
-    def test_mean_within_sample_range(self, rtts):
-        samples = [RTTSample(0, 1, "edge-X", False, r) for r in rtts]
-        quartet = aggregate_samples(samples, _context)[0]
-        assert min(rtts) - 1e-9 <= quartet.mean_rtt_ms <= max(rtts) + 1e-9
-        assert quartet.n_samples == len(rtts)
-
-
-class TestSplitHalfMeans:
-    def test_identical_halves(self):
-        a, b = split_half_means([10.0, 10.0, 10.0, 10.0])
-        assert a == b == pytest.approx(10.0)
-
-    def test_interleaved_split(self):
-        a, b = split_half_means([1.0, 100.0, 1.0, 100.0])
-        assert a == pytest.approx(1.0)
-        assert b == pytest.approx(100.0)
-
-    def test_needs_two(self):
-        with pytest.raises(ValueError):
-            split_half_means([1.0])
 
 
 class TestQuartetRecord:
@@ -107,8 +18,8 @@ class TestQuartetRecord:
             middle=(10,),
             region=Region.EUROPE,
         )
-        assert quartet.key.time == 3
-        assert quartet.key.mobile is True
+        assert quartet.time == 3
+        assert quartet.mobile is True
         replaced = quartet._replace(middle=(11,))
         assert replaced.middle == (11,)
         assert quartet.middle == (10,)

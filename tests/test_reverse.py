@@ -35,7 +35,7 @@ class TestLocalizeBidirectional:
         rev_base = _trace((1, 3, 5, 9), self.REV_PATH)
         rev_cur = _trace((1, 3, 5, 59), self.REV_PATH, time=5)  # spill at AS1
         outcome = localize_bidirectional(fwd_base, fwd_cur, rev_base, rev_cur)
-        assert outcome.asn == 20
+        assert outcome.verdict.asn == 20
         assert outcome.direction == "forward"
         assert outcome.reverse.asn == 1  # the refuted spillover hypothesis
 
@@ -49,7 +49,7 @@ class TestLocalizeBidirectional:
         rev_base = _trace((1, 3, 5, 9), self.REV_PATH)
         rev_cur = _trace((1, 3, 55, 59), self.REV_PATH, time=5)  # AS11 +50
         outcome = localize_bidirectional(fwd_base, fwd_cur, rev_base, rev_cur)
-        assert outcome.asn == 11
+        assert outcome.verdict.asn == 11
         assert outcome.direction == "reverse"
         # The forward-only verdict would have been wrong:
         assert outcome.forward.asn == 30
@@ -58,7 +58,7 @@ class TestLocalizeBidirectional:
         fwd_base = _trace((4, 6, 8, 9), self.FWD_PATH)
         fwd_cur = _trace((4, 6, 58, 59), self.FWD_PATH, time=5)
         outcome = localize_bidirectional(fwd_base, fwd_cur, None, None)
-        assert outcome.asn == 20
+        assert outcome.verdict.asn == 20
         assert outcome.reverse is None
 
     def test_no_delta_anywhere(self):
@@ -67,7 +67,7 @@ class TestLocalizeBidirectional:
         rev_base = _trace((1, 3, 5, 9), self.REV_PATH)
         rev_cur = _trace((1, 3, 5, 9.5), self.REV_PATH, time=5)
         outcome = localize_bidirectional(fwd_base, fwd_cur, rev_base, rev_cur)
-        assert outcome.asn is None
+        assert outcome.verdict.asn is None
 
 
 class TestScenarioReverse:

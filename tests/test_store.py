@@ -124,6 +124,13 @@ class TestColumnarBackend:
         assert [r.key for r in backend.scan("t/")] == ["t/b"]
         assert backend.get("t/a") is None
 
+    def test_scan_keys_opens_no_file(self, tmp_path):
+        backend = ColumnarBackend(tmp_path)
+        for key in ("t/b", "t/a", "other"):
+            backend.put(key, {"k": key}, schema="s", version=1)
+        backend._path("t/a").write_bytes(b"truncated garbage")
+        assert list(backend.scan_keys("t/")) == [("t/a", None), ("t/b", None)]
+
     def test_invalid_keys_rejected(self, tmp_path):
         backend = ColumnarBackend(tmp_path)
         for bad in ("", "a b", "a//b", "/lead", "trail/", "has__sep"):

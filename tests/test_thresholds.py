@@ -555,7 +555,7 @@ class TestDistributionShiftDetector:
         detector, rng = self._trained()
         for _ in range(5000):
             detector.observe_reference(("loc",), 40.0)
-        assert detector.reference_size(("loc",)) <= 4 * 256
+        assert len(detector._reference[("loc",)]) <= 4 * 256
 
     def test_threshold_validation(self):
         from repro.core.thresholds import DistributionShiftDetector

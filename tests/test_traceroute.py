@@ -41,9 +41,6 @@ class TestTracerouteEngine:
         engine.issue("edge-B", 100, 0)
         assert engine.probes_by_location == {"edge-A": 2, "edge-B": 1}
         assert engine.probes_issued == 3
-        engine.reset_counters()
-        assert engine.probes_issued == 0
-        assert engine.probes_by_location == {}
 
     def test_noise_keeps_cumulative_monotone(self):
         engine = TracerouteEngine(

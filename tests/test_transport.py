@@ -34,14 +34,13 @@ from repro.perf.transport import (
     decode_result,
     discard_payload,
     encode_result,
-    shm_available,
 )
 from repro.serve import BlameItDaemon, ScenarioSource
 from repro.sim.scenario import Scenario
 from repro.store import CheckpointStore
 
 needs_shm = pytest.mark.skipif(
-    not shm_available(), reason="platform lacks multiprocessing.shared_memory"
+    transport.shared_memory is None, reason="platform lacks multiprocessing.shared_memory"
 )
 
 

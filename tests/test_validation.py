@@ -46,7 +46,7 @@ class TestWarmupState:
         scenario = Scenario(small_world, (), ())
         pipeline = BlameItPipeline(scenario, fixed_table=warmup.table)
         warmup.apply(pipeline)
-        assert pipeline.background.target_count == len(warmup.targets)
+        assert len(pipeline.background._targets) == len(warmup.targets)
         some_key = warmup.client_observations[0][0]
         time = warmup.client_observations[0][1]
         assert pipeline.client_predictor.predict(some_key, time + 288) > 0

