@@ -34,7 +34,8 @@ def _validate_all(world, state):
 @pytest.mark.xfail(
     strict=True,
     reason="86/88: two peering_fault incidents are blamed on the cloud "
-    "(ROADMAP item 1); remove this mark when the bench passes again",
+    "(ROADMAP item 3's residual misses); remove this mark when the bench "
+    "passes again",
 )
 def test_88_incidents_localized(benchmark, incident_world, incident_state):
     outcomes = benchmark.pedantic(

@@ -599,13 +599,13 @@ def _overlapping(
 
 def _surge_scope(world: World, metro_name: str) -> tuple[set[str], set[int]]:
     """(serving locations, client ASes) touched by a metro's surge."""
-    locations: set[str] = set()
-    asns: set[int] = set()
-    for slot in world.slots:
-        if slot.client.metro.name == metro_name:
-            locations.add(slot.location.location_id)
-            asns.add(slot.client.asn)
-    return locations, asns
+    table = world.slot_table
+    in_metro = table.metro_mask(metro_name)
+    locations = tuple(table.location_codes)
+    return (
+        {locations[code] for code in table.location[in_metro].tolist()},
+        set(table.client_asn[in_metro].tolist()),
+    )
 
 
 def score_case(
@@ -709,10 +709,10 @@ def _affected_users_by_location(
     applies to once; a flash crowd counts the *extra* cloned demand
     (users × (multiplier − 1)) under its serving locations.
     """
+    table = world.slot_table
     per_location: dict[str, dict[int, float]] = {}
     if spec.faults:
-        for slot in world.slots:
-            path = world.mapper.path_for(slot.location, slot.client)
+        for slot, path in zip(world.slots, table.base_paths):
             if path is None:
                 continue
             location_id = slot.location.location_id
@@ -725,13 +725,16 @@ def _affected_users_by_location(
                 per_location.setdefault(location_id, {})[
                     slot.client.prefix24
                 ] = float(slot.client.users)
+    locations = tuple(table.location_codes)
     for surge in spec.surges:
         extra = surge.multiplier - 1.0
-        for slot in world.slots:
-            if slot.client.metro.name == surge.metro_name:
-                per_location.setdefault(slot.location.location_id, {})[
-                    slot.client.prefix24
-                ] = float(slot.client.users) * extra
+        in_metro = table.metro_mask(surge.metro_name)
+        for code, prefix24, users in zip(
+            table.location[in_metro].tolist(),
+            table.prefix24[in_metro].tolist(),
+            table.users[in_metro].tolist(),
+        ):
+            per_location.setdefault(locations[code], {})[prefix24] = users * extra
     return {
         location_id: sum(users.values())
         for location_id, users in per_location.items()

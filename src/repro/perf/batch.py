@@ -1,11 +1,14 @@
 """The traffic model: columnar quartet batches from a scenario.
 
 :class:`BatchQuartetGenerator` is the only place quartets are generated.
-It precomputes per-slot static columns (location/prefix/AS/region codes,
-baseline path latency, congestion shapes, per-fault slot masks) once,
-and — for slots whose BGP path churns — flattens the per-slot path
-timeline into segment arrays tracked by a monotonic pointer, so per
-bucket only array arithmetic runs.
+Its static per-slot columns (location/region/metro codes, prefix, AS,
+baseline path latency, activity, congestion shapes) are the world's
+:class:`repro.sim.scenario.SlotTable`, scanned once per world and shared
+by every generator over it. The generator adds only what its scenario
+owns: which slots' BGP paths churn — their path timelines flattened into
+segment arrays tracked by a monotonic pointer — the per-fault slot
+masks, the surge multipliers and the per-day congestion amplitudes, so
+per bucket only array arithmetic runs.
 
 Per bucket it draws ``rng.poisson`` over the slot activity vector (the
 connection counts), then ``rng.standard_normal`` over the active slots
@@ -19,14 +22,13 @@ and the sharded driver relies on it for byte-identical blame counts.
 from __future__ import annotations
 
 import bisect
-import zlib
+from collections.abc import Sequence
 
 import numpy as np
 
 from repro.core.quartet import Quartet, QuartetBatch
 from repro.net.asn import ASPath
 from repro.net.bgp import Timestamp
-from repro.net.geo import Region
 from repro.sim.faults import Direction, Fault, SegmentKind
 from repro.sim.scenario import BUCKETS_PER_DAY, Scenario
 from repro.sim.workload import is_weekend
@@ -39,111 +41,60 @@ _NEVER = np.iinfo(np.int64).max
 MIN_MEAN_RTT_MS = 1.0
 
 
+def _in_prefixes(prefix24: np.ndarray, prefixes: frozenset[int]) -> np.ndarray:
+    """Which entries of ``prefix24`` a fault's prefix scope lists."""
+    return np.isin(prefix24, np.fromiter(prefixes, dtype=np.int64, count=len(prefixes)))
+
+
 class BatchQuartetGenerator:
     """Generates every bucket's quartets as one :class:`QuartetBatch`."""
 
     def __init__(self, scenario: Scenario) -> None:
         self.scenario = scenario
-        scenario._ensure_fast_tables()  # noqa: SLF001 - perf layer is a friend
-        world = scenario.world
-        slots = world.slots
-        n = len(slots)
+        table = self.table = scenario.world.slot_table
+        timelines = scenario._timelines  # noqa: SLF001 - perf layer is a friend
+        churned = {
+            table.route_codes[key]: timeline
+            for key, timeline in timelines.items()
+            if len(timeline[0]) > 1
+        }
+        # Slots whose BGP path never changes read the table's base path;
+        # churn slots use the segment arrays built below.
+        self.static = ~np.isin(table.route, list(churned))
+        self.static_valid = self.static & (table.middle >= 0)
+        # The middle vocabulary lists the static slots' middles in slot
+        # order, then each churn segment's: re-code the table's codes.
+        world_codes = table.middle[self.static_valid]
+        codes, first = np.unique(world_codes, return_index=True)
+        in_order = codes[np.argsort(first)]
+        middles = tuple(table.middle_codes)
+        self._middles: list[ASPath] = [middles[code] for code in in_order.tolist()]
+        self._middle_codes = {middle: k for k, middle in enumerate(self._middles)}
+        recode = np.zeros(len(middles), dtype=np.int64)
+        recode[in_order] = np.arange(len(in_order))
+        self.static_middle_idx = np.zeros(len(self.static), dtype=np.int64)
+        self.static_middle_idx[self.static_valid] = recode[world_codes]
+        self._build_churn_segments(churned)
 
-        self._locations: list[str] = []
-        loc_codes: dict[str, int] = {}
-        self._middles: list[ASPath] = []
-        self._middle_codes: dict[ASPath, int] = {}
-        regions: list[Region] = []
-        reg_codes: dict[Region, int] = {}
-
-        self.loc_idx = np.empty(n, dtype=np.int64)
-        self.region_idx = np.empty(n, dtype=np.int64)
-        self.prefix24 = np.empty(n, dtype=np.int64)
-        self.mobile = np.empty(n, dtype=bool)
-        self.users = np.empty(n, dtype=np.int64)
-        self.client_asn = np.empty(n, dtype=np.int64)
-        self.enterprise = np.asarray(scenario._enterprise_flags)  # noqa: SLF001
-        # Static-path columns; churn slots use the segment arrays below.
-        self.static = np.zeros(n, dtype=bool)
-        self.static_valid = np.zeros(n, dtype=bool)
-        self.static_total = np.full(n, np.nan)
-        self.static_middle_idx = np.zeros(n, dtype=np.int64)
-
-        metro_codes: dict[str, int] = {}
-        slot_metro = np.empty(n, dtype=np.int64)
-        metros = []
-        for i, slot in enumerate(slots):
-            client = slot.client
-            self.loc_idx[i] = loc_codes.setdefault(
-                slot.location.location_id, len(loc_codes)
-            )
-            if len(self._locations) < len(loc_codes):
-                self._locations.append(slot.location.location_id)
-            self.region_idx[i] = reg_codes.setdefault(
-                slot.location.region, len(reg_codes)
-            )
-            if len(regions) < len(reg_codes):
-                regions.append(slot.location.region)
-            self.prefix24[i] = client.prefix24
-            self.mobile[i] = client.mobile
-            self.users[i] = client.users
-            self.client_asn[i] = client.asn
-            if client.metro.name not in metro_codes:
-                metro_codes[client.metro.name] = len(metro_codes)
-                metros.append(client.metro)
-            slot_metro[i] = metro_codes[client.metro.name]
-            timeline = scenario._slot_timelines[i]  # noqa: SLF001
-            if timeline is not None and len(timeline[0]) == 1:
-                self.static[i] = True
-                path = timeline[1][0]
-                if path is not None:
-                    self.static_valid[i] = True
-                    self.static_total[i] = world.latency.path_latency(
-                        slot.location.metro, path, client.metro, client.mobile
-                    ).total_ms
-                    self.static_middle_idx[i] = self._middle_code(path[1:-1])
-        self._regions = tuple(regions)
-        self._build_churn_segments()
-
-        # Evening-congestion shape per (metro, bucket-of-day); the amp is
-        # per (client AS, day) and resolved lazily below.
-        self._shape_matrix = np.zeros((len(metros), BUCKETS_PER_DAY))
-        for code, metro in enumerate(metros):
-            self._shape_matrix[code] = scenario._congestion_shape_for(  # noqa: SLF001
-                metro
-            )
-        self._slot_metro = slot_metro
         self._home_asns = sorted(
-            {int(a) for a in self.client_asn[~self.enterprise]}
+            {int(a) for a in table.client_asn[~table.enterprise]}
         )
         self._slots_by_asn: dict[int, np.ndarray] = {
-            asn: np.nonzero((self.client_asn == asn) & ~self.enterprise)[0]
+            asn: np.nonzero((table.client_asn == asn) & ~table.enterprise)[0]
             for asn in self._home_asns
         }
         self._amp_cache: dict[int, np.ndarray] = {}
         self._fault_masks: dict[int, np.ndarray] = {}
         self._fault_seg_applies: dict[int, np.ndarray] = {}
-        # Vectorized fault-applicability tables, built lazily on the
-        # first fault (fault-free scenarios never pay for them).
-        self._fault_tables_built = False
         self._mid_member: dict[int, np.ndarray] = {}
         self._rev_member: dict[int, np.ndarray] = {}
-        # Frozen vocab views shared by every produced batch. The vocabs
-        # are fully populated in __init__, so the same tuple objects can
-        # back every batch — downstream caches key on tuple identity,
-        # and one pickle of a shard output serializes each vocab once.
-        self._locations_tuple: tuple[str, ...] = tuple(self._locations)
+        self._reverse_middles = tuple(table.reverse_middle_codes)
+        # Frozen vocab views shared by every produced batch: downstream
+        # caches key on tuple identity, and one pickle of a shard output
+        # serializes each vocab once.
+        self._locations = tuple(table.location_codes)
+        self._regions = tuple(table.region_codes)
         self._middles_tuple: tuple[ASPath, ...] = tuple(self._middles)
-
-    # -- vocab helpers -------------------------------------------------
-
-    def _vocab_tuples(self) -> tuple[tuple[str, ...], tuple[ASPath, ...]]:
-        """Identity-stable vocab tuples, refreshed only if a vocab grew."""
-        if len(self._locations_tuple) != len(self._locations):
-            self._locations_tuple = tuple(self._locations)
-        if len(self._middles_tuple) != len(self._middles):
-            self._middles_tuple = tuple(self._middles)
-        return self._locations_tuple, self._middles_tuple
 
     def _middle_code(self, middle: ASPath) -> int:
         code = self._middle_codes.get(middle)
@@ -155,7 +106,7 @@ class BatchQuartetGenerator:
 
     # -- churn timelines as flat segment arrays ------------------------
 
-    def _build_churn_segments(self) -> None:
+    def _build_churn_segments(self, churned: dict[int, tuple]) -> None:
         """Flatten churn-slot path timelines into flat segment arrays.
 
         Segment ``offset[k] + j`` is churn slot ``k``'s ``j``-th timeline
@@ -163,14 +114,11 @@ class BatchQuartetGenerator:
         segment, advanced monotonically (and rebuilt on a time jump
         backwards), so lookups are plain gathers.
         """
-        scenario = self.scenario
-        world = scenario.world
+        world = self.scenario.world
         churn = np.nonzero(~self.static)[0]
-        self._churn_slots = churn
         self._churn_index = np.full(len(self.static), -1, dtype=np.int64)
         self._churn_index[churn] = np.arange(len(churn))
         self._churn_times: list[list[int]] = []
-        self._churn_paths: list[list[ASPath | None]] = []
         offsets = np.zeros(len(churn), dtype=np.int64)
         totals: list[float] = []
         valids: list[bool] = []
@@ -178,12 +126,9 @@ class BatchQuartetGenerator:
         ends: list[int] = []
         for k, i in enumerate(churn.tolist()):
             offsets[k] = len(totals)
-            slot = world.slots[int(i)]
-            timeline = scenario._slot_timelines[int(i)]  # noqa: SLF001
-            times = list(timeline[0]) if timeline is not None else [0]
-            paths = list(timeline[1]) if timeline is not None else [None]
+            slot = world.slots[i]
+            times, paths = churned[int(self.table.route[i])]
             self._churn_times.append(times)
-            self._churn_paths.append(paths)
             for j, path in enumerate(paths):
                 ends.append(times[j + 1] if j + 1 < len(times) else _NEVER)
                 if path is None:
@@ -202,6 +147,7 @@ class BatchQuartetGenerator:
                     valids.append(True)
                     middles.append(self._middle_code(path[1:-1]))
         self._seg_offsets = offsets
+        self._seg_slot = np.repeat(churn, np.diff(np.append(offsets, len(totals))))
         self._seg_total = np.array(totals)
         self._seg_valid = np.array(valids, dtype=bool)
         self._seg_middle = np.array(middles, dtype=np.int64)
@@ -232,7 +178,7 @@ class BatchQuartetGenerator:
         """Per-slot evening-congestion amplitude for one day."""
         amps = self._amp_cache.get(day)
         if amps is None:
-            amps = np.zeros(len(self.loc_idx))
+            amps = np.zeros(len(self.static))
             for asn in self._home_asns:
                 amp = self.scenario._congestion_amp_for(asn, day)  # noqa: SLF001
                 if amp:
@@ -242,52 +188,8 @@ class BatchQuartetGenerator:
             self._amp_cache[day] = amps
         return amps
 
-    def _ensure_fault_tables(self) -> None:
-        """Per-slot/per-segment code arrays backing `_applies_vec`.
-
-        Everything :meth:`Fault.applies_to` branches on becomes a small
-        integer column: location code, CRC bucket of the /24 (the
-        ``covers_prefix`` hash), client AS, middle-path code, and a code
-        into a reverse-middle vocabulary (-1 where the slot has none).
-        Per fault the answer is then vocabulary-sized Python work plus
-        NumPy gathers instead of a per-segment interpreted loop.
-        """
-        if self._fault_tables_built:
-            return
-        scenario = self.scenario
-        n_slots = len(self.loc_idx)
-        n_segments = len(self._seg_total)
-        counts = np.diff(np.append(self._seg_offsets, n_segments))
-        self._seg_slot = np.repeat(self._churn_slots, counts)
-        self._slot_pfx_bucket = np.fromiter(
-            (
-                zlib.crc32(int(p).to_bytes(3, "big")) % 1000
-                for p in self.prefix24.tolist()
-            ),
-            dtype=np.int64,
-            count=n_slots,
-        )
-        self._loc_code_map = {
-            loc: code for code, loc in enumerate(self._locations)
-        }
-        rev_codes: dict[ASPath, int] = {}
-        rev_paths: list[ASPath] = []
-        slot_rev = np.full(n_slots, -1, dtype=np.int64)
-        for i in range(n_slots):
-            reverse = scenario._slot_reverse_middle[i]  # noqa: SLF001
-            if reverse is not None:
-                code = rev_codes.get(reverse)
-                if code is None:
-                    code = rev_codes.setdefault(reverse, len(rev_codes))
-                    rev_paths.append(reverse)
-                slot_rev[i] = code
-        self._rev_codes = rev_codes
-        self._rev_paths = rev_paths
-        self._slot_rev_code = slot_rev
-        self._fault_tables_built = True
-
     def _member_of(
-        self, cache: dict[int, np.ndarray], vocab: list[ASPath], asn: int
+        self, cache: dict[int, np.ndarray], vocab: Sequence[ASPath], asn: int
     ) -> np.ndarray:
         """Per-vocabulary-entry membership of ``asn`` (cached per AS)."""
         member = cache.get(asn)
@@ -299,44 +201,43 @@ class BatchQuartetGenerator:
         return member
 
     def _applies_vec(
-        self,
-        fault: Fault,
-        loc_code: np.ndarray,
-        pfx_bucket: np.ndarray,
-        prefix24: np.ndarray,
-        client_asn: np.ndarray,
-        mid_code: np.ndarray,
-        rev_code: np.ndarray,
+        self, fault: Fault, slots: np.ndarray | slice, mid_code: np.ndarray
     ) -> np.ndarray:
-        """Vectorized :meth:`Fault.applies_to` over parallel code arrays."""
+        """Vectorized :meth:`Fault.applies_to` over table rows ``slots``
+        whose forward middles have codes ``mid_code``.
+
+        Everything ``applies_to`` branches on is a small integer column:
+        location code, CRC bucket of the /24 (the ``covers_prefix`` hash),
+        client AS, middle-path code and reverse-middle code. Per fault the
+        answer is then vocabulary-sized Python work plus NumPy gathers.
+        """
+        table = self.table
         target = fault.target
         if target.kind is SegmentKind.CLOUD:
-            code = self._loc_code_map.get(target.location_id, -1)
-            mask = loc_code == code
+            code = table.location_codes.get(target.location_id, -1)
+            mask = table.location[slots] == code
             if target.affected_fraction < 1.0:
-                mask = mask & (pfx_bucket < target.affected_fraction * 1000)
-            if target.prefixes is not None:
-                mask = mask & np.isin(
-                    prefix24,
-                    np.fromiter(
-                        target.prefixes, dtype=np.int64, count=len(target.prefixes)
-                    ),
+                mask = mask & (
+                    table.prefix_bucket[slots] < target.affected_fraction * 1000
                 )
+            if target.prefixes is not None:
+                mask = mask & _in_prefixes(table.prefix24[slots], target.prefixes)
             return mask
         if target.kind is SegmentKind.MIDDLE:
             if target.direction is Direction.REVERSE:
-                if not self._rev_paths:
-                    return np.zeros(len(loc_code), dtype=bool)
+                rev_code = table.reverse_middle[slots]
+                if not self._reverse_middles:
+                    return np.zeros(len(rev_code), dtype=bool)
                 member = self._member_of(
-                    self._rev_member, self._rev_paths, target.asn
+                    self._rev_member, self._reverse_middles, target.asn
                 )
-                mask = (rev_code >= 0) & member[np.maximum(rev_code, 0)]
+                mask = member[rev_code]
                 if target.path_scope is not None:
-                    scope = self._rev_codes.get(target.path_scope, -1)
+                    scope = table.reverse_middle_codes.get(target.path_scope, -1)
                     mask = mask & (rev_code == scope)
                 return mask
             if not self._middles:
-                return np.zeros(len(loc_code), dtype=bool)
+                return np.zeros(len(mid_code), dtype=bool)
             member = self._member_of(self._mid_member, self._middles, target.asn)
             mask = member[mid_code]
             if target.path_scope is not None:
@@ -344,14 +245,9 @@ class BatchQuartetGenerator:
                 mask = mask & (mid_code == scope)
             return mask
         # CLIENT
-        mask = client_asn == target.asn
+        mask = table.client_asn[slots] == target.asn
         if target.prefixes is not None:
-            mask = mask & np.isin(
-                prefix24,
-                np.fromiter(
-                    target.prefixes, dtype=np.int64, count=len(target.prefixes)
-                ),
-            )
+            mask = mask & _in_prefixes(table.prefix24[slots], target.prefixes)
         return mask
 
     def _fault_mask(self, fault: Fault) -> np.ndarray:
@@ -360,17 +256,8 @@ class BatchQuartetGenerator:
         table)."""
         mask = self._fault_masks.get(fault.fault_id)
         if mask is None:
-            self._ensure_fault_tables()
             mask = (
-                self._applies_vec(
-                    fault,
-                    self.loc_idx,
-                    self._slot_pfx_bucket,
-                    self.prefix24,
-                    self.client_asn,
-                    self.static_middle_idx,
-                    self._slot_rev_code,
-                )
+                self._applies_vec(fault, slice(None), self.static_middle_idx)
                 & self.static_valid
             )
             self._fault_masks[fault.fault_id] = mask
@@ -380,18 +267,8 @@ class BatchQuartetGenerator:
         """Per churn *segment*, whether the fault applies to its path."""
         applies = self._fault_seg_applies.get(fault.fault_id)
         if applies is None:
-            self._ensure_fault_tables()
-            s = self._seg_slot
             applies = (
-                self._applies_vec(
-                    fault,
-                    self.loc_idx[s],
-                    self._slot_pfx_bucket[s],
-                    self.prefix24[s],
-                    self.client_asn[s],
-                    self._seg_middle,
-                    self._slot_rev_code[s],
-                )
+                self._applies_vec(fault, self._seg_slot, self._seg_middle)
                 & self._seg_valid
             )
             self._fault_seg_applies[fault.fault_id] = applies
@@ -411,11 +288,12 @@ class BatchQuartetGenerator:
                 on the same scenario (from any of its generators).
         """
         scenario = self.scenario
+        table = self.table
         rng = rng or scenario._rng  # noqa: SLF001
         bucket_of_day = time % BUCKETS_PER_DAY
-        expected = scenario._activity_matrix[:, bucket_of_day].copy()  # noqa: SLF001
+        expected = table.activity[:, bucket_of_day].copy()
         if is_weekend(time):
-            expected *= np.where(self.enterprise, 0.35, 1.15)
+            expected *= np.where(table.enterprise, 0.35, 1.15)
         surge = scenario.surge_multipliers(time)
         if surge is not None:
             expected *= surge
@@ -424,8 +302,8 @@ class BatchQuartetGenerator:
         noise = rng.standard_normal(len(active))
 
         valid = self.static_valid[active]
-        totals = self.static_total[active].copy()
-        middle_idx = self.static_middle_idx[active].copy()
+        totals = table.base_total_ms[active]
+        middle_idx = self.static_middle_idx[active]
 
         # Splice in the churn slots' current-segment baselines.
         churn_rows = np.nonzero(~self.static[active])[0]
@@ -441,9 +319,9 @@ class BatchQuartetGenerator:
         # Evening congestion for non-enterprise clients (one add; the
         # same value as ``Scenario.evening_congestion_ms``).
         amps = self._amps_for_day(time // BUCKETS_PER_DAY)
-        shape = self._shape_matrix[self._slot_metro[active], bucket_of_day]
+        shape = table.congestion_shape[table.metro[active], bucket_of_day]
         congestion = amps[active] * shape
-        congestion[self.enterprise[active]] = 0.0
+        congestion[table.enterprise[active]] = 0.0
         totals = totals + congestion
 
         # Fault inflation, one add per fault in schedule order.
@@ -461,20 +339,19 @@ class BatchQuartetGenerator:
 
         keep = np.nonzero(valid)[0]
         slots_kept = active[keep]
-        locations, middles = self._vocab_tuples()
         return QuartetBatch(
             time=np.full(len(keep), time, dtype=np.int64),
-            prefix24=self.prefix24[slots_kept],
-            mobile=self.mobile[slots_kept],
+            prefix24=table.prefix24[slots_kept],
+            mobile=table.mobile[slots_kept],
             mean_rtt_ms=mean[keep],
             n_samples=counts_active[keep].astype(np.int64),
-            users=self.users[slots_kept],
-            client_asn=self.client_asn[slots_kept],
-            location_index=self.loc_idx[slots_kept],
-            locations=locations,
+            users=table.users[slots_kept],
+            client_asn=table.client_asn[slots_kept],
+            location_index=table.location[slots_kept],
+            locations=self._locations,
             middle_index=middle_idx[keep],
-            middles=middles,
-            region_index=self.region_idx[slots_kept],
+            middles=self._middles_tuple,
+            region_index=table.region[slots_kept],
             regions=self._regions,
         )
 

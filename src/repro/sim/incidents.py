@@ -49,12 +49,13 @@ quartets, a learned baseline for the affected path), which is also true
 of every incident that reaches a manual investigation.
 
 The diagnosability filters weight each slot by its chance of clearing
-the 10-sample quartet gate in a bucket. One scan of the world's slots
-(:func:`_index_world`) fills per-slot columns, and
-``_WorldIndex.gate_weights(t)`` turns them into that chance for every
-slot at once, cached by bucket for the index's lifetime: one
-:func:`generate_incidents` call, or one scenario-suite build, which
-shares an index across its batches. Each filter is then a masked sum
+the 10-sample quartet gate in a bucket. ``_WorldIndex.gate_weights(t)``
+turns the world's per-slot columns (its ``SlotTable``, scanned once per
+world) into that chance for every slot at once, cached by bucket for the
+index's lifetime: one :func:`generate_incidents` call, or one
+scenario-suite build, which shares an index across its batches. The
+gate vector forms its own product from the table's inputs, in the
+scalar order. Each filter is then a masked sum
 over the vector, added in slot order so the totals — and the incidents
 they select — are bit-identical to a per-slot loop.
 
@@ -75,7 +76,7 @@ from repro.net.asn import middle_asns
 from repro.net.bgp import Timestamp
 from repro.net.geo import Metro
 from repro.sim.faults import Fault, FaultTarget, SegmentKind
-from repro.sim.scenario import DemandSurge, RerouteEvent, Scenario, World
+from repro.sim.scenario import DemandSurge, RerouteEvent, Scenario, SlotTable, World
 from repro.sim.workload import BUCKETS_PER_DAY, local_hour, weekend_factor
 
 #: Local-hour window considered "busy" for incident onsets.
@@ -168,13 +169,12 @@ class IncidentSpec:
 
 @dataclass
 class _WorldIndex:
-    """Precomputed target pools and per-slot gate columns (internal).
+    """Precomputed target pools plus the gate-vector cache (internal).
 
-    The ``slot_*`` columns hold one entry per ``world.slots`` element, in
-    slot order; :meth:`gate_weights` turns them into every slot's chance
-    of clearing the quartet sample gate at one bucket. An index lives for
-    one generation call (or one suite build), and its bucket cache with
-    it.
+    The per-slot columns are the world's :class:`SlotTable`;
+    :meth:`gate_weights` turns them into every slot's chance of clearing
+    the quartet sample gate at one bucket. An index lives for one
+    generation call (or one suite build), and its bucket cache with it.
     """
 
     locations: list[str]
@@ -187,17 +187,8 @@ class _WorldIndex:
     middle_locations: dict[int, tuple[str, ...]]  # locations reached via AS
     cross_region_middles: dict[tuple, int]  # cross-region slots per middle
     metro_location_counts: dict[tuple[str, str], int]  # (location, metro)
-    slot_users_rate: np.ndarray  # users * connections_per_user
-    slot_share: np.ndarray
-    slot_location: np.ndarray  # code in location_codes
-    slot_metro: np.ndarray  # client metro's code in metro_codes
-    slot_middle: np.ndarray  # middle path's code in middle_codes; -1: no path
-    slot_diurnal_row: np.ndarray  # row of diurnal_rows
-    location_codes: dict[str, int]
-    metro_codes: dict[str, int]
-    middle_codes: dict[tuple, int]
-    diurnal_rows: np.ndarray  # per (client metro, enterprise): 288 factors
-    row_enterprise: np.ndarray  # per diurnal row
+    table: SlotTable
+    rate: float  # connections per user
     _gates: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
 
     def gate_weights(self, time: Timestamp) -> np.ndarray:
@@ -206,20 +197,20 @@ class _WorldIndex:
         Bit-identical to evaluating
         ``ActivityModel.expected_connections(...) * slot.share`` and the
         Poisson tail slot by slot: the same factors multiplied in the
-        same order, the diurnal factor read from the same
-        ``evening_weights`` table. Cached per bucket for the index's
-        lifetime.
+        same order, ``((users * rate * diurnal) * weekend) * share``, the
+        diurnal factor read from the same ``evening_weights`` table.
+        Cached per bucket for the index's lifetime.
         """
         weights = self._gates.get(time)
         if weights is None:
-            rows = self.slot_diurnal_row
-            diurnal = self.diurnal_rows[rows, time % BUCKETS_PER_DAY]
+            table = self.table
+            diurnal = table.diurnal_rows[table.diurnal_row, time % BUCKETS_PER_DAY]
             weekend = np.where(
-                self.row_enterprise[rows],
+                table.enterprise,
                 weekend_factor(time, True),
                 weekend_factor(time, False),
             )
-            expected = ((self.slot_users_rate * diurnal) * weekend) * self.slot_share
+            expected = (((table.users * self.rate) * diurnal) * weekend) * table.share
             weights = _gate_pass_probabilities(expected)
             self._gates[time] = weights
         return weights
@@ -235,20 +226,10 @@ def _index_world(world: World) -> _WorldIndex:
     looks like a location problem; a client AS producing ≥ half of its
     middle group's quartets looks like a path problem.
 
-    The same scan fills the per-slot gate columns the diagnosability
-    filters sum over.
+    The scan reads each slot's base path from the world's slot table,
+    which also holds the per-slot columns the gate vector needs.
     """
-    rate = world.activity.params.connections_per_user
-    users_rate: list[float] = []
-    shares: list[float] = []
-    slot_location: list[int] = []
-    slot_metro: list[int] = []
-    slot_middle: list[int] = []
-    slot_row: list[int] = []
-    location_codes: dict[str, int] = {}
-    metro_codes: dict[str, int] = {}
-    middle_codes: dict[tuple, int] = {}
-    row_codes: dict[tuple[Metro, bool], int] = {}
+    table = world.slot_table
     usage: dict[int, int] = {}
     middle_metro: dict[int, Metro] = {}
     per_location_total: dict[str, int] = {}
@@ -261,23 +242,12 @@ def _index_world(world: World) -> _WorldIndex:
     middle_location_sets: dict[int, set[str]] = {}
     cross_region_middles: dict[tuple, int] = {}
     metro_location_counts: dict[tuple[str, str], int] = {}
-    for slot in world.slots:
+    for slot, path in zip(world.slots, table.base_paths):
         location_id = slot.location.location_id
-        metro = slot.client.metro
         location_slots[location_id] = location_slots.get(location_id, 0) + 1
-        users_rate.append(slot.client.users * rate)
-        shares.append(slot.share)
-        slot_location.append(location_codes.setdefault(location_id, len(location_codes)))
-        slot_metro.append(metro_codes.setdefault(metro.name, len(metro_codes)))
-        slot_row.append(
-            row_codes.setdefault((metro, bool(slot.enterprise)), len(row_codes))
-        )
-        path = world.mapper.path_for(slot.location, slot.client)
         if path is None:
-            slot_middle.append(-1)
             continue
         middle = middle_asns(path)
-        slot_middle.append(middle_codes.setdefault(middle, len(middle_codes)))
         per_location_total[location_id] = per_location_total.get(location_id, 0) + 1
         metro_location_counts[(location_id, slot.client.metro.name)] = (
             metro_location_counts.get((location_id, slot.client.metro.name), 0) + 1
@@ -361,19 +331,8 @@ def _index_world(world: World) -> _WorldIndex:
         },
         cross_region_middles=cross_region_middles,
         metro_location_counts=metro_location_counts,
-        slot_users_rate=np.array(users_rate, dtype=float),
-        slot_share=np.array(shares, dtype=float),
-        slot_location=np.array(slot_location, dtype=np.int64),
-        slot_metro=np.array(slot_metro, dtype=np.int64),
-        slot_middle=np.array(slot_middle, dtype=np.int64),
-        slot_diurnal_row=np.array(slot_row, dtype=np.int64),
-        location_codes=location_codes,
-        metro_codes=metro_codes,
-        middle_codes=middle_codes,
-        diurnal_rows=np.array(
-            [world.activity.evening_weights(m, e) for m, e in row_codes]
-        ).reshape(len(row_codes), BUCKETS_PER_DAY),
-        row_enterprise=np.array([e for _, e in row_codes], dtype=bool),
+        table=table,
+        rate=world.activity.params.connections_per_user,
     )
 
 
@@ -432,8 +391,9 @@ def _gated_share_ok(
     slot by its probability of clearing the 10-sample quartet gate
     across the incident window; slots at or below 1 % are left out.
     """
-    at_location = index.slot_location == np.arange(len(index.location_codes))[:, None]
-    in_scope = at_location & (index.slot_middle == index.middle_codes[scoped_middle])
+    table = index.table
+    at_location = table.location == np.arange(len(table.location_codes))[:, None]
+    in_scope = at_location & (table.middle == table.middle_codes[scoped_middle])
     masks = np.stack([at_location, in_scope])
     for time in range(start, start + duration, 4):
         active, scoped = _ordered_sum(
@@ -475,7 +435,8 @@ def _location_active_enough(
     yield "insufficient" (Algorithm 1's aggregate gate); such incidents
     never reach a diagnosable state and are not generated.
     """
-    at_location = index.slot_location == index.location_codes[location_id]
+    table = index.table
+    at_location = table.location == table.location_codes[location_id]
     return all(
         _ordered_sum(np.where(at_location, index.gate_weights(time), 0.0))
         >= min_gated
@@ -885,8 +846,9 @@ def _gated_metro_dominates(
     undercount this — during the metro's busy hours, clients in other
     timezones are asleep.
     """
-    at_location = index.slot_location == index.location_codes[location_id]
-    in_metro = at_location & (index.slot_metro == index.metro_codes[metro_name])
+    table = index.table
+    at_location = table.location == table.location_codes[location_id]
+    in_metro = at_location & table.metro_mask(metro_name)
     masks = np.stack([at_location, in_metro])
     for time in range(start, start + duration, 2):
         active, scoped = _ordered_sum(
@@ -1025,8 +987,9 @@ def _scope_window_diagnosable(
 
 def _scope_slots(index: _WorldIndex, middle: tuple) -> list[np.ndarray]:
     """Slot indices on ``middle``, one ascending array per serving location."""
-    slots = np.flatnonzero(index.slot_middle == index.middle_codes[middle])
-    locations = index.slot_location[slots]
+    table = index.table
+    slots = np.flatnonzero(table.middle == table.middle_codes[middle])
+    locations = table.location[slots]
     return [slots[locations == code] for code in np.unique(locations)]
 
 

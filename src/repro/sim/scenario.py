@@ -16,13 +16,17 @@ evaluation needs to validate it:
 
 Worlds (:class:`World`) are immutable once built and can be shared across
 scenarios that differ only in their fault schedule, which is how the
-88-incident validation stays cheap.
+88-incident validation stays cheap. A world's per-slot facts are scanned
+once, into its :class:`SlotTable`, and every scenario, traffic model and
+incident builder over the world reads that one table.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import zlib
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -45,12 +49,12 @@ from repro.cloud.traceroute import TracerouteView
 from repro.net.addressing import BGPPrefix, Prefix24
 from repro.net.asn import ASPath, ASTier
 from repro.net.bgp import BGPListener, BGPTable, BGPUpdate, BGPUpdateKind, Timestamp
-from repro.net.geo import Region
+from repro.net.geo import Metro, Region
 from repro.net.latency import LatencyModel, LatencyParams, PathLatency
 from repro.net.routing import RouteComputer
 from repro.net.topology import GeneratedTopology, TopologyParams, generate_topology
 from repro.sim.faults import Direction, Fault, FaultInjector, FaultRates, SegmentKind
-from repro.sim.workload import ActivityModel, WorkloadParams
+from repro.sim.workload import ActivityModel, WorkloadParams, local_hour
 
 #: Buckets per day (5-minute buckets).
 BUCKETS_PER_DAY = 288
@@ -110,6 +114,168 @@ class ScenarioParams:
         return self.duration_days * BUCKETS_PER_DAY
 
 
+@dataclass(frozen=True, eq=False)
+class SlotTable:
+    """A world's per-slot columns, one entry per ``world.slots`` element.
+
+    Built once per world (:attr:`World.slot_table`) and shared by every
+    reader: the scenarios over the world, the traffic model
+    (:class:`repro.perf.batch.BatchQuartetGenerator`), the incident
+    generator's index and the suite scorer. Every array is read-only.
+
+    Each ``*_codes`` mapping is a vocabulary in first-appearance (slot)
+    order, and the column of the same name holds each slot's code in it.
+    ``route_codes`` keys are the ⟨location, BGP announcement⟩ pairs a
+    scenario keeps a path timeline for. ``prefix_bucket`` is the /24's
+    ``FaultTarget.covers_prefix`` hash bucket. A slot whose prefix is
+    unreachable has a ``base_paths`` entry of None, ``middle`` -1 and a
+    NaN ``base_total_ms``. ``diurnal_rows`` holds one
+    ``ActivityModel.evening_weights`` row per (client metro, enterprise),
+    ``congestion_shape`` one evening-congestion row per client metro.
+
+    The table stores inputs, plus the one product the traffic model draws
+    from: ``activity = diurnal * (users * rate * share)``. A reader that
+    needs another product forms it itself, in its own multiplication
+    order, so its floats do not move.
+    """
+
+    location_codes: dict[str, int]
+    region_codes: dict[Region, int]
+    metro_codes: dict[str, int]
+    route_codes: dict[tuple[str, BGPPrefix], int]
+    middle_codes: dict[ASPath, int]
+    reverse_middle_codes: dict[ASPath, int]
+    location: np.ndarray
+    region: np.ndarray
+    metro: np.ndarray
+    route: np.ndarray
+    middle: np.ndarray
+    reverse_middle: np.ndarray
+    diurnal_row: np.ndarray
+    prefix24: np.ndarray
+    prefix_bucket: np.ndarray
+    mobile: np.ndarray
+    users: np.ndarray
+    client_asn: np.ndarray
+    enterprise: np.ndarray
+    share: np.ndarray
+    base_paths: tuple[ASPath | None, ...]
+    base_total_ms: np.ndarray
+    activity: np.ndarray  # (slot, bucket of day)
+    diurnal_rows: np.ndarray  # (diurnal row, bucket of day)
+    congestion_shape: np.ndarray  # (metro code, bucket of day)
+
+    def __post_init__(self) -> None:
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+
+    def route_slots(self) -> list[int]:
+        """Each route's first slot, in route-code order."""
+        return np.unique(self.route, return_index=True)[1].tolist()
+
+    def metro_mask(self, metro_name: str) -> np.ndarray:
+        """Which slots' clients sit in ``metro_name``."""
+        return self.metro == self.metro_codes.get(metro_name, -1)
+
+
+def _code(vocabulary: dict, key) -> int:
+    """``key``'s code in a first-appearance vocabulary, added if new."""
+    return vocabulary.setdefault(key, len(vocabulary))
+
+
+def _build_slot_table(world: World) -> SlotTable:
+    """Scan ``world.slots`` once into a :class:`SlotTable`."""
+    slots = world.slots
+    location_codes: dict[str, int] = {}
+    region_codes: dict[Region, int] = {}
+    metro_codes: dict[str, int] = {}
+    route_codes: dict[tuple[str, BGPPrefix], int] = {}
+    middle_codes: dict[ASPath, int] = {}
+    reverse_codes: dict[ASPath, int] = {}
+    row_codes: dict[tuple[Metro, bool], int] = {}
+    metros: list[Metro] = []
+    reverse_by_asn: dict[int, ASPath] = {}
+    base_paths: list[ASPath | None] = []
+    base_total = np.full(len(slots), np.nan)
+    rows: list[tuple[int, ...]] = []
+    for i, slot in enumerate(slots):
+        serving, client = slot.location, slot.client
+        path = world.mapper.path_for(serving, client)
+        base_paths.append(path)
+        middle_code = -1
+        if path is not None:
+            middle_code = _code(middle_codes, path[1:-1])
+            base_total[i] = world.latency.path_latency(
+                serving.metro, path, client.metro, client.mobile
+            ).total_ms
+        reverse = reverse_by_asn.get(client.asn)
+        if reverse is None:
+            selected = world.mapper.routes.selected_path(client.asn, world.cloud_asn)
+            reverse = selected[1:-1] if selected is not None else ()
+            reverse_by_asn[client.asn] = reverse
+        metro_code = _code(metro_codes, client.metro.name)
+        if metro_code == len(metros):
+            metros.append(client.metro)
+        rows.append((
+            _code(location_codes, serving.location_id),
+            _code(region_codes, serving.region),
+            metro_code,
+            _code(route_codes, (serving.location_id, client.announcement)),
+            middle_code,
+            _code(reverse_codes, reverse),
+            _code(row_codes, (client.metro, bool(slot.enterprise))),
+            client.prefix24,
+            zlib.crc32(client.prefix24.to_bytes(3, "big")) % 1000,
+            client.mobile,
+            client.users,
+            client.asn,
+            slot.enterprise,
+        ))
+    (location, region, metro, route, middle, reverse_middle, diurnal_row, prefix24,
+     prefix_bucket, mobile, users, client_asn, enterprise) = (
+        np.array(rows, dtype=np.int64).reshape(len(slots), 13).T.copy()
+    )
+    share = np.fromiter((slot.share for slot in slots), float, len(slots))
+    diurnal_rows = np.array(
+        [world.activity.evening_weights(m, e) for m, e in row_codes]
+    ).reshape(len(row_codes), BUCKETS_PER_DAY)
+    # diurnal * (users * rate * share), built in place: no second matrix.
+    activity = diurnal_rows.take(diurnal_row, axis=0)
+    activity *= ((users * world.activity.params.connections_per_user) * share)[:, None]
+    hours = [[local_hour(m, b) for b in range(BUCKETS_PER_DAY)] for m in metros]
+    shape = np.array(
+        [[math.exp(-(((hour - 21.0) / 2.2) ** 2)) for hour in row] for row in hours]
+    ).reshape(len(metros), BUCKETS_PER_DAY)
+    return SlotTable(
+        location_codes=location_codes,
+        region_codes=region_codes,
+        metro_codes=metro_codes,
+        route_codes=route_codes,
+        middle_codes=middle_codes,
+        reverse_middle_codes=reverse_codes,
+        location=location,
+        region=region,
+        metro=metro,
+        route=route,
+        middle=middle,
+        reverse_middle=reverse_middle,
+        diurnal_row=diurnal_row,
+        prefix24=prefix24,
+        prefix_bucket=prefix_bucket,
+        mobile=mobile.astype(bool),
+        users=users,
+        client_asn=client_asn,
+        enterprise=enterprise.astype(bool),
+        share=share,
+        base_paths=tuple(base_paths),
+        base_total_ms=base_total,
+        activity=activity,
+        diurnal_rows=diurnal_rows,
+        congestion_shape=shape,
+    )
+
+
 @dataclass
 class World:
     """The static universe shared by scenarios: no faults, no churn."""
@@ -124,11 +290,21 @@ class World:
     activity: ActivityModel
     slots: tuple[Slot, ...]
     assignments: dict[Prefix24, ServingAssignment]
+    _slot_table: SlotTable | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def cloud_asn(self) -> int:
         """The cloud provider's ASN."""
         return self.generated.cloud_asn
+
+    @property
+    def slot_table(self) -> SlotTable:
+        """The world's per-slot columns: built on first use, then shared."""
+        if self._slot_table is None:
+            self._slot_table = _build_slot_table(self)
+        return self._slot_table
 
     def location_by_id(self, location_id: str) -> CloudLocation:
         """Look up a location record.
@@ -273,7 +449,7 @@ def _calibrate_targets(world: World) -> RTTTargets:
     learned-median statistics classify as ambiguous rather than blame.
     """
     worst: dict[tuple[Region, bool], float] = {}
-    for slot in world.slots:
+    for slot, baseline_ms in zip(world.slots, world.slot_table.base_total_ms.tolist()):
         assignment = world.assignments.get(slot.client.prefix24)
         if assignment is not None:
             ring0 = {assignment.primary.location_id}
@@ -281,14 +457,10 @@ def _calibrate_targets(world: World) -> RTTTargets:
                 ring0.add(assignment.secondary.location_id)
             if slot.location.location_id not in ring0:
                 continue
-        path = world.mapper.path_for(slot.location, slot.client)
-        if path is None:
+        if math.isnan(baseline_ms):  # unreachable prefix
             continue
-        baseline = world.latency.path_latency(
-            slot.location.metro, path, slot.client.metro, slot.client.mobile
-        )
         key = (slot.location.region, slot.client.mobile)
-        worst[key] = max(worst.get(key, 0.0), baseline.total_ms)
+        worst[key] = max(worst.get(key, 0.0), baseline_ms)
     defaults = default_rtt_targets()
     by_region: dict[Region, tuple[float, float]] = {}
     for region in Region:
@@ -351,7 +523,12 @@ class DemandSurge:
 
 
 class Scenario:
-    """A world plus a fault schedule and route churn over a horizon."""
+    """A world plus a fault schedule and route churn over a horizon.
+
+    Raises:
+        ValueError: When two faults share a ``fault_id`` or two surges a
+            ``surge_id``.
+    """
 
     def __init__(
         self,
@@ -361,6 +538,16 @@ class Scenario:
         surges: tuple[DemandSurge, ...] = (),
         ring_flaps: tuple[RingFlap, ...] = (),
     ) -> None:
+        # The traffic model caches each fault's slot mask by its id, so of
+        # two faults sharing one it would inject only the first, while the
+        # oracle applies both. Surge ids are held to the same rule.
+        for kind, ids in (
+            ("fault", [f.fault_id for f in faults]),
+            ("surge", [s.surge_id for s in surges]),
+        ):
+            repeated = sorted(i for i, n in Counter(ids).items() if n > 1)
+            if repeated:
+                raise ValueError(f"duplicate {kind} id {repeated[0]}")
         self.world = world
         self.faults = tuple(sorted(faults, key=lambda f: (f.start, f.fault_id)))
         self.reroutes = tuple(sorted(reroutes, key=lambda r: r.time))
@@ -371,7 +558,6 @@ class Scenario:
         #: generation hot path; this tuple is the labelled record of why
         #: those faults exist.
         self.ring_flaps = tuple(sorted(ring_flaps, key=lambda f: (f.start, f.flap_id)))
-        self._surge_masks: dict[int, np.ndarray] = {}
         self.listener = BGPListener()
         self.tables: dict[str, BGPTable] = {
             loc.location_id: BGPTable(loc.location_id) for loc in world.locations
@@ -382,12 +568,7 @@ class Scenario:
         self._active_cache: tuple[Timestamp, tuple[Fault, ...]] | None = None
         self._faults_by_day: dict[int, tuple[Fault, ...]] = {}
         self._rng = np.random.default_rng(world.params.seed + 1)
-        self._activity_matrix: np.ndarray | None = None
-        self._enterprise_flags: np.ndarray | None = None
-        self._slot_timelines: list | None = None
-        self._slot_reverse_middle: list[ASPath] | None = None
         self._congestion_amp: dict[tuple[int, int], float] = {}
-        self._congestion_shape: dict[str, np.ndarray] = {}
         self._reverse_paths: dict[int, ASPath | None] = {}
         self._return_sets: dict[tuple[int, int], frozenset[int]] = {}
         self._build_timelines()
@@ -454,14 +635,10 @@ class Scenario:
         world: World, rng: np.random.Generator
     ) -> tuple[RerouteEvent, ...]:
         """Sample route churn: path flips and occasional withdrawals."""
-        pairs: list[tuple[CloudLocation, ClientPrefix]] = []
-        seen: set[tuple[str, BGPPrefix]] = set()
-        for slot in world.slots:
-            key = (slot.location.location_id, slot.client.announcement)
-            if key in seen:
-                continue
-            seen.add(key)
-            pairs.append((slot.location, slot.client))
+        pairs = [
+            (world.slots[i].location, world.slots[i].client)
+            for i in world.slot_table.route_slots()
+        ]
         if not pairs:
             return ()
         horizon = world.params.horizon_buckets
@@ -497,16 +674,12 @@ class Scenario:
     def _build_timelines(self) -> None:
         """Materialize per-(location, announcement) path timelines and the
         BGP update log/tables."""
-        world = self.world
-        for slot in world.slots:
-            key = (slot.location.location_id, slot.client.announcement)
-            if key in self._timelines:
-                continue
-            base = world.mapper.path_for(slot.location, slot.client)
+        table = self.world.slot_table
+        for key, first in zip(table.route_codes, table.route_slots()):
+            base = table.base_paths[first]
             self._timelines[key] = ([0], [base])
             if base is not None:
-                update = self.tables[key[0]].install(slot.client.announcement, base, 0)
-                self.listener.publish(update)
+                self.listener.publish(self.tables[key[0]].install(key[1], base, 0))
         for event in self.reroutes:
             key = (event.location_id, event.announcement)
             timeline = self._timelines.get(key)
@@ -632,19 +805,6 @@ class Scenario:
 
     # -- evening congestion ---------------------------------------------
 
-    def _congestion_shape_for(self, metro) -> np.ndarray:
-        """Per-bucket evening-congestion shape for one metro (cached)."""
-        shape = self._congestion_shape.get(metro.name)
-        if shape is None:
-            from repro.sim.workload import local_hour
-
-            shape = np.empty(BUCKETS_PER_DAY)
-            for bucket in range(BUCKETS_PER_DAY):
-                hour = local_hour(metro, bucket)
-                shape[bucket] = math.exp(-(((hour - 21.0) / 2.2) ** 2))
-            self._congestion_shape[metro.name] = shape
-        return shape
-
     def _congestion_amp_for(self, client_asn: int, day: int) -> float:
         """Peak congestion latency for a home AS on a given day.
 
@@ -674,22 +834,11 @@ class Scenario:
         amp = self._congestion_amp_for(client.asn, time // BUCKETS_PER_DAY)
         if amp == 0.0:
             return 0.0
-        shape = self._congestion_shape_for(client.metro)
+        table = self.world.slot_table
+        shape = table.congestion_shape[table.metro_codes[client.metro.name]]
         return amp * float(shape[time % BUCKETS_PER_DAY])
 
     # -- demand surges -------------------------------------------------
-
-    def _surge_mask(self, surge: DemandSurge) -> np.ndarray:
-        """Boolean slot mask for one surge's metro (cached)."""
-        mask = self._surge_masks.get(surge.surge_id)
-        if mask is None:
-            mask = np.fromiter(
-                (slot.client.metro.name == surge.metro_name for slot in self.world.slots),
-                dtype=bool,
-                count=len(self.world.slots),
-            )
-            self._surge_masks[surge.surge_id] = mask
-        return mask
 
     def surge_multipliers(self, time: Timestamp) -> np.ndarray | None:
         """Per-slot demand multipliers for active surges, or None.
@@ -704,9 +853,10 @@ class Scenario:
         active = [s for s in self.surges if s.is_active(time)]
         if not active:
             return None
-        multipliers = np.ones(len(self.world.slots))
+        table = self.world.slot_table
+        multipliers = np.ones(len(table.metro))
         for surge in active:
-            multipliers[self._surge_mask(surge)] *= surge.multiplier
+            multipliers[table.metro_mask(surge.metro_name)] *= surge.multiplier
         return multipliers
 
     # -- faults -------------------------------------------------------
@@ -938,39 +1088,6 @@ class Scenario:
         if added < MIN_CULPRIT_DELTA_MS:
             return None
         return (kind, asn)
-
-    # -- traffic-model tables (read by repro.perf.batch) -----------------
-
-    def _ensure_fast_tables(self) -> None:
-        """Precompute per-slot activity and path shortcuts (lazy).
-
-        :class:`repro.perf.batch.BatchQuartetGenerator` — the one traffic
-        model — builds its columns from these. Diurnal rows come from the
-        world's :meth:`ActivityModel.evening_weights` memo, shared by every
-        scenario over the world.
-        """
-        if self._activity_matrix is not None:
-            return
-        world = self.world
-        rate = world.activity.params.connections_per_user
-        n_slots = len(world.slots)
-        matrix = np.empty((n_slots, BUCKETS_PER_DAY))
-        enterprise = np.empty(n_slots, dtype=bool)
-        for index, slot in enumerate(world.slots):
-            diurnal = world.activity.evening_weights(slot.client.metro, slot.enterprise)
-            matrix[index] = diurnal * (slot.client.users * rate * slot.share)
-            enterprise[index] = slot.enterprise
-        self._activity_matrix = matrix
-        self._enterprise_flags = enterprise
-        self._slot_timelines = [
-            self._timelines.get(
-                (slot.location.location_id, slot.client.announcement)
-            )
-            for slot in world.slots
-        ]
-        self._slot_reverse_middle = [
-            self.reverse_middle(slot.client.asn) for slot in world.slots
-        ]
 
     # -- convenience ----------------------------------------------------
 

@@ -164,6 +164,23 @@ class TestExitCodes:
             capsys, f"unknown field {dotted}",
         )
 
+    def test_diagnose_rejects_repeated_fault_id(self, capsys, tmp_path):
+        """Two faults sharing an id would inject only the first into the
+        quartet stream while the ground truth applies both."""
+        import json
+
+        spec = tmp_path / "scenario.json"
+        assert main(["simulate", *FAST, "--save", str(spec)]) == 0
+        data = json.loads(spec.read_text())
+        repeated = data["faults"][0]["fault_id"]
+        data["faults"][1]["fault_id"] = repeated
+        spec.write_text(json.dumps(data))
+        capsys.readouterr()
+        self._check_usage_error(
+            ["diagnose", "--scenario", str(spec), "--start", "150", "--end", "160"],
+            capsys, f"duplicate fault id {repeated}",
+        )
+
     def test_characterize_rejects_bad_range(self, capsys):
         self._check_usage_error(
             ["characterize", *FAST, "--start", "220", "--end", "150"],

@@ -284,12 +284,12 @@ class TestGateWeights:
         """Slots with expected == 0 (the 0.0 shortcut) and expected > 40
         (the 1.0 shortcut) next to ordinary ones."""
         index = _index_world(gate_world)
-        rate = gate_world.activity.params.connections_per_user
         users = {0: 0, 1: 100_000, 2: 1}
-        columns = index.slot_users_rate.copy()
+        columns = index.table.users.copy()
         for k, value in users.items():
-            columns[k] = value * rate
-        index = dataclasses.replace(index, slot_users_rate=columns, _gates={})
+            columns[k] = value
+        table = dataclasses.replace(index.table, users=columns)
+        index = dataclasses.replace(index, table=table, _gates={})
         scalar = ScalarGates(gate_world, users=users)
         for time in GATE_BUCKETS:
             weights = index.gate_weights(time)
@@ -302,7 +302,7 @@ class TestGateWeights:
 
     def test_location_active_enough_matches_scalar(self, gate_world, gates):
         index, scalar = gates
-        for location_id in index.location_codes:
+        for location_id in index.table.location_codes:
             for start in _starts(gate_world):
                 for duration in DURATIONS:
                     assert _location_active_enough(
@@ -311,8 +311,8 @@ class TestGateWeights:
 
     def test_gated_metro_dominates_matches_scalar(self, gate_world, gates):
         index, scalar = gates
-        for location_id in index.location_codes:
-            for metro_name in index.metro_codes:
+        for location_id in index.table.location_codes:
+            for metro_name in index.table.metro_codes:
                 for start in _starts(gate_world):
                     for duration in DURATIONS:
                         assert _gated_metro_dominates(
@@ -323,7 +323,7 @@ class TestGateWeights:
 
     def test_gated_share_ok_matches_scalar(self, gate_world, gates):
         index, scalar = gates
-        for middle in index.middle_codes:
+        for middle in index.table.middle_codes:
             for start in _starts(gate_world):
                 for duration in DURATIONS:
                     assert _gated_share_ok(
@@ -332,7 +332,7 @@ class TestGateWeights:
 
     def test_scope_window_diagnosable_matches_scalar(self, gate_world, gates):
         index, scalar = gates
-        for middle in index.middle_codes:
+        for middle in index.table.middle_codes:
             vector_slots = _scope_slots(index, middle)
             scalar_slots = scalar.scope_slots(middle)
             assert sorted(s.tolist() for s in vector_slots) == sorted(
@@ -350,7 +350,7 @@ class TestGateWeights:
     @pytest.mark.parametrize("time", GATE_BUCKETS)
     def test_location_sums_exact_at_threshold(self, gates, time):
         index, scalar = gates
-        for location_id in index.location_codes:
+        for location_id in index.table.location_codes:
             total = scalar.location_sum(location_id, time)
             assert _location_active_enough(index, location_id, time, 1, total)
             assert not _location_active_enough(
@@ -360,8 +360,8 @@ class TestGateWeights:
     @pytest.mark.parametrize("time", GATE_BUCKETS)
     def test_metro_shares_exact_at_threshold(self, gates, time):
         index, scalar = gates
-        for location_id in index.location_codes:
-            for metro_name in index.metro_codes:
+        for location_id in index.table.location_codes:
+            for metro_name in index.table.metro_codes:
                 active, scoped = scalar.metro_sums(location_id, metro_name, time)
                 if active <= 0:
                     continue
@@ -377,7 +377,7 @@ class TestGateWeights:
     @pytest.mark.parametrize("time", GATE_BUCKETS)
     def test_middle_shares_exact_at_threshold(self, gates, time):
         index, scalar = gates
-        for middle in index.middle_codes:
+        for middle in index.table.middle_codes:
             ratio = max(scalar.share_ratios(middle, time))
             assert _gated_share_ok(index, middle, time, 1, ratio)
             assert not _gated_share_ok(
@@ -387,7 +387,7 @@ class TestGateWeights:
     @pytest.mark.parametrize("time", GATE_BUCKETS)
     def test_scope_sums_exact_at_threshold(self, gates, time):
         index, scalar = gates
-        for middle in index.middle_codes:
+        for middle in index.table.middle_codes:
             for slots in _scope_slots(index, middle):
                 total = scalar.scope_sum(slots.tolist(), time)
                 assert _scope_window_diagnosable(index, [slots], time, 1, total)

@@ -3,14 +3,20 @@
 import numpy as np
 import pytest
 
+import repro.sim.scenario as scenario_module
+from repro.analysis.validation import build_warmup_state
 from repro.net.asn import middle_asns
+from repro.net.latency import LatencyModel
 from repro.perf.batch import BatchQuartetGenerator
 from repro.sim.faults import Fault, FaultTarget, SegmentKind
+from repro.sim.incidents import _index_world
 from repro.sim.scenario import (
     BUCKETS_PER_DAY,
+    DemandSurge,
     RerouteEvent,
     Scenario,
     ScenarioParams,
+    build_world,
 )
 from repro.net.geo import Region
 
@@ -292,3 +298,79 @@ class TestDeterminism:
     def test_horizon(self):
         params = ScenarioParams(seed=1, regions=(Region.USA,), duration_days=3)
         assert params.horizon_buckets == 3 * BUCKETS_PER_DAY
+
+
+class TestSlotTable:
+    def test_one_table_per_world_shared_by_every_reader(
+        self, monkeypatch, small_params
+    ):
+        builds = []
+        build = scenario_module._build_slot_table
+
+        def counting_build(world):
+            builds.append(world)
+            return build(world)
+
+        monkeypatch.setattr(scenario_module, "_build_slot_table", counting_build)
+        world = build_world(small_params)
+        table = world.slot_table
+        scenarios = (Scenario(world, (), ()), Scenario.from_world(world))
+        generators = [BatchQuartetGenerator(s) for s in scenarios]
+        index = _index_world(world)
+        build_warmup_state(world, days=1, stride=48)
+        assert len(builds) == 1 and builds[0] is world
+        assert all(s.world.slot_table is table for s in scenarios)
+        assert all(g.table is table for g in generators)
+        assert index.table is table
+        arrays = [v for v in vars(table).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) > 10
+        assert not any(a.flags.writeable for a in arrays)
+
+    def test_generators_share_one_path_latency_scan(self, monkeypatch, small_params):
+        """N fault-free scenarios cost one baseline per reachable slot in
+        total, not N."""
+        calls = []
+        path_latency = LatencyModel.path_latency
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return path_latency(self, *args, **kwargs)
+
+        monkeypatch.setattr(LatencyModel, "path_latency", counting)
+        world = build_world(small_params)
+        for _ in range(3):
+            BatchQuartetGenerator(Scenario(world, (), ()))
+        reachable = sum(
+            world.mapper.path_for(s.location, s.client) is not None
+            for s in world.slots
+        )
+        assert len(calls) == reachable
+
+
+class TestDuplicateIds:
+    def test_repeated_fault_id_refused(self, small_world):
+        faults = tuple(
+            Fault(
+                fault_id=0,
+                target=FaultTarget(
+                    kind=SegmentKind.CLOUD, location_id=location.location_id
+                ),
+                start=100,
+                duration=10,
+                added_ms=50.0,
+            )
+            for location in small_world.locations[:2]
+        )
+        with pytest.raises(ValueError, match="duplicate fault id 0"):
+            Scenario(small_world, faults, ())
+
+    def test_repeated_surge_id_refused(self, small_world):
+        metros = sorted({s.client.metro.name for s in small_world.slots})[:2]
+        surges = tuple(
+            DemandSurge(
+                surge_id=0, metro_name=name, start=100, duration=10, multiplier=3.0
+            )
+            for name in metros
+        )
+        with pytest.raises(ValueError, match="duplicate surge id 0"):
+            Scenario(small_world, (), (), surges=surges)
