@@ -3,9 +3,10 @@
 The paper compared BlameIt's automatic localization against 88
 production incidents investigated manually by network engineers and
 found agreement on all of them. Here 88 labelled incidents are generated
-from the five §6.3 case-study archetypes and validated end-to-end: the
-pipeline's dominant issue must name both the right segment and the right
-culprit AS.
+from the five §6.3 case-study archetypes and validated end-to-end, each
+as a one-incident ``SuiteCase`` through ``run_case`` — the suite's own
+runner and scorer, without its ambient discount: the dominant pooled
+blame must name both the right segment and the right culprit AS.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import pytest
 from _util import emit
 
 from repro.analysis.report import render_table
-from repro.analysis.validation import validate_incident
+from repro.analysis.validation import SuiteCase, run_case
 from repro.sim.incidents import IncidentArchetype, generate_incidents
 
 SEEDS = (5, 6, 7, 8)
@@ -27,7 +28,8 @@ def _validate_all(world, state):
     for seed in SEEDS:
         rng = np.random.default_rng(seed)
         for spec in generate_incidents(world, PER_SEED, rng):
-            outcomes.append(validate_incident(world, spec, state))
+            case = SuiteCase(spec.incident_id, (spec,), "single")
+            outcomes.extend(run_case(world, case, state).outcomes)
     return outcomes
 
 

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.validation import build_warmup_state, validate_incident
+from repro.analysis.validation import SuiteCase, build_warmup_state, run_case
 from repro.net.geo import Region
-from repro.sim.incidents import IncidentArchetype, generate_incidents
+from repro.sim.incidents import PAPER_ARCHETYPES, generate_incidents
 from repro.sim.scenario import ScenarioParams, build_world
 
 
@@ -33,7 +33,7 @@ def main() -> None:
     print("training expected RTTs on one fault-free day ...")
     state = build_warmup_state(world, days=1, stride=2)
 
-    specs = generate_incidents(world, len(IncidentArchetype), np.random.default_rng(3))
+    specs = generate_incidents(world, len(PAPER_ARCHETYPES), np.random.default_rng(3))
     matched = 0
     for spec in specs:
         print("\n" + "=" * 72)
@@ -44,8 +44,10 @@ def main() -> None:
             f"(day {spec.start // 288}, {(spec.start % 288) / 12:.1f}h UTC), "
             f"duration {spec.duration * 5} minutes"
         )
-        outcome = validate_incident(world, spec, state)
-        report = outcome.report
+        case = SuiteCase(spec.incident_id, (spec,), "single")
+        case_outcome = run_case(world, case, state)
+        (outcome,) = case_outcome.outcomes
+        report = case_outcome.report
         print("  passive blame mix during the window:")
         total = sum(report.blame_counts.values()) or 1
         for blame, count in sorted(

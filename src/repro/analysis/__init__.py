@@ -3,7 +3,8 @@
 * :mod:`repro.analysis.cdf` — empirical CDFs.
 * :mod:`repro.analysis.characterize` — prevalence, diurnal patterns,
   persistence, and impact-skew analyses behind Figures 2-4.
-* :mod:`repro.analysis.validation` — incident validation (§6.3) and the
+* :mod:`repro.analysis.validation` — incident validation (§6.3: single
+  incidents and the adversarial suite, one scorer) and the
   corroboration-ratio methodology (§6.4).
 * :mod:`repro.analysis.report` — fixed-width tables and CDF/series
   rendering for the benches.
@@ -23,7 +24,6 @@ from repro.analysis.validation import (
     WarmupState,
     build_warmup_state,
     corroboration_ratios,
-    validate_incident,
 )
 
 __all__ = [
@@ -40,5 +40,4 @@ __all__ = [
     "render_cdf",
     "render_series",
     "render_table",
-    "validate_incident",
 ]

@@ -1,13 +1,16 @@
 """Validation harnesses: §6.3 incident matching and §6.4 corroboration.
 
-* :func:`validate_incident` runs the full pipeline over one labelled
-  incident and checks the blamed segment and culprit AS against ground
-  truth — the reproduction of the paper's 88/88 incident validation.
-* :func:`validate_scenario_suite` scales that to the adversarial suite:
-  a deterministic batch of single and deliberately *overlapping* cases
-  across every incident family, scored into a per-family scorecard
-  (localization accuracy, blame-segment confusion matrix, and naive vs
-  mitigation-aware impact orderings of concurrent incidents).
+* :func:`run_case` runs the full pipeline over one :class:`SuiteCase` —
+  one or more concurrent labelled incidents — and :func:`score_case`
+  checks the blamed segment and culprit AS of each against ground
+  truth. A lone incident is the one-spec case ``SuiteCase(id, (spec,),
+  "single")``: the reproduction of the paper's 88-incident validation.
+* :func:`validate_scenario_suite` runs the adversarial suite through
+  the same path: a deterministic batch of single and deliberately
+  *overlapping* cases across every incident family, scored into a
+  per-family scorecard (localization accuracy, blame-segment confusion
+  matrix, and naive vs mitigation-aware impact orderings of concurrent
+  incidents). Only the suite discounts chronic (ambient) blames.
 * :func:`corroboration_ratios` reproduces the §6.4 methodology: treat
   continuous ground-truth traceroutes as the oracle, and per ⟨cloud
   location, BGP path⟩ measure the fraction of latency issues whose
@@ -146,71 +149,8 @@ def build_warmup_state(
 
 
 # ---------------------------------------------------------------------------
-# §6.3 — incident validation
+# §6.3 — scoring reported issues against labelled incidents
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class IncidentOutcome:
-    """Result of validating one labelled incident.
-
-    Attributes:
-        spec: The incident under test.
-        blamed_segment: Segment of the dominant issue BlameIt reported
-            (None when nothing was blamed).
-        culprit_asn: The AS BlameIt named (None when unlocalized).
-        segment_matched: Blamed segment equals ground truth.
-        culprit_matched: Named AS equals ground truth.
-        report: The underlying pipeline report (for drill-down).
-    """
-
-    spec: IncidentSpec
-    blamed_segment: SegmentKind | None
-    culprit_asn: int | None
-    segment_matched: bool
-    culprit_matched: bool
-    report: PipelineReport
-
-    @property
-    def matched(self) -> bool:
-        """Full agreement with the manual investigation."""
-        return self.segment_matched and self.culprit_matched
-
-
-def validate_incident(
-    world: World,
-    spec: IncidentSpec,
-    warmup: WarmupState,
-    config: BlameItConfig | None = None,
-    pad_buckets: int = 6,
-) -> IncidentOutcome:
-    """Run BlameIt over one incident and compare against its label.
-
-    The pipeline runs from shortly before onset to shortly after the
-    incident clears; the *dominant* issue (largest measured impact)
-    is compared to the ground-truth segment and AS — mirroring how the
-    paper's operators match BlameIt output to an investigation report.
-    """
-    scenario = spec.realize(world)
-    pipeline = BlameItPipeline(
-        scenario,
-        config=config,
-        fixed_table=warmup.table,
-        seed=1000 + spec.incident_id,
-    )
-    warmup.apply(pipeline)
-    start = max(0, spec.start - pad_buckets)
-    end = min(world.params.horizon_buckets, spec.start + spec.duration + pad_buckets)
-    report = pipeline.run(start, end)
-    segment, culprit = _dominant_issue(report, world)
-    return IncidentOutcome(
-        spec=spec,
-        blamed_segment=segment,
-        culprit_asn=culprit,
-        segment_matched=segment is spec.expected_segment,
-        culprit_matched=culprit == spec.expected_culprit_asn,
-        report=report,
-    )
 
 
 @dataclass(frozen=True)
@@ -296,22 +236,15 @@ def _dominant_pair(
     return segment, asn
 
 
-def _dominant_issue(
-    report: PipelineReport, world: World
-) -> tuple[SegmentKind | None, int | None]:
-    """The blamed (segment, AS) with the most pooled impact."""
-    return _dominant_pair(_pool_issues(_reported_issues(report, world)))
-
-
 # ---------------------------------------------------------------------------
-# Scenario suite & ground-truth scoring (ROADMAP item 4)
+# Cases, the suite & ground-truth scoring
 # ---------------------------------------------------------------------------
 #
-# The single-incident harness above assumes one labelled incident per
-# pipeline run and the *dominant* issue as the candidate match. The
-# adversarial suite breaks both assumptions on purpose: cases mix a
-# fresh adversarial incident with an older, staggered paper-era incident
-# in the same window, so scoring has to attribute reported issues to the
+# Every labelled run is a :class:`SuiteCase`: a single §6.3 incident is a
+# one-spec case, and :func:`run_case` runs and scores any case the same
+# way. The adversarial suite adds *mixed* cases on purpose: a fresh
+# adversarial incident overlaps an older, staggered paper-era incident in
+# the same window, so scoring has to attribute reported issues to the
 # right ground truth — and record what a mitigation queue would do with
 # the concurrent incidents (naive user-minutes burned vs forward-looking
 # benefit; see :mod:`repro.core.impact`).
@@ -322,10 +255,11 @@ SCORECARD_FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class SuiteCase:
-    """One pipeline run of the suite: one or more concurrent incidents.
+    """One labelled pipeline run: one or more concurrent incidents.
 
     Attributes:
-        case_id: Index within the suite (also the pipeline seed offset).
+        case_id: Index within the suite, or a lone incident's id (the
+            pipeline seed is ``1000 + case_id``).
         specs: The labelled incidents active in this run; ``specs[0]``
             is the case's *subject* (the family the case was built for).
         kind: ``"single"`` or ``"mixed"`` (a staggered paper-era
@@ -557,8 +491,8 @@ def build_scenario_suite(
 
 
 @dataclass(frozen=True)
-class SuiteIncidentOutcome:
-    """Scored outcome for one ground-truth incident inside a case.
+class IncidentOutcome:
+    """Scored outcome for one labelled incident inside a case.
 
     ``blamed_segment``/``culprit_asn`` are the dominant pooled blame
     among reported issues that overlap this incident's window, after
@@ -585,7 +519,7 @@ class SuiteCaseOutcome:
     """One case's report plus the per-incident scored outcomes."""
 
     case: SuiteCase
-    outcomes: tuple[SuiteIncidentOutcome, ...]
+    outcomes: tuple[IncidentOutcome, ...]
     report: PipelineReport
 
 
@@ -614,11 +548,12 @@ def score_case(
     report: PipelineReport,
     pad_buckets: int = 6,
     ambient_pairs: frozenset[tuple[SegmentKind, int | None]] = frozenset(),
-) -> tuple[SuiteIncidentOutcome, ...]:
+) -> tuple[IncidentOutcome, ...]:
     """Attribute a case's reported issues to its ground-truth incidents.
 
-    Generalizes :func:`validate_incident`'s dominant-issue comparison to
-    overlapping incidents and multi-issue attribution:
+    Each incident is matched against the *dominant* pooled blame (largest
+    measured impact) among the reported issues it may claim — how the
+    paper's operators match BlameIt output to an investigation report:
 
     * issues pool per (segment, AS) — several per-location issues naming
       one AS count as one candidate blame (multi-issue attribution);
@@ -649,7 +584,7 @@ def score_case(
             for i in _overlapping(issues, spec, pad_buckets)
         ):
             claims[spec.incident_id] = pair
-    outcomes: list[SuiteIncidentOutcome] = []
+    outcomes: list[IncidentOutcome] = []
     for spec in case.specs:
         overlapping = _overlapping(issues, spec, pad_buckets)
         claimed_by_others = {
@@ -669,7 +604,7 @@ def score_case(
             ]
             segment, asn = _dominant_pair(_pool_issues(violating))
             outcomes.append(
-                SuiteIncidentOutcome(
+                IncidentOutcome(
                     spec=spec,
                     blamed_segment=segment,
                     culprit_asn=asn,
@@ -689,7 +624,7 @@ def score_case(
         ]
         segment, asn = _dominant_pair(_pool_issues(contest))
         outcomes.append(
-            SuiteIncidentOutcome(
+            IncidentOutcome(
                 spec=spec,
                 blamed_segment=segment,
                 culprit_asn=asn,
@@ -815,6 +750,35 @@ def _ranking_entry(world: World, case: SuiteCase) -> dict:
     }
 
 
+def run_case(
+    world: World,
+    case: SuiteCase,
+    warmup: WarmupState,
+    config: BlameItConfig | None = None,
+    pad_buckets: int = 6,
+    ambient_pairs: frozenset[tuple[SegmentKind, int | None]] = frozenset(),
+) -> SuiteCaseOutcome:
+    """Run BlameIt over one case and score it against its labels.
+
+    The pipeline (seeded ``1000 + case_id``, warmed up from ``warmup``)
+    runs from shortly before the first incident's onset to shortly after
+    the last one clears, and :func:`score_case` attributes the reported
+    issues. ``ambient_pairs`` is passed through to the scorer; only the
+    suite discounts them.
+    """
+    pipeline = BlameItPipeline(
+        case.realize(world),
+        config=config,
+        fixed_table=warmup.table,
+        seed=1000 + case.case_id,
+    )
+    warmup.apply(pipeline)
+    report = pipeline.run(*case.window(world, pad_buckets))
+    return SuiteCaseOutcome(
+        case, score_case(world, case, report, pad_buckets, ambient_pairs), report
+    )
+
+
 @dataclass(frozen=True)
 class SuiteResult:
     """Scorecard plus the live outcomes behind it (for drill-down)."""
@@ -834,9 +798,8 @@ def validate_scenario_suite(
 ) -> SuiteResult:
     """Run BlameIt over the adversarial suite and score localization.
 
-    Every case runs the full pipeline (seeded ``1000 + case_id``, shared
-    warmed-up table) over the padded union of its incidents' windows;
-    :func:`score_case` attributes reported issues to ground truth, and
+    Every case goes through :func:`run_case` with the suite's ambient
+    discount (the blames a fault-free run of the world reports), and
     mixed cases additionally record the naive vs mitigation-aware
     ordering of the concurrent incidents. The scorecard is a pure
     function of (world params, ``seed``, knobs) — byte-deterministic.
@@ -853,21 +816,8 @@ def validate_scenario_suite(
     case_outcomes: list[SuiteCaseOutcome] = []
     ranking_entries: list[dict] = []
     for case in cases:
-        pipeline = BlameItPipeline(
-            case.realize(world),
-            config=config,
-            fixed_table=warmup.table,
-            seed=1000 + case.case_id,
-        )
-        warmup.apply(pipeline)
-        start, end = case.window(world, pad_buckets)
-        report = pipeline.run(start, end)
         case_outcomes.append(
-            SuiteCaseOutcome(
-                case,
-                score_case(world, case, report, pad_buckets, ambient_pairs),
-                report,
-            )
+            run_case(world, case, warmup, config, pad_buckets, ambient_pairs)
         )
         if case.kind == "mixed":
             ranking_entries.append(_ranking_entry(world, case))

@@ -27,13 +27,19 @@ from repro.analysis.characterize import (
     bad_fraction_by_region,
 )
 from repro.analysis.report import render_table
-from repro.analysis.validation import build_warmup_state, validate_incident
+from repro.analysis.validation import (
+    SuiteCase,
+    build_warmup_state,
+    run_case,
+    suite_world_params,
+    validate_scenario_suite,
+)
 from repro.core.config import BlameItConfig
 from repro.core.pipeline import BlameItPipeline
 from repro.net.geo import Region
 from repro.perf.batch import BatchQuartetGenerator
 from repro.sim.faults import SegmentKind
-from repro.sim.incidents import generate_incidents
+from repro.sim.incidents import PAPER_ARCHETYPES, generate_incidents
 from repro.sim.scenario import Scenario, ScenarioParams, build_world
 
 
@@ -76,13 +82,25 @@ def _output_error(args, *flags: str) -> str | None:
     return None
 
 
+#: ``validate`` flags that only one case set reads, with their defaults.
+#: The parser leaves them None so :func:`_suite_flags_error` can tell a
+#: given flag from an omitted one; the defaults are filled in after it.
+_SUITE_DEFAULTS = {"suite_seed": 7, "accuracy_floor": 0.8}
+_INCIDENT_DEFAULTS = {"incidents": 10, "incident_seed": 5}
+
+
 def _suite_flags_error(args) -> str | None:
     """Reject suite flags that would switch the accuracy gate off, make
-    it unpassable, or be ignored without ``--suite``."""
-    if args.save_scorecard is not None and not args.suite:
-        return "--save-scorecard needs --suite"
-    if not 0.0 <= args.accuracy_floor <= 1.0:  # NaN fails both sides
-        return f"--accuracy-floor must be within [0, 1], got {args.accuracy_floor}"
+    it unpassable, or be ignored by the case set ``--suite`` chose."""
+    for flag in ("--save-scorecard", "--suite-seed", "--accuracy-floor"):
+        if _flag(args, flag) is not None and not args.suite:
+            return f"{flag} needs --suite"
+    for flag in ("--incidents", "--incident-seed"):
+        if _flag(args, flag) is not None and args.suite:
+            return f"{flag} cannot be combined with --suite"
+    floor = args.accuracy_floor
+    if floor is not None and not 0.0 <= floor <= 1.0:  # NaN fails both sides
+        return f"--accuracy-floor must be within [0, 1], got {floor}"
     return None
 
 
@@ -219,8 +237,17 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[world],
         help="generate labelled incidents and score localization",
     )
-    p_val.add_argument("--incidents", type=int, default=10)
-    p_val.add_argument("--incident-seed", type=int, default=5)
+    p_val.add_argument(
+        "--incidents",
+        type=int,
+        help="labelled incidents to generate on the flag-built world "
+        "(not with --suite; default 10)",
+    )
+    p_val.add_argument(
+        "--incident-seed",
+        type=int,
+        help="incident generation seed (not with --suite; default 5)",
+    )
     p_val.add_argument(
         "--suite",
         action="store_true",
@@ -232,9 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument(
         "--suite-seed",
         type=int,
-        default=7,
-        help="suite construction seed (--suite only; the scorecard is "
-        "byte-deterministic per seed)",
+        help="suite construction seed (--suite only; default 7; the "
+        "scorecard is byte-deterministic per seed)",
     )
     p_val.add_argument(
         "--save-scorecard",
@@ -244,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument(
         "--accuracy-floor",
         type=float,
-        default=0.8,
         metavar="FRAC",
         help="minimum localization accuracy for the paper-era families, "
         "a fraction in [0, 1] (--suite only; default 0.8)",
@@ -672,73 +697,64 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _cmd_validate_suite(args) -> int:
+def _cmd_validate(args) -> int:
+    """Score labelled incidents: the adversarial suite on the canonical
+    ringed world (``--suite``), or generated single incidents on the
+    flag-built world. Every case goes through ``run_case``."""
     import json
 
-    from repro.analysis.validation import (
-        suite_world_params,
-        validate_scenario_suite,
-    )
-    from repro.sim.incidents import PAPER_ARCHETYPES
-
-    if (message := _output_error(args, "--save-scorecard")):
-        return _fail(message)
-    world = build_world(suite_world_params())
-    result = validate_scenario_suite(world, seed=args.suite_seed)
-    scorecard = result.scorecard
-    rows = [
-        [
-            family,
-            stats["incidents"],
-            stats["matched"],
-            f"{stats['accuracy']:.2f}",
-        ]
-        for family, stats in sorted(scorecard["families"].items())
-    ]
-    print(render_table(
-        ["family", "incidents", "matched", "accuracy"],
-        rows,
-        title=f"scenario suite scorecard (seed {args.suite_seed})",
-    ))
-    for entry in scorecard["impact_ranking"]:
-        verdict = "disagree" if entry["rankings_disagree"] else "agree"
-        print(
-            f"ranking case {entry['case_id']} ({entry['family']}): "
-            f"naive vs mitigation-aware {verdict}, "
-            f"rho={entry['rank_correlation']:.2f}"
-        )
-    overall = scorecard["overall"]
-    print(
-        f"\noverall: {overall['matched']}/{overall['incidents']} "
-        f"({overall['accuracy']:.2%})"
-    )
-    if args.save_scorecard:
-        with open(args.save_scorecard, "w") as fh:
-            json.dump(scorecard, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"scorecard written to {args.save_scorecard}")
-    paper = {family.value for family in PAPER_ARCHETYPES}
-    failing = [
-        family
-        for family, stats in scorecard["families"].items()
-        if family in paper and stats["accuracy"] < args.accuracy_floor
-    ]
-    if failing:
-        print(
-            f"paper-era families below the {args.accuracy_floor:.2f} "
-            f"floor: {', '.join(sorted(failing))}"
-        )
-        return 1
-    return 0
-
-
-def _cmd_validate(args) -> int:
     import numpy as np
 
     if message := _suite_flags_error(args):
         return _fail(message)
+    defaults = _SUITE_DEFAULTS if args.suite else _INCIDENT_DEFAULTS
+    for name, default in defaults.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     if args.suite:
-        return _cmd_validate_suite(args)
+        if message := _output_error(args, "--save-scorecard"):
+            return _fail(message)
+        world = build_world(suite_world_params())
+        scorecard = validate_scenario_suite(world, seed=args.suite_seed).scorecard
+        rows = [
+            [family, stats["incidents"], stats["matched"], f"{stats['accuracy']:.2f}"]
+            for family, stats in sorted(scorecard["families"].items())
+        ]
+        print(render_table(
+            ["family", "incidents", "matched", "accuracy"],
+            rows,
+            title=f"scenario suite scorecard (seed {args.suite_seed})",
+        ))
+        for entry in scorecard["impact_ranking"]:
+            verdict = "disagree" if entry["rankings_disagree"] else "agree"
+            print(
+                f"ranking case {entry['case_id']} ({entry['family']}): "
+                f"naive vs mitigation-aware {verdict}, "
+                f"rho={entry['rank_correlation']:.2f}"
+            )
+        overall = scorecard["overall"]
+        print(
+            f"\noverall: {overall['matched']}/{overall['incidents']} "
+            f"({overall['accuracy']:.2%})"
+        )
+        if args.save_scorecard:
+            with open(args.save_scorecard, "w") as fh:
+                json.dump(scorecard, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            print(f"scorecard written to {args.save_scorecard}")
+        paper = {family.value for family in PAPER_ARCHETYPES}
+        failing = [
+            family
+            for family, stats in scorecard["families"].items()
+            if family in paper and stats["accuracy"] < args.accuracy_floor
+        ]
+        if failing:
+            print(
+                f"paper-era families below the {args.accuracy_floor:.2f} "
+                f"floor: {', '.join(sorted(failing))}"
+            )
+            return 1
+        return 0
     if message := _params_error(args) or _minimum_error(args, ("--incidents", 1)):
         return _fail(message)
     world = build_world(_build_params(args))
@@ -749,21 +765,21 @@ def _cmd_validate(args) -> int:
     rows = []
     matched = 0
     for spec in specs:
-        outcome = validate_incident(world, spec, state)
+        case = SuiteCase(spec.incident_id, (spec,), "single")
+        (outcome,) = run_case(world, case, state).outcomes
         matched += outcome.matched
-        rows.append(
-            [
-                spec.incident_id,
-                str(spec.archetype),
-                f"{spec.expected_segment}/AS{spec.expected_culprit_asn}",
-                (
-                    f"{outcome.blamed_segment}/AS{outcome.culprit_asn}"
-                    if outcome.blamed_segment
-                    else "none"
-                ),
-                outcome.matched,
-            ]
+        blamed = (
+            f"{outcome.blamed_segment}/AS{outcome.culprit_asn}"
+            if outcome.blamed_segment
+            else "none"
         )
+        rows.append([
+            spec.incident_id,
+            str(spec.archetype),
+            f"{spec.expected_segment}/AS{spec.expected_culprit_asn}",
+            blamed,
+            outcome.matched,
+        ])
     print(render_table(
         ["#", "archetype", "expected", "blamed", "match"],
         rows,

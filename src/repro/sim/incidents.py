@@ -76,7 +76,7 @@ from repro.net.asn import middle_asns
 from repro.net.bgp import Timestamp
 from repro.net.geo import Metro
 from repro.sim.faults import Fault, FaultTarget, SegmentKind
-from repro.sim.scenario import DemandSurge, RerouteEvent, Scenario, SlotTable, World
+from repro.sim.scenario import DemandSurge, RerouteEvent, SlotTable, World
 from repro.sim.workload import BUCKETS_PER_DAY, local_hour, weekend_factor
 
 #: Local-hour window considered "busy" for incident onsets.
@@ -158,13 +158,6 @@ class IncidentSpec:
     surges: tuple[DemandSurge, ...] = ()
     ring_flaps: tuple[RingFlap, ...] = ()
     affected_location_ids: tuple[str, ...] = ()
-
-    def realize(self, world: World) -> Scenario:
-        """A scenario containing only this incident."""
-        return Scenario(
-            world, self.faults, self.reroutes,
-            surges=self.surges, ring_flaps=self.ring_flaps,
-        )
 
 
 @dataclass

@@ -226,6 +226,28 @@ class TestExitCodes:
         assert captured.out == ""
         assert not target.exists()
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            ([*FAST, "--suite-seed", "3"], "--suite-seed needs --suite"),
+            ([*FAST, "--accuracy-floor", "0.5"], "--accuracy-floor needs --suite"),
+            (["--suite", "--incidents", "5"],
+             "--incidents cannot be combined with --suite"),
+            (["--suite", "--incident-seed", "5"],
+             "--incident-seed cannot be combined with --suite"),
+        ],
+        ids=["suite-seed", "accuracy-floor", "incidents", "incident-seed"],
+    )
+    def test_validate_rejects_flags_of_the_other_case_set(
+        self, capsys, no_world, argv, message
+    ):
+        """A flag the chosen case set would ignore is an error, raised
+        before any world is built."""
+        assert main(["validate", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
     def test_simulate_rejects_nonpositive_days(self, capsys):
         self._check_usage_error(
             ["simulate", "--seed", "3", "--regions", "USA", "--days", "0",

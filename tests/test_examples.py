@@ -1,15 +1,17 @@
 """Smoke tests for the examples/ scripts.
 
-Every example must at least compile, and the probe-budget planning
-example (which documents the three probe planners side by side) must run
-end to end in its ``--fast`` mode and show the clustered planner
-actually saving on-demand traceroutes.
+Every example must at least compile, the probe-budget planning example
+(which documents the three probe planners side by side) must run end to
+end in its ``--fast`` mode and show the clustered planner actually
+saving on-demand traceroutes, and the §6.3 incident replay must
+investigate each paper archetype exactly once.
 """
 
 from __future__ import annotations
 
 import pathlib
 import py_compile
+import re
 import subprocess
 import sys
 
@@ -57,3 +59,20 @@ def test_probe_budget_planning_fast_mode():
     assert set(rows) == {"naive", "paper", "clustered"}
     assert rows["clustered"] <= rows["paper"]
     assert "always-on strawman" in result.stdout
+
+
+def test_incident_investigation_runs_each_paper_archetype_once():
+    """The §6.3 replay investigates one incident per paper archetype:
+    every archetype's header is printed exactly once."""
+    from repro.sim.incidents import PAPER_ARCHETYPES
+
+    result = subprocess.run(
+        [sys.executable, str(EXAMPLES_DIR / "incident_investigation.py")],
+        capture_output=True,
+        text=True,
+        timeout=600,
+        env={"PYTHONPATH": str(SRC_DIR), "PATH": "/usr/bin:/bin"},
+    )
+    assert result.returncode == 0, result.stderr
+    headers = re.findall(r"^INCIDENT #\d+ \[(\w+)\]$", result.stdout, re.M)
+    assert sorted(headers) == sorted(str(a) for a in PAPER_ARCHETYPES)

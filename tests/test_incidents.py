@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.analysis.validation import SuiteCase
 from repro.net.asn import middle_asns
 from repro.sim.faults import SegmentKind
 from repro.sim.incidents import (
@@ -82,7 +83,8 @@ class TestGenerateIncidents:
         """The realized scenario's oracle must agree with the label for at
         least one affected path during the incident."""
         for spec in specs[:5]:
-            scenario = spec.realize(small_world)
+            case = SuiteCase(spec.incident_id, (spec,), "single")
+            scenario = case.realize(small_world)
             time = spec.start + 1
             hits = 0
             for slot in small_world.slots:

@@ -8,9 +8,9 @@ from repro.analysis.validation import (
     build_scenario_suite,
     build_warmup_state,
     corroboration_ratios,
+    run_case,
     score_case,
     suite_world_params,
-    validate_incident,
     validate_scenario_suite,
 )
 from repro.baselines.asmetro import as_metro_batch
@@ -59,18 +59,30 @@ class TestWarmupState:
             assert len(middle) == 2  # synthetic (asn, metro-id) keys
 
 
+def _run_single(world, spec, warmup):
+    """One labelled incident run and scored as a one-spec case."""
+    return run_case(world, SuiteCase(spec.incident_id, (spec,), "single"), warmup)
+
+
 class TestValidateIncident:
+    """A lone labelled incident, run and scored as a one-spec case."""
+
     def test_batch_matches(self, small_world, warmup):
         specs = generate_incidents(small_world, 10, np.random.default_rng(2))
-        outcomes = [validate_incident(small_world, spec, warmup) for spec in specs]
+        outcomes = [
+            outcome
+            for spec in specs
+            for outcome in _run_single(small_world, spec, warmup).outcomes
+        ]
         matched = sum(1 for o in outcomes if o.matched)
         assert matched == 10
 
     def test_outcome_fields(self, small_world, warmup):
         spec = generate_incidents(small_world, 1, np.random.default_rng(4))[0]
-        outcome = validate_incident(small_world, spec, warmup)
+        case_outcome = _run_single(small_world, spec, warmup)
+        (outcome,) = case_outcome.outcomes
         assert outcome.spec is spec
-        assert outcome.report.total_quartets > 0
+        assert case_outcome.report.total_quartets > 0
         assert outcome.matched == (
             outcome.segment_matched and outcome.culprit_matched
         )
@@ -193,7 +205,7 @@ class TestValidateIncidentEdgeCases:
             expected_culprit_asn=asn,
             description="sub-noise fault",
         )
-        outcome = validate_incident(small_world, spec, warmup)
+        (outcome,) = _run_single(small_world, spec, warmup).outcomes
         assert not outcome.matched
         assert (outcome.blamed_segment, outcome.culprit_asn) != (
             SegmentKind.MIDDLE,
