@@ -679,9 +679,11 @@ class BlameItPipeline:
     def _observe_bucket(self, summary: BucketSummary, *, seed_new: bool) -> None:
         """Learning, client counts and probe targets from one summary.
 
-        Order matters twice: learning precedes the pair walk, and pairs
-        are walked in first-occurrence row order — each seed probe draws
-        measurement noise from the engine's shared RNG.
+        Learning only queues the rows: the learner folds them when its
+        queue fills or the next read needs them (the day-boundary table
+        refresh). Order matters once: pairs are walked in
+        first-occurrence row order — each seed probe draws measurement
+        noise from the engine's shared RNG.
         ``register_target`` re-checks novelty, so a pair some other
         summarizer (another shard, a restored run's empty seen set) or
         a churn trigger already registered seeds nothing.

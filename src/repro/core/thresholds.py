@@ -33,6 +33,9 @@ _BUCKETS_PER_DAY = 288
 #: Largest bound a reservoir draw serves: NumPy's 32-bit Lemire path.
 _MAX_HIGH = 2**32
 
+#: Queued rows at which the learner folds without being read.
+_FOLD_ROWS = 8192
+
 CloudKey = tuple[str, bool]  # (location_id, mobile)
 MiddleKey = tuple[ASPath, bool]  # (middle path, mobile)
 
@@ -357,14 +360,36 @@ def _lane_state(name: str, meta: dict, arrays: dict) -> tuple:
     return keys, values, seen, bitgens, has, spare
 
 
+def _merge_codes(
+    codes: tuple[np.ndarray, ...], vocabs: tuple[tuple, ...]
+) -> tuple[np.ndarray, tuple]:
+    """Segments' codes against one vocabulary: their shared tuple if
+    every segment carries the same one, else a merged first-seen
+    vocabulary keyed by value."""
+    if all(vocab is vocabs[0] for vocab in vocabs):
+        return np.concatenate(codes), vocabs[0]
+    merged: dict = {}
+    recoded = []
+    for segment, vocab in zip(codes, vocabs):
+        to_merged = [merged.setdefault(value, len(merged)) for value in vocab]
+        recoded.append(np.array(to_merged, dtype=np.int64)[segment])
+    return np.concatenate(recoded), tuple(merged)
+
+
 class ExpectedRTTLearner:
     """Rolling 14-day median learner fed by quartet observations.
 
-    Usage: call :meth:`observe` for every quartet (training and live);
-    call :meth:`table` to snapshot the current medians, which reads only
-    the trailing ``history_days``. Older history stays until
-    :meth:`prune_before` drops it — the pipeline calls that at every
-    day-boundary table refresh.
+    Usage: hand it every quartet (training and live) through
+    :meth:`observe_batch`; call :meth:`table` to snapshot the current
+    medians, which reads only the trailing ``history_days``. Older
+    history stays until :meth:`prune_before` drops it — the pipeline
+    calls that at every day-boundary table refresh.
+
+    Observations queue and fold into the reservoirs in one pass once
+    ``_FOLD_ROWS`` rows wait, or before anything reads the learner
+    (:meth:`table`, :meth:`prune_before`, :meth:`state_arrays`, the
+    per-row :meth:`observe`); the state every read sees is the one a
+    fold per call would have left.
     """
 
     def __init__(self, history_days: int = 14) -> None:
@@ -374,9 +399,12 @@ class ExpectedRTTLearner:
         self._cloud = _Lane()  # ⟨(location_id, mobile), day⟩ reservoirs
         self._middle = _Lane()  # ⟨(middle path, mobile), day⟩ reservoirs
         self._seed = 0
+        self._queue: list[tuple] = []  # observe_columns arguments, copied
+        self._queued = 0  # rows in the queue
 
     def observe(self, quartet: Quartet) -> None:
-        """Fold one quartet's mean RTT into the history."""
+        """Fold one quartet's mean RTT into the history, after the queue."""
+        self._fold()
         day = quartet.time // _BUCKETS_PER_DAY
         rtt = quartet.mean_rtt_ms
         cloud_key = ((quartet.location_id, quartet.mobile), day)
@@ -393,7 +421,7 @@ class ExpectedRTTLearner:
         """Columnar :meth:`observe_all`: fold a batch without row objects.
 
         Byte-identical to observing the batch's rows in order — see
-        :meth:`observe_columns` for how the grouping preserves reservoir
+        :meth:`_fold_columns` for how the grouping preserves reservoir
         semantics (value order, RNG streams, and seed allocation).
         """
         self.observe_columns(
@@ -407,6 +435,64 @@ class ExpectedRTTLearner:
         )
 
     def observe_columns(
+        self,
+        time: np.ndarray,
+        mobile: np.ndarray,
+        mean_rtt_ms: np.ndarray,
+        location_index: np.ndarray,
+        locations: tuple[str, ...],
+        middle_index: np.ndarray,
+        middles: tuple[ASPath, ...],
+    ) -> None:
+        """Queue raw quartet columns for the history; fold the queue
+        once it holds ``_FOLD_ROWS`` rows.
+
+        The columns are copied: callers may hand in views of buffers
+        they release or reuse (the sharded parent's shared memory).
+        """
+        if len(mean_rtt_ms) == 0:
+            return
+        self._queue.append(
+            (
+                np.array(time),
+                np.array(mobile),
+                np.array(mean_rtt_ms),
+                np.array(location_index),
+                locations,
+                np.array(middle_index),
+                middles,
+            )
+        )
+        self._queued += len(mean_rtt_ms)
+        if self._queued >= _FOLD_ROWS:
+            self._fold()
+
+    def _fold(self) -> None:
+        """Fold every queued segment in one :meth:`_fold_columns` pass.
+
+        Equal to folding the segments one by one, in order: their
+        concatenation keeps every ⟨key, day⟩'s values in arrival order,
+        draws split into any calls leave each stream where per-segment
+        draws would, and first-occurrence row order over the
+        concatenation is the order per-segment folds seed new rows in.
+        """
+        if not self._queue:
+            return
+        queue, self._queue, self._queued = self._queue, [], 0
+        time, mobile, rtt, loc_idx, locations, mid_idx, middles = zip(*queue)
+        loc_codes, location_vocab = _merge_codes(loc_idx, locations)
+        mid_codes, middle_vocab = _merge_codes(mid_idx, middles)
+        self._fold_columns(
+            np.concatenate(time),
+            np.concatenate(mobile),
+            np.concatenate(rtt),
+            loc_codes,
+            location_vocab,
+            mid_codes,
+            middle_vocab,
+        )
+
+    def _fold_columns(
         self,
         time: np.ndarray,
         mobile: np.ndarray,
@@ -430,8 +516,6 @@ class ExpectedRTTLearner:
         allocates them.
         """
         n = len(mean_rtt_ms)
-        if n == 0:
-            return
         day = time // _BUCKETS_PER_DAY
         day0 = int(day.min())
         day_span = int(day.max()) - day0 + 1
@@ -478,6 +562,7 @@ class ExpectedRTTLearner:
             as_of_day: Window end (exclusive is ``as_of_day + 1``); when
                 None, uses all observed history.
         """
+        self._fold()
         return ExpectedRTTTable(
             cloud=self._medians(self._cloud, as_of_day),
             middle=self._medians(self._middle, as_of_day),
@@ -485,6 +570,7 @@ class ExpectedRTTLearner:
 
     def prune_before(self, day: int) -> None:
         """Discard per-day reservoirs older than ``day``."""
+        self._fold()
         for lane in (self._cloud, self._middle):
             kept = {key: row for key, row in lane.rows.items() if key[1] >= day}
             if len(kept) < len(lane.rows):
@@ -502,6 +588,7 @@ class ExpectedRTTLearner:
         that exact order, since iteration order feeds byte-identity
         downstream.
         """
+        self._fold()
         meta: dict = {"history_days": self.history_days, "seed": self._seed}
         arrays: dict[str, np.ndarray] = {}
         for name, lane in (("cloud", self._cloud), ("middle", self._middle)):
@@ -517,17 +604,27 @@ class ExpectedRTTLearner:
         return meta, arrays
 
     def restore_arrays(self, meta: dict, arrays: dict) -> None:
-        """Inverse of :meth:`state_arrays`; replaces all current state.
+        """Inverse of :meth:`state_arrays`; replaces all current state,
+        queued observations included.
 
         A payload that contradicts itself raises ``ValueError`` naming
-        the lane, and leaves the learner as it was.
+        the lane or field, and leaves the learner as it was.
         """
         restored = [
             (lane, _lane_state(name, meta, arrays))
             for name, lane in (("cloud", self._cloud), ("middle", self._middle))
         ]
-        self.history_days = int(meta["history_days"])
-        self._seed = int(meta["seed"])
+        history_days = int(meta["history_days"])
+        if history_days < 1:
+            raise ValueError(f"history_days must be >= 1, not {history_days}")
+        seed = int(meta["seed"])
+        held = sum(len(state[0]) for _, state in restored)
+        if seed < held:
+            # The counter has issued a seed to every reservoir held.
+            raise ValueError(f"seed {seed} is below the {held} reservoirs held")
+        self.history_days = history_days
+        self._seed = seed
+        self._queue, self._queued = [], 0
         for lane, state in restored:
             lane.reset(*state)
 

@@ -26,7 +26,7 @@ from repro.core.config import BlameItConfig
 from repro.core.passive import PassiveLocalizer
 from repro.core.pipeline import BlameItPipeline, WindowEntry
 from repro.core.quartet import QuartetBatch
-from repro.core.thresholds import ExpectedRTTLearner
+from repro.core.thresholds import ExpectedRTTLearner, _Lane
 from repro.io import report_to_dict
 from repro.obs import MetricsRegistry, validate_snapshot
 from repro.perf.sharded import ShardedPipeline, _ShardRunner
@@ -225,6 +225,57 @@ class TestShardedEquivalence:
         assert counters["shard.errors"] == 1
         assert counters["retry.shard.recovered"] == 1
         assert report_json(got) == report_json(self._sequential(trained))
+
+
+class TestLearnerFoldQueue:
+    """The learner queues each bucket's rows and folds them when its
+    queue fills or the day-boundary refresh reads it."""
+
+    @staticmethod
+    def _learned_run(world, *, read_every_bucket: bool, monkeypatch):
+        """Two learned days, sequential; returns the report digest and
+        the ``_Lane.fold`` calls the run itself made."""
+        if read_every_bucket:
+            observe = ExpectedRTTLearner.observe_columns
+
+            def observe_and_read(learner, *columns):
+                observe(learner, *columns)
+                learner.state_arrays()
+
+            monkeypatch.setattr(
+                ExpectedRTTLearner, "observe_columns", observe_and_read
+            )
+        folds = []
+        fold = _Lane.fold
+        monkeypatch.setattr(
+            _Lane, "fold", lambda lane, *args: folds.append(1) or fold(lane, *args)
+        )
+        pipeline = BlameItPipeline(
+            Scenario.from_world(world), config=_fast_config(), seed=11,
+            rng_per_bucket=True,
+        )
+        pipeline.warmup(0, 96, stride=4)
+        folds.clear()
+        report = pipeline.run(288, 3 * 288)
+        monkeypatch.undo()
+        return report_json(report), len(folds)
+
+    def test_fewer_folds_than_buckets_same_report(
+        self, multi_day_world, monkeypatch
+    ):
+        """Work-count tripwire: a fold per bucket made two ``_Lane.fold``
+        calls (one per lane) for each of the 576 non-empty buckets; the
+        queue makes fewer calls than there are buckets, and the report
+        equals a run that reads the learner after every bucket."""
+        queued, queued_folds = self._learned_run(
+            multi_day_world, read_every_bucket=False, monkeypatch=monkeypatch
+        )
+        eager, eager_folds = self._learned_run(
+            multi_day_world, read_every_bucket=True, monkeypatch=monkeypatch
+        )
+        assert eager_folds == 2 * 2 * 288
+        assert queued_folds < 2 * 288
+        assert queued == eager
 
 
 class TestFoldKernelSeam:

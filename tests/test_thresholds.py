@@ -6,6 +6,7 @@ RNG state, in creation order, plus the seed counter) and ``table()`` —
 so the tests hold for any storage behind it.
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import thresholds
 from repro.core.quartet import Quartet, QuartetBatch
 from repro.core.thresholds import ExpectedRTTLearner, _Lane
 from repro.net.geo import Region
@@ -483,7 +485,8 @@ class TestLaneStorage:
 
     def test_a_draw_bound_past_32_bits_raises(self):
         """NumPy draws bounds above 2³² by a different method; the lane
-        refuses rather than silently switching streams."""
+        refuses rather than silently switching streams. The batch only
+        queues, so the refusal surfaces at the read that folds it."""
         scalar = {
             (name, 0): _ScalarReservoir(1, 2**32) for name in ("cloud", "middle")
         }
@@ -493,6 +496,129 @@ class TestLaneStorage:
             learner.observe_batch(
                 QuartetBatch.from_quartets([_quartet(time=288, loc="edge-0")])
             )
+            learner.table()
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [("history_days", 0, "history_days"), ("seed", -5, "seed"), ("seed", 7, "seed")],
+    )
+    def test_restore_rejects_a_field_that_breaks_the_learner_later(
+        self, field, value, match
+    ):
+        """``history_days: 0`` leaves every windowed table empty (the
+        constructor refuses it); a seed below the reservoirs held has
+        not been issued, and a negative one fails at the first new
+        reservoir, far from its cause. ``_small_state`` holds 8."""
+        meta, arrays = _small_state()
+        meta[field] = value
+        restored = ExpectedRTTLearner()
+        restored.observe_batch(QuartetBatch.from_quartets(_hot_history(9, 30, 0, 5)))
+        reference = ExpectedRTTLearner()
+        reference.observe_all(_hot_history(9, 30, 0, 5))
+        with pytest.raises(ValueError, match=match):
+            restored.restore_arrays(meta, arrays)
+        assert_learners_identical(restored, reference)
+
+
+#: One vocabulary object shared by every batch, as a generator's is.
+_LOCATIONS = ("edge-2", "edge-0", "edge-1")
+_MIDDLES = ((12,), (10,), (11,))
+
+
+def _shared_vocabulary(batch: QuartetBatch) -> QuartetBatch:
+    """``batch`` re-coded against ``_LOCATIONS`` and ``_MIDDLES``."""
+    return dataclasses.replace(
+        batch,
+        location_index=np.array(
+            [_LOCATIONS.index(v) for v in batch.locations], dtype=np.int64
+        )[batch.location_index],
+        locations=_LOCATIONS,
+        middle_index=np.array(
+            [_MIDDLES.index(v) for v in batch.middles], dtype=np.int64
+        )[batch.middle_index],
+        middles=_MIDDLES,
+    )
+
+
+class TestFoldQueue:
+    """Observations queue and fold when the queue fills or anything
+    reads the learner; every read sees the state a fold per call
+    leaves."""
+
+    @pytest.mark.parametrize("fold_rows", [8192, 150])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_queued_fold_equals_a_fold_after_every_call(
+        self, seed, fold_rows, monkeypatch
+    ):
+        """A seeded mix of shared- and local-vocabulary batches (some
+        empty, some across a day boundary), windowed and unwindowed
+        tables, pruning, a JSON round trip and per-row observes. The
+        reference reads its state after every observe; the queued
+        learner's input arrays are overwritten as soon as it returns."""
+        monkeypatch.setattr(thresholds, "_FOLD_ROWS", fold_rows)
+        rng = np.random.default_rng(seed)
+        queued = ExpectedRTTLearner(history_days=2)
+        eager = ExpectedRTTLearner(history_days=2)
+        ops = ("shared", "local", "table", "window", "prune", "restore", "row")
+        time = 250
+        for step in range(60):
+            op = ops[rng.choice(len(ops), p=[0.3, 0.3, 0.08, 0.08, 0.1, 0.05, 0.09])]
+            if op in ("shared", "local"):
+                span, rows = int(rng.integers(0, 30)), int(rng.integers(0, 300))
+                batch = QuartetBatch.from_quartets(
+                    _hot_history(seed * 100 + step, rows, time, time + span)
+                )
+                if op == "shared":
+                    batch = _shared_vocabulary(batch)
+                eager.observe_batch(batch)
+                eager.state_arrays()
+                queued.observe_batch(batch)
+                for column in (batch.time, batch.location_index, batch.middle_index):
+                    column[:] = 0
+                batch.mobile[:] = True
+                batch.mean_rtt_ms[:] = -1.0
+                time += span + int(rng.integers(0, 10))
+            elif op == "table":
+                assert queued.table() == eager.table()
+            elif op == "window":
+                day = time // 288 - int(rng.integers(0, 2))
+                assert queued.table(as_of_day=day) == eager.table(as_of_day=day)
+            elif op == "prune":
+                day = time // 288 + 1 - int(rng.integers(0, 3))  # up to all of it
+                queued.prune_before(day)
+                eager.prune_before(day)
+                assert queued.table() == eager.table()
+            elif op == "restore":
+                # A snapshot, then rows the restore must discard.
+                meta, arrays = queued.state_arrays()
+                meta = json.loads(json.dumps(meta))
+                extra = QuartetBatch.from_quartets(_hot_history(seed, 50, time, time))
+                for learner in (queued, eager):
+                    learner.observe_batch(extra)
+                    learner.restore_arrays(meta, arrays)
+            else:
+                quartet = _quartet(time=time, rtt=float(rng.uniform(10, 90)))
+                queued.observe(quartet)
+                eager.observe(quartet)
+        assert_learners_identical(queued, eager)
+
+    def test_a_full_queue_folds(self, monkeypatch):
+        """The queue folds on its own once it holds ``_FOLD_ROWS`` rows."""
+        monkeypatch.setattr(thresholds, "_FOLD_ROWS", 100)
+        folds = []
+        fold = _Lane.fold
+        monkeypatch.setattr(
+            _Lane, "fold", lambda lane, *args: folds.append(1) or fold(lane, *args)
+        )
+        learner = ExpectedRTTLearner()
+        batches = [QuartetBatch.from_quartets(_hot_history(s, 30, 0, 5)) for s in range(4)]
+        for batch in batches[:3]:  # 90 rows
+            learner.observe_batch(batch)
+        assert folds == []
+        learner.observe_batch(batches[3])
+        assert len(folds) == 2  # one per lane
+        learner.table()
+        assert len(folds) == 2
 
 
 class TestTableCache:
