@@ -33,9 +33,6 @@ class BlameItConfig:
             every 144 buckets).
         churn_triggered_probes: Whether BGP churn triggers background
             traceroutes (§5.4; Figure 13 ablates this off).
-        good_rtt_slack_ms: A quartet counts as "good RTT to another cloud
-            node" (the ambiguity check) when its RTT is below the badness
-            target by at least this slack.
         use_reverse_traceroutes: Enable the §5.1 reverse-traceroute
             extension: rich clients measure the client-to-cloud path and
             localization compares both directions (off in the paper's
@@ -66,7 +63,6 @@ class BlameItConfig:
     probe_budget_per_window: int = 5
     background_interval_buckets: int = 144
     churn_triggered_probes: bool = True
-    good_rtt_slack_ms: float = 0.0
     use_reverse_traceroutes: bool = False
     probe_planner: str = "paper"
     probe_cluster_floor: float = 0.6

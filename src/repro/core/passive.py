@@ -21,8 +21,7 @@ Comparison convention: a measurement is **bad when it is at or above its
 reference** (``>=``) — both for the region badness target (``is_bad``)
 and for the learned expected RTTs the aggregate bad-fractions are
 computed against. A quartet sitting exactly on the threshold counts as
-bad; "good elsewhere" requires being strictly *below* the target (minus
-the configured slack).
+bad; "good elsewhere" requires being strictly *below* the target.
 """
 
 from __future__ import annotations
@@ -266,7 +265,7 @@ class PassiveLocalizer:
         # Good-elsewhere index: distinct locations with good RTT per
         # (prefix24, mobile); the ambiguity check asks whether a bad
         # quartet's pair saw good RTT at any *other* location.
-        good = rtt < target - config.good_rtt_slack_ms
+        good = rtt < target
         pair_key = prefix24 * 2 + mobile  # /24 keys fit well under 2**62
         good_pairs = np.unique(pair_key[good] * n_loc + loc_idx[good])
         unique_good_pairs, good_loc_counts = np.unique(
@@ -384,10 +383,9 @@ class PassiveLocalizer:
     ) -> dict[tuple[int, bool], set[str]]:
         """Locations where each (prefix24, mobile) saw *good* RTT."""
         index: dict[tuple[int, bool], set[str]] = {}
-        slack = self.config.good_rtt_slack_ms
         for quartet in quartets:
             target = self.targets.target_ms(quartet.region, quartet.mobile)
-            if quartet.mean_rtt_ms < target - slack:
+            if quartet.mean_rtt_ms < target:
                 index.setdefault((quartet.prefix24, quartet.mobile), set()).add(
                     quartet.location_id
                 )

@@ -19,7 +19,8 @@ analogue of a §6.3 case study:
   inside the client's ISP.
 
 Beyond the paper's case studies, four *adversarial* families stress
-blame segmentation under messy, overlapping failures (ROADMAP item 4):
+blame segmentation under messy, overlapping failures (the scenario
+suite, :mod:`repro.analysis.validation`):
 
 * ``CORRELATED_TRANSIT`` — one shared transit AS degrades several metros
   in the same window; the correct blame is the shared segment, and

@@ -1,4 +1,4 @@
-"""Pluggable persistence for pipeline state (ROADMAP item 5).
+"""Pluggable persistence for pipeline state (checkpoint and resume).
 
 The paper's BlameIt runs continuously over months of telemetry; this
 reproduction's runs were all cold starts bounded by process memory. The

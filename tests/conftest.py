@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,13 @@ def suite_world(suite_params):
 
 
 @pytest.fixture(scope="session")
+def suite_world_2d(suite_params):
+    """A two-day variant of the suite world: runs over it cross the
+    day-288 checkpoint (the matrix's clustered, naive and suite cases)."""
+    return build_world(dataclasses.replace(suite_params, duration_days=2))
+
+
+@pytest.fixture(scope="session")
 def multi_day_params() -> ScenarioParams:
     """Two regions, one location each, three simulated days — the
     smallest world whose runs span multiple day-boundary table
@@ -80,6 +89,25 @@ def small_scenario(small_world):
     scenarios via :meth:`Scenario.with_faults` or direct construction.
     """
     return Scenario(small_world, (), ())
+
+
+@pytest.fixture(scope="session")
+def trained_table(small_world):
+    """The expected-RTT table learned from the small world's first 96
+    buckets (see :func:`tests.harness.trained_table`)."""
+    from tests.harness import trained_table
+
+    return trained_table(small_world)
+
+
+@pytest.fixture
+def matrix_cell(request, tmp_path):
+    """Runs the matrix cell whose home is the requesting test's ID (see
+    ``HOMES`` in :mod:`tests.harness`)."""
+    from tests.harness import CELLS, HOMES, check_cell
+
+    (cell,) = [c for c in CELLS if HOMES.get(c.id) == request.node.nodeid]
+    return lambda: check_cell(cell, request, tmp_path)
 
 
 @pytest.fixture(scope="session")

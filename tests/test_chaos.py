@@ -24,46 +24,15 @@ from repro.core.background import BackgroundProber, BaselineStore
 from repro.core.blame import Blame
 from repro.core.config import BlameItConfig
 from repro.core.passive import PassiveLocalizer
-from repro.core.pipeline import BlameItPipeline, PipelineReport
+from repro.core.pipeline import PipelineReport
 from repro.core.prediction import ClientCountPredictor, DurationPredictor
 from repro.core.quartet import QuartetBatch
-from repro.core.thresholds import ExpectedRTTLearner
 from repro.obs import MetricsRegistry, validate_snapshot
 from repro.perf.batch import BatchQuartetGenerator
-from repro.perf.sharded import ShardedPipeline
 from repro.sim.scenario import Scenario
 
+from tests.harness import make_pipeline
 from tests.test_perf import _random_quartets, _targets
-
-
-def _config(**overrides) -> BlameItConfig:
-    return BlameItConfig(
-        history_days=1, background_interval_buckets=36, **overrides
-    )
-
-
-@pytest.fixture(scope="module")
-def trained(small_world):
-    """A scenario plus a pre-trained expected-RTT table."""
-    scenario = Scenario.from_world(small_world)
-    learner = ExpectedRTTLearner(history_days=1)
-    BlameItPipeline(scenario, config=_config(), learner=learner).warmup(
-        0, 96, stride=4
-    )
-    return scenario, learner.table()
-
-
-def _pipeline(trained, chaos=None, metrics=None) -> BlameItPipeline:
-    scenario, table = trained
-    return BlameItPipeline(
-        scenario,
-        config=_config(),
-        fixed_table=table,
-        seed=11,
-        rng_per_bucket=True,
-        metrics=metrics,
-        chaos=chaos,
-    )
 
 
 class TestUniformHash:
@@ -391,27 +360,32 @@ class TestProbeChaos:
 
 
 class TestBaselineChaos:
-    def _bootstrap(self, trained, plan):
+    def _bootstrap(self, small_world, table, plan):
         metrics = MetricsRegistry()
-        pipe = _pipeline(trained, chaos=plan, metrics=metrics)
+        pipe = make_pipeline(
+            Scenario.from_world(small_world), table=table, chaos=plan,
+            metrics=metrics,
+        )
         pipe.warmup(0, 48, stride=8)  # register background targets
         report = PipelineReport(start=100, end=100)
         pipe._bootstrap_baselines(100, report)
         return pipe, report, metrics.snapshot()["counters"]
 
-    def test_missing_baselines_skip_bootstrap_probes(self, trained):
+    def test_missing_baselines_skip_bootstrap_probes(
+        self, small_world, trained_table
+    ):
         plan = FaultPlan(seed=3, baseline_missing_rate=1.0)
-        pipe, report, counters = self._bootstrap(trained, plan)
+        pipe, report, counters = self._bootstrap(small_world, trained_table, plan)
         assert len(pipe.background._targets) > 0
         assert report.probes_bootstrap == 0
         assert pipe.baselines.state_dict() == BaselineStore().state_dict()
         assert counters["chaos.baseline.missing"] == len(pipe.background._targets)
 
-    def test_stale_baselines_probed_in_the_past(self, trained):
+    def test_stale_baselines_probed_in_the_past(self, small_world, trained_table):
         plan = FaultPlan(
             seed=3, baseline_stale_rate=1.0, baseline_stale_age_buckets=90
         )
-        pipe, report, counters = self._bootstrap(trained, plan)
+        pipe, report, counters = self._bootstrap(small_world, trained_table, plan)
         assert counters["chaos.baseline.stale"] == len(pipe.background._targets)
         assert report.probes_bootstrap > 0
         times = {
@@ -434,10 +408,12 @@ class TestDegradedTable:
         counters = metrics.snapshot()["counters"]
         assert counters["passive.degraded_no_table"] == 1
 
-    def test_pipeline_survives_dropped_table(self, trained):
-        metrics = MetricsRegistry()
+    def test_pipeline_survives_dropped_table(self, small_world, trained_table):
         plan = FaultPlan(drop_expected_table=True)
-        report = _pipeline(trained, chaos=plan, metrics=metrics).run(100, 115)
+        report = make_pipeline(
+            Scenario.from_world(small_world), table=trained_table, chaos=plan,
+            metrics=MetricsRegistry(),
+        ).run(100, 115)
         counters = report.metrics["counters"]
         assert counters["chaos.baseline.table_dropped"] == 1
         assert set(report.blame_counts) <= {Blame.INSUFFICIENT}
@@ -445,66 +421,31 @@ class TestDegradedTable:
 
 
 class TestEndToEndChaos:
-    def test_smoke_plan_sequential(self, trained):
-        metrics = MetricsRegistry()
-        pipe = _pipeline(trained, chaos=FaultPlan.smoke(1), metrics=metrics)
-        pipe.warmup(0, 48, stride=8)
-        report = pipe.run(100, 130)
-        validate_snapshot(report.metrics)
-        counters = report.metrics["counters"]
-        assert any(name.startswith("chaos.") for name in counters)
-        assert report.total_quartets > 0
+    """Whole runs under chaos: the smoke plan's matrix cells, kept under
+    their old IDs, and the shard faults' own accounting."""
 
-    def test_smoke_plan_sharded(self, trained):
-        scenario, table = trained
-        metrics = MetricsRegistry()
-        report = ShardedPipeline(
-            scenario,
-            config=_config(),
-            fixed_table=table,
-            seed=11,
-            n_workers=1,
-            buckets_per_shard=13,
-            metrics=metrics,
-            chaos=FaultPlan.smoke(1),
-            shard_retry_attempts=2,
-        ).run(100, 130)
-        validate_snapshot(report.metrics)
-        counters = report.metrics["counters"]
-        assert counters["shard.runs"] >= 3
-        assert any(name.startswith("chaos.") for name in counters)
-        assert report.total_quartets > 0
+    def test_smoke_plan_sequential(self, matrix_cell):
+        matrix_cell()
 
-    def test_slow_shard_counted(self, trained):
-        scenario, table = trained
+    def test_smoke_plan_sharded(self, matrix_cell):
+        matrix_cell()
+
+    def test_slow_shard_counted(self, small_world, trained_table):
         metrics = MetricsRegistry()
-        ShardedPipeline(
-            scenario,
-            config=_config(),
-            fixed_table=table,
-            seed=11,
-            n_workers=1,
-            buckets_per_shard=13,
+        make_pipeline(
+            Scenario.from_world(small_world), "sharded1", table=trained_table,
             metrics=metrics,
             chaos=FaultPlan(seed=1, slow_shard_rate=1.0, slow_shard_ms=0.1),
         ).run(100, 113)
         assert metrics.snapshot()["counters"]["chaos.shard.slow"] == 1
 
-    def test_abandoned_shards_degrade_gracefully(self, trained):
+    def test_abandoned_shards_degrade_gracefully(self, small_world, trained_table):
         """Crashes beyond the retry allowance lose those shards' data but
         never the run: the report completes, empty but well-formed."""
-        scenario, table = trained
-        metrics = MetricsRegistry()
-        report = ShardedPipeline(
-            scenario,
-            config=_config(),
-            fixed_table=table,
-            seed=11,
-            n_workers=1,
-            buckets_per_shard=13,
-            metrics=metrics,
+        report = make_pipeline(
+            Scenario.from_world(small_world), "sharded1", table=trained_table,
+            buckets_per_shard=13, metrics=MetricsRegistry(),
             chaos=FaultPlan(seed=5, shard_crash_rate=1.0, shard_crash_max=2),
-            shard_retry_attempts=1,
         ).run(100, 130)
         validate_snapshot(report.metrics)
         counters = report.metrics["counters"]

@@ -21,12 +21,11 @@ import difflib
 import json
 from pathlib import Path
 
-from repro.core.config import BlameItConfig
-from repro.core.pipeline import BlameItPipeline, PipelineReport
-from repro.core.thresholds import ExpectedRTTLearner
-from repro.io import report_to_dict
+from repro.core.pipeline import PipelineReport
 from repro.net.geo import Region
 from repro.sim.scenario import Scenario, ScenarioParams, build_world
+
+from tests.harness import digest, make_pipeline, trained_table
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "pipeline_report.json"
 
@@ -45,24 +44,10 @@ GOLDEN_RANGE = (100, 160)
 def build_golden_report(world=None) -> PipelineReport:
     """Run the fixed golden scenario and return its report."""
     world = world or build_world(GOLDEN_PARAMS)
-    scenario = Scenario.from_world(world)
-    config = BlameItConfig(history_days=1, background_interval_buckets=36)
-    learner = ExpectedRTTLearner(history_days=1)
-    trainer = BlameItPipeline(scenario, config=config, learner=learner)
-    trainer.warmup(0, 96, stride=4)
-    pipeline = BlameItPipeline(
-        scenario,
-        config=config,
-        fixed_table=learner.table(),
-        seed=GOLDEN_SEED,
-        rng_per_bucket=True,
+    pipeline = make_pipeline(
+        Scenario.from_world(world), table=trained_table(world), seed=GOLDEN_SEED
     )
     return pipeline.run(*GOLDEN_RANGE)
-
-
-def canonical_json(report: PipelineReport) -> str:
-    """The report as deterministic, diff-friendly JSON."""
-    return json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
 
 
 def golden_diff(expected: str, got: str) -> str:
@@ -84,7 +69,7 @@ class TestGoldenReport:
             "golden file missing; regenerate with "
             "`PYTHONPATH=src:tests python -m test_golden`"
         )
-        got = canonical_json(build_golden_report(small_world))
+        got = digest(build_golden_report(small_world), with_metrics=True)
         expected = GOLDEN_PATH.read_text(encoding="utf-8")
         if got != expected:
             diff = golden_diff(expected, got)
@@ -95,12 +80,14 @@ class TestGoldenReport:
             )
 
     def test_golden_digest_is_nontrivial(self):
-        digest = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
-        assert digest["total_quartets"] > 0
-        assert sum(digest["blame_counts"].values()) > 0
+        document = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+        assert document["total_quartets"] > 0
+        assert sum(document["blame_counts"].values()) > 0
 
 
 if __name__ == "__main__":
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
-    GOLDEN_PATH.write_text(canonical_json(build_golden_report()), encoding="utf-8")
+    GOLDEN_PATH.write_text(
+        digest(build_golden_report(), with_metrics=True), encoding="utf-8"
+    )
     print(f"golden report written to {GOLDEN_PATH}")

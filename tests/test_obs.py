@@ -3,9 +3,6 @@ the sharded-vs-sequential metrics equivalence."""
 
 import pytest
 
-from repro.core.config import BlameItConfig
-from repro.core.pipeline import BlameItPipeline
-from repro.core.thresholds import ExpectedRTTLearner
 from repro.obs import (
     NULL_REGISTRY,
     PHASE_SPANS,
@@ -13,8 +10,9 @@ from repro.obs import (
     NullRegistry,
     validate_snapshot,
 )
-from repro.perf.sharded import ShardedPipeline
 from repro.sim.scenario import Scenario
+
+from tests.harness import make_pipeline
 
 
 class TestInstruments:
@@ -148,38 +146,17 @@ class TestNullRegistry:
 
 
 class TestPipelineMetrics:
-    @pytest.fixture(scope="class")
-    def trained(self, small_world):
-        scenario = Scenario.from_world(small_world)
-        learner = ExpectedRTTLearner(history_days=1)
-        pipeline = BlameItPipeline(scenario, learner=learner)
-        pipeline.warmup(0, 96, stride=4)
-        return scenario, learner.table()
-
-    def _config(self, **overrides) -> BlameItConfig:
-        defaults = dict(history_days=1, background_interval_buckets=36)
-        defaults.update(overrides)
-        return BlameItConfig(**defaults)
-
-    def test_report_metrics_none_by_default(self, trained):
-        scenario, table = trained
-        pipeline = BlameItPipeline(
-            scenario, config=self._config(), fixed_table=table, seed=11
-        )
-        report = pipeline.run(100, 112)
+    def test_report_metrics_none_by_default(self, small_world, trained_table):
+        report = make_pipeline(
+            Scenario.from_world(small_world), table=trained_table
+        ).run(100, 112)
         assert report.metrics is None
 
-    def test_sequential_snapshot_covers_phases(self, trained):
-        scenario, table = trained
-        metrics = MetricsRegistry()
-        pipeline = BlameItPipeline(
-            scenario,
-            config=self._config(),
-            fixed_table=table,
-            seed=11,
-            metrics=metrics,
-        )
-        report = pipeline.run(100, 130)
+    def test_sequential_snapshot_covers_phases(self, small_world, trained_table):
+        report = make_pipeline(
+            Scenario.from_world(small_world), table=trained_table,
+            metrics=MetricsRegistry(), rng_per_bucket=False,
+        ).run(100, 130)
         assert report.metrics is not None
         validate_snapshot(report.metrics)
         # Every phase except learning (fixed table) must have fired.
@@ -196,39 +173,16 @@ class TestPipelineMetrics:
         assert blamed == report.bad_quartets
         assert counters["probe.on_demand.issued"] == report.probes_on_demand
 
-    def test_sharded_merges_worker_counters(self, trained):
-        """Sharded and sequential runs agree on every counter, and the
-        sharded report itself stays byte-identical with metrics on."""
-        scenario, table = trained
-        sequential_metrics = MetricsRegistry()
-        sequential = BlameItPipeline(
-            scenario,
-            config=self._config(),
-            fixed_table=table,
-            seed=11,
-            rng_per_bucket=True,
-            metrics=sequential_metrics,
+    def test_sharded_merges_worker_counters(self, small_world, trained_table):
+        """Sharded and sequential runs agree on every counter (the
+        matrix checks their reports)."""
+        expected, got = (
+            make_pipeline(
+                Scenario.from_world(small_world), driver, table=trained_table,
+                metrics=MetricsRegistry(),
+            ).run(100, 160)
+            for driver in ("sequential", "sharded1")
         )
-        expected = sequential.run(100, 160)
-        sharded_metrics = MetricsRegistry()
-        sharded = ShardedPipeline(
-            scenario,
-            config=self._config(),
-            fixed_table=table,
-            seed=11,
-            n_workers=1,
-            buckets_per_shard=17,
-            metrics=sharded_metrics,
-        )
-        got = sharded.run(100, 160)
-        assert got.total_quartets == expected.total_quartets
-        assert got.blame_counts == expected.blame_counts
-        assert got.bad_quartets == expected.bad_quartets
-        assert [
-            (i.key, i.first_seen, i.last_seen) for i in got.closed_middle
-        ] == [
-            (i.key, i.first_seen, i.last_seen) for i in expected.closed_middle
-        ]
         assert got.metrics is not None and expected.metrics is not None
         validate_snapshot(got.metrics)
         # Counters merge exactly: worker-side passive/generation counts

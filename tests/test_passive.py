@@ -1,14 +1,20 @@
-"""Tests for repro.core.passive: every branch of Algorithm 1."""
+"""Tests for repro.core.passive: every branch of Algorithm 1, and its
+row-order and monotonicity properties."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cloud.locations import RTTTargets
-from repro.core.blame import Blame
+from repro.core.blame import Blame, BlameResult
 from repro.core.config import BlameItConfig
 from repro.core.passive import PassiveLocalizer
-from repro.core.quartet import Quartet
+from repro.core.quartet import Quartet, QuartetBatch
 from repro.core.thresholds import ExpectedRTTTable
 from repro.net.geo import Region
+
+from tests.test_perf import _random_quartets, _random_table
 
 TARGET = 50.0
 
@@ -245,3 +251,60 @@ class TestWindowing:
         assert all(r.blame is not Blame.CLOUD for r in strict)
         lax = _localizer(tau=0.5).assign(quartets, _table())
         assert all(r.blame is Blame.CLOUD for r in lax)
+
+
+def _bucket(seed: int, n: int) -> list[Quartet]:
+    """A random bucket (see ``tests.test_perf._random_quartets``) whose
+    rows are told apart by ``users`` (Algorithm 1 never reads it)."""
+    rows = _random_quartets(np.random.default_rng(seed), n)
+    return [row._replace(users=i + 1) for i, row in enumerate(rows)]
+
+
+def _assign(quartets: list[Quartet], seed: int) -> list[BlameResult]:
+    table = _random_table(np.random.default_rng(seed))
+    batch = QuartetBatch.from_quartets(quartets)
+    return _localizer().assign_batch(batch, table).to_results()
+
+
+def _row(result: BlameResult) -> int:
+    return result.quartet.users - 1
+
+
+class TestAlgorithmOneProperties:
+    """Properties of the vectorized Algorithm 1 over random buckets."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 120), data=st.data())
+    def test_permuting_rows_permutes_the_verdicts(self, seed, n, data):
+        rows = _bucket(seed, n)
+        order = data.draw(st.permutations(range(n)))
+        before = {_row(result): result for result in _assign(rows, seed)}
+        permuted = _assign([rows[i] for i in order], seed)
+        assert [_row(result) for result in permuted] == [
+            i for i in order if i in before
+        ]
+        assert all(result == before[_row(result)] for result in permuted)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 120),
+        data=st.data(),
+        raise_ms=st.floats(0.001, 200.0),
+    )
+    def test_raising_one_rtt_keeps_cloud_verdicts_and_raises_fractions(
+        self, seed, n, data, raise_ms
+    ):
+        rows = _bucket(seed, n)
+        i = data.draw(st.integers(0, n - 1))
+        raised = list(rows)
+        raised[i] = rows[i]._replace(mean_rtt_ms=rows[i].mean_rtt_ms + raise_ms)
+        after = {_row(result): result for result in _assign(raised, seed)}
+        for was in _assign(rows, seed):
+            now = after[_row(was)]  # a bad row stays bad when an RTT rises
+            if was.blame is Blame.CLOUD:
+                assert now.blame is Blame.CLOUD
+            for field in ("cloud_bad_fraction", "middle_bad_fraction"):
+                old, new = getattr(was, field), getattr(now, field)
+                if old is not None and new is not None:
+                    assert new >= old

@@ -7,12 +7,12 @@ import pytest
 from repro.cloud.locations import RTTTargets
 from repro.core.config import BlameItConfig
 from repro.core.passive import PassiveLocalizer
-from repro.core.pipeline import BlameItPipeline
 from repro.core.quartet import Quartet, QuartetBatch
-from repro.core.thresholds import ExpectedRTTLearner, ExpectedRTTTable
+from repro.core.thresholds import ExpectedRTTTable
 from repro.net.geo import Region
-from repro.perf.sharded import ShardedPipeline
 from repro.sim.scenario import Scenario
+
+from tests.harness import make_pipeline
 
 
 def _random_quartets(rng: np.random.Generator, n: int) -> list[Quartet]:
@@ -142,60 +142,15 @@ class TestQuartetBatch:
 
 
 class TestShardedPipeline:
-    @pytest.fixture(scope="class")
-    def trained(self, small_world):
-        scenario = Scenario.from_world(small_world)
-        learner = ExpectedRTTLearner(history_days=1)
-        pipeline = BlameItPipeline(scenario, learner=learner)
-        pipeline.warmup(0, 96, stride=4)
-        return scenario, learner.table()
+    def test_matches_sequential_pipeline(self, matrix_cell):
+        """A matrix cell kept under its old ID: one worker on 17-bucket
+        shards, misaligned with the run window on purpose."""
+        matrix_cell()
 
-    def _config(self, **overrides) -> BlameItConfig:
-        defaults = dict(history_days=1, background_interval_buckets=36)
-        defaults.update(overrides)
-        return BlameItConfig(**defaults)
-
-    def test_matches_sequential_pipeline(self, trained):
-        """Sharded report equals the sequential per-bucket-RNG pipeline:
-        same quartet/blame counts, same issues, same alerts."""
-        scenario, table = trained
-        sequential = BlameItPipeline(
-            scenario,
-            config=self._config(),
-            fixed_table=table,
-            seed=11,
-            rng_per_bucket=True,
-        )
-        expected = sequential.run(100, 160)
-        sharded = ShardedPipeline(
-            scenario,
-            config=self._config(),
-            fixed_table=table,
-            seed=11,
-            n_workers=1,
-            buckets_per_shard=17,  # misaligned with run_interval on purpose
-        )
-        got = sharded.run(100, 160)
-        assert got.total_quartets == expected.total_quartets
-        assert got.bad_quartets == expected.bad_quartets
-        assert got.blame_counts == expected.blame_counts
-        assert got.blame_counts_by_day == expected.blame_counts_by_day
-        assert len(got.closed_middle) == len(expected.closed_middle)
-        assert [
-            (i.key, i.first_seen, i.last_seen) for i in got.closed_middle
-        ] == [
-            (i.key, i.first_seen, i.last_seen) for i in expected.closed_middle
-        ]
-        assert got.probes_on_demand == expected.probes_on_demand
-        assert got.probes_background == expected.probes_background
-        assert [(a.blame, a.location_id, a.culprit_asn) for a in got.alerts] == [
-            (a.blame, a.location_id, a.culprit_asn) for a in expected.alerts
-        ]
-
-    def test_shard_partition_covers_range(self, trained):
-        scenario, table = trained
-        sharded = ShardedPipeline(
-            scenario, fixed_table=table, n_workers=3, buckets_per_shard=None
+    def test_shard_partition_covers_range(self, small_world, trained_table):
+        sharded = make_pipeline(
+            Scenario.from_world(small_world), "sharded1", table=trained_table,
+            n_workers=3, buckets_per_shard=None,
         )
         shards = sharded._shards(10, 100)
         assert shards[0][0] == 10

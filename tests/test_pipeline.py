@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.blame import Blame, BlameResult
-from repro.core.config import BlameItConfig
 from repro.core.pipeline import BlameItPipeline, _KeyedIssueTracker
 from repro.core.quartet import Quartet
 from repro.net.asn import middle_asns
@@ -11,11 +10,7 @@ from repro.net.geo import Region
 from repro.sim.faults import Fault, FaultTarget, SegmentKind
 from repro.sim.scenario import Scenario
 
-
-def _fast_config(**overrides) -> BlameItConfig:
-    defaults = dict(history_days=1, background_interval_buckets=36)
-    defaults.update(overrides)
-    return BlameItConfig(**defaults)
+from tests.harness import make_config, make_pipeline
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +25,7 @@ def warm_pipeline_report(small_world):
         added_ms=80.0,
     )
     scenario = Scenario(small_world, (fault,), ())
-    pipeline = BlameItPipeline(scenario, config=_fast_config())
+    pipeline = BlameItPipeline(scenario, config=make_config())
     pipeline.warmup(0, 144, stride=3)
     report = pipeline.run(150, 220)
     return location, report
@@ -94,7 +89,7 @@ class TestMiddleFaultRun:
             added_ms=90.0,
         )
         scenario = Scenario(small_world, (fault,), ())
-        pipeline = BlameItPipeline(scenario, config=_fast_config())
+        pipeline = BlameItPipeline(scenario, config=make_config())
         pipeline.warmup(0, 144, stride=3)
         report = pipeline.run(150, 210)
         verdicts = [
@@ -116,7 +111,7 @@ class TestMiddleFaultRun:
         )
         scenario = Scenario(small_world, (fault,), ())
         pipeline = BlameItPipeline(
-            scenario, config=_fast_config(probe_budget_per_window=0)
+            scenario, config=make_config(probe_budget_per_window=0)
         )
         pipeline.warmup(0, 72, stride=3)
         report = pipeline.run(150, 200)
@@ -127,10 +122,10 @@ class TestMiddleFaultRun:
 class TestFixedTable:
     def test_fixed_table_skips_learning(self, small_world):
         scenario = Scenario(small_world, (), ())
-        trainer = BlameItPipeline(scenario, config=_fast_config())
+        trainer = BlameItPipeline(scenario, config=make_config())
         trainer.warmup(0, 144, stride=3)
         table = trainer.learner.table()
-        pipeline = BlameItPipeline(scenario, config=_fast_config(), fixed_table=table)
+        pipeline = BlameItPipeline(scenario, config=make_config(), fixed_table=table)
         report = pipeline.run(150, 165)
         assert report.total_quartets > 0
         # The internal learner never saw anything.
@@ -140,7 +135,7 @@ class TestFixedTable:
 class TestHealthyRun:
     def test_no_faults_low_badness(self, small_world):
         scenario = Scenario(small_world, (), ())
-        pipeline = BlameItPipeline(scenario, config=_fast_config())
+        pipeline = BlameItPipeline(scenario, config=make_config())
         pipeline.warmup(0, 144, stride=3)
         report = pipeline.run(150, 200)
         assert report.bad_quartets <= report.total_quartets * 0.05
@@ -294,7 +289,7 @@ class TestLocalizeBaselineDedup:
     def _probe_setup(self, small_scenario):
         from repro.core.active import ProbedIssue
 
-        pipeline = BlameItPipeline(small_scenario, config=_fast_config())
+        pipeline = BlameItPipeline(small_scenario, config=make_config())
         world = small_scenario.world
         asn = world.population.asns[0]
         client = world.population.in_as(asn)[0]
@@ -342,3 +337,21 @@ class TestLocalizeBaselineDedup:
             pipeline.baselines.put(pipeline.engine.issue(location, prefix, time))
         calls, _ = self._count_comparisons(pipeline, probe, monkeypatch)
         assert calls == [2, 0]  # newest first, then the oldest
+
+
+class TestDailyTableRefresh:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the refresh reads the window (day - history_days, day], "
+        "whose newest day holds no observations yet: with one day of "
+        "history every table after day 0 is empty",
+    )
+    def test_table_refreshed_after_a_learned_day_is_not_empty(
+        self, multi_day_world
+    ):
+        pipeline = make_pipeline(Scenario.from_world(multi_day_world))
+        state = pipeline.begin_run(100, 300)
+        while state.cursor < state.end:
+            pipeline.step(state)
+        assert state.table_day == 1
+        assert state.table.cloud and state.table.middle

@@ -12,7 +12,6 @@ from repro.cloud.traceroute import TracerouteEngine, TracerouteView
 from repro.core.active import IssueTracker, OnDemandProber, ProbeBudget
 from repro.core.blame import Blame, BlameResult
 from repro.core.config import BlameItConfig
-from repro.core.pipeline import BlameItPipeline
 from repro.core.prediction import ClientCountPredictor, DurationPredictor
 from repro.core.probeplan import (
     ClusteredPlanner,
@@ -22,10 +21,10 @@ from repro.core.probeplan import (
     make_planner,
 )
 from repro.core.quartet import Quartet
-from repro.core.thresholds import ExpectedRTTLearner
-from repro.io import report_to_dict
 from repro.net.geo import Region
 from repro.sim.scenario import Scenario
+
+from tests.harness import digest, make_config, make_pipeline
 
 K_A = ("edge-A", (10, 20))
 K_B = ("edge-B", (10, 30))
@@ -292,43 +291,24 @@ class TestConfigKnobs:
             BlameItConfig(probe_history_windows=0)
 
 
-def _pipeline_report(world, config):
-    """The golden-style fixed run under the given config."""
-    scenario = Scenario.from_world(world)
-    learner = ExpectedRTTLearner(history_days=1)
-    trainer = BlameItPipeline(scenario, config=config, learner=learner)
-    trainer.warmup(0, 96, stride=4)
-    pipeline = BlameItPipeline(
-        scenario,
-        config=config,
-        fixed_table=learner.table(),
-        seed=11,
-        rng_per_bucket=True,
-    )
-    report = pipeline.run(100, 160)
-    return pipeline, report
-
-
 class TestClusteringDisabledIsExactNoOp:
     """Satellite regression: floor > 1.0 means the clustered planner is
     byte-for-byte the paper planner — same report, same budget ledger."""
 
-    def test_report_and_budget_identical(self, small_world):
-        base = dict(history_days=1, background_interval_buckets=36)
-        paper_pipeline, paper_report = _pipeline_report(
-            small_world, BlameItConfig(**base, probe_planner="paper")
+    def test_report_and_budget_identical(self, small_world, trained_table):
+        paper_pipeline, clustered_pipeline = (
+            make_pipeline(
+                Scenario.from_world(small_world), config=config,
+                table=trained_table,
+            )
+            for config in (
+                make_config(probe_planner="paper"),
+                make_config(probe_planner="clustered", probe_cluster_floor=1.01),
+            )
         )
-        clustered_pipeline, clustered_report = _pipeline_report(
-            small_world,
-            BlameItConfig(
-                **base, probe_planner="clustered", probe_cluster_floor=1.01
-            ),
-        )
-        paper_json = json.dumps(report_to_dict(paper_report), sort_keys=True)
-        clustered_json = json.dumps(
-            report_to_dict(clustered_report), sort_keys=True
-        )
-        assert clustered_json == paper_json
+        paper_report = paper_pipeline.run(100, 160)
+        clustered_report = clustered_pipeline.run(100, 160)
+        assert digest(clustered_report) == digest(paper_report)
         for attr in ("denied", "denied_total"):
             assert getattr(clustered_pipeline.on_demand.budget, attr) == (
                 getattr(paper_pipeline.on_demand.budget, attr)
@@ -343,131 +323,19 @@ class TestClusteringDisabledIsExactNoOp:
         )
 
 
-@pytest.fixture(scope="module")
-def faulty_world():
-    """Two-day, two-region world with enough middle faults that probe
-    windows actually feed the co-anomaly history (the shared small and
-    multi-day worlds stay middle-quiet over the test window)."""
-    from repro.sim.faults import FaultRates
-    from repro.sim.scenario import ScenarioParams, build_world
-
-    return build_world(
-        ScenarioParams(
-            seed=23,
-            regions=(Region.USA, Region.EUROPE),
-            duration_days=2,
-            locations_per_region=2,
-            fault_rates=FaultRates(middle_per_day=10.0),
-        )
-    )
-
-
-def _clustered_config() -> BlameItConfig:
-    return BlameItConfig(
-        history_days=1,
-        background_interval_buckets=36,
-        probe_planner="clustered",
-        probe_cluster_floor=0.5,
-        probe_history_windows=12,
-    )
-
-
-def _clustered_run(world, *, workers=None, store=None, warm_start=False,
-                   kill=None):
-    """One clustered-planner run crossing a day boundary (240..400)."""
-    from repro.chaos import FaultPlan
-    from repro.perf.sharded import ShardedPipeline
-
-    scenario = Scenario.from_world(world)
-    chaos = (
-        FaultPlan(seed=1, kill_at_bucket=kill) if kill is not None else None
-    )
-    if workers is not None:
-        pipeline = ShardedPipeline(
-            scenario,
-            config=_clustered_config(),
-            seed=11,
-            n_workers=workers,
-            store=store,
-            warm_start=warm_start,
-            chaos=chaos,
-        )
-    else:
-        pipeline = BlameItPipeline(
-            scenario,
-            config=_clustered_config(),
-            seed=11,
-            rng_per_bucket=True,
-            store=store,
-            warm_start=warm_start,
-            chaos=chaos,
-        )
-    if not warm_start:
-        pipeline.warmup(0, 96, stride=4)
-    return pipeline, pipeline.run(240, 400)
-
-
-def _digest(report) -> str:
-    return json.dumps(report_to_dict(report), sort_keys=True)
-
-
 class TestClusteredPersistence:
-    """Checkpoint schema v3: the planner's co-anomaly history rides
-    along, so resumed and sharded clustered runs stay byte-identical."""
+    """Matrix cells of the clustered case kept under their old IDs:
+    checkpoint schema v3 carries the planner's co-anomaly history, so
+    resumed and sharded clustered runs stay byte-identical."""
 
-    @pytest.fixture(scope="class")
-    def baseline(self, faulty_world) -> str:
-        _, report = _clustered_run(faulty_world)
-        return _digest(report)
+    def test_checkpoint_roundtrips_planner_history(self, matrix_cell):
+        matrix_cell()
 
-    def test_checkpoint_roundtrips_planner_history(
-        self, faulty_world, tmp_path
-    ):
-        from repro.store import CheckpointStore
+    def test_kill_resume_byte_identical(self, matrix_cell):
+        matrix_cell()
 
-        store = CheckpointStore(tmp_path)
-        pipeline, _ = _clustered_run(faulty_world, store=store)
-        saved = pipeline.on_demand.planner.state_dict()
-        assert saved["kind"] == "clustered"
-        assert len(saved["history"]["windows"]) > 0
-
-        scenario = Scenario.from_world(faulty_world)
-        resumed = BlameItPipeline(
-            scenario,
-            config=_clustered_config(),
-            seed=11,
-            rng_per_bucket=True,
-            store=store,
-            warm_start=True,
-        )
-        restored = resumed.on_demand.planner.state_dict()
-        store.close()
-        # The newest checkpoint lands at the last day boundary (288),
-        # so the restored ring is a prefix of the final one.
-        assert restored["kind"] == "clustered"
-        windows = saved["history"]["windows"]
-        assert restored["history"]["windows"] == (
-            windows[: len(restored["history"]["windows"])]
-        )
-
-    def test_kill_resume_byte_identical(
-        self, faulty_world, tmp_path, baseline
-    ):
-        from repro.chaos import ChaosKill
-        from repro.store import CheckpointStore
-
-        store = CheckpointStore(tmp_path)
-        with pytest.raises(ChaosKill):
-            _clustered_run(faulty_world, store=store, kill=288)
-        _, report = _clustered_run(
-            faulty_world, store=store, warm_start=True
-        )
-        store.close()
-        assert _digest(report) == baseline
-
-    def test_sharded_matches_sequential(self, faulty_world, baseline):
-        _, report = _clustered_run(faulty_world, workers=2)
-        assert _digest(report) == baseline
+    def test_sharded_matches_sequential(self, matrix_cell):
+        matrix_cell()
 
 
 class TestClusteredSavesProbes:

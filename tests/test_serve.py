@@ -3,8 +3,9 @@
 The headline property extends DESIGN.md §6 to service mode: a daemon
 fed bucket-by-bucket — from the scenario or from a JSONL file — produces
 a report byte-identical to the batch ``run()`` over the same window,
-including across kill→resume and with the bounded-memory retention
-window active.
+including across kill→resume (the matrix's daemon cells,
+``tests/harness.py``) and with the bounded-memory retention window
+active.
 """
 
 from __future__ import annotations
@@ -21,12 +22,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.serve.source as source_module
-from repro.chaos import ChaosKill
 from repro.chaos.inject import sanitize_batch
-from repro.core.config import BlameItConfig
 from repro.core.pipeline import BlameItPipeline
 from repro.core.quartet import QuartetBatch
-from repro.io import report_to_dict
 from repro.net.asn import middle_asns
 from repro.net.geo import Region
 from repro.obs import MetricsRegistry, validate_snapshot
@@ -35,24 +33,17 @@ from repro.serve import (
     BlameItDaemon,
     JsonlFormatError,
     JsonlSource,
-    ScenarioSource,
     StatusServer,
     quartet_from_row,
     quartet_to_row,
-    write_quartets_jsonl,
 )
 from repro.sim.faults import Fault, FaultTarget, SegmentKind
 from repro.sim.scenario import Scenario
 from repro.store import CheckpointStore
 
+from tests.harness import digest, make_config, make_pipeline
+
 START, END = 96, 400
-SEED = 11
-
-
-def _digest(report) -> str:
-    data = report_to_dict(report)
-    data.pop("metrics", None)
-    return json.dumps(data, sort_keys=True)
 
 
 def _faulty_scenario(world) -> Scenario:
@@ -91,125 +82,25 @@ def _faulty_scenario(world) -> Scenario:
     return Scenario(world, faults, ())
 
 
-def _pipeline(scenario, *, store=None, warm_start=False, metrics=None):
-    pipeline = BlameItPipeline(
-        scenario,
-        config=BlameItConfig(history_days=1, background_interval_buckets=36),
-        seed=SEED,
-        rng_per_bucket=True,
-        store=store,
-        warm_start=warm_start,
-        metrics=metrics,
-    )
-    if not warm_start:
-        pipeline.warmup(0, 96, stride=4)
-    return pipeline
-
-
 @pytest.fixture(scope="module")
 def served_scenario(multi_day_world) -> Scenario:
     return _faulty_scenario(multi_day_world)
 
 
-@pytest.fixture(scope="module")
-def batch_digest(served_scenario) -> str:
-    """The batch ``run()`` digest every daemon variant must reproduce."""
-    report = _pipeline(served_scenario).run(START, END)
-    assert report.closed_middle or report.closed_cloud  # faults fired
-    return _digest(report)
-
-
 class TestDaemonEquivalence:
-    def test_scenario_daemon_matches_batch(self, served_scenario, batch_digest):
-        daemon = BlameItDaemon(
-            _pipeline(served_scenario), START, END, source=ScenarioSource()
-        )
-        report = daemon.run()
-        assert _digest(report) == batch_digest
+    """Matrix cells kept under their old IDs."""
 
-    def test_kill_resume_matches_batch(
-        self, served_scenario, batch_digest, tmp_path
-    ):
-        """Mid-day cadence checkpoints restore byte-identically — the
-        held expected-RTT table travels with the checkpoint."""
-        store = CheckpointStore(tmp_path)
-        daemon = BlameItDaemon(
-            _pipeline(served_scenario, store=store),
-            START,
-            END,
-            checkpoint_every=48,
-            kill_at=250,  # mid-day: 250 % 288 != 0
-        )
-        with pytest.raises(ChaosKill):
-            daemon.run()
-        store.close()
-        store = CheckpointStore(tmp_path)
-        assert store.latest_time() == 240  # newest cadence point before kill
-        resumed = BlameItDaemon(
-            _pipeline(served_scenario, store=store, warm_start=True),
-            START,
-            END,
-            checkpoint_every=48,
-        )
-        report = resumed.run()
-        store.close()
-        assert _digest(report) == batch_digest
+    def test_scenario_daemon_matches_batch(self, matrix_cell):
+        matrix_cell()
 
-    def test_jsonl_source_matches_batch(
-        self, served_scenario, batch_digest, tmp_path
-    ):
-        """External batches (batch-local vocabularies) fold identically
-        to generator batches."""
-        path = tmp_path / "quartets.jsonl"
-        generator = BatchQuartetGenerator(served_scenario)
-        quartets = []
-        for time in range(START, END):
-            batch = generator.generate(
-                time, rng=np.random.default_rng((SEED, time))
-            )
-            quartets.extend(batch.to_quartets())
-        assert write_quartets_jsonl(path, quartets) == len(quartets)
-        daemon = BlameItDaemon(
-            _pipeline(served_scenario), START, END, source=JsonlSource(path)
-        )
-        report = daemon.run()
-        assert _digest(report) == batch_digest
+    def test_kill_resume_matches_batch(self, matrix_cell):
+        matrix_cell()
 
-    def test_graceful_stop_checkpoints_and_resumes(
-        self, served_scenario, batch_digest, tmp_path
-    ):
-        """request_stop → final checkpoint at the cursor → resume is
-        byte-identical (the SIGTERM path, minus the signal)."""
-        store = CheckpointStore(tmp_path)
-        daemon = BlameItDaemon(
-            _pipeline(served_scenario, store=store), START, END
-        )
+    def test_jsonl_source_matches_batch(self, matrix_cell):
+        matrix_cell()
 
-        class _StopAfter(ScenarioSource):
-            def __init__(self, source_daemon, at):
-                self.daemon = source_daemon
-                self.at = at
-
-            def next_batch(self, time):
-                if time >= self.at:
-                    self.daemon.request_stop()
-                return None
-
-        daemon.source = _StopAfter(daemon, 217)  # any mid-day bucket
-        assert daemon.run() is None
-        # The stop request lands while bucket 217 is in flight; the
-        # final checkpoint records the next cursor.
-        assert store.latest_time() == 218
-        store.close()
-        store = CheckpointStore(tmp_path)
-        resumed = BlameItDaemon(
-            _pipeline(served_scenario, store=store, warm_start=True),
-            START,
-            END,
-        )
-        report = resumed.run()
-        store.close()
-        assert _digest(report) == batch_digest
+    def test_graceful_stop_checkpoints_and_resumes(self, matrix_cell):
+        matrix_cell()
 
 
 class TestRetention:
@@ -239,17 +130,9 @@ class TestRetention:
         scenario = Scenario(multi_day_world, faults, ())
 
         def pipeline(store=None):
-            built = BlameItPipeline(
-                scenario,
-                config=BlameItConfig(
-                    history_days=2, background_interval_buckets=36
-                ),
-                seed=SEED,
-                rng_per_bucket=True,
-                store=store,
+            return make_pipeline(
+                scenario, config=make_config(history_days=2), store=store
             )
-            built.warmup(0, 96, stride=4)
-            return built
 
         unbounded = BlameItDaemon(pipeline(), START, 600)
         baseline = unbounded.run()
@@ -264,7 +147,7 @@ class TestRetention:
         )
         report = bounded.run()
         store.close()
-        assert _digest(report) == _digest(baseline)
+        assert digest(report) == digest(baseline)
         assert sum(bounded._archived.values()) > 0
         assert bounded.peak_tracked < unbounded.peak_tracked
 
@@ -273,7 +156,7 @@ class TestAlertStreaming:
     def test_sink_receives_alert_per_closed_issue(self, served_scenario):
         streamed = []
         daemon = BlameItDaemon(
-            _pipeline(served_scenario), START, END, alert_sink=streamed.append
+            make_pipeline(served_scenario), START, END, alert_sink=streamed.append
         )
         report = daemon.run()
         assert daemon.alerts_emitted == len(streamed)
@@ -566,7 +449,7 @@ class TestColumnarReader:
 
 class TestHttpSurface:
     def test_endpoints_serve_live_state(self, served_scenario):
-        daemon = BlameItDaemon(_pipeline(served_scenario), START, END)
+        daemon = BlameItDaemon(make_pipeline(served_scenario), START, END)
         failures = []
 
         def _get(port, endpoint):
@@ -602,7 +485,7 @@ class TestHttpSurface:
         assert isinstance(issues, list)
 
     def test_unknown_endpoint_404(self, served_scenario):
-        daemon = BlameItDaemon(_pipeline(served_scenario), START, START + 1)
+        daemon = BlameItDaemon(make_pipeline(served_scenario), START, START + 1)
         with StatusServer(daemon) as server:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(
@@ -611,9 +494,7 @@ class TestHttpSurface:
             assert excinfo.value.code == 404
 
     def test_metrics_endpoint_snapshot_validates(self, served_scenario):
-        pipeline = _pipeline(
-            served_scenario, metrics=MetricsRegistry()
-        )
+        pipeline = make_pipeline(served_scenario, metrics=MetricsRegistry())
         daemon = BlameItDaemon(pipeline, START, START + 60)
         with StatusServer(daemon) as server:
             daemon.run()

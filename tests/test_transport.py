@@ -15,21 +15,17 @@ worker crash costs one shard respawn, not the pool.
 from __future__ import annotations
 
 import dataclasses
-import json
 import multiprocessing
 import os
+from contextlib import closing
 
 import numpy as np
 import pytest
 
 from repro.chaos import ChaosKill, FaultPlan
-from repro.core.config import BlameItConfig
-from repro.core.pipeline import BlameItPipeline
-from repro.core.thresholds import ExpectedRTTLearner
-from repro.io import report_to_dict
 from repro.obs import MetricsRegistry, validate_snapshot
 from repro.perf import transport
-from repro.perf.sharded import ShardedPipeline, _ShardRunner
+from repro.perf.sharded import _ShardRunner
 from repro.perf.transport import (
     decode_result,
     discard_payload,
@@ -39,21 +35,20 @@ from repro.serve import BlameItDaemon, ScenarioSource
 from repro.sim.scenario import Scenario
 from repro.store import CheckpointStore
 
+from tests.harness import (
+    CASES,
+    CHAOS,
+    SEED,
+    SMALL,
+    digest,
+    make_config,
+    make_pipeline,
+    reference,
+)
+
 needs_shm = pytest.mark.skipif(
     transport.shared_memory is None, reason="platform lacks multiprocessing.shared_memory"
 )
-
-
-def _config(**overrides) -> BlameItConfig:
-    return BlameItConfig(
-        history_days=1, background_interval_buckets=36, **overrides
-    )
-
-
-def _digest(report) -> str:
-    data = report_to_dict(report)
-    data.pop("metrics", None)
-    return json.dumps(data, sort_keys=True)
 
 
 def _shm_entries() -> set[str]:
@@ -64,23 +59,13 @@ def _shm_entries() -> set[str]:
 
 
 @pytest.fixture(scope="module")
-def trained(small_world):
-    scenario = Scenario.from_world(small_world)
-    learner = ExpectedRTTLearner(history_days=1)
-    trainer = BlameItPipeline(scenario, config=_config(), learner=learner)
-    trainer.warmup(0, 96, stride=4)
-    return scenario, learner.table()
-
-
-@pytest.fixture(scope="module")
-def shard_output(trained):
+def shard_output(small_world, trained_table):
     """One real shard's summaries + snapshot (learn columns included)."""
-    scenario, table = trained
     runner = _ShardRunner(
-        scenario,
-        _config(),
-        table,
-        seed=11,
+        Scenario.from_world(small_world),
+        make_config(),
+        trained_table,
+        seed=SEED,
         metrics_enabled=True,
         want_learn=True,
     )
@@ -222,41 +207,18 @@ class TestPipelineTransport:
     """Real worker processes, with and without allocatable segments:
     byte-identity plus the accounting each side must leave behind."""
 
-    def _sequential(self, trained) -> str:
-        scenario, table = trained
-        return _digest(
-            BlameItPipeline(
-                scenario,
-                config=_config(),
-                fixed_table=table,
-                seed=11,
-                rng_per_bucket=True,
-            ).run(100, 160)
-        )
-
-    def _sharded(self, trained, metrics=None, chaos=None):
-        scenario, table = trained
-        pipeline = ShardedPipeline(
-            scenario,
-            config=_config(),
-            fixed_table=table,
-            seed=11,
-            n_workers=2,
-            buckets_per_shard=13,
-            metrics=metrics,
-            chaos=chaos,
-        )
-        try:
-            report = pipeline.run(100, 160)
-        finally:
-            pipeline.close()
-        return report, pipeline
-
     @needs_shm
-    def test_shm_workers_byte_identical_and_accounted(self, trained):
-        metrics = MetricsRegistry()
-        report, pipeline = self._sharded(trained, metrics=metrics)
-        assert _digest(report) == self._sequential(trained)
+    def test_shm_workers_byte_identical_and_accounted(
+        self, small_world, trained_table
+    ):
+        with closing(
+            make_pipeline(
+                Scenario.from_world(small_world), "sharded2",
+                table=trained_table, metrics=MetricsRegistry(),
+            )
+        ) as pipeline:
+            report = pipeline.run(*SMALL.span)
+        assert digest(report) == reference(SMALL, small_world).digest
         stats = pipeline.transport_stats
         assert stats["shm_bytes"] > 0
         assert stats["shm_segments"] == 5  # ceil(60 / 13) shards
@@ -274,7 +236,7 @@ class TestPipelineTransport:
         reason="workers inherit the patched allocator only when forked",
     )
     def test_pickle_workers_byte_identical_and_accounted(
-        self, trained, monkeypatch
+        self, small_world, trained_table, monkeypatch
     ):
         """Every allocation fails in every (forked) worker: each shard
         arrives in band, is counted as a fallback, and the report does
@@ -282,9 +244,14 @@ class TestPipelineTransport:
         monkeypatch.setattr(
             transport.shared_memory, "SharedMemory", _refuse_allocation
         )
-        report, pipeline = self._sharded(trained)
+        with closing(
+            make_pipeline(
+                Scenario.from_world(small_world), "sharded2", table=trained_table
+            )
+        ) as pipeline:
+            report = pipeline.run(*SMALL.span)
         assert pipeline.pools_created == 1
-        assert _digest(report) == self._sequential(trained)
+        assert digest(report) == reference(SMALL, small_world).digest
         stats = pipeline.transport_stats
         assert stats["fallbacks"] == 5  # ceil(60 / 13) shards
         assert stats["pickle_bytes"] > 0
@@ -294,36 +261,18 @@ class TestPipelineTransport:
     @needs_shm
     def test_learned_run_across_a_day_boundary(self, multi_day_world):
         """With the learner on, two workers cross the day-1 table
-        refresh byte-identical to the sequential pipeline (whose fold
-        replays every quartet into the parent's learner), the run's
-        learning and generation phases are traced, every shard comes
-        back through shared memory, and no segment is left behind."""
+        refresh with the run's learning and generation phases traced,
+        every shard back through shared memory, and no segment left
+        behind (the matrix's learned cells check the report)."""
         before = _shm_entries()
-
-        def run(pipeline):
-            pipeline.warmup(0, 96, stride=4)
-            return pipeline.run(240, 340)
-
-        expected = run(
-            BlameItPipeline(
-                Scenario.from_world(multi_day_world),
-                config=_config(),
-                seed=77,
-                rng_per_bucket=True,
-            )
-        )
-        sharded = ShardedPipeline(
-            Scenario.from_world(multi_day_world),
-            config=_config(),
-            seed=77,
-            n_workers=2,
+        sharded = make_pipeline(
+            Scenario.from_world(multi_day_world), "sharded2",
             metrics=MetricsRegistry(),
         )
         try:
-            got = run(sharded)
+            got = sharded.run(240, 340)
         finally:
             sharded.close()
-        assert _digest(got) == _digest(expected)
         validate_snapshot(got.metrics)
         assert {"phase.learning", "phase.generation"} <= set(got.metrics["spans"])
         counters = got.metrics["counters"]
@@ -334,25 +283,23 @@ class TestPipelineTransport:
         }
         assert leaked == set()
 
-    def test_worker_crash_respawns_one_shard_not_the_pool(self, trained):
+    def test_worker_crash_respawns_one_shard_not_the_pool(
+        self, small_world, trained_table
+    ):
         """With the persistent pool, an injected worker crash is
         recovered by resubmitting the one failed shard; the pool object
         survives (no second pool is built) and the report still matches
         the sequential run."""
-        plan = FaultPlan(seed=5, shard_crash_rate=1.0, shard_crash_max=1)
-        metrics = MetricsRegistry()
-        report, pipeline = self._sharded(trained, metrics=metrics, chaos=plan)
-        sequential = _digest(
-            BlameItPipeline(
-                trained[0],
-                config=_config(),
-                fixed_table=trained[1],
-                seed=11,
-                rng_per_bucket=True,
-                chaos=plan,
-            ).run(100, 160)
-        )
-        assert _digest(report) == sequential
+        crash = CASES["crash"]
+        with closing(
+            make_pipeline(
+                Scenario.from_world(small_world), "sharded2",
+                table=trained_table, metrics=MetricsRegistry(),
+                chaos=CHAOS[crash.chaos],
+            )
+        ) as pipeline:
+            report = pipeline.run(*SMALL.span)
+        assert digest(report) == reference(crash, small_world).digest
         assert pipeline.pools_created == 1
         counters = report.metrics["counters"]
         n_shards = 5  # ceil(60 / 13)
@@ -367,16 +314,8 @@ class TestPersistentPool:
     def test_one_pool_serves_a_multi_day_run(self, multi_day_world):
         """Per-day segments reuse the pool; the old code built (and
         leaked) one pool per ``_map_shards`` call."""
-        scenario = Scenario.from_world(multi_day_world)
-        pipeline = ShardedPipeline(
-            scenario,
-            config=_config(),
-            seed=11,
-            n_workers=2,
-            buckets_per_shard=13,
-        )
+        pipeline = make_pipeline(Scenario.from_world(multi_day_world), "sharded2")
         try:
-            pipeline.warmup(0, 96, stride=4)
             pipeline.run(100, 700)
             assert pipeline.pools_created == 1
         finally:
@@ -389,22 +328,10 @@ class TestPersistentPool:
         start, end = 96, 320  # crosses the day-1 table refresh at 288
 
         def run(sharded: bool):
-            scenario = Scenario.from_world(multi_day_world)
-            if sharded:
-                pipeline = ShardedPipeline(
-                    scenario,
-                    config=_config(),
-                    seed=11,
-                    n_workers=2,
-                )
-            else:
-                pipeline = BlameItPipeline(
-                    scenario,
-                    config=_config(),
-                    seed=11,
-                    rng_per_bucket=True,
-                )
-            pipeline.warmup(0, 96, stride=4)
+            pipeline = make_pipeline(
+                Scenario.from_world(multi_day_world),
+                "sharded2" if sharded else "sequential",
+            )
             daemon = BlameItDaemon(
                 pipeline, start, end, source=ScenarioSource()
             )
@@ -416,7 +343,7 @@ class TestPersistentPool:
 
         got, sharded_pipeline = run(sharded=True)
         expected, _ = run(sharded=False)
-        assert _digest(got) == _digest(expected)
+        assert digest(got) == digest(expected)
         assert sharded_pipeline.pools_created == 1
 
     def test_no_shm_leak_after_chaos_kill(self, multi_day_world, tmp_path):
@@ -424,19 +351,12 @@ class TestPersistentPool:
         ``/dev/shm`` exactly as it found it once the pipeline is
         closed — outstanding window leases are force-destroyed."""
         before = _shm_entries()
-        scenario = Scenario.from_world(multi_day_world)
         store = CheckpointStore(tmp_path)
-        pipeline = ShardedPipeline(
-            scenario,
-            config=_config(),
-            seed=11,
-            n_workers=2,
-            buckets_per_shard=13,
-            store=store,
+        pipeline = make_pipeline(
+            Scenario.from_world(multi_day_world), "sharded2", store=store,
             chaos=FaultPlan(seed=1, kill_at_bucket=288),
         )
         try:
-            pipeline.warmup(0, 96, stride=4)
             with pytest.raises(ChaosKill):
                 pipeline.run(100, 700)
         finally:
