@@ -4,7 +4,7 @@ The paper compared BlameIt's automatic localization against 88
 production incidents investigated manually by network engineers and
 found agreement on all of them. Here 88 labelled incidents are generated
 from the five §6.3 case-study archetypes and validated end-to-end, each
-as a one-incident ``SuiteCase`` through ``run_case`` — the suite's own
+as a one-incident ``SuiteCase`` through ``run_cases`` — the suite's own
 runner and scorer, without its ambient discount: the dominant pooled
 blame must name both the right segment and the right culprit AS.
 """
@@ -16,7 +16,7 @@ import pytest
 from _util import emit
 
 from repro.analysis.report import render_table
-from repro.analysis.validation import SuiteCase, run_case
+from repro.analysis.validation import SuiteCase, run_cases
 from repro.sim.incidents import IncidentArchetype, generate_incidents
 
 SEEDS = (5, 6, 7, 8)
@@ -24,13 +24,16 @@ PER_SEED = 22  # 4 x 22 = 88 incidents
 
 
 def _validate_all(world, state):
-    outcomes = []
-    for seed in SEEDS:
-        rng = np.random.default_rng(seed)
-        for spec in generate_incidents(world, PER_SEED, rng):
-            case = SuiteCase(spec.incident_id, (spec,), "single")
-            outcomes.extend(run_case(world, case, state).outcomes)
-    return outcomes
+    cases = [
+        SuiteCase(spec.incident_id, (spec,), "single")
+        for seed in SEEDS
+        for spec in generate_incidents(world, PER_SEED, np.random.default_rng(seed))
+    ]
+    return [
+        outcome
+        for case_outcome in run_cases(world, cases, state)
+        for outcome in case_outcome.outcomes
+    ]
 
 
 @pytest.mark.xfail(

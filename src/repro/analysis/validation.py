@@ -21,8 +21,11 @@ Both are deliberately cheap to run many times over one shared world:
 :func:`build_warmup_state` does the training pass once — the columnar
 steps of :meth:`BlameItPipeline.warmup` on generated batches — and
 records its artifacts in a :class:`WarmupState` every run then applies.
-Corroboration runs the same generator and the same batch door of
-Algorithm 1 (``PassiveLocalizer.assign_batch``) as the pipeline.
+The case pipelines are independent, so :func:`run_cases` and the suite
+run them in a fork pool on every usable CPU and score them in the
+parent (DESIGN.md §4 decision 10). Corroboration runs the same
+generator and the same batch door of Algorithm 1
+(``PassiveLocalizer.assign_batch``) as the pipeline.
 
 Paper provenance: §6.3 (validation against 88 labelled incidents), §6.4
 and Figure 11 (corroboration with continuous traceroutes; BGP-path vs
@@ -32,9 +35,12 @@ and Figure 11 (corroboration with continuous traceroutes; BGP-path vs
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import multiprocessing
+import os
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -91,9 +97,18 @@ class WarmupState:
     targets: list[tuple[str, ASPath, int]] = field(default_factory=list)
 
     def apply(self, pipeline: BlameItPipeline) -> None:
-        """Preload a pipeline's predictor and probe-target registry."""
-        for key, time, users in self.client_observations:
-            pipeline.client_predictor.observe(key, time, users)
+        """Preload a pipeline's predictor and probe-target registry.
+
+        The observations replay one bucket per ``observe_bucket`` call,
+        state-identical to one ``observe`` per triple; the predictor keeps
+        the lists it is handed, so each call gets fresh ones.
+        """
+        predictor = pipeline.client_predictor
+        for time, rows in itertools.groupby(
+            self.client_observations, key=lambda row: row[1]
+        ):
+            keys, _, users = zip(*rows)
+            predictor.observe_bucket(list(keys), time, list(users))
         for location_id, middle, prefix24 in self.targets:
             pipeline.background.register_target(location_id, middle, prefix24)
 
@@ -750,6 +765,137 @@ def _ranking_entry(world: World, case: SuiteCase) -> dict:
     }
 
 
+# ---------------------------------------------------------------------------
+# Running cases: one fork-pool map over independent pipeline runs
+# ---------------------------------------------------------------------------
+#
+# A job is one pipeline run over the shared world: a case's, or the
+# fault-free ambient run (``None``). Each is a pure function of (world,
+# job, warmup, config, pad), seeded by the job itself, so where it runs
+# cannot change its report. Workers inherit the context at fork time;
+# only the job goes in and only its report comes back.
+
+#: A job: a case, or None for the fault-free ambient run.
+_Job = SuiteCase | None
+#: What every job reads besides the job: (world, warmup, config, pad).
+_JobContext = tuple[World, WarmupState, BlameItConfig | None, int]
+
+#: The context a pool worker inherited from its initializer.
+_WORKER_CONTEXT: _JobContext | None = None
+
+
+def _job_workers(jobs: int) -> int:
+    """Worker processes for ``jobs`` pipeline runs; 1 runs them inline.
+
+    One per usable CPU, at most one per job. Inline as well when this
+    platform cannot fork, or when the caller is itself a daemonic pool
+    worker, which may not start children.
+    """
+    if (
+        "fork" not in multiprocessing.get_all_start_methods()
+        or multiprocessing.current_process().daemon
+    ):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), jobs))
+
+
+def _job_buckets(world: World, job: _Job, pad_buckets: int) -> int:
+    """Buckets a job runs: its cost, for longest-first submission."""
+    if job is None:
+        return world.params.horizon_buckets
+    start, end = job.window(world, pad_buckets)
+    return end - start
+
+
+def _run_job(context: _JobContext, job: _Job) -> PipelineReport:
+    """One pipeline run: a case (seeded ``1000 + case_id``, over its
+    padded window) or the ambient run (seed 999, the whole horizon)."""
+    world, warmup, config, pad_buckets = context
+    if job is None:
+        scenario, seed = Scenario(world, (), ()), 999
+        window = (0, world.params.horizon_buckets)
+    else:
+        scenario, seed = job.realize(world), 1000 + job.case_id
+        window = job.window(world, pad_buckets)
+    pipeline = BlameItPipeline(
+        scenario, config=config, fixed_table=warmup.table, seed=seed
+    )
+    warmup.apply(pipeline)
+    return pipeline.run(*window)
+
+
+def _init_worker(context: _JobContext) -> None:
+    global _WORKER_CONTEXT
+    _WORKER_CONTEXT = context
+
+
+def _run_worker_job(job: _Job) -> PipelineReport:
+    assert _WORKER_CONTEXT is not None, "worker not initialized"
+    return _run_job(_WORKER_CONTEXT, job)
+
+
+def _run_jobs(context: _JobContext, jobs: Sequence[_Job]) -> list[PipelineReport]:
+    """Every job's report, in input order.
+
+    Jobs go to the pool longest first, one at a time, so the longest
+    never starts last. On success the pool is closed and joined, on any
+    error terminated and joined: no worker outlives the call, and a
+    worker's exception reaches the caller with its own type.
+    """
+    workers = _job_workers(len(jobs))
+    if workers == 1:
+        return [_run_job(context, job) for job in jobs]
+    world, _, _, pad_buckets = context
+    order = sorted(
+        range(len(jobs)), key=lambda i: -_job_buckets(world, jobs[i], pad_buckets)
+    )
+    pool = multiprocessing.get_context("fork").Pool(
+        workers, initializer=_init_worker, initargs=(context,)
+    )
+    try:
+        done = pool.map(_run_worker_job, [jobs[i] for i in order], chunksize=1)
+        pool.close()
+    except BaseException:
+        pool.terminate()
+        raise
+    finally:
+        pool.join()
+    by_job = dict(zip(order, done))
+    return [by_job[i] for i in range(len(jobs))]
+
+
+def _score_cases(
+    world: World,
+    cases: Sequence[SuiteCase],
+    reports: Sequence[PipelineReport],
+    pad_buckets: int,
+    ambient_pairs: frozenset[tuple[SegmentKind, int | None]],
+) -> list[SuiteCaseOutcome]:
+    return [
+        SuiteCaseOutcome(
+            case, score_case(world, case, report, pad_buckets, ambient_pairs), report
+        )
+        for case, report in zip(cases, reports)
+    ]
+
+
+def run_cases(
+    world: World,
+    cases: Sequence[SuiteCase],
+    warmup: WarmupState,
+    config: BlameItConfig | None = None,
+    pad_buckets: int = 6,
+    ambient_pairs: frozenset[tuple[SegmentKind, int | None]] = frozenset(),
+) -> list[SuiteCaseOutcome]:
+    """:func:`run_case` for every case, the pipelines on every usable CPU.
+
+    Returns the outcomes :func:`run_case` would, in case order; the
+    pipelines run in a fork pool and the scoring in this process.
+    """
+    reports = _run_jobs((world, warmup, config, pad_buckets), cases)
+    return _score_cases(world, cases, reports, pad_buckets, ambient_pairs)
+
+
 def run_case(
     world: World,
     case: SuiteCase,
@@ -766,17 +912,10 @@ def run_case(
     issues. ``ambient_pairs`` is passed through to the scorer; only the
     suite discounts them.
     """
-    pipeline = BlameItPipeline(
-        case.realize(world),
-        config=config,
-        fixed_table=warmup.table,
-        seed=1000 + case.case_id,
+    (outcome,) = run_cases(
+        world, (case,), warmup, config, pad_buckets, ambient_pairs
     )
-    warmup.apply(pipeline)
-    report = pipeline.run(*case.window(world, pad_buckets))
-    return SuiteCaseOutcome(
-        case, score_case(world, case, report, pad_buckets, ambient_pairs), report
-    )
+    return outcome
 
 
 @dataclass(frozen=True)
@@ -798,11 +937,12 @@ def validate_scenario_suite(
 ) -> SuiteResult:
     """Run BlameIt over the adversarial suite and score localization.
 
-    Every case goes through :func:`run_case` with the suite's ambient
-    discount (the blames a fault-free run of the world reports), and
-    mixed cases additionally record the naive vs mitigation-aware
-    ordering of the concurrent incidents. The scorecard is a pure
-    function of (world params, ``seed``, knobs) — byte-deterministic.
+    The fault-free ambient run and every case run in one map (see
+    :func:`run_cases`); each case is then scored with the suite's
+    ambient discount (the blames the ambient run reports), and mixed
+    cases additionally record the naive vs mitigation-aware ordering of
+    the concurrent incidents. The scorecard is a pure function of
+    (world params, ``seed``, knobs) — byte-deterministic.
     """
     if warmup is None:
         warmup = build_warmup_state(world)
@@ -812,15 +952,14 @@ def validate_scenario_suite(
         cases_per_family=cases_per_family,
         pad_buckets=pad_buckets,
     )
-    ambient_pairs = _ambient_pairs(world, warmup, config)
-    case_outcomes: list[SuiteCaseOutcome] = []
-    ranking_entries: list[dict] = []
-    for case in cases:
-        case_outcomes.append(
-            run_case(world, case, warmup, config, pad_buckets, ambient_pairs)
-        )
-        if case.kind == "mixed":
-            ranking_entries.append(_ranking_entry(world, case))
+    ambient, *reports = _run_jobs(
+        (world, warmup, config, pad_buckets), (None, *cases)
+    )
+    ambient_pairs = _ambient_pairs(ambient, world)
+    case_outcomes = _score_cases(world, cases, reports, pad_buckets, ambient_pairs)
+    ranking_entries = [
+        _ranking_entry(world, case) for case in cases if case.kind == "mixed"
+    ]
     scorecard = _scorecard(world, seed, pad_buckets, case_outcomes, ranking_entries)
     scorecard["ambient_blames"] = [
         [label, asn]
@@ -833,26 +972,16 @@ def validate_scenario_suite(
 
 
 def _ambient_pairs(
-    world: World,
-    warmup: WarmupState,
-    config: BlameItConfig | None,
+    report: PipelineReport, world: World
 ) -> frozenset[tuple[SegmentKind, int | None]]:
     """Blames the pipeline reports with no incident injected at all.
 
     A world can carry *chronic* badness by construction — sparse anycast
     rings deliberately detour a slice of traffic past the calibrated
-    targets (Figure 2's ambient bad fraction). One fault-free run over
+    targets (Figure 2's ambient bad fraction). The fault-free run over
     the full horizon collects those chronic (segment, AS) blames so
     scoring can discount them.
     """
-    pipeline = BlameItPipeline(
-        Scenario(world, (), ()),
-        config=config,
-        fixed_table=warmup.table,
-        seed=999,
-    )
-    warmup.apply(pipeline)
-    report = pipeline.run(0, world.params.horizon_buckets)
     return frozenset(
         (issue.segment, issue.asn) for issue in _reported_issues(report, world)
     )

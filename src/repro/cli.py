@@ -30,7 +30,7 @@ from repro.analysis.report import render_table
 from repro.analysis.validation import (
     SuiteCase,
     build_warmup_state,
-    run_case,
+    run_cases,
     suite_world_params,
     validate_scenario_suite,
 )
@@ -700,7 +700,7 @@ def _cmd_serve(args) -> int:
 def _cmd_validate(args) -> int:
     """Score labelled incidents: the adversarial suite on the canonical
     ringed world (``--suite``), or generated single incidents on the
-    flag-built world. Every case goes through ``run_case``."""
+    flag-built world. Every case goes through ``run_cases``."""
     import json
 
     import numpy as np
@@ -762,11 +762,11 @@ def _cmd_validate(args) -> int:
     specs = generate_incidents(
         world, args.incidents, np.random.default_rng(args.incident_seed)
     )
+    cases = [SuiteCase(spec.incident_id, (spec,), "single") for spec in specs]
     rows = []
     matched = 0
-    for spec in specs:
-        case = SuiteCase(spec.incident_id, (spec,), "single")
-        (outcome,) = run_case(world, case, state).outcomes
+    for spec, case_outcome in zip(specs, run_cases(world, cases, state)):
+        (outcome,) = case_outcome.outcomes
         matched += outcome.matched
         blamed = (
             f"{outcome.blamed_segment}/AS{outcome.culprit_asn}"

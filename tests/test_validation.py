@@ -1,20 +1,28 @@
 """Tests for repro.analysis.validation: incident and corroboration harnesses."""
 
+import hashlib
+import json
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
+from repro.analysis import validation
 from repro.analysis.validation import (
     SuiteCase,
     build_scenario_suite,
     build_warmup_state,
     corroboration_ratios,
     run_case,
+    run_cases,
     score_case,
     suite_world_params,
     validate_scenario_suite,
 )
 from repro.baselines.asmetro import as_metro_batch
 from repro.core.blame import Blame
+from repro.core.config import BlameItConfig
 from repro.core.pipeline import BlameItPipeline, PipelineReport, SegmentIssue
 from repro.sim.faults import Fault, FaultTarget, SegmentKind
 from repro.sim.incidents import (
@@ -26,6 +34,8 @@ from repro.sim.incidents import (
     generate_incidents,
 )
 from repro.sim.scenario import Scenario
+
+from tests.harness import digest
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +60,20 @@ class TestWarmupState:
         some_key = warmup.client_observations[0][0]
         time = warmup.client_observations[0][1]
         assert pipeline.client_predictor.predict(some_key, time + 288) > 0
+
+    def test_apply_replays_like_scalar_observe(self, small_world, warmup):
+        """One ``observe_bucket`` per bucket leaves the predictor in the
+        state one ``observe`` per triple does."""
+        scenario = Scenario(small_world, (), ())
+        applied = BlameItPipeline(scenario, fixed_table=warmup.table)
+        warmup.apply(applied)
+        scalar = BlameItPipeline(scenario, fixed_table=warmup.table)
+        for key, time, users in warmup.client_observations:
+            scalar.client_predictor.observe(key, time, users)
+        assert (
+            applied.client_predictor.state_dict()
+            == scalar.client_predictor.state_dict()
+        )
 
     def test_rekey_changes_middle_keys(self, small_world):
         state = build_warmup_state(
@@ -450,3 +474,140 @@ class TestValidateScenarioSuite:
         params = suite_world_params()
         assert params.rings == 3
         assert params.sparse_ring_share == pytest.approx(0.45)
+
+
+# ---------------------------------------------------------------------------
+# The fork-pool map behind run_cases and the suite
+# ---------------------------------------------------------------------------
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the map forks its workers",
+)
+
+
+def _force_workers(monkeypatch, workers: int) -> None:
+    """Pin the map's worker count (capped at one per job, as the map's
+    own count is) whatever the machine has."""
+    monkeypatch.setattr(validation, "_job_workers", lambda jobs: min(workers, jobs))
+
+
+def _scorecard_digest(result) -> str:
+    return hashlib.sha256(
+        json.dumps(result.scorecard, sort_keys=True).encode("utf-8")
+    ).hexdigest()
+
+
+def _new_children(before: set) -> set:
+    return set(multiprocessing.active_children()) - before
+
+
+class _JobFailed(Exception):
+    """Raised inside one worker's pipeline run."""
+
+
+@pytest.fixture(scope="module")
+def suite_warmup(suite_world):
+    return build_warmup_state(suite_world)
+
+
+@needs_fork
+class TestRunCasesPool:
+    """The pool and the forced-serial map (which runs the worker's job
+    function in this process) must agree byte for byte."""
+
+    @pytest.mark.parametrize("planner", ["paper", "clustered"])
+    @pytest.mark.parametrize("seed", [9, 11])
+    def test_suite_pool_equals_serial(
+        self, monkeypatch, suite_world, suite_warmup, planner, seed
+    ):
+        def suite():
+            return validate_scenario_suite(
+                suite_world, suite_warmup, seed=seed,
+                config=BlameItConfig(probe_planner=planner),
+            )
+
+        _force_workers(monkeypatch, 1)
+        serial = suite()
+        _force_workers(monkeypatch, 2)
+        pooled = suite()
+        assert _scorecard_digest(pooled) == _scorecard_digest(serial)
+        assert [c.case for c in pooled.cases] == [c.case for c in serial.cases]
+        assert [digest(c.report) for c in pooled.cases] == [
+            digest(c.report) for c in serial.cases
+        ]
+
+    def test_run_cases_equals_run_case_loop(
+        self, monkeypatch, suite_world, suite_warmup
+    ):
+        cases = build_scenario_suite(suite_world, seed=9)[::3]
+        ambient = frozenset({(SegmentKind.MIDDLE, None)})
+        looped = [
+            run_case(suite_world, case, suite_warmup, ambient_pairs=ambient)
+            for case in cases
+        ]
+        _force_workers(monkeypatch, 2)
+        before = set(multiprocessing.active_children())
+        mapped = run_cases(suite_world, cases, suite_warmup, ambient_pairs=ambient)
+        assert not _new_children(before)
+        assert [m.case for m in mapped] == list(cases)
+        assert [m.outcomes for m in mapped] == [o.outcomes for o in looped]
+        assert [digest(m.report) for m in mapped] == [
+            digest(o.report) for o in looped
+        ]
+
+    def test_worker_exception_reaches_caller_with_its_type(
+        self, monkeypatch, suite_world, suite_warmup
+    ):
+        cases = build_scenario_suite(suite_world, seed=9)[:4]
+        original = BlameItPipeline.run
+
+        def run(pipeline, start, end):
+            if pipeline.seed == 1000 + cases[1].case_id:
+                raise _JobFailed(f"case {cases[1].case_id}")
+            return original(pipeline, start, end)
+
+        monkeypatch.setattr(BlameItPipeline, "run", run)
+        _force_workers(monkeypatch, 2)
+        before = set(multiprocessing.active_children())
+        with pytest.raises(_JobFailed, match=f"case {cases[1].case_id}"):
+            run_cases(suite_world, cases, suite_warmup)
+        assert not _new_children(before)
+
+    def test_suite_in_a_pool_worker_runs_serially(self, suite_world, suite_warmup):
+        """A daemonic worker may not fork; the suite runs inline there
+        instead of raising, and scores the same."""
+        families = (IncidentArchetype.CLOUD_MAINTENANCE, IncidentArchetype.FLASH_CROWD)
+        expected = validate_scenario_suite(
+            suite_world, suite_warmup, seed=9, families=families
+        ).scorecard
+        with multiprocessing.get_context("fork").Pool(
+            1, initializer=_hold, initargs=(suite_world, suite_warmup)
+        ) as pool:
+            scorecard, workers = pool.apply(_suite_in_worker, (9, families))
+        assert workers == 1
+        assert scorecard == expected
+
+
+_HELD: tuple = ()
+
+
+def _hold(*held) -> None:
+    global _HELD
+    _HELD = held
+
+
+def _suite_in_worker(seed, families):
+    world, warmup = _HELD
+    scorecard = validate_scenario_suite(
+        world, warmup, seed=seed, families=families
+    ).scorecard
+    return scorecard, validation._job_workers(4)
+
+
+def test_job_workers_one_per_usable_cpu_at_most_one_per_job():
+    cpus = len(os.sched_getaffinity(0))
+    assert validation._job_workers(1) == 1
+    assert validation._job_workers(100) == (
+        cpus if "fork" in multiprocessing.get_all_start_methods() else 1
+    )
