@@ -149,15 +149,15 @@ class _KeyedIssueTracker:
         """Fold one bucket's results; returns issues that just closed.
 
         A run ends once more than ``gap_buckets`` buckets pass without a
-        matching blame — the same condition whether the run is swept out
-        by the end-of-bucket pass or displaced by a fresh blame arriving
-        after the gap (update may not have run for the quiet buckets in
-        between, so the displacement check must agree with the sweep).
+        matching blame. The sweep that closes such runs comes first, so
+        a fresh blame arriving after the gap (update may not have run
+        for the quiet buckets in between) finds no open run and starts
+        a new one.
 
-        The sweep runs *before* the current bucket's co-located vote
-        totals are credited: an issue quiet past the gap is already over,
-        and crediting it votes from a bucket it took no part in would
-        dilute its confidence.
+        The sweep also runs *before* the current bucket's co-located
+        vote totals are credited: an issue quiet past the gap is already
+        over, and crediting it votes from a bucket it took no part in
+        would dilute its confidence.
         """
         votes_total: Counter = Counter()
         for result in results:
@@ -174,10 +174,7 @@ class _KeyedIssueTracker:
                 continue
             key, culprit = self._key_and_culprit(self.blame, result, cloud_asn)
             issue = self.open.get(key)
-            if issue is None or time - issue.last_seen > self.gap_buckets:
-                if issue is not None:
-                    self.closed.append(issue)
-                    closed_now.append(issue)
+            if issue is None:
                 issue = SegmentIssue(
                     blame=self.blame,
                     key=key,

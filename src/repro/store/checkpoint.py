@@ -1,8 +1,8 @@
-"""Checkpoint/restore over the storage backends.
+"""Checkpoint/restore in one SQLite database.
 
 A checkpoint captures everything the pipeline carries across a bucket
-boundary: the learner's reservoir histories (columnar, byte-exact
-float64), the expected-RTT table the run is currently holding, every
+boundary: the learner's reservoir histories (byte-exact float64), the
+expected-RTT table the run is currently holding, every
 tracker/predictor/prober's state, the traceroute engine's RNG, and the
 partial report. Restoring into a freshly constructed pipeline and
 continuing the run produces a report byte-identical to the
@@ -14,49 +14,73 @@ recomputed from the learner (``table(as_of_day=d)`` folds in day ``d``'s
 partial observations, which a resumed learner has more of than the
 interrupted run had when it took the snapshot).
 
-Write order makes torn checkpoints invisible rather than fatal: the
-small ``meta`` record is written last, and only checkpoints with a meta
-record are ever offered for resume — a kill mid-save simply falls back
-to the previous complete checkpoint. Pruning deletes in the opposite
-order (meta first), so a kill mid-prune can only leave invisible
-orphans, never a visible-but-gutted checkpoint.
+The store is ``state.db`` with one ``records`` table. A checkpoint is
+one row: its JSON payload, its arrays (learner reservoirs, held table)
+as one ``np.savez`` BLOB, and a sha256 digest of key, payload and BLOB.
+A save and the prune that follows it commit in one transaction, so a
+kill mid-save leaves the store as it was; every read checks the digest,
+so a flipped bit raises :class:`CorruptRecordError` instead of resuming
+a different run.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
+import json
 import pathlib
+import sqlite3
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterator
 
+import numpy as np
+
 from repro.store import codec
-from repro.store.backend import (
-    CorruptRecordError,
-    Record,
-    SchemaMismatchError,
-    StoreError,
-)
-from repro.store.columnar import ColumnarBackend
-from repro.store.sqlite_backend import SqliteBackend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.pipeline import BlameItPipeline, PipelineReport
     from repro.core.thresholds import ExpectedRTTTable
 
-#: Layout generation of checkpoint records. Bump on any change to what
-#: a component's state_dict contains; restore refuses other versions.
+#: Layout generation of the store, also its ``PRAGMA user_version``.
+#: Bump on any change to the table or to what a component's state_dict
+#: contains; opening a store of another generation raises.
 #: v2: checkpoints carry the held expected-RTT table and an ``extra``
 #: meta dict, and may land on any bucket (not just day boundaries).
 #: v3: checkpoints carry the probe planner's co-anomaly history
 #: (:mod:`repro.core.probeplan`), so a resumed clustered run clusters
 #: exactly as the uninterrupted one would.
-CHECKPOINT_SCHEMA_VERSION = 3
+#: v4: one digested row per checkpoint in ``state.db``; no ``columnar/``.
+CHECKPOINT_SCHEMA_VERSION = 4
 
-_META_SCHEMA = "checkpoint-meta"
-_STATE_SCHEMA = "pipeline-state"
-_LEARNER_SCHEMA = "learner-history"
-_TABLE_SCHEMA = "expected-rtt-table"
-_ARCHIVE_SCHEMA = "report-archive"
+_CREATE_SQL = """
+CREATE TABLE IF NOT EXISTS records (
+    key TEXT PRIMARY KEY,
+    payload TEXT NOT NULL,
+    arrays BLOB,
+    digest BLOB NOT NULL
+)
+"""
+
+#: A row as :meth:`CheckpointStore._decode` takes it; the payload comes
+#: back as the bytes stored, so the digest is checked before decoding.
+_ROW = "key, CAST(payload AS BLOB), arrays, digest"
+
+_CHECKPOINT = "checkpoint/"
+_ARCHIVE = "archive/"
+
+
+class StoreError(RuntimeError):
+    """Base class for checkpoint-store failures."""
+
+
+class CorruptRecordError(StoreError):
+    """A stored record fails its digest check (torn or bit-flipped)."""
+
+
+class SchemaMismatchError(StoreError):
+    """The store was written by another layout generation. Raised
+    instead of silently misreading its state."""
 
 
 class CheckpointNotFoundError(StoreError):
@@ -82,8 +106,8 @@ class RestoredRun:
             deterministically from the scenario (or replays them from
             the daemon's bucket source).
         table: The expected-RTT table the interrupted run was holding,
-            or None when the checkpoint predates table persistence (a
-            day-boundary checkpoint can fall back to recomputing it).
+            or None when the run saved none (a fixed or chaos-withheld
+            table, which the pipeline rebuilds directly).
         extra: Caller-owned metadata stored alongside the checkpoint
             (the daemon keeps its archive cursor here).
     """
@@ -95,18 +119,42 @@ class RestoredRun:
     extra: dict = field(default_factory=dict)
 
 
+def _digest(key: str, text: bytes, blob: bytes | None) -> bytes:
+    """sha256 over the row's key, payload and BLOB, each length-prefixed."""
+    digest = hashlib.sha256()
+    for part in (key.encode(), text, blob or b""):
+        digest.update(len(part).to_bytes(8, "big"))
+        digest.update(part)
+    return digest.digest()
+
+
+def _section(arrays: dict[str, np.ndarray], name: str) -> dict[str, np.ndarray]:
+    """The arrays saved under ``name/``, with that prefix dropped."""
+    prefix = f"{name}/"
+    return {
+        key.removeprefix(prefix): value
+        for key, value in arrays.items()
+        if key.startswith(prefix)
+    }
+
+
 class CheckpointStore:
     """Checkpoint/restore for a pipeline run, rooted at a directory.
 
-    Keyed state lives in ``state.db`` (sqlite); the learner's reservoir
-    arrays and table snapshots live under ``columnar/`` as npz files.
+    Everything lives in ``root/state.db``.
 
     Args:
-        root: Directory holding the store's files (created on demand).
+        root: Directory holding the store (created on demand).
         keep_last: When set, every successful :meth:`save` prunes the
             store down to the newest ``keep_last`` checkpoints — the
             retention policy a long-running daemon needs so the store
             does not grow without bound. None keeps everything.
+
+    Raises:
+        SchemaMismatchError: ``root`` holds a store of another layout
+            generation (v3 and older had a ``columnar/`` directory and
+            no ``user_version``).
+        StoreError: ``state.db`` cannot be opened as a database.
     """
 
     def __init__(
@@ -116,8 +164,37 @@ class CheckpointStore:
             raise ValueError(f"keep_last must be >= 1, got {keep_last}")
         self.root = pathlib.Path(root)
         self.keep_last = keep_last
-        self._sqlite = SqliteBackend(self.root / "state.db")
-        self._columnar = ColumnarBackend(self.root / "columnar")
+        path = self.root / "state.db"
+        if (self.root / "columnar").exists():
+            raise SchemaMismatchError(
+                f"{self.root} holds a layout-v3 checkpoint store (a "
+                f"columnar/ directory); this reader needs layout "
+                f"v{CHECKPOINT_SCHEMA_VERSION}"
+            )
+        conn = None
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+            conn = sqlite3.connect(path)
+            version = conn.execute("PRAGMA user_version").fetchone()[0]
+            empty = conn.execute("SELECT 1 FROM sqlite_master").fetchone() is None
+            if version == 0 and empty:
+                conn.executescript(
+                    f"BEGIN; {_CREATE_SQL}; "
+                    f"PRAGMA user_version = {CHECKPOINT_SCHEMA_VERSION}; COMMIT;"
+                )
+                version = CHECKPOINT_SCHEMA_VERSION
+        except (OSError, sqlite3.Error) as exc:
+            if conn is not None:
+                conn.close()
+            raise StoreError(f"cannot open checkpoint store {path}: {exc}") from exc
+        if version != CHECKPOINT_SCHEMA_VERSION:
+            conn.close()
+            found = "v3 or older" if version == 0 else f"v{version}"
+            raise SchemaMismatchError(
+                f"{path} has layout {found}; this reader needs layout "
+                f"v{CHECKPOINT_SCHEMA_VERSION}"
+            )
+        self._conn = conn
 
     # -- checkpoints ----------------------------------------------------
 
@@ -143,7 +220,8 @@ class CheckpointStore:
         table: "ExpectedRTTTable | None" = None,
         extra: dict | None = None,
     ) -> None:
-        """Write the checkpoint for ``time`` (meta record last).
+        """Write the checkpoint for ``time``, and prune to ``keep_last``,
+        in one transaction.
 
         Args:
             pipeline: The running pipeline whose state is snapshotted.
@@ -158,18 +236,12 @@ class CheckpointStore:
                 :meth:`restore` (e.g. the daemon's archive cursor).
         """
         learner_meta, learner_arrays = pipeline.learner.state_arrays()
-        self._columnar.put(
-            f"checkpoint/{time}/learner",
-            {"meta": learner_meta, **learner_arrays},
-            schema=_LEARNER_SCHEMA,
-            version=CHECKPOINT_SCHEMA_VERSION,
-        )
+        arrays = {f"learner/{name}": value for name, value in learner_arrays.items()}
+        table_keys = None
         if table is not None:
-            self._columnar.put(
-                f"checkpoint/{time}/table",
-                codec.table_payload(table),
-                schema=_TABLE_SCHEMA,
-                version=CHECKPOINT_SCHEMA_VERSION,
+            table_keys, table_arrays = codec.table_payload(table)
+            arrays.update(
+                {f"table/{name}": value for name, value in table_arrays.items()}
             )
         reverse = pipeline.reverse_baselines
         state: dict[str, Any] = {
@@ -192,65 +264,42 @@ class CheckpointStore:
             "recorded_middle": sorted(pipeline._recorded_middle),
             "report": codec.report_state_dict(report),
         }
-        self._sqlite.put(
-            f"checkpoint/{time}/state",
-            state,
-            schema=_STATE_SCHEMA,
-            version=CHECKPOINT_SCHEMA_VERSION,
-        )
-        self._sqlite.put(
-            f"checkpoint/{time}/meta",
-            {
-                "time": time,
-                "run": [report.start, report.end],
-                "window_times": list(window_times),
-                "has_table": table is not None,
-                "extra": extra or {},
-                "fingerprint": self.fingerprint(pipeline),
-            },
-            schema=_META_SCHEMA,
-            version=CHECKPOINT_SCHEMA_VERSION,
-        )
-        if self.keep_last is not None:
-            self.prune(self.keep_last)
+        payload = {
+            "time": time,
+            "run": [report.start, report.end],
+            "window_times": list(window_times),
+            "extra": extra or {},
+            "fingerprint": self.fingerprint(pipeline),
+            "learner": learner_meta,
+            "table": table_keys,
+            "state": state,
+        }
+        with self._transaction(f"save the checkpoint at bucket {time}"):
+            self._put(f"{_CHECKPOINT}{time}", payload, arrays)
+            if self.keep_last is not None:
+                self._prune(self.keep_last)
 
     def checkpoint_times(self) -> list[int]:
-        """Buckets of every *complete* checkpoint, ascending.
-
-        Keys-only: answered from ``scan_keys`` without decoding any
-        record payload (a checkpoint's state blob can be megabytes).
-        """
-        times = []
-        for key, schema in self._sqlite.scan_keys("checkpoint/"):
-            if schema is not None and schema != _META_SCHEMA:
-                continue
-            parts = key.split("/")
-            if len(parts) == 3 and parts[2] == "meta":
-                times.append(int(parts[1]))
-        times.sort()
-        return times
+        """Buckets of every checkpoint, ascending. Reads keys only: no
+        payload or BLOB is fetched."""
+        return sorted(
+            int(key.removeprefix(_CHECKPOINT))
+            for (key,) in self._scan(_CHECKPOINT, "key")
+        )
 
     def latest_time(self) -> int | None:
-        """Newest *complete* checkpoint's bucket, or None if empty."""
+        """Newest checkpoint's bucket, or None if empty."""
         times = self.checkpoint_times()
         return times[-1] if times else None
 
-    def prune(self, keep_last: int) -> None:
-        """Delete all but the newest ``keep_last`` checkpoints.
-
-        Deletion order is meta → state → learner/table — the reverse of
-        the save order. Because only checkpoints with a meta record are
-        ever offered for resume, a kill mid-prune leaves at worst
-        invisible orphan records, never a checkpoint that
-        :meth:`latest_time` would offer but :meth:`restore` cannot load.
-        """
-        if keep_last < 1:
-            raise ValueError(f"keep_last must be >= 1, got {keep_last}")
-        for time in self.checkpoint_times()[:-keep_last]:
-            self._sqlite.delete(f"checkpoint/{time}/meta")
-            self._sqlite.delete(f"checkpoint/{time}/state")
-            self._columnar.delete(f"checkpoint/{time}/learner")
-            self._columnar.delete(f"checkpoint/{time}/table")
+    def _prune(self, keep_last: int) -> None:
+        """Delete all but the newest ``keep_last`` checkpoints inside the
+        caller's :meth:`_transaction`."""
+        old = self.checkpoint_times()[:-keep_last]
+        self._conn.executemany(
+            "DELETE FROM records WHERE key = ?",
+            [(f"{_CHECKPOINT}{time}",) for time in old],
+        )
 
     def restore(
         self,
@@ -273,48 +322,30 @@ class CheckpointStore:
             time = self.latest_time()
             if time is None:
                 return None
-        meta = self._sqlite.get(f"checkpoint/{time}/meta")
-        if meta is None:
+        row = self._get(f"{_CHECKPOINT}{time}")
+        if row is None:
             raise CheckpointNotFoundError(
                 f"no checkpoint at bucket {time} under {self.root}"
             )
-        self._check(meta, _META_SCHEMA)
-        ckpt_start, ckpt_end = (int(t) for t in meta.payload["run"])
+        meta, arrays = row
+        ckpt_start, ckpt_end = (int(t) for t in meta["run"])
         if ckpt_start != start or end < ckpt_end:
             raise CheckpointMismatchError(
                 f"checkpoint covers run [{ckpt_start}, {ckpt_end}), "
                 f"cannot resume run [{start}, {end}) — start must match "
                 "and the horizon may only extend"
             )
-        if meta.payload["fingerprint"] != self.fingerprint(pipeline):
+        if meta["fingerprint"] != self.fingerprint(pipeline):
             raise CheckpointMismatchError(
                 "checkpoint was written by a run with a different "
                 "scenario or configuration"
             )
-        state = self._sqlite.get(f"checkpoint/{time}/state")
-        learner = self._columnar.get(f"checkpoint/{time}/learner")
-        if state is None or learner is None:
-            raise CorruptRecordError(
-                f"checkpoint at bucket {time} is incomplete"
-            )
-        self._check(state, _STATE_SCHEMA)
-        self._check(learner, _LEARNER_SCHEMA)
         table = None
-        if meta.payload.get("has_table"):
-            table_record = self._columnar.get(f"checkpoint/{time}/table")
-            if table_record is None:
-                raise CorruptRecordError(
-                    f"checkpoint at bucket {time} lacks its table record"
-                )
-            self._check(table_record, _TABLE_SCHEMA)
-            table = codec.table_from_payload(table_record.payload)
+        if meta["table"] is not None:
+            table = codec.table_from_payload(meta["table"], _section(arrays, "table"))
 
-        payload = learner.payload
-        pipeline.learner.restore_arrays(
-            payload["meta"],
-            {name: value for name, value in payload.items() if name != "meta"},
-        )
-        payload = state.payload
+        pipeline.learner.restore_arrays(meta["learner"], _section(arrays, "learner"))
+        payload = meta["state"]
         pipeline.engine.load_state_dict(payload["engine"])
         pipeline.baselines.load_state_dict(payload["baselines"])
         if pipeline.reverse_baselines is not None:
@@ -349,11 +380,11 @@ class CheckpointStore:
         # produced, not the one that was interrupted.
         report.end = end
         return RestoredRun(
-            time=int(meta.payload["time"]),
+            time=int(meta["time"]),
             report=report,
-            window_times=[int(t) for t in meta.payload["window_times"]],
+            window_times=[int(t) for t in meta["window_times"]],
             table=table,
-            extra=dict(meta.payload.get("extra", {})),
+            extra=dict(meta["extra"]),
         )
 
     # -- report archives ------------------------------------------------
@@ -361,12 +392,8 @@ class CheckpointStore:
     def append_archive(self, seq: int, payload: dict) -> None:
         """Write archive chunk ``seq`` (a ``report_state_dict`` slice of
         closed issues/verdicts the daemon evicted from memory)."""
-        self._sqlite.put(
-            f"archive/{seq:08d}",
-            payload,
-            schema=_ARCHIVE_SCHEMA,
-            version=CHECKPOINT_SCHEMA_VERSION,
-        )
+        with self._transaction(f"write archive chunk {seq}"):
+            self._put(f"{_ARCHIVE}{seq:08d}", payload)
 
     def archives(self, upto_seq: int | None = None) -> Iterator[dict]:
         """Archive chunk payloads in sequence order.
@@ -376,34 +403,88 @@ class CheckpointStore:
                 passes its checkpointed cursor so orphan chunks written
                 after the restored checkpoint are excluded).
         """
-        for record in self._sqlite.scan("archive/"):
-            self._check(record, _ARCHIVE_SCHEMA)
-            if upto_seq is not None and int(record.key.split("/")[1]) >= upto_seq:
+        for row in self._scan(_ARCHIVE):
+            if upto_seq is not None and int(row[0].removeprefix(_ARCHIVE)) >= upto_seq:
                 continue
-            yield record.payload
+            yield self._decode(*row)[0]
 
     def truncate_archives(self, from_seq: int) -> None:
         """Delete archive chunks with seq >= ``from_seq`` (orphans from
         a run killed between an archive sweep and its checkpoint)."""
-        for key, schema in list(self._sqlite.scan_keys("archive/")):
-            if schema is not None and schema != _ARCHIVE_SCHEMA:
-                continue
-            if int(key.split("/")[1]) >= from_seq:
-                self._sqlite.delete(key)
+        with self._transaction("truncate archives"):
+            self._conn.execute(
+                "DELETE FROM records WHERE key LIKE ? AND key >= ?",
+                (f"{_ARCHIVE}%", f"{_ARCHIVE}{from_seq:08d}"),
+            )
 
     def close(self) -> None:
-        self._sqlite.close()
-        self._columnar.close()
+        self._conn.close()
+
+    # -- rows -----------------------------------------------------------
+
+    @contextlib.contextmanager
+    def _transaction(self, what: str) -> Iterator[None]:
+        """One transaction: committed on success, rolled back on any
+        error, so no caller can leave half a write behind."""
+        try:
+            with self._conn:
+                yield
+        except sqlite3.Error as exc:
+            raise StoreError(f"cannot {what}: {exc}") from exc
+
+    def _put(
+        self, key: str, payload: dict, arrays: dict[str, np.ndarray] | None = None
+    ) -> None:
+        """Write (or replace) the row at ``key`` inside the caller's
+        :meth:`_transaction`."""
+        try:
+            text = json.dumps(payload)
+        except (TypeError, ValueError) as exc:
+            raise StoreError(
+                f"payload for {key!r} is not JSON-serializable: {exc}"
+            ) from exc
+        blob = None
+        if arrays:
+            buffer = io.BytesIO()
+            np.savez(buffer, **arrays)
+            blob = buffer.getvalue()
+        self._conn.execute(
+            "INSERT OR REPLACE INTO records VALUES (?, ?, ?, ?)",
+            (key, text, blob, _digest(key, text.encode(), blob)),
+        )
+
+    def _get(self, key: str) -> tuple[dict, dict[str, np.ndarray]] | None:
+        """The payload and arrays at ``key``, or None if absent."""
+        rows = self._select(f"SELECT {_ROW} FROM records WHERE key = ?", (key,))
+        return self._decode(*rows[0]) if rows else None
+
+    def _scan(self, prefix: str, columns: str = _ROW) -> list[tuple]:
+        """``columns`` of every row whose key starts with ``prefix``
+        (matched literally), in key order."""
+        pattern = (
+            prefix.replace("\\", r"\\").replace("%", r"\%").replace("_", r"\_")
+            + "%"
+        )
+        return self._select(
+            f"SELECT {columns} FROM records WHERE key LIKE ? ESCAPE '\\' "
+            "ORDER BY key",
+            (pattern,),
+        )
+
+    def _select(self, sql: str, params: tuple) -> list[tuple]:
+        try:
+            return self._conn.execute(sql, params).fetchall()
+        except sqlite3.Error as exc:
+            raise StoreError(f"cannot read {self.root / 'state.db'}: {exc}") from exc
 
     @staticmethod
-    def _check(record: Record, schema: str) -> None:
-        if record.schema != schema:
-            raise SchemaMismatchError(
-                f"record {record.key!r} has schema {record.schema!r}, "
-                f"expected {schema!r}"
-            )
-        if record.version != CHECKPOINT_SCHEMA_VERSION:
-            raise SchemaMismatchError(
-                f"record {record.key!r} has schema version "
-                f"{record.version}, expected {CHECKPOINT_SCHEMA_VERSION}"
-            )
+    def _decode(
+        key: str, text: bytes, blob: bytes | None, digest: bytes
+    ) -> tuple[dict, dict[str, np.ndarray]]:
+        if _digest(key, text, blob) != digest:
+            raise CorruptRecordError(f"record {key!r} fails its digest check")
+        arrays = {}
+        if blob is not None:
+            with np.load(io.BytesIO(blob), allow_pickle=False) as npz:
+                arrays = {name: npz[name] for name in npz.files}
+        return json.loads(text), arrays

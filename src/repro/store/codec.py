@@ -39,36 +39,35 @@ def decode_pair_key(encoded: list) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def table_payload(table: ExpectedRTTTable) -> dict[str, Any]:
-    """Table → columnar-backend payload (medians as float64 arrays)."""
-    return {
-        "cloud_keys": [
-            [location, mobile] for location, mobile in table.cloud
-        ],
-        "middle_keys": [
-            [list(path), mobile] for path, mobile in table.middle
-        ],
+def table_payload(
+    table: ExpectedRTTTable,
+) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
+    """Table → (JSON-safe keys, medians as float64 arrays)."""
+    keys = {
+        "cloud_keys": [[location, mobile] for location, mobile in table.cloud],
+        "middle_keys": [[list(path), mobile] for path, mobile in table.middle],
+    }
+    arrays = {
         "cloud_values": np.asarray(list(table.cloud.values()), dtype=np.float64),
         "middle_values": np.asarray(list(table.middle.values()), dtype=np.float64),
     }
+    return keys, arrays
 
 
-def table_from_payload(payload: dict[str, Any]) -> ExpectedRTTTable:
+def table_from_payload(
+    keys: dict[str, Any], arrays: dict[str, np.ndarray]
+) -> ExpectedRTTTable:
     """Inverse of :func:`table_payload`."""
-    cloud_values = np.asarray(payload["cloud_values"], dtype=np.float64).tolist()
-    middle_values = np.asarray(payload["middle_values"], dtype=np.float64).tolist()
+    cloud_values = np.asarray(arrays["cloud_values"], dtype=np.float64).tolist()
+    middle_values = np.asarray(arrays["middle_values"], dtype=np.float64).tolist()
     return ExpectedRTTTable(
         cloud={
             (location, bool(mobile)): value
-            for (location, mobile), value in zip(
-                payload["cloud_keys"], cloud_values
-            )
+            for (location, mobile), value in zip(keys["cloud_keys"], cloud_values)
         },
         middle={
             (tuple(int(asn) for asn in path), bool(mobile)): value
-            for (path, mobile), value in zip(
-                payload["middle_keys"], middle_values
-            )
+            for (path, mobile), value in zip(keys["middle_keys"], middle_values)
         },
     )
 

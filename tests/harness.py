@@ -537,26 +537,18 @@ def _run(case, world, driver, store, interruption="none", source=None,
     return report, getattr(pipeline, "pipeline", pipeline), counters
 
 
-def _records(store: CheckpointStore, time: int) -> dict:
-    """The checkpoint's records at ``time``, arrays as bytes."""
-
-    def plain(value):
-        if isinstance(value, np.ndarray):
-            return (value.dtype.str, value.shape, value.tobytes())
-        if isinstance(value, dict):
-            return {key: plain(item) for key, item in value.items()}
-        return value
-
-    return {
-        record.key: (record.schema, record.version, plain(record.payload))
-        for backend in (store._sqlite, store._columnar)  # noqa: SLF001
-        for record in backend.scan(f"checkpoint/{time}/")
+def _records(store: CheckpointStore, time: int) -> tuple:
+    """The checkpoint at ``time``: its payload and its arrays as bytes."""
+    payload, arrays = store._get(f"checkpoint/{time}")  # noqa: SLF001
+    return payload, {
+        name: (value.dtype.str, value.shape, value.tobytes())
+        for name, value in arrays.items()
     }
 
 
 def _assert_restores_what_it_saved(case, world, store) -> None:
     """A pipeline restored from the newest checkpoint, checkpointed
-    again at its resume bucket, writes the records it restored from;
+    again at its resume bucket, writes the checkpoint it restored from;
     and a learned checkpoint holds only the table window's days."""
     time = store.latest_time()
     saved = _records(store, time)
@@ -566,7 +558,7 @@ def _assert_restores_what_it_saved(case, world, store) -> None:
     pipeline.checkpoint(state, time, extra=state.restored_extra)
     assert _records(store, time) == saved
     if case.learned:
-        meta = saved[f"checkpoint/{time}/learner"][2]["meta"]
+        meta = saved[0]["learner"]
         day = time // BUCKETS_PER_DAY
         window = range(day - case.history_days + 1, day + 1)
         assert {d for *_, d in meta["cloud_keys"] + meta["middle_keys"]} <= set(window)

@@ -1,8 +1,12 @@
 """Tests for the repro CLI."""
 
+import sqlite3
+
 import pytest
 
 from repro.cli import build_parser, main
+
+from tests.test_store import v3_store
 
 FAST = ["--seed", "3", "--regions", "USA", "Europe", "--days", "1", "--locations", "1"]
 
@@ -407,6 +411,54 @@ class TestCheckpointFlags:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "cannot open checkpoint store" in err
+
+    def test_bit_flipped_checkpoint_exits_2(self, tmp_path, capsys):
+        """One flipped bit in a checkpoint's JSON (121 bad quartets so
+        far becomes 120) is refused with one line; it used to resume
+        and report 153 bad quartets where the straight run reports 154."""
+        ckpt = tmp_path / "ckpt"
+        assert main(
+            ["diagnose", *self.DAYS2, *self.RANGE,
+             "--checkpoint-dir", str(ckpt), "--kill-at", "300"]
+        ) == 3
+        marker = '"bad_quartets": 121'
+        conn = sqlite3.connect(ckpt / "state.db")
+        ((key, payload),) = [
+            row for row in conn.execute("SELECT key, payload FROM records")
+            if marker in row[1]
+        ]
+        at = payload.index(marker) + len(marker) - 1
+        flipped = payload[:at] + chr(ord(payload[at]) ^ 1) + payload[at + 1:]
+        with conn:
+            conn.execute(
+                "UPDATE records SET payload = ? WHERE key = ?", (flipped, key)
+            )
+        conn.close()
+        capsys.readouterr()
+        report = tmp_path / "resumed.json"
+        assert main(
+            ["diagnose", *self.DAYS2, *self.RANGE,
+             "--resume", str(ckpt), "--save-report", str(report)]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot use checkpoint state:")
+        assert err.count("\n") == 1
+        assert not report.exists()
+
+    @pytest.mark.parametrize("verb", ["diagnose", "serve"])
+    @pytest.mark.parametrize("layout", ["state.db", "columnar"])
+    def test_resume_v3_store_exits_2(self, tmp_path, capsys, verb, layout):
+        """A layout-v3 directory is refused, not cold-started as empty."""
+        old = tmp_path / "old"
+        v3_store(old, layout)
+        assert main(
+            [verb, *FAST, "--start", "150", "--end", "160", "--resume", str(old)]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot open checkpoint store")
+        assert "v3" in captured.err
+        assert captured.err.count("\n") == 1
+        assert "serving on" not in captured.out
 
     def test_conflicting_dirs_exit_2(self, tmp_path, capsys):
         assert main(

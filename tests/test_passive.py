@@ -308,3 +308,92 @@ class TestAlgorithmOneProperties:
                 old, new = getattr(was, field), getattr(now, field)
                 if old is not None and new is not None:
                     assert new >= old
+
+
+EXPECTED = 60.0  # the edge aggregate's expected RTT, above TARGET
+
+
+@st.composite
+def _edge_bucket(draw, side: str, n: int, bad: int, exact: bool):
+    """A bucket whose edge aggregate — location edge-A when ``side`` is
+    "cloud", path (10,) when it is "middle" — holds ``n`` judged,
+    region-bad quartets, ``bad`` of them at or above EXPECTED. ``exact``
+    puts those on EXPECTED and the rest one ulp below it. Good filler
+    quartets share /24s with the aggregate (so the ambiguity step has
+    something to find) without entering it: at edge-B on the cloud
+    side, at edge-A on path (11,) on the middle side, where they also
+    lift the location past the minimum so the middle step is reached.
+    """
+    if exact:
+        above = st.just(EXPECTED)
+        below = st.just(float(np.nextafter(EXPECTED, -np.inf)))
+    else:
+        above = st.sampled_from(
+            [EXPECTED, float(np.nextafter(EXPECTED, np.inf))]
+        ) | st.floats(EXPECTED, 500.0)
+        below = st.just(TARGET) | st.floats(TARGET, EXPECTED, exclude_max=True)
+    rtts = [draw(above) for _ in range(bad)] + [draw(below) for _ in range(n - bad)]
+    rtts = draw(st.permutations(rtts))
+    quartets = [_quartet(prefix=i, rtt=rtt, middle=(10,)) for i, rtt in enumerate(rtts)]
+    fillers = draw(st.integers(side == "middle", 6))
+    filler_loc = "edge-B" if side == "cloud" else "edge-A"
+    quartets += [
+        _quartet(
+            prefix=draw(st.integers(0, n + 2)), loc=filler_loc, rtt=20.0, middle=(11,)
+        )
+        for _ in range(fillers)
+    ]
+    cloud = EXPECTED if side == "cloud" else 1000.0
+    table = ExpectedRTTTable(
+        cloud={("edge-A", False): cloud, ("edge-B", False): 30.0},
+        middle={((10,), False): EXPECTED, ((11,), False): 30.0},
+    )
+    return draw(st.permutations(quartets)), table
+
+
+def _check_edge(data, n: int, bad: int, exact: bool = False, **overrides) -> None:
+    """``assign_batch`` equals the per-row ``assign`` row for row on an
+    edge bucket, and the edge aggregate is blamed exactly when the
+    specification says: at least the minimum quartets, bad fraction at
+    least τ."""
+    side = data.draw(st.sampled_from(["cloud", "middle"]))
+    quartets, table = data.draw(_edge_bucket(side, n, bad, exact))
+    localizer = _localizer(**overrides)
+    scalar = localizer.assign(quartets, table)
+    batch = QuartetBatch.from_quartets(quartets)
+    assert localizer.assign_batch(batch, table).to_results() == scalar
+    config = localizer.config
+    fires = n >= config.min_aggregate_quartets and bad / n >= config.tau
+    blame = Blame.CLOUD if side == "cloud" else Blame.MIDDLE
+    edge = [result for result in scalar if result.quartet.middle == (10,)]
+    assert len(edge) == n
+    assert all((result.blame is blame) == fires for result in edge)
+
+
+class TestBoundaryProperties:
+    """The vectorized Algorithm 1 against the per-row specification at
+    its three edges, over generated aggregates on the cloud and the
+    middle step."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 8), step=st.sampled_from([-1, 0, 1]), data=st.data())
+    def test_bad_fraction_at_tau(self, m, step, data):
+        """k/n = 4m/5m is exactly τ = 0.8; one bad quartet fewer or
+        more sits just below or above it."""
+        _check_edge(data, n=5 * m, bad=4 * m + step)
+
+    @settings(max_examples=60, deadline=None)
+    @given(minimum=st.integers(2, 8), short=st.booleans(), data=st.data())
+    def test_aggregate_at_min_quartets(self, minimum, short, data):
+        """Exactly ``min_aggregate_quartets`` quartets, and one fewer."""
+        n = minimum - short
+        bad = data.draw(st.integers(0, n))
+        _check_edge(data, n=n, bad=bad, min_aggregate_quartets=minimum)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 12), data=st.data())
+    def test_rtts_exactly_at_expected(self, n, data):
+        """RTTs exactly on the expected RTT (bad, by ``>=``) beside RTTs
+        one ulp under it (good)."""
+        bad = data.draw(st.integers(0, n))
+        _check_edge(data, n=n, bad=bad, exact=True)

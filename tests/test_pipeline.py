@@ -188,9 +188,10 @@ class TestKeyedTrackerGapSemantics:
         assert tracker.open == {}
 
     def test_displacement_agrees_with_sweep(self):
-        """A fresh blame arriving just past the gap starts a *new* run —
-        under the same `> gap_buckets` condition the sweep uses (update
-        may not have run for the quiet buckets in between)."""
+        """A fresh blame arriving just past the gap starts a *new* run:
+        the sweep closes the old one (under its `> gap_buckets`
+        condition) before the bucket's results are walked, even when
+        update did not run for the quiet buckets in between."""
         tracker = self._tracker()
         tracker.update(0, [self._result(time=0)], self.CLOUD_ASN)
         closed = tracker.update(2, [self._result(time=2)], self.CLOUD_ASN)

@@ -1,15 +1,17 @@
-"""Tests for repro.store: backends, checkpoint/restore, kill+resume.
+"""Tests for repro.store: the records table, checkpoint/restore,
+kill+resume, and the checkpoints it refuses.
 
 The headline property mirrors DESIGN.md §6: a run that checkpoints,
 dies (chaos kill), and resumes from the store produces a report
 byte-identical to an uninterrupted run. Every driver's kill/resume
 cells are the matrix's (``tests/harness.py``); the ones that predate it
-keep their IDs here.
+keep their IDs here. The other half: a checkpoint that is torn, bit-
+flipped or of an older layout raises a ``StoreError`` and is never
+resumed.
 """
 
 from __future__ import annotations
 
-import json
 import sqlite3
 
 import numpy as np
@@ -19,13 +21,10 @@ from repro.chaos import ChaosKill, FaultPlan
 from repro.core.thresholds import ExpectedRTTLearner
 from repro.sim.scenario import Scenario
 from repro.store import (
-    CHECKPOINT_SCHEMA_VERSION,
     CheckpointMismatchError,
     CheckpointStore,
-    ColumnarBackend,
     CorruptRecordError,
     SchemaMismatchError,
-    SqliteBackend,
     StoreError,
     codec,
 )
@@ -33,114 +32,163 @@ from repro.store import (
 from tests.harness import LEARNED, digest, make_pipeline, reference
 
 
+def _write(store: CheckpointStore, key: str, payload: dict, arrays=None) -> None:
+    """Commit one row through the store's own write path."""
+    with store._transaction(f"write {key}"):
+        store._put(key, payload, arrays)
+
+
+def _keys(store: CheckpointStore, prefix: str = "") -> list[str]:
+    return [key for (key,) in store._scan(prefix, "key")]
+
+
+def _prune(store: CheckpointStore, keep_last: int) -> None:
+    """The prune a save with ``keep_last`` runs, on its own."""
+    with store._transaction("prune"):
+        store._prune(keep_last)
+
+
+def _sql(path, sql: str, params: tuple = ()) -> None:
+    """Run one statement on the database at ``path`` over a plain
+    sqlite3 connection of its own (an outside writer, or a fault)."""
+    conn = sqlite3.connect(path)
+    with conn:
+        conn.execute(sql, params)
+    conn.close()
+
+
+def v3_store(root, layout: str) -> None:
+    """Lay out a layout-v3 checkpoint directory with plain sqlite3:
+    ``state.db`` with the old four-column ``records`` table, or the
+    ``columnar/`` directory that held its ``.npz`` files."""
+    root.mkdir(parents=True, exist_ok=True)
+    if layout == "columnar":
+        (root / "columnar").mkdir()
+        return
+    _sql(
+        root / "state.db",
+        "CREATE TABLE records (key TEXT PRIMARY KEY, schema TEXT NOT NULL, "
+        "version INTEGER NOT NULL, payload TEXT NOT NULL)",
+    )
+    _sql(
+        root / "state.db",
+        "INSERT INTO records VALUES "
+        "('checkpoint/288/meta', 'checkpoint-meta', 3, '{}')",
+    )
+
+
 class TestSqliteBackend:
+    """The records table's JSON checks, under the IDs they had when a
+    separate SQLite backend held the JSON records."""
+
     def test_roundtrip_and_replace(self, tmp_path):
-        backend = SqliteBackend(tmp_path / "state.db")
-        backend.put("a/b", {"x": 1, "y": [1, 2]}, schema="s", version=3)
-        record = backend.get("a/b")
-        assert record.key == "a/b"
-        assert record.schema == "s"
-        assert record.version == 3
-        assert record.payload == {"x": 1, "y": [1, 2]}
-        backend.put("a/b", {"x": 2}, schema="s", version=3)
-        assert backend.get("a/b").payload == {"x": 2}
-        backend.close()
+        store = CheckpointStore(tmp_path)
+        _write(store, "a/b", {"x": 1, "y": [1, 2]})
+        assert store._get("a/b") == ({"x": 1, "y": [1, 2]}, {})
+        _write(store, "a/b", {"x": 2})
+        assert store._get("a/b") == ({"x": 2}, {})
+        store.close()
 
     def test_get_missing_returns_none_and_delete_is_idempotent(self, tmp_path):
-        backend = SqliteBackend(tmp_path / "state.db")
-        assert backend.get("nope") is None
-        backend.delete("nope")  # no-op, no error
-        backend.close()
+        store = CheckpointStore(tmp_path)
+        assert store._get("nope") is None
+        # Deleting what is not there is a no-op, not an error.
+        _prune(store, 1)
+        store.truncate_archives(0)
+        for time in (0, 288):
+            _fabricate_checkpoint(store, time)
+        store.append_archive(0, {"seq": 0})
+        for _ in range(2):
+            _prune(store, 1)
+            store.truncate_archives(0)
+        assert _keys(store) == ["checkpoint/288"]
+        store.close()
 
     def test_scan_prefix_in_key_order(self, tmp_path):
-        backend = SqliteBackend(tmp_path / "state.db")
+        store = CheckpointStore(tmp_path)
         for key in ("b/2", "a/1", "b/1", "c"):
-            backend.put(key, {"k": key}, schema="s", version=1)
-        assert [r.key for r in backend.scan("b/")] == ["b/1", "b/2"]
-        assert [r.key for r in backend.scan()] == ["a/1", "b/1", "b/2", "c"]
-        backend.close()
+            _write(store, key, {"k": key})
+        assert _keys(store, "b/") == ["b/1", "b/2"]
+        assert _keys(store) == ["a/1", "b/1", "b/2", "c"]
+        for seq in (2, 0, 1):
+            store.append_archive(seq, {"seq": seq})
+        assert [chunk["seq"] for chunk in store.archives()] == [0, 1, 2]
+        assert [chunk["seq"] for chunk in store.archives(upto_seq=2)] == [0, 1]
+        store.close()
 
     def test_scan_escapes_like_wildcards(self, tmp_path):
-        backend = SqliteBackend(tmp_path / "state.db")
-        backend.put("a_b", {}, schema="s", version=1)
-        backend.put("axb", {}, schema="s", version=1)
-        assert [r.key for r in backend.scan("a_")] == ["a_b"]
-        backend.close()
+        store = CheckpointStore(tmp_path)
+        for key in ("a_b", "axb", "a%c", "abc"):
+            _write(store, key, {})
+        assert _keys(store, "a_") == ["a_b"]
+        assert _keys(store, "a%") == ["a%c"]
+        store.close()
 
     def test_non_json_payload_rejected(self, tmp_path):
-        backend = SqliteBackend(tmp_path / "state.db")
+        store = CheckpointStore(tmp_path)
         with pytest.raises(StoreError):
-            backend.put("k", {"bad": object()}, schema="s", version=1)
-        backend.close()
+            store.append_archive(0, {"bad": object()})
+        assert list(store.archives()) == []
+        store.close()
 
     def test_corrupt_database_file_raises_store_error(self, tmp_path):
-        path = tmp_path / "state.db"
-        path.write_text("this is not a sqlite database, not even close")
+        (tmp_path / "state.db").write_text(
+            "this is not a sqlite database, not even close"
+        )
         with pytest.raises(StoreError):
-            SqliteBackend(path)
+            CheckpointStore(tmp_path)
 
     def test_corrupt_payload_raises_corrupt_record(self, tmp_path):
-        path = tmp_path / "state.db"
-        backend = SqliteBackend(path)
-        backend.put("k", {"x": 1}, schema="s", version=1)
-        backend.close()
-        conn = sqlite3.connect(path)
-        conn.execute("UPDATE records SET payload = 'not json'")
-        conn.commit()
-        conn.close()
-        backend = SqliteBackend(path)
+        store = CheckpointStore(tmp_path)
+        store.append_archive(0, {"x": 1})
+        _sql(tmp_path / "state.db", "UPDATE records SET payload = 'not json'")
         with pytest.raises(CorruptRecordError):
-            backend.get("k")
-        backend.close()
+            list(store.archives())
+        store.close()
 
 
 class TestColumnarBackend:
+    """The array checks, under the IDs they had when a separate backend
+    kept one ``.npz`` file per key. Arrays now ride in the row's BLOB."""
+
     def test_roundtrip_preserves_arrays_exactly(self, tmp_path):
-        backend = ColumnarBackend(tmp_path)
+        store = CheckpointStore(tmp_path)
         values = np.array([1.25, -3.5, 7.0e-300], dtype=np.float64)
         lengths = np.array([1, 2], dtype=np.int64)
-        backend.put(
+        _write(
+            store,
             "learner/day-0",
-            {"values": values, "lengths": lengths, "meta": {"n": 2}},
-            schema="learner",
-            version=1,
+            {"meta": {"n": 2}},
+            {"values": values, "lengths": lengths},
         )
-        record = backend.get("learner/day-0")
-        assert record.schema == "learner"
-        assert record.version == 1
-        assert record.payload["meta"] == {"n": 2}
-        assert record.payload["values"].dtype == np.float64
-        np.testing.assert_array_equal(record.payload["values"], values)
-        np.testing.assert_array_equal(record.payload["lengths"], lengths)
+        payload, arrays = store._get("learner/day-0")
+        assert payload == {"meta": {"n": 2}}
+        assert arrays["values"].dtype == np.float64
+        assert arrays["lengths"].dtype == np.int64
+        assert arrays["values"].tobytes() == values.tobytes()
+        assert arrays["lengths"].tobytes() == lengths.tobytes()
+        store.close()
 
     def test_scan_and_delete(self, tmp_path):
-        backend = ColumnarBackend(tmp_path)
-        for key in ("t/b", "t/a", "other"):
-            backend.put(key, {"k": key}, schema="s", version=1)
-        assert [r.key for r in backend.scan("t/")] == ["t/a", "t/b"]
-        backend.delete("t/a")
-        assert [r.key for r in backend.scan("t/")] == ["t/b"]
-        assert backend.get("t/a") is None
-
-    def test_scan_keys_opens_no_file(self, tmp_path):
-        backend = ColumnarBackend(tmp_path)
-        for key in ("t/b", "t/a", "other"):
-            backend.put(key, {"k": key}, schema="s", version=1)
-        backend._path("t/a").write_bytes(b"truncated garbage")
-        assert list(backend.scan_keys("t/")) == [("t/a", None), ("t/b", None)]
-
-    def test_invalid_keys_rejected(self, tmp_path):
-        backend = ColumnarBackend(tmp_path)
-        for bad in ("", "a b", "a//b", "/lead", "trail/", "has__sep"):
-            with pytest.raises(StoreError):
-                backend.put(bad, {}, schema="s", version=1)
+        store = CheckpointStore(tmp_path)
+        for seq in range(3):
+            store.append_archive(seq, {"seq": seq})
+        store.truncate_archives(1)
+        assert [chunk["seq"] for chunk in store.archives()] == [0]
+        assert store._get("archive/00000001") is None
+        store.close()
 
     def test_corrupt_file_raises_corrupt_record(self, tmp_path):
-        backend = ColumnarBackend(tmp_path)
-        backend.put("k", {"x": np.arange(3)}, schema="s", version=1)
-        (tmp_path / "k.npz").write_bytes(b"truncated garbage")
+        store = CheckpointStore(tmp_path)
+        _write(store, "k", {}, {"x": np.arange(3)})
+        _sql(
+            tmp_path / "state.db",
+            "UPDATE records SET arrays = ?",
+            (b"truncated garbage",),
+        )
         with pytest.raises(CorruptRecordError):
-            backend.get("k")
+            store._get("k")
+        store.close()
 
 
 def _kill(world, store, at: int) -> None:
@@ -153,54 +201,22 @@ def _kill(world, store, at: int) -> None:
         killed.run(*LEARNED.span)
 
 
-class _CountingSqlite(SqliteBackend):
-    """A sqlite backend that counts payload reads vs keys-only scans."""
-
-    def __init__(self, path):
-        super().__init__(path)
-        self.get_calls = 0
-        self.scan_calls = 0
-        self.scan_keys_calls = 0
-
-    def get(self, key):
-        self.get_calls += 1
-        return super().get(key)
-
-    def scan(self, prefix=""):
-        self.scan_calls += 1
-        return super().scan(prefix)
-
-    def scan_keys(self, prefix=""):
-        self.scan_keys_calls += 1
-        return super().scan_keys(prefix)
-
-
 def _fabricate_checkpoint(store: CheckpointStore, time: int) -> None:
-    """Write a checkpoint's records directly (save order: meta last)."""
-    store._columnar.put(
-        f"checkpoint/{time}/learner",
-        {"meta": {"fabricated": True}},
-        schema="learner-history",
-        version=CHECKPOINT_SCHEMA_VERSION,
-    )
-    store._sqlite.put(
-        f"checkpoint/{time}/state",
-        {"fabricated": True},
-        schema="pipeline-state",
-        version=CHECKPOINT_SCHEMA_VERSION,
-    )
-    store._sqlite.put(
-        f"checkpoint/{time}/meta",
+    """Write a checkpoint's row directly."""
+    _write(
+        store,
+        f"checkpoint/{time}",
         {
             "time": time,
             "run": [0, time + 288],
             "window_times": [],
-            "has_table": False,
             "extra": {},
             "fingerprint": "fabricated",
+            "learner": {"fabricated": True},
+            "table": None,
+            "state": {"fabricated": True},
         },
-        schema="checkpoint-meta",
-        version=CHECKPOINT_SCHEMA_VERSION,
+        {"learner/values": np.arange(4.0)},
     )
 
 
@@ -229,19 +245,14 @@ class TestCheckpointResume:
     def test_restore_rejects_mismatched_schema_version(
         self, multi_day_world, tmp_path
     ):
+        """A store of another layout generation is refused when it is
+        opened, before any resume reads it."""
         store = CheckpointStore(tmp_path)
         _kill(multi_day_world, store, 288)
         store.close()
-        conn = sqlite3.connect(tmp_path / "state.db")
-        conn.execute("UPDATE records SET version = 99")
-        conn.commit()
-        conn.close()
-        store = CheckpointStore(tmp_path)
-        with pytest.raises(SchemaMismatchError):
-            LEARNED.build(
-                multi_day_world, "sequential", store=store, warm_start=True
-            ).run(*LEARNED.span)
-        store.close()
+        _sql(tmp_path / "state.db", "PRAGMA user_version = 99")
+        with pytest.raises(SchemaMismatchError, match="layout v99"):
+            CheckpointStore(tmp_path)
 
     def test_restore_rejects_different_run_inputs(
         self, multi_day_world, tmp_path
@@ -284,60 +295,45 @@ class TestCheckpointResume:
         assert digest(report) == reference(LEARNED, multi_day_world).digest
 
     def test_latest_time_reads_no_payloads(self, tmp_path):
-        """Finding the newest checkpoint is a keys-only scan: with 50
-        checkpoints in the store, ``latest_time`` deserializes zero
-        record payloads (state blobs can be megabytes)."""
+        """Finding the newest checkpoint selects keys only: with 50
+        checkpoints in the store, no statement ``latest_time`` or
+        ``checkpoint_times`` runs fetches a payload or BLOB."""
         store = CheckpointStore(tmp_path)
-        store._sqlite.close()
-        counting = _CountingSqlite(tmp_path / "state.db")
-        store._sqlite = counting
         times = [288 * i for i in range(50)]
         for time in times:
             _fabricate_checkpoint(store, time)
-        counting.get_calls = 0
-        counting.scan_calls = 0
-        counting.scan_keys_calls = 0
+        statements: list[str] = []
+        store._conn.set_trace_callback(statements.append)
         assert store.latest_time() == times[-1]
         assert store.checkpoint_times() == times
-        assert counting.get_calls == 0
-        assert counting.scan_calls == 0
-        assert counting.scan_keys_calls >= 1
+        store._conn.set_trace_callback(None)
+        assert len(statements) == 2
+        assert all(sql.startswith("SELECT key FROM records ") for sql in statements)
         store.close()
 
     def test_stored_table_roundtrip(self, multi_day_world, tmp_path):
         """The table codec checkpoints use keeps values and key order
-        through the columnar backend."""
+        through a row's JSON and BLOB."""
         table = make_pipeline(Scenario.from_world(multi_day_world)).learner.table()
-        backend = ColumnarBackend(tmp_path)
-        backend.put(
-            "checkpoint/0/table",
-            codec.table_payload(table),
-            schema="expected-rtt-table",
-            version=CHECKPOINT_SCHEMA_VERSION,
-        )
-        loaded = codec.table_from_payload(
-            backend.get("checkpoint/0/table").payload
-        )
-        backend.close()
+        store = CheckpointStore(tmp_path)
+        _write(store, "checkpoint/0", *codec.table_payload(table))
+        loaded = codec.table_from_payload(*store._get("checkpoint/0"))
+        store.close()
         assert loaded.cloud == table.cloud
         assert loaded.middle == table.middle
         assert list(loaded.cloud) == list(table.cloud)
         assert list(loaded.middle) == list(table.middle)
 
 
-class _TornDeleteSqlite(SqliteBackend):
-    """A sqlite backend that dies after a fixed number of deletes."""
-
-    def __init__(self, path, allow_deletes):
-        super().__init__(path)
-        self.allow_deletes = allow_deletes
-
-    def delete(self, key):
-        if self.allow_deletes is not None:
-            if self.allow_deletes == 0:
-                raise RuntimeError("simulated kill mid-prune")
-            self.allow_deletes -= 1
-        super().delete(key)
+def _abort_on(path, event: str, when: str = "1") -> None:
+    """Install a trigger that aborts the statement behind ``event``
+    (e.g. ``BEFORE DELETE``) on the records table when ``when`` holds:
+    a kill at that point of a transaction."""
+    _sql(
+        path,
+        f"CREATE TRIGGER kill {event} ON records WHEN {when} "
+        "BEGIN SELECT RAISE(ABORT, 'simulated kill'); END",
+    )
 
 
 class TestPrune:
@@ -346,12 +342,11 @@ class TestPrune:
         times = [288 * i for i in range(5)]
         for time in times:
             _fabricate_checkpoint(store, time)
-        store.prune(keep_last=2)
+        _prune(store, 2)
         assert store.checkpoint_times() == times[-2:]
-        # Pruned checkpoints lose their payload records too, not just
-        # their visibility.
-        assert store._sqlite.get("checkpoint/0/state") is None
-        assert store._columnar.get("checkpoint/0/learner") is None
+        # Pruned checkpoints lose their rows, not just their visibility.
+        assert sorted(_keys(store)) == ["checkpoint/1152", "checkpoint/864"]
+        assert store._get("checkpoint/0") is None
         store.close()
 
     def test_save_with_keep_last_prunes_automatically(
@@ -373,8 +368,9 @@ class TestPrune:
     ):
         """Worker processes get each day's table in the task message,
         not through the store: after a pruned multi-day sharded run the
-        directory holds the kept checkpoint's records and nothing else
-        (it used to gain one never-pruned ``table__day-N.npz`` a day)."""
+        directory holds ``state.db`` with the kept checkpoint's row and
+        nothing else (it used to gain one never-pruned table file a
+        day)."""
         store = CheckpointStore(tmp_path, keep_last=1)
         pipeline = make_pipeline(
             Scenario.from_world(multi_day_world), "sharded2", store=store
@@ -382,50 +378,101 @@ class TestPrune:
         pipeline.run(240, 700)
         pipeline.close()
         assert store.checkpoint_times() == [576]
+        assert _keys(store) == ["checkpoint/576"]
         store.close()
-        assert sorted(path.name for path in tmp_path.iterdir()) == [
-            "columnar",
-            "state.db",
-        ]
-        assert sorted(path.name for path in (tmp_path / "columnar").iterdir()) == [
-            "checkpoint__576__learner.npz",
-            "checkpoint__576__table.npz",
-        ]
+        assert [path.name for path in tmp_path.iterdir()] == ["state.db"]
 
     def test_keep_last_zero_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             CheckpointStore(tmp_path, keep_last=0)
-        store = CheckpointStore(tmp_path)
-        with pytest.raises(ValueError):
-            store.prune(0)
-        store.close()
 
     def test_torn_prune_never_guts_a_visible_checkpoint(self, tmp_path):
-        """A kill mid-prune (here: after checkpoint 0's meta delete but
-        before its state delete) leaves invisible orphans, never a
-        checkpoint that ``latest_time`` offers but restore cannot load."""
+        """A kill mid-prune (here: after checkpoint 0's delete, at
+        checkpoint 288's) rolls the whole prune back: every checkpoint
+        is still there and reads whole."""
         store = CheckpointStore(tmp_path)
         times = [288 * i for i in range(5)]
         for time in times:
             _fabricate_checkpoint(store, time)
-        store._sqlite.close()
-        torn = _TornDeleteSqlite(tmp_path / "state.db", allow_deletes=1)
-        store._sqlite = torn
-        with pytest.raises(RuntimeError):
-            store.prune(keep_last=2)
-        # Checkpoint 0 is already invisible; its orphaned payload records
-        # are harmless. Every still-visible checkpoint is complete.
-        assert store.checkpoint_times() == times[1:]
-        assert store.latest_time() == times[-1]
-        assert store._sqlite.get("checkpoint/0/meta") is None
-        assert store._sqlite.get("checkpoint/0/state") is not None
-        for time in store.checkpoint_times():
-            assert store._sqlite.get(f"checkpoint/{time}/meta") is not None
-            assert store._sqlite.get(f"checkpoint/{time}/state") is not None
+        _abort_on(tmp_path / "state.db", "BEFORE DELETE", "OLD.key = 'checkpoint/288'")
+        with pytest.raises(StoreError, match="simulated kill"):
+            _prune(store, 2)
+        assert store.checkpoint_times() == times
+        for time in times:
+            assert store._get(f"checkpoint/{time}")[0]["time"] == time
         # A later prune finishes the job.
-        torn.allow_deletes = None
-        store.prune(keep_last=2)
+        _sql(tmp_path / "state.db", "DROP TRIGGER kill")
+        _prune(store, 2)
         assert store.checkpoint_times() == times[-2:]
+        store.close()
+
+    @pytest.mark.parametrize(
+        "event", ["AFTER INSERT", "BEFORE DELETE"], ids=["mid-save", "mid-prune"]
+    )
+    def test_killed_save_leaves_the_previous_checkpoint(
+        self, small_world, trained_table, tmp_path, event
+    ):
+        """A save killed inside its transaction — as its row goes in, or
+        in the prune after it — leaves the new checkpoint invisible and
+        the previous newest one loadable."""
+        scenario = Scenario.from_world(small_world)
+        store = CheckpointStore(tmp_path, keep_last=1)
+        pipeline = make_pipeline(scenario, table=trained_table)
+        report = pipeline.run(0, 3)
+        store.save(pipeline, 1, [], report)
+        _abort_on(tmp_path / "state.db", event)
+        with pytest.raises(StoreError, match="simulated kill"):
+            store.save(pipeline, 2, [], report)
+        assert store.checkpoint_times() == [1]
+        assert _keys(store) == ["checkpoint/1"]
+        fresh = make_pipeline(scenario, table=trained_table)
+        restored = store.restore(fresh, 0, 3)
+        store.close()
+        assert restored.time == 1
+        assert restored.report.total_quartets == report.total_quartets
+
+
+class TestBadCheckpoints:
+    """A bit-flipped checkpoint, or a directory of an older layout,
+    raises a ``StoreError`` and is never restored."""
+
+    @pytest.mark.parametrize("layout", ["state.db", "columnar"])
+    def test_v3_layout_refused_on_open(self, tmp_path, layout):
+        v3_store(tmp_path, layout)
+        before = sorted(path.name for path in tmp_path.iterdir())
+        with pytest.raises(SchemaMismatchError, match="v3"):
+            CheckpointStore(tmp_path)
+        assert sorted(path.name for path in tmp_path.iterdir()) == before
+
+    def test_single_bit_flips_never_restore(self, multi_day_world, tmp_path):
+        """The checkpoint fuzz: 256 seeded single-bit flips, each in the
+        payload or the BLOB of a real checkpoint, and every one is
+        refused by the digest before anything is restored."""
+        store = CheckpointStore(tmp_path)
+        _kill(multi_day_world, store, 288)
+        path = tmp_path / "state.db"
+        conn = sqlite3.connect(path)
+        ((key, text, blob),) = conn.execute(
+            "SELECT key, CAST(payload AS BLOB), arrays FROM records"
+        ).fetchall()
+        conn.close()
+        pipeline = LEARNED.build(
+            multi_day_world, "sequential", store=store, warm_start=True
+        )
+        update = (
+            "UPDATE records SET payload = CAST(? AS TEXT), arrays = ? WHERE key = ?"
+        )
+        rng = np.random.default_rng(38)
+        for _ in range(256):
+            column = int(rng.integers(2))
+            flipped = [bytearray(text), bytearray(blob)]
+            bit = int(rng.integers(8 * len(flipped[column])))
+            flipped[column][bit // 8] ^= 1 << (bit % 8)
+            _sql(path, update, (bytes(flipped[0]), bytes(flipped[1]), key))
+            with pytest.raises(CorruptRecordError):
+                store.restore(pipeline, *LEARNED.span)
+        _sql(path, update, (text, blob, key))
+        assert store.restore(pipeline, *LEARNED.span).time == 288
         store.close()
 
 
