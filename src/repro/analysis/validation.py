@@ -37,7 +37,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import multiprocessing
-import os
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -72,6 +71,7 @@ from repro.sim.incidents import (
 )
 from repro.net.geo import Region
 from repro.perf.batch import BatchQuartetGenerator
+from repro.perf.workers import fork_workers
 from repro.sim.scenario import BUCKETS_PER_DAY, Scenario, ScenarioParams, World
 
 #: Noise floor for ground-truth traceroute comparisons.
@@ -784,21 +784,6 @@ _JobContext = tuple[World, WarmupState, BlameItConfig | None, int]
 _WORKER_CONTEXT: _JobContext | None = None
 
 
-def _job_workers(jobs: int) -> int:
-    """Worker processes for ``jobs`` pipeline runs; 1 runs them inline.
-
-    One per usable CPU, at most one per job. Inline as well when this
-    platform cannot fork, or when the caller is itself a daemonic pool
-    worker, which may not start children.
-    """
-    if (
-        "fork" not in multiprocessing.get_all_start_methods()
-        or multiprocessing.current_process().daemon
-    ):
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), jobs))
-
-
 def _job_buckets(world: World, job: _Job, pad_buckets: int) -> int:
     """Buckets a job runs: its cost, for longest-first submission."""
     if job is None:
@@ -842,7 +827,7 @@ def _run_jobs(context: _JobContext, jobs: Sequence[_Job]) -> list[PipelineReport
     error terminated and joined: no worker outlives the call, and a
     worker's exception reaches the caller with its own type.
     """
-    workers = _job_workers(len(jobs))
+    workers = fork_workers(len(jobs))
     if workers == 1:
         return [_run_job(context, job) for job in jobs]
     world, _, _, pad_buckets = context

@@ -9,9 +9,10 @@ sources ship:
   replay/equivalence mode: a daemon over a scenario source produces a
   report byte-identical to ``pipeline.run()``.
 * :class:`JsonlSource` — quartets arrive as JSON-lines rows (one quartet
-  per line) produced elsewhere. The file is parsed once, in chunks of
-  whole lines, straight into NumPy columns grouped by bucket; each
-  bucket is served as a slice of those columns. A row that breaks the
+  per line) produced elsewhere. The file is parsed once, as line-aligned
+  byte ranges on every usable CPU and in chunks of whole lines, straight
+  into NumPy columns grouped by bucket; each bucket is served as a
+  slice of those columns. A row that breaks the
   format stops the load with a :class:`JsonlFormatError` naming the
   file, the line and the reason.
 
@@ -23,16 +24,19 @@ rebuilt from their bucket times.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import pathlib
 from abc import ABC, abstractmethod
 from itertools import chain
-from typing import BinaryIO, Iterable, Iterator, Sequence
+from multiprocessing.connection import Connection
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.core.quartet import Quartet, QuartetBatch
 from repro.net.bgp import Timestamp
 from repro.net.geo import Region
+from repro.perf.workers import fork_workers
 
 
 class BucketSource(ABC):
@@ -132,9 +136,16 @@ class JsonlFormatError(ValueError):
         self.line = line
         self.reason = reason
 
+    def __reduce__(self):
+        # The default rebuilds from ``args`` (the one message string),
+        # which ``__init__`` cannot take; a forked reader sends its
+        # refusal to the parent pickled.
+        return type(self), (self.path, self.line, self.reason)
+
 
 #: Bytes read per chunk. A chunk is cut back to its last whole line and
-#: decoded with one ``json.loads``.
+#: decoded with one ``json.loads``. The file is split across at most one
+#: process per chunk.
 _READ_BYTES = 1 << 20
 
 _INTEGER = (frozenset({int}), "a JSON integer within int64")
@@ -172,6 +183,10 @@ _COLUMNS = {
     "middle_index": np.int64,
     "region_index": np.int64,
 }
+
+#: The columns that hold vocabulary codes, in the order of
+#: :attr:`_Range.vocabularies`: locations, middles, regions.
+_CODED = ("location_index", "middle_index", "region_index")
 
 
 def _show(value: object) -> str:
@@ -211,27 +226,27 @@ def _value_fits(name: str, value: object) -> bool:
     return True
 
 
-def _whole_line_chunks(handle: BinaryIO) -> Iterator[tuple[int, bytes]]:
-    """``(first line number, chunk)`` pairs of about ``_READ_BYTES``
-    each, every chunk ending at a line end (the last may lack one)."""
-    line = 1
+def _whole_line_chunks(handle: BinaryIO, size: int) -> Iterator[bytes]:
+    """The next ``size`` bytes of ``handle`` in chunks of about
+    ``_READ_BYTES``, every chunk ending at a line end (the last may
+    lack one)."""
     tail = b""
-    while block := handle.read(_READ_BYTES):
+    while size > 0 and (block := handle.read(min(_READ_BYTES, size))):
+        size -= len(block)
         block = tail + block
         cut = block.rfind(b"\n") + 1
         chunk, tail = block[:cut], block[cut:]
         if chunk:
-            yield line, chunk
-            line += chunk.count(b"\n")
+            yield chunk
     if tail:
-        yield line, tail
+        yield tail
 
 
 def _columns(
     rows: list, locations: dict, middles: dict, regions: dict
 ) -> dict[str, np.ndarray]:
     """Transpose decoded rows into columns, coding location, middle and
-    region against the file-wide vocabularies (first occurrence first).
+    region against the given vocabularies (first occurrence first).
 
     Raises at a row that breaks a field rule; :func:`_refuse` finds
     which one.
@@ -291,37 +306,183 @@ def _refuse(path: pathlib.Path, chunk: bytes, first_line: int) -> None:
             raise JsonlFormatError(path, number, reason)
 
 
-def _read_rows(path: pathlib.Path) -> QuartetBatch:
-    """Every row of the file, in file order, as one batch over
-    file-wide vocabularies."""
-    locations: dict[str, int] = {}
-    middles: dict[tuple, int] = {}
-    regions: dict[str, int] = {}
+class _Range(NamedTuple):
+    """One byte range's rows, coded against the range's own
+    vocabularies."""
+
+    columns: dict[str, np.ndarray]
+    #: Locations, middles and region names, in first-occurrence order.
+    vocabularies: tuple[tuple, tuple, tuple]
+    #: The range's newlines: how far the next range's first line is
+    #: from this range's.
+    lines: int
+
+
+def _read_range(path: pathlib.Path, start: int, end: int) -> _Range:
+    """The rows in bytes ``[start, end)`` of the file, which hold whole
+    lines.
+
+    Raises :class:`JsonlFormatError` at the range's first bad line,
+    numbered from the range's own first line.
+    """
+    vocabularies: tuple[dict, dict, dict] = ({}, {}, {})
     parts: list[dict[str, np.ndarray]] = []
+    line = 1
     with open(path, "rb") as handle:
-        for first_line, chunk in _whole_line_chunks(handle):
-            lines = [line for line in chunk.split(b"\n") if line.strip()]
-            if not lines:
-                continue
-            try:
-                rows = json.loads((b"[" + b",".join(lines) + b"]").decode())
-                if len(rows) != len(lines):
-                    raise ValueError("a line holds more or less than one row")
-                parts.append(_columns(rows, locations, middles, regions))
-            except (ValueError, KeyError, TypeError, OverflowError):
-                _refuse(path, chunk, first_line)
-                raise
-    return QuartetBatch(
-        **{
-            name: np.concatenate(
-                [np.empty(0, dtype), *(part[name] for part in parts)]
-            )
+        handle.seek(start)
+        for chunk in _whole_line_chunks(handle, end - start):
+            lines = [text for text in chunk.split(b"\n") if text.strip()]
+            if lines:
+                try:
+                    rows = json.loads((b"[" + b",".join(lines) + b"]").decode())
+                    if len(rows) != len(lines):
+                        raise ValueError("a line holds more or less than one row")
+                    parts.append(_columns(rows, *vocabularies))
+                except (ValueError, KeyError, TypeError, OverflowError):
+                    _refuse(path, chunk, line)
+                    raise
+            line += chunk.count(b"\n")
+    return _Range(
+        {
+            name: np.concatenate([np.empty(0, dtype), *(part[name] for part in parts)])
             for name, dtype in _COLUMNS.items()
         },
+        tuple(tuple(vocabulary) for vocabulary in vocabularies),
+        line - 1,
+    )
+
+
+def _spans(path: pathlib.Path) -> list[tuple[int, int]]:
+    """The file cut into line-aligned byte ranges ``[start, end)``, one
+    per worker (:func:`~repro.perf.workers.fork_workers` of the file's
+    chunk count).
+
+    With ``n`` ranges the ``k``-th cut sits just past the first newline
+    at or after ``k * size / n``. Empty ranges are dropped; at least one
+    is left.
+    """
+    size = path.stat().st_size
+    n = fork_workers(-(-size // _READ_BYTES))
+    cuts = [0]
+    if n > 1:
+        with open(path, "rb") as handle:
+            cuts.extend(_past_newline(handle, k * size // n) for k in range(1, n))
+    cuts.append(size)
+    spans = [(start, end) for start, end in zip(cuts, cuts[1:]) if start < end]
+    return spans or [(0, 0)]
+
+
+def _past_newline(handle: BinaryIO, offset: int) -> int:
+    """The offset just past the first newline at or after ``offset``,
+    or the file's end."""
+    handle.seek(offset)
+    while block := handle.read(1 << 16):
+        if (found := block.find(b"\n")) >= 0:
+            return offset + found + 1
+        offset += len(block)
+    return offset
+
+
+def _send_range(writer: Connection, path: pathlib.Path, start: int, end: int) -> None:
+    """A forked reader: parse bytes ``[start, end)`` and send them to the
+    parent, or the exception that stopped it.
+
+    A range goes as a header (line count, row count, vocabularies), then
+    one message per column, so that the parent receives each column
+    straight into its own array.
+    """
+    try:
+        part = _read_range(path, start, end)
+    except Exception as exc:
+        writer.send(exc)
+        return
+    writer.send((part.lines, len(part.columns["time"]), part.vocabularies))
+    for name in _COLUMNS:
+        writer.send_bytes(part.columns[name])
+
+
+def _receive_range(reader: Connection, path: pathlib.Path, lines_before: int) -> _Range:
+    """A forked reader's range, or the exception it sent: a refusal is
+    renumbered by the ``lines_before`` the range in the file."""
+    try:
+        header = reader.recv()
+        if not isinstance(header, Exception):
+            lines, rows, vocabularies = header
+            columns = {name: np.empty(rows, dtype) for name, dtype in _COLUMNS.items()}
+            for column in columns.values():
+                reader.recv_bytes_into(column)
+    except EOFError:
+        raise ChildProcessError(
+            f"{path}: a reader exited before sending all its rows"
+        ) from None
+    if isinstance(header, JsonlFormatError):
+        raise JsonlFormatError(path, lines_before + header.line, header.reason)
+    if isinstance(header, Exception):
+        raise header
+    return _Range(columns, vocabularies, lines)
+
+
+def _merge(ranges: Sequence[_Range]) -> QuartetBatch:
+    """The ranges' rows in file order, as one batch over file-wide
+    vocabularies: every value numbered at its first occurrence in the
+    file, as one pass over the whole file numbers it."""
+    vocabularies: tuple[dict, dict, dict] = ({}, {}, {})
+    columns = {name: [np.empty(0, dtype)] for name, dtype in _COLUMNS.items()}
+    for part in ranges:
+        coded = {
+            name: _codes(local, vocabulary)[part.columns[name]]
+            for name, local, vocabulary in zip(_CODED, part.vocabularies, vocabularies)
+        }
+        for name, column in (part.columns | coded).items():
+            columns[name].append(column)
+    locations, middles, regions = vocabularies
+    return QuartetBatch(
+        **{name: np.concatenate(parts) for name, parts in columns.items()},
         locations=tuple(locations),
         middles=tuple(middles),
         regions=tuple(Region[name] for name in regions),
     )
+
+
+def _read_rows(path: pathlib.Path) -> QuartetBatch:
+    """Every row of the file, in file order, as one batch over
+    file-wide vocabularies.
+
+    This process parses the first of the file's ranges (:func:`_spans`)
+    and forked readers the others, all at once; the ranges are then
+    received and merged in file order. A refusal names the first bad
+    line in the file. On any error every reader is killed, and none
+    outlives the call.
+    """
+    first, *rest = _spans(path)
+    readers: list[Connection] = []
+    children: list[multiprocessing.process.BaseProcess] = []
+    try:
+        for start, end in rest:
+            context = multiprocessing.get_context("fork")
+            reader, writer = context.Pipe(duplex=False)
+            readers.append(reader)
+            with writer:
+                child = context.Process(
+                    target=_send_range, args=(writer, path, start, end), daemon=True
+                )
+                child.start()
+            children.append(child)
+        ranges = [_read_range(path, *first)]
+        for reader in readers:
+            ranges.append(
+                _receive_range(reader, path, sum(part.lines for part in ranges))
+            )
+    except BaseException:
+        for child in children:
+            child.kill()
+        raise
+    finally:
+        for reader in readers:
+            reader.close()
+        for child in children:
+            child.join()
+    return _merge(ranges)
 
 
 def _recode(codes: np.ndarray, vocabulary: tuple) -> tuple[np.ndarray, tuple]:
@@ -339,14 +500,22 @@ def _recode(codes: np.ndarray, vocabulary: tuple) -> tuple[np.ndarray, tuple]:
 class JsonlSource(BucketSource):
     """Quartets from a JSON-lines file, one quartet row per line.
 
-    The whole file is parsed once, when the source is built: each chunk
-    of about a megabyte of whole lines is decoded with one ``json.loads``
-    and transposed into NumPy columns, with location, middle and region
-    held as codes into file-wide vocabularies. The columns are then
-    stably sorted by bucket and marked read-only. :meth:`next_batch`
-    slices one bucket's rows out and re-codes them against batch-local
-    vocabularies, so the batch equals ``QuartetBatch.from_quartets`` of
-    the bucket's rows in file order.
+    The whole file is parsed once, when the source is built, on every
+    usable CPU: it is cut into one line-aligned byte range per CPU (at
+    most one per megabyte); this process parses the first range and
+    forked readers the others. In each range, every chunk of about a
+    megabyte of whole lines is decoded with one ``json.loads`` and
+    transposed into NumPy columns, with location, middle and region held
+    as codes into the range's vocabularies. The ranges are merged in
+    file order onto file-wide vocabularies (first occurrence first), so
+    the columns are those of one pass over the file, whatever the split.
+    A file under a megabyte, one usable CPU, a platform without ``fork``
+    or a daemonic caller parses inline, in this process.
+
+    The columns are then stably sorted by bucket and marked read-only.
+    :meth:`next_batch` slices one bucket's rows out and re-codes them
+    against batch-local vocabularies, so the batch equals
+    ``QuartetBatch.from_quartets`` of the bucket's rows in file order.
 
     Every parsed column stays resident (about 73 bytes a row) instead of
     streaming: a resumed daemon replays buckets it already served, and
@@ -358,8 +527,9 @@ class JsonlSource(BucketSource):
     Assumption                      When it does not hold
     ==============================  =====================================
     One JSON object per line, in    :class:`JsonlFormatError` (path, line,
-    UTF-8, following the field      reason); nothing is served
-    rules below
+    UTF-8, following the field      reason) at the first bad line in the
+    rules below                     file, however it was split; nothing
+                                    is served
     Rows in time order              Not needed: rows are grouped by
                                     bucket, in file order within one
     Each row once                   Not needed: a repeated row is kept

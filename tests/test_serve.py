@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import multiprocessing
+import os
+import pickle
 import threading
 import urllib.error
 import urllib.request
@@ -300,6 +303,15 @@ class TestJsonlFormatErrors:
         assert error.reason.startswith(reason)
         assert str(error) == f"{path}:4: {error.reason}"
 
+    def test_error_survives_pickling(self, tmp_path):
+        """A forked reader sends its refusal to the parent pickled."""
+        error = JsonlFormatError(tmp_path / "bad.jsonl", 3, "x")
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is JsonlFormatError
+        assert (str(copy), copy.path, copy.line, copy.reason) == (
+            str(error), error.path, 3, "x"
+        )
+
 
 class TestJsonlAssumptions:
     """What ingest tolerates, one assumption at a time (the table in
@@ -375,21 +387,34 @@ _ROW_STRATEGY = st.fixed_dictionaries(
 )
 
 
+def _split(patch: pytest.MonkeyPatch, workers: int, read_bytes: int) -> None:
+    """Load over ``read_bytes`` chunks, split ``workers`` ways (capped
+    at one range per chunk, as the real worker count is) whatever the
+    machine has."""
+    patch.setattr(source_module, "_READ_BYTES", read_bytes)
+    patch.setattr(source_module, "fork_workers", lambda jobs: min(workers, jobs))
+
+
+_SPLITS = pytest.mark.parametrize("workers", [1, 2, 3])
+
+
 class TestColumnarReader:
+    @_SPLITS
     @settings(max_examples=60, deadline=None)
     @given(
         rows=st.lists(_ROW_STRATEGY, max_size=30),
         read_bytes=st.integers(1, 700),
     )
     def test_columnar_reader_is_the_per_row_reader(
-        self, tmp_path_factory, rows, read_bytes
+        self, tmp_path_factory, workers, rows, read_bytes
     ):
-        """Rows in any order, over any chunk boundaries, serve what
-        ``from_quartets`` makes of the per-row reader's quartets."""
+        """Rows in any order, over any chunk boundaries and any split,
+        serve what ``from_quartets`` makes of the per-row reader's
+        quartets."""
         path = tmp_path_factory.mktemp("columnar") / "rows.jsonl"
         path.write_text("".join(json.dumps(row) + "\n" for row in rows))
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(source_module, "_READ_BYTES", read_bytes)
+            _split(patch, workers, read_bytes)
             source = JsonlSource(path)
         assert source.times() == sorted({row["time"] for row in rows})
         times = [row["time"] for row in rows] or [0]
@@ -410,6 +435,7 @@ class TestColumnarReader:
                     with pytest.raises(ValueError, match="read-only"):
                         column[...] = 0
 
+    @_SPLITS
     @settings(max_examples=80, deadline=None)
     @given(
         rows=st.lists(_ROW_STRATEGY, min_size=1, max_size=6),
@@ -425,10 +451,11 @@ class TestColumnarReader:
         read_bytes=st.integers(1, 700),
     )
     def test_columnar_checks_refuse_what_the_row_rules_refuse(
-        self, tmp_path_factory, rows, at, field, value, read_bytes
+        self, tmp_path_factory, workers, rows, at, field, value, read_bytes
     ):
-        """Any JSON value in any field: the load refuses the file exactly
-        when the per-row rules refuse a row, at that row's line."""
+        """Any JSON value in any field, over any split: the load refuses
+        the file exactly when the per-row rules refuse a row, at that
+        row's line."""
         rows[at % len(rows)][field] = value
         path = tmp_path_factory.mktemp("refuse") / "rows.jsonl"
         path.write_text("".join(json.dumps(row) + "\n" for row in rows))
@@ -438,13 +465,158 @@ class TestColumnarReader:
             if source_module._row_error(row) is not None
         ]
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(source_module, "_READ_BYTES", read_bytes)
+            _split(patch, workers, read_bytes)
             if not refused:
                 JsonlSource(path)
                 return
             with pytest.raises(JsonlFormatError) as raised:
                 JsonlSource(path)
         assert raised.value.line == refused[0]
+
+
+
+@pytest.fixture
+def forks(monkeypatch) -> list:
+    """Every forked process started during the test."""
+    started = []
+    start = multiprocessing.context.ForkProcess.start
+
+    def counted(process):
+        started.append(process)
+        start(process)
+
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", counted)
+    return started
+
+
+def _good_lines(count: int) -> list[bytes]:
+    """``count`` well-formed rows over seven locations and five
+    middles, so that every range codes values another range saw first."""
+    return [
+        json.dumps(
+            _row(prefix24=i, location_id=f"loc-{i % 7}", middle=[64500 + i % 5])
+        ).encode()
+        for i in range(count)
+    ]
+
+
+def _load_split(path, workers: int) -> QuartetBatch:
+    """The file-order batch, split ``workers`` ways over 300-byte chunks."""
+    with pytest.MonkeyPatch.context() as patch:
+        _split(patch, workers, 300)
+        return source_module._read_rows(path)
+
+
+class TestSplitLoad:
+    """The file is parsed as line-aligned byte ranges, the first in this
+    process and the others in forked readers: the same batch, the same
+    vocabularies and the same first refused line as one inline pass, and
+    no reader left behind."""
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_split_batch_is_the_inline_batch(self, tmp_path, forks, workers):
+        path = tmp_path / "rows.jsonl"
+        path.write_bytes(b"\n".join(_good_lines(40)) + b"\n")
+        inline = _load_split(path, 1)
+        assert forks == []
+        _assert_same_batch(_load_split(path, workers), inline)
+        assert len(forks) == workers - 1
+        assert len(inline.locations) == 7 and len(inline.middles) == 5
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        ("workers", "bad_ranges"), [(2, (0, 1)), (3, (1, 2)), (3, (2,))]
+    )
+    def test_first_bad_row_in_file_order_wins(
+        self, tmp_path, forks, workers, bad_ranges
+    ):
+        """Bad rows in several ranges: the earliest range's is named, at
+        its line in the file, whichever process parsed it."""
+        lines = _good_lines(40)
+        path = tmp_path / "rows.jsonl"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.MonkeyPatch.context() as patch:
+            _split(patch, workers, 300)
+            spans = source_module._spans(path)
+        assert len(spans) == workers
+        # The middle line of each chosen range, replaced by a bad row of
+        # the same length, so that the cuts stay where they are.
+        starts = np.cumsum([0] + [len(line) + 1 for line in lines])
+        bad = []
+        for index in bad_ranges:
+            start, end = spans[index]
+            inside = np.flatnonzero((starts[:-1] >= start) & (starts[:-1] < end))
+            at = int(inside[len(inside) // 2])
+            lines[at] = b"garbage{".ljust(len(lines[at]))
+            bad.append(at + 1)
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(JsonlFormatError) as raised:
+            _load_split(path, workers)
+        assert raised.value.line == bad[0]
+        assert raised.value.reason == "invalid JSON: Expecting value at column 1"
+        assert len(forks) == workers - 1
+        assert multiprocessing.active_children() == []
+
+    def test_cut_exactly_at_a_line_end(self, tmp_path, forks):
+        """The midpoint falls on the first line's newline: the cut goes
+        just past it, and the second range starts at line 2."""
+        first, second = _good_lines(2)
+        second = second.ljust(len(first) - 2)
+        first = first.ljust(len(second) + 2)
+        path = tmp_path / "rows.jsonl"
+        path.write_bytes(first + b"\n" + second + b"\n")
+        size = path.stat().st_size
+        assert path.read_bytes()[size // 2] == ord("\n")
+        with pytest.MonkeyPatch.context() as patch:
+            _split(patch, 2, 64)
+            assert source_module._spans(path) == [
+                (0, size // 2 + 1), (size // 2 + 1, size)
+            ]
+        _assert_same_batch(_load_split(path, 2), _load_split(path, 1))
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_crlf_blank_lines_and_no_final_newline(self, tmp_path, forks, workers):
+        """CRLF line ends, blank and whitespace-only lines around every
+        cut, and no final newline: the same rows, and a refusal still
+        counts the skipped lines of every range before it."""
+        lines = _good_lines(24)
+        loose = []
+        for i, line in enumerate(lines):
+            loose += [line, b"", b"  "] if i % 2 else [line]
+        path = tmp_path / "loose.jsonl"
+        path.write_bytes(b"\r\n".join(loose))
+        _assert_same_batch(
+            _load_split(path, workers),
+            QuartetBatch.from_quartets(
+                [quartet_from_row(json.loads(line)) for line in lines]
+            ),
+        )
+        assert len(forks) == workers - 1
+        path.write_bytes(path.read_bytes() + b"\r\n\r\ngarbage{")
+        with pytest.raises(JsonlFormatError) as raised:
+            _load_split(path, workers)
+        assert raised.value.line == len(loose) + 2
+        assert multiprocessing.active_children() == []
+
+    def test_file_under_one_chunk_forks_nothing(self, tmp_path, forks):
+        path = tmp_path / "rows.jsonl"
+        path.write_bytes(b"\n".join(_good_lines(3)) + b"\n")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                source_module, "fork_workers", lambda jobs: min(3, jobs)
+            )
+            assert len(JsonlSource(path).next_batch(480)) == 3
+        assert forks == []
+
+    def test_reader_that_dies_is_an_error(self, tmp_path, monkeypatch, forks):
+        path = tmp_path / "rows.jsonl"
+        path.write_bytes(b"\n".join(_good_lines(40)) + b"\n")
+        monkeypatch.setattr(source_module, "_send_range", lambda *_: os._exit(1))
+        with pytest.raises(ChildProcessError, match="exited before sending"):
+            _load_split(path, 3)
+        assert len(forks) == 2
+        assert multiprocessing.active_children() == []
 
 
 class TestHttpSurface:

@@ -24,6 +24,7 @@ from repro.baselines.asmetro import as_metro_batch
 from repro.core.blame import Blame
 from repro.core.config import BlameItConfig
 from repro.core.pipeline import BlameItPipeline, PipelineReport, SegmentIssue
+from repro.perf.workers import fork_workers
 from repro.sim.faults import Fault, FaultTarget, SegmentKind
 from repro.sim.incidents import (
     ADVERSARIAL_ARCHETYPES,
@@ -489,7 +490,7 @@ needs_fork = pytest.mark.skipif(
 def _force_workers(monkeypatch, workers: int) -> None:
     """Pin the map's worker count (capped at one per job, as the map's
     own count is) whatever the machine has."""
-    monkeypatch.setattr(validation, "_job_workers", lambda jobs: min(workers, jobs))
+    monkeypatch.setattr(validation, "fork_workers", lambda jobs: min(workers, jobs))
 
 
 def _scorecard_digest(result) -> str:
@@ -602,12 +603,12 @@ def _suite_in_worker(seed, families):
     scorecard = validate_scenario_suite(
         world, warmup, seed=seed, families=families
     ).scorecard
-    return scorecard, validation._job_workers(4)
+    return scorecard, fork_workers(4)
 
 
 def test_job_workers_one_per_usable_cpu_at_most_one_per_job():
     cpus = len(os.sched_getaffinity(0))
-    assert validation._job_workers(1) == 1
-    assert validation._job_workers(100) == (
+    assert fork_workers(1) == 1
+    assert fork_workers(100) == (
         cpus if "fork" in multiprocessing.get_all_start_methods() else 1
     )
