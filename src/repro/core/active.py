@@ -39,6 +39,11 @@ from repro.obs import NULL_REGISTRY, MetricsRegistry
 #: Issue identity: the aggregate the paper probes per.
 IssueKey = tuple[str, ASPath]  # (location_id, middle path)
 
+#: Buckets of silence an issue run survives: a run ends once strictly
+#: more than this many buckets pass without a matching blame. Both the
+#: middle tracker and the cloud/client trackers read it.
+GAP_BUCKETS = 1
+
 
 @dataclass
 class MiddleIssue:
@@ -126,16 +131,14 @@ class IssueTracker:
     """Stitches per-bucket middle blames into ongoing issues.
 
     An issue closes when no middle-blamed quartet for its key appears for
-    more than ``gap_buckets`` consecutive buckets; its total duration then
-    feeds the duration predictor's history.
+    more than :data:`GAP_BUCKETS` consecutive buckets; its total duration
+    then feeds the duration predictor's history. The tracker holds open
+    issues only: :meth:`update` and :meth:`close_all` hand every issue
+    they close to the caller, which owns it from then on.
     """
 
-    def __init__(self, gap_buckets: int = 1) -> None:
-        if gap_buckets < 0:
-            raise ValueError("gap_buckets must be non-negative")
-        self.gap_buckets = gap_buckets
+    def __init__(self) -> None:
         self.open_issues: dict[IssueKey, MiddleIssue] = {}
-        self.closed_issues: list[MiddleIssue] = []
         self._next_serial = 0
 
     def update(
@@ -159,13 +162,12 @@ class IssueTracker:
             quartet = result.quartet
             key = (quartet.location_id, quartet.middle)
             issue = self.open_issues.get(key)
-            # Strictly more than gap_buckets of silence ends a run — the
+            # Strictly more than GAP_BUCKETS of silence ends a run — the
             # same condition _expire uses, so a blame recurring after the
             # gap starts a new serial instead of resurrecting a run the
             # sweep would already have closed.
-            if issue is None or time - issue.last_seen > self.gap_buckets:
+            if issue is None or time - issue.last_seen > GAP_BUCKETS:
                 if issue is not None:
-                    self._close(issue)
                     displaced.append(issue)
                 issue = MiddleIssue(
                     location_id=quartet.location_id,
@@ -185,10 +187,8 @@ class IssueTracker:
         return list(self.open_issues.values()), newly_closed
 
     def close_all(self) -> list[MiddleIssue]:
-        """Close every open issue (end of a run)."""
+        """Close every open issue (end of a run); returns them."""
         remaining = list(self.open_issues.values())
-        for issue in remaining:
-            self._close(issue)
         self.open_issues.clear()
         return remaining
 
@@ -196,15 +196,11 @@ class IssueTracker:
         expired = [
             issue
             for issue in self.open_issues.values()
-            if now - issue.last_seen > self.gap_buckets
+            if now - issue.last_seen > GAP_BUCKETS
         ]
         for issue in expired:
             del self.open_issues[issue.key]
-            self._close(issue)
         return expired
-
-    def _close(self, issue: MiddleIssue) -> None:
-        self.closed_issues.append(issue)
 
     def state_dict(self) -> dict:
         """JSON-safe snapshot; open issues keep their dict order (probe
@@ -213,7 +209,6 @@ class IssueTracker:
         return {
             "next_serial": self._next_serial,
             "open": [issue.state_dict() for issue in self.open_issues.values()],
-            "closed": [issue.state_dict() for issue in self.closed_issues],
         }
 
     def load_state_dict(self, state: dict) -> None:
@@ -223,9 +218,6 @@ class IssueTracker:
         for encoded in state["open"]:
             issue = MiddleIssue.from_state_dict(encoded)
             self.open_issues[issue.key] = issue
-        self.closed_issues = [
-            MiddleIssue.from_state_dict(encoded) for encoded in state["closed"]
-        ]
 
 
 @dataclass

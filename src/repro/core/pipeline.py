@@ -22,6 +22,7 @@ import numpy as np
 from repro.chaos import ChaosKill, FaultPlan, inject_batch, sanitize_batch
 from repro.cloud.traceroute import TracerouteEngine
 from repro.core.active import (
+    GAP_BUCKETS,
     IssueTracker,
     MiddleIssue,
     OnDemandProber,
@@ -126,13 +127,15 @@ class SegmentIssue:
 
 
 class _KeyedIssueTracker:
-    """Stitches cloud/client blames into :class:`SegmentIssue` runs."""
+    """Stitches cloud/client blames into :class:`SegmentIssue` runs.
 
-    def __init__(self, blame: Blame, gap_buckets: int = 1) -> None:
+    Holds open runs only: :meth:`update` and :meth:`close_all` hand
+    every run they close to the caller.
+    """
+
+    def __init__(self, blame: Blame) -> None:
         self.blame = blame
-        self.gap_buckets = gap_buckets
         self.open: dict[str | int, SegmentIssue] = {}
-        self.closed: list[SegmentIssue] = []
 
     @staticmethod
     def _key_and_culprit(
@@ -148,7 +151,7 @@ class _KeyedIssueTracker:
     ) -> list[SegmentIssue]:
         """Fold one bucket's results; returns issues that just closed.
 
-        A run ends once more than ``gap_buckets`` buckets pass without a
+        A run ends once more than :data:`GAP_BUCKETS` buckets pass without a
         matching blame. The sweep that closes such runs comes first, so
         a fresh blame arriving after the gap (update may not have run
         for the quiet buckets in between) finds no open run and starts
@@ -165,9 +168,8 @@ class _KeyedIssueTracker:
             votes_total[key] += 1
         closed_now: list[SegmentIssue] = []
         for key, issue in list(self.open.items()):
-            if time - issue.last_seen > self.gap_buckets:
+            if time - issue.last_seen > GAP_BUCKETS:
                 del self.open[key]
-                self.closed.append(issue)
                 closed_now.append(issue)
         for result in results:
             if result.blame is not self.blame:
@@ -195,17 +197,15 @@ class _KeyedIssueTracker:
                 issue.votes_total += votes_total[key]
         return closed_now
 
-    def close_all(self) -> None:
-        """Close every open run (end of a pipeline run)."""
-        self.closed.extend(self.open.values())
+    def close_all(self) -> list[SegmentIssue]:
+        """Close every open run (end of a pipeline run); returns them."""
+        remaining = list(self.open.values())
         self.open.clear()
+        return remaining
 
     def state_dict(self) -> dict:
         """JSON-safe snapshot; ``open`` keeps its dict order."""
-        return {
-            "open": [issue.state_dict() for issue in self.open.values()],
-            "closed": [issue.state_dict() for issue in self.closed],
-        }
+        return {"open": [issue.state_dict() for issue in self.open.values()]}
 
     def load_state_dict(self, state: dict) -> None:
         """Inverse of :meth:`state_dict`."""
@@ -213,9 +213,6 @@ class _KeyedIssueTracker:
         for raw in state["open"]:
             issue = SegmentIssue.from_state_dict(raw)
             self.open[issue.key] = issue
-        self.closed = [
-            SegmentIssue.from_state_dict(raw) for raw in state["closed"]
-        ]
 
 
 @dataclass(frozen=True, slots=True)
@@ -248,6 +245,9 @@ class PipelineReport:
         blame_counts_by_day: Per-day category counts (Figure 8).
         closed_middle: Completed middle issues.
         closed_cloud, closed_client: Completed cloud/client issue runs.
+            The three closed lists are the one place a closed issue
+            lives: the trackers hold open runs only, and each run is
+            appended here, in close order, as it closes.
         localized: Probe verdicts for middle issues.
         probes_on_demand: On-demand traceroutes issued.
         probes_background: Periodic + churn background traceroutes.
@@ -463,7 +463,6 @@ class BlameItPipeline:
             raise ValueError("checkpointing requires rng_per_bucket")
         self._store = store
         self.warm_start = warm_start
-        self._recorded_middle: set[int] = set()
         # Per-scenario generator state: id(scenario) → (scenario,
         # BatchQuartetGenerator, seen pair codes). The scenario reference
         # keeps the id stable; the seen set lets the fold skip
@@ -980,8 +979,12 @@ class BlameItPipeline:
                 bucket_results = by_bucket[time]
                 open_issues, closed = self.tracker.update(time, bucket_results)
                 self._record_closed_middle(closed, report)
-                self.cloud_tracker.update(time, bucket_results, cloud_asn)
-                self.client_tracker.update(time, bucket_results, cloud_asn)
+                report.closed_cloud.extend(
+                    self.cloud_tracker.update(time, bucket_results, cloud_asn)
+                )
+                report.closed_client.extend(
+                    self.client_tracker.update(time, bucket_results, cloud_asn)
+                )
         with metrics.span("phase.probing"):
             # Co-anomaly history first, so targets that co-occur for the
             # first time in this very window are already clusterable.
@@ -1149,21 +1152,17 @@ class BlameItPipeline:
     def _record_closed_middle(
         self, closed: list[MiddleIssue], report: PipelineReport
     ) -> None:
+        """Hand middle issues the tracker just closed to the report,
+        and their durations to the duration predictor."""
         for issue in closed:
-            if issue.serial in self._recorded_middle:
-                continue
-            self._recorded_middle.add(issue.serial)
             report.closed_middle.append(issue)
             self.metrics.counter("tracker.middle.closed").inc()
             self.duration_predictor.observe(issue.duration, key=issue.key)
 
     def _finalize(self, report: PipelineReport) -> None:
-        self.tracker.close_all()
-        self._record_closed_middle(self.tracker.closed_issues, report)
-        self.cloud_tracker.close_all()
-        self.client_tracker.close_all()
-        report.closed_cloud = list(self.cloud_tracker.closed)
-        report.closed_client = list(self.client_tracker.closed)
+        self._record_closed_middle(self.tracker.close_all(), report)
+        report.closed_cloud.extend(self.cloud_tracker.close_all())
+        report.closed_client.extend(self.client_tracker.close_all())
         report.probes_on_demand = self.on_demand.probes_issued
         report.probes_background = self.background.probes_total
         report.probes_churn = self.background.probes_churn

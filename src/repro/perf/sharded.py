@@ -97,6 +97,7 @@ from repro.perf.transport import (
     discard_payload,
     encode_result,
 )
+from repro.perf.workers import usable_cpus
 from repro.sim.scenario import BUCKETS_PER_DAY, Scenario
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -313,7 +314,8 @@ class ShardedPipeline:
         fixed_table: Expected-RTT table used verbatim (wins over
             ``learner``).
         duration_predictor: Optionally pre-seeded duration history.
-        n_workers: Worker processes; ``None`` means one per CPU. With
+        n_workers: Worker processes; ``None`` means one per usable CPU
+            (:func:`repro.perf.workers.usable_cpus`). With
             one worker (or when a pool cannot be spawned) shards run in
             process — same results, no IPC. The pool is created lazily
             on the first multi-worker dispatch and persists across
@@ -379,7 +381,7 @@ class ShardedPipeline:
         self.config = config or BlameItConfig()
         self.metrics = metrics or NULL_REGISTRY
         self.n_workers = (
-            max(1, multiprocessing.cpu_count()) if n_workers is None else n_workers
+            usable_cpus() if n_workers is None else n_workers
         )
         if self.n_workers < 1:
             raise ValueError("n_workers must be >= 1")

@@ -53,6 +53,15 @@ from repro.store import codec
 #: Signature of an alert sink: called once per alert, as issues close.
 AlertSink = Callable[[Alert], None]
 
+#: The report's lists of closed issues, the one place each lives.
+_CLOSED = ("closed_middle", "closed_cloud", "closed_client")
+#: What the retention sweep archives: those lists and the probe
+#: verdicts, each with the bucket its entries were last active in.
+_SWEPT = (
+    *((name, lambda issue: issue.last_seen) for name in _CLOSED),
+    ("localized", lambda item: item.probed_at),
+)
+
 
 class BlameItDaemon:
     """Drive a pipeline bucket-by-bucket as a resumable service.
@@ -127,12 +136,11 @@ class BlameItDaemon:
         self._state: "RunState | None" = None
         self._started = _wallclock.monotonic()
         self._archive_seq = 0
-        self._archived = {"middle": 0, "cloud": 0, "client": 0, "localized": 0}
+        # Closed issues this process archived and has not spliced back.
+        self._archived_closed = 0
         # Closed-list lengths already streamed to the alert sink; the
         # archive sweep trims list fronts and rebases these.
-        self._seen_middle = 0
-        self._seen_cloud = 0
-        self._seen_client = 0
+        self._seen = dict.fromkeys(_CLOSED, 0)
 
     # -- control ---------------------------------------------------------
 
@@ -198,7 +206,7 @@ class BlameItDaemon:
 
     def _final_checkpoint(self, state: RunState) -> None:
         """Graceful-stop checkpoint at the current cursor (any bucket —
-        v2 checkpoints persist the held table, so mid-day is fine)."""
+        a checkpoint persists the held table, so mid-day is fine)."""
         if state.cursor > state.entry:
             with self._lock:
                 self.pipeline.checkpoint(
@@ -213,21 +221,18 @@ class BlameItDaemon:
             return
         pipeline = self.pipeline
         report = state.report
-        new_middle = report.closed_middle[self._seen_middle :]
+        seen = self._seen
+        new_middle = report.closed_middle[seen["closed_middle"] :]
         if new_middle:
             verdict_by_key = pipeline.best_verdicts_by_key(report.localized)
             for issue in new_middle:
                 self._emit(
                     pipeline.middle_alert(issue, verdict_by_key.get(issue.key))
                 )
-        self._seen_middle = len(report.closed_middle)
-        for tracker_closed, attr in (
-            (pipeline.cloud_tracker.closed, "_seen_cloud"),
-            (pipeline.client_tracker.closed, "_seen_client"),
-        ):
-            for issue in tracker_closed[getattr(self, attr) :]:
+        for name in ("closed_cloud", "closed_client"):
+            for issue in getattr(report, name)[seen[name] :]:
                 self._emit(pipeline.segment_alert(issue))
-            setattr(self, attr, len(tracker_closed))
+        self._seen = {name: len(getattr(report, name)) for name in _CLOSED}
 
     def _emit(self, alert: Alert) -> None:
         self.alerts_emitted += 1
@@ -243,74 +248,45 @@ class BlameItDaemon:
             return
         cutoff = state.cursor - self.retention_days * BUCKETS_PER_DAY
         report = state.report
-        middle = _old_prefix(report.closed_middle, lambda i: i.last_seen, cutoff)
-        cloud_closed = self.pipeline.cloud_tracker.closed
-        client_closed = self.pipeline.client_tracker.closed
-        cloud = _old_prefix(cloud_closed, lambda i: i.last_seen, cutoff)
-        client = _old_prefix(client_closed, lambda i: i.last_seen, cutoff)
-        localized = _old_prefix(report.localized, lambda i: i.probed_at, cutoff)
-        if not (middle or cloud or client or localized):
+        old = {
+            name: _old_prefix(getattr(report, name), last_active, cutoff)
+            for name, last_active in _SWEPT
+        }
+        if not any(old.values()):
             return
         chunk = PipelineReport(start=report.start, end=report.end)
-        chunk.closed_middle = report.closed_middle[:middle]
-        chunk.closed_cloud = cloud_closed[:cloud]
-        chunk.closed_client = client_closed[:client]
-        chunk.localized = report.localized[:localized]
+        for name, count in old.items():
+            setattr(chunk, name, getattr(report, name)[:count])
         store.append_archive(self._archive_seq, codec.report_state_dict(chunk))
         self._archive_seq += 1
-        serials = {issue.serial for issue in chunk.closed_middle}
-        del report.closed_middle[:middle]
-        del cloud_closed[:cloud]
-        del client_closed[:client]
-        del report.localized[:localized]
-        # The middle tracker's own closed list holds the same issues;
-        # trim it too (finalize dedups archived serials via the
-        # checkpointed recorded-middle set, so no restore is needed).
-        tracker = self.pipeline.tracker
-        tracker.closed_issues = [
-            issue
-            for issue in tracker.closed_issues
-            if issue.serial not in serials
-        ]
-        self._seen_middle -= middle
-        self._seen_cloud -= cloud
-        self._seen_client -= client
-        self._archived["middle"] += middle
-        self._archived["cloud"] += cloud
-        self._archived["client"] += client
-        self._archived["localized"] += localized
+        for name, count in old.items():
+            del getattr(report, name)[:count]
+        for name in _CLOSED:
+            self._seen[name] -= old[name]
+            self._archived_closed += old[name]
 
     def _finish(self, state: RunState) -> PipelineReport:
         """Splice archived entries back (in order) and finalize."""
         pipeline = self.pipeline
         store = pipeline._store  # noqa: SLF001
-        if store is not None and sum(self._archived.values()):
-            middle: list = []
-            cloud: list = []
-            client: list = []
-            localized: list = []
-            for payload in store.archives(upto_seq=self._archive_seq):
-                chunk = codec.report_from_state(payload)
-                middle.extend(chunk.closed_middle)
-                cloud.extend(chunk.closed_cloud)
-                client.extend(chunk.closed_client)
-                localized.extend(chunk.localized)
-            report = state.report
-            report.closed_middle[:0] = middle
-            report.localized[:0] = localized
-            pipeline.cloud_tracker.closed[:0] = cloud
-            pipeline.client_tracker.closed[:0] = client
+        # Every chunk below the cursor: a resumed daemon's include those
+        # the process before the kill or stop archived.
+        if store is not None and self._archive_seq:
+            chunks = [
+                codec.report_from_state(payload)
+                for payload in store.archives(upto_seq=self._archive_seq)
+            ]
+            for name, _ in _SWEPT:
+                getattr(state.report, name)[:0] = [
+                    item for chunk in chunks for item in getattr(chunk, name)
+                ]
+            # Resident again: /status must not count them twice.
+            self._archived_closed = 0
         return self.driver.finish_run(state)
 
     def _note_tracked(self, state: RunState) -> None:
-        pipeline = self.pipeline
-        tracked = (
-            len(state.report.closed_middle)
-            + len(state.report.localized)
-            + len(pipeline.tracker.closed_issues)
-            + len(pipeline.cloud_tracker.closed)
-            + len(pipeline.client_tracker.closed)
-        )
+        report = state.report
+        tracked = _closed_count(report) + len(report.localized)
         self.peak_tracked = max(self.peak_tracked, tracked)
 
     # -- introspection (HTTP surface) ------------------------------------
@@ -324,14 +300,9 @@ class BlameItDaemon:
             open_middle = len(pipeline.tracker.open_issues)
             open_cloud = len(pipeline.cloud_tracker.open)
             open_client = len(pipeline.client_tracker.open)
-            closed = (
-                (len(state.report.closed_middle) if state else 0)
-                + len(pipeline.cloud_tracker.closed)
-                + len(pipeline.client_tracker.closed)
-                + self._archived["middle"]
-                + self._archived["cloud"]
-                + self._archived["client"]
-            )
+            closed = self._archived_closed
+            if state is not None:
+                closed += _closed_count(state.report)
             return {
                 "start": self.start,
                 "end": self.end,
@@ -343,7 +314,7 @@ class BlameItDaemon:
                     "cloud": open_cloud,
                     "client": open_client,
                 },
-                "closed_issues": closed,
+                "closed": closed,
                 "archived_chunks": self._archive_seq,
                 "alerts_emitted": self.alerts_emitted,
                 "peak_tracked": self.peak_tracked,
@@ -392,6 +363,11 @@ class BlameItDaemon:
         with self._lock:
             metrics = self.pipeline.metrics
             return metrics.snapshot() if metrics.enabled else {}
+
+
+def _closed_count(report: PipelineReport) -> int:
+    """Closed issues resident in ``report``."""
+    return sum(len(getattr(report, name)) for name in _CLOSED)
 
 
 def _old_prefix(items: list, last_active, cutoff: int) -> int:

@@ -51,7 +51,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: (:mod:`repro.core.probeplan`), so a resumed clustered run clusters
 #: exactly as the uninterrupted one would.
 #: v4: one digested row per checkpoint in ``state.db``; no ``columnar/``.
-CHECKPOINT_SCHEMA_VERSION = 4
+#: v5: closed issues live in the report state only; tracker states hold
+#: open runs, and the recorded-middle serial set is gone. (A v4 report
+#: state holds no closed cloud or client runs mid-run, so resuming one
+#: would drop them.)
+CHECKPOINT_SCHEMA_VERSION = 5
 
 _CREATE_SQL = """
 CREATE TABLE IF NOT EXISTS records (
@@ -261,7 +265,6 @@ class CheckpointStore:
             "budget": pipeline.on_demand.budget.state_dict(),
             "probe_planner": pipeline.on_demand.planner.state_dict(),
             "probes_on_demand_issued": pipeline.on_demand.probes_issued,
-            "recorded_middle": sorted(pipeline._recorded_middle),
             "report": codec.report_state_dict(report),
         }
         payload = {
@@ -371,9 +374,6 @@ class CheckpointStore:
         pipeline.on_demand.probes_issued = int(
             payload["probes_on_demand_issued"]
         )
-        pipeline._recorded_middle = {
-            int(serial) for serial in payload["recorded_middle"]
-        }
         report = codec.report_from_state(payload["report"])
         # A horizon extension resumes the checkpointed prefix into a
         # longer run; the report's window must describe the run being

@@ -51,7 +51,7 @@ class TestIssueTracker:
         assert open_issues[0].duration == 2
 
     def test_gap_closes_issue(self):
-        tracker = IssueTracker(gap_buckets=1)
+        tracker = IssueTracker()
         tracker.update(0, [_result(time=0)])
         open_issues, closed = tracker.update(2, [])  # silence > gap
         assert open_issues == []
@@ -59,15 +59,13 @@ class TestIssueTracker:
         assert closed[0].duration == 1
 
     def test_reopened_issue_is_new(self):
-        tracker = IssueTracker(gap_buckets=1)
+        tracker = IssueTracker()
         tracker.update(0, [_result(time=0)])
-        tracker.update(3, [])  # closes
+        _, closed = tracker.update(3, [])
         open_issues, _ = tracker.update(5, [_result(time=5)])
         assert len(open_issues) == 1
         assert open_issues[0].first_seen == 5
-        serials = {i.serial for i in tracker.closed_issues} | {
-            i.serial for i in open_issues
-        }
+        serials = {i.serial for i in closed} | {i.serial for i in open_issues}
         assert len(serials) == 2
 
     def test_accumulates_prefixes_and_users(self):
@@ -171,13 +169,13 @@ class TestOnDemandProber:
 
 class TestIssueTrackerGapParity:
     """Displacement and sweep must close a run under the same strict
-    `> gap_buckets` condition (mirrors TestKeyedTrackerGapSemantics for
+    `> GAP_BUCKETS` condition (mirrors TestKeyedTrackerGapSemantics for
     the middle-issue tracker)."""
 
     def test_displacement_agrees_with_sweep(self):
         """A middle blame recurring just past the gap starts a new issue
         instead of extending a run the sweep would already have closed."""
-        tracker = IssueTracker(gap_buckets=1)
+        tracker = IssueTracker()
         tracker.update(0, [_result(time=0)])
         open_issues, closed = tracker.update(2, [_result(time=2)])
         assert len(closed) == 1
@@ -188,8 +186,8 @@ class TestIssueTrackerGapParity:
         assert open_issues[0].serial != closed[0].serial
 
     def test_blame_at_gap_extends(self):
-        """Silence of exactly gap_buckets does not end the run."""
-        tracker = IssueTracker(gap_buckets=1)
+        """Silence of exactly GAP_BUCKETS does not end the run."""
+        tracker = IssueTracker()
         tracker.update(0, [_result(time=0)])
         open_issues, closed = tracker.update(1, [_result(time=1)])
         assert closed == []
@@ -199,10 +197,10 @@ class TestIssueTrackerGapParity:
     def test_displacement_duration_matches_swept_duration(self):
         """The same quiet spell yields the same issue duration whether
         the close came from a sweep or a displacing blame."""
-        swept = IssueTracker(gap_buckets=1)
+        swept = IssueTracker()
         swept.update(0, [_result(time=0)])
         _, swept_closed = swept.update(2, [])
-        displaced = IssueTracker(gap_buckets=1)
+        displaced = IssueTracker()
         displaced.update(0, [_result(time=0)])
         _, displaced_closed = displaced.update(2, [_result(time=2)])
         assert [i.duration for i in swept_closed] == [

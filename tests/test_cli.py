@@ -6,7 +6,7 @@ import pytest
 
 from repro.cli import build_parser, main
 
-from tests.test_store import v3_store
+from tests.test_store import v3_store, v4_store
 
 FAST = ["--seed", "3", "--regions", "USA", "Europe", "--days", "1", "--locations", "1"]
 
@@ -457,6 +457,21 @@ class TestCheckpointFlags:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: cannot open checkpoint store")
         assert "v3" in captured.err
+        assert captured.err.count("\n") == 1
+        assert "serving on" not in captured.out
+
+    @pytest.mark.parametrize("verb", ["diagnose", "serve"])
+    def test_resume_v4_store_exits_2(self, tmp_path, capsys, verb):
+        """A layout-v4 store is refused: resuming it would drop every
+        cloud and client run closed before its checkpoint."""
+        old = tmp_path / "old"
+        v4_store(old)
+        assert main(
+            [verb, *FAST, "--start", "150", "--end", "160", "--resume", str(old)]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot open checkpoint store")
+        assert "layout v4; this reader needs layout v5" in captured.err
         assert captured.err.count("\n") == 1
         assert "serving on" not in captured.out
 

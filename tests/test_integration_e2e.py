@@ -16,9 +16,9 @@ from repro.sim.faults import Fault, FaultTarget, SegmentKind
 from repro.sim.scenario import Scenario
 
 
-@pytest.fixture(scope="module")
-def multi_fault_run(small_world):
-    world = small_world
+def multi_fault_scenario(world):
+    """(location, middle AS, client AS, scenario): a cloud, a middle and
+    a client fault overlapping in time over buckets [160, 189)."""
     # Pick three independent targets: a location, a middle AS not
     # dominating that location, and a client AS not behind that AS.
     location = world.locations[0]
@@ -75,7 +75,12 @@ def multi_fault_run(small_world):
             added_ms=100.0,
         ),
     )
-    scenario = Scenario(world, faults, ())
+    return location, middle_asn, client_asn, Scenario(world, faults, ())
+
+
+@pytest.fixture(scope="module")
+def multi_fault_run(small_world):
+    location, middle_asn, client_asn, scenario = multi_fault_scenario(small_world)
     pipeline = BlameItPipeline(
         scenario, config=BlameItConfig(history_days=1, probe_budget_per_window=8)
     )

@@ -1,6 +1,8 @@
 """Tests for repro.perf: the vectorized passive phase against its scalar
 reference, and the sharded driver against the sequential one."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repro.core.passive import PassiveLocalizer
 from repro.core.quartet import Quartet, QuartetBatch
 from repro.core.thresholds import ExpectedRTTTable
 from repro.net.geo import Region
+from repro.perf.sharded import ShardedPipeline
 from repro.sim.scenario import Scenario
 
 from tests.harness import make_pipeline
@@ -158,3 +161,9 @@ class TestShardedPipeline:
         for (_, prev_end), (next_start, _) in zip(shards, shards[1:]):
             assert prev_end == next_start
         assert sharded._shards(5, 5) == []
+
+    def test_default_workers_are_the_usable_cpus(self, small_world):
+        """``n_workers=None`` counts the CPUs this process may run on,
+        not the machine's: under ``taskset -c 0`` that is one worker."""
+        sharded = ShardedPipeline(Scenario.from_world(small_world))
+        assert sharded.n_workers == len(os.sched_getaffinity(0))

@@ -164,10 +164,10 @@ class TestKeyedTrackerGapSemantics:
         return BlameResult(quartet, Blame.CLIENT, 0.1, 0.1)
 
     def _tracker(self) -> _KeyedIssueTracker:
-        return _KeyedIssueTracker(Blame.CLIENT, gap_buckets=1)
+        return _KeyedIssueTracker(Blame.CLIENT)
 
     def test_blame_within_gap_extends_run(self):
-        """A one-bucket gap (== gap_buckets) does not end the run."""
+        """A one-bucket gap (== GAP_BUCKETS) does not end the run."""
         tracker = self._tracker()
         tracker.update(0, [self._result(time=0)], self.CLOUD_ASN)
         closed = tracker.update(1, [self._result(time=1)], self.CLOUD_ASN)
@@ -178,7 +178,7 @@ class TestKeyedTrackerGapSemantics:
 
     def test_sweep_closes_after_gap(self):
         """An end-of-bucket sweep with no matching blame closes the run
-        once more than gap_buckets buckets passed."""
+        once more than GAP_BUCKETS buckets passed."""
         tracker = self._tracker()
         tracker.update(0, [self._result(time=0)], self.CLOUD_ASN)
         assert tracker.update(1, [], self.CLOUD_ASN) == []
@@ -189,7 +189,7 @@ class TestKeyedTrackerGapSemantics:
 
     def test_displacement_agrees_with_sweep(self):
         """A fresh blame arriving just past the gap starts a *new* run:
-        the sweep closes the old one (under its `> gap_buckets`
+        the sweep closes the old one (under its `> GAP_BUCKETS`
         condition) before the bucket's results are walked, even when
         update did not run for the quiet buckets in between."""
         tracker = self._tracker()
@@ -211,7 +211,7 @@ class TestKeyedTrackerGapSemantics:
         later = tracker.update(13, [], self.CLOUD_ASN)
         assert len(later) == 1
         assert later[0].key == 65002
-        assert len(tracker.closed) == 2
+        assert tracker.close_all() == []
 
     def test_independent_keys_tracked_separately(self):
         tracker = self._tracker()
@@ -249,7 +249,7 @@ class TestKeyedTrackerVoteAccounting:
     def test_swept_issue_confidence_undiluted(self):
         """A key recurring past the gap under a different blame category
         contributes votes_total — but not to the already-over run."""
-        tracker = _KeyedIssueTracker(Blame.CLIENT, gap_buckets=1)
+        tracker = _KeyedIssueTracker(Blame.CLIENT)
         tracker.update(
             0,
             [BlameResult(self._quartet(time=0), Blame.CLIENT, 0.1, 0.1)],
@@ -265,7 +265,7 @@ class TestKeyedTrackerVoteAccounting:
     def test_displaced_run_credits_new_issue(self):
         """Displacement still credits the current bucket's votes to the
         *new* run it opens."""
-        tracker = _KeyedIssueTracker(Blame.CLIENT, gap_buckets=1)
+        tracker = _KeyedIssueTracker(Blame.CLIENT)
         tracker.update(
             0,
             [BlameResult(self._quartet(time=0), Blame.CLIENT, 0.1, 0.1)],

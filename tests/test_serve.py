@@ -25,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.serve.source as source_module
+from repro.chaos import ChaosKill
 from repro.chaos.inject import sanitize_batch
 from repro.core.pipeline import BlameItPipeline
 from repro.core.quartet import QuartetBatch
@@ -106,44 +107,67 @@ class TestDaemonEquivalence:
         matrix_cell()
 
 
+def _retention_pipeline(scenario, store=None, warm_start=False):
+    """``history_days=2``, so day-1 faults are detectable."""
+    return make_pipeline(
+        scenario,
+        config=make_config(history_days=2),
+        store=store,
+        warm_start=warm_start,
+    )
+
+
+@pytest.fixture(scope="module")
+def retention_scenario(multi_day_world) -> Scenario:
+    """Five 8-bucket cloud faults: two close on day 0 and age out of a
+    1-day window before the three late ones close."""
+    location = multi_day_world.locations[0].location_id
+    faults = tuple(
+        Fault(
+            fault_id=i,
+            target=FaultTarget(kind=SegmentKind.CLOUD, location_id=location),
+            start=start,
+            duration=8,
+            added_ms=80.0,
+        )
+        for i, start in enumerate((110, 140, 450, 480, 510))
+    )
+    return Scenario(multi_day_world, faults, ())
+
+
+@pytest.fixture(scope="module")
+def unbounded_run(retention_scenario):
+    """The retention scenario's daemon over [START, 600) with no
+    retention window, and its report."""
+    daemon = BlameItDaemon(_retention_pipeline(retention_scenario), START, 600)
+    return daemon, daemon.run()
+
+
+def _closed(report) -> int:
+    return (
+        len(report.closed_middle)
+        + len(report.closed_cloud)
+        + len(report.closed_client)
+    )
+
+
 class TestRetention:
-    def test_bounded_memory_report_identical(self, multi_day_world, tmp_path):
+    def test_bounded_memory_report_identical(
+        self, retention_scenario, unbounded_run, tmp_path
+    ):
         """With a retention window, old closed issues leave memory (peak
         resident tracked-issue count drops) yet the final report is
-        byte-identical to the unbounded run.
+        byte-identical to the unbounded run, and ``/status`` counts
+        each closed issue once.
 
-        Two early faults close on day 0 and age out of the 1-day window
-        before the three late faults close, so the bounded daemon never
-        holds all five at once. ``history_days=2`` so day-1 faults are
-        detectable.
+        The bounded daemon never holds all five cloud issues at once.
         """
-        location = multi_day_world.locations[0].location_id
-        faults = tuple(
-            Fault(
-                fault_id=i,
-                target=FaultTarget(
-                    kind=SegmentKind.CLOUD, location_id=location
-                ),
-                start=start,
-                duration=8,
-                added_ms=80.0,
-            )
-            for i, start in enumerate((110, 140, 450, 480, 510))
-        )
-        scenario = Scenario(multi_day_world, faults, ())
-
-        def pipeline(store=None):
-            return make_pipeline(
-                scenario, config=make_config(history_days=2), store=store
-            )
-
-        unbounded = BlameItDaemon(pipeline(), START, 600)
-        baseline = unbounded.run()
+        unbounded, baseline = unbounded_run
         assert len(baseline.closed_cloud) == 5
 
         store = CheckpointStore(tmp_path)
         bounded = BlameItDaemon(
-            pipeline(store=store),
+            _retention_pipeline(retention_scenario, store=store),
             START,
             600,
             retention_days=1,
@@ -151,8 +175,49 @@ class TestRetention:
         report = bounded.run()
         store.close()
         assert digest(report) == digest(baseline)
-        assert sum(bounded._archived.values()) > 0
+        assert bounded.status()["archived_chunks"] > 0
+        assert bounded.status()["closed"] == _closed(report)
         assert bounded.peak_tracked < unbounded.peak_tracked
+
+    def test_resume_after_the_last_sweep_keeps_archived_issues(
+        self, retention_scenario, unbounded_run, tmp_path
+    ):
+        """Killed at 592 and resumed from its checkpoint there, the
+        daemon sweeps nothing more; the chunks the killed process
+        archived still go back into the report. A resumed daemon once
+        spliced only what it had archived itself, and lost two of the
+        five cloud issues here."""
+        _, baseline = unbounded_run
+
+        def daemon(store, **kwargs):
+            return BlameItDaemon(
+                _retention_pipeline(retention_scenario, store, **kwargs),
+                START,
+                600,
+                checkpoint_every=4,
+                retention_days=1,
+                kill_at=None if kwargs else 592,
+            )
+
+        store = CheckpointStore(tmp_path)
+        with pytest.raises(ChaosKill):
+            daemon(store).run()
+        store.close()
+        store = CheckpointStore(tmp_path)
+        resumed = daemon(store, warm_start=True)
+        report = resumed.run()
+        store.close()
+        assert resumed.status()["archived_chunks"] > 0
+        assert digest(report) == digest(baseline)
+
+    def test_peak_counts_each_resident_issue_once(self, served_scenario):
+        """Without retention every closed issue and verdict stays
+        resident, so the peak is at most what the final report holds
+        (closed middle issues were once counted twice)."""
+        daemon = BlameItDaemon(make_pipeline(served_scenario), START, END)
+        report = daemon.run()
+        assert report.closed_middle
+        assert 0 < daemon.peak_tracked <= _closed(report) + len(report.localized)
 
 
 class TestAlertStreaming:

@@ -19,6 +19,7 @@ import pytest
 
 from repro.chaos import ChaosKill, FaultPlan
 from repro.core.thresholds import ExpectedRTTLearner
+from repro.serve import BlameItDaemon
 from repro.sim.scenario import Scenario
 from repro.store import (
     CheckpointMismatchError,
@@ -29,7 +30,14 @@ from repro.store import (
     codec,
 )
 
-from tests.harness import LEARNED, digest, make_pipeline, reference
+from tests.harness import (
+    LEARNED,
+    digest,
+    make_pipeline,
+    reference,
+    trained_table,
+)
+from tests.test_integration_e2e import multi_fault_scenario
 
 
 def _write(store: CheckpointStore, key: str, payload: dict, arrays=None) -> None:
@@ -75,6 +83,14 @@ def v3_store(root, layout: str) -> None:
         "INSERT INTO records VALUES "
         "('checkpoint/288/meta', 'checkpoint-meta', 3, '{}')",
     )
+
+
+def v4_store(root) -> None:
+    """A layout-v4 store: the records table of today, under
+    ``user_version`` 4 (v4 kept closed cloud and client runs in tracker
+    state only)."""
+    CheckpointStore(root).close()
+    _sql(root / "state.db", "PRAGMA user_version = 4")
 
 
 class TestSqliteBackend:
@@ -336,6 +352,39 @@ def _abort_on(path, event: str, when: str = "1") -> None:
     )
 
 
+class TestClosedIssueOwner:
+    """The report is the one home of a closed issue; trackers checkpoint
+    their open runs only."""
+
+    def test_checkpoint_holds_each_closed_issue_once(self, small_world, tmp_path):
+        """A checkpoint at bucket 200, after cloud, client and middle
+        runs have closed, holds each of them once, in its report state,
+        in the order the uninterrupted run's report lists them."""
+        *_, scenario = multi_fault_scenario(small_world)
+        store = CheckpointStore(tmp_path)
+        pipeline = make_pipeline(
+            scenario, table=trained_table(small_world), store=store
+        )
+        report = BlameItDaemon(pipeline, 150, 230, checkpoint_every=50).run()
+        assert store.checkpoint_times() == [200]
+        meta, _ = store._get("checkpoint/200")
+        store.close()
+        state = meta["state"]
+        assert set(state["tracker"]) == {"next_serial", "open"}
+        assert set(state["cloud_tracker"]) == {"open"}
+        assert set(state["client_tracker"]) == {"open"}
+        assert "recorded_middle" not in state
+        final = codec.report_state_dict(report)
+        open_serials = {issue["serial"] for issue in state["tracker"]["open"]}
+        for kind in ("closed_middle", "closed_cloud", "closed_client"):
+            closed = state["report"][kind]
+            assert closed, kind
+            assert closed == final[kind][: len(closed)], kind
+        serials = [issue["serial"] for issue in state["report"]["closed_middle"]]
+        assert len(set(serials)) == len(serials)
+        assert open_serials.isdisjoint(serials)
+
+
 class TestPrune:
     def test_prune_keeps_newest_and_deletes_payloads(self, tmp_path):
         store = CheckpointStore(tmp_path)
@@ -443,6 +492,13 @@ class TestBadCheckpoints:
         with pytest.raises(SchemaMismatchError, match="v3"):
             CheckpointStore(tmp_path)
         assert sorted(path.name for path in tmp_path.iterdir()) == before
+
+    def test_v4_layout_refused_on_open(self, tmp_path):
+        v4_store(tmp_path)
+        with pytest.raises(
+            SchemaMismatchError, match="has layout v4; this reader needs layout v5"
+        ):
+            CheckpointStore(tmp_path)
 
     def test_single_bit_flips_never_restore(self, multi_day_world, tmp_path):
         """The checkpoint fuzz: 256 seeded single-bit flips, each in the

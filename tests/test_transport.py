@@ -24,7 +24,7 @@ import pytest
 
 from repro.chaos import ChaosKill, FaultPlan
 from repro.obs import MetricsRegistry, validate_snapshot
-from repro.perf import transport
+from repro.perf import sharded, transport
 from repro.perf.sharded import _ShardRunner
 from repro.perf.transport import (
     decode_result,
@@ -257,6 +257,54 @@ class TestPipelineTransport:
         assert stats["pickle_bytes"] > 0
         assert stats["shm_bytes"] == 0
         assert stats["shm_segments"] == 0
+
+    @needs_shm
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="workers inherit the patched encoder only when forked",
+    )
+    def test_allocation_fails_for_every_other_shard(
+        self, small_world, trained_table, monkeypatch
+    ):
+        """``/dev/shm`` fills partway through a run: allocation fails for
+        every other shard, chosen by the shard's first bucket so any
+        worker makes the same choice. Those shards arrive in band and
+        the rest through segments; the report does not move, and no
+        segment outlives ``close()``."""
+        encode = sharded.encode_result
+        start = SMALL.span[0]
+
+        def encode_every_other(summaries, snapshot):
+            if (summaries[0].time - start) // 13 % 2 == 0:  # sharded2: 13
+                return encode(summaries, snapshot)
+            allocate = transport.shared_memory.SharedMemory
+            transport.shared_memory.SharedMemory = _refuse_allocation
+            try:
+                return encode(summaries, snapshot)
+            finally:
+                transport.shared_memory.SharedMemory = allocate
+
+        monkeypatch.setattr(sharded, "encode_result", encode_every_other)
+        before = _shm_entries()
+        with closing(
+            make_pipeline(
+                Scenario.from_world(small_world), "sharded2",
+                table=trained_table, metrics=MetricsRegistry(),
+            )
+        ) as pipeline:
+            report = pipeline.run(*SMALL.span)
+        assert digest(report) == reference(SMALL, small_world).digest
+        stats = pipeline.transport_stats
+        n_shards = len(pipeline._shards(*SMALL.span))
+        assert stats["fallbacks"] == 2 and stats["shm_segments"] == 3
+        assert stats["fallbacks"] + stats["shm_segments"] == n_shards
+        counters = report.metrics["counters"]
+        assert counters["transport.fallbacks"] == stats["fallbacks"]
+        assert counters["transport.shm_segments"] == stats["shm_segments"]
+        leaked = {
+            entry for entry in _shm_entries() - before if entry.startswith("psm_")
+        }
+        assert leaked == set()
 
     @needs_shm
     def test_learned_run_across_a_day_boundary(self, multi_day_world):
