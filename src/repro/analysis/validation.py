@@ -54,9 +54,9 @@ from repro.core.impact import (
     rankings_disagree,
 )
 from repro.core.passive import PassiveLocalizer
-from repro.core.pipeline import BlameItPipeline, PipelineReport
+from repro.core.pipeline import SPAN_BUCKETS, BlameItPipeline, PipelineReport
 from repro.core.quartet import Quartet, QuartetBatch
-from repro.core.summary import summarize_bucket
+from repro.core.summary import summarize_buckets
 from repro.core.thresholds import ExpectedRTTLearner, ExpectedRTTTable
 from repro.net.asn import ASPath
 from repro.net.bgp import Timestamp
@@ -148,7 +148,9 @@ def build_warmup_state(
         if rekey is not None:
             batch = rekey(batch, world.population)
         learner.observe_batch(batch)
-        summary = summarize_bucket(time, batch, None, set(), want_learn=False)
+        (summary,) = summarize_buckets(
+            [time], batch, [0, len(batch)], [None], set(), want_learn=False
+        )
         for code, users, prefix24 in zip(
             summary.pair_codes.tolist(),
             summary.pair_users.tolist(),
@@ -1127,11 +1129,13 @@ def corroboration_ratios(
     totals: Counter = Counter()
     generator = BatchQuartetGenerator(scenario)
     rng = np.random.default_rng(world.params.seed + 77)
-    for time in range(start, end):
-        batch = generator.generate(time, rng=rng)
+    for lo in range(start, end, SPAN_BUCKETS):
+        # A span of buckets per call: assign_batch keys every aggregate
+        # by bucket, and as_metro_batch re-keys row by row.
+        batch = generator.generate(range(lo, min(end, lo + SPAN_BUCKETS)), rng)
         # Each row's true BGP path, read from the un-rekeyed batch.
         true_middle = {
-            (q.prefix24, q.location_id, q.mobile): q.middle
+            (q.time, q.prefix24, q.location_id, q.mobile): q.middle
             for q in batch.to_quartets()
         }
         evaluated = as_metro_batch(batch, world.population) if use_as_metro else batch
@@ -1147,7 +1151,9 @@ def corroboration_ratios(
             diagnosis = _diagnose(result.blame, quartet, scenario, healthy, world)
             group = (
                 quartet.location_id,
-                true_middle[(quartet.prefix24, quartet.location_id, quartet.mobile)],
+                true_middle[
+                    (quartet.time, quartet.prefix24, quartet.location_id, quartet.mobile)
+                ],
             )
             totals[group] += 1
             if diagnosis is not None and diagnosis == truth[1]:

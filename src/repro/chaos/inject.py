@@ -1,11 +1,13 @@
 """Quartet-stream fault injection and sanitization.
 
-Two mirrored implementations — a scalar one over ``list[Quartet]`` (the
-sequential pipeline's ingest) and a columnar one over
-:class:`QuartetBatch` (the sharded workers') — that make identical
-per-quartet decisions: both key the fate roll on the quartet identity
-4-tuple via :meth:`FaultPlan.quartet_uniforms`, so a sharded run injects
-exactly the faults the sequential run would.
+Two mirrored implementations that make identical per-quartet
+decisions: a columnar one over :class:`QuartetBatch` — every driver's
+ingest, run by the span kernel
+(:func:`repro.core.pipeline.summarize_span`) over a span of buckets at
+once — and a scalar one over ``list[Quartet]``, the specification the
+tests hold it to. Both key the fate roll on the quartet identity
+4-tuple via :meth:`FaultPlan.quartet_uniforms`, so the faults a quartet
+gets depend neither on the driver nor on which buckets share its span.
 
 Per quartet, at most one fault fires, checked in severity order:
 

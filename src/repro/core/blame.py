@@ -58,7 +58,8 @@ BLAME_BY_CODE: tuple[Blame, ...] = (
 
 @dataclass(slots=True)
 class BlameResultBatch:
-    """Columnar blame results for the bad quartets of one bucket.
+    """Columnar blame results for the bad quartets of one bucket (or of
+    a span of buckets, as one ``assign_batch`` call returns them).
 
     The array twin of ``list[BlameResult]``: row ``i`` of every column
     describes the same bad quartet, in the order the scalar chain would

@@ -67,7 +67,7 @@ class _AggregateStats:
 
 
 class PassiveLocalizer:
-    """Runs Algorithm 1 over the quartets of one 5-minute bucket.
+    """Runs Algorithm 1 over the quartets of 5-minute buckets.
 
     :meth:`assign_batch` (NumPy over a columnar batch) is what the
     pipeline runs; :meth:`assign` (a loop over :class:`Quartet` records)
@@ -197,16 +197,19 @@ class PassiveLocalizer:
     def assign_batch(
         self, batch: QuartetBatch, table: ExpectedRTTTable | None
     ) -> BlameResultBatch:
-        """Vectorized Algorithm 1 over a columnar batch of one bucket.
+        """Vectorized Algorithm 1 over a columnar batch of one or more
+        buckets.
 
         Array-ops equivalent of :meth:`assign`: the sample gate, the
         cloud/middle bad-fraction aggregates, the good-elsewhere index,
         and the decision chain are all computed with NumPy over the
-        batch's columns. Bad rows stay a row-subset batch plus
-        code/fraction arrays (what shard workers ship to the fold);
-        ``.to_results()`` gives records identical (same order, same
-        blames, same fractions) to the scalar reference on the same
-        quartets — asserted by the property tests.
+        batch's columns. The bucket is a group key of every aggregate,
+        so a batch holding several buckets blames each row exactly as a
+        batch of its bucket alone would. Bad rows stay a row-subset
+        batch plus code/fraction arrays (what shard workers ship to the
+        fold); ``.to_results()`` gives records identical (same order,
+        same blames, same fractions) to the scalar reference on each
+        bucket's quartets — asserted by the property tests.
         """
         table = self._effective_table(table)
         with self.metrics.span("passive.vectorized"):
@@ -224,10 +227,16 @@ class PassiveLocalizer:
         gated_out = len(batch) - len(gate)
         rtt = batch.mean_rtt_ms[gate]
         mobile = batch.mobile[gate]
-        loc_idx = batch.location_index[gate]
-        mid_idx = batch.middle_index[gate]
         region_idx = batch.region_index[gate]
         prefix24 = batch.prefix24[gate]
+        # The bucket joins every aggregate's key: one bucket's rows are
+        # counted with no other bucket's. Buckets number densely in time
+        # order.
+        time = batch.time[gate]
+        offset = time - time.min()
+        dense = np.cumsum(np.bincount(offset) > 0) - 1
+        bucket = dense[offset]
+        n_buckets = int(dense[-1]) + 1
 
         # Region badness targets, per quartet.
         target_fixed, target_mobile = self._region_targets(batch.regions)
@@ -239,35 +248,45 @@ class PassiveLocalizer:
 
         n_loc = len(batch.locations)
         n_mid = len(batch.middles)
+        loc_code = batch.location_index[gate]
+        mid_code = batch.middle_index[gate]
         ec_fixed, ec_mobile = self._expected_arrays(
             table, batch.locations, table.expected_cloud, "cloud"
         )
         em_fixed, em_mobile = self._expected_arrays(
             table, batch.middles, table.expected_middle, "middle"
         )
-        cloud_expected = np.where(mobile, ec_mobile[loc_idx], ec_fixed[loc_idx])
-        middle_expected = np.where(mobile, em_mobile[mid_idx], em_fixed[mid_idx])
+        cloud_expected = np.where(mobile, ec_mobile[loc_code], ec_fixed[loc_code])
+        middle_expected = np.where(mobile, em_mobile[mid_code], em_fixed[mid_code])
         cloud_known = ~np.isnan(cloud_expected)
         middle_known = ~np.isnan(middle_expected)
 
-        # Aggregate totals / judged / bad counts (unweighted, §4.2).
-        cloud_total = np.bincount(loc_idx, minlength=n_loc)
-        cloud_judged = np.bincount(loc_idx[cloud_known], minlength=n_loc)
+        # Aggregate totals / judged / bad counts (unweighted, §4.2), per
+        # ⟨bucket, location⟩ and ⟨bucket, path⟩.
+        loc_idx = bucket * n_loc + loc_code
+        mid_idx = bucket * n_mid + mid_code
+        n_loc_keys = n_buckets * n_loc
+        n_mid_keys = n_buckets * n_mid
+        cloud_total = np.bincount(loc_idx, minlength=n_loc_keys)
+        cloud_judged = np.bincount(loc_idx[cloud_known], minlength=n_loc_keys)
         cloud_bad = np.bincount(
-            loc_idx[cloud_known & (rtt >= cloud_expected)], minlength=n_loc
+            loc_idx[cloud_known & (rtt >= cloud_expected)], minlength=n_loc_keys
         )
-        middle_total = np.bincount(mid_idx, minlength=n_mid)
-        middle_judged = np.bincount(mid_idx[middle_known], minlength=n_mid)
+        middle_total = np.bincount(mid_idx, minlength=n_mid_keys)
+        middle_judged = np.bincount(mid_idx[middle_known], minlength=n_mid_keys)
         middle_bad = np.bincount(
-            mid_idx[middle_known & (rtt >= middle_expected)], minlength=n_mid
+            mid_idx[middle_known & (rtt >= middle_expected)], minlength=n_mid_keys
         )
 
         # Good-elsewhere index: distinct locations with good RTT per
-        # (prefix24, mobile); the ambiguity check asks whether a bad
-        # quartet's pair saw good RTT at any *other* location.
+        # (bucket, prefix24, mobile); the ambiguity check asks whether a
+        # bad quartet's pair saw good RTT at any *other* location in the
+        # same bucket.
         good = rtt < target
-        pair_key = prefix24 * 2 + mobile  # /24 keys fit well under 2**62
-        good_pairs = np.unique(pair_key[good] * n_loc + loc_idx[good])
+        # /24 keys times the batch's buckets and locations fit well
+        # under 2**62.
+        pair_key = (prefix24 * 2 + mobile) * n_buckets + bucket
+        good_pairs = np.unique(pair_key[good] * n_loc + loc_code[good])
         unique_good_pairs, good_loc_counts = np.unique(
             good_pairs // n_loc, return_counts=True
         )
@@ -285,6 +304,7 @@ class PassiveLocalizer:
         loc_b = loc_idx[bad_rows]
         mid_b = mid_idx[bad_rows]
         pair_b = pair_key[bad_rows]
+        loc_code_b = loc_code[bad_rows]
         min_agg = config.min_aggregate_quartets
         cloud_frac = cloud_frac_all[loc_b]
         middle_frac = middle_frac_all[mid_b]
@@ -297,7 +317,7 @@ class PassiveLocalizer:
         is_middle = after_cloud & ~insuff_middle & (middle_frac >= config.tau)
         rest = after_cloud & ~insuff_middle & ~is_middle
 
-        self_key = pair_b * n_loc + loc_b
+        self_key = pair_b * n_loc + loc_code_b
         pos = np.searchsorted(good_pairs, self_key)
         in_bounds = pos < len(good_pairs)
         self_good = np.zeros(len(self_key), dtype=bool)

@@ -3,7 +3,9 @@
 Per 5-minute bucket: quartets stream in from the collector, feed the
 expected-RTT learner and the client-count predictor, and register
 background-probe targets; the BGP listener's churn events trigger
-baseline refreshes. Every run interval (15 minutes in production) the
+baseline refreshes. Generation, ingest and the passive blames run a
+span of buckets per call (:func:`summarize_span`); everything else folds
+one bucket at a time. Every run interval (15 minutes in production) the
 passive localizer assigns coarse blames; middle issues are tracked across
 buckets, scored by predicted client-time product, probed within budget,
 and localized to a culprit AS by baseline comparison. Everything rolls up
@@ -15,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,7 +41,7 @@ from repro.core.probeplan import make_planner
 from repro.core.reverse import localize_bidirectional
 from repro.core.prediction import ClientCountPredictor, DurationPredictor
 from repro.core.quartet import QuartetBatch
-from repro.core.summary import BucketSummary, summarize_bucket
+from repro.core.summary import BucketSummary, summarize_buckets
 from repro.core.thresholds import ExpectedRTTLearner, ExpectedRTTTable
 from repro.net.asn import ASPath, middle_asns
 from repro.net.bgp import Timestamp
@@ -49,6 +51,134 @@ from repro.sim.scenario import BUCKETS_PER_DAY, Scenario
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from repro.store import CheckpointStore, RestoredRun
+
+#: Most buckets one :func:`summarize_span` call generates and blames.
+#: Spans also end at day boundaries, the run end and the chaos plan's
+#: kill bucket; a daemon's kill or stop drops ``RunState.ahead`` instead.
+SPAN_BUCKETS = 24
+
+
+def span_stop(time: Timestamp, end: Timestamp) -> Timestamp:
+    """Where a span starting at ``time`` stops: ``end``, the next day
+    boundary or :data:`SPAN_BUCKETS` later, whichever comes first."""
+    return min(
+        end, time + SPAN_BUCKETS, (time // BUCKETS_PER_DAY + 1) * BUCKETS_PER_DAY
+    )
+
+
+def summarize_span(
+    times: Sequence[Timestamp],
+    generator: BatchQuartetGenerator | None,
+    seed: int | None,
+    seen: set[int],
+    want_learn: bool,
+    *,
+    batch: QuartetBatch | None = None,
+    chaos: FaultPlan | None = None,
+    metrics: MetricsRegistry = NULL_REGISTRY,
+    passive: PassiveLocalizer | None = None,
+    table: ExpectedRTTTable | None = None,
+    refresh: tuple[Timestamp, Timestamp] | None = None,
+) -> list[BucketSummary]:
+    """The span kernel: one :class:`BucketSummary` per bucket of
+    ``times``, from one generation pass, one ingest and one
+    ``assign_batch`` call over the whole span.
+
+    Every driver computes summaries here: the sequential ``step``, a
+    shard worker, warm-up and the restored window's regeneration.
+
+    Args:
+        times: Ascending bucket times.
+        generator: Draws the span's rows: each bucket from ``(seed,
+            bucket)``, or from the scenario's shared stream, in bucket
+            order, when ``seed`` is None.
+        seen: Pair codes already summarized under the generator's
+            vocabularies; updated in place (see
+            :func:`~repro.core.summary.summarize_buckets`).
+        want_learn: Whether the fold learns online from these buckets.
+        batch: The raw quartets of a one-bucket span from an external
+            source, instead of generating them (no generator is needed,
+            and ``seen`` should be empty: a batch's local codes compare
+            with no other batch's).
+        chaos, metrics: Ingest is chaos injection (if planned), then
+            sanitization, counted in ``metrics``.
+        passive, table: Blame with; None defers every bucket's blames to
+            the window flush.
+        refresh: The run's ``(start, end)`` when the held table refreshes
+            at day boundaries: a bucket whose window flushes in a later
+            day than its own is deferred, for the flush to blame with
+            the table current then.
+    """
+    if not times:
+        return []
+    if batch is None:
+        rng = None if seed is None else [np.random.default_rng((seed, t)) for t in times]
+        with metrics.span("phase.generation"):
+            batch = generator.generate(times, rng)
+    batch = ingest_batch(batch, chaos, metrics)
+    cuts = np.searchsorted(batch.time, times).tolist() + [len(batch)]
+    blamed = [
+        passive is not None and not _defers(t, refresh, passive.config)
+        for t in times
+    ]
+    blames = _span_blames(batch, times, cuts, blamed, passive, table)
+    return summarize_buckets(times, batch, cuts, blames, seen, want_learn)
+
+
+def ingest_batch(
+    batch: QuartetBatch, chaos: FaultPlan | None, metrics: MetricsRegistry
+) -> QuartetBatch:
+    """Chaos injection (if planned), then always-on sanitization."""
+    if chaos is not None:
+        batch = inject_batch(chaos, batch, metrics)
+    return sanitize_batch(batch, metrics)
+
+
+def _defers(
+    time: Timestamp,
+    refresh: tuple[Timestamp, Timestamp] | None,
+    config: BlameItConfig,
+) -> bool:
+    """Whether ``time``'s blames must wait for the flush's table: its
+    window flushes in a later day. Windows are anchored at the run
+    start; the last one flushes at ``end - 1``."""
+    if refresh is None:
+        return False
+    start, end = refresh
+    interval = config.run_interval_buckets
+    flush = min(start + ((time - start) // interval + 1) * interval - 1, end - 1)
+    return flush // BUCKETS_PER_DAY != time // BUCKETS_PER_DAY
+
+
+def _span_blames(
+    batch: QuartetBatch,
+    times: Sequence[Timestamp],
+    cuts: list[int],
+    blamed: list[bool],
+    passive: PassiveLocalizer | None,
+    table: ExpectedRTTTable | None,
+) -> list[BlameResultBatch | None]:
+    """Each bucket's blames from one ``assign_batch`` call over the rows
+    of the blamed buckets (the bucket is a key of every aggregate); None
+    where a bucket is deferred."""
+    if not any(blamed):
+        return [None] * len(times)
+    if not all(blamed):
+        keep = np.repeat(blamed, np.diff(cuts))
+        batch = batch.take(np.nonzero(keep)[0])
+    span = passive.assign_batch(batch, table)
+    bad_cuts = np.searchsorted(span.batch.time, times).tolist() + [len(span)]
+    return [
+        BlameResultBatch(
+            span.batch.take(slice(lo, hi)),
+            span.code[lo:hi],
+            span.cloud_fraction[lo:hi],
+            span.middle_fraction[lo:hi],
+        )
+        if bucket_blamed
+        else None
+        for bucket_blamed, lo, hi in zip(blamed, bad_cuts, bad_cuts[1:])
+    ]
 
 
 @dataclass
@@ -345,6 +475,10 @@ class RunState:
         restored_extra: Caller metadata from the restored checkpoint
             (empty on cold start; the daemon keeps its archive cursor
             here).
+        ahead: Summaries the span kernel computed for buckets from
+            ``cursor`` on, not folded yet, in time order. They leave no
+            trace in the pipeline's state until folded, and no
+            checkpoint holds them.
     """
 
     report: PipelineReport
@@ -356,6 +490,7 @@ class RunState:
     table_day: int
     window: list[WindowEntry] = field(default_factory=list)
     restored_extra: dict = field(default_factory=dict)
+    ahead: list[BucketSummary] = field(default_factory=list)
 
     @property
     def window_times(self) -> list[int]:
@@ -474,12 +609,6 @@ class BlameItPipeline:
         self._decode_vocab: tuple = (None, None)
         self._decode: dict[int, tuple[str, ASPath]] = {}
 
-    def bucket_rng(self, time: Timestamp) -> np.random.Generator | None:
-        """The per-bucket generator, or None in shared-stream mode."""
-        if not self.rng_per_bucket:
-            return None
-        return np.random.default_rng((self.seed, time))
-
     # -- warmup ------------------------------------------------------------
 
     def warmup(
@@ -501,12 +630,13 @@ class BlameItPipeline:
                 runs can share one trained learner.
         """
         generator, seen = self._generator_for(scenario or self.scenario)
-        for time in range(start, end, max(1, stride)):
-            batch = generator.generate(time)
-            self._observe_bucket(
-                summarize_bucket(time, batch, None, seen, want_learn=True),
-                seed_new=False,
-            )
+        times = range(start, end, max(1, stride))
+        for at in range(0, len(times), SPAN_BUCKETS):
+            for summary in summarize_span(
+                times[at : at + SPAN_BUCKETS], generator, None, seen, True,
+                metrics=self.metrics,
+            ):
+                self._observe_bucket(summary, seed_new=False)
 
     # -- the run -------------------------------------------------------------
 
@@ -518,7 +648,8 @@ class BlameItPipeline:
         steady-state background schedule).
 
         A thin driver over the incremental step API: ``begin_run`` cold-
-        starts or restores, ``step`` processes one bucket, ``finish_run``
+        starts or restores, ``step`` folds one bucket per call (and, at
+        the first bucket of each span, summarizes the span), ``finish_run``
         flushes and finalizes. Quartets stay
         :class:`~repro.core.quartet.QuartetBatch` columns end to end;
         per-row records are materialized only for the bad rows that
@@ -596,35 +727,68 @@ class BlameItPipeline:
         return state
 
     def step(self, state: RunState, batch: QuartetBatch | None = None) -> None:
-        """Process the bucket at ``state.cursor`` and advance it.
+        """Fold the bucket at ``state.cursor`` and advance it.
 
         Args:
             state: The run opened by :meth:`begin_run`.
             batch: The bucket's raw (pre-chaos, pre-sanitize) quartets
-                from an external source; None generates them from the
-                scenario — the batch loop's path.
+                from an external source — a span of one; None generates
+                from the scenario — the batch loop's path.
 
-        Either way the ingested batch is summarized inline with its
-        blames deferred to the window flush and handed to
-        :meth:`fold_bucket` — the same kernel a shard worker's summary
-        goes through. An external batch carries batch-local
-        vocabularies, so its pair codes compare with no earlier
-        bucket's: every pair is offered to ``register_target``, which
-        knows the ones it has.
+        A generated bucket's summary comes from ``state.ahead``. When it
+        holds none, the span kernel (:func:`summarize_span`) summarizes
+        the span from this bucket to :func:`span_stop` (or the chaos
+        plan's kill bucket, if nearer) first. Either way the summary
+        goes through :meth:`fold_bucket` — the same kernel a shard
+        worker's summary goes through. An external batch carries
+        batch-local vocabularies, so its pair codes compare with no
+        earlier bucket's: every pair is offered to ``register_target``,
+        which knows the ones it has.
         """
         time = state.cursor
         self._refresh_table(state, time)
-        if batch is None:
-            generator, seen = self._generator_for(self.scenario)
-            with self.metrics.span("phase.generation"):
-                batch = generator.generate(time, rng=self.bucket_rng(time))
+        if batch is not None:
+            (summary,) = self._summarize(state, [time], batch=batch, seen=set())
         else:
-            seen = set()
-        summary = summarize_bucket(
-            time, self._ingest_batch(batch), None, seen, self.fixed_table is None
-        )
+            _, seen = self._generator_for(self.scenario)
+            if not state.ahead or state.ahead[0].time != time:
+                stop = span_stop(time, state.end)
+                kill = self.chaos.kill_at_bucket if self.chaos is not None else None
+                if kill is not None and kill > time:
+                    stop = min(stop, kill)
+                # The kernel marks new pairs in a copy; the fold commits
+                # each bucket's as it folds it.
+                state.ahead = self._summarize(
+                    state, range(time, stop), seen=set(seen)
+                )
+            summary = state.ahead.pop(0)
+            seen.update(summary.pair_codes[summary.new_mask].tolist())
         self.fold_bucket(state, time, summary)
         state.cursor = time + 1
+
+    def _summarize(
+        self,
+        state: RunState,
+        times: Sequence[Timestamp],
+        *,
+        seen: set[int],
+        batch: QuartetBatch | None = None,
+    ) -> list[BucketSummary]:
+        """The span kernel under this pipeline's run settings."""
+        refreshes = self.fixed_table is None and not state.table_dropped
+        return summarize_span(
+            times,
+            None if batch is not None else self._generator_for(self.scenario)[0],
+            self.seed if self.rng_per_bucket else None,
+            seen,
+            self.fixed_table is None,
+            batch=batch,
+            chaos=self.chaos,
+            metrics=self.metrics,
+            passive=self.passive,
+            table=state.table,
+            refresh=(state.report.start, state.end) if refreshes else None,
+        )
 
     def fold_bucket(
         self,
@@ -645,8 +809,8 @@ class BlameItPipeline:
         Args:
             state: The run opened by :meth:`begin_run`.
             time: The bucket.
-            summary: Its summary, computed inline (:meth:`step`) or by a
-                shard worker; None when the bucket's shard was
+            summary: Its summary, from the span kernel in :meth:`step`
+                or in a shard worker; None when the bucket's shard was
                 abandoned (the bucket still happened, its quartets are
                 lost).
             lease: The shared-memory lease ``summary``'s arrays live
@@ -688,14 +852,7 @@ class BlameItPipeline:
         batch = summary.batch
         if summary.learn is not None:
             with self.metrics.span("phase.learning"):
-                if summary.deferred_batch is not None:
-                    self.learner.observe_batch(batch)
-                else:
-                    t, mobile, rtt, loc_idx, mid_idx = summary.learn
-                    self.learner.observe_columns(
-                        t, mobile, rtt, loc_idx, batch.locations,
-                        mid_idx, batch.middles,
-                    )
+                self.learner.observe_batch(summary.learn)
         keys = self._pair_keys(batch, summary.pair_codes.tolist())
         self.client_predictor.observe_bucket(
             keys, time, summary.pair_users.tolist()
@@ -870,11 +1027,16 @@ class BlameItPipeline:
         of ⟨scenario, seed, bucket⟩. Report counters are untouched — the
         checkpointed report already accounts for these buckets.
         """
-        generator, _ = self._generator_for(self.scenario)
-        return [
-            self._ingest_batch(generator.generate(t, rng=self.bucket_rng(t)))
-            for t in times
-        ]
+        summaries = summarize_span(
+            times,
+            self._generator_for(self.scenario)[0],
+            self.seed,
+            set(),
+            False,
+            chaos=self.chaos,
+            metrics=self.metrics,
+        )
+        return [summary.deferred_batch for summary in summaries]
 
     # -- internals -----------------------------------------------------------
 
@@ -885,12 +1047,6 @@ class BlameItPipeline:
             entry = (source, BatchQuartetGenerator(source), set())
             self._generators[id(source)] = entry
         return entry[1], entry[2]
-
-    def _ingest_batch(self, batch: QuartetBatch) -> QuartetBatch:
-        """Chaos injection (if planned), then always-on sanitization."""
-        if self.chaos is not None:
-            batch = inject_batch(self.chaos, batch, self.metrics)
-        return sanitize_batch(batch, self.metrics)
 
     def _starting_table(self) -> tuple[ExpectedRTTTable, bool]:
         """The run's expected-RTT table, plus whether chaos withheld it.

@@ -174,13 +174,20 @@ class QuartetBatch:
         """Materialize every row (mainly for tests and interop)."""
         return [self.row(i) for i in range(len(self))]
 
-    def take(self, indices: np.ndarray) -> "QuartetBatch":
-        """A new batch holding ``indices``' rows (vocabularies shared).
+    def take(self, indices: "np.ndarray | slice") -> "QuartetBatch":
+        """A new batch holding ``indices``' rows (vocabularies shared);
+        a slice gives views of the columns, not copies.
 
         Row objects cached by :meth:`from_quartets` are carried over so
         :meth:`row` keeps returning the original records.
         """
         rows = self._rows
+        if rows is not None:
+            rows = (
+                rows[indices]
+                if isinstance(indices, slice)
+                else tuple(rows[int(i)] for i in indices)
+            )
         return QuartetBatch(
             time=self.time[indices],
             prefix24=self.prefix24[indices],
@@ -195,7 +202,7 @@ class QuartetBatch:
             middles=self.middles,
             region_index=self.region_index[indices],
             regions=self.regions,
-            _rows=None if rows is None else tuple(rows[int(i)] for i in indices),
+            _rows=rows,
         )
 
     def pair_codes(self) -> np.ndarray:

@@ -17,12 +17,16 @@ from __future__ import annotations
 import bisect
 from collections import deque
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.quartet import Quartet, QuartetBatch
 from repro.net.asn import ASPath
 from repro.rngstate import rng_from_state_dict
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.summary import LearnColumns
 
 #: Per-key per-day reservoir size; medians are insensitive to subsampling.
 _RESERVOIR_SIZE = 256
@@ -417,8 +421,11 @@ class ExpectedRTTLearner:
         for quartet in quartets:
             self.observe(quartet)
 
-    def observe_batch(self, batch: QuartetBatch) -> None:
+    def observe_batch(self, batch: QuartetBatch | LearnColumns) -> None:
         """Columnar :meth:`observe_all`: fold a batch without row objects.
+
+        ``batch`` is a :class:`QuartetBatch` or a bucket summary's
+        :class:`~repro.core.summary.LearnColumns` — the same columns.
 
         Byte-identical to observing the batch's rows in order — see
         :meth:`_fold_columns` for how the grouping preserves reservoir

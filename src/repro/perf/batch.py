@@ -6,22 +6,25 @@ baseline path latency, activity, congestion shapes) are the world's
 :class:`repro.sim.scenario.SlotTable`, scanned once per world and shared
 by every generator over it. The generator adds only what its scenario
 owns: which slots' BGP paths churn — their path timelines flattened into
-segment arrays tracked by a monotonic pointer — the per-fault slot
-masks, the surge multipliers and the per-day congestion amplitudes, so
-per bucket only array arithmetic runs.
+one sorted segment-key array — the per-fault slot masks, the surge
+multipliers and the per-day congestion amplitudes, so per bucket only
+array arithmetic runs.
 
-Per bucket it draws ``rng.poisson`` over the slot activity vector (the
+One call generates one bucket or a span of them. Per bucket, in bucket
+order, it draws ``rng.poisson`` over the slot activity vector (the
 connection counts), then ``rng.standard_normal`` over the active slots
-(the sampling noise, shrinking with the count), and adds latency in a
-fixed order: baseline, evening congestion, then faults in schedule
-order. Given the same generator state the output is therefore a pure
+(the sampling noise, shrinking with the count). Everything after the
+draws runs once over the whole span's rows: latency is added in a fixed
+order — baseline, evening congestion, then faults in schedule order,
+each where its ``[start, end)`` holds the row's bucket. A span's batch
+is therefore row for row the concatenation of its buckets' one-bucket
+batches, and given the same generator states the output is a pure
 function of the scenario; ``tests/golden/substrate_v1.json`` pins it,
 and the sharded driver relies on it for byte-identical blame counts.
 """
 
 from __future__ import annotations
 
-import bisect
 from collections.abc import Sequence
 
 import numpy as np
@@ -35,6 +38,10 @@ from repro.sim.workload import is_weekend
 
 #: Sentinel "never changes" end time for a timeline's last segment.
 _NEVER = np.iinfo(np.int64).max
+
+#: Segment keys are ``churn slot * _SEG_SHIFT + segment end``; bucket
+#: times (and clamped ends) stay below it.
+_SEG_SHIFT = 1 << 40
 
 #: Floor for a quartet's mean RTT (ms): sampling noise never drives a
 #: mean below one physical millisecond.
@@ -83,6 +90,9 @@ class BatchQuartetGenerator:
             asn: np.nonzero((table.client_asn == asn) & ~table.enterprise)[0]
             for asn in self._home_asns
         }
+        self._weekend = np.where(table.enterprise, 0.35, 1.15)
+        # Row-major (metro, bucket-of-day) shapes, read by flat index.
+        self._shape_flat = np.ravel(table.congestion_shape)
         self._amp_cache: dict[int, np.ndarray] = {}
         self._fault_masks: dict[int, np.ndarray] = {}
         self._fault_seg_applies: dict[int, np.ndarray] = {}
@@ -110,15 +120,16 @@ class BatchQuartetGenerator:
         """Flatten churn-slot path timelines into flat segment arrays.
 
         Segment ``offset[k] + j`` is churn slot ``k``'s ``j``-th timeline
-        entry; per bucket a pointer array indexes each slot's live
-        segment, advanced monotonically (and rebuilt on a time jump
-        backwards), so lookups are plain gathers.
+        entry. Its key, ``k * _SEG_SHIFT + end``, sorts slot by slot and
+        by end within a slot, so the live segment of slot ``k`` at bucket
+        ``t`` is the count of keys ``<= k * _SEG_SHIFT + t`` — one
+        ``searchsorted`` for any mix of slots and buckets
+        (:meth:`_live_segments`).
         """
         world = self.scenario.world
         churn = np.nonzero(~self.static)[0]
         self._churn_index = np.full(len(self.static), -1, dtype=np.int64)
         self._churn_index[churn] = np.arange(len(churn))
-        self._churn_times: list[list[int]] = []
         offsets = np.zeros(len(churn), dtype=np.int64)
         totals: list[float] = []
         valids: list[bool] = []
@@ -128,7 +139,6 @@ class BatchQuartetGenerator:
             offsets[k] = len(totals)
             slot = world.slots[i]
             times, paths = churned[int(self.table.route[i])]
-            self._churn_times.append(times)
             for j, path in enumerate(paths):
                 ends.append(times[j + 1] if j + 1 < len(times) else _NEVER)
                 if path is None:
@@ -146,31 +156,24 @@ class BatchQuartetGenerator:
                     )
                     valids.append(True)
                     middles.append(self._middle_code(path[1:-1]))
-        self._seg_offsets = offsets
-        self._seg_slot = np.repeat(churn, np.diff(np.append(offsets, len(totals))))
+        per_slot = np.diff(np.append(offsets, len(totals)))
+        self._seg_slot = np.repeat(churn, per_slot)
         self._seg_total = np.array(totals)
         self._seg_valid = np.array(valids, dtype=bool)
         self._seg_middle = np.array(middles, dtype=np.int64)
-        self._seg_end = np.array(ends, dtype=np.int64)
-        self._ptr = offsets.copy()
-        self._ptr_time: int | None = None
+        self._seg_key = np.repeat(
+            np.arange(len(churn), dtype=np.int64), per_slot
+        ) * _SEG_SHIFT + np.minimum(np.array(ends, dtype=np.int64), _SEG_SHIFT - 1)
 
-    def _position_pointers(self, time: Timestamp) -> None:
-        """Point every churn slot's segment pointer at bucket ``time``."""
-        if len(self._ptr) == 0:
-            return
-        if self._ptr_time is None or time < self._ptr_time:
-            for k, times in enumerate(self._churn_times):
-                self._ptr[k] = self._seg_offsets[k] + max(
-                    0, bisect.bisect_right(times, time) - 1
-                )
-        else:
-            while True:
-                behind = self._seg_end[self._ptr] <= time
-                if not behind.any():
-                    break
-                self._ptr[behind] += 1
-        self._ptr_time = time
+    def _live_segments(self, slots: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """The live segment of each churn slot ``slots[i]`` at bucket
+        ``times[i]``: the timeline entry with the latest start at or
+        before the bucket (the first entry before the timeline starts)."""
+        return np.searchsorted(
+            self._seg_key,
+            self._churn_index[slots] * _SEG_SHIFT + times,
+            side="right",
+        )
 
     # -- per-day / per-fault caches ------------------------------------
 
@@ -277,62 +280,87 @@ class BatchQuartetGenerator:
     # -- generation ----------------------------------------------------
 
     def generate(
-        self, time: Timestamp, rng: np.random.Generator | None = None
+        self,
+        time: Timestamp | Sequence[Timestamp],
+        rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
     ) -> QuartetBatch:
-        """Columnar quartets for one bucket.
+        """Columnar quartets for one bucket, or for a span of buckets.
 
         Args:
-            time: Bucket index.
-            rng: Generator; when None uses the scenario's shared stream,
-                so the result depends on every earlier shared-stream call
-                on the same scenario (from any of its generators).
+            time: A bucket index, or ascending bucket indices. A span's
+                rows come bucket by bucket, each bucket's exactly as a
+                one-bucket call would produce them.
+            rng: One generator every bucket draws from in turn — None
+                uses the scenario's shared stream, so the result depends
+                on every earlier shared-stream call on the same scenario
+                (from any of its generators) — or one generator per
+                bucket.
         """
         scenario = self.scenario
         table = self.table
-        rng = rng or scenario._rng  # noqa: SLF001
-        bucket_of_day = time % BUCKETS_PER_DAY
-        expected = table.activity[:, bucket_of_day].copy()
-        if is_weekend(time):
-            expected *= np.where(table.enterprise, 0.35, 1.15)
-        surge = scenario.surge_multipliers(time)
-        if surge is not None:
-            expected *= surge
-        counts = rng.poisson(expected)
-        active = np.nonzero(counts)[0]
-        noise = rng.standard_normal(len(active))
+        times = [time] if isinstance(time, (int, np.integer)) else [int(t) for t in time]
+        if rng is None or isinstance(rng, np.random.Generator):
+            rngs = [rng or scenario._rng] * len(times)  # noqa: SLF001
+        else:
+            rngs = list(rng)
+        # The draws: per bucket, in bucket order.
+        actives, counts, noises = [], [], []
+        for t, draw in zip(times, rngs):
+            expected = table.activity[:, t % BUCKETS_PER_DAY].copy()
+            if is_weekend(t):
+                expected *= self._weekend
+            surge = scenario.surge_multipliers(t)
+            if surge is not None:
+                expected *= surge
+            bucket_counts = draw.poisson(expected)
+            active = np.nonzero(bucket_counts)[0]
+            actives.append(active)
+            counts.append(bucket_counts[active])
+            noises.append(draw.standard_normal(len(active)))
+        active = np.concatenate(actives)
+        counts_active = np.concatenate(counts)
+        noise = np.concatenate(noises)
+        lengths = [len(a) for a in actives]
+        row_time = np.repeat(np.array(times, dtype=np.int64), lengths)
 
+        # Everything below runs once over the span's rows.
         valid = self.static_valid[active]
         totals = table.base_total_ms[active]
         middle_idx = self.static_middle_idx[active]
 
-        # Splice in the churn slots' current-segment baselines.
+        # Splice in the churn slots' live-segment baselines.
         churn_rows = np.nonzero(~self.static[active])[0]
         if len(churn_rows):
-            self._position_pointers(time)
-            ptr = self._ptr[self._churn_index[active[churn_rows]]]
+            ptr = self._live_segments(active[churn_rows], row_time[churn_rows])
             totals[churn_rows] = self._seg_total[ptr]
             valid[churn_rows] = self._seg_valid[ptr]
             middle_idx[churn_rows] = self._seg_middle[ptr]
-        else:
-            ptr = np.empty(0, dtype=np.int64)
 
         # Evening congestion for non-enterprise clients (one add; the
         # same value as ``Scenario.evening_congestion_ms``).
-        amps = self._amps_for_day(time // BUCKETS_PER_DAY)
-        shape = table.congestion_shape[table.metro[active], bucket_of_day]
-        congestion = amps[active] * shape
+        days, day_of = np.unique(
+            np.array(times) // BUCKETS_PER_DAY, return_inverse=True
+        )
+        by_day = np.stack([self._amps_for_day(int(day)) for day in days])
+        amps = by_day[np.repeat(day_of, lengths), active]
+        shape = self._shape_flat[
+            table.metro[active] * table.congestion_shape.shape[1]
+            + row_time % BUCKETS_PER_DAY
+        ]
+        congestion = amps * shape
         congestion[table.enterprise[active]] = 0.0
         totals = totals + congestion
 
-        # Fault inflation, one add per fault in schedule order.
-        for fault in scenario.active_faults(time):
+        # Fault inflation, one add per fault in schedule order, on the
+        # rows of the buckets it is active in.
+        for fault in scenario.faults_between(times[0], times[-1] + 1):
             applies = self._fault_mask(fault)[active]
             if len(churn_rows):
                 applies[churn_rows] = self._fault_segments(fault)[ptr]
+            applies &= (row_time >= fault.start) & (row_time < fault.end)
             if applies.any():
                 totals[applies] = totals[applies] + fault.added_ms
 
-        counts_active = counts[active]
         sigma = scenario.world.params.latency.noise_sigma
         mean = totals * (1.0 + sigma * noise / np.sqrt(counts_active))
         mean = np.maximum(MIN_MEAN_RTT_MS, mean)
@@ -340,7 +368,7 @@ class BatchQuartetGenerator:
         keep = np.nonzero(valid)[0]
         slots_kept = active[keep]
         return QuartetBatch(
-            time=np.full(len(keep), time, dtype=np.int64),
+            time=row_time[keep],
             prefix24=table.prefix24[slots_kept],
             mobile=table.mobile[slots_kept],
             mean_rtt_ms=mean[keep],

@@ -16,9 +16,11 @@ background probing, localization and alerting all run in the parent.
 This module owns only what is the sharded driver's own: shards, the
 worker pool, the transport, the reorder buffer, leases, stage timing.
 
-Workers draw each bucket's quartets from a ``(seed, bucket)``-seeded
-generator — the same scheme as ``BlameItPipeline(rng_per_bucket=True)``
-— and run the passive phase; summaries travel as NumPy columns (a
+Workers run the span kernel
+(:func:`~repro.core.pipeline.summarize_span`) over their shard, drawing
+each bucket's quartets from a ``(seed, bucket)``-seeded generator — the
+same scheme as ``BlameItPipeline(rng_per_bucket=True)``; summaries
+travel as NumPy columns (a
 :class:`~repro.core.blame.BlameResultBatch` plus composite pair-code
 arrays), so a sharded run's blame counts are byte-identical to the
 sequential pipeline's.
@@ -58,10 +60,10 @@ the fresh snapshot to the workers for the next segment. One wrinkle:
 the sequential loop refreshes at the *top* of a day's first bucket but
 flushes a blame window at the *bottom* of the window's last bucket, so
 a window straddling the boundary is blamed entirely with the new day's
-table. A worker therefore defers any bucket whose window flushes in a
-later day — it ships the sanitized batch itself instead of blames, and
-the kernel's flush assigns blames with the table current *then* (as it
-does for every bucket of a sequential run).
+table. The span kernel therefore defers any bucket whose window flushes
+in a later day — it ships the sanitized batch itself instead of blames,
+and the fold's flush assigns blames with the table current *then* (as
+it does for the same buckets of a sequential run).
 With a ``fixed_table`` (or under a chaos table drop) there is no
 deferral, and a single whole-run segment unless a checkpoint store is
 attached (segments then end at day boundaries, where the sequential
@@ -79,13 +81,19 @@ from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from repro.chaos import ChaosWorkerCrash, FaultPlan, inject_batch, sanitize_batch
+from repro.chaos import ChaosWorkerCrash, FaultPlan
 from repro.core.config import BlameItConfig
 from repro.core.passive import PassiveLocalizer
-from repro.core.pipeline import BlameItPipeline, PipelineReport, RunState
+from repro.core.pipeline import (
+    BlameItPipeline,
+    PipelineReport,
+    RunState,
+    span_stop,
+    summarize_span,
+)
 from repro.core.prediction import DurationPredictor
 from repro.core.quartet import QuartetBatch
-from repro.core.summary import BucketSummary, summarize_bucket
+from repro.core.summary import BucketSummary
 from repro.core.thresholds import ExpectedRTTLearner, ExpectedRTTTable
 from repro.net.bgp import Timestamp
 from repro.obs import NULL_REGISTRY, MetricsRegistry, Snapshot
@@ -143,23 +151,6 @@ class _ShardRunner:
         self.want_learn = want_learn
         self.run_bounds = run_bounds
         self.defer_cross_day = defer_cross_day
-        self.interval = config.run_interval_buckets
-
-    def _defers(self, time: Timestamp) -> bool:
-        """Whether ``time``'s blames must wait for the fold's table.
-
-        True when the bucket's window flushes in a later day than the
-        bucket itself: the sequential loop would blame it with the table
-        refreshed *at* that later day. The flush bucket is derived from
-        the run range (windows are anchored at the run start, not the
-        shard start), clamped to the tail flush at ``end - 1``.
-        """
-        if not self.defer_cross_day or self.run_bounds is None:
-            return False
-        start, end = self.run_bounds
-        flush = start + ((time - start) // self.interval + 1) * self.interval - 1
-        flush = min(flush, end - 1)
-        return flush // BUCKETS_PER_DAY != time // BUCKETS_PER_DAY
 
     def run_shard(
         self, bounds: tuple[int, int], attempt: int = 0
@@ -190,23 +181,25 @@ class _ShardRunner:
             if delay_ms > 0:
                 metrics.counter("chaos.shard.slow").inc()
                 time_mod.sleep(delay_ms / 1000.0)
+        refresh = self.run_bounds if self.defer_cross_day else None
         seen_pairs: set[int] = set()
         summaries: list[BucketSummary] = []
-        for time in range(start, end):
-            rng = np.random.default_rng((self.seed, time))
-            with metrics.span("phase.generation"):
-                batch = self.generator.generate(time, rng)
-            if chaos is not None:
-                batch = inject_batch(chaos, batch, metrics)
-            batch = sanitize_batch(batch, metrics)
-            blames = (
-                None
-                if self._defers(time)
-                else self.localizer.assign_batch(batch, self.table)
+        time = start
+        while time < end:
+            stop = span_stop(time, end)
+            summaries += summarize_span(
+                range(time, stop),
+                self.generator,
+                self.seed,
+                seen_pairs,
+                self.want_learn,
+                chaos=chaos,
+                metrics=metrics,
+                passive=self.localizer,
+                table=self.table,
+                refresh=refresh,
             )
-            summaries.append(
-                summarize_bucket(time, batch, blames, seen_pairs, self.want_learn)
-            )
+            time = stop
         return summaries, metrics.snapshot() if metrics.enabled else None
 
 

@@ -25,6 +25,13 @@ simply truncates (the restored report still holds those entries). And
 the graceful-stop path checkpoints once more at the final cursor, so a
 SIGTERM'd daemon resumes exactly where it left off.
 
+Alerts go to the sink exactly once up to the last checkpoint and at
+least once after it: a resumed daemon streams only the issues that close
+after the checkpoint it restored (every issue in that checkpoint's
+report had streamed before it was written), so a graceful stop repeats
+nothing and a kill repeats only what closed between the last checkpoint
+and the kill.
+
 The daemon accepts either a :class:`~repro.core.pipeline.BlameItPipeline`
 or a :class:`~repro.perf.sharded.ShardedPipeline` as its driver — both
 expose the same ``begin_run``/``step``/``finish_run`` contract over the
@@ -43,7 +50,12 @@ from typing import Callable, Sequence
 
 from repro.chaos import ChaosKill
 from repro.core.alerts import Alert
-from repro.core.pipeline import BlameItPipeline, PipelineReport, RunState
+from repro.core.pipeline import (
+    BlameItPipeline,
+    PipelineReport,
+    RunState,
+    ingest_batch,
+)
 from repro.core.quartet import QuartetBatch
 from repro.net.bgp import Timestamp
 from repro.serve.source import BucketSource, ScenarioSource
@@ -138,8 +150,9 @@ class BlameItDaemon:
         self._archive_seq = 0
         # Closed issues this process archived and has not spliced back.
         self._archived_closed = 0
-        # Closed-list lengths already streamed to the alert sink; the
-        # archive sweep trims list fronts and rebases these.
+        # Closed-list lengths already streamed to the alert sink, set
+        # when the run opens; the archive sweep trims list fronts and
+        # rebases these.
         self._seen = dict.fromkeys(_CLOSED, 0)
 
     # -- control ---------------------------------------------------------
@@ -163,6 +176,10 @@ class BlameItDaemon:
         with self._lock:
             self._state = state
             self._archive_seq = int(state.restored_extra.get("archive_seq", 0))
+            # Alerts stream after every step and a checkpoint is taken
+            # before the next one, so every issue a restored report
+            # holds was streamed before the process stopped.
+            self._seen = {name: len(getattr(state.report, name)) for name in _CLOSED}
         if pipeline._store is not None:  # noqa: SLF001
             # Archive chunks written after the restored checkpoint are
             # orphans: their entries are still in the restored report.
@@ -189,7 +206,7 @@ class BlameItDaemon:
         raw = self.source.replay(times)
         if raw is None:
             return pipeline._regenerate_window(times)  # noqa: SLF001
-        return [pipeline._ingest_batch(batch) for batch in raw]  # noqa: SLF001
+        return [ingest_batch(batch, pipeline.chaos, pipeline.metrics) for batch in raw]
 
     def _maybe_checkpoint(self, state: RunState, time: Timestamp) -> None:
         """Cadence checkpoint (and planned kill) before processing

@@ -869,7 +869,25 @@ class Scenario:
         """
         if self._active_cache is not None and self._active_cache[0] == time:
             return self._active_cache[1]
-        day = time // BUCKETS_PER_DAY
+        active = tuple(
+            f for f in self._day_faults(time // BUCKETS_PER_DAY) if f.is_active(time)
+        )
+        self._active_cache = (time, active)
+        return active
+
+    def faults_between(self, start: Timestamp, end: Timestamp) -> tuple[Fault, ...]:
+        """Faults active in some bucket of ``[start, end)``, in schedule
+        order (the order :meth:`active_faults` lists them in)."""
+        day = start // BUCKETS_PER_DAY
+        candidates = (
+            self._day_faults(day)
+            if (end - 1) // BUCKETS_PER_DAY == day
+            else self.faults
+        )
+        return tuple(f for f in candidates if f.start < end and f.end > start)
+
+    def _day_faults(self, day: int) -> tuple[Fault, ...]:
+        """The faults overlapping one day (a small index built on demand)."""
         day_faults = self._faults_by_day.get(day)
         if day_faults is None:
             day_start = day * BUCKETS_PER_DAY
@@ -879,9 +897,7 @@ class Scenario:
                 if f.start < day_start + BUCKETS_PER_DAY and f.end > day_start
             )
             self._faults_by_day[day] = day_faults
-        active = tuple(f for f in day_faults if f.is_active(time))
-        self._active_cache = (time, active)
-        return active
+        return day_faults
 
     def segment_deltas(
         self,

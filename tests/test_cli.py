@@ -595,6 +595,8 @@ class TestServeCommand:
         window replays from the file): the report is diagnose's."""
         import json
 
+        import numpy as np
+
         from repro.cli import _build_params
         from repro.core.pipeline import BlameItPipeline
         from repro.perf.batch import BatchQuartetGenerator
@@ -604,8 +606,8 @@ class TestServeCommand:
         scenario = Scenario.build(
             _build_params(build_parser().parse_args(["serve", *self.DAYS2]))
         )
-        # Draw each bucket as diagnose does: the pipeline's per-bucket RNG.
-        seeding = BlameItPipeline(scenario, rng_per_bucket=True)
+        # Draw each bucket as diagnose does: from (pipeline seed, bucket).
+        seed = BlameItPipeline(scenario).seed
         generator = BatchQuartetGenerator(scenario)
         rows = tmp_path / "rows.jsonl"
         write_quartets_jsonl(
@@ -614,7 +616,7 @@ class TestServeCommand:
                 quartet
                 for time in range(240, 330)
                 for quartet in generator.generate_quartets(
-                    time, rng=seeding.bucket_rng(time)
+                    time, rng=np.random.default_rng((seed, time))
                 )
             ),
         )

@@ -4,7 +4,9 @@
    random buckets;
 2. a single genuine worker failure costs exactly one shard re-run, not
    the whole range;
-3. the learner's fold queue and the fold kernel's seam change nothing.
+3. the learner's fold queue and the fold kernel's seam change nothing;
+4. the span kernel makes one ``generate`` and one ``assign_batch`` call
+   per span, and nothing of a span reaches the pipeline before its fold.
 
 Driver-against-driver byte identity is the matrix's
 (``tests/harness.py``); the cells that predate it keep their IDs here.
@@ -12,20 +14,25 @@ Driver-against-driver byte identity is the matrix's
 
 from __future__ import annotations
 
-import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import repro.core.pipeline as pipeline_module
+from repro.chaos import ChaosKill, FaultPlan
 from repro.core.config import BlameItConfig
 from repro.core.passive import PassiveLocalizer
-from repro.core.pipeline import WindowEntry
+from repro.core.pipeline import WindowEntry, summarize_span
 from repro.core.quartet import QuartetBatch
 from repro.core.thresholds import ExpectedRTTLearner, _Lane
 from repro.obs import MetricsRegistry
+from repro.perf.batch import BatchQuartetGenerator
 from repro.perf.sharded import _ShardRunner
-from repro.sim.scenario import Scenario
+from repro.serve import BlameItDaemon
+from repro.sim.scenario import BUCKETS_PER_DAY, Scenario
 
+from tests import harness
 from tests.harness import SEED, SMALL, digest, make_config, make_pipeline, reference
 from tests.test_perf import _random_quartets, _random_table, _targets
 from tests.test_transport import _assert_summaries_equal
@@ -142,6 +149,98 @@ class TestLearnerFoldQueue:
         assert queued == eager
 
 
+class TestSpanKernel:
+    """``step`` summarizes a span of buckets per kernel call and folds
+    one bucket per call; nothing of a bucket reaches the pipeline's
+    state before its fold."""
+
+    @staticmethod
+    def _counted_run(world, monkeypatch, span_buckets):
+        """Two fixed-table days, sequential, at ``span_buckets`` per
+        span; returns the report digest and the run's ``generate`` and
+        ``assign_batch`` calls."""
+        table = harness.trained_table(world)
+        monkeypatch.setattr(pipeline_module, "SPAN_BUCKETS", span_buckets)
+        pipeline = make_pipeline(Scenario.from_world(world), table=table)
+        calls: Counter = Counter()
+        for owner, name in (
+            (BatchQuartetGenerator, "generate"),
+            (PassiveLocalizer, "assign_batch"),
+        ):
+
+            def counted(self, *args, _original=getattr(owner, name), _name=name):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(owner, name, counted)
+        report = pipeline.run(BUCKETS_PER_DAY, 3 * BUCKETS_PER_DAY)
+        monkeypatch.undo()
+        return digest(report), calls
+
+    def test_one_generate_and_one_assign_per_span_same_report(
+        self, multi_day_world, monkeypatch
+    ):
+        """Work-count tripwire: a span per call made one ``generate`` and
+        one ``assign_batch`` call for each of the 576 buckets; spans of
+        ``SPAN_BUCKETS`` make at most one of each per span, and the
+        report equals the one-bucket spans' report."""
+        spans, span_calls = self._counted_run(
+            multi_day_world, monkeypatch, pipeline_module.SPAN_BUCKETS
+        )
+        single, single_calls = self._counted_run(multi_day_world, monkeypatch, 1)
+        assert single_calls == {
+            "generate": 2 * BUCKETS_PER_DAY,
+            "assign_batch": 2 * BUCKETS_PER_DAY,
+        }
+        per_day = -(-BUCKETS_PER_DAY // pipeline_module.SPAN_BUCKETS)
+        assert span_calls["generate"] <= 2 * per_day
+        assert span_calls["assign_batch"] <= span_calls["generate"]
+        assert spans == single
+
+    def test_kill_inside_a_span_leaves_only_folded_pairs(
+        self, small_world, trained_table
+    ):
+        """A daemon killed at bucket 101, inside the span computed at
+        100 (a daemon's kill does not end a span): the span's other
+        buckets were summarized (one brings a pair bucket 100 did not
+        have) but the seen-pair set holds bucket 100's pairs only."""
+        scenario = Scenario.from_world(small_world)
+        pipeline = make_pipeline(scenario, table=trained_table)
+        daemon = BlameItDaemon(pipeline, 100, 200, kill_at=101)
+        with pytest.raises(ChaosKill):
+            daemon.run()
+        state = daemon._state  # noqa: SLF001
+        assert state.cursor == 101
+        assert [s.time for s in state.ahead] == list(range(101, 124))
+        ahead_new = {
+            code
+            for summary in state.ahead
+            for code in summary.pair_codes[summary.new_mask].tolist()
+        }
+        folded = BatchQuartetGenerator(scenario).generate(
+            100, np.random.default_rng((SEED, 100))
+        )
+        _, seen = pipeline._generator_for(scenario)  # noqa: SLF001
+        assert seen == set(folded.pair_codes().tolist())
+        assert ahead_new and not ahead_new & seen
+
+    def test_chaos_kill_ends_the_span(self, small_world, trained_table):
+        """The chaos plan's kill bucket ends a span: killed at 105, the
+        run summarized no bucket it did not fold."""
+        pipeline = make_pipeline(
+            Scenario.from_world(small_world), table=trained_table,
+            chaos=FaultPlan(kill_at_bucket=105),
+        )
+        state = pipeline.begin_run(100, 200)
+        with pytest.raises(ChaosKill):
+            for time in range(100, 200):
+                pipeline._refresh_table(state, time)  # noqa: SLF001
+                pipeline._maybe_checkpoint(state, time)  # noqa: SLF001
+                pipeline.step(state)
+        assert state.cursor == 105
+        assert state.ahead == []
+
+
 class TestFoldKernelSeam:
     """The one kernel takes a ``BucketSummary`` whoever computed it, and
     a window entry whether or not it arrives pre-blamed."""
@@ -150,12 +249,13 @@ class TestFoldKernelSeam:
 
     @pytest.fixture(scope="class")
     def summaries(self, small_world, trained_table):
-        """Each bucket's summary as ``step`` computed it inline (blames
-        deferred), and the same with the blames filled in under the
-        run's table."""
-        pipeline = make_pipeline(
-            Scenario.from_world(small_world), table=trained_table
-        )
+        """Each bucket's summary deferred (the span kernel with no
+        table, as a bucket whose window flushes in a later day gets
+        it), as ``step`` computed it inline under the run's fixed table
+        (blamed), and the blamed reference: the kernel run one bucket
+        per call, so no aggregate can mix buckets."""
+        scenario = Scenario.from_world(small_world)
+        pipeline = make_pipeline(scenario, table=trained_table)
         inline = []
         fold_bucket = pipeline.fold_bucket
 
@@ -165,39 +265,45 @@ class TestFoldKernelSeam:
 
         pipeline.fold_bucket = record
         pipeline.run(self.START, self.END)
-        assert all(s.blames is None for s in inline)
-        blamed = [
-            dataclasses.replace(
-                summary,
-                blames=pipeline.passive.assign_batch(
-                    summary.deferred_batch, trained_table
-                ),
-                deferred_batch=None,
+        assert all(s.blames is not None for s in inline)
+        assert any(len(s.blames) for s in inline)
+        deferred = summarize_span(
+            range(self.START, self.END), BatchQuartetGenerator(scenario),
+            SEED, set(), False,
+        )
+        assert all(s.blames is None for s in deferred)
+        generator, seen = BatchQuartetGenerator(scenario), set()
+        per_bucket = [
+            summary
+            for t in range(self.START, self.END)
+            for summary in summarize_span(
+                [t], generator, SEED, seen, False,
+                passive=pipeline.passive, table=trained_table,
             )
-            for summary in inline
         ]
-        assert any(len(s.blames) for s in blamed)
-        return inline, blamed
+        return deferred, inline, per_bucket
 
     def test_inline_and_worker_summaries_equal(
         self, small_world, trained_table, summaries
     ):
         """A shard worker ships, column for column, what ``step``
-        summarizes inline for the same buckets — with the blames the
-        inline batch gets under the same table."""
+        summarizes inline for the same buckets under the same table —
+        and both equal the buckets summarized one per call."""
         runner = _ShardRunner(
             Scenario.from_world(small_world), make_config(), trained_table,
             seed=SEED,
         )
         shipped, _ = runner.run_shard((self.START, self.END))
-        _assert_summaries_equal(shipped, summaries[1])
+        _, inline, per_bucket = summaries
+        _assert_summaries_equal(shipped, per_bucket)
+        _assert_summaries_equal(inline, per_bucket)
 
     def test_mixed_window_flushes_like_all_deferred(
         self, small_world, trained_table, summaries, monkeypatch
     ):
         """Pre-blamed and deferred entries of one window come out as the
         same ``BlameResult`` list, in the same order."""
-        deferred, blamed = (window[:3] for window in summaries)
+        deferred, blamed = (window[:3] for window in summaries[:2])
 
         def flushed(window):
             pipeline = make_pipeline(

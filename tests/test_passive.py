@@ -397,3 +397,104 @@ class TestBoundaryProperties:
         one ulp under it (good)."""
         bad = data.draw(st.integers(0, n))
         _check_edge(data, n=n, bad=bad, exact=True)
+
+
+def _in_bucket(quartets: list[Quartet], time: int) -> list[Quartet]:
+    return [q._replace(time=time) for q in quartets]
+
+
+def _span_equals_buckets(localizer, buckets, table) -> list[BlameResult]:
+    """``assign_batch`` over every bucket's rows in one batch gives each
+    bucket's results — the per-row specification run on that bucket
+    alone — concatenated in batch order: codes, both fractions, rows."""
+    batch = QuartetBatch.from_quartets([q for bucket in buckets for q in bucket])
+    mixed = localizer.assign_batch(batch, table).to_results()
+    assert mixed == [r for bucket in buckets for r in localizer.assign(bucket, table)]
+    return mixed
+
+
+class TestSpanProperties:
+    """``assign_batch`` over a batch of several buckets (the span
+    kernel's one call per span): the bucket is a key of every
+    aggregate, so no bucket's rows count in another's verdicts."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.lists(st.integers(1, 80), min_size=1, max_size=5),
+        data=st.data(),
+    )
+    def test_mixed_buckets_equal_per_bucket_results(self, seed, sizes, data):
+        """1–5 buckets cut from one random bucket, at distinct times in
+        any order and with gaps between them, so /24s, locations and
+        paths recur across buckets."""
+        rows = _bucket(seed, sum(sizes))
+        times = data.draw(
+            st.lists(
+                st.integers(0, 600),
+                min_size=len(sizes),
+                max_size=len(sizes),
+                unique=True,
+            )
+        )
+        cuts = np.cumsum([0, *sizes]).tolist()
+        buckets = [
+            _in_bucket(rows[lo:hi], time)
+            for time, lo, hi in zip(times, cuts, cuts[1:])
+        ]
+        table = _random_table(np.random.default_rng(seed))
+        _span_equals_buckets(_localizer(), buckets, table)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(2, 8),
+        step=st.sampled_from([-1, 0, 1]),
+        minimum=st.integers(2, 8),
+        short=st.booleans(),
+        n_exact=st.integers(1, 12),
+        data=st.data(),
+    )
+    def test_boundaries_in_different_buckets(
+        self, m, step, minimum, short, n_exact, data
+    ):
+        """``TestBoundaryProperties``' three edges — a bad fraction at τ,
+        an aggregate at the minimum, RTTs on the expected RTT — each in
+        its own bucket of one batch, over the same /24s: each bucket's
+        edge aggregate is blamed exactly when its own counts say so."""
+        side = data.draw(st.sampled_from(["cloud", "middle"]))
+        n_min = minimum - short
+        edges = [
+            (5 * m, 4 * m + step, False),
+            (n_min, data.draw(st.integers(0, n_min)), False),
+            (n_exact, data.draw(st.integers(0, n_exact)), True),
+        ]
+        buckets = []
+        for time, (n, bad, exact) in enumerate(edges):
+            quartets, table = data.draw(_edge_bucket(side, n, bad, exact))
+            buckets.append(_in_bucket(quartets, time))
+        order = data.draw(st.permutations(range(len(buckets))))
+        localizer = _localizer(min_aggregate_quartets=minimum)
+        mixed = _span_equals_buckets(localizer, [buckets[i] for i in order], table)
+        blame = Blame.CLOUD if side == "cloud" else Blame.MIDDLE
+        for time, (n, bad, _) in enumerate(edges):
+            fires = n >= minimum and bad / n >= localizer.config.tau
+            edge = [
+                r for r in mixed if r.quartet.time == time and r.quartet.middle == (10,)
+            ]
+            assert len(edge) == n
+            assert all((r.blame is blame) == fires for r in edge)
+
+    def test_good_elsewhere_in_another_bucket_is_not_ambiguous(self):
+        """A /24 bad at edge-A in bucket 0 and good at edge-B only in
+        bucket 1 is blamed on its client; the same good quartet in
+        bucket 0 makes it Ambiguous."""
+        bad, peers, filler = TestClientAndAmbiguous()._mixed_path_quartets()
+        elsewhere = [_quartet(prefix=1, loc="edge-B", rtt=20.0, asn=65001, time=1)]
+        localizer = _localizer()
+        for rows, blame in (
+            (elsewhere, Blame.CLIENT),
+            (_in_bucket(elsewhere, 0), Blame.AMBIGUOUS),
+        ):
+            batch = QuartetBatch.from_quartets(bad + peers + filler + rows)
+            results = localizer.assign_batch(batch, _table()).to_results()
+            assert [r.blame for r in results if r.quartet.prefix24 == 1] == [blame]

@@ -1,6 +1,7 @@
 """Tests for repro.perf: the vectorized passive phase against its scalar
 reference, and the sharded driver against the sequential one."""
 
+import contextlib
 import os
 
 import numpy as np
@@ -15,7 +16,14 @@ from repro.net.geo import Region
 from repro.perf.sharded import ShardedPipeline
 from repro.sim.scenario import Scenario
 
-from tests.harness import make_pipeline
+from tests.harness import (
+    SEED,
+    SMALL,
+    digest,
+    make_config,
+    make_pipeline,
+    reference,
+)
 
 
 def _random_quartets(rng: np.random.Generator, n: int) -> list[Quartet]:
@@ -167,3 +175,18 @@ class TestShardedPipeline:
         not the machine's: under ``taskset -c 0`` that is one worker."""
         sharded = ShardedPipeline(Scenario.from_world(small_world))
         assert sharded.n_workers == len(os.sched_getaffinity(0))
+
+    def test_default_workers_match_sequential(self, small_world, trained_table):
+        """At the default worker count the sharded report is the
+        sequential one. With one usable CPU (``taskset -c 0``) the shards
+        run inline, through the span kernel in this process."""
+        with contextlib.closing(
+            ShardedPipeline(
+                Scenario.from_world(small_world),
+                config=make_config(),
+                fixed_table=trained_table,
+                seed=SEED,
+            )
+        ) as sharded:
+            report = sharded.run(*SMALL.span)
+        assert digest(report) == reference(SMALL, small_world).digest

@@ -45,7 +45,7 @@ from repro.sim.faults import Fault, FaultTarget, SegmentKind
 from repro.sim.scenario import Scenario
 from repro.store import CheckpointStore
 
-from tests.harness import digest, make_config, make_pipeline
+from tests.harness import _StopAt, digest, make_config, make_pipeline
 
 START, END = 96, 400
 
@@ -251,6 +251,95 @@ class TestAlertStreaming:
             )
         }
         assert streamed_keys <= closed_keys
+
+
+    @staticmethod
+    def _serve(
+        scenario, end, store, sink, *, warm_start=False, stop_at=None, **kwargs
+    ):
+        """A daemon over ``[START, end)`` with a 48-bucket checkpoint
+        cadence, streaming to ``sink(daemon, alert)``; the keyword
+        arguments left go to the daemon."""
+        daemon = BlameItDaemon(
+            _retention_pipeline(scenario, store=store, warm_start=warm_start),
+            START,
+            end,
+            checkpoint_every=48,
+            alert_sink=lambda alert: sink(daemon, alert),
+            **kwargs,
+        )
+        if stop_at is not None:
+            daemon.source = _StopAt(daemon, stop_at)
+        try:
+            return daemon.run()
+        finally:
+            store.close()
+
+    @pytest.mark.parametrize(
+        "scenario_name, end, stop, retention_days",
+        [("served_scenario", END, 200, None), ("retention_scenario", 600, 500, 1)],
+    )
+    def test_stop_and_resume_stream_each_alert_once(
+        self, request, tmp_path, scenario_name, end, stop, retention_days
+    ):
+        """A graceful stop checkpoints after the last alert it streamed;
+        the resumed daemon streams only the issues that close after
+        that, so the two processes together stream exactly what an
+        uninterrupted daemon does, in order — also when the retention
+        sweep has trimmed the closed lists. A resumed daemon once
+        re-sent every alert of the restored report."""
+        scenario = request.getfixturevalue(scenario_name)
+        whole: list = []
+        parts: list = []
+
+        def serve(alerts, store_dir, **kwargs):
+            return self._serve(
+                scenario, end, CheckpointStore(tmp_path / store_dir),
+                lambda _, alert: alerts.append(alert),
+                retention_days=retention_days, **kwargs,
+            )
+
+        serve(whole, "whole")
+        assert serve(parts, "parts", stop_at=stop) is None
+        before = len(parts)
+        serve(parts, "parts", warm_start=True)
+        assert 0 < before < len(whole)
+        assert parts == whole
+
+    def test_kill_repeats_only_what_streamed_after_the_checkpoint(
+        self, served_scenario, tmp_path
+    ):
+        """Killed at 150, after the checkpoint at 144: the resumed
+        daemon repeats the alerts streamed between that checkpoint and
+        the kill, as one run, and none streamed before it."""
+        whole: list = []
+        self._serve(
+            served_scenario, END, CheckpointStore(tmp_path / "whole"),
+            lambda _, alert: whole.append(alert),
+        )
+        parts: list = []
+        cursors: list = []
+
+        def record(daemon, alert):
+            parts.append(alert)
+            cursors.append(daemon._state.cursor)  # noqa: SLF001
+
+        with pytest.raises(ChaosKill):
+            self._serve(
+                served_scenario, END, CheckpointStore(tmp_path / "parts"),
+                record, kill_at=150,
+            )
+        killed = len(parts)
+        # Streamed after the step at bucket 144 or later, so after the
+        # checkpoint taken before that step.
+        repeated = sum(cursor > 144 for cursor in cursors)
+        assert 0 < repeated < killed
+        self._serve(
+            served_scenario, END, CheckpointStore(tmp_path / "parts"),
+            lambda _, alert: parts.append(alert), warm_start=True,
+        )
+        assert parts[:killed] == whole[:killed]
+        assert parts[killed:] == whole[killed - repeated :]
 
 
 class TestJsonlCodec:
