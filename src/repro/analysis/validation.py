@@ -148,13 +148,13 @@ def build_warmup_state(
         if rekey is not None:
             batch = rekey(batch, world.population)
         learner.observe_batch(batch)
-        (summary,) = summarize_buckets(
-            [time], batch, [0, len(batch)], [None], set(), want_learn=False
+        span = summarize_buckets(
+            [time], batch, [0, len(batch)], [False], None, set(), want_learn=False
         )
         for code, users, prefix24 in zip(
-            summary.pair_codes.tolist(),
-            summary.pair_users.tolist(),
-            summary.new_prefixes.tolist(),
+            span.pair_codes.tolist(),
+            span.pair_users.tolist(),
+            span.new_prefixes.tolist(),
         ):
             key = batch.pair_key(code)
             state.client_observations.append((key, time, users))

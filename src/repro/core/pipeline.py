@@ -41,7 +41,7 @@ from repro.core.probeplan import make_planner
 from repro.core.reverse import localize_bidirectional
 from repro.core.prediction import ClientCountPredictor, DurationPredictor
 from repro.core.quartet import QuartetBatch
-from repro.core.summary import BucketSummary, summarize_buckets
+from repro.core.summary import BucketSummary, SpanSummary, summarize_buckets
 from repro.core.thresholds import ExpectedRTTLearner, ExpectedRTTTable
 from repro.net.asn import ASPath, middle_asns
 from repro.net.bgp import Timestamp
@@ -79,13 +79,15 @@ def summarize_span(
     passive: PassiveLocalizer | None = None,
     table: ExpectedRTTTable | None = None,
     refresh: tuple[Timestamp, Timestamp] | None = None,
-) -> list[BucketSummary]:
-    """The span kernel: one :class:`BucketSummary` per bucket of
-    ``times``, from one generation pass, one ingest and one
-    ``assign_batch`` call over the whole span.
+) -> SpanSummary:
+    """The span kernel: one :class:`~repro.core.summary.SpanSummary` for
+    the buckets of ``times``, from one generation pass, one ingest and
+    one ``assign_batch`` call over the whole span.
 
     Every driver computes summaries here: the sequential ``step``, a
-    shard worker, warm-up and the restored window's regeneration.
+    shard worker, warm-up and the restored window's regeneration; each
+    folds the per-bucket views :meth:`SpanSummary.buckets
+    <repro.core.summary.SpanSummary.buckets>` cuts.
 
     Args:
         times: Ascending bucket times.
@@ -109,8 +111,6 @@ def summarize_span(
             day than its own is deferred, for the flush to blame with
             the table current then.
     """
-    if not times:
-        return []
     if batch is None:
         rng = None if seed is None else [np.random.default_rng((seed, t)) for t in times]
         with metrics.span("phase.generation"):
@@ -121,8 +121,15 @@ def summarize_span(
         passive is not None and not _defers(t, refresh, passive.config)
         for t in times
     ]
-    blames = _span_blames(batch, times, cuts, blamed, passive, table)
-    return summarize_buckets(times, batch, cuts, blames, seen, want_learn)
+    blames = None
+    if any(blamed):
+        # One call over the blamed buckets' rows: the bucket is a key of
+        # every aggregate.
+        rows = batch
+        if not all(blamed):
+            rows = batch.take(np.nonzero(np.repeat(blamed, np.diff(cuts)))[0])
+        blames = passive.assign_batch(rows, table)
+    return summarize_buckets(times, batch, cuts, blamed, blames, seen, want_learn)
 
 
 def ingest_batch(
@@ -148,37 +155,6 @@ def _defers(
     interval = config.run_interval_buckets
     flush = min(start + ((time - start) // interval + 1) * interval - 1, end - 1)
     return flush // BUCKETS_PER_DAY != time // BUCKETS_PER_DAY
-
-
-def _span_blames(
-    batch: QuartetBatch,
-    times: Sequence[Timestamp],
-    cuts: list[int],
-    blamed: list[bool],
-    passive: PassiveLocalizer | None,
-    table: ExpectedRTTTable | None,
-) -> list[BlameResultBatch | None]:
-    """Each bucket's blames from one ``assign_batch`` call over the rows
-    of the blamed buckets (the bucket is a key of every aggregate); None
-    where a bucket is deferred."""
-    if not any(blamed):
-        return [None] * len(times)
-    if not all(blamed):
-        keep = np.repeat(blamed, np.diff(cuts))
-        batch = batch.take(np.nonzero(keep)[0])
-    span = passive.assign_batch(batch, table)
-    bad_cuts = np.searchsorted(span.batch.time, times).tolist() + [len(span)]
-    return [
-        BlameResultBatch(
-            span.batch.take(slice(lo, hi)),
-            span.code[lo:hi],
-            span.cloud_fraction[lo:hi],
-            span.middle_fraction[lo:hi],
-        )
-        if bucket_blamed
-        else None
-        for bucket_blamed, lo, hi in zip(blamed, bad_cuts, bad_cuts[1:])
-    ]
 
 
 @dataclass
@@ -475,8 +451,9 @@ class RunState:
         restored_extra: Caller metadata from the restored checkpoint
             (empty on cold start; the daemon keeps its archive cursor
             here).
-        ahead: Summaries the span kernel computed for buckets from
-            ``cursor`` on, not folded yet, in time order. They leave no
+        ahead: Per-bucket views of the span the kernel computed, for
+            buckets from ``cursor`` on, not folded yet, in time order
+            (:meth:`~repro.core.summary.SpanSummary.buckets`). They leave no
             trace in the pipeline's state until folded, and no
             checkpoint holds them.
     """
@@ -635,7 +612,7 @@ class BlameItPipeline:
             for summary in summarize_span(
                 times[at : at + SPAN_BUCKETS], generator, None, seen, True,
                 metrics=self.metrics,
-            ):
+            ).buckets():
                 self._observe_bucket(summary, seed_new=False)
 
     # -- the run -------------------------------------------------------------
@@ -736,9 +713,10 @@ class BlameItPipeline:
                 from the scenario — the batch loop's path.
 
         A generated bucket's summary comes from ``state.ahead``. When it
-        holds none, the span kernel (:func:`summarize_span`) summarizes
-        the span from this bucket to :func:`span_stop` (or the chaos
-        plan's kill bucket, if nearer) first. Either way the summary
+        holds none, the span kernel (:func:`summarize_span`) first
+        summarizes the span from this bucket to :func:`span_stop` (or
+        the chaos plan's kill bucket, if nearer), and ``state.ahead``
+        takes the span's per-bucket views. Either way the summary
         goes through :meth:`fold_bucket` — the same kernel a shard
         worker's summary goes through. An external batch carries
         batch-local vocabularies, so its pair codes compare with no
@@ -748,7 +726,9 @@ class BlameItPipeline:
         time = state.cursor
         self._refresh_table(state, time)
         if batch is not None:
-            (summary,) = self._summarize(state, [time], batch=batch, seen=set())
+            (summary,) = self._summarize(
+                state, [time], batch=batch, seen=set()
+            ).buckets()
         else:
             _, seen = self._generator_for(self.scenario)
             if not state.ahead or state.ahead[0].time != time:
@@ -760,7 +740,7 @@ class BlameItPipeline:
                 # each bucket's as it folds it.
                 state.ahead = self._summarize(
                     state, range(time, stop), seen=set(seen)
-                )
+                ).buckets()
             summary = state.ahead.pop(0)
             seen.update(summary.pair_codes[summary.new_mask].tolist())
         self.fold_bucket(state, time, summary)
@@ -773,7 +753,7 @@ class BlameItPipeline:
         *,
         seen: set[int],
         batch: QuartetBatch | None = None,
-    ) -> list[BucketSummary]:
+    ) -> SpanSummary:
         """The span kernel under this pipeline's run settings."""
         refreshes = self.fixed_table is None and not state.table_dropped
         return summarize_span(
@@ -872,9 +852,11 @@ class BlameItPipeline:
         """Decode pair codes against ``batch``'s vocabularies.
 
         Decoded keys are shared across buckets for as long as batches
-        arrive with the same vocabulary objects (a generator's, or one
-        shard's), so the client predictor's per-bucket history holds
-        one tuple per pair rather than one per pair per bucket.
+        arrive with the same vocabulary objects (a generator's, or the
+        sharded driver's shared ones), so the client predictor's
+        per-bucket history holds one tuple per pair rather than one per
+        pair per bucket. Only the codes the cache misses are decoded;
+        the lookups run at C level.
         """
         if (
             batch.locations is not self._decode_vocab[0]
@@ -883,13 +865,9 @@ class BlameItPipeline:
             self._decode_vocab = (batch.locations, batch.middles)
             self._decode = {}
         decode = self._decode
-        keys = []
-        for code in codes:
-            key = decode.get(code)
-            if key is None:
-                key = decode[code] = batch.pair_key(code)
-            keys.append(key)
-        return keys
+        for code in set(codes).difference(decode):
+            decode[code] = batch.pair_key(code)
+        return list(map(decode.__getitem__, codes))
 
     def flush_window(self, state: RunState, now: Timestamp) -> None:
         """Blame the pending window and run the active phase on it.
@@ -1027,7 +1005,9 @@ class BlameItPipeline:
         of ⟨scenario, seed, bucket⟩. Report counters are untouched — the
         checkpointed report already accounts for these buckets.
         """
-        summaries = summarize_span(
+        if not times:
+            return []
+        span = summarize_span(
             times,
             self._generator_for(self.scenario)[0],
             self.seed,
@@ -1036,7 +1016,7 @@ class BlameItPipeline:
             chaos=self.chaos,
             metrics=self.metrics,
         )
-        return [summary.deferred_batch for summary in summaries]
+        return [summary.deferred_batch for summary in span.buckets()]
 
     # -- internals -----------------------------------------------------------
 

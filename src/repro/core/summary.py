@@ -1,10 +1,14 @@
-"""The per-bucket summary every driver hands to the fold kernel.
+"""The span kernel's output, and the per-bucket views the fold takes.
 
-:meth:`BlameItPipeline.fold_bucket <repro.core.pipeline.BlameItPipeline.fold_bucket>`
-takes one :class:`BucketSummary` per bucket, whoever computed it: the
-span kernel (:func:`repro.core.pipeline.summarize_span`) run by the
-sequential ``step`` or by a shard worker (:mod:`repro.perf.sharded`,
-shipped over :mod:`repro.perf.transport`).
+The span kernel (:func:`repro.core.pipeline.summarize_span`) returns one
+:class:`SpanSummary` per span of buckets, whoever runs it: the
+sequential ``step`` or a shard worker (:mod:`repro.perf.sharded`, which
+ships it over :mod:`repro.perf.transport`). Its columns are span-wide;
+cuts split them per bucket. :meth:`SpanSummary.buckets` cuts the
+per-bucket :class:`BucketSummary` views that
+:meth:`BlameItPipeline.fold_bucket
+<repro.core.pipeline.BlameItPipeline.fold_bucket>` takes, where they are
+folded.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from repro.net.bgp import Timestamp
 
 
 class LearnColumns(NamedTuple):
-    """One bucket's post-sanitize learner input: the columns
+    """Post-sanitize learner input: the columns
     :meth:`~repro.core.thresholds.ExpectedRTTLearner.observe_batch`
     reads from a :class:`QuartetBatch`, with their vocabularies."""
 
@@ -47,10 +51,11 @@ class BucketSummary:
     whether those vocabularies are a generator's shared ones or an
     external batch's local ones.
 
-    Over the shared-memory transport every array attribute is a
-    zero-copy view into the shard's segment; the fold's consumers all
-    materialize what they keep (``.tolist()`` products, per-row records)
-    before the segment is released.
+    A view: every array is a slice of its :class:`SpanSummary`'s
+    columns. Over the shared-memory transport those are zero-copy views
+    into the shard's segment; the fold's consumers all materialize what
+    they keep (``.tolist()`` products, per-row records) before the
+    segment is released.
 
     Attributes:
         time: Bucket index.
@@ -93,24 +98,139 @@ class BucketSummary:
         return self.blames.batch if self.blames is not None else self.deferred_batch
 
 
+@dataclass(slots=True)
+class SpanSummary:
+    """What the span kernel returns for a span of buckets: span-wide
+    columns, and the cuts that split them per bucket.
+
+    Bucket ``i`` is rows ``row_cuts[i]:row_cuts[i + 1]``, pairs
+    ``pair_cuts[i]:pair_cuts[i + 1]`` and bad rows
+    ``bad_cuts[i]:bad_cuts[i + 1]`` (empty for a deferred bucket). The
+    fold takes the per-bucket views :meth:`buckets` cuts.
+
+    Attributes:
+        times: The span's bucket indices, ascending.
+        row_cuts: Each bucket's row offset in the span's sanitized rows,
+            one more than ``times``: they cut ``rows``, and their
+            differences are the buckets' quartet counts.
+        rows: The span's sanitized rows, as far as the fold needs them:
+            the whole batch when a bucket is deferred (its rows travel
+            instead of blames), else the learner's columns when the
+            fold learns online, else None. Learner views and deferred
+            batches are both cut from this one object, so each column
+            is shipped once.
+        learn: Whether the fold learns online from these buckets.
+        blamed: Per bucket, whether its verdicts are in ``blames``
+            (False: deferred to the window flush).
+        blames: The blamed buckets' bad rows and verdicts, bucket after
+            bucket; None when every bucket is deferred.
+        bad_cuts: Offsets into ``blames``, one more than ``times``.
+        pair_codes, pair_users, new_mask, new_prefixes: Every bucket's
+            :class:`BucketSummary` pair columns, bucket after bucket.
+        pair_cuts: Offsets into the pair columns, one more than
+            ``times``.
+    """
+
+    times: list[Timestamp]
+    row_cuts: list[int]
+    rows: QuartetBatch | LearnColumns | None
+    learn: bool
+    blamed: list[bool]
+    blames: BlameResultBatch | None
+    bad_cuts: list[int]
+    pair_codes: np.ndarray
+    pair_users: np.ndarray
+    new_mask: np.ndarray
+    new_prefixes: np.ndarray
+    pair_cuts: list[int]
+
+    def buckets(self) -> list[BucketSummary]:
+        """One :class:`BucketSummary` view per bucket, in time order."""
+        rows, blames, cuts = self.rows, self.blames, self.row_cuts
+        summaries = []
+        for i, time in enumerate(self.times):
+            lo, hi = cuts[i], cuts[i + 1]
+            a, b = self.pair_cuts[i], self.pair_cuts[i + 1]
+            learn = bucket_blames = deferred = None
+            if self.learn:
+                learn = LearnColumns(
+                    rows.time[lo:hi],
+                    rows.mobile[lo:hi],
+                    rows.mean_rtt_ms[lo:hi],
+                    rows.location_index[lo:hi],
+                    rows.locations,
+                    rows.middle_index[lo:hi],
+                    rows.middles,
+                )
+            if self.blamed[i]:
+                c, d = self.bad_cuts[i], self.bad_cuts[i + 1]
+                bucket_blames = BlameResultBatch(
+                    blames.batch.take(slice(c, d)),
+                    blames.code[c:d],
+                    blames.cloud_fraction[c:d],
+                    blames.middle_fraction[c:d],
+                )
+            else:
+                deferred = rows.take(slice(lo, hi))
+            summaries.append(
+                BucketSummary(
+                    time=time,
+                    n_quartets=hi - lo,
+                    blames=bucket_blames,
+                    pair_codes=self.pair_codes[a:b],
+                    pair_users=self.pair_users[a:b],
+                    new_mask=self.new_mask[a:b],
+                    new_prefixes=self.new_prefixes[a:b],
+                    learn=learn,
+                    deferred_batch=deferred,
+                )
+            )
+        return summaries
+
+    def share_vocabularies(self, held: dict[tuple, tuple]) -> None:
+        """Swap in ``held``'s tuple for every vocabulary equal to one it
+        holds, and hold the others, in place.
+
+        A decoded span brings fresh vocabulary tuples; sharing one
+        object per vocabulary across spans keeps the fold's
+        identity-keyed caches hitting (pair-key decoding, the learner's
+        shared-vocabulary fold, the localizer's lookups).
+        """
+        batches = [self.blames.batch] if self.blames is not None else []
+        if isinstance(self.rows, QuartetBatch):
+            batches.append(self.rows)
+        elif self.rows is not None:
+            self.rows = self.rows._replace(
+                locations=held.setdefault(self.rows.locations, self.rows.locations),
+                middles=held.setdefault(self.rows.middles, self.rows.middles),
+            )
+        for batch in batches:
+            batch.locations = held.setdefault(batch.locations, batch.locations)
+            batch.middles = held.setdefault(batch.middles, batch.middles)
+            batch.regions = held.setdefault(batch.regions, batch.regions)
+
+
 def summarize_buckets(
     times: Sequence[Timestamp],
     batch: QuartetBatch,
     cuts: Sequence[int],
-    blames: Sequence[BlameResultBatch | None],
+    blamed: Sequence[bool],
+    blames: BlameResultBatch | None,
     seen_pairs: set[int],
     want_learn: bool,
-) -> list[BucketSummary]:
-    """Compress ingested buckets into one :class:`BucketSummary` each.
+) -> SpanSummary:
+    """Compress ingested buckets into one :class:`SpanSummary`.
 
     Args:
         times: Bucket indices.
         batch: The buckets' sanitized quartets, bucket after bucket:
             bucket ``i`` is rows ``cuts[i]:cuts[i + 1]``.
         cuts: Row offsets, one more than ``times``.
-        blames: Each bucket's passive verdicts, or None to defer them to
-            the window flush (the summary then carries the bucket's
-            rows itself).
+        blamed: Per bucket, whether ``blames`` holds its verdicts; a
+            bucket that is not is deferred to the window flush (the
+            summary then carries its rows).
+        blames: The blamed buckets' passive verdicts, bucket after
+            bucket; None when no bucket is blamed.
         seen_pairs: Pair codes already summarized under the same
             vocabularies; updated in place, so a pair is new in the
             first of these buckets it appears in. Purely an optimization
@@ -138,35 +258,34 @@ def summarize_buckets(
         dtype=bool,
         count=len(pair_codes),
     )
-    new_prefixes = batch.prefix24[first]
-    summaries = []
-    for i, time in enumerate(times):
-        lo, hi = cuts[i], cuts[i + 1]
-        a, b = pair_cuts[i], pair_cuts[i + 1]
-        learn = None
-        if want_learn:
-            learn = LearnColumns(
-                batch.time[lo:hi],
-                batch.mobile[lo:hi],
-                batch.mean_rtt_ms[lo:hi],
-                batch.location_index[lo:hi],
-                batch.locations,
-                batch.middle_index[lo:hi],
-                batch.middles,
-            )
-        summaries.append(
-            BucketSummary(
-                time=time,
-                n_quartets=hi - lo,
-                blames=blames[i],
-                pair_codes=pair_codes[a:b],
-                pair_users=pair_users[a:b],
-                new_mask=new_mask[a:b],
-                new_prefixes=new_prefixes[a:b],
-                learn=learn,
-                deferred_batch=(
-                    batch.take(slice(lo, hi)) if blames[i] is None else None
-                ),
-            )
+    rows = None
+    if not all(blamed):
+        rows = batch
+    elif want_learn:
+        rows = LearnColumns(
+            batch.time,
+            batch.mobile,
+            batch.mean_rtt_ms,
+            batch.location_index,
+            batch.locations,
+            batch.middle_index,
+            batch.middles,
         )
-    return summaries
+    if blames is None:
+        bad_cuts = [0] * (len(times) + 1)
+    else:
+        bad_cuts = np.searchsorted(blames.batch.time, times).tolist() + [len(blames)]
+    return SpanSummary(
+        times=list(times),
+        row_cuts=list(cuts),
+        rows=rows,
+        learn=want_learn,
+        blamed=list(blamed),
+        blames=blames,
+        bad_cuts=bad_cuts,
+        pair_codes=pair_codes,
+        pair_users=pair_users,
+        new_mask=new_mask,
+        new_prefixes=batch.prefix24[first],
+        pair_cuts=pair_cuts,
+    )

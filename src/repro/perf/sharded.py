@@ -3,27 +3,35 @@
 The expensive half of a pipeline run — per-bucket quartet generation and
 the passive phase — depends only on the bucket index and the (frozen)
 expected-RTT table, so buckets partition cleanly across processes.
-:class:`ShardedPipeline` cuts the run range into contiguous shards, has
-each worker produce compact per-bucket summaries
-(:class:`~repro.core.summary.BucketSummary`: quartet counts, blame
-results, per-path user counts, newly seen probe targets), then hands
-the summaries, in deterministic time order, to the one fold kernel —
+:class:`ShardedPipeline` cuts the run range into contiguous shards —
+by default exactly the span kernel's spans
+(:func:`~repro.core.pipeline.span_stop`: up to ``SPAN_BUCKETS`` buckets,
+never across a day boundary) — and has each worker return one compact
+:class:`~repro.core.summary.SpanSummary` per span: span-wide columns
+(blame results, per-path user counts, newly seen probe targets, the
+rows the fold still needs) plus the cuts that split them per bucket.
+The parent cuts each span's per-bucket views
+(:meth:`~repro.core.summary.SpanSummary.buckets`) as it folds them, in
+deterministic time order, through the one fold kernel —
 :meth:`BlameItPipeline.fold_bucket
 <repro.core.pipeline.BlameItPipeline.fold_bucket>`, the same method the
 sequential ``step`` calls: issue tracking, on-demand probing (so the
 §5.3 per-window probe budget is enforced exactly once, globally),
 background probing, localization and alerting all run in the parent.
 This module owns only what is the sharded driver's own: shards, the
-worker pool, the transport, the reorder buffer, leases, stage timing.
+worker pool, the transport, the reorder buffer, leases, vocabulary
+sharing, stage timing.
 
 Workers run the span kernel
-(:func:`~repro.core.pipeline.summarize_span`) over their shard, drawing
-each bucket's quartets from a ``(seed, bucket)``-seeded generator — the
-same scheme as ``BlameItPipeline(rng_per_bucket=True)``; summaries
-travel as NumPy columns (a
-:class:`~repro.core.blame.BlameResultBatch` plus composite pair-code
-arrays), so a sharded run's blame counts are byte-identical to the
-sequential pipeline's.
+(:func:`~repro.core.pipeline.summarize_span`) over their shard, span by
+span, drawing each bucket's quartets from a ``(seed, bucket)``-seeded
+generator — the same scheme as ``BlameItPipeline(rng_per_bucket=True)``;
+spans travel as NumPy columns, so a sharded run's blame counts are
+byte-identical to the sequential pipeline's. Each decoded shard brings
+its own copies of the generator's vocabulary tuples; the parent keeps
+the first copy of each and swaps it in for every later equal one
+(:meth:`~repro.core.summary.SpanSummary.share_vocabularies`), so the
+fold's identity-keyed caches keep hitting across shards.
 
 Three execution-engine properties make the fan-out actually scale
 (DESIGN.md §4b):
@@ -38,8 +46,9 @@ Three execution-engine properties make the fan-out actually scale
   when the epoch moves, so within a segment it keeps one table object
   and the localizer's identity-keyed lookups stay warm.
 * **Shared-memory transport** (:mod:`repro.perf.transport`). A worker
-  pickles its shard's summaries with every array's bytes out of band in
-  one ``multiprocessing.shared_memory`` segment; the parent unpickles
+  pickles its shard's span summaries with every array's bytes out of
+  band in one ``multiprocessing.shared_memory`` segment (about 17
+  buffers a span, whatever its length); the parent unpickles
   zero-copy views of it and releases the segment when the last window
   entry referencing it flushes. Where a segment cannot be had the same
   stream travels whole through the result pipe (``transport.*``
@@ -48,8 +57,10 @@ Three execution-engine properties make the fan-out actually scale
   their results stream back through a reorder buffer keyed by shard
   index, so the parent folds shard *k* while shards *k+1…* are still
   computing — the critical path is max(slowest shard, total fold)
-  rather than their sum. The reorder buffer is what keeps the fold
-  deterministic: buckets are always folded in exact time order no
+  rather than their sum. With span shards the fold starts after the
+  first span, not after a worker's share of the run, and holds one
+  span's decoded views at a time. The reorder buffer is what keeps the
+  fold deterministic: buckets are always folded in exact time order no
   matter the completion order.
 
 Without a ``fixed_table`` the sequential pipeline refreshes its
@@ -61,7 +72,7 @@ the sequential loop refreshes at the *top* of a day's first bucket but
 flushes a blame window at the *bottom* of the window's last bucket, so
 a window straddling the boundary is blamed entirely with the new day's
 table. The span kernel therefore defers any bucket whose window flushes
-in a later day — it ships the sanitized batch itself instead of blames,
+in a later day — its span ships the sanitized rows instead of blames,
 and the fold's flush assigns blames with the table current *then* (as
 it does for the same buckets of a sequential run).
 With a ``fixed_table`` (or under a chaos table drop) there is no
@@ -79,8 +90,6 @@ import time as time_mod
 import weakref
 from typing import TYPE_CHECKING, Iterator
 
-import numpy as np
-
 from repro.chaos import ChaosWorkerCrash, FaultPlan
 from repro.core.config import BlameItConfig
 from repro.core.passive import PassiveLocalizer
@@ -93,7 +102,7 @@ from repro.core.pipeline import (
 )
 from repro.core.prediction import DurationPredictor
 from repro.core.quartet import QuartetBatch
-from repro.core.summary import BucketSummary
+from repro.core.summary import SpanSummary
 from repro.core.thresholds import ExpectedRTTLearner, ExpectedRTTTable
 from repro.net.bgp import Timestamp
 from repro.obs import NULL_REGISTRY, MetricsRegistry, Snapshot
@@ -111,11 +120,11 @@ from repro.sim.scenario import BUCKETS_PER_DAY, Scenario
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.store import CheckpointStore
 
-#: One shard's decoded result: summaries, the worker's metrics
-#: snapshot, and the shared-memory lease its arrays live under (None on
-#: the in-band/inline paths). A whole-shard ``None`` marks an abandoned
-#: shard whose buckets drop out of the fold.
-ShardResult = "tuple[list[BucketSummary], Snapshot | None, ShmLease | None]"
+#: One shard's decoded result: its span summaries, the worker's metrics
+#: snapshot, and the shared-memory lease their arrays live under (None
+#: on the in-band/inline paths). A whole-shard ``None`` marks an
+#: abandoned shard whose buckets drop out of the fold.
+ShardResult = "tuple[list[SpanSummary], Snapshot | None, ShmLease | None]"
 
 #: The epoch-tagged table of a segment's task messages.
 TableMessage = "tuple[int, ExpectedRTTTable]"
@@ -154,8 +163,9 @@ class _ShardRunner:
 
     def run_shard(
         self, bounds: tuple[int, int], attempt: int = 0
-    ) -> tuple[list[BucketSummary], Snapshot | None]:
-        """Process one shard; returns its summaries plus, when
+    ) -> tuple[list[SpanSummary], Snapshot | None]:
+        """Process one shard, span by span; returns one
+        :class:`~repro.core.summary.SpanSummary` per span plus, when
         observability is on, the shard's metrics snapshot for the parent
         to merge at fold time.
 
@@ -183,24 +193,26 @@ class _ShardRunner:
                 time_mod.sleep(delay_ms / 1000.0)
         refresh = self.run_bounds if self.defer_cross_day else None
         seen_pairs: set[int] = set()
-        summaries: list[BucketSummary] = []
+        spans: list[SpanSummary] = []
         time = start
         while time < end:
             stop = span_stop(time, end)
-            summaries += summarize_span(
-                range(time, stop),
-                self.generator,
-                self.seed,
-                seen_pairs,
-                self.want_learn,
-                chaos=chaos,
-                metrics=metrics,
-                passive=self.localizer,
-                table=self.table,
-                refresh=refresh,
+            spans.append(
+                summarize_span(
+                    range(time, stop),
+                    self.generator,
+                    self.seed,
+                    seen_pairs,
+                    self.want_learn,
+                    chaos=chaos,
+                    metrics=metrics,
+                    passive=self.localizer,
+                    table=self.table,
+                    refresh=refresh,
+                )
             )
             time = stop
-        return summaries, metrics.snapshot() if metrics.enabled else None
+        return spans, metrics.snapshot() if metrics.enabled else None
 
 
 class _ShardWorker:
@@ -240,7 +252,7 @@ class _ShardWorker:
         run_bounds: tuple[int, int] | None,
         defer_cross_day: bool,
         attempt: int,
-    ) -> tuple[list[BucketSummary], Snapshot | None]:
+    ) -> tuple[list[SpanSummary], Snapshot | None]:
         epoch, table = table_msg
         runner = self._runner
         if runner is None:
@@ -313,8 +325,11 @@ class ShardedPipeline:
             process — same results, no IPC. The pool is created lazily
             on the first multi-worker dispatch and persists across
             segments, runs, and daemon steps until :meth:`close`.
-        buckets_per_shard: Shard granularity; ``None`` splits the run
-            range evenly across workers.
+        buckets_per_shard: Shard granularity; ``None`` makes each shard
+            one span of the span kernel (:func:`~repro.core.pipeline.span_stop`:
+            up to ``SPAN_BUCKETS`` buckets, never across a day boundary),
+            so the fold starts after the first span. A shard of any other
+            size is still computed span by span.
         alert_top_k: Tickets emitted.
         seed: Per-bucket quartet RNG seed and probe-noise seed; must
             match the sequential pipeline's for byte-identical runs.
@@ -424,6 +439,9 @@ class ShardedPipeline:
         }
         self.stage_seconds = {"shard_wait": 0.0, "fold": 0.0}
         self.pools_created = 0
+        # One object per vocabulary across decoded shards (see
+        # SpanSummary.share_vocabularies).
+        self._vocabularies: dict[tuple, tuple] = {}
         self._res = _Resources()
         self._finalizer = weakref.finalize(self, self._res.close)
 
@@ -451,14 +469,16 @@ class ShardedPipeline:
     # -- sharding ------------------------------------------------------
 
     def _shards(self, start: Timestamp, end: Timestamp) -> list[tuple[int, int]]:
-        total = end - start
-        if total <= 0:
-            return []
-        per_shard = self.buckets_per_shard or -(-total // self.n_workers)
-        per_shard = max(1, per_shard)
-        return [
-            (t, min(end, t + per_shard)) for t in range(start, end, per_shard)
-        ]
+        """``[start, end)`` cut into shards: the span kernel's spans, or
+        ``buckets_per_shard``-bucket shards when that is set."""
+        if self.buckets_per_shard is not None:
+            size = max(1, self.buckets_per_shard)
+            return [(t, min(end, t + size)) for t in range(start, end, size)]
+        shards = []
+        while start < end:
+            shards.append((start, span_stop(start, end)))
+            start = shards[-1][1]
+        return shards
 
     def _ensure_pool(self) -> "multiprocessing.pool.Pool | None":
         """The persistent pool, created on first use; None means run
@@ -603,6 +623,8 @@ class ShardedPipeline:
                     result = decode_result(payload, self._count_transport)
                     if result[2] is not None:
                         self._res.leases.add(result[2])
+                    for span in result[0]:
+                        span.share_vocabularies(self._vocabularies)
                     yield result
         finally:
             # An abandoned consumer (exception mid-fold, chaos kill)
@@ -755,19 +777,21 @@ class ShardedPipeline:
         bounds: tuple[int, int],
         result: "ShardResult | None",
     ) -> None:
-        """Hand one shard's buckets to the kernel, in time order; None
-        means the shard was abandoned (its buckets go missing, the fold
-        carries on degraded)."""
-        start, end = bounds
-        lease: ShmLease | None = None
-        summaries: dict[int, BucketSummary] = {}
-        if result is not None:
-            shard_summaries, snapshot, lease = result
-            self.metrics.merge_snapshot(snapshot)
-            summaries = {summary.time: summary for summary in shard_summaries}
+        """Hand one shard's buckets to the kernel, in time order, cutting
+        each span's per-bucket views as it is folded; None means the
+        shard was abandoned (its buckets go missing, the fold carries on
+        degraded)."""
+        fold = self.pipeline.fold_bucket
+        if result is None:
+            for time in range(*bounds):
+                fold(state, time, None)
+            return
+        spans, snapshot, lease = result
+        self.metrics.merge_snapshot(snapshot)
         try:
-            for time in range(start, end):
-                self.pipeline.fold_bucket(state, time, summaries.get(time), lease)
+            for span in spans:
+                for summary in span.buckets():
+                    fold(state, summary.time, summary, lease)
         finally:
             # Drop the decode reference; window entries hold their own
             # until the kernel's flush releases them.

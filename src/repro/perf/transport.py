@@ -1,10 +1,11 @@
 """Shard-result transport: one pickle stream, buffers in shared memory.
 
-A shard worker's output is almost entirely NumPy arrays — blame batch
-columns, composite pair codes, per-pair user counts, learner columns,
-deferred batches. Pickling those through ``Pool.apply_async``'s result
-pipe costs a serialize/deserialize pass on every byte. This module
-instead pickles ``(summaries, snapshot)`` with protocol 5 and a
+A shard worker's output — one :class:`~repro.core.summary.SpanSummary`
+per span — is almost entirely NumPy arrays: blame batch columns,
+composite pair codes, per-pair user counts, the span's rows. Pickling
+those through ``Pool.apply_async``'s result pipe costs a
+serialize/deserialize pass on every byte. This module instead pickles
+``(spans, snapshot)`` with protocol 5 and a
 ``buffer_callback``: every contiguous array's bytes leave the stream as
 an out-of-band buffer, and the buffers are copied back-to-back (at
 16-byte-aligned offsets) into **one** ``multiprocessing.shared_memory``
@@ -13,12 +14,12 @@ shapes — crosses the result pipe; the parent maps the segment and
 ``pickle.loads`` rebuilds the arrays as zero-copy views of it.
 
 The transport knows nothing about what it carries. Pickle's memo does
-the sharing: an array referenced twice (a deferred bucket's learn
-columns are its deferred batch's columns) is written once and decodes
-to one shared array, and a vocabulary tuple shared by a shard's batches
-is serialized once and stays one object, so identity-keyed caches
-downstream keep hitting. A non-contiguous array simply stays in the
-stream.
+the sharing: an array referenced twice is written once and decodes to
+one shared array, and a vocabulary tuple shared by a shard's batches is
+serialized once and stays one object. A view is written as its own
+bytes, so a span ships whole columns and the parent cuts the views
+(:meth:`SpanSummary.buckets <repro.core.summary.SpanSummary.buckets>`).
+A non-contiguous array simply stays in the stream.
 
 Lifetime: the worker creates the segment, copies its buffers in, closes
 its own mapping and hands ownership to the parent (each side balances
@@ -49,7 +50,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core.summary import BucketSummary
+from repro.core.summary import SpanSummary
 from repro.obs import Snapshot
 
 try:  # pragma: no cover - absent only on exotic platforms
@@ -66,7 +67,7 @@ _ALIGN = 16
 class ShardPayload:
     """One shard's result on its way through the result pipe.
 
-    ``data`` is the pickle stream of ``(summaries, snapshot)``. With a
+    ``data`` is the pickle stream of ``(spans, snapshot)``. With a
     segment (``name`` set) the stream's out-of-band buffers, ``sizes``
     bytes each in stream order, sit in that shared-memory segment at
     the offsets :func:`_layout` gives; without one the stream is
@@ -93,7 +94,7 @@ def _layout(sizes: Sequence[int]) -> tuple[list[int], int]:
 class ShmLease:
     """Parent-side ownership of one mapped segment, manually refcounted.
 
-    The fold holds one reference while a shard's summaries are being
+    The fold holds one reference while a shard's spans are being
     folded plus one per window entry that still points at the segment's
     arrays; :meth:`release` drops a reference and closes + unlinks the
     segment when the last one goes. :meth:`destroy` is the abnormal-exit
@@ -142,10 +143,10 @@ class ShmLease:
 
 
 def encode_result(
-    summaries: list[BucketSummary], snapshot: Snapshot | None
+    spans: list[SpanSummary], snapshot: Snapshot | None
 ) -> ShardPayload:
     """Encode one shard's output for the trip to the parent (worker side)."""
-    result = (summaries, snapshot)
+    result = (spans, snapshot)
     if shared_memory is None:
         return ShardPayload(pickle.dumps(result, protocol=5))
     buffers: list[pickle.PickleBuffer] = []
@@ -174,8 +175,8 @@ def encode_result(
 def decode_result(
     payload: ShardPayload,
     count: Callable[[str, int], None],
-) -> "tuple[list[BucketSummary], Snapshot | None, ShmLease | None]":
-    """Decode a shard payload; returns (summaries, snapshot, lease).
+) -> "tuple[list[SpanSummary], Snapshot | None, ShmLease | None]":
+    """Decode a shard payload; returns (spans, snapshot, lease).
 
     ``count(name, amount)`` receives the transport accounting —
     ``shm_bytes`` / ``shm_segments`` / ``pickle_bytes`` / ``fallbacks``
@@ -187,8 +188,8 @@ def decode_result(
         count("pickle_bytes", len(payload.data))
         if payload.fallback:
             count("fallbacks", 1)
-        summaries, snapshot = pickle.loads(payload.data)
-        return summaries, snapshot, None
+        spans, snapshot = pickle.loads(payload.data)
+        return spans, snapshot, None
     shm = shared_memory.SharedMemory(name=payload.name)
     # The worker handed ownership over; register so an abnormal parent
     # exit still reclaims the segment (unlink() unregisters again).
@@ -202,10 +203,10 @@ def decode_result(
         np.ndarray((size,), np.uint8, buffer=buf, offset=offset)
         for size, offset in zip(payload.sizes, offsets)
     ]
-    summaries, snapshot = pickle.loads(payload.data, buffers=views)
+    spans, snapshot = pickle.loads(payload.data, buffers=views)
     count("shm_bytes", used)
     count("shm_segments", 1)
-    return summaries, snapshot, lease
+    return spans, snapshot, lease
 
 
 # -- resource-tracker bookkeeping -------------------------------------

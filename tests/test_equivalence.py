@@ -6,7 +6,10 @@
    the whole range;
 3. the learner's fold queue and the fold kernel's seam change nothing;
 4. the span kernel makes one ``generate`` and one ``assign_batch`` call
-   per span, and nothing of a span reaches the pipeline before its fold.
+   per span, and nothing of a span reaches the pipeline before its fold;
+5. the sharded driver's default plan is one shard per span, matches the
+   sequential run across a kill and a resume, and keeps one object per
+   vocabulary across decoded shards.
 
 Driver-against-driver byte identity is the matrix's
 (``tests/harness.py``); the cells that predate it keep their IDs here.
@@ -15,25 +18,38 @@ Driver-against-driver byte identity is the matrix's
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import closing
 
 import numpy as np
 import pytest
 
 import repro.core.pipeline as pipeline_module
+import repro.core.thresholds as thresholds_module
 from repro.chaos import ChaosKill, FaultPlan
 from repro.core.config import BlameItConfig
 from repro.core.passive import PassiveLocalizer
-from repro.core.pipeline import WindowEntry, summarize_span
+from repro.core.pipeline import WindowEntry, span_stop, summarize_span
 from repro.core.quartet import QuartetBatch
 from repro.core.thresholds import ExpectedRTTLearner, _Lane
 from repro.obs import MetricsRegistry
 from repro.perf.batch import BatchQuartetGenerator
 from repro.perf.sharded import _ShardRunner
+from repro.perf.workers import usable_cpus
 from repro.serve import BlameItDaemon
 from repro.sim.scenario import BUCKETS_PER_DAY, Scenario
+from repro.store import CheckpointStore
 
 from tests import harness
-from tests.harness import SEED, SMALL, digest, make_config, make_pipeline, reference
+from tests.harness import (
+    LEARNED,
+    SEED,
+    SMALL,
+    digest,
+    make_config,
+    make_pipeline,
+    reference,
+)
+from tests.test_thresholds import assert_learners_identical
 from tests.test_perf import _random_quartets, _random_table, _targets
 from tests.test_transport import _assert_summaries_equal
 
@@ -270,7 +286,7 @@ class TestFoldKernelSeam:
         deferred = summarize_span(
             range(self.START, self.END), BatchQuartetGenerator(scenario),
             SEED, set(), False,
-        )
+        ).buckets()
         assert all(s.blames is None for s in deferred)
         generator, seen = BatchQuartetGenerator(scenario), set()
         per_bucket = [
@@ -279,7 +295,7 @@ class TestFoldKernelSeam:
             for summary in summarize_span(
                 [t], generator, SEED, seen, False,
                 passive=pipeline.passive, table=trained_table,
-            )
+            ).buckets()
         ]
         return deferred, inline, per_bucket
 
@@ -293,7 +309,8 @@ class TestFoldKernelSeam:
             Scenario.from_world(small_world), make_config(), trained_table,
             seed=SEED,
         )
-        shipped, _ = runner.run_shard((self.START, self.END))
+        spans, _ = runner.run_shard((self.START, self.END))
+        shipped = [summary for span in spans for summary in span.buckets()]
         _, inline, per_bucket = summaries
         _assert_summaries_equal(shipped, per_bucket)
         _assert_summaries_equal(inline, per_bucket)
@@ -326,6 +343,115 @@ class TestFoldKernelSeam:
         assert all_deferred[0][1], "the window blamed nothing"
         assert flushed([blamed[0], deferred[1], blamed[2]]) == all_deferred
         assert flushed(blamed) == all_deferred
+
+
+def _span_chain(start: int, end: int) -> list[tuple[int, int]]:
+    """``[start, end)`` cut where the span kernel's spans stop."""
+    cuts = [start]
+    while cuts[-1] < end:
+        cuts.append(span_stop(cuts[-1], end))
+    return list(zip(cuts, cuts[1:]))
+
+
+class TestSpanShards:
+    """The sharded driver's default plan (``buckets_per_shard=None``):
+    one shard per span of the span kernel, one payload per span, one
+    object per vocabulary once decoded. Other drivers in the matrix pin
+    17- and 13-bucket shards."""
+
+    def test_default_shards_are_the_span_chain(self, small_world):
+        sharded = make_pipeline(
+            Scenario.from_world(small_world), "sharded1", n_workers=3,
+            table=harness.trained_table(small_world), buckets_per_shard=None,
+        )
+        for start, end in ((250, 600), (100, 160), (287, 289), (5, 5)):
+            assert sharded._shards(start, end) == _span_chain(start, end)
+        assert _span_chain(250, 600)[:2] == [(250, 274), (274, 288)]
+
+    def test_learned_kill_inside_a_span_then_resume(
+        self, multi_day_world, tmp_path
+    ):
+        """A learned two-day run on the default plan, at two workers
+        (inline under one usable CPU), killed at bucket 530 (inside the
+        span [528, 552)) and resumed from the day-1 checkpoint, ends
+        with the sequential digest and learner; every segment is cut
+        into the span chain."""
+        expected = reference(LEARNED, multi_day_world)
+        store = CheckpointStore(tmp_path)
+        workers = min(2, usable_cpus())
+
+        def build(**kwargs):
+            return LEARNED.build(
+                multi_day_world, "sharded2", n_workers=workers,
+                buckets_per_shard=None, store=store,
+                metrics=MetricsRegistry(), **kwargs,
+            )
+
+        try:
+            kill = FaultPlan(seed=1, kill_at_bucket=LEARNED.mid_kill)
+            with closing(build(chaos=kill)) as killed:
+                with pytest.raises(ChaosKill, match="at bucket 530$"):
+                    killed.run(*LEARNED.span)
+            assert store.latest_time() == 288
+            with closing(build(warm_start=True)) as resumed:
+                report = resumed.run(*LEARNED.span)
+        finally:
+            store.close()
+        assert digest(report) == expected.digest
+        assert_learners_identical(resumed.pipeline.learner, expected.learner)
+        shards = _span_chain(288, 576) + _span_chain(576, LEARNED.span[1])
+        assert report.metrics["counters"]["shard.runs"] == len(shards)
+
+    def test_fixed_table_run_decodes_each_pair_once(
+        self, small_world, trained_table, monkeypatch
+    ):
+        """Tripwire: three decoded shards (spans) at two workers decode
+        each ⟨location, middle⟩ pair once in the whole run; a fresh
+        vocabulary object per shard would reset the pair-key cache and
+        decode a pair again in every shard it appears in."""
+        decoded = []
+        pair_key = QuartetBatch.pair_key
+        monkeypatch.setattr(
+            QuartetBatch, "pair_key",
+            lambda batch, code: decoded.append(pair_key(batch, code)) or decoded[-1],
+        )
+        with closing(
+            make_pipeline(
+                Scenario.from_world(small_world), "sharded2",
+                table=trained_table, buckets_per_shard=None,
+            )
+        ) as sharded:
+            report = sharded.run(*SMALL.span)
+        assert sharded.transport_stats["shm_segments"] == len(
+            _span_chain(*SMALL.span)
+        ) == 3
+        assert decoded and len(decoded) == len(set(decoded))
+        assert digest(report) == reference(SMALL, small_world).digest
+
+    def test_learned_run_folds_one_shared_vocabulary(
+        self, multi_day_world, monkeypatch
+    ):
+        """Tripwire: every learner fold of a sharded learned run over a
+        day boundary concatenates segments that carry one vocabulary
+        object, never re-codes them against a merged one (what decoded
+        shards with fresh tuples each would force)."""
+        merged = []
+        merge = thresholds_module._merge_codes
+
+        def recorded(codes, vocabs):
+            merged.append(any(vocab is not vocabs[0] for vocab in vocabs))
+            return merge(codes, vocabs)
+
+        monkeypatch.setattr(thresholds_module, "_merge_codes", recorded)
+        with closing(
+            make_pipeline(
+                Scenario.from_world(multi_day_world), "sharded2",
+                buckets_per_shard=None,
+            )
+        ) as sharded:
+            merged.clear()  # the warm-up's folds
+            sharded.run(240, 340)
+        assert merged and not any(merged)
 
 
 class TestSuiteScenarioEquivalence:

@@ -1,5 +1,6 @@
 """Integration tests for repro.core.pipeline over small scenarios."""
 
+import numpy as np
 import pytest
 
 from repro.core.blame import Blame, BlameResult
@@ -7,6 +8,7 @@ from repro.core.pipeline import BlameItPipeline, _KeyedIssueTracker
 from repro.core.quartet import Quartet
 from repro.net.asn import middle_asns
 from repro.net.geo import Region
+from repro.perf.batch import BatchQuartetGenerator
 from repro.sim.faults import Fault, FaultTarget, SegmentKind
 from repro.sim.scenario import Scenario
 
@@ -117,6 +119,27 @@ class TestMiddleFaultRun:
         report = pipeline.run(150, 200)
         assert report.probes_on_demand == 0
         assert report.localized == []
+
+
+class TestPairKeys:
+    def test_decodes_like_pair_key_and_reuses_tuples(self, small_world):
+        """Pair codes decode to ``batch.pair_key(code)``, and a code
+        decoded again (in the same call or a later one) returns the
+        same tuple object: the client predictor's history holds one
+        tuple per pair."""
+        scenario = Scenario.from_world(small_world)
+        pipeline = BlameItPipeline(scenario)
+        generator = BatchQuartetGenerator(scenario)
+        first_batch, later_batch = (
+            generator.generate(t, np.random.default_rng(t)) for t in (100, 101)
+        )
+        codes = first_batch.pair_codes().tolist()
+        keys = pipeline._pair_keys(first_batch, codes)
+        assert keys == [first_batch.pair_key(code) for code in codes]
+        later_codes = later_batch.pair_codes().tolist()
+        later = pipeline._pair_keys(later_batch, later_codes + codes)
+        assert later == [later_batch.pair_key(code) for code in later_codes + codes]
+        assert all(a is b for a, b in zip(later[len(later_codes) :], keys))
 
 
 class TestFixedTable:

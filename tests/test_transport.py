@@ -60,7 +60,8 @@ def _shm_entries() -> set[str]:
 
 @pytest.fixture(scope="module")
 def shard_output(small_world, trained_table):
-    """One real shard's summaries + snapshot (learn columns included)."""
+    """One real shard's span summaries + snapshot (learn columns
+    included)."""
     runner = _ShardRunner(
         Scenario.from_world(small_world),
         make_config(),
@@ -69,9 +70,9 @@ def shard_output(small_world, trained_table):
         metrics_enabled=True,
         want_learn=True,
     )
-    summaries, snapshot = runner.run_shard((100, 113))
-    assert any(s.n_quartets for s in summaries)
-    return summaries, snapshot
+    spans, snapshot = runner.run_shard((100, 113))
+    assert spans[0].row_cuts[-1] > 0 and spans[0].learn
+    return spans, snapshot
 
 
 def _assert_equal(got, expected) -> None:
@@ -181,6 +182,50 @@ class TestRoundTrip:
             lease.release()
 
     @needs_shm
+    @pytest.mark.parametrize(
+        "bounds, blamed, buffers",
+        [((283, 288), [True] * 3 + [False] * 2, 27), ((286, 287), [False], 14)],
+        ids=["span", "one_deferred_bucket"],
+    )
+    def test_span_batch_columns_cross_once(
+        self, small_world, trained_table, bounds, blamed, buffers
+    ):
+        """A span whose last two buckets are deferred (their window
+        flushes after the day-boundary refresh) under online learning
+        ships its sanitized rows once: the learner's views and the
+        deferred buckets' batches are both cut from the one span batch
+        after decoding. The segment holds the batch's 10 columns, the 4
+        pair columns and, when a bucket is blamed, the blames' 13 —
+        each once, by count and by bytes."""
+        runner = _ShardRunner(
+            Scenario.from_world(small_world), make_config(), trained_table,
+            seed=SEED, want_learn=True, run_bounds=(250, 600),
+            defer_cross_day=True,
+        )
+        (span,), _ = runner.run_shard(bounds)
+        assert span.blamed == blamed
+
+        def arrays(batch):
+            fields = (getattr(batch, f.name) for f in dataclasses.fields(batch))
+            return [value for value in fields if isinstance(value, np.ndarray)]
+
+        shipped = arrays(span.rows) + [
+            span.pair_codes, span.pair_users, span.new_mask, span.new_prefixes,
+        ]
+        if span.blames is not None:
+            shipped += arrays(span.blames.batch) + arrays(span.blames)
+        payload = encode_result([span], None)
+        ((decoded,), _, lease), counts = _decode(payload)
+        try:
+            assert len(payload.sizes) == len(shipped) == buffers
+            assert sum(payload.sizes) == sum(array.nbytes for array in shipped)
+            assert counts["shm_bytes"] == transport._layout(payload.sizes)[1]
+            deferred = decoded.buckets()[-1]
+            assert np.shares_memory(deferred.learn.time, deferred.deferred_batch.time)
+        finally:
+            lease.release()
+
+    @needs_shm
     def test_discard_payload_reclaims_segment(self, shard_output):
         summaries, snapshot = shard_output
         payload = encode_result(summaries, snapshot)
@@ -274,13 +319,13 @@ class TestPipelineTransport:
         encode = sharded.encode_result
         start = SMALL.span[0]
 
-        def encode_every_other(summaries, snapshot):
-            if (summaries[0].time - start) // 13 % 2 == 0:  # sharded2: 13
-                return encode(summaries, snapshot)
+        def encode_every_other(spans, snapshot):
+            if (spans[0].times[0] - start) // 13 % 2 == 0:  # sharded2: 13
+                return encode(spans, snapshot)
             allocate = transport.shared_memory.SharedMemory
             transport.shared_memory.SharedMemory = _refuse_allocation
             try:
-                return encode(summaries, snapshot)
+                return encode(spans, snapshot)
             finally:
                 transport.shared_memory.SharedMemory = allocate
 
