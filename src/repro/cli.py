@@ -496,8 +496,9 @@ def _open_run(args, *, metrics=None, chaos=None, keep_last=None) -> tuple | str:
 
 def _close_run(pipeline, store) -> None:
     """Release the sharded driver's worker pool and the store."""
-    if not isinstance(pipeline, BlameItPipeline):
-        pipeline.close()
+    close = getattr(pipeline, "close", None)
+    if close is not None:
+        close()
     if store is not None:
         store.close()
 
@@ -625,7 +626,7 @@ def _cmd_serve(args) -> int:
     if args.workers is not None and args.source_jsonl:
         return _fail(
             "--workers requires scenario-generated buckets; the sharded "
-            "pipeline cannot ingest --source-jsonl batches"
+            "pipeline's workers cannot compute --source-jsonl batches"
         )
     if args.retention_days is not None and not (args.checkpoint_dir or args.resume):
         return _fail("--retention-days requires --checkpoint-dir")

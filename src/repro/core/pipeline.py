@@ -428,11 +428,11 @@ class RunState:
     """Everything an in-progress run carries between buckets.
 
     Produced by :meth:`BlameItPipeline.begin_run` and advanced one
-    bucket at a time by :meth:`BlameItPipeline.fold_bucket`; the batch
-    :meth:`BlameItPipeline.run` loop, the streaming daemon
-    (:mod:`repro.serve`) and the sharded driver (:mod:`repro.perf`)
-    drive the same state through the same kernel, which is what keeps
-    their reports byte-identical.
+    bucket at a time by :meth:`BlameItPipeline.step`; the batch
+    :meth:`BlameItPipeline.run` loop and the streaming daemon
+    (:mod:`repro.serve`) drive the same state through the same step,
+    whichever driver computes the spans (:mod:`repro.perf.sharded`),
+    which is what keeps their reports byte-identical.
 
     Attributes:
         report: The partial report being accumulated.
@@ -453,9 +453,11 @@ class RunState:
             here).
         ahead: Per-bucket views of the span the kernel computed, for
             buckets from ``cursor`` on, not folded yet, in time order
-            (:meth:`~repro.core.summary.SpanSummary.buckets`). They leave no
-            trace in the pipeline's state until folded, and no
-            checkpoint holds them.
+            (:meth:`~repro.core.summary.SpanSummary.buckets`; None for a
+            bucket of an abandoned shard). They leave no trace in the
+            pipeline's state until folded, and no checkpoint holds them.
+        lease: The shared-memory lease ``ahead``'s arrays live under
+            (:mod:`repro.perf.transport`), or None.
     """
 
     report: PipelineReport
@@ -467,7 +469,8 @@ class RunState:
     table_day: int
     window: list[WindowEntry] = field(default_factory=list)
     restored_extra: dict = field(default_factory=dict)
-    ahead: list[BucketSummary] = field(default_factory=list)
+    ahead: list[BucketSummary | None] = field(default_factory=list)
+    lease: object | None = None
 
     @property
     def window_times(self) -> list[int]:
@@ -624,10 +627,11 @@ class BlameItPipeline:
         targets at ``start`` (production would have these from the
         steady-state background schedule).
 
-        A thin driver over the incremental step API: ``begin_run`` cold-
-        starts or restores, ``step`` folds one bucket per call (and, at
-        the first bucket of each span, summarizes the span), ``finish_run``
-        flushes and finalizes. Quartets stay
+        The one run loop, a thin driver over the incremental step API:
+        ``begin_run`` cold-starts or restores, ``step`` folds one bucket
+        per call (and, at the first bucket of each span, gets the span
+        through :meth:`_span_ahead`), ``finish_run`` flushes and
+        finalizes. Quartets stay
         :class:`~repro.core.quartet.QuartetBatch` columns end to end;
         per-row records are materialized only for the bad rows that
         survive Algorithm 1 (inside :meth:`flush_window`).
@@ -709,42 +713,66 @@ class BlameItPipeline:
         Args:
             state: The run opened by :meth:`begin_run`.
             batch: The bucket's raw (pre-chaos, pre-sanitize) quartets
-                from an external source — a span of one; None generates
-                from the scenario — the batch loop's path.
+                from an external source — a span of one, which drops
+                ``state.ahead``; None generates from the scenario — the
+                batch loop's path.
 
-        A generated bucket's summary comes from ``state.ahead``. When it
-        holds none, the span kernel (:func:`summarize_span`) first
-        summarizes the span from this bucket to :func:`span_stop` (or
-        the chaos plan's kill bucket, if nearer), and ``state.ahead``
-        takes the span's per-bucket views. Either way the summary
-        goes through :meth:`fold_bucket` — the same kernel a shard
-        worker's summary goes through. An external batch carries
+        A generated bucket's summary comes from ``state.ahead``; when
+        that is empty, :meth:`_span_ahead` first fills it with the views
+        of the span starting at this bucket. Either way the summary goes
+        through :meth:`fold_bucket`. An external batch carries
         batch-local vocabularies, so its pair codes compare with no
         earlier bucket's: every pair is offered to ``register_target``,
         which knows the ones it has.
         """
         time = state.cursor
         self._refresh_table(state, time)
+        lease = None
         if batch is not None:
+            state.ahead = []
             (summary,) = self._summarize(
                 state, [time], batch=batch, seen=set()
             ).buckets()
         else:
-            _, seen = self._generator_for(self.scenario)
-            if not state.ahead or state.ahead[0].time != time:
-                stop = span_stop(time, state.end)
-                kill = self.chaos.kill_at_bucket if self.chaos is not None else None
-                if kill is not None and kill > time:
-                    stop = min(stop, kill)
-                # The kernel marks new pairs in a copy; the fold commits
-                # each bucket's as it folds it.
-                state.ahead = self._summarize(
-                    state, range(time, stop), seen=set(seen)
-                ).buckets()
-            summary = state.ahead.pop(0)
-            seen.update(summary.pair_codes[summary.new_mask].tolist())
-        self.fold_bucket(state, time, summary)
+            if not state.ahead:
+                state.ahead = self._span_ahead(state, time)
+            summary, lease = state.ahead.pop(0), state.lease
+            if summary is not None:
+                _, seen = self._generator_for(self.scenario)
+                seen.update(summary.pair_codes[summary.new_mask].tolist())
+        self.fold_bucket(state, time, summary, lease)
         state.cursor = time + 1
+
+    def _span_ahead(
+        self, state: RunState, time: Timestamp
+    ) -> list[BucketSummary | None]:
+        """The views of the span from ``time`` to :func:`span_stop` (or
+        the chaos plan's kill bucket, if nearer), computed in process.
+
+        The one seam where drivers differ: the sharded driver overrides
+        it to take spans from its worker pool (and sets
+        ``state.lease``). The kernel marks new pairs in a copy of the
+        seen set; :meth:`step` commits each bucket's as it folds it.
+        """
+        _, seen = self._generator_for(self.scenario)
+        stop = self._before_kill(time, span_stop(time, state.end))
+        return self._summarize(state, range(time, stop), seen=set(seen)).buckets()
+
+    def _before_kill(self, time: Timestamp, stop: Timestamp) -> Timestamp:
+        """``stop``, or the chaos plan's kill bucket if it lies between
+        ``time`` and ``stop``: no span is computed past a planned kill."""
+        kill = self.chaos.kill_at_bucket if self.chaos is not None else None
+        return min(stop, kill) if kill is not None and kill > time else stop
+
+    def _refresh_bounds(
+        self, state: RunState
+    ) -> tuple[Timestamp, Timestamp] | None:
+        """The run's ``(start, end)`` when the held table refreshes at
+        day boundaries (no fixed table, none withheld), else None — the
+        span kernel's ``refresh``."""
+        if self.fixed_table is None and not state.table_dropped:
+            return state.report.start, state.end
+        return None
 
     def _summarize(
         self,
@@ -755,7 +783,6 @@ class BlameItPipeline:
         batch: QuartetBatch | None = None,
     ) -> SpanSummary:
         """The span kernel under this pipeline's run settings."""
-        refreshes = self.fixed_table is None and not state.table_dropped
         return summarize_span(
             times,
             None if batch is not None else self._generator_for(self.scenario)[0],
@@ -767,7 +794,7 @@ class BlameItPipeline:
             metrics=self.metrics,
             passive=self.passive,
             table=state.table,
-            refresh=(state.report.start, state.end) if refreshes else None,
+            refresh=self._refresh_bounds(state),
         )
 
     def fold_bucket(
@@ -918,11 +945,7 @@ class BlameItPipeline:
         every day it ever saw.
         """
         day = time // BUCKETS_PER_DAY
-        if (
-            self.fixed_table is None
-            and not state.table_dropped
-            and day != state.table_day
-        ):
+        if day != state.table_day and self._refresh_bounds(state) is not None:
             state.table = self.learner.table(as_of_day=day)
             state.table_day = day
             self.learner.prune_before(day - self.learner.history_days + 1)
@@ -940,7 +963,7 @@ class BlameItPipeline:
         """
         if self._store is None:
             return
-        rebuilt = self.fixed_table is not None or state.table_dropped
+        rebuilt = self._refresh_bounds(state) is None
         self._store.save(
             self,
             time,

@@ -9,12 +9,12 @@ is plain arithmetic over columns. This package exploits both:
   NumPy-vectorized quartet generation producing columnar
   :class:`~repro.core.quartet.QuartetBatch` objects, pinned by
   ``tests/golden/substrate_v1.json``.
-* :class:`repro.perf.sharded.ShardedPipeline` — partitions buckets across
-  ``multiprocessing`` workers (generation + vectorized passive phase per
-  shard), merges the per-bucket results deterministically, and runs the
-  probe-budgeted active phase in a single process so §5.3 budget
-  semantics are preserved; its reports are byte-identical to the
-  sequential driver's.
+* :class:`repro.perf.sharded.ShardedPipeline` — the sequential pipeline
+  with its spans (generation + ingest + vectorized passive phase)
+  computed by ``multiprocessing`` workers, folded in time order by the
+  one run loop, which keeps the probe-budgeted active phase in a single
+  process so §5.3 budget semantics are preserved; its reports are
+  byte-identical to the sequential driver's.
 """
 
 from repro.perf.batch import BatchQuartetGenerator

@@ -1,85 +1,58 @@
-"""Sharded execution: buckets fan out to workers, active phase stays serial.
+"""Sharded execution: spans are computed in worker processes, the fold
+stays serial.
 
-The expensive half of a pipeline run — per-bucket quartet generation and
-the passive phase — depends only on the bucket index and the (frozen)
-expected-RTT table, so buckets partition cleanly across processes.
-:class:`ShardedPipeline` cuts the run range into contiguous shards —
-by default exactly the span kernel's spans
+The expensive half of a pipeline run — quartet generation, ingest and
+the passive blames — depends only on the bucket index and the (frozen)
+expected-RTT table, so spans partition cleanly across processes.
+:class:`ShardedPipeline` is a :class:`BlameItPipeline
+<repro.core.pipeline.BlameItPipeline>` that changes only where spans are
+computed: it overrides the one seam, ``_span_ahead``, through which
+:meth:`~repro.core.pipeline.BlameItPipeline.step` fills
+``RunState.ahead``. ``run``, ``begin_run``, ``step`` and ``finish_run``
+are the sequential pipeline's own, so checkpoints, planned kills, table
+refreshes and the daemon's cadence act where they act sequentially, and
+issue tracking, on-demand probing (the §5.3 per-window budget is
+enforced once, globally), background probing, localization and alerting
+all run in the parent, in time order, through
+:meth:`~repro.core.pipeline.BlameItPipeline.fold_bucket`.
+
+A shard is one span of the span kernel
 (:func:`~repro.core.pipeline.span_stop`: up to ``SPAN_BUCKETS`` buckets,
-never across a day boundary) — and has each worker return one compact
-:class:`~repro.core.summary.SpanSummary` per span: span-wide columns
-(blame results, per-path user counts, newly seen probe targets, the
-rows the fold still needs) plus the cuts that split them per bucket.
-The parent cuts each span's per-bucket views
-(:meth:`~repro.core.summary.SpanSummary.buckets`) as it folds them, in
-deterministic time order, through the one fold kernel —
-:meth:`BlameItPipeline.fold_bucket
-<repro.core.pipeline.BlameItPipeline.fold_bucket>`, the same method the
-sequential ``step`` calls: issue tracking, on-demand probing (so the
-§5.3 per-window probe budget is enforced exactly once, globally),
-background probing, localization and alerting all run in the parent.
-This module owns only what is the sharded driver's own: shards, the
-worker pool, the transport, the reorder buffer, leases, vocabulary
-sharing, stage timing.
+never across a day boundary). When the seam finds nothing in flight
+for a span's first bucket, it dispatches the span chain from there to
+the *dispatch horizon*: the next day boundary when the table
+refreshes daily (the next day's spans need the next day's table), the
+chaos plan's kill bucket, or the run end. Then it hands over the next
+decoded span's views; later spans compute while earlier ones fold.
+Workers draw each bucket's quartets from a ``(seed, bucket)``-seeded
+generator, as ``BlameItPipeline(rng_per_bucket=True)`` does, so a
+sharded run's report is byte-identical to the sequential pipeline's.
 
-Workers run the span kernel
-(:func:`~repro.core.pipeline.summarize_span`) over their shard, span by
-span, drawing each bucket's quartets from a ``(seed, bucket)``-seeded
-generator — the same scheme as ``BlameItPipeline(rng_per_bucket=True)``;
-spans travel as NumPy columns, so a sharded run's blame counts are
-byte-identical to the sequential pipeline's. Each decoded shard brings
-its own copies of the generator's vocabulary tuples; the parent keeps
-the first copy of each and swaps it in for every later equal one
-(:meth:`~repro.core.summary.SpanSummary.share_vocabularies`), so the
-fold's identity-keyed caches keep hitting across shards.
-
-Three execution-engine properties make the fan-out actually scale
-(DESIGN.md §4b):
-
-* **Persistent worker pool.** The pool is created lazily on the first
-  multi-worker dispatch and survives across per-day segments, across
-  whole runs, and across the streaming daemon's ``step`` cadence.
-  Workers are seeded once with everything run-invariant (scenario,
-  config, seed, chaos plan); each task message carries only the shard
-  bounds, the epoch-tagged expected-RTT table (a couple of kilobytes,
-  by value), and the run's window bounds. A worker swaps its table only
-  when the epoch moves, so within a segment it keeps one table object
-  and the localizer's identity-keyed lookups stay warm.
+* **Persistent worker pool.** Created lazily on the first multi-worker
+  dispatch, it survives across dispatches, runs and daemon steps until
+  :meth:`ShardedPipeline.close`. Workers are seeded once with everything
+  run-invariant (scenario, config, seed, chaos plan); a task carries the
+  span, the epoch-tagged expected-RTT table (a couple of kilobytes, by
+  value) and the kernel's refresh bounds. A worker swaps its table only
+  when the epoch moves, so the localizer's identity-keyed lookups stay
+  warm. With one worker (or when a pool cannot be spawned) spans run in
+  process through the same worker state, one at a time.
 * **Shared-memory transport** (:mod:`repro.perf.transport`). A worker
-  pickles its shard's span summaries with every array's bytes out of
-  band in one ``multiprocessing.shared_memory`` segment (about 17
-  buffers a span, whatever its length); the parent unpickles
+  pickles its span with every array's bytes out of band in one
+  ``multiprocessing.shared_memory`` segment; the parent unpickles
   zero-copy views of it and releases the segment when the last window
   entry referencing it flushes. Where a segment cannot be had the same
-  stream travels whole through the result pipe (``transport.*``
-  counters account both).
-* **Fold/compute overlap.** Shards are dispatched individually and
-  their results stream back through a reorder buffer keyed by shard
-  index, so the parent folds shard *k* while shards *k+1…* are still
-  computing — the critical path is max(slowest shard, total fold)
-  rather than their sum. With span shards the fold starts after the
-  first span, not after a worker's share of the run, and holds one
-  span's decoded views at a time. The reorder buffer is what keeps the
-  fold deterministic: buckets are always folded in exact time order no
-  matter the completion order.
+  stream travels whole through the result pipe.
+* **Reorder buffer.** Results complete in any order; the parent hands
+  spans over in shard order only, so buckets fold in exact time order.
+  Each decoded span's vocabulary tuples are swapped for the first equal
+  copy seen (:meth:`~repro.core.summary.SpanSummary.share_vocabularies`),
+  so the fold's identity-keyed caches keep hitting across spans.
 
-Without a ``fixed_table`` the sequential pipeline refreshes its
-expected-RTT table at every day boundary, so the sharded driver cuts
-such runs into per-day *segments*: the fold re-snapshots the table from
-the (fold-fed, therefore identical) learner at each boundary and ships
-the fresh snapshot to the workers for the next segment. One wrinkle:
-the sequential loop refreshes at the *top* of a day's first bucket but
-flushes a blame window at the *bottom* of the window's last bucket, so
-a window straddling the boundary is blamed entirely with the new day's
-table. The span kernel therefore defers any bucket whose window flushes
-in a later day — its span ships the sanitized rows instead of blames,
-and the fold's flush assigns blames with the table current *then* (as
-it does for the same buckets of a sequential run).
-With a ``fixed_table`` (or under a chaos table drop) there is no
-deferral, and a single whole-run segment unless a checkpoint store is
-attached (segments then end at day boundaries, where the sequential
-pipeline checkpoints) or a chaos kill is planned (a segment ends at the
-kill bucket, so the kill fires where the sequential pipeline's does).
+A run that dies (chaos kill, an exception in the fold), a daemon that
+stops or is killed, and a step out of turn drop the spans in flight:
+:meth:`ShardedPipeline.run` reclaims them on the way out, and
+:meth:`ShardedPipeline.close` always does.
 """
 
 from __future__ import annotations
@@ -101,8 +74,7 @@ from repro.core.pipeline import (
     summarize_span,
 )
 from repro.core.prediction import DurationPredictor
-from repro.core.quartet import QuartetBatch
-from repro.core.summary import SpanSummary
+from repro.core.summary import BucketSummary, SpanSummary
 from repro.core.thresholds import ExpectedRTTLearner, ExpectedRTTTable
 from repro.net.bgp import Timestamp
 from repro.obs import NULL_REGISTRY, MetricsRegistry, Snapshot
@@ -113,6 +85,7 @@ from repro.perf.transport import (
     decode_result,
     discard_payload,
     encode_result,
+    share_tracker,
 )
 from repro.perf.workers import usable_cpus
 from repro.sim.scenario import BUCKETS_PER_DAY, Scenario
@@ -120,63 +93,62 @@ from repro.sim.scenario import BUCKETS_PER_DAY, Scenario
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.store import CheckpointStore
 
-#: One shard's decoded result: its span summaries, the worker's metrics
-#: snapshot, and the shared-memory lease their arrays live under (None
-#: on the in-band/inline paths). A whole-shard ``None`` marks an
-#: abandoned shard whose buckets drop out of the fold.
-ShardResult = "tuple[list[SpanSummary], Snapshot | None, ShmLease | None]"
+#: One shard's decoded result: its span summary, the worker's metrics
+#: snapshot, and the shared-memory lease its arrays live under (None
+#: inline or in band). A whole-shard ``None`` marks an abandoned shard,
+#: whose buckets drop out of the fold.
+ShardResult = "tuple[SpanSummary, Snapshot | None, ShmLease | None]"
 
-#: The epoch-tagged table of a segment's task messages.
+#: The epoch-tagged table of a dispatch's task messages.
 TableMessage = "tuple[int, ExpectedRTTTable]"
 
 
-class _ShardRunner:
-    """Per-process compute core: built once, reused for every shard.
+class _ShardWorker:
+    """One process's span-compute state: a pool worker's, or the
+    parent's own when spans run inline.
 
-    Construction is the expensive part (the batch generator's per-slot
-    precomputation); a :class:`_ShardWorker` keeps one runner alive and
-    retargets it per segment via the ``table`` / ``run_bounds`` /
-    ``defer_cross_day`` attributes.
+    Seeded once with everything run-invariant; each task carries only
+    the span, the epoch-tagged table and the refresh bounds. The batch
+    generator (the expensive part: per-slot precomputation) is built on
+    the first task and lives as long as its owner; the table is swapped
+    only when the parent's epoch tag moves, so a worker holds one table
+    object per dispatch however many spans it computes.
     """
 
     def __init__(
         self,
         scenario: Scenario,
         config: BlameItConfig,
-        table: ExpectedRTTTable,
         seed: int,
         metrics_enabled: bool = False,
         chaos: FaultPlan | None = None,
         want_learn: bool = False,
-        run_bounds: tuple[int, int] | None = None,
-        defer_cross_day: bool = False,
     ) -> None:
-        self.generator = BatchQuartetGenerator(scenario)
-        self.metrics_enabled = metrics_enabled
+        self.scenario = scenario
         self.localizer = PassiveLocalizer(config, scenario.world.targets)
-        self.table = table
         self.seed = seed
+        self.metrics_enabled = metrics_enabled
         self.chaos = chaos if chaos is not None and chaos.enabled else None
         self.want_learn = want_learn
-        self.run_bounds = run_bounds
-        self.defer_cross_day = defer_cross_day
+        self._generator: BatchQuartetGenerator | None = None
+        self._table: "TableMessage" = (-1, None)
 
     def run_shard(
-        self, bounds: tuple[int, int], attempt: int = 0
-    ) -> tuple[list[SpanSummary], Snapshot | None]:
-        """Process one shard, span by span; returns one
-        :class:`~repro.core.summary.SpanSummary` per span plus, when
-        observability is on, the shard's metrics snapshot for the parent
-        to merge at fold time.
+        self,
+        bounds: tuple[int, int],
+        table_msg: "TableMessage",
+        refresh: tuple[int, int] | None = None,
+        attempt: int = 0,
+    ) -> tuple[SpanSummary, Snapshot | None]:
+        """Compute one span; returns its
+        :class:`~repro.core.summary.SpanSummary` plus, when observability
+        is on, the span's metrics snapshot for the parent to merge.
 
-        The registry is fresh per shard (a runner serves many shards and
-        each snapshot is merged once, so carrying counts across shards
-        would double-count them).
-
-        ``attempt`` is the execution attempt for this shard (0 on first
-        dispatch, 1+ for the parent's retries); the fault plan's crash
-        decision is keyed on it, so a shard that crashed on attempt 0
-        can deterministically succeed on attempt 1.
+        The registry is fresh per shard (a worker serves many shards and
+        each snapshot is merged once). ``attempt`` is the execution
+        attempt (0 on first dispatch, 1+ for the parent's retries); the
+        fault plan's crash decision is keyed on it, so a shard that
+        crashed on attempt 0 can deterministically succeed on attempt 1.
         """
         start, end = bounds
         chaos = self.chaos
@@ -184,6 +156,10 @@ class _ShardRunner:
             raise ChaosWorkerCrash(
                 f"injected crash in shard [{start}, {end}) attempt {attempt}"
             )
+        if self._generator is None:
+            self._generator = BatchQuartetGenerator(self.scenario)
+        if table_msg[0] != self._table[0]:
+            self._table = table_msg
         metrics = MetricsRegistry() if self.metrics_enabled else NULL_REGISTRY
         self.localizer.metrics = metrics
         if chaos is not None:
@@ -191,81 +167,19 @@ class _ShardRunner:
             if delay_ms > 0:
                 metrics.counter("chaos.shard.slow").inc()
                 time_mod.sleep(delay_ms / 1000.0)
-        refresh = self.run_bounds if self.defer_cross_day else None
-        seen_pairs: set[int] = set()
-        spans: list[SpanSummary] = []
-        time = start
-        while time < end:
-            stop = span_stop(time, end)
-            spans.append(
-                summarize_span(
-                    range(time, stop),
-                    self.generator,
-                    self.seed,
-                    seen_pairs,
-                    self.want_learn,
-                    chaos=chaos,
-                    metrics=metrics,
-                    passive=self.localizer,
-                    table=self.table,
-                    refresh=refresh,
-                )
-            )
-            time = stop
-        return spans, metrics.snapshot() if metrics.enabled else None
-
-
-class _ShardWorker:
-    """One process's shard-compute state: a pool worker's, or the
-    parent's own when shards run inline.
-
-    Seeded once with everything run-invariant; each task carries only
-    what changes per segment. The runner (and its expensive generator)
-    is built on the first task and lives as long as its owner; the
-    expected-RTT table is swapped only when the parent's epoch tag
-    moves, so a worker holds one table object per segment however many
-    tasks it runs.
-    """
-
-    def __init__(
-        self,
-        scenario: Scenario,
-        config: BlameItConfig,
-        seed: int,
-        metrics_enabled: bool,
-        chaos: FaultPlan | None,
-        want_learn: bool,
-    ) -> None:
-        self.scenario = scenario
-        self.config = config
-        self.seed = seed
-        self.metrics_enabled = metrics_enabled
-        self.chaos = chaos
-        self.want_learn = want_learn
-        self._runner: _ShardRunner | None = None
-        self._epoch: int | None = None
-
-    def run(
-        self,
-        bounds: tuple[int, int],
-        table_msg: "TableMessage",
-        run_bounds: tuple[int, int] | None,
-        defer_cross_day: bool,
-        attempt: int,
-    ) -> tuple[list[SpanSummary], Snapshot | None]:
-        epoch, table = table_msg
-        runner = self._runner
-        if runner is None:
-            runner = self._runner = _ShardRunner(
-                self.scenario, self.config, table, self.seed,
-                self.metrics_enabled, self.chaos, self.want_learn,
-            )
-        elif epoch != self._epoch:
-            runner.table = table
-        self._epoch = epoch
-        runner.run_bounds = run_bounds
-        runner.defer_cross_day = defer_cross_day
-        return runner.run_shard(bounds, attempt)
+        span = summarize_span(
+            range(start, end),
+            self._generator,
+            self.seed,
+            set(),
+            self.want_learn,
+            chaos=chaos,
+            metrics=metrics,
+            passive=self.localizer,
+            table=self._table[1],
+            refresh=refresh,
+        )
+        return span, metrics.snapshot() if metrics.enabled else None
 
 
 _WORKER: _ShardWorker | None = None
@@ -278,7 +192,7 @@ def _init_worker(*worker_args) -> None:
 
 def _run_shard_task(*task) -> ShardPayload:
     assert _WORKER is not None, "worker not initialized"
-    return encode_result(*_WORKER.run(*task))
+    return encode_result(*_WORKER.run_shard(*task))
 
 
 class _Resources:
@@ -298,75 +212,73 @@ class _Resources:
         self.pool_broken = False
         self.leases: set[ShmLease] = set()
 
+    def destroy_leases(self) -> None:
+        leases, self.leases = self.leases, set()
+        for lease in leases:
+            lease.destroy()
+
     def close(self) -> None:
         pool, self.pool = self.pool, None
         if pool is not None:
             pool.terminate()
             pool.join()
-        leases, self.leases = self.leases, set()
-        for lease in leases:
-            lease.destroy()
+        self.destroy_leases()
 
 
-class ShardedPipeline:
-    """Drives :class:`BlameItPipeline` with sharded generation + passive.
+class _Flight:
+    """The spans one dispatch sent out: the shards not handed over yet,
+    for which run, and the stream their results arrive on."""
+
+    __slots__ = ("state", "shards", "stream")
+
+    def __init__(self, state, shards, stream) -> None:
+        self.state = state
+        self.shards = shards
+        self.stream = stream
+
+
+class ShardedPipeline(BlameItPipeline):
+    """A :class:`BlameItPipeline` whose spans are computed by a worker
+    pool.
 
     Args:
-        scenario: The world under observation.
-        config: Tunables; paper defaults when None.
-        learner: Pre-warmed expected-RTT learner (snapshotted at run
-            start and re-snapshotted at every day boundary).
-        fixed_table: Expected-RTT table used verbatim (wins over
-            ``learner``).
-        duration_predictor: Optionally pre-seeded duration history.
+        scenario, config, learner, fixed_table, duration_predictor,
+        alert_top_k, store, warm_start: As for :class:`BlameItPipeline`;
+            buckets are always drawn from ``(seed, bucket)``
+            (``rng_per_bucket``).
         n_workers: Worker processes; ``None`` means one per usable CPU
-            (:func:`repro.perf.workers.usable_cpus`). With
-            one worker (or when a pool cannot be spawned) shards run in
-            process — same results, no IPC. The pool is created lazily
-            on the first multi-worker dispatch and persists across
-            segments, runs, and daemon steps until :meth:`close`.
-        buckets_per_shard: Shard granularity; ``None`` makes each shard
-            one span of the span kernel (:func:`~repro.core.pipeline.span_stop`:
-            up to ``SPAN_BUCKETS`` buckets, never across a day boundary),
-            so the fold starts after the first span. A shard of any other
-            size is still computed span by span.
-        alert_top_k: Tickets emitted.
+            (:func:`repro.perf.workers.usable_cpus`). With one worker
+            (or when a pool cannot be spawned) spans run in process —
+            same results, no IPC.
         seed: Per-bucket quartet RNG seed and probe-noise seed; must
             match the sequential pipeline's for byte-identical runs.
-        metrics: Observability registry (see :mod:`repro.obs`). Workers
-            record into their own registries (generation spans, passive
-            counters) and the parent merges their snapshots at fold time,
-            so counter totals match the sequential pipeline's. The parent
-            additionally keeps shard bookkeeping under ``shard.*`` /
-            ``retry.shard.*`` / ``transport.*`` (dispatches, crashes,
-            retries, IPC bytes) that has no sequential counterpart.
-        chaos: Deterministic fault plan (see :mod:`repro.chaos`), shipped
-            to every worker. Because fault decisions hash the thing's
-            identity rather than evaluation order, a chaotic sharded run
-            still matches the equally-chaotic sequential run wherever the
+        metrics: Observability registry. Workers record into their own
+            registries and the parent merges their snapshots as it takes
+            their spans, so counter totals match the sequential
+            pipeline's; shard bookkeeping (``shard.*``,
+            ``retry.shard.*``, ``transport.*``) has no sequential
+            counterpart.
+        chaos: Deterministic fault plan, shipped to every worker. Fault
+            decisions hash the thing's identity, so a chaotic sharded run
+            matches the equally chaotic sequential run wherever the
             retries recover every shard. An injected
             :class:`~repro.chaos.ChaosWorkerCrash` costs one shard
-            resubmission — the pool itself survives.
+            resubmission; the pool survives.
         shard_retry_attempts: Re-runs the parent grants each failed
-            shard before abandoning it (its buckets then simply go
-            missing from the fold, like production data loss). With a
-            pool, retries are resubmitted to it; inline they re-run in
-            process.
-        store: Checkpoint store (see :mod:`repro.store`). The fold
-            checkpoints at day boundaries exactly like the sequential
-            pipeline, and writes nothing else there.
-        warm_start: Resume from the store's newest checkpoint.
+            shard before abandoning it (its buckets then go missing from
+            the fold, like production data loss).
 
     Attributes:
-        transport_stats: Plain always-on accounting of the transport —
+        transport_stats: Always-on accounting of the transport —
             ``shm_bytes`` / ``shm_segments`` / ``pickle_bytes`` /
-            ``fallbacks`` — mirrored into ``transport.*`` counters when
-            a metrics registry is attached.
-        stage_seconds: Cumulative wall time split between waiting on
-            shard results (``shard_wait``) and folding them (``fold``);
-            the benchmark's per-stage numbers.
-        pools_created: How many worker pools this pipeline has spawned
-            (1 for the whole life of a healthy multi-worker pipeline).
+            ``fallbacks`` — mirrored into ``transport.*`` counters.
+        stage_seconds: Cumulative wall time split between waiting on the
+            next span (``shard_wait``) and the parent's own work from a
+            span's hand-over to the next request or the run's end:
+            folding its buckets, table refreshes, the final flush
+            (``fold``).
+        pools_created: Worker pools this pipeline has spawned (1 for the
+            whole life of a healthy multi-worker pipeline).
     """
 
     def __init__(
@@ -377,7 +289,6 @@ class ShardedPipeline:
         fixed_table: ExpectedRTTTable | None = None,
         duration_predictor: DurationPredictor | None = None,
         n_workers: int | None = None,
-        buckets_per_shard: int | None = None,
         alert_top_k: int = 10,
         seed: int = 1234,
         metrics: MetricsRegistry | None = None,
@@ -386,20 +297,14 @@ class ShardedPipeline:
         store: "CheckpointStore | None" = None,
         warm_start: bool = False,
     ) -> None:
-        self.config = config or BlameItConfig()
-        self.metrics = metrics or NULL_REGISTRY
-        self.n_workers = (
-            usable_cpus() if n_workers is None else n_workers
-        )
-        if self.n_workers < 1:
+        n_workers = usable_cpus() if n_workers is None else n_workers
+        if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         if shard_retry_attempts < 0:
             raise ValueError("shard_retry_attempts must be >= 0")
-        self.buckets_per_shard = buckets_per_shard
-        self.shard_retry_attempts = shard_retry_attempts
-        self.pipeline = BlameItPipeline(
+        super().__init__(
             scenario,
-            config=self.config,
+            config=config,
             learner=learner,
             duration_predictor=duration_predictor,
             fixed_table=fixed_table,
@@ -411,25 +316,15 @@ class ShardedPipeline:
             store=store,
             warm_start=warm_start,
         )
-        # The pipeline normalizes disabled plans to None; share its view.
-        self.chaos = self.pipeline.chaos
-        self.seed = seed
-        # Without a fixed table the fold feeds the learner from shipped
-        # columns (same values, same order as the sequential loop), so
-        # the learner leaves each day in the identical state — which is
-        # what makes the per-day table re-snapshots match too.
-        self._want_learn = fixed_table is None
-        # Set per run/step; shipped to workers for the deferral predicate.
-        self._run_bounds: tuple[int, int] | None = None
-        self._defer_cross_day = False
-        # Re-sending the same snapshot (every daemon step within a day)
-        # reuses the same epoch, so workers keep the table they hold.
+        self.n_workers = n_workers
+        self.shard_retry_attempts = shard_retry_attempts
+        # Re-sending the same table object (every dispatch within a day)
+        # keeps the epoch, so workers keep the table they hold.
         self._table_msg: "TableMessage" = (0, None)
         self._worker_args = (
             scenario, self.config, seed, self.metrics.enabled, self.chaos,
-            self._want_learn,
+            fixed_table is None,
         )
-        # The parent's own worker state, for shards that run in process.
         self._inline = _ShardWorker(*self._worker_args)
         self.transport_stats = {
             "shm_bytes": 0,
@@ -439,55 +334,128 @@ class ShardedPipeline:
         }
         self.stage_seconds = {"shard_wait": 0.0, "fold": 0.0}
         self.pools_created = 0
-        # One object per vocabulary across decoded shards (see
+        # One object per vocabulary across decoded spans (see
         # SpanSummary.share_vocabularies).
         self._vocabularies: dict[tuple, tuple] = {}
+        self._flight: _Flight | None = None
+        # When the last span was handed over (None: no fold under way).
+        self._handed: float | None = None
         self._res = _Resources()
         self._finalizer = weakref.finalize(self, self._res.close)
 
-    # -- delegation ----------------------------------------------------
-
-    @property
-    def engine(self):
-        """The fold-side traceroute engine (probes run in the fold)."""
-        return self.pipeline.engine
-
-    def warmup(self, start: Timestamp, end: Timestamp, stride: int = 6) -> None:
-        """Train the learner/predictors (single-process, see pipeline)."""
-        self.pipeline.warmup(start, end, stride=stride)
-
-    # -- lifecycle -----------------------------------------------------
+    def run(self, start: Timestamp, end: Timestamp) -> PipelineReport:
+        """:meth:`BlameItPipeline.run`, then reclaim what is left in
+        flight or leased (everything, when the run died)."""
+        try:
+            return super().run(start, end)
+        finally:
+            self._drop_pending()
 
     def close(self) -> None:
-        """Release the worker pool and any outstanding shard shared
-        memory. Idempotent. Also runs via a GC finalizer, so dropped
-        pipelines don't strand worker processes — but the daemon/CLI
-        paths call it explicitly (SIGTERM included) rather than waiting
-        on collection."""
+        """Release the worker pool, the spans in flight and any
+        outstanding shared memory. Idempotent. Also runs via a GC
+        finalizer, but the daemon and CLI call it explicitly (SIGTERM
+        included) rather than waiting on collection."""
+        self._drop_pending()
         self._res.close()
 
-    # -- sharding ------------------------------------------------------
+    # -- the seam ------------------------------------------------------
 
-    def _shards(self, start: Timestamp, end: Timestamp) -> list[tuple[int, int]]:
-        """``[start, end)`` cut into shards: the span kernel's spans, or
-        ``buckets_per_shard``-bucket shards when that is set."""
-        if self.buckets_per_shard is not None:
-            size = max(1, self.buckets_per_shard)
-            return [(t, min(end, t + size)) for t in range(start, end, size)]
+    def _span_ahead(
+        self, state: RunState, time: Timestamp
+    ) -> list[BucketSummary | None]:
+        """The next span's views, from the pool, in shard order.
+
+        When nothing in flight continues at ``time`` for this run, the
+        span chain from ``time`` to the dispatch horizon is dispatched
+        first. The previous span's decode reference is released here:
+        ``state.ahead`` is empty, and window entries hold their own.
+        """
+        clock = time_mod.perf_counter
+        now = clock()
+        if self._handed is not None:
+            self.stage_seconds["fold"] += now - self._handed
+        if state.lease is not None:
+            state.lease.release()
+            state.lease = None
+        self._res.leases = {
+            lease for lease in self._res.leases if not lease.released
+        }
+        flight = self._flight
+        if (
+            flight is None
+            or flight.state is not state
+            or flight.shards[0][0] != time
+        ):
+            self._drop_flight()
+            flight = self._flight = self._dispatch(state, time)
+        bounds = flight.shards.pop(0)
+        result = next(flight.stream)
+        if not flight.shards:
+            self._drop_flight()
+        self._handed = clock()
+        self.stage_seconds["shard_wait"] += self._handed - now
+        if result is None:
+            return [None] * (bounds[1] - bounds[0])
+        span, snapshot, state.lease = result
+        self.metrics.merge_snapshot(snapshot)
+        return span.buckets()
+
+    def _dispatch(self, state: RunState, time: Timestamp) -> _Flight:
+        """Send out the span chain from ``time`` to the horizon: the next
+        day boundary when the table refreshes, the chaos plan's kill
+        bucket, the run end."""
+        refresh = self._refresh_bounds(state)
+        stop = state.end
+        if refresh is not None:
+            stop = min(stop, (time // BUCKETS_PER_DAY + 1) * BUCKETS_PER_DAY)
+        shards = self._shards(time, self._before_kill(time, stop))
+        if self._table_msg[1] is not state.table:
+            self._table_msg = (self._table_msg[0] + 1, state.table)
+        pool = self._ensure_pool() if self.n_workers > 1 else None
+        stream = (
+            self._stream_inline(shards, self._table_msg, refresh)
+            if pool is None
+            else self._stream_pool(pool, shards, self._table_msg, refresh)
+        )
+        return _Flight(state, list(shards), stream)
+
+    @staticmethod
+    def _shards(start: Timestamp, end: Timestamp) -> list[tuple[int, int]]:
+        """``[start, end)`` cut into the span kernel's spans."""
         shards = []
         while start < end:
             shards.append((start, span_stop(start, end)))
             start = shards[-1][1]
         return shards
 
+    def _drop_flight(self) -> None:
+        """Stop the stream in flight: wait out its running tasks and
+        reclaim the shared memory of results nobody will decode."""
+        flight, self._flight = self._flight, None
+        if flight is not None:
+            flight.stream.close()
+
+    def _drop_pending(self) -> None:
+        """Reclaim everything a run leaves: the spans in flight and
+        every outstanding lease. A completed run has released them all
+        but the last span's decode reference."""
+        self._drop_flight()
+        if self._handed is not None:
+            self.stage_seconds["fold"] += time_mod.perf_counter() - self._handed
+            self._handed = None
+        self._res.destroy_leases()
+
+    # -- the pool ------------------------------------------------------
+
     def _ensure_pool(self) -> "multiprocessing.pool.Pool | None":
         """The persistent pool, created on first use; None means run
-        inline (single worker, or a spawn failure we won't repeat)."""
+        inline (a spawn failure we won't repeat)."""
         res = self._res
-        if res.pool is not None:
+        if res.pool is not None or res.pool_broken:
             return res.pool
-        if res.pool_broken:
-            return None
+        # Forked workers register their segments with this tracker.
+        share_tracker()
         try:
             res.pool = multiprocessing.Pool(
                 processes=self.n_workers,
@@ -499,13 +467,6 @@ class ShardedPipeline:
             return None
         self.pools_created += 1
         return res.pool
-
-    def _ship_table(self, table: ExpectedRTTTable) -> "TableMessage":
-        """The epoch-tagged table message for this segment's tasks; the
-        epoch moves only when the held table object changes."""
-        if self._table_msg[1] is not table:
-            self._table_msg = (self._table_msg[0] + 1, table)
-        return self._table_msg
 
     def _record_failure(self, exc: BaseException) -> None:
         name = (
@@ -520,13 +481,14 @@ class ShardedPipeline:
         self.metrics.counter(f"transport.{name}").inc(amount)
 
     def _stream_inline(
-        self, shards: list[tuple[int, int]], table_msg: "TableMessage"
+        self,
+        shards: list[tuple[int, int]],
+        table_msg: "TableMessage",
+        refresh: tuple[int, int] | None,
     ) -> "Iterator[ShardResult | None]":
-        """In-process execution: one shard at a time, retries immediate.
-
-        Summaries never leave the process, so there is nothing to
-        encode — results carry no lease and no transport bytes.
-        """
+        """In-process execution: one shard at a time, when asked for,
+        retries immediate. Nothing leaves the process, so nothing is
+        encoded — results carry no lease and no transport bytes."""
         metrics = self.metrics
         for bounds in shards:
             output = None
@@ -535,9 +497,8 @@ class ShardedPipeline:
                 if attempt:
                     metrics.counter("retry.shard.attempts").inc()
                 try:
-                    output = self._inline.run(
-                        bounds, table_msg, self._run_bounds,
-                        self._defer_cross_day, attempt,
+                    output = self._inline.run_shard(
+                        bounds, table_msg, refresh, attempt
                     )
                 except Exception as exc:  # noqa: BLE001 - shard isolation
                     self._record_failure(exc)
@@ -548,30 +509,25 @@ class ShardedPipeline:
                     break
             else:
                 metrics.counter("retry.shard.abandoned").inc()
-            yield None if output is None else (output[0], output[1], None)
+            yield None if output is None else (*output, None)
 
-    def _stream_shards(
-        self, shards: list[tuple[int, int]], table_msg: "TableMessage"
+    def _stream_pool(
+        self,
+        pool: "multiprocessing.pool.Pool",
+        shards: list[tuple[int, int]],
+        table_msg: "TableMessage",
+        refresh: tuple[int, int] | None,
     ) -> "Iterator[ShardResult | None]":
         """Yield each shard's result *in shard order, as available*.
 
-        Every shard is dispatched to the persistent pool up front;
-        completions stream back through a reorder buffer keyed by shard
-        index, so the consumer folds shard *k* the moment it (and its
-        predecessors) land, while later shards are still computing.
-        Failures are resubmitted to the pool — a crash costs one shard
+        Every shard is dispatched up front; completions land on a queue
+        and a reorder buffer keyed by shard index releases them in
+        order. Failures are resubmitted — a crash costs one shard
         re-run, never the pool — up to ``shard_retry_attempts`` times,
-        then the shard is abandoned (yielded as None). Parent-side
-        bookkeeping: ``shard.runs`` counts every dispatch;
-        ``chaos.shard.crashed`` / ``shard.errors`` classify failures;
-        ``retry.shard.*`` track the recovery arc.
+        then the shard is abandoned (yielded as None). ``shard.runs``
+        counts every dispatch; ``chaos.shard.crashed`` / ``shard.errors``
+        classify failures; ``retry.shard.*`` track the recovery arc.
         """
-        if not shards:
-            return
-        pool = self._ensure_pool() if self.n_workers > 1 else None
-        if pool is None:
-            yield from self._stream_inline(shards, table_msg)
-            return
         metrics = self.metrics
         results: queue.SimpleQueue = queue.SimpleQueue()
 
@@ -581,10 +537,7 @@ class ShardedPipeline:
                 metrics.counter("retry.shard.attempts").inc()
             pool.apply_async(
                 _run_shard_task,
-                (
-                    shards[index], table_msg, self._run_bounds,
-                    self._defer_cross_day, attempt,
-                ),
+                (shards[index], table_msg, refresh, attempt),
                 callback=lambda payload, index=index: results.put(
                     (index, payload, None)
                 ),
@@ -623,14 +576,15 @@ class ShardedPipeline:
                     result = decode_result(payload, self._count_transport)
                     if result[2] is not None:
                         self._res.leases.add(result[2])
-                    for span in result[0]:
-                        span.share_vocabularies(self._vocabularies)
+                    result[0].share_vocabularies(self._vocabularies)
                     yield result
         finally:
-            # An abandoned consumer (exception mid-fold, chaos kill)
-            # must not strand worker-written segments: wait out the
-            # in-flight tasks and reclaim their shared memory.
-            while pending:
+            # A stream dropped early (chaos kill, a stopped daemon, a
+            # failed fold) must not strand worker-written segments: wait
+            # out the tasks in flight and reclaim their shared memory.
+            # A terminated pool (the GC finalizer runs before this) sends
+            # nothing more; the resource tracker reclaims what it sent.
+            while pending and self._res.pool is pool:
                 _, payload, _ = results.get()
                 pending -= 1
                 if payload is not None:
@@ -638,173 +592,3 @@ class ShardedPipeline:
             for payload in ready.values():
                 if payload is not None:
                     discard_payload(payload)
-
-    # -- the run -------------------------------------------------------
-
-    def run(self, start: Timestamp, end: Timestamp) -> PipelineReport:
-        """Process buckets ``[start, end)`` and report.
-
-        Generation and the passive phase run sharded; everything with
-        cross-bucket or budget state (issue tracking, probing,
-        localization, alerts) folds in the parent in time order —
-        overlapped with shard compute, see :meth:`_stream_shards`. When
-        the fold learns online (no ``fixed_table``) the run is cut into
-        per-day segments so the expected-RTT table is re-snapshotted at
-        every day boundary — the same daily refresh the sequential loop
-        performs, which keeps multi-day sharded runs byte-identical.
-        """
-        state = self.begin_run(start, end)
-        try:
-            while state.cursor < state.end:
-                self._run_segment(state)
-            return self.finish_run(state)
-        finally:
-            self._abort_pending()
-
-    # -- the incremental step API --------------------------------------
-
-    def begin_run(
-        self,
-        start: Timestamp,
-        end: Timestamp,
-        regenerate=None,
-    ) -> RunState:
-        """Open an incremental sharded run over ``[start, end)``.
-
-        Same contract as :meth:`BlameItPipeline.begin_run` — the
-        streaming daemon drives either interchangeably.
-        """
-        state = self.pipeline.begin_run(start, end, regenerate=regenerate)
-        self._run_bounds = (state.report.start, state.end)
-        self._defer_cross_day = (
-            self.pipeline.fixed_table is None and not state.table_dropped
-        )
-        return state
-
-    def step(self, state: RunState, batch: QuartetBatch | None = None) -> None:
-        """Process the bucket at ``state.cursor`` sharded and advance.
-
-        The bucket is dispatched as a one-bucket shard through the
-        persistent pool (or inline), so a daemon stepping bucket by
-        bucket pays no per-step pool or table-shipping cost after the
-        first. External ``batch`` sources are unsupported: workers
-        regenerate buckets from the scenario, and an externally fed
-        batch has no deterministic worker-side equivalent — use the
-        sequential pipeline for those.
-        """
-        if batch is not None:
-            raise ValueError(
-                "sharded execution regenerates buckets from the scenario; "
-                "external batch sources require the sequential pipeline"
-            )
-        pipeline = self.pipeline
-        time = state.cursor
-        pipeline._refresh_table(state, time)  # noqa: SLF001 - driver seam
-        self._run_bounds = (state.report.start, state.end)
-        self._defer_cross_day = (
-            pipeline.fixed_table is None and not state.table_dropped
-        )
-        self._consume(
-            state,
-            [(time, time + 1)],
-            self._ship_table(state.table),
-        )
-        state.cursor = time + 1
-
-    def finish_run(self, state: RunState) -> PipelineReport:
-        """Flush the pending window, finalize, and return the report."""
-        return self.pipeline.finish_run(state)
-
-    def _run_segment(self, state: RunState) -> None:
-        """Shard-and-fold from ``state.cursor`` to the segment end,
-        checkpointing (and firing a planned kill) at the segment's entry
-        bucket. A segment stops at the next day boundary when the table
-        refreshes daily or a store is attached, and at a planned kill
-        bucket ahead of the cursor; otherwise it runs to the run end."""
-        pipeline = self.pipeline
-        cursor = state.cursor
-        pipeline._refresh_table(state, cursor)  # noqa: SLF001 - driver seam
-        pipeline._maybe_checkpoint(state, cursor)  # noqa: SLF001 - driver seam
-        refresh = pipeline.fixed_table is None and not state.table_dropped
-        self._defer_cross_day = refresh
-        self._run_bounds = (state.report.start, state.end)
-        seg_end = state.end
-        if refresh or pipeline._store is not None:  # noqa: SLF001 - driver seam
-            seg_end = min(seg_end, (cursor // BUCKETS_PER_DAY + 1) * BUCKETS_PER_DAY)
-        kill = self.chaos.kill_at_bucket if self.chaos is not None else None
-        if kill is not None and kill > cursor:
-            seg_end = min(seg_end, kill)
-        self._consume(
-            state,
-            self._shards(cursor, seg_end),
-            self._ship_table(state.table),
-        )
-        state.cursor = seg_end
-
-    def _consume(
-        self,
-        state: RunState,
-        shards: list[tuple[int, int]],
-        table_msg: "TableMessage",
-    ) -> None:
-        """Fold shard results as the stream yields them, in time order.
-
-        Splits wall time between ``shard_wait`` (blocking on the next
-        in-order shard) and ``fold`` (parent-side processing) — with
-        real overlap, segment time approaches
-        max(slowest shard, total fold) and ``shard_wait`` shrinks
-        toward the straggler's excess.
-        """
-        stream = self._stream_shards(shards, table_msg)
-        clock = time_mod.perf_counter
-        stage = self.stage_seconds
-        try:
-            mark = clock()
-            for bounds, result in zip(shards, stream):
-                now = clock()
-                stage["shard_wait"] += now - mark
-                self._fold_shard(state, bounds, result)
-                mark = clock()
-                stage["fold"] += mark - now
-        finally:
-            stream.close()
-
-    # -- the fold ------------------------------------------------------
-
-    def _fold_shard(
-        self,
-        state: RunState,
-        bounds: tuple[int, int],
-        result: "ShardResult | None",
-    ) -> None:
-        """Hand one shard's buckets to the kernel, in time order, cutting
-        each span's per-bucket views as it is folded; None means the
-        shard was abandoned (its buckets go missing, the fold carries on
-        degraded)."""
-        fold = self.pipeline.fold_bucket
-        if result is None:
-            for time in range(*bounds):
-                fold(state, time, None)
-            return
-        spans, snapshot, lease = result
-        self.metrics.merge_snapshot(snapshot)
-        try:
-            for span in spans:
-                for summary in span.buckets():
-                    fold(state, summary.time, summary, lease)
-        finally:
-            # Drop the decode reference; window entries hold their own
-            # until the kernel's flush releases them.
-            if lease is not None:
-                lease.release()
-            self._res.leases = {
-                held for held in self._res.leases if not held.released
-            }
-
-    def _abort_pending(self) -> None:
-        """Reclaim shard shared memory left by an aborted run (chaos
-        kill, mid-fold failure); a completed run has nothing
-        outstanding, making this a no-op on the happy path."""
-        leases, self._res.leases = self._res.leases, set()
-        for lease in leases:
-            lease.destroy()

@@ -1,11 +1,11 @@
 """Shard-result transport: one pickle stream, buffers in shared memory.
 
-A shard worker's output — one :class:`~repro.core.summary.SpanSummary`
-per span — is almost entirely NumPy arrays: blame batch columns,
-composite pair codes, per-pair user counts, the span's rows. Pickling
-those through ``Pool.apply_async``'s result pipe costs a
-serialize/deserialize pass on every byte. This module instead pickles
-``(spans, snapshot)`` with protocol 5 and a
+A shard worker's output — one span's
+:class:`~repro.core.summary.SpanSummary` — is almost entirely NumPy
+arrays: blame batch columns, composite pair codes, per-pair user counts,
+the span's rows. Pickling those through ``Pool.apply_async``'s result
+pipe costs a serialize/deserialize pass on every byte. This module
+instead pickles ``(span, snapshot)`` with protocol 5 and a
 ``buffer_callback``: every contiguous array's bytes leave the stream as
 an out-of-band buffer, and the buffers are copied back-to-back (at
 16-byte-aligned offsets) into **one** ``multiprocessing.shared_memory``
@@ -15,24 +15,29 @@ shapes — crosses the result pipe; the parent maps the segment and
 
 The transport knows nothing about what it carries. Pickle's memo does
 the sharing: an array referenced twice is written once and decodes to
-one shared array, and a vocabulary tuple shared by a shard's batches is
+one shared array, and a vocabulary tuple shared by a span's batches is
 serialized once and stays one object. A view is written as its own
 bytes, so a span ships whole columns and the parent cuts the views
 (:meth:`SpanSummary.buckets <repro.core.summary.SpanSummary.buckets>`).
 A non-contiguous array simply stays in the stream.
 
-Lifetime: the worker creates the segment, copies its buffers in, closes
-its own mapping and hands ownership to the parent (each side balances
-its own ``resource_tracker`` registration, so abnormal exits on either
-side still reclaim the segment). The parent wraps the mapping in a
+Lifetime: the worker creates the segment, copies its buffers in and
+closes its own mapping; the parent maps it, wraps the mapping in a
 :class:`ShmLease` — a manual refcount the sharded fold holds while any
 window entry still references the segment's arrays — and closes +
-unlinks it on the last release. :meth:`ShmLease.destroy` force-releases
-regardless of count; the sharded driver calls it on every outstanding
-lease when a run dies, so a chaos kill leaves ``/dev/shm`` clean.
+unlinks it on the last release. Creating or attaching a segment
+registers it with the ``resource_tracker`` and unlinking unregisters
+it; the pool is forked after :func:`share_tracker`, so workers and
+parent share one tracker, and a segment stays registered from its
+creation to its unlink. If the parent dies before unlinking (even
+between a worker's encode and its own decode), the tracker unlinks the
+segment once the parent and the workers are gone.
+:meth:`ShmLease.destroy` force-releases regardless of count; the sharded
+driver calls it on every outstanding lease when a run dies, so a chaos
+kill leaves ``/dev/shm`` clean.
 
 Fallback: where ``multiprocessing.shared_memory`` does not exist, or
-for a shard whose segment allocation raises ``OSError`` (``/dev/shm``
+for a span whose segment allocation raises ``OSError`` (``/dev/shm``
 full), the same objects travel as one self-contained stream instead.
 Nothing selects this but what the code observes. Both sides are
 accounted: the parent bumps ``transport.shm_bytes`` /
@@ -67,7 +72,7 @@ _ALIGN = 16
 class ShardPayload:
     """One shard's result on its way through the result pipe.
 
-    ``data`` is the pickle stream of ``(spans, snapshot)``. With a
+    ``data`` is the pickle stream of ``(span, snapshot)``. With a
     segment (``name`` set) the stream's out-of-band buffers, ``sizes``
     bytes each in stream order, sit in that shared-memory segment at
     the offsets :func:`_layout` gives; without one the stream is
@@ -94,8 +99,8 @@ def _layout(sizes: Sequence[int]) -> tuple[list[int], int]:
 class ShmLease:
     """Parent-side ownership of one mapped segment, manually refcounted.
 
-    The fold holds one reference while a shard's spans are being
-    folded plus one per window entry that still points at the segment's
+    The fold holds one reference while the span's buckets wait in
+    ``RunState.ahead`` plus one per window entry that still points at the segment's
     arrays; :meth:`release` drops a reference and closes + unlinks the
     segment when the last one goes. :meth:`destroy` is the abnormal-exit
     hatch: it reclaims the segment immediately, outstanding references
@@ -142,11 +147,16 @@ class ShmLease:
             pass
 
 
-def encode_result(
-    spans: list[SpanSummary], snapshot: Snapshot | None
-) -> ShardPayload:
+def share_tracker() -> None:
+    """Start this process's resource tracker now, so that processes
+    forked after it register their segments with it (see Lifetime)."""
+    if resource_tracker is not None:
+        resource_tracker.ensure_running()
+
+
+def encode_result(span: SpanSummary, snapshot: Snapshot | None) -> ShardPayload:
     """Encode one shard's output for the trip to the parent (worker side)."""
-    result = (spans, snapshot)
+    result = (span, snapshot)
     if shared_memory is None:
         return ShardPayload(pickle.dumps(result, protocol=5))
     buffers: list[pickle.PickleBuffer] = []
@@ -163,20 +173,15 @@ def encode_result(
         for raw, offset in zip(raws, offsets):
             buf[offset : offset + raw.nbytes] = raw
     finally:
-        name = shm.name
         shm.close()
-    # Ownership moves to the parent: balance this process's tracker
-    # registration (the parent re-registers on attach), so neither side
-    # double-cleans and an abnormal exit on either still reclaims it.
-    _tracker_unregister(shm._name)  # noqa: SLF001 - tracker uses raw name
-    return ShardPayload(data, name, sizes)
+    return ShardPayload(data, shm.name, sizes)
 
 
 def decode_result(
     payload: ShardPayload,
     count: Callable[[str, int], None],
-) -> "tuple[list[SpanSummary], Snapshot | None, ShmLease | None]":
-    """Decode a shard payload; returns (spans, snapshot, lease).
+) -> "tuple[SpanSummary, Snapshot | None, ShmLease | None]":
+    """Decode a shard payload; returns (span, snapshot, lease).
 
     ``count(name, amount)`` receives the transport accounting —
     ``shm_bytes`` / ``shm_segments`` / ``pickle_bytes`` / ``fallbacks``
@@ -188,12 +193,9 @@ def decode_result(
         count("pickle_bytes", len(payload.data))
         if payload.fallback:
             count("fallbacks", 1)
-        spans, snapshot = pickle.loads(payload.data)
-        return spans, snapshot, None
+        span, snapshot = pickle.loads(payload.data)
+        return span, snapshot, None
     shm = shared_memory.SharedMemory(name=payload.name)
-    # The worker handed ownership over; register so an abnormal parent
-    # exit still reclaims the segment (unlink() unregisters again).
-    _tracker_register(shm._name)  # noqa: SLF001 - tracker uses raw name
     lease = ShmLease(shm)
     offsets, used = _layout(payload.sizes)
     buf = shm.buf
@@ -203,37 +205,16 @@ def decode_result(
         np.ndarray((size,), np.uint8, buffer=buf, offset=offset)
         for size, offset in zip(payload.sizes, offsets)
     ]
-    spans, snapshot = pickle.loads(payload.data, buffers=views)
+    span, snapshot = pickle.loads(payload.data, buffers=views)
     count("shm_bytes", used)
     count("shm_segments", 1)
-    return spans, snapshot, lease
-
-
-# -- resource-tracker bookkeeping -------------------------------------
-
-
-def _tracker_unregister(raw_name: str) -> None:
-    if resource_tracker is None:  # pragma: no cover
-        return
-    try:
-        resource_tracker.unregister(raw_name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker gone mid-shutdown
-        pass
-
-
-def _tracker_register(raw_name: str) -> None:
-    if resource_tracker is None:  # pragma: no cover
-        return
-    try:
-        resource_tracker.register(raw_name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker gone mid-shutdown
-        pass
+    return span, snapshot, lease
 
 
 def discard_payload(payload: ShardPayload) -> None:
     """Reclaim an undecoded payload's shared memory, if it has any.
 
-    Used when a stream consumer aborts mid-segment: worker-written
+    Used when the spans in flight are dropped: worker-written
     segments whose results never reach :func:`decode_result` would
     otherwise outlive the run in ``/dev/shm``.
     """
@@ -243,5 +224,4 @@ def discard_payload(payload: ShardPayload) -> None:
         shm = shared_memory.SharedMemory(name=payload.name)
     except FileNotFoundError:  # pragma: no cover - already reclaimed
         return
-    _tracker_register(shm._name)  # noqa: SLF001 - tracker uses raw name
     ShmLease(shm).destroy()

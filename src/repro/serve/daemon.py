@@ -33,13 +33,14 @@ nothing and a kill repeats only what closed between the last checkpoint
 and the kill.
 
 The daemon accepts either a :class:`~repro.core.pipeline.BlameItPipeline`
-or a :class:`~repro.perf.sharded.ShardedPipeline` as its driver — both
-expose the same ``begin_run``/``step``/``finish_run`` contract over the
-same :class:`~repro.core.pipeline.RunState`. With the sharded driver,
-each step's bucket is dispatched through its persistent worker pool
-(created on the first step, reused for every subsequent one), while
-daemon-side concerns — checkpoints, archiving, alert streaming, the
-HTTP surface — keep reading the underlying sequential pipeline's state.
+or a :class:`~repro.perf.sharded.ShardedPipeline` as its driver: the
+sharded driver is a ``BlameItPipeline`` whose ``step`` takes spans from
+its persistent worker pool, computed ahead up to the next day boundary
+(learned table) or the horizon (fixed table). A stop or kill drops the
+spans in flight, as the sequential driver drops ``RunState.ahead``;
+``close()`` reclaims their shared memory. A wrapper that forwards
+``begin_run``/``step``/``finish_run`` may be passed too: the daemon
+reads stores, trackers and checkpoints from its ``pipeline`` attribute.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ class BlameItDaemon:
         pipeline: The pipeline to drive — sequential, or a
             :class:`~repro.perf.sharded.ShardedPipeline` (whose worker
             pool then persists across every step; close it when the
-            daemon is done). Construct it with a
+            daemon is done, stopped or killed). Construct it with a
             :class:`~repro.store.checkpoint.CheckpointStore` (its
             ``store=`` argument) for checkpoint/resume and archiving,
             and with ``warm_start=True`` to resume.
@@ -128,8 +129,8 @@ class BlameItDaemon:
             )
         # The driver owns begin_run/step/finish_run; everything else the
         # daemon touches (stores, trackers, checkpoint helpers, the HTTP
-        # surface) lives on the underlying sequential pipeline, which a
-        # sharded driver exposes as its ``pipeline`` attribute.
+        # surface) lives on the pipeline, which a forwarding wrapper
+        # exposes as its ``pipeline`` attribute.
         self.driver = pipeline
         self.pipeline = getattr(pipeline, "pipeline", pipeline)
         self.start = start

@@ -16,13 +16,19 @@ interruption with a checkpoint store attached, and must reproduce the
 reference digest (and, for a learned case, the reference's learner).
 An interrupted cell first checks the store: the newest checkpoint sits
 where the interruption says, and a pipeline restored from it writes
-the same records when it checkpoints again at its resume bucket.
+the same records when it checkpoints again at its resume bucket. A
+daemon cell also streams its alerts and compares them with an
+uninterrupted daemon's; a sharded cell leaves no shared-memory segment
+once its pipeline is closed.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
+import os
+import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -31,7 +37,7 @@ import pytest
 
 from repro.chaos import ChaosKill, FaultPlan
 from repro.core.config import BlameItConfig
-from repro.core.pipeline import BlameItPipeline, PipelineReport
+from repro.core.pipeline import BlameItPipeline, PipelineReport, span_stop
 from repro.core.thresholds import ExpectedRTTLearner, ExpectedRTTTable
 from repro.io import report_to_dict
 from repro.obs import MetricsRegistry, validate_snapshot
@@ -55,10 +61,12 @@ from tests.test_thresholds import assert_learners_identical
 SEED = 11
 #: The daemon's checkpoint cadence when a store is attached.
 CADENCE = 48
-DRIVERS = ("sequential", "sharded1", "sharded2", "daemon", "jsonl")
+DRIVERS = ("sequential", "sharded1", "sharded2", "daemon", "jsonl", "daemon2")
 INTERRUPTIONS = ("none", "day", "mid", "stop")
-DAEMONS = ("daemon", "jsonl")
-_SHARDED = {"sharded1": (1, 17), "sharded2": (2, 13)}
+#: Daemon drivers, and the batch driver each one steps.
+DAEMONS = {"daemon": "sequential", "jsonl": "sequential", "daemon2": "sharded2"}
+#: Drivers whose spans are shards, and their worker counts.
+SHARDED = {"sharded1": 1, "sharded2": 2, "daemon2": 2}
 
 _CACHE: dict = {}
 
@@ -115,19 +123,18 @@ def make_pipeline(
 ) -> "BlameItPipeline | ShardedPipeline":
     """The one driver factory.
 
-    ``sequential`` (which the two daemon drivers drive) is a
-    :class:`BlameItPipeline` drawing each bucket from a ``(seed,
-    bucket)`` generator; ``sharded1`` is one in-process worker on
-    17-bucket shards (misaligned with the 3-bucket window on purpose),
-    ``sharded2`` two worker processes on 13-bucket shards. Other
-    keyword arguments go to the constructor. A pipeline that learns (no
-    ``table``) and does not resume is warmed up on every fourth bucket
-    of ``[0, 96)``. Close a sharded one when done.
+    ``sequential`` (which the ``daemon`` and ``jsonl`` drivers drive)
+    is a :class:`BlameItPipeline` drawing each bucket from a ``(seed,
+    bucket)`` generator; ``sharded1`` computes its span shards in
+    process, ``sharded2`` (which ``daemon2`` drives) in two worker
+    processes. Other keyword arguments go to the constructor. A
+    pipeline that learns (no ``table``) and does not resume is warmed
+    up on every fourth bucket of ``[0, 96)``. Close a sharded one when
+    done.
     """
     config = config or make_config()
-    if driver in _SHARDED:
-        workers, shard = _SHARDED[driver]
-        kwargs = {"n_workers": workers, "buckets_per_shard": shard, **kwargs}
+    if driver in SHARDED:
+        kwargs = {"n_workers": SHARDED[driver], **kwargs}
         built = ShardedPipeline(
             scenario, config=config, fixed_table=table, seed=seed, **kwargs
         )
@@ -256,7 +263,7 @@ class Case:
         scenario's shared stream) for this case."""
         return make_pipeline(
             self.scenario(world),
-            "sequential" if driver in DAEMONS else driver,
+            DAEMONS.get(driver, driver),
             config=make_config(
                 history_days=self.history_days, probe_planner=self.planner
             ),
@@ -407,15 +414,17 @@ class Cell(NamedTuple):
 #: drivers only (``tests/test_matrix.py`` checks both).
 MATRIX = {
     "small": "sequential/mid sharded1/none sharded2/none daemon/mid "
-    "jsonl/none jsonl/stop",
-    "quartet": "sequential/none sharded1/none sharded2/mid daemon/stop jsonl/mid",
-    "crash": "sharded1/none sharded2/none",
-    "smoke": "sequential/none sharded1/none sharded2/none daemon/mid jsonl/none",
+    "jsonl/none jsonl/stop daemon2/stop",
+    "quartet": "sequential/none sharded1/none sharded2/mid daemon/stop jsonl/mid "
+    "daemon2/none",
+    "crash": "sharded1/none sharded2/none daemon2/mid",
+    "smoke": "sequential/none sharded1/none sharded2/none daemon/mid jsonl/none "
+    "daemon2/none",
     "learned": "sequential/day sharded2/none sharded2/day daemon/day daemon/mid",
     "clustered": "sequential/day sequential/mid sharded1/mid sharded2/none "
-    "sharded2/day daemon/day jsonl/day",
+    "sharded2/day daemon/day jsonl/day daemon2/mid",
     "naive": "sequential/none sequential/mid sharded1/none sharded1/day "
-    "sharded2/day sharded2/mid daemon/none daemon/stop jsonl/stop",
+    "sharded2/day sharded2/mid daemon/none daemon/stop jsonl/stop daemon2/day",
     "suite": "sequential/day sharded2/none sharded2/day",
 }
 CELLS = [
@@ -505,36 +514,80 @@ def jsonl_source(case: Case, world: World, directory) -> JsonlSource:
     return _once((case.scenario, case.span), world, load)
 
 
+def _segments() -> set[str]:
+    """The shared-memory segments in ``/dev/shm`` now."""
+    try:
+        return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
+    except FileNotFoundError:  # pragma: no cover - non-tmpfs platform
+        return set()
+
+
+def _left_since(before: set[str]) -> set[str]:
+    """The segments made since ``before`` that are still there after up
+    to 2 s: another process's short-lived segments are gone by then."""
+    deadline = time.monotonic() + 2.0
+    while (left := _segments() - before) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return left
+
+
 def _run(case, world, driver, store, interruption="none", source=None,
-         warm_start=False):
+         warm_start=False, alerts=None):
     """One run of ``case`` under ``driver`` with ``store`` attached,
-    interrupted as asked. Returns the report (None after a graceful
-    stop), the pipeline, and the sharded driver's counters."""
+    interrupted as asked; a daemon appends ``(cursor, alert)`` to
+    ``alerts`` as it streams. Returns the report (None after a graceful
+    stop), the pipeline, and the sharded driver's counters. A sharded
+    pipeline is closed after the run, and must leave no segment."""
     kill = {"day": case.day_kill, "mid": case.mid_kill}.get(interruption)
+    metrics = MetricsRegistry() if driver in SHARDED else None
     if driver in DAEMONS:
-        pipeline = case.build(world, driver, store=store, warm_start=warm_start)
+        pipeline = case.build(
+            world, driver, store=store, warm_start=warm_start, metrics=metrics
+        )
         daemon = BlameItDaemon(
             pipeline, *case.span, source=source, kill_at=kill,
             checkpoint_every=None if interruption == "stop" else CADENCE,
+            alert_sink=lambda alert: alerts.append((daemon._state.cursor, alert)),
         )
         if interruption == "stop":
             daemon.source = _StopAt(daemon, case.stop)
-        return daemon.run(), pipeline, {}
-    chaos = CHAOS[case.chaos]
-    if kill is not None:
-        chaos = dataclasses.replace(chaos or FaultPlan(seed=1), kill_at_bucket=kill)
-    metrics = MetricsRegistry() if driver in _SHARDED else None
-    pipeline = case.build(
-        world, driver, store=store, warm_start=warm_start, chaos=chaos,
-        metrics=metrics,
-    )
+        run = daemon.run
+    else:
+        chaos = CHAOS[case.chaos]
+        if kill is not None:
+            chaos = dataclasses.replace(
+                chaos or FaultPlan(seed=1), kill_at_bucket=kill
+            )
+        pipeline = case.build(
+            world, driver, store=store, warm_start=warm_start, chaos=chaos,
+            metrics=metrics,
+        )
+        run = functools.partial(pipeline.run, *case.span)
+    before = _segments()
     try:
-        report = pipeline.run(*case.span)
+        report = run()
     finally:
         if metrics is not None:
             pipeline.close()
-    counters = report.metrics["counters"] if metrics is not None else {}
-    return report, getattr(pipeline, "pipeline", pipeline), counters
+            assert _left_since(before) == set()
+    counters = {}
+    if metrics is not None and report is not None:
+        counters = report.metrics["counters"]
+    return report, pipeline, counters
+
+
+def reference_alerts(case: Case, world: World) -> list:
+    """The alerts an uninterrupted, storeless daemon streams over the
+    case's span (computed once)."""
+
+    def run():
+        alerts = []
+        BlameItDaemon(
+            case.build(world, "daemon"), *case.span, alert_sink=alerts.append
+        ).run()
+        return alerts
+
+    return _once(("alerts", case.name), world, run)
 
 
 def _records(store: CheckpointStore, time: int) -> tuple:
@@ -564,11 +617,13 @@ def _assert_restores_what_it_saved(case, world, store) -> None:
         assert {d for *_, d in meta["cloud_keys"] + meta["middle_keys"]} <= set(window)
 
 
-def _shard_count(driver: str, cuts: list[int]) -> int:
-    """The shards a sharded driver runs over segments that end at
-    ``cuts``: each segment is cut into shards of the driver's size."""
-    size = _SHARDED[driver][1]
-    return sum(-(-(b - a) // size) for a, b in zip(cuts, cuts[1:]))
+def span_chain(start: int, end: int) -> list[tuple[int, int]]:
+    """``[start, end)`` cut where the span kernel's spans stop: the
+    shards a sharded driver runs over it."""
+    cuts = [start]
+    while cuts[-1] < end:
+        cuts.append(span_stop(cuts[-1], end))
+    return list(zip(cuts, cuts[1:]))
 
 
 def check_cell(cell: Cell, request, tmp_path) -> None:
@@ -583,13 +638,20 @@ def check_cell(cell: Cell, request, tmp_path) -> None:
         source = jsonl_source(case, world, directory)
     store = CheckpointStore(tmp_path / "store")
     resume = None
+    first: list = []
+    rest: list = []
     try:
         if cell.interruption == "stop":
-            assert _run(case, world, cell.driver, store, "stop", source)[0] is None
+            assert _run(
+                case, world, cell.driver, store, "stop", source, alerts=first
+            )[0] is None
         elif cell.interruption != "none":
             kill = case.day_kill if cell.interruption == "day" else case.mid_kill
             with pytest.raises(ChaosKill, match=rf"at bucket {kill}$"):
-                _run(case, world, cell.driver, store, cell.interruption, source)
+                _run(
+                    case, world, cell.driver, store, cell.interruption, source,
+                    alerts=first,
+                )
             if batch:
                 assert store.checkpoint_times() == case.day_boundaries(kill)
         if cell.interruption != "none":
@@ -599,22 +661,27 @@ def check_cell(cell: Cell, request, tmp_path) -> None:
                 _assert_restores_what_it_saved(case, world, store)
         report, pipeline, counters = _run(
             case, world, cell.driver, store, source=source,
-            warm_start=cell.interruption != "none",
+            warm_start=cell.interruption != "none", alerts=rest,
         )
-        days = case.day_boundaries(case.span[1] - 1)
         if batch:
-            assert store.checkpoint_times() == days
+            assert store.checkpoint_times() == case.day_boundaries(case.span[1] - 1)
     finally:
         store.close()
     assert digest(report) == expected.digest
     if case.learned:
         assert_learners_identical(pipeline.learner, expected.learner)
-    if cell.driver in _SHARDED:
+    if not batch:
+        # A stop repeats nothing; a kill repeats what streamed after the
+        # checkpoint the run resumed from (everything, without one).
+        whole = reference_alerts(case, world)
+        repeated = 0
+        if cell.interruption in ("day", "mid"):
+            repeated = sum(resume is None or at > resume for at, _ in first)
+        assert [alert for _, alert in first] == whole[: len(first)]
+        assert [alert for _, alert in rest] == whole[len(first) - repeated :]
+    if cell.driver in SHARDED:
         validate_snapshot(report.metrics)
-        # With a store attached, segments end at day boundaries.
-        start = case.span[0] if resume is None else resume
-        cuts = [start, *(day for day in days if day > start), case.span[1]]
-        shards = _shard_count(cell.driver, cuts)
+        shards = len(span_chain(resume or case.span[0], case.span[1]))
         retries = counters.get("retry.shard.attempts", 0)
         assert counters["shard.runs"] == shards + retries
         crashed = counters.get("chaos.shard.crashed", 0)

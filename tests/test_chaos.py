@@ -444,13 +444,14 @@ class TestEndToEndChaos:
         never the run: the report completes, empty but well-formed."""
         report = make_pipeline(
             Scenario.from_world(small_world), "sharded1", table=trained_table,
-            buckets_per_shard=13, metrics=MetricsRegistry(),
+            metrics=MetricsRegistry(),
             chaos=FaultPlan(seed=5, shard_crash_rate=1.0, shard_crash_max=2),
         ).run(100, 130)
         validate_snapshot(report.metrics)
         counters = report.metrics["counters"]
-        assert counters["chaos.shard.crashed"] == 6  # 3 shards x 2 attempts
-        assert counters["retry.shard.abandoned"] == 3
-        assert counters["shard.runs"] == 6
+        # The span shards [100, 124) and [124, 130), two attempts each.
+        assert counters["chaos.shard.crashed"] == 4
+        assert counters["retry.shard.abandoned"] == 2
+        assert counters["shard.runs"] == 4
         assert report.total_quartets == 0
         assert report.alerts == []

@@ -7,7 +7,7 @@
 3. the learner's fold queue and the fold kernel's seam change nothing;
 4. the span kernel makes one ``generate`` and one ``assign_batch`` call
    per span, and nothing of a span reaches the pipeline before its fold;
-5. the sharded driver's default plan is one shard per span, matches the
+5. the sharded driver's shards are the span chain; it matches the
    sequential run across a kill and a resume, and keeps one object per
    vocabulary across decoded shards.
 
@@ -28,12 +28,12 @@ import repro.core.thresholds as thresholds_module
 from repro.chaos import ChaosKill, FaultPlan
 from repro.core.config import BlameItConfig
 from repro.core.passive import PassiveLocalizer
-from repro.core.pipeline import WindowEntry, span_stop, summarize_span
+from repro.core.pipeline import WindowEntry, summarize_span
 from repro.core.quartet import QuartetBatch
 from repro.core.thresholds import ExpectedRTTLearner, _Lane
 from repro.obs import MetricsRegistry
 from repro.perf.batch import BatchQuartetGenerator
-from repro.perf.sharded import _ShardRunner
+from repro.perf.sharded import _ShardWorker
 from repro.perf.workers import usable_cpus
 from repro.serve import BlameItDaemon
 from repro.sim.scenario import BUCKETS_PER_DAY, Scenario
@@ -48,6 +48,7 @@ from tests.harness import (
     make_config,
     make_pipeline,
     reference,
+    span_chain,
 )
 from tests.test_thresholds import assert_learners_identical
 from tests.test_perf import _random_quartets, _random_table, _targets
@@ -94,25 +95,25 @@ class TestShardedEquivalence:
         failure must re-run only the failed shard, keeping every
         completed shard's results."""
         calls: list[tuple[tuple[int, int], int]] = []
-        original = _ShardRunner.run_shard
+        original = _ShardWorker.run_shard
 
-        def flaky(self, bounds, attempt=0):
+        def flaky(self, bounds, table_msg, refresh=None, attempt=0):
             calls.append((bounds, attempt))
-            if bounds == (117, 134) and attempt == 0:
+            if bounds == (124, 148) and attempt == 0:
                 raise RuntimeError("simulated worker death")
-            return original(self, bounds, attempt)
+            return original(self, bounds, table_msg, refresh, attempt)
 
-        monkeypatch.setattr(_ShardRunner, "run_shard", flaky)
+        monkeypatch.setattr(_ShardWorker, "run_shard", flaky)
         got = make_pipeline(
             Scenario.from_world(small_world), "sharded1",
             table=trained_table, metrics=MetricsRegistry(),
         ).run(*SMALL.span)
-        # 4 shards of 17 buckets over [100, 160), plus exactly one retry.
-        assert len(calls) == 5
-        assert calls.count(((117, 134), 0)) == 1
-        assert calls.count(((117, 134), 1)) == 1
+        # 3 span shards over [100, 160), plus exactly one retry.
+        assert len(calls) == 4
+        assert calls.count(((124, 148), 0)) == 1
+        assert calls.count(((124, 148), 1)) == 1
         counters = got.metrics["counters"]
-        assert counters["shard.runs"] == 5
+        assert counters["shard.runs"] == 4
         assert counters["shard.errors"] == 1
         assert counters["retry.shard.recovered"] == 1
         assert digest(got) == reference(SMALL, small_world).digest
@@ -305,12 +306,9 @@ class TestFoldKernelSeam:
         """A shard worker ships, column for column, what ``step``
         summarizes inline for the same buckets under the same table —
         and both equal the buckets summarized one per call."""
-        runner = _ShardRunner(
-            Scenario.from_world(small_world), make_config(), trained_table,
-            seed=SEED,
-        )
-        spans, _ = runner.run_shard((self.START, self.END))
-        shipped = [summary for span in spans for summary in span.buckets()]
+        worker = _ShardWorker(Scenario.from_world(small_world), make_config(), SEED)
+        span, _ = worker.run_shard((self.START, self.END), (1, trained_table))
+        shipped = span.buckets()
         _, inline, per_bucket = summaries
         _assert_summaries_equal(shipped, per_bucket)
         _assert_summaries_equal(inline, per_bucket)
@@ -345,45 +343,34 @@ class TestFoldKernelSeam:
         assert flushed(blamed) == all_deferred
 
 
-def _span_chain(start: int, end: int) -> list[tuple[int, int]]:
-    """``[start, end)`` cut where the span kernel's spans stop."""
-    cuts = [start]
-    while cuts[-1] < end:
-        cuts.append(span_stop(cuts[-1], end))
-    return list(zip(cuts, cuts[1:]))
-
-
 class TestSpanShards:
-    """The sharded driver's default plan (``buckets_per_shard=None``):
-    one shard per span of the span kernel, one payload per span, one
-    object per vocabulary once decoded. Other drivers in the matrix pin
-    17- and 13-bucket shards."""
+    """The sharded driver's shards: one per span of the span kernel, one
+    payload per span, one object per vocabulary once decoded."""
 
     def test_default_shards_are_the_span_chain(self, small_world):
         sharded = make_pipeline(
             Scenario.from_world(small_world), "sharded1", n_workers=3,
-            table=harness.trained_table(small_world), buckets_per_shard=None,
+            table=harness.trained_table(small_world),
         )
         for start, end in ((250, 600), (100, 160), (287, 289), (5, 5)):
-            assert sharded._shards(start, end) == _span_chain(start, end)
-        assert _span_chain(250, 600)[:2] == [(250, 274), (274, 288)]
+            assert sharded._shards(start, end) == span_chain(start, end)
+        assert span_chain(250, 600)[:2] == [(250, 274), (274, 288)]
 
     def test_learned_kill_inside_a_span_then_resume(
         self, multi_day_world, tmp_path
     ):
-        """A learned two-day run on the default plan, at two workers
-        (inline under one usable CPU), killed at bucket 530 (inside the
-        span [528, 552)) and resumed from the day-1 checkpoint, ends
-        with the sequential digest and learner; every segment is cut
-        into the span chain."""
+        """A learned two-day run at two workers (inline under one usable
+        CPU), killed at bucket 530 (inside the span [528, 552)) and
+        resumed from the day-1 checkpoint, ends with the sequential
+        digest and learner; the resumed run dispatches the span chain
+        from 288, a day's worth at a time."""
         expected = reference(LEARNED, multi_day_world)
         store = CheckpointStore(tmp_path)
         workers = min(2, usable_cpus())
 
         def build(**kwargs):
             return LEARNED.build(
-                multi_day_world, "sharded2", n_workers=workers,
-                buckets_per_shard=None, store=store,
+                multi_day_world, "sharded2", n_workers=workers, store=store,
                 metrics=MetricsRegistry(), **kwargs,
             )
 
@@ -398,8 +385,8 @@ class TestSpanShards:
         finally:
             store.close()
         assert digest(report) == expected.digest
-        assert_learners_identical(resumed.pipeline.learner, expected.learner)
-        shards = _span_chain(288, 576) + _span_chain(576, LEARNED.span[1])
+        assert_learners_identical(resumed.learner, expected.learner)
+        shards = span_chain(288, 576) + span_chain(576, LEARNED.span[1])
         assert report.metrics["counters"]["shard.runs"] == len(shards)
 
     def test_fixed_table_run_decodes_each_pair_once(
@@ -418,12 +405,12 @@ class TestSpanShards:
         with closing(
             make_pipeline(
                 Scenario.from_world(small_world), "sharded2",
-                table=trained_table, buckets_per_shard=None,
+                table=trained_table,
             )
         ) as sharded:
             report = sharded.run(*SMALL.span)
         assert sharded.transport_stats["shm_segments"] == len(
-            _span_chain(*SMALL.span)
+            span_chain(*SMALL.span)
         ) == 3
         assert decoded and len(decoded) == len(set(decoded))
         assert digest(report) == reference(SMALL, small_world).digest
@@ -445,8 +432,7 @@ class TestSpanShards:
         monkeypatch.setattr(thresholds_module, "_merge_codes", recorded)
         with closing(
             make_pipeline(
-                Scenario.from_world(multi_day_world), "sharded2",
-                buckets_per_shard=None,
+                Scenario.from_world(multi_day_world), "sharded2"
             )
         ) as sharded:
             merged.clear()  # the warm-up's folds

@@ -23,7 +23,10 @@ from tests.harness import (
     DRIVERS,
     HOMES,
     INTERRUPTIONS,
+    SHARDED,
     check_cell,
+    make_config,
+    span_chain,
 )
 
 
@@ -80,9 +83,25 @@ class TestCoverage:
         wanted = {
             (value, driver)
             for value, driver in itertools.product(values, DRIVERS)
-            if value != "crash" or driver.startswith("sharded")
+            if value != "crash" or driver in SHARDED
         }
         assert wanted <= seen
+
+    def test_a_probe_window_straddles_two_span_shards(self):
+        """Probe windows are counted from the run start and shards end
+        at day boundaries, so a sharded cell whose span crosses a day
+        at ``(288 - start) % 3 != 0`` folds a window from two shards:
+        the deferred blames of the earlier one, the fresh table's of
+        the later one."""
+        interval = make_config().run_interval_buckets
+        straddled = {
+            cell.id
+            for cell in CELLS
+            if cell.driver in SHARDED
+            for cut, _ in span_chain(*CASES[cell.case].span)[1:]
+            if (cut - CASES[cell.case].span[0]) % interval
+        }
+        assert {"learned-sharded2-none", "clustered-sharded2-none"} <= straddled
 
     def test_every_home_is_a_test(self):
         for home in HOMES.values():

@@ -195,7 +195,7 @@ class TestPipelineMetrics:
             if not name.startswith("shard.")
         }
         assert shared == expected.metrics["counters"]
-        assert got.metrics["counters"]["shard.runs"] == 4  # ceil(60 / 17)
+        assert got.metrics["counters"]["shard.runs"] == 3  # spans of [100, 160)
         assert got.metrics["gauges"] == expected.metrics["gauges"]
         # Worker spans made it across the process boundary.
         assert "phase.generation" in got.metrics["spans"]

@@ -154,14 +154,14 @@ class TestQuartetBatch:
 
 class TestShardedPipeline:
     def test_matches_sequential_pipeline(self, matrix_cell):
-        """A matrix cell kept under its old ID: one worker on 17-bucket
-        shards, misaligned with the run window on purpose."""
+        """A matrix cell kept under its old ID: span shards computed in
+        process."""
         matrix_cell()
 
     def test_shard_partition_covers_range(self, small_world, trained_table):
         sharded = make_pipeline(
             Scenario.from_world(small_world), "sharded1", table=trained_table,
-            n_workers=3, buckets_per_shard=None,
+            n_workers=3,
         )
         shards = sharded._shards(10, 100)
         assert shards[0][0] == 10

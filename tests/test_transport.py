@@ -1,6 +1,6 @@
 """Shard-result transport and persistent-pool properties.
 
-Unit level: a shard's summaries round-trip bit-for-bit through a
+Unit level: a shard's span summary round-trips bit-for-bit through a
 shared-memory segment and through a self-contained stream, allocation
 failures downgrade to accounted in-band fallbacks, and segment lifetime
 (lease refcount, discard, abnormal exit) never leaks ``/dev/shm``
@@ -17,6 +17,11 @@ from __future__ import annotations
 import dataclasses
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 from contextlib import closing
 
 import numpy as np
@@ -25,7 +30,7 @@ import pytest
 from repro.chaos import ChaosKill, FaultPlan
 from repro.obs import MetricsRegistry, validate_snapshot
 from repro.perf import sharded, transport
-from repro.perf.sharded import _ShardRunner
+from repro.perf.sharded import _ShardWorker
 from repro.perf.transport import (
     decode_result,
     discard_payload,
@@ -60,19 +65,18 @@ def _shm_entries() -> set[str]:
 
 @pytest.fixture(scope="module")
 def shard_output(small_world, trained_table):
-    """One real shard's span summaries + snapshot (learn columns
+    """One real shard's span summary + snapshot (learn columns
     included)."""
-    runner = _ShardRunner(
+    worker = _ShardWorker(
         Scenario.from_world(small_world),
         make_config(),
-        trained_table,
-        seed=SEED,
+        SEED,
         metrics_enabled=True,
         want_learn=True,
     )
-    spans, snapshot = runner.run_shard((100, 113))
-    assert spans[0].row_cuts[-1] > 0 and spans[0].learn
-    return spans, snapshot
+    span, snapshot = worker.run_shard((100, 113), (1, trained_table))
+    assert span.row_cuts[-1] > 0 and span.learn
+    return span, snapshot
 
 
 def _assert_equal(got, expected) -> None:
@@ -116,15 +120,15 @@ def _decode(payload):
 class TestRoundTrip:
     @needs_shm
     def test_shm_round_trip(self, shard_output):
-        summaries, snapshot = shard_output
-        payload = encode_result(summaries, snapshot)
+        span, snapshot = shard_output
+        payload = encode_result(span, snapshot)
         assert payload.name in _shm_entries()
         (decoded, got_snapshot, lease), counts = _decode(payload)
         assert set(counts) == {"shm_bytes", "shm_segments"}
         assert counts["shm_segments"] == 1
         assert counts["shm_bytes"] >= sum(payload.sizes) > 0
         assert got_snapshot == snapshot
-        _assert_summaries_equal(decoded, summaries)
+        _assert_equal(decoded, span)
         assert lease is not None and not lease.released
         lease.release()
         assert lease.released
@@ -133,31 +137,31 @@ class TestRoundTrip:
     def test_pickle_round_trip(self, shard_output, monkeypatch):
         """A platform without shared memory ships the whole stream in
         band — and that is not a fallback."""
-        summaries, snapshot = shard_output
+        span, snapshot = shard_output
         monkeypatch.setattr(transport, "shared_memory", None)
-        payload = encode_result(summaries, snapshot)
+        payload = encode_result(span, snapshot)
         assert payload.name is None and not payload.fallback
         (decoded, got_snapshot, lease), counts = _decode(payload)
         assert counts == {"pickle_bytes": len(payload.data)}
         assert got_snapshot == snapshot
         assert lease is None
-        _assert_summaries_equal(decoded, summaries)
+        _assert_equal(decoded, span)
 
     @needs_shm
     def test_failed_allocation_falls_back_to_pickle(
         self, shard_output, monkeypatch
     ):
-        summaries, snapshot = shard_output
+        span, snapshot = shard_output
         monkeypatch.setattr(
             transport.shared_memory, "SharedMemory", _refuse_allocation
         )
-        payload = encode_result(summaries, snapshot)
+        payload = encode_result(span, snapshot)
         assert payload.name is None and payload.fallback
         monkeypatch.undo()
         (decoded, _, lease), counts = _decode(payload)
         assert counts == {"fallbacks": 1, "pickle_bytes": len(payload.data)}
         assert lease is None
-        _assert_summaries_equal(decoded, summaries)
+        _assert_equal(decoded, span)
 
     @needs_shm
     def test_arbitrary_arrays_travel_unchanged(self):
@@ -197,12 +201,11 @@ class TestRoundTrip:
         after decoding. The segment holds the batch's 10 columns, the 4
         pair columns and, when a bucket is blamed, the blames' 13 —
         each once, by count and by bytes."""
-        runner = _ShardRunner(
-            Scenario.from_world(small_world), make_config(), trained_table,
-            seed=SEED, want_learn=True, run_bounds=(250, 600),
-            defer_cross_day=True,
+        worker = _ShardWorker(
+            Scenario.from_world(small_world), make_config(), SEED,
+            want_learn=True,
         )
-        (span,), _ = runner.run_shard(bounds)
+        span, _ = worker.run_shard(bounds, (1, trained_table), (250, 600))
         assert span.blamed == blamed
 
         def arrays(batch):
@@ -214,8 +217,8 @@ class TestRoundTrip:
         ]
         if span.blames is not None:
             shipped += arrays(span.blames.batch) + arrays(span.blames)
-        payload = encode_result([span], None)
-        ((decoded,), _, lease), counts = _decode(payload)
+        payload = encode_result(span, None)
+        (decoded, _, lease), counts = _decode(payload)
         try:
             assert len(payload.sizes) == len(shipped) == buffers
             assert sum(payload.sizes) == sum(array.nbytes for array in shipped)
@@ -227,8 +230,8 @@ class TestRoundTrip:
 
     @needs_shm
     def test_discard_payload_reclaims_segment(self, shard_output):
-        summaries, snapshot = shard_output
-        payload = encode_result(summaries, snapshot)
+        span, snapshot = shard_output
+        payload = encode_result(span, snapshot)
         assert payload.name in _shm_entries()
         discard_payload(payload)
         assert payload.name not in _shm_entries()
@@ -236,8 +239,8 @@ class TestRoundTrip:
 
     @needs_shm
     def test_lease_refcount_pins_segment(self, shard_output):
-        summaries, snapshot = shard_output
-        payload = encode_result(summaries, snapshot)
+        span, snapshot = shard_output
+        payload = encode_result(span, snapshot)
         _, _, lease = decode_result(payload, lambda name, n: None)
         lease.retain()
         lease.release()  # one reference still held
@@ -266,7 +269,7 @@ class TestPipelineTransport:
         assert digest(report) == reference(SMALL, small_world).digest
         stats = pipeline.transport_stats
         assert stats["shm_bytes"] > 0
-        assert stats["shm_segments"] == 5  # ceil(60 / 13) shards
+        assert stats["shm_segments"] == 3  # the spans of [100, 160)
         assert stats["pickle_bytes"] == 0
         assert stats["fallbacks"] == 0
         counters = report.metrics["counters"]
@@ -298,7 +301,7 @@ class TestPipelineTransport:
         assert pipeline.pools_created == 1
         assert digest(report) == reference(SMALL, small_world).digest
         stats = pipeline.transport_stats
-        assert stats["fallbacks"] == 5  # ceil(60 / 13) shards
+        assert stats["fallbacks"] == 3  # the spans of [100, 160)
         assert stats["pickle_bytes"] > 0
         assert stats["shm_bytes"] == 0
         assert stats["shm_segments"] == 0
@@ -313,19 +316,20 @@ class TestPipelineTransport:
     ):
         """``/dev/shm`` fills partway through a run: allocation fails for
         every other shard, chosen by the shard's first bucket so any
-        worker makes the same choice. Those shards arrive in band and
+        worker makes the same choice (the spans start at 100, 124 and
+        148). Those shards arrive in band and
         the rest through segments; the report does not move, and no
         segment outlives ``close()``."""
         encode = sharded.encode_result
         start = SMALL.span[0]
 
-        def encode_every_other(spans, snapshot):
-            if (spans[0].times[0] - start) // 13 % 2 == 0:  # sharded2: 13
-                return encode(spans, snapshot)
+        def encode_every_other(span, snapshot):
+            if (span.times[0] - start) // 24 % 2 == 0:
+                return encode(span, snapshot)
             allocate = transport.shared_memory.SharedMemory
             transport.shared_memory.SharedMemory = _refuse_allocation
             try:
-                return encode(spans, snapshot)
+                return encode(span, snapshot)
             finally:
                 transport.shared_memory.SharedMemory = allocate
 
@@ -341,7 +345,7 @@ class TestPipelineTransport:
         assert digest(report) == reference(SMALL, small_world).digest
         stats = pipeline.transport_stats
         n_shards = len(pipeline._shards(*SMALL.span))
-        assert stats["fallbacks"] == 2 and stats["shm_segments"] == 3
+        assert stats["fallbacks"] == 1 and stats["shm_segments"] == 2
         assert stats["fallbacks"] + stats["shm_segments"] == n_shards
         counters = report.metrics["counters"]
         assert counters["transport.fallbacks"] == stats["fallbacks"]
@@ -395,12 +399,70 @@ class TestPipelineTransport:
         assert digest(report) == reference(crash, small_world).digest
         assert pipeline.pools_created == 1
         counters = report.metrics["counters"]
-        n_shards = 5  # ceil(60 / 13)
+        n_shards = 3  # the spans of [100, 160)
         assert counters["chaos.shard.crashed"] == n_shards
         assert counters["retry.shard.attempts"] == n_shards
         assert counters["retry.shard.recovered"] == n_shards
         assert counters["shard.runs"] == 2 * n_shards
         validate_snapshot(report.metrics)
+
+
+#: Run in a child process: fork a sharded pipeline's two workers, have
+#: them encode three payloads, write the segment names to ``argv[1]``
+#: and die by SIGKILL before decoding any.
+_KILLED_PARENT = textwrap.dedent(
+    """
+    import os, signal, sys
+    import numpy as np
+    from repro.net.geo import Region
+    from repro.perf import transport
+    from repro.perf.sharded import ShardedPipeline
+    from repro.sim.scenario import Scenario, ScenarioParams, build_world
+
+    world = build_world(
+        ScenarioParams(seed=42, regions=(Region.USA,), locations_per_region=1)
+    )
+    pipeline = ShardedPipeline(Scenario.from_world(world), n_workers=2)
+    pool = pipeline._ensure_pool()
+    names = [
+        pool.apply(transport.encode_result, ([np.arange(4096) + i], None)).name
+        for i in range(3)
+    ]
+    with open(sys.argv[1], "w") as out:
+        out.write(" ".join(names))
+    os.kill(os.getpid(), signal.SIGKILL)
+    """
+)
+
+
+@needs_shm
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the workers share the parent's tracker only when forked",
+)
+def test_parent_killed_before_decoding_leaves_no_segment(tmp_path):
+    """A parent SIGKILLed between its workers' ``encode_result`` and its
+    own ``decode_result``: the segments stay registered with the
+    resource tracker the workers share with it, which unlinks them once
+    the workers have exited (within 10 s). Workers that unregistered
+    their segments left all three behind."""
+    names_file = tmp_path / "names"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    child = subprocess.run(
+        [sys.executable, "-c", _KILLED_PARENT, str(names_file)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        timeout=120,
+    )
+    assert child.returncode == -signal.SIGKILL
+    names = names_file.read_text().split()
+    assert len(names) == 3
+    deadline = time.monotonic() + 10.0
+    while time.monotonic() < deadline and set(names) & _shm_entries():
+        time.sleep(0.1)
+    left = set(names) & _shm_entries()
+    for name in left:
+        transport.shared_memory.SharedMemory(name=name).unlink()
+    assert left == set()
 
 
 class TestPersistentPool:
