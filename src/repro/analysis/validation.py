@@ -22,8 +22,8 @@ Both are deliberately cheap to run many times over one shared world:
 steps of :meth:`BlameItPipeline.warmup` on generated batches — and
 records its artifacts in a :class:`WarmupState` every run then applies.
 The case pipelines are independent, so :func:`run_cases` and the suite
-run them in a fork pool on every usable CPU and score them in the
-parent (DESIGN.md §4 decision 10). Corroboration runs the same
+run them through one fork map on every usable CPU and score them in
+the parent (DESIGN.md §4 decision 10). Corroboration runs the same
 generator and the same batch door of Algorithm 1
 (``PassiveLocalizer.assign_batch``) as the pipeline.
 
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import multiprocessing
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -71,7 +70,7 @@ from repro.sim.incidents import (
 )
 from repro.net.geo import Region
 from repro.perf.batch import BatchQuartetGenerator
-from repro.perf.workers import fork_workers
+from repro.perf.workers import fork_map
 from repro.sim.scenario import BUCKETS_PER_DAY, Scenario, ScenarioParams, World
 
 #: Noise floor for ground-truth traceroute comparisons.
@@ -768,22 +767,18 @@ def _ranking_entry(world: World, case: SuiteCase) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Running cases: one fork-pool map over independent pipeline runs
+# Running cases: one fork map over independent pipeline runs
 # ---------------------------------------------------------------------------
 #
 # A job is one pipeline run over the shared world: a case's, or the
 # fault-free ambient run (``None``). Each is a pure function of (world,
 # job, warmup, config, pad), seeded by the job itself, so where it runs
-# cannot change its report. Workers inherit the context at fork time;
-# only the job goes in and only its report comes back.
+# cannot change its report.
 
 #: A job: a case, or None for the fault-free ambient run.
 _Job = SuiteCase | None
 #: What every job reads besides the job: (world, warmup, config, pad).
 _JobContext = tuple[World, WarmupState, BlameItConfig | None, int]
-
-#: The context a pool worker inherited from its initializer.
-_WORKER_CONTEXT: _JobContext | None = None
 
 
 def _job_buckets(world: World, job: _Job, pad_buckets: int) -> int:
@@ -811,44 +806,15 @@ def _run_job(context: _JobContext, job: _Job) -> PipelineReport:
     return pipeline.run(*window)
 
 
-def _init_worker(context: _JobContext) -> None:
-    global _WORKER_CONTEXT
-    _WORKER_CONTEXT = context
-
-
-def _run_worker_job(job: _Job) -> PipelineReport:
-    assert _WORKER_CONTEXT is not None, "worker not initialized"
-    return _run_job(_WORKER_CONTEXT, job)
-
-
 def _run_jobs(context: _JobContext, jobs: Sequence[_Job]) -> list[PipelineReport]:
-    """Every job's report, in input order.
-
-    Jobs go to the pool longest first, one at a time, so the longest
-    never starts last. On success the pool is closed and joined, on any
-    error terminated and joined: no worker outlives the call, and a
-    worker's exception reaches the caller with its own type.
-    """
-    workers = fork_workers(len(jobs))
-    if workers == 1:
-        return [_run_job(context, job) for job in jobs]
+    """Every job's report, in input order, the longest job first in the
+    :func:`~repro.perf.workers.fork_map`, so it never starts last."""
     world, _, _, pad_buckets = context
-    order = sorted(
-        range(len(jobs)), key=lambda i: -_job_buckets(world, jobs[i], pad_buckets)
+    return fork_map(
+        lambda job: _run_job(context, job),
+        jobs,
+        cost=lambda job: _job_buckets(world, job, pad_buckets),
     )
-    pool = multiprocessing.get_context("fork").Pool(
-        workers, initializer=_init_worker, initargs=(context,)
-    )
-    try:
-        done = pool.map(_run_worker_job, [jobs[i] for i in order], chunksize=1)
-        pool.close()
-    except BaseException:
-        pool.terminate()
-        raise
-    finally:
-        pool.join()
-    by_job = dict(zip(order, done))
-    return [by_job[i] for i in range(len(jobs))]
 
 
 def _score_cases(
@@ -877,7 +843,7 @@ def run_cases(
     """:func:`run_case` for every case, the pipelines on every usable CPU.
 
     Returns the outcomes :func:`run_case` would, in case order; the
-    pipelines run in a fork pool and the scoring in this process.
+    pipelines run in forked workers and the scoring in this process.
     """
     reports = _run_jobs((world, warmup, config, pad_buckets), cases)
     return _score_cases(world, cases, reports, pad_buckets, ambient_pairs)

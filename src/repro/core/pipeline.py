@@ -57,6 +57,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
 #: kill bucket; a daemon's kill or stop drops ``RunState.ahead`` instead.
 SPAN_BUCKETS = 24
 
+#: Tickets a report emits, the top alerts by impact; checkpoint
+#: fingerprints hold it.
+ALERT_TOP_K = 10
+
 
 def span_stop(time: Timestamp, end: Timestamp) -> Timestamp:
     """Where a span starting at ``time`` stops: ``end``, the next day
@@ -486,9 +490,7 @@ class BlameItPipeline:
         scenario: Scenario,
         config: BlameItConfig | None = None,
         learner: ExpectedRTTLearner | None = None,
-        duration_predictor: DurationPredictor | None = None,
         fixed_table: "ExpectedRTTTable | None" = None,
-        alert_top_k: int = 10,
         seed: int = 1234,
         rng_per_bucket: bool = False,
         metrics: MetricsRegistry | None = None,
@@ -503,11 +505,9 @@ class BlameItPipeline:
             config: Tunables; paper defaults when None.
             learner: Optionally pre-trained expected-RTT learner (re-use
                 one across scenarios sharing a world).
-            duration_predictor: Optionally pre-seeded duration history.
             fixed_table: Use this expected-RTT table verbatim instead of
                 learning (lets many scenarios over one world share a
                 single training pass, e.g. the 88-incident validation).
-            alert_top_k: Tickets emitted.
             seed: Seed for probe measurement noise (and, with
                 ``rng_per_bucket``, for quartet generation).
             rng_per_bucket: Draw each bucket's quartets from a generator
@@ -555,7 +555,7 @@ class BlameItPipeline:
             metrics=self.metrics,
             chaos=self.chaos,
         )
-        self.duration_predictor = duration_predictor or DurationPredictor()
+        self.duration_predictor = DurationPredictor()
         self.client_predictor = ClientCountPredictor(self.config.client_history_days)
         self.tracker = IssueTracker()
         self.on_demand = OnDemandProber(
@@ -569,7 +569,6 @@ class BlameItPipeline:
         )
         self.cloud_tracker = _KeyedIssueTracker(Blame.CLOUD)
         self.client_tracker = _KeyedIssueTracker(Blame.CLIENT)
-        self.alert_top_k = alert_top_k
         self.seed = seed
         self.rng_per_bucket = rng_per_bucket
         if warm_start and store is None:
@@ -1374,7 +1373,7 @@ class BlameItPipeline:
         )
 
     def _build_alerts(self, report: PipelineReport) -> list[Alert]:
-        manager = AlertManager(self.alert_top_k)
+        manager = AlertManager(ALERT_TOP_K)
         verdict_by_key = self.best_verdicts_by_key(report.localized)
         for issue in report.closed_middle:
             manager.add(self.middle_alert(issue, verdict_by_key.get(issue.key)))

@@ -73,7 +73,6 @@ from repro.core.pipeline import (
     span_stop,
     summarize_span,
 )
-from repro.core.prediction import DurationPredictor
 from repro.core.summary import BucketSummary, SpanSummary
 from repro.core.thresholds import ExpectedRTTLearner, ExpectedRTTTable
 from repro.net.bgp import Timestamp
@@ -101,6 +100,10 @@ ShardResult = "tuple[SpanSummary, Snapshot | None, ShmLease | None]"
 
 #: The epoch-tagged table of a dispatch's task messages.
 TableMessage = "tuple[int, ExpectedRTTTable]"
+
+#: Re-runs the parent grants each failed shard before abandoning it (its
+#: buckets then go missing from the fold, like production data loss).
+SHARD_RETRY_ATTEMPTS = 1
 
 
 class _ShardWorker:
@@ -242,10 +245,9 @@ class ShardedPipeline(BlameItPipeline):
     pool.
 
     Args:
-        scenario, config, learner, fixed_table, duration_predictor,
-        alert_top_k, store, warm_start: As for :class:`BlameItPipeline`;
-            buckets are always drawn from ``(seed, bucket)``
-            (``rng_per_bucket``).
+        scenario, config, learner, fixed_table, store, warm_start: As
+            for :class:`BlameItPipeline`; buckets are always drawn from
+            ``(seed, bucket)`` (``rng_per_bucket``).
         n_workers: Worker processes; ``None`` means one per usable CPU
             (:func:`repro.perf.workers.usable_cpus`). With one worker
             (or when a pool cannot be spawned) spans run in process —
@@ -264,9 +266,6 @@ class ShardedPipeline(BlameItPipeline):
             retries recover every shard. An injected
             :class:`~repro.chaos.ChaosWorkerCrash` costs one shard
             resubmission; the pool survives.
-        shard_retry_attempts: Re-runs the parent grants each failed
-            shard before abandoning it (its buckets then go missing from
-            the fold, like production data loss).
 
     Attributes:
         transport_stats: Always-on accounting of the transport —
@@ -287,28 +286,21 @@ class ShardedPipeline(BlameItPipeline):
         config: BlameItConfig | None = None,
         learner: ExpectedRTTLearner | None = None,
         fixed_table: ExpectedRTTTable | None = None,
-        duration_predictor: DurationPredictor | None = None,
         n_workers: int | None = None,
-        alert_top_k: int = 10,
         seed: int = 1234,
         metrics: MetricsRegistry | None = None,
         chaos: FaultPlan | None = None,
-        shard_retry_attempts: int = 1,
         store: "CheckpointStore | None" = None,
         warm_start: bool = False,
     ) -> None:
         n_workers = usable_cpus() if n_workers is None else n_workers
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-        if shard_retry_attempts < 0:
-            raise ValueError("shard_retry_attempts must be >= 0")
         super().__init__(
             scenario,
             config=config,
             learner=learner,
-            duration_predictor=duration_predictor,
             fixed_table=fixed_table,
-            alert_top_k=alert_top_k,
             seed=seed,
             rng_per_bucket=True,
             metrics=metrics,
@@ -317,7 +309,6 @@ class ShardedPipeline(BlameItPipeline):
             warm_start=warm_start,
         )
         self.n_workers = n_workers
-        self.shard_retry_attempts = shard_retry_attempts
         # Re-sending the same table object (every dispatch within a day)
         # keeps the epoch, so workers keep the table they hold.
         self._table_msg: "TableMessage" = (0, None)
@@ -492,7 +483,7 @@ class ShardedPipeline(BlameItPipeline):
         metrics = self.metrics
         for bounds in shards:
             output = None
-            for attempt in range(self.shard_retry_attempts + 1):
+            for attempt in range(SHARD_RETRY_ATTEMPTS + 1):
                 metrics.counter("shard.runs").inc()
                 if attempt:
                     metrics.counter("retry.shard.attempts").inc()
@@ -523,7 +514,7 @@ class ShardedPipeline(BlameItPipeline):
         Every shard is dispatched up front; completions land on a queue
         and a reorder buffer keyed by shard index releases them in
         order. Failures are resubmitted — a crash costs one shard
-        re-run, never the pool — up to ``shard_retry_attempts`` times,
+        re-run, never the pool — up to ``SHARD_RETRY_ATTEMPTS`` times,
         then the shard is abandoned (yielded as None). ``shard.runs``
         counts every dispatch; ``chaos.shard.crashed`` / ``shard.errors``
         classify failures; ``retry.shard.*`` track the recovery arc.
@@ -558,7 +549,7 @@ class ShardedPipeline(BlameItPipeline):
                 if exc is not None:
                     self._record_failure(exc)
                     attempts[index] += 1
-                    if attempts[index] <= self.shard_retry_attempts:
+                    if attempts[index] <= SHARD_RETRY_ATTEMPTS:
                         submit(index, attempts[index])
                         continue
                     metrics.counter("retry.shard.abandoned").inc()

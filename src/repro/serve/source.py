@@ -24,11 +24,9 @@ rebuilt from their bucket times.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import pathlib
 from abc import ABC, abstractmethod
 from itertools import chain
-from multiprocessing.connection import Connection
 from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -36,7 +34,7 @@ import numpy as np
 from repro.core.quartet import Quartet, QuartetBatch
 from repro.net.bgp import Timestamp
 from repro.net.geo import Region
-from repro.perf.workers import fork_workers
+from repro.perf import workers
 
 
 class BucketSource(ABC):
@@ -138,8 +136,7 @@ class JsonlFormatError(ValueError):
 
     def __reduce__(self):
         # The default rebuilds from ``args`` (the one message string),
-        # which ``__init__`` cannot take; a forked reader sends its
-        # refusal to the parent pickled.
+        # which ``__init__`` cannot take; a fork_map worker returns it.
         return type(self), (self.path, self.line, self.reason)
 
 
@@ -286,24 +283,23 @@ def _codes(values: Iterable, vocabulary: dict) -> np.ndarray:
     )
 
 
-def _refuse(path: pathlib.Path, chunk: bytes, first_line: int) -> None:
-    """Re-parse a chunk that failed to load line by line, and raise
-    :class:`JsonlFormatError` at its first bad line."""
+def _refuse(
+    path: pathlib.Path, chunk: bytes, first_line: int
+) -> JsonlFormatError | None:
+    """Re-parse a chunk that failed to load line by line: the
+    :class:`JsonlFormatError` of its first bad line, if it has one."""
     for number, line in enumerate(chunk.split(b"\n"), first_line):
         if not line.strip():
             continue
         try:
-            row = json.loads(line.decode())
+            reason = _row_error(json.loads(line.decode()))
         except UnicodeDecodeError as exc:
-            raise JsonlFormatError(
-                path, number, f"not UTF-8: {exc.reason} at byte {exc.start + 1}"
-            ) from None
+            reason = f"not UTF-8: {exc.reason} at byte {exc.start + 1}"
         except json.JSONDecodeError as exc:
-            raise JsonlFormatError(
-                path, number, f"invalid JSON: {exc.msg} at column {exc.colno}"
-            ) from None
-        if (reason := _row_error(row)) is not None:
-            raise JsonlFormatError(path, number, reason)
+            reason = f"invalid JSON: {exc.msg} at column {exc.colno}"
+        if reason is not None:
+            return JsonlFormatError(path, number, reason)
+    return None
 
 
 class _Range(NamedTuple):
@@ -318,12 +314,13 @@ class _Range(NamedTuple):
     lines: int
 
 
-def _read_range(path: pathlib.Path, start: int, end: int) -> _Range:
+def _read_range(path: pathlib.Path, start: int, end: int) -> _Range | JsonlFormatError:
     """The rows in bytes ``[start, end)`` of the file, which hold whole
     lines.
 
-    Raises :class:`JsonlFormatError` at the range's first bad line,
-    numbered from the range's own first line.
+    Returns the :class:`JsonlFormatError` of the range's first bad line
+    instead, numbered from the range's own first line, for
+    :func:`_read_rows` to renumber.
     """
     vocabularies: tuple[dict, dict, dict] = ({}, {}, {})
     parts: list[dict[str, np.ndarray]] = []
@@ -339,8 +336,9 @@ def _read_range(path: pathlib.Path, start: int, end: int) -> _Range:
                         raise ValueError("a line holds more or less than one row")
                     parts.append(_columns(rows, *vocabularies))
                 except (ValueError, KeyError, TypeError, OverflowError):
-                    _refuse(path, chunk, line)
-                    raise
+                    if (refusal := _refuse(path, chunk, line)) is None:
+                        raise
+                    return refusal
             line += chunk.count(b"\n")
     return _Range(
         {
@@ -362,7 +360,7 @@ def _spans(path: pathlib.Path) -> list[tuple[int, int]]:
     is left.
     """
     size = path.stat().st_size
-    n = fork_workers(-(-size // _READ_BYTES))
+    n = workers.fork_workers(-(-size // _READ_BYTES))
     cuts = [0]
     if n > 1:
         with open(path, "rb") as handle:
@@ -381,45 +379,6 @@ def _past_newline(handle: BinaryIO, offset: int) -> int:
             return offset + found + 1
         offset += len(block)
     return offset
-
-
-def _send_range(writer: Connection, path: pathlib.Path, start: int, end: int) -> None:
-    """A forked reader: parse bytes ``[start, end)`` and send them to the
-    parent, or the exception that stopped it.
-
-    A range goes as a header (line count, row count, vocabularies), then
-    one message per column, so that the parent receives each column
-    straight into its own array.
-    """
-    try:
-        part = _read_range(path, start, end)
-    except Exception as exc:
-        writer.send(exc)
-        return
-    writer.send((part.lines, len(part.columns["time"]), part.vocabularies))
-    for name in _COLUMNS:
-        writer.send_bytes(part.columns[name])
-
-
-def _receive_range(reader: Connection, path: pathlib.Path, lines_before: int) -> _Range:
-    """A forked reader's range, or the exception it sent: a refusal is
-    renumbered by the ``lines_before`` the range in the file."""
-    try:
-        header = reader.recv()
-        if not isinstance(header, Exception):
-            lines, rows, vocabularies = header
-            columns = {name: np.empty(rows, dtype) for name, dtype in _COLUMNS.items()}
-            for column in columns.values():
-                reader.recv_bytes_into(column)
-    except EOFError:
-        raise ChildProcessError(
-            f"{path}: a reader exited before sending all its rows"
-        ) from None
-    if isinstance(header, JsonlFormatError):
-        raise JsonlFormatError(path, lines_before + header.line, header.reason)
-    if isinstance(header, Exception):
-        raise header
-    return _Range(columns, vocabularies, lines)
 
 
 def _merge(ranges: Sequence[_Range]) -> QuartetBatch:
@@ -446,42 +405,16 @@ def _merge(ranges: Sequence[_Range]) -> QuartetBatch:
 
 def _read_rows(path: pathlib.Path) -> QuartetBatch:
     """Every row of the file, in file order, as one batch over
-    file-wide vocabularies.
-
-    This process parses the first of the file's ranges (:func:`_spans`)
-    and forked readers the others, all at once; the ranges are then
-    received and merged in file order. A refusal names the first bad
-    line in the file. On any error every reader is killed, and none
-    outlives the call.
+    file-wide vocabularies: the ranges (:func:`_spans`) parsed by one
+    :func:`~repro.perf.workers.fork_map`. A refusal names the first bad
+    line in the file, renumbered by the lines of the ranges before it.
     """
-    first, *rest = _spans(path)
-    readers: list[Connection] = []
-    children: list[multiprocessing.process.BaseProcess] = []
-    try:
-        for start, end in rest:
-            context = multiprocessing.get_context("fork")
-            reader, writer = context.Pipe(duplex=False)
-            readers.append(reader)
-            with writer:
-                child = context.Process(
-                    target=_send_range, args=(writer, path, start, end), daemon=True
-                )
-                child.start()
-            children.append(child)
-        ranges = [_read_range(path, *first)]
-        for reader in readers:
-            ranges.append(
-                _receive_range(reader, path, sum(part.lines for part in ranges))
-            )
-    except BaseException:
-        for child in children:
-            child.kill()
-        raise
-    finally:
-        for reader in readers:
-            reader.close()
-        for child in children:
-            child.join()
+    ranges = workers.fork_map(lambda span: _read_range(path, *span), _spans(path))
+    lines = 0
+    for part in ranges:
+        if isinstance(part, JsonlFormatError):
+            raise JsonlFormatError(path, lines + part.line, part.reason)
+        lines += part.lines
     return _merge(ranges)
 
 
@@ -502,13 +435,14 @@ class JsonlSource(BucketSource):
 
     The whole file is parsed once, when the source is built, on every
     usable CPU: it is cut into one line-aligned byte range per CPU (at
-    most one per megabyte); this process parses the first range and
-    forked readers the others. In each range, every chunk of about a
-    megabyte of whole lines is decoded with one ``json.loads`` and
-    transposed into NumPy columns, with location, middle and region held
-    as codes into the range's vocabularies. The ranges are merged in
-    file order onto file-wide vocabularies (first occurrence first), so
-    the columns are those of one pass over the file, whatever the split.
+    most one per megabyte), parsed by forked workers
+    (:func:`~repro.perf.workers.fork_map`). In each range, every chunk
+    of about a megabyte of whole lines is decoded with one
+    ``json.loads`` and transposed into NumPy columns, with location,
+    middle and region held as codes into the range's vocabularies. The
+    ranges are merged in file order onto file-wide vocabularies (first
+    occurrence first), so the columns are those of one pass over the
+    file, whatever the split.
     A file under a megabyte, one usable CPU, a platform without ``fork``
     or a daemonic caller parses inline, in this process.
 

@@ -36,6 +36,7 @@ from typing import TYPE_CHECKING, Any, Iterator
 
 import numpy as np
 
+from repro.core.pipeline import ALERT_TOP_K
 from repro.store import codec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -207,7 +208,7 @@ class CheckpointStore:
         spec = (
             pipeline.config,
             pipeline.seed,
-            pipeline.alert_top_k,
+            ALERT_TOP_K,
             pipeline.rng_per_bucket,
             pipeline.fixed_table is not None,
             pipeline.scenario.params,

@@ -15,7 +15,12 @@ import json
 import multiprocessing
 import os
 import pickle
+import signal
+import subprocess
+import sys
+import textwrap
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -24,6 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.perf.workers as workers_module
 import repro.serve.source as source_module
 from repro.chaos import ChaosKill
 from repro.chaos.inject import sanitize_batch
@@ -541,12 +547,12 @@ _ROW_STRATEGY = st.fixed_dictionaries(
 )
 
 
-def _split(patch: pytest.MonkeyPatch, workers: int, read_bytes: int) -> None:
-    """Load over ``read_bytes`` chunks, split ``workers`` ways (capped
+def _split(patch: pytest.MonkeyPatch, count: int, read_bytes: int) -> None:
+    """Load over ``read_bytes`` chunks, split ``count`` ways (capped
     at one range per chunk, as the real worker count is) whatever the
     machine has."""
     patch.setattr(source_module, "_READ_BYTES", read_bytes)
-    patch.setattr(source_module, "fork_workers", lambda jobs: min(workers, jobs))
+    patch.setattr(workers_module, "fork_workers", lambda jobs: min(count, jobs))
 
 
 _SPLITS = pytest.mark.parametrize("workers", [1, 2, 3])
@@ -662,10 +668,9 @@ def _load_split(path, workers: int) -> QuartetBatch:
 
 
 class TestSplitLoad:
-    """The file is parsed as line-aligned byte ranges, the first in this
-    process and the others in forked readers: the same batch, the same
-    vocabularies and the same first refused line as one inline pass, and
-    no reader left behind."""
+    """The file is parsed as line-aligned byte ranges, one per forked
+    worker: the same batch, the same vocabularies and the same first
+    refused line as one inline pass, and no worker left behind."""
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_split_batch_is_the_inline_batch(self, tmp_path, forks, workers):
@@ -674,7 +679,7 @@ class TestSplitLoad:
         inline = _load_split(path, 1)
         assert forks == []
         _assert_same_batch(_load_split(path, workers), inline)
-        assert len(forks) == workers - 1
+        assert len(forks) == workers
         assert len(inline.locations) == 7 and len(inline.middles) == 5
         assert multiprocessing.active_children() == []
 
@@ -708,7 +713,7 @@ class TestSplitLoad:
             _load_split(path, workers)
         assert raised.value.line == bad[0]
         assert raised.value.reason == "invalid JSON: Expecting value at column 1"
-        assert len(forks) == workers - 1
+        assert len(forks) == workers
         assert multiprocessing.active_children() == []
 
     def test_cut_exactly_at_a_line_end(self, tmp_path, forks):
@@ -727,7 +732,7 @@ class TestSplitLoad:
                 (0, size // 2 + 1), (size // 2 + 1, size)
             ]
         _assert_same_batch(_load_split(path, 2), _load_split(path, 1))
-        assert len(forks) == 1
+        assert len(forks) == 2
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_crlf_blank_lines_and_no_final_newline(self, tmp_path, forks, workers):
@@ -746,7 +751,7 @@ class TestSplitLoad:
                 [quartet_from_row(json.loads(line)) for line in lines]
             ),
         )
-        assert len(forks) == workers - 1
+        assert len(forks) == workers
         path.write_bytes(path.read_bytes() + b"\r\n\r\ngarbage{")
         with pytest.raises(JsonlFormatError) as raised:
             _load_split(path, workers)
@@ -757,20 +762,87 @@ class TestSplitLoad:
         path = tmp_path / "rows.jsonl"
         path.write_bytes(b"\n".join(_good_lines(3)) + b"\n")
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(
-                source_module, "fork_workers", lambda jobs: min(3, jobs)
-            )
+            patch.setattr(workers_module, "fork_workers", lambda jobs: min(3, jobs))
             assert len(JsonlSource(path).next_batch(480)) == 3
         assert forks == []
 
     def test_reader_that_dies_is_an_error(self, tmp_path, monkeypatch, forks):
         path = tmp_path / "rows.jsonl"
         path.write_bytes(b"\n".join(_good_lines(40)) + b"\n")
-        monkeypatch.setattr(source_module, "_send_range", lambda *_: os._exit(1))
+        monkeypatch.setattr(source_module, "_read_range", lambda *_: os._exit(1))
         with pytest.raises(ChildProcessError, match="exited before sending"):
             _load_split(path, 3)
-        assert len(forks) == 2
+        assert len(forks) == 3
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/stat"), reason="reads process states"
+    )
+    def test_killed_parent_leaves_no_reader(self, tmp_path):
+        """The loading process SIGKILLed while both workers parse: each
+        worker closed the parent's pipe ends it inherited, so the
+        parent's death ends it at its next send. A worker that kept one
+        open would block for ever writing its columns."""
+        path = tmp_path / "rows.jsonl"
+        path.write_bytes(b"\n".join(_good_lines(20_000)) + b"\n")
+        pids = tmp_path / "pids"
+        pids.touch()
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        loader = subprocess.Popen(
+            [sys.executable, "-c", _KILLED_LOADER, str(path), str(pids)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        assert loader.wait(timeout=120) == -signal.SIGKILL
+        readers = {int(pid) for pid in pids.read_text().split()} - {loader.pid}
+        assert readers
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline and any(map(_running, readers)):
+            time.sleep(0.1)
+        left = {pid for pid in readers if _running(pid)}
+        for pid in left:
+            os.kill(pid, signal.SIGKILL)
+        assert left == set()
+
+
+#: Run in a child process: load ``argv[1]`` split two ways, each range's
+#: parser appending its pid to ``argv[2]``, and SIGKILL this process as
+#: soon as two parsers have started.
+_KILLED_LOADER = textwrap.dedent(
+    """
+    import os, pathlib, signal, sys, threading, time
+    import repro.perf.workers as workers
+    import repro.serve.source as source
+
+    path, pids = sys.argv[1], sys.argv[2]
+    source._READ_BYTES = 1 << 16
+    workers.fork_workers = lambda jobs: min(2, jobs)
+    read_range = source._read_range
+
+    def announced(*args):
+        with open(pids, "a") as out:
+            out.write(f"{os.getpid()}\\n")
+        return read_range(*args)
+
+    def kill_once_both_parse():
+        while len(pathlib.Path(pids).read_text().split()) < 2:
+            time.sleep(0.005)
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    source._read_range = announced
+    threading.Thread(target=kill_once_both_parse, daemon=True).start()
+    source.JsonlSource(path)
+    time.sleep(60)
+    """
+)
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live process (an unreaped zombie is not)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 class TestHttpSurface:

@@ -465,6 +465,54 @@ def test_parent_killed_before_decoding_leaves_no_segment(tmp_path):
     assert left == set()
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=subprocess.TimeoutExpired,
+    reason="a pool worker that dies leaves its span's callbacks unfired, "
+    "and the driver waits for them for ever (ROADMAP item 16)",
+)
+def test_worker_that_dies_ends_the_run():
+    """A pool worker that exits mid-span (``os._exit`` at span 312) must
+    end the run, by an error or a documented fallback, within seconds;
+    unbroken, the run takes about one. The driver's ``apply_async``
+    callbacks never fire for that span, so the run goes in a subprocess
+    under a 5-second bound."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    child = subprocess.run(
+        [sys.executable, "-c", _DEAD_SHARD_WORKER],
+        env=env, capture_output=True, text=True, timeout=5,
+    )
+    assert child.returncode == 0, child.stderr
+
+
+#: Run in a child process: a learned two-worker sharded run over day 1
+#: of a two-day world, the worker of the span at bucket 312 exiting.
+_DEAD_SHARD_WORKER = textwrap.dedent(
+    """
+    import os
+    from repro.perf import sharded
+    from repro.sim.scenario import Scenario, ScenarioParams, build_world
+
+    world = build_world(ScenarioParams(seed=2026, duration_days=2))
+    run_shard = sharded._ShardWorker.run_shard
+
+    def dying(worker, bounds, *args):
+        if bounds[0] == 312:
+            os._exit(1)
+        return run_shard(worker, bounds, *args)
+
+    sharded._ShardWorker.run_shard = dying
+    pipeline = sharded.ShardedPipeline(Scenario.from_world(world), n_workers=2)
+    try:
+        pipeline.run(288, 576)
+    except ChildProcessError:
+        pass
+    finally:
+        pipeline.close()
+    """
+)
+
+
 class TestPersistentPool:
     def test_one_pool_serves_a_multi_day_run(self, multi_day_world):
         """Per-day segments reuse the pool; the old code built (and

@@ -4,11 +4,14 @@ import hashlib
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
-from repro.analysis import validation
+import repro.perf.workers as workers_module
 from repro.analysis.validation import (
     SuiteCase,
     build_scenario_suite,
@@ -478,7 +481,7 @@ class TestValidateScenarioSuite:
 
 
 # ---------------------------------------------------------------------------
-# The fork-pool map behind run_cases and the suite
+# The fork map behind run_cases and the suite
 # ---------------------------------------------------------------------------
 
 needs_fork = pytest.mark.skipif(
@@ -490,7 +493,9 @@ needs_fork = pytest.mark.skipif(
 def _force_workers(monkeypatch, workers: int) -> None:
     """Pin the map's worker count (capped at one per job, as the map's
     own count is) whatever the machine has."""
-    monkeypatch.setattr(validation, "fork_workers", lambda jobs: min(workers, jobs))
+    monkeypatch.setattr(
+        workers_module, "fork_workers", lambda jobs: min(workers, jobs)
+    )
 
 
 def _scorecard_digest(result) -> str:
@@ -514,7 +519,7 @@ def suite_warmup(suite_world):
 
 @needs_fork
 class TestRunCasesPool:
-    """The pool and the forced-serial map (which runs the worker's job
+    """The forked map and the forced-inline one (which runs the same job
     function in this process) must agree byte for byte."""
 
     @pytest.mark.parametrize("planner", ["paper", "clustered"])
@@ -575,6 +580,23 @@ class TestRunCasesPool:
             run_cases(suite_world, cases, suite_warmup)
         assert not _new_children(before)
 
+    def test_worker_that_dies_is_an_error(self):
+        """A worker that dies mid-job (here by ``os._exit``) is a
+        ``ChildProcessError`` within seconds, and no worker is left. A
+        ``multiprocessing.Pool`` waits for such a job for ever, so the
+        run goes in a subprocess under a timeout."""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        try:
+            child = subprocess.run(
+                [sys.executable, "-c", _DEAD_WORKER],
+                env=env, capture_output=True, text=True, timeout=30,
+            )
+        except subprocess.TimeoutExpired:
+            pytest.fail("run_cases hung on a dead worker")
+        printed = child.stdout.split()
+        assert printed[0::2] == ["ChildProcessError", "0"], child.stderr
+        assert float(printed[1]) < 10.0
+
     def test_suite_in_a_pool_worker_runs_serially(self, suite_world, suite_warmup):
         """A daemonic worker may not fork; the suite runs inline there
         instead of raising, and scores the same."""
@@ -588,6 +610,41 @@ class TestRunCasesPool:
             scorecard, workers = pool.apply(_suite_in_worker, (9, families))
         assert workers == 1
         assert scorecard == expected
+
+
+#: Run in a child process: ``run_cases`` over four cases on two
+#: workers, the second case's worker exiting mid-run; prints the error's
+#: type, the seconds it took and the children left.
+_DEAD_WORKER = textwrap.dedent(
+    """
+    import multiprocessing, os, time
+    import repro.perf.workers as workers
+    from repro.analysis.validation import (
+        build_scenario_suite, build_warmup_state, run_cases, suite_world_params,
+    )
+    from repro.core.pipeline import BlameItPipeline
+    from repro.sim.scenario import build_world
+
+    world = build_world(suite_world_params())
+    warmup = build_warmup_state(world)
+    cases = build_scenario_suite(world, seed=9)[:4]
+    run = BlameItPipeline.run
+
+    def dying(pipeline, start, end):
+        if pipeline.seed == 1000 + cases[1].case_id:
+            os._exit(1)
+        return run(pipeline, start, end)
+
+    BlameItPipeline.run = dying
+    workers.fork_workers = lambda jobs: min(2, jobs)
+    started = time.monotonic()
+    try:
+        run_cases(world, cases, warmup)
+    except Exception as exc:
+        print(type(exc).__name__, time.monotonic() - started,
+              len(multiprocessing.active_children()))
+    """
+)
 
 
 _HELD: tuple = ()
