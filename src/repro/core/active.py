@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 
 from repro.chaos import FaultPlan
 from repro.cloud.traceroute import TracerouteEngine, TracerouteResult
-from repro.core.blame import Blame, BlameResult
 from repro.core.prediction import ClientCountPredictor, DurationPredictor
 from repro.core.probeplan import CoAnomalyHistory, PaperPlanner, ProbePlanner
 from repro.net.addressing import Prefix24
@@ -142,25 +141,22 @@ class IssueTracker:
         self._next_serial = 0
 
     def update(
-        self, time: Timestamp, results: list[BlameResult]
+        self, time: Timestamp, groups: list[tuple[IssueKey, int, list[Prefix24]]]
     ) -> tuple[list[MiddleIssue], list[MiddleIssue]]:
-        """Fold one bucket's blame results into the issue set.
+        """Fold one bucket's middle-blamed rows into the issue set.
 
         Args:
-            time: The bucket the results belong to.
-            results: Blame results of that bucket (any category; only
-                MIDDLE ones are used).
+            time: The bucket the rows belong to.
+            groups: The bucket's middle-blamed rows per issue key, in
+                first-occurrence row order: ``(key, users, /24s)``
+                (:attr:`~repro.core.summary.BadGroups.middle`).
 
         Returns:
             (open issues, issues that just closed — whether swept by the
             end-of-bucket expiry or displaced by a fresh blame).
         """
         displaced: list[MiddleIssue] = []
-        for result in results:
-            if result.blame is not Blame.MIDDLE:
-                continue
-            quartet = result.quartet
-            key = (quartet.location_id, quartet.middle)
+        for key, users, prefixes in groups:
             issue = self.open_issues.get(key)
             # Strictly more than GAP_BUCKETS of silence ends a run — the
             # same condition _expire uses, so a blame recurring after the
@@ -170,8 +166,8 @@ class IssueTracker:
                 if issue is not None:
                     displaced.append(issue)
                 issue = MiddleIssue(
-                    location_id=quartet.location_id,
-                    middle=quartet.middle,
+                    location_id=key[0],
+                    middle=key[1],
                     first_seen=time,
                     last_seen=time,
                     serial=self._next_serial,
@@ -179,10 +175,8 @@ class IssueTracker:
                 self._next_serial += 1
                 self.open_issues[key] = issue
             issue.last_seen = max(issue.last_seen, time)
-            issue.prefixes.add(quartet.prefix24)
-            issue.users_by_bucket[time] = (
-                issue.users_by_bucket.get(time, 0) + quartet.users
-            )
+            issue.prefixes.update(prefixes)
+            issue.users_by_bucket[time] = issue.users_by_bucket.get(time, 0) + users
         newly_closed = displaced + self._expire(time)
         return list(self.open_issues.values()), newly_closed
 

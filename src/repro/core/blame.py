@@ -64,9 +64,10 @@ class BlameResultBatch:
     The array twin of ``list[BlameResult]``: row ``i`` of every column
     describes the same bad quartet, in the order the scalar chain would
     have emitted it. This is what the vectorized passive phase produces
-    and what sharded workers ship to the fold process — materializing
-    per-row :class:`BlameResult` objects is deferred to
-    :meth:`to_results` (and only ever runs over *bad* rows).
+    and what sharded workers ship to the fold process, which groups its
+    rows per tracker key (:func:`repro.core.summary.group_bad_rows`);
+    :meth:`to_results` materializes per-row :class:`BlameResult`
+    records for the reference and the analyses that read them.
 
     Attributes:
         batch: The bad quartets (a row-subset of the bucket's batch).

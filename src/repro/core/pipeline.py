@@ -33,7 +33,7 @@ from repro.core.active import (
 )
 from repro.core.alerts import Alert, AlertManager
 from repro.core.background import BackgroundProber, BaselineStore, ReverseBaselineStore
-from repro.core.blame import Blame, BlameResult, BlameResultBatch
+from repro.core.blame import Blame
 from repro.core.config import BlameItConfig
 from repro.core.localize import CulpritVerdict, localize_culprit
 from repro.core.passive import PassiveLocalizer
@@ -41,7 +41,14 @@ from repro.core.probeplan import make_planner
 from repro.core.reverse import localize_bidirectional
 from repro.core.prediction import ClientCountPredictor, DurationPredictor
 from repro.core.quartet import QuartetBatch
-from repro.core.summary import BucketSummary, SpanSummary, summarize_buckets
+from repro.core.summary import (
+    BadGroups,
+    BucketSummary,
+    KeyGroups,
+    SpanSummary,
+    group_bad_rows,
+    summarize_buckets,
+)
 from repro.core.thresholds import ExpectedRTTLearner, ExpectedRTTTable
 from repro.net.asn import ASPath, middle_asns
 from repro.net.bgp import Timestamp
@@ -247,19 +254,11 @@ class _KeyedIssueTracker:
         self.blame = blame
         self.open: dict[str | int, SegmentIssue] = {}
 
-    @staticmethod
-    def _key_and_culprit(
-        blame: Blame, result: BlameResult, cloud_asn: int
-    ) -> tuple[str | int, int]:
-        quartet = result.quartet
-        if blame is Blame.CLOUD:
-            return quartet.location_id, cloud_asn
-        return quartet.client_asn, quartet.client_asn
-
     def update(
-        self, time: Timestamp, results: list[BlameResult], cloud_asn: int
+        self, time: Timestamp, groups: KeyGroups, cloud_asn: int
     ) -> list[SegmentIssue]:
-        """Fold one bucket's results; returns issues that just closed.
+        """Fold one bucket's grouped bad rows; returns issues that just
+        closed.
 
         A run ends once more than :data:`GAP_BUCKETS` buckets pass without a
         matching blame. The sweep that closes such runs comes first, so
@@ -270,41 +269,36 @@ class _KeyedIssueTracker:
         The sweep also runs *before* the current bucket's co-located
         vote totals are credited: an issue quiet past the gap is already
         over, and crediting it votes from a bucket it took no part in
-        would dilute its confidence.
+        would dilute its confidence. Votes are looked up for open keys
+        only.
         """
-        votes_total: Counter = Counter()
-        for result in results:
-            key, _ = self._key_and_culprit(self.blame, result, cloud_asn)
-            votes_total[key] += 1
         closed_now: list[SegmentIssue] = []
         for key, issue in list(self.open.items()):
             if time - issue.last_seen > GAP_BUCKETS:
                 del self.open[key]
                 closed_now.append(issue)
-        for result in results:
-            if result.blame is not self.blame:
-                continue
-            key, culprit = self._key_and_culprit(self.blame, result, cloud_asn)
+        cloud = self.blame is Blame.CLOUD
+        for key, rows, users, prefix, location_id in groups.blamed:
             issue = self.open.get(key)
             if issue is None:
                 issue = SegmentIssue(
                     blame=self.blame,
                     key=key,
-                    location_id=result.quartet.location_id,
-                    culprit_asn=culprit,
+                    location_id=location_id,
+                    culprit_asn=cloud_asn if cloud else key,
                     first_seen=time,
                     last_seen=time,
                 )
                 self.open[key] = issue
             issue.last_seen = max(issue.last_seen, time)
-            issue.impact += result.quartet.users
-            issue.votes_for += 1
-            if issue.sample_prefix is None or result.quartet.prefix24 < issue.sample_prefix:
-                issue.sample_prefix = result.quartet.prefix24
-                issue.location_id = result.quartet.location_id
+            issue.impact += users
+            issue.votes_for += rows
+            if issue.sample_prefix is None or prefix < issue.sample_prefix:
+                issue.sample_prefix = prefix
+                issue.location_id = location_id
+        votes = groups.votes
         for key, issue in self.open.items():
-            if key in votes_total:
-                issue.votes_total += votes_total[key]
+            issue.votes_total += votes.get(key, 0)
         return closed_now
 
     def close_all(self) -> list[SegmentIssue]:
@@ -413,16 +407,17 @@ class WindowEntry(NamedTuple):
 
     Attributes:
         time: The bucket.
-        blames: Its worker-computed blames, or None when they are
-            deferred to the flush.
-        batch: Its sanitized quartets, when the blames are deferred.
+        bad: Its bad rows grouped per tracker key, when the span kernel
+            blamed it (None: no bad row, or deferred).
+        batch: Its sanitized quartets, when the blames are deferred to
+            the flush.
         lease: The shared-memory lease the arrays live under (None
             unless they arrived over :mod:`repro.perf.transport`'s shm
             path); released by the flush.
     """
 
     time: Timestamp
-    blames: BlameResultBatch | None
+    bad: BadGroups | None
     batch: QuartetBatch | None
     lease: object | None = None
 
@@ -614,7 +609,7 @@ class BlameItPipeline:
             for summary in summarize_span(
                 times[at : at + SPAN_BUCKETS], generator, None, seen, True,
                 metrics=self.metrics,
-            ).buckets():
+            ).buckets(self._pair_keys):
                 self._observe_bucket(summary, seed_new=False)
 
     # -- the run -------------------------------------------------------------
@@ -632,8 +627,8 @@ class BlameItPipeline:
         through :meth:`_span_ahead`), ``finish_run`` flushes and
         finalizes. Quartets stay
         :class:`~repro.core.quartet.QuartetBatch` columns end to end;
-        per-row records are materialized only for the bad rows that
-        survive Algorithm 1 (inside :meth:`flush_window`).
+        the bad rows that survive Algorithm 1 are grouped per tracker
+        key once per span, and no per-row record is built.
 
         With a checkpoint store attached, the loop snapshots its state
         at every day boundary and (under ``warm_start``) resumes from
@@ -731,7 +726,7 @@ class BlameItPipeline:
             state.ahead = []
             (summary,) = self._summarize(
                 state, [time], batch=batch, seen=set()
-            ).buckets()
+            ).buckets(self._pair_keys)
         else:
             if not state.ahead:
                 state.ahead = self._span_ahead(state, time)
@@ -755,7 +750,9 @@ class BlameItPipeline:
         """
         _, seen = self._generator_for(self.scenario)
         stop = self._before_kill(time, span_stop(time, state.end))
-        return self._summarize(state, range(time, stop), seen=set(seen)).buckets()
+        return self._summarize(state, range(time, stop), seen=set(seen)).buckets(
+            self._pair_keys
+        )
 
     def _before_kill(self, time: Timestamp, stop: Timestamp) -> Timestamp:
         """``stop``, or the chaos plan's kill bucket if it lies between
@@ -811,14 +808,21 @@ class BlameItPipeline:
         from ``report.start`` so a resumed run flushes where the
         uninterrupted one would have — :meth:`flush_window`. Buckets
         must arrive in time order; the caller advances ``state.cursor``.
+        What does not depend on fold state was done for the whole span
+        by the pre-pass that cut the view (decoded pair keys, bad rows
+        grouped per key); what does — the predictor's observations,
+        probe targets, the window and its flush — stays per bucket, so
+        no read sees a bucket before it is folded.
 
         Args:
             state: The run opened by :meth:`begin_run`.
             time: The bucket.
-            summary: Its summary, from the span kernel in :meth:`step`
-                or in a shard worker; None when the bucket's shard was
-                abandoned (the bucket still happened, its quartets are
-                lost).
+            summary: Its view from the span fold's pre-pass
+                (:meth:`SpanSummary.buckets
+                <repro.core.summary.SpanSummary.buckets>`), of a span the
+                kernel computed in :meth:`step` or in a shard worker;
+                None when the bucket's shard was abandoned (the bucket
+                still happened, its quartets are lost).
             lease: The shared-memory lease ``summary``'s arrays live
                 under, if any; retained while the bucket waits in the
                 window and released by the flush.
@@ -834,7 +838,7 @@ class BlameItPipeline:
                 if lease is not None:
                     lease.retain()
                 state.window.append(
-                    WindowEntry(time, summary.blames, summary.deferred_batch, lease)
+                    WindowEntry(time, summary.bad, summary.deferred_batch, lease)
                 )
         self.background.run_bucket(time)
         for update in self.scenario.updates_between(time, time + 1):
@@ -855,11 +859,10 @@ class BlameItPipeline:
         a churn trigger already registered seeds nothing.
         """
         time = summary.time
-        batch = summary.batch
         if summary.learn is not None:
             with self.metrics.span("phase.learning"):
                 self.learner.observe_batch(summary.learn)
-        keys = self._pair_keys(batch, summary.pair_codes.tolist())
+        keys = summary.keys
         self.client_predictor.observe_bucket(
             keys, time, summary.pair_users.tolist()
         )
@@ -898,28 +901,29 @@ class BlameItPipeline:
     def flush_window(self, state: RunState, now: Timestamp) -> None:
         """Blame the pending window and run the active phase on it.
 
-        Worker-computed blames are unpacked as they are; deferred
-        entries are blamed here with the table held *now* — which is
-        what makes a window that straddles a day-boundary refresh come
-        out the same from every driver. Each entry's shared-memory
-        lease is released afterwards: the materialized results are
-        plain-Python records, so nothing references the segment once
-        the flush returns.
+        Entries the span kernel blamed arrive grouped per tracker key
+        (the fold's pre-pass); deferred entries are blamed here with the
+        table held *now* — which is what makes a window that straddles a
+        day-boundary refresh come out the same from every driver — and
+        grouped the same way. No per-row record is built. Each entry's
+        shared-memory lease is released afterwards: the groups are
+        plain-Python objects, so nothing references the segment once the
+        flush returns.
         """
         entries, state.window = state.window, []
         try:
-            results: list[BlameResult] = []
+            window: list[BadGroups] = []
             with self.metrics.span("phase.passive"):
                 for entry in entries:
-                    if entry.blames is not None:
-                        results.extend(entry.blames.to_results())
-                    else:
-                        results.extend(
-                            self.passive.assign_batch(
-                                entry.batch, state.table
-                            ).to_results()
+                    bad = entry.bad
+                    if entry.batch is not None:
+                        blames = self.passive.assign_batch(entry.batch, state.table)
+                        (bad,) = group_bad_rows(
+                            blames, [0, len(blames)], self._pair_keys
                         )
-            self._process_results(now, results, state.report)
+                    if bad is not None:
+                        window.append(bad)
+            self._process_window(now, window, state.report)
         finally:
             for entry in entries:
                 if entry.lease is not None:
@@ -1038,7 +1042,7 @@ class BlameItPipeline:
             chaos=self.chaos,
             metrics=self.metrics,
         )
-        return [summary.deferred_batch for summary in span.buckets()]
+        return [view.deferred_batch for view in span.buckets(self._pair_keys)]
 
     # -- internals -----------------------------------------------------------
 
@@ -1113,45 +1117,21 @@ class BlameItPipeline:
             if reverse is not None:
                 self.reverse_baselines.put(reverse)
 
-    def _process_results(
+    def _process_window(
         self,
         now: Timestamp,
-        results: list[BlameResult],
+        window: list[BadGroups],
         report: PipelineReport,
     ) -> None:
-        """Fold one window's blame results through the active phase:
-        tracking, budgeted probing, localization."""
-        report.bad_quartets += len(results)
+        """Fold one window's grouped bad rows through the active phase:
+        counting and tracking, budgeted probing, localization."""
         metrics = self.metrics
-        day = now // BUCKETS_PER_DAY
-        day_counter = report.blame_counts_by_day.setdefault(day, Counter())
-        by_bucket: dict[Timestamp, list[BlameResult]] = {}
-        for result in results:
-            report.blame_counts[result.blame] += 1
-            day_counter[result.blame] += 1
-            by_bucket.setdefault(result.quartet.time, []).append(result)
-        open_issues: list[MiddleIssue] = []
-        cloud_asn = self.scenario.world.cloud_asn
-        with metrics.span("phase.tracking"):
-            for time in sorted(by_bucket):
-                bucket_results = by_bucket[time]
-                open_issues, closed = self.tracker.update(time, bucket_results)
-                self._record_closed_middle(closed, report)
-                report.closed_cloud.extend(
-                    self.cloud_tracker.update(time, bucket_results, cloud_asn)
-                )
-                report.closed_client.extend(
-                    self.client_tracker.update(time, bucket_results, cloud_asn)
-                )
+        open_issues = self._track_window(now, window, report)
         with metrics.span("phase.probing"):
             # Co-anomaly history first, so targets that co-occur for the
             # first time in this very window are already clusterable.
             self.on_demand.observe_anomalies(
-                {
-                    (r.quartet.location_id, r.quartet.middle)
-                    for r in results
-                    if r.blame is Blame.MIDDLE
-                }
+                {key for bucket in window for key, _, _ in bucket.middle}
             )
             probed = self.on_demand.probe_window(now, open_issues)
         with metrics.span("phase.localization"):
@@ -1174,6 +1154,40 @@ class BlameItPipeline:
                         metrics.counter("probe.plan.attribution_hits").inc()
             if self.reverse_baselines is not None:
                 self._verify_client_issues(now, report)
+
+    def _track_window(
+        self, now: Timestamp, window: list[BadGroups], report: PipelineReport
+    ) -> list[MiddleIssue]:
+        """Count one window's bad rows and fold them into the trackers;
+        returns the middle issues open after its last bucket.
+
+        ``window`` holds the buckets with bad rows, in time order. The
+        counters and the trackers fold them a key at a time, in the
+        order each key first occurs in the bucket's rows — the order
+        the per-row fold (``tests/row_fold.py``) gave counters their
+        categories and trackers their issues.
+        """
+        day_counter = report.blame_counts_by_day.setdefault(
+            now // BUCKETS_PER_DAY, Counter()
+        )
+        for bucket in window:
+            report.bad_quartets += bucket.rows
+            for blame, rows in bucket.blames:
+                report.blame_counts[blame] += rows
+                day_counter[blame] += rows
+        open_issues: list[MiddleIssue] = []
+        cloud_asn = self.scenario.world.cloud_asn
+        with self.metrics.span("phase.tracking"):
+            for bucket in window:
+                open_issues, closed = self.tracker.update(bucket.time, bucket.middle)
+                self._record_closed_middle(closed, report)
+                report.closed_cloud.extend(
+                    self.cloud_tracker.update(bucket.time, bucket.cloud, cloud_asn)
+                )
+                report.closed_client.extend(
+                    self.client_tracker.update(bucket.time, bucket.client, cloud_asn)
+                )
+        return open_issues
 
     def _localize(self, probe: ProbedIssue) -> LocalizedIssue:
         """Compare the on-demand probe against pre-issue baselines.

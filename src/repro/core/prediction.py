@@ -15,6 +15,7 @@ Two quantities feed the client-time product of a middle-segment issue:
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Hashable
 
 import numpy as np
@@ -190,7 +191,8 @@ class ClientCountPredictor:
         keys resolve last-wins in both). The caller's lists are stored
         by reference and must not be mutated afterwards — the columnar
         pipelines build them fresh per bucket. An empty batch is a
-        no-op, like zero :meth:`observe` calls.
+        no-op, like zero :meth:`observe` calls. The recent map is
+        updated at C level: no Python code runs per key.
         """
         if not keys:
             return
@@ -202,7 +204,7 @@ class ClientCountPredictor:
             self._buckets[time] = (keys, counts)
         else:
             self._bucket_dict(time).update(zip(keys, counts))
-        self._recent.update(zip(keys, ((time, c) for c in counts)))
+        self._recent.update(zip(keys, zip(repeat(time), counts)))
 
     def _bucket_dict(self, time: Timestamp) -> dict:
         """The bucket's per-key dict, materializing stored columns."""

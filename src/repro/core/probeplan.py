@@ -33,7 +33,7 @@ Clustering invariants (the properties every caller relies on):
   reuse the paper's ``(-priority, key)`` ordering. Sequential, sharded,
   and daemon-fed runs therefore stay byte-identical — all three feed
   the history through the same
-  :meth:`~repro.core.pipeline.BlameItPipeline._process_results` fold.
+  :meth:`~repro.core.pipeline.BlameItPipeline._process_window` fold.
 * **Bounded memory.** The co-anomaly history is a ring of the last
   ``probe_history_windows`` non-empty anomaly windows (a deque with a
   maxlen); each entry holds only the middle-blamed issue keys of that

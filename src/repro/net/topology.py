@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import networkx as nx
 import numpy as np
@@ -73,6 +74,15 @@ class TopologyParams:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
 
 
+class _Neighbours(NamedTuple):
+    """One AS's direct neighbours by relation, each sorted."""
+
+    providers: tuple[int, ...]
+    customers: tuple[int, ...]
+    peers: tuple[int, ...]
+    all: tuple[int, ...]
+
+
 class ASTopology:
     """An AS-level graph with business relationships.
 
@@ -85,6 +95,10 @@ class ASTopology:
     def __init__(self) -> None:
         self.graph = nx.Graph()
         self._ases: dict[int, AutonomousSystem] = {}
+        # ASN → its neighbours by relation. Route computation asks the
+        # neighbour queries thousands of times per world; every mutator
+        # clears the memo.
+        self._memo: dict[int, _Neighbours] = {}
 
     # -- construction -------------------------------------------------
 
@@ -94,6 +108,7 @@ class ASTopology:
             raise ValueError(f"duplicate ASN {asys.asn}")
         self._ases[asys.asn] = asys
         self.graph.add_node(asys.asn)
+        self._memo.clear()
 
     def add_provider_customer(self, provider: int, customer: int) -> None:
         """Add a transit edge where ``provider`` sells transit to ``customer``."""
@@ -101,11 +116,13 @@ class ASTopology:
         self.graph.add_edge(
             provider, customer, relation=RelationKind.PROVIDER_CUSTOMER, provider=provider
         )
+        self._memo.clear()
 
     def add_peering(self, a: int, b: int) -> None:
         """Add a settlement-free peering edge."""
         self._check_nodes(a, b)
         self.graph.add_edge(a, b, relation=RelationKind.PEER_PEER, provider=None)
+        self._memo.clear()
 
     def _check_nodes(self, *asns: int) -> None:
         for asn in asns:
@@ -142,29 +159,40 @@ class ASTopology:
 
     def providers_of(self, asn: int) -> tuple[int, ...]:
         """ASNs selling transit to ``asn``, sorted."""
-        return tuple(
-            sorted(n for n in self.graph.neighbors(asn) if self.is_provider_of(n, asn))
-        )
+        return self._neighbours(asn).providers
 
     def customers_of(self, asn: int) -> tuple[int, ...]:
         """ASNs buying transit from ``asn``, sorted."""
-        return tuple(
-            sorted(n for n in self.graph.neighbors(asn) if self.is_provider_of(asn, n))
-        )
+        return self._neighbours(asn).customers
 
     def peers_of(self, asn: int) -> tuple[int, ...]:
         """Settlement-free peers of ``asn``, sorted."""
-        return tuple(
-            sorted(
-                n
-                for n in self.graph.neighbors(asn)
-                if self.graph.edges[asn, n]["relation"] is RelationKind.PEER_PEER
-            )
-        )
+        return self._neighbours(asn).peers
 
     def neighbors_of(self, asn: int) -> tuple[int, ...]:
         """All direct neighbors, sorted."""
-        return tuple(sorted(self.graph.neighbors(asn)))
+        return self._neighbours(asn).all
+
+    def _neighbours(self, asn: int) -> _Neighbours:
+        """``asn``'s neighbours by relation, from one walk of its edges
+        per state of the graph."""
+        neighbours = self._memo.get(asn)
+        if neighbours is None:
+            providers, customers, peers = [], [], []
+            for other, data in self.graph.adj[asn].items():
+                if data["relation"] is RelationKind.PEER_PEER:
+                    peers.append(other)
+                elif data["provider"] == other:
+                    providers.append(other)
+                else:
+                    customers.append(other)
+            neighbours = self._memo[asn] = _Neighbours(
+                tuple(sorted(providers)),
+                tuple(sorted(customers)),
+                tuple(sorted(peers)),
+                tuple(sorted(self.graph.adj[asn])),
+            )
+        return neighbours
 
     def __contains__(self, asn: int) -> bool:
         return asn in self._ases

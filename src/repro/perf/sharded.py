@@ -390,7 +390,7 @@ class ShardedPipeline(BlameItPipeline):
             return [None] * (bounds[1] - bounds[0])
         span, snapshot, state.lease = result
         self.metrics.merge_snapshot(snapshot)
-        return span.buckets()
+        return span.buckets(self._pair_keys)
 
     def _dispatch(self, state: RunState, time: Timestamp) -> _Flight:
         """Send out the span chain from ``time`` to the horizon: the next

@@ -10,6 +10,8 @@ from repro.core.prediction import ClientCountPredictor, DurationPredictor
 from repro.core.quartet import Quartet
 from repro.net.geo import Region
 
+from tests.row_fold import middle_groups
+
 
 def _result(blame=Blame.MIDDLE, prefix=1, loc="edge-A", middle=(10,), time=0, users=10):
     quartet = Quartet(
@@ -30,7 +32,7 @@ def _result(blame=Blame.MIDDLE, prefix=1, loc="edge-A", middle=(10,), time=0, us
 class TestIssueTracker:
     def test_opens_issue_for_middle_blame(self):
         tracker = IssueTracker()
-        open_issues, closed = tracker.update(0, [_result()])
+        open_issues, closed = tracker.update(0, middle_groups([_result()]))
         assert len(open_issues) == 1
         assert closed == []
         issue = open_issues[0]
@@ -39,30 +41,30 @@ class TestIssueTracker:
 
     def test_ignores_other_blames(self):
         tracker = IssueTracker()
-        open_issues, _ = tracker.update(0, [_result(blame=Blame.CLIENT)])
+        open_issues, _ = tracker.update(0, middle_groups([_result(blame=Blame.CLIENT)]))
         assert open_issues == []
 
     def test_continuity_extends_issue(self):
         tracker = IssueTracker()
-        tracker.update(0, [_result(time=0)])
-        open_issues, closed = tracker.update(1, [_result(time=1)])
+        tracker.update(0, middle_groups([_result(time=0)]))
+        open_issues, closed = tracker.update(1, middle_groups([_result(time=1)]))
         assert len(open_issues) == 1
         assert not closed
         assert open_issues[0].duration == 2
 
     def test_gap_closes_issue(self):
         tracker = IssueTracker()
-        tracker.update(0, [_result(time=0)])
-        open_issues, closed = tracker.update(2, [])  # silence > gap
+        tracker.update(0, middle_groups([_result(time=0)]))
+        open_issues, closed = tracker.update(2, middle_groups([]))  # silence > gap
         assert open_issues == []
         assert len(closed) == 1
         assert closed[0].duration == 1
 
     def test_reopened_issue_is_new(self):
         tracker = IssueTracker()
-        tracker.update(0, [_result(time=0)])
-        _, closed = tracker.update(3, [])
-        open_issues, _ = tracker.update(5, [_result(time=5)])
+        tracker.update(0, middle_groups([_result(time=0)]))
+        _, closed = tracker.update(3, middle_groups([]))
+        open_issues, _ = tracker.update(5, middle_groups([_result(time=5)]))
         assert len(open_issues) == 1
         assert open_issues[0].first_seen == 5
         serials = {i.serial for i in closed} | {i.serial for i in open_issues}
@@ -70,8 +72,12 @@ class TestIssueTracker:
 
     def test_accumulates_prefixes_and_users(self):
         tracker = IssueTracker()
-        tracker.update(0, [_result(prefix=1, users=10), _result(prefix=2, users=20)])
-        open_issues, _ = tracker.update(1, [_result(prefix=1, users=10, time=1)])
+        tracker.update(
+            0, middle_groups([_result(prefix=1, users=10), _result(prefix=2, users=20)])
+        )
+        open_issues, _ = tracker.update(
+            1, middle_groups([_result(prefix=1, users=10, time=1)])
+        )
         issue = open_issues[0]
         assert issue.prefixes == {1, 2}
         assert issue.users_by_bucket == {0: 30, 1: 10}
@@ -80,7 +86,7 @@ class TestIssueTracker:
 
     def test_close_all(self):
         tracker = IssueTracker()
-        tracker.update(0, [_result()])
+        tracker.update(0, middle_groups([_result()]))
         remaining = tracker.close_all()
         assert len(remaining) == 1
         assert tracker.open_issues == {}
@@ -126,7 +132,7 @@ class TestOnDemandProber:
             _result(prefix=i, middle=(10 + i,), users=10 * (i + 1), time=tracker_time)
             for i in range(n)
         ]
-        open_issues, _ = tracker.update(tracker_time, results)
+        open_issues, _ = tracker.update(tracker_time, middle_groups(results))
         return open_issues
 
     def test_priority_uses_predictions(self):
@@ -176,8 +182,8 @@ class TestIssueTrackerGapParity:
         """A middle blame recurring just past the gap starts a new issue
         instead of extending a run the sweep would already have closed."""
         tracker = IssueTracker()
-        tracker.update(0, [_result(time=0)])
-        open_issues, closed = tracker.update(2, [_result(time=2)])
+        tracker.update(0, middle_groups([_result(time=0)]))
+        open_issues, closed = tracker.update(2, middle_groups([_result(time=2)]))
         assert len(closed) == 1
         assert closed[0].first_seen == 0
         assert closed[0].last_seen == 0
@@ -188,8 +194,8 @@ class TestIssueTrackerGapParity:
     def test_blame_at_gap_extends(self):
         """Silence of exactly GAP_BUCKETS does not end the run."""
         tracker = IssueTracker()
-        tracker.update(0, [_result(time=0)])
-        open_issues, closed = tracker.update(1, [_result(time=1)])
+        tracker.update(0, middle_groups([_result(time=0)]))
+        open_issues, closed = tracker.update(1, middle_groups([_result(time=1)]))
         assert closed == []
         assert open_issues[0].first_seen == 0
         assert open_issues[0].duration == 2
@@ -198,11 +204,11 @@ class TestIssueTrackerGapParity:
         """The same quiet spell yields the same issue duration whether
         the close came from a sweep or a displacing blame."""
         swept = IssueTracker()
-        swept.update(0, [_result(time=0)])
-        _, swept_closed = swept.update(2, [])
+        swept.update(0, middle_groups([_result(time=0)]))
+        _, swept_closed = swept.update(2, middle_groups([]))
         displaced = IssueTracker()
-        displaced.update(0, [_result(time=0)])
-        _, displaced_closed = displaced.update(2, [_result(time=2)])
+        displaced.update(0, middle_groups([_result(time=0)]))
+        _, displaced_closed = displaced.update(2, middle_groups([_result(time=2)]))
         assert [i.duration for i in swept_closed] == [
             i.duration for i in displaced_closed
         ]

@@ -17,6 +17,7 @@ Driver-against-driver byte identity is the matrix's
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from contextlib import closing
 
@@ -38,6 +39,7 @@ from repro.perf.workers import usable_cpus
 from repro.serve import BlameItDaemon
 from repro.sim.scenario import BUCKETS_PER_DAY, Scenario
 from repro.store import CheckpointStore
+from repro.store.codec import encode_pair_key, report_state_dict
 
 from tests import harness
 from tests.harness import (
@@ -50,6 +52,7 @@ from tests.harness import (
     reference,
     span_chain,
 )
+from tests.row_fold import decode_pairs
 from tests.test_thresholds import assert_learners_identical
 from tests.test_perf import _random_quartets, _random_table, _targets
 from tests.test_transport import _assert_summaries_equal
@@ -214,6 +217,93 @@ class TestSpanKernel:
         assert span_calls["assign_batch"] <= span_calls["generate"]
         assert spans == single
 
+    @staticmethod
+    def _span_fold(world, driver, span_buckets, directory) -> dict:
+        """``LEARNED``'s run at ``span_buckets`` per span, checkpointing
+        at each day boundary: its report (the order-keeping state
+        form), its predictors' state JSON, and each checkpoint's
+        payload text and array bytes."""
+        store = CheckpointStore(directory)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pipeline_module, "SPAN_BUCKETS", span_buckets)
+            kwargs = {"n_workers": None} if driver != "sequential" else {}
+            pipeline = LEARNED.build(world, driver, store=store, **kwargs)
+            try:
+                report = pipeline.run(*LEARNED.span)
+            finally:
+                getattr(pipeline, "close", lambda: None)()
+        try:
+            checkpoints = {
+                time: (
+                    store._select(  # noqa: SLF001
+                        "SELECT payload FROM records WHERE key = ?",
+                        (f"checkpoint/{time}",),
+                    ),
+                    harness._records(store, time)[1],  # noqa: SLF001
+                )
+                for time in store.checkpoint_times()
+            }
+        finally:
+            store.close()
+        assert list(checkpoints) == [288, 576]
+        return {
+            "digest": digest(report),
+            "report": json.dumps(report_state_dict(report)),
+            "client_predictor": json.dumps(
+                pipeline.client_predictor.state_dict(encode_pair_key)
+            ),
+            "duration_predictor": json.dumps(
+                pipeline.duration_predictor.state_dict(encode_pair_key)
+            ),
+            "checkpoints": checkpoints,
+        }
+
+    @pytest.mark.parametrize("driver", ["sequential", "sharded1"])
+    def test_span_fold_equals_one_bucket_spans(
+        self, multi_day_world, tmp_path, driver
+    ):
+        """The span fold against its one-bucket-span reference: a
+        learned two-day run, whose spans before each day boundary mix
+        buckets the kernel blamed with buckets deferred to the flush,
+        folds at ``SPAN_BUCKETS`` per span (sequentially, and by the
+        sharded driver at its default worker count, inline on one usable
+        CPU) to the report, tracker and predictor state and checkpoint
+        bytes of the sequential run at one bucket per span."""
+        expected = harness._once(  # noqa: SLF001
+            "span-fold-reference", multi_day_world,
+            lambda: self._span_fold(
+                multi_day_world, "sequential", 1, tmp_path / "reference"
+            ),
+        )
+        got = self._span_fold(
+            multi_day_world, driver, pipeline_module.SPAN_BUCKETS, tmp_path / "run"
+        )
+        assert got == expected
+
+    def test_no_bucket_reaches_the_predictor_before_its_fold(
+        self, small_world, trained_table, monkeypatch
+    ):
+        """After every step, the client predictor of a run at
+        ``SPAN_BUCKETS`` per span holds what the one-bucket-span run's
+        holds: a span's later buckets reach its history and its recent
+        map only as they are folded."""
+
+        def after_each_step(span_buckets):
+            monkeypatch.setattr(pipeline_module, "SPAN_BUCKETS", span_buckets)
+            pipeline = make_pipeline(
+                Scenario.from_world(small_world), table=trained_table
+            )
+            state = pipeline.begin_run(*SMALL.span)
+            states = []
+            while state.cursor < state.end:
+                pipeline.step(state)
+                states.append(
+                    json.dumps(pipeline.client_predictor.state_dict(encode_pair_key))
+                )
+            return states
+
+        assert after_each_step(pipeline_module.SPAN_BUCKETS) == after_each_step(1)
+
     def test_kill_inside_a_span_leaves_only_folded_pairs(
         self, small_world, trained_table
     ):
@@ -282,13 +372,13 @@ class TestFoldKernelSeam:
 
         pipeline.fold_bucket = record
         pipeline.run(self.START, self.END)
-        assert all(s.blames is not None for s in inline)
-        assert any(len(s.blames) for s in inline)
+        assert all(s.deferred_batch is None for s in inline)
+        assert any(s.bad is not None for s in inline)
         deferred = summarize_span(
             range(self.START, self.END), BatchQuartetGenerator(scenario),
             SEED, set(), False,
-        ).buckets()
-        assert all(s.blames is None for s in deferred)
+        ).buckets(decode_pairs)
+        assert all(s.deferred_batch is not None for s in deferred)
         generator, seen = BatchQuartetGenerator(scenario), set()
         per_bucket = [
             summary
@@ -296,7 +386,7 @@ class TestFoldKernelSeam:
             for summary in summarize_span(
                 [t], generator, SEED, seen, False,
                 passive=pipeline.passive, table=trained_table,
-            ).buckets()
+            ).buckets(decode_pairs)
         ]
         return deferred, inline, per_bucket
 
@@ -308,7 +398,7 @@ class TestFoldKernelSeam:
         and both equal the buckets summarized one per call."""
         worker = _ShardWorker(Scenario.from_world(small_world), make_config(), SEED)
         span, _ = worker.run_shard((self.START, self.END), (1, trained_table))
-        shipped = span.buckets()
+        shipped = span.buckets(decode_pairs)
         _, inline, per_bucket = summaries
         _assert_summaries_equal(shipped, per_bucket)
         _assert_summaries_equal(inline, per_bucket)
@@ -317,7 +407,7 @@ class TestFoldKernelSeam:
         self, small_world, trained_table, summaries, monkeypatch
     ):
         """Pre-blamed and deferred entries of one window come out as the
-        same ``BlameResult`` list, in the same order."""
+        same grouped bad rows, in the same order."""
         deferred, blamed = (window[:3] for window in summaries[:2])
 
         def flushed(window):
@@ -326,12 +416,12 @@ class TestFoldKernelSeam:
             )
             state = pipeline.begin_run(self.START, self.END)
             state.window = [
-                WindowEntry(s.time, s.blames, s.deferred_batch) for s in window
+                WindowEntry(s.time, s.bad, s.deferred_batch) for s in window
             ]
             seen = []
             monkeypatch.setattr(
-                pipeline, "_process_results",
-                lambda now, results, report: seen.append((now, results)),
+                pipeline, "_process_window",
+                lambda now, window, report: seen.append((now, window)),
             )
             pipeline.flush_window(state, self.START + 2)
             assert state.window == []

@@ -11,9 +11,11 @@ from repro.core.blame import Blame, BlameResult
 from repro.core.config import BlameItConfig
 from repro.core.passive import PassiveLocalizer
 from repro.core.quartet import Quartet, QuartetBatch
+from repro.core.summary import group_bad_rows
 from repro.core.thresholds import ExpectedRTTTable
 from repro.net.geo import Region
 
+from tests.row_fold import decode_pairs, grouped
 from tests.test_perf import _random_quartets, _random_table
 
 TARGET = 50.0
@@ -483,6 +485,59 @@ class TestSpanProperties:
             ]
             assert len(edge) == n
             assert all((r.blame is blame) == fires for r in edge)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.lists(st.integers(1, 80), min_size=1, max_size=5),
+        data=st.data(),
+    )
+    def test_mixed_spans_group_like_single_buckets(self, seed, sizes, data):
+        """A span of 1–5 buckets, some blamed by one ``assign_batch``
+        call and grouped by one ``group_bad_rows`` call over the span
+        (the fold's pre-pass), the others deferred and blamed and
+        grouped alone (the flush): each bucket's groups are those of
+        its own per-row results, grouped alone."""
+        rows = _bucket(seed, sum(sizes))
+        times = sorted(
+            data.draw(
+                st.lists(
+                    st.integers(0, 600),
+                    min_size=len(sizes),
+                    max_size=len(sizes),
+                    unique=True,
+                )
+            )
+        )
+        blamed = data.draw(
+            st.lists(st.booleans(), min_size=len(sizes), max_size=len(sizes))
+        )
+        cuts = np.cumsum([0, *sizes]).tolist()
+        buckets = [
+            _in_bucket(rows[lo:hi], time)
+            for time, lo, hi in zip(times, cuts, cuts[1:])
+        ]
+        table = _random_table(np.random.default_rng(seed))
+        localizer = _localizer()
+        span = [bucket for bucket, kept in zip(buckets, blamed) if kept]
+        grouped_span = iter([])
+        if span:
+            blames = localizer.assign_batch(
+                QuartetBatch.from_quartets([q for bucket in span for q in bucket]),
+                table,
+            )
+            bad_cuts = np.searchsorted(
+                blames.batch.time, [bucket[0].time for bucket in span]
+            ).tolist() + [len(blames)]
+            grouped_span = iter(group_bad_rows(blames, bad_cuts, decode_pairs))
+        for bucket, kept in zip(buckets, blamed):
+            if kept:
+                got = next(grouped_span)
+            else:
+                alone = localizer.assign_batch(QuartetBatch.from_quartets(bucket), table)
+                (got,) = group_bad_rows(alone, [0, len(alone)], decode_pairs)
+            results = localizer.assign(bucket, table)
+            assert got == (grouped(results) if results else None)
 
     def test_good_elsewhere_in_another_bucket_is_not_ambiguous(self):
         """A /24 bad at edge-A in bucket 0 and good at edge-B only in

@@ -13,6 +13,7 @@ from repro.sim.faults import Fault, FaultTarget, SegmentKind
 from repro.sim.scenario import Scenario
 
 from tests.harness import make_config, make_pipeline
+from tests.row_fold import client_groups
 
 
 @pytest.fixture(scope="module")
@@ -192,8 +193,8 @@ class TestKeyedTrackerGapSemantics:
     def test_blame_within_gap_extends_run(self):
         """A one-bucket gap (== GAP_BUCKETS) does not end the run."""
         tracker = self._tracker()
-        tracker.update(0, [self._result(time=0)], self.CLOUD_ASN)
-        closed = tracker.update(1, [self._result(time=1)], self.CLOUD_ASN)
+        tracker.update(0, client_groups([self._result(time=0)]), self.CLOUD_ASN)
+        closed = tracker.update(1, client_groups([self._result(time=1)]), self.CLOUD_ASN)
         assert closed == []
         (issue,) = tracker.open.values()
         assert issue.first_seen == 0
@@ -203,9 +204,9 @@ class TestKeyedTrackerGapSemantics:
         """An end-of-bucket sweep with no matching blame closes the run
         once more than GAP_BUCKETS buckets passed."""
         tracker = self._tracker()
-        tracker.update(0, [self._result(time=0)], self.CLOUD_ASN)
-        assert tracker.update(1, [], self.CLOUD_ASN) == []
-        closed = tracker.update(2, [], self.CLOUD_ASN)
+        tracker.update(0, client_groups([self._result(time=0)]), self.CLOUD_ASN)
+        assert tracker.update(1, client_groups([]), self.CLOUD_ASN) == []
+        closed = tracker.update(2, client_groups([]), self.CLOUD_ASN)
         assert len(closed) == 1
         assert closed[0].first_seen == 0
         assert tracker.open == {}
@@ -216,8 +217,8 @@ class TestKeyedTrackerGapSemantics:
         condition) before the bucket's results are walked, even when
         update did not run for the quiet buckets in between."""
         tracker = self._tracker()
-        tracker.update(0, [self._result(time=0)], self.CLOUD_ASN)
-        closed = tracker.update(2, [self._result(time=2)], self.CLOUD_ASN)
+        tracker.update(0, client_groups([self._result(time=0)]), self.CLOUD_ASN)
+        closed = tracker.update(2, client_groups([self._result(time=2)]), self.CLOUD_ASN)
         assert len(closed) == 1
         assert closed[0].first_seen == 0
         assert closed[0].last_seen == 0
@@ -227,11 +228,15 @@ class TestKeyedTrackerGapSemantics:
     def test_update_returns_only_newly_closed(self):
         """Earlier closures must not be re-reported by later updates."""
         tracker = self._tracker()
-        tracker.update(0, [self._result(asn=65001, time=0)], self.CLOUD_ASN)
-        first = tracker.update(2, [], self.CLOUD_ASN)
+        tracker.update(
+            0, client_groups([self._result(asn=65001, time=0)]), self.CLOUD_ASN
+        )
+        first = tracker.update(2, client_groups([]), self.CLOUD_ASN)
         assert len(first) == 1
-        tracker.update(10, [self._result(asn=65002, time=10)], self.CLOUD_ASN)
-        later = tracker.update(13, [], self.CLOUD_ASN)
+        tracker.update(
+            10, client_groups([self._result(asn=65002, time=10)]), self.CLOUD_ASN
+        )
+        later = tracker.update(13, client_groups([]), self.CLOUD_ASN)
         assert len(later) == 1
         assert later[0].key == 65002
         assert tracker.close_all() == []
@@ -240,10 +245,14 @@ class TestKeyedTrackerGapSemantics:
         tracker = self._tracker()
         tracker.update(
             0,
-            [self._result(asn=65001, time=0), self._result(asn=65002, time=0)],
+            client_groups(
+                [self._result(asn=65001, time=0), self._result(asn=65002, time=0)]
+            ),
             self.CLOUD_ASN,
         )
-        closed = tracker.update(2, [self._result(asn=65001, time=2)], self.CLOUD_ASN)
+        closed = tracker.update(
+            2, client_groups([self._result(asn=65001, time=2)]), self.CLOUD_ASN
+        )
         # Both runs ended: 65001 displaced, 65002 swept.
         assert {issue.key for issue in closed} == {65001, 65002}
 
@@ -275,11 +284,11 @@ class TestKeyedTrackerVoteAccounting:
         tracker = _KeyedIssueTracker(Blame.CLIENT)
         tracker.update(
             0,
-            [BlameResult(self._quartet(time=0), Blame.CLIENT, 0.1, 0.1)],
+            client_groups([BlameResult(self._quartet(time=0), Blame.CLIENT, 0.1, 0.1)]),
             self.CLOUD_ASN,
         )
         ambiguous = BlameResult(self._quartet(time=3), Blame.AMBIGUOUS, 0.1, 0.1)
-        closed = tracker.update(3, [ambiguous], self.CLOUD_ASN)
+        closed = tracker.update(3, client_groups([ambiguous]), self.CLOUD_ASN)
         assert len(closed) == 1
         assert closed[0].votes_for == 1
         assert closed[0].votes_total == 1
@@ -291,12 +300,12 @@ class TestKeyedTrackerVoteAccounting:
         tracker = _KeyedIssueTracker(Blame.CLIENT)
         tracker.update(
             0,
-            [BlameResult(self._quartet(time=0), Blame.CLIENT, 0.1, 0.1)],
+            client_groups([BlameResult(self._quartet(time=0), Blame.CLIENT, 0.1, 0.1)]),
             self.CLOUD_ASN,
         )
         closed = tracker.update(
             3,
-            [BlameResult(self._quartet(time=3), Blame.CLIENT, 0.1, 0.1)],
+            client_groups([BlameResult(self._quartet(time=3), Blame.CLIENT, 0.1, 0.1)]),
             self.CLOUD_ASN,
         )
         assert len(closed) == 1

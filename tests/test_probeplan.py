@@ -25,6 +25,7 @@ from repro.net.geo import Region
 from repro.sim.scenario import Scenario
 
 from tests.harness import digest, make_config, make_pipeline
+from tests.row_fold import middle_groups
 
 K_A = ("edge-A", (10, 20))
 K_B = ("edge-B", (10, 30))
@@ -98,7 +99,7 @@ def _issues(*keys, time=0):
         _blame_result(key, prefix=index + 1, time=time)
         for index, key in enumerate(keys)
     ]
-    open_issues, _ = tracker.update(time, results)
+    open_issues, _ = tracker.update(time, middle_groups(results))
     return sorted(open_issues, key=lambda issue: issue.key)
 
 

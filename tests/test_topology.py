@@ -1,5 +1,7 @@
 """Tests for repro.net.topology: graph structure and relationships."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.net.topology import (
     TopologyParams,
     generate_topology,
 )
+from repro.sim.scenario import build_world
 
 
 class TestASTopology:
@@ -46,6 +49,24 @@ class TestASTopology:
         topo = self._two_as_topo()
         with pytest.raises(KeyError):
             topo.add_peering(1, 99)
+
+    def test_query_after_a_mutation_sees_it(self):
+        """The neighbour queries are memoized; each mutator clears the
+        memo, so a query asked before an edge or an AS was added answers
+        with it afterwards."""
+        topo = self._two_as_topo()
+        assert topo.providers_of(2) == () and topo.neighbors_of(1) == ()
+        topo.add_provider_customer(1, 2)
+        assert topo.providers_of(2) == (1,)
+        assert topo.customers_of(1) == (2,)
+        assert topo.neighbors_of(1) == (2,)
+        topo.add_as(AutonomousSystem(3, "c", ASTier.TRANSIT))
+        assert topo.peers_of(3) == ()
+        topo.add_peering(1, 3)
+        assert topo.peers_of(3) == (1,)
+        assert topo.peers_of(1) == (3,)
+        assert topo.neighbors_of(1) == (2, 3)
+        assert topo.customers_of(1) == (2,) and topo.providers_of(1) == ()
 
 
 class TestGeneratedTopology:
@@ -93,6 +114,27 @@ class TestGeneratedTopology:
         b = generate_topology(params, np.random.default_rng(5))
         assert a.access_asns_by_region == b.access_asns_by_region
         assert sorted(a.topology.graph.edges) == sorted(b.topology.graph.edges)
+
+    def test_memo_leaves_the_slot_table_unchanged(self, small_params, monkeypatch):
+        """A world built with the neighbour memo has the slot table of
+        one built with every query answered from the graph afresh."""
+        memoized = build_world(small_params).slot_table
+        neighbours = ASTopology._neighbours
+
+        def fresh(topology, asn):
+            topology._memo.clear()  # noqa: SLF001
+            return neighbours(topology, asn)
+
+        monkeypatch.setattr(ASTopology, "_neighbours", fresh)
+        unmemoized = build_world(small_params).slot_table
+        for field in dataclasses.fields(memoized):
+            got = getattr(memoized, field.name)
+            expected = getattr(unmemoized, field.name)
+            if isinstance(expected, np.ndarray):
+                assert got.dtype == expected.dtype
+                assert np.array_equal(got, expected, equal_nan=True), field.name
+            else:
+                assert got == expected, field.name
 
     def test_params_validation(self):
         with pytest.raises(ValueError):

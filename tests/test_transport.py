@@ -50,6 +50,7 @@ from tests.harness import (
     make_pipeline,
     reference,
 )
+from tests.row_fold import decode_pairs
 
 needs_shm = pytest.mark.skipif(
     transport.shared_memory is None, reason="platform lacks multiprocessing.shared_memory"
@@ -223,7 +224,7 @@ class TestRoundTrip:
             assert len(payload.sizes) == len(shipped) == buffers
             assert sum(payload.sizes) == sum(array.nbytes for array in shipped)
             assert counts["shm_bytes"] == transport._layout(payload.sizes)[1]
-            deferred = decoded.buckets()[-1]
+            deferred = decoded.buckets(decode_pairs)[-1]
             assert np.shares_memory(deferred.learn.time, deferred.deferred_batch.time)
         finally:
             lease.release()
